@@ -479,34 +479,18 @@ func (st *Stripe) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 	segs := st.segments(blk, len(bufs)*st.BlockSize())
 	defer func() { st.segPool = append(st.segPool, segs) }()
 	bs := st.BlockSize()
-	var ioErr error
+	var err error
 	if len(segs) == 1 {
 		s := segs[0]
-		ioErr = st.members[s.member].WriteBufs(p, s.phys, bufs[s.off/bs:(s.off+s.n)/bs])
+		err = st.members[s.member].WriteBufs(p, s.phys, bufs[s.off/bs:(s.off+s.n)/bs])
 	} else {
-		// Parallel member I/O, children so a crash takes the in-flight
-		// member transfers down (see rw).
-		done := sim.NewCond(p.Sim())
-		pending := len(segs)
-		for _, s := range segs {
-			s := s
-			p.Sim().SpawnChild(p, "stripe-io", func(q *sim.Proc) {
-				if err := st.members[s.member].WriteBufs(q, s.phys, bufs[s.off/bs:(s.off+s.n)/bs]); err != nil && ioErr == nil {
-					ioErr = err
-				}
-				pending--
-				if pending == 0 {
-					done.Signal()
-				}
-			})
-		}
-		for pending > 0 {
-			done.Wait(p)
-		}
+		err = st.fanOut(p, segs, func(q *sim.Proc, s segment) error {
+			return st.members[s.member].WriteBufs(q, s.phys, bufs[s.off/bs:(s.off+s.n)/bs])
+		})
 	}
 	st.stats.Writes++
 	st.stats.WriteBytes += uint64(len(bufs) * bs)
-	return ioErr
+	return err
 }
 
 func (st *Stripe) rw(p *sim.Proc, blk int64, buf []byte, write bool) error {
@@ -516,30 +500,35 @@ func (st *Stripe) rw(p *sim.Proc, blk int64, buf []byte, write bool) error {
 	segs := st.segments(blk, len(buf))
 	defer func() { st.segPool = append(st.segPool, segs) }()
 	if len(segs) == 1 {
-		s := segs[0]
-		if write {
-			return st.members[s.member].WriteBlocks(p, s.phys, buf[s.off:s.off+s.n])
-		}
-		return st.members[s.member].ReadBlocks(p, s.phys, buf[s.off:s.off+s.n])
+		return st.memberRW(p, segs[0], buf, write)
 	}
-	// Parallel member I/O: spawn a child process per segment, wait for
-	// all. Children so a crash that kills the issuing process takes the
-	// in-flight member transfers down with it (no posthumous writes).
-	// A failing member fails the logical transfer; the other members
-	// still complete their segments.
+	return st.fanOut(p, segs, func(q *sim.Proc, s segment) error {
+		return st.memberRW(q, s, buf, write)
+	})
+}
+
+// memberRW moves segment s of the caller's buffer to or from its member.
+func (st *Stripe) memberRW(p *sim.Proc, s segment, buf []byte, write bool) error {
+	if write {
+		return st.members[s.member].WriteBlocks(p, s.phys, buf[s.off:s.off+s.n])
+	}
+	return st.members[s.member].ReadBlocks(p, s.phys, buf[s.off:s.off+s.n])
+}
+
+// fanOut runs do on every segment in parallel, a child process each, and
+// waits for all of them. Children, so that a crash which kills the issuing
+// process takes the in-flight member transfers down with it (no posthumous
+// writes). A failing member fails the logical transfer; the other members
+// still complete their segments. It is a function of its own so that its
+// captured state is not allocated on the single-segment path.
+func (st *Stripe) fanOut(p *sim.Proc, segs []segment, do func(q *sim.Proc, s segment) error) error {
 	done := sim.NewCond(p.Sim())
 	pending := len(segs)
 	var ioErr error
 	for _, s := range segs {
 		s := s
 		p.Sim().SpawnChild(p, "stripe-io", func(q *sim.Proc) {
-			var err error
-			if write {
-				err = st.members[s.member].WriteBlocks(q, s.phys, buf[s.off:s.off+s.n])
-			} else {
-				err = st.members[s.member].ReadBlocks(q, s.phys, buf[s.off:s.off+s.n])
-			}
-			if err != nil && ioErr == nil {
+			if err := do(q, s); err != nil && ioErr == nil {
 				ioErr = err
 			}
 			pending--

@@ -46,6 +46,7 @@ func runWithPolicy(label string, policy *core.Config, nfsds int) AblationResult 
 		NumNfsds: nfsds, Biods: 7, CPUScale: 1.8, Seed: 313,
 	}
 	r := NewRig(cfg)
+	defer r.Sim.Close()
 	var elapsed sim.Duration
 	r.Sim.Spawn("copy", func(p *sim.Proc) {
 		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "abl.dat", 0644)
@@ -120,6 +121,7 @@ func AblationHunter(presto bool) []AblationResult {
 			NumNfsds: 8, Biods: 7, CPUScale: 1.8, Seed: 313,
 		}
 		r := NewRig(cfg)
+		defer r.Sim.Close()
 		var elapsed sim.Duration
 		r.Sim.Spawn("copy", func(p *sim.Proc) {
 			cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "abl.dat", 0644)

@@ -209,6 +209,9 @@ func runRigCell(rc *resolved, capture obsCaptureFn) CellResult {
 	// so concurrent cells never perturb each other's accounting.
 	cfg.Acct = block.NewAccounting()
 	r := rig.New(cfg)
+	// Runs once cr has been copied out for the caller: what the unwinding
+	// processes still touch is the rig's, never the result's.
+	defer r.Sim.Close()
 	ob := newCellObs(rc, capture)
 	ob.installRig(r)
 	var cr CellResult
@@ -419,6 +422,7 @@ func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
 		}
 	}
 	c := cluster.New(ccfg)
+	defer c.Sim.Close() // after the audits and the result's copy-out, as in runRigCell
 	ob.installCluster(c)
 	var cr CellResult
 
@@ -851,7 +855,9 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 			cfg.ReplaySpeed = speed
 		}
 		gens[i] = openload.NewGen(cli, pop, cfg)
-		s.Spawn(fmt.Sprintf("openload-driver-%d", i), func(p *sim.Proc) {
+		// One name for all: a fan-in cell spawns thousands of these, and a
+		// process name only feeds Sim.Trace and panic text.
+		s.Spawn("openload-driver", func(p *sim.Proc) {
 			if i == 0 {
 				if err := pop.Build(p, cli); err != nil {
 					panic("scenario: openload population build: " + err.Error())

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -266,5 +267,46 @@ func TestRenderSelectsMetrics(t *testing.T) {
 	}
 	if strings.Contains(out, "avg_latency_ms") {
 		t.Errorf("rendered result leaked an unselected column:\n%s", out)
+	}
+}
+
+// TestRunsReleaseTheirSims guards the cell runners' deferred Sim.Close:
+// sweeps, -run all and -fuzz N run many cells in one OS process, and a
+// finished cell must leave nothing behind — no suspended coroutine, and
+// none of the platters, caches and buffers its processes referenced. Both
+// assemblies, with a crash on the cluster side.
+func TestRunsReleaseTheirSims(t *testing.T) {
+	crash, ok := Lookup("crash")
+	if !ok {
+		t.Fatal("crash not registered")
+	}
+	rig := laddisSweepSpec(t)
+	rig.Cells = rig.Cells[:1]
+	measure := func() (goroutines int, heap uint64) {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return runtime.NumGoroutine(), m.HeapAlloc
+	}
+	round := func() {
+		for _, spec := range []Spec{crash, rig} {
+			if _, err := RunWorkers(spec, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // pools, lazily built tables
+	g0, h0 := measure()
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	g1, h1 := measure()
+	if g1 != g0 {
+		t.Errorf("NumGoroutine %d -> %d over 20 rounds", g0, g1)
+	}
+	// One round of the channel kernel retained about 24 MB.
+	if h1 > h0+1<<20 {
+		t.Errorf("HeapAlloc %d -> %d over 20 rounds: finished runs stay reachable", h0, h1)
 	}
 }

@@ -4,24 +4,25 @@ package sim
 // in FIFO order. Unlike sync.Cond there is no associated lock: the kernel's
 // one-process-at-a-time discipline makes state inspection before Wait safe.
 //
-// The wait list is a head-indexed slice of pooled waiter records, so the
-// steady-state wait/signal cycle allocates nothing and the backing array is
-// not retained by repeated front-pops.
+// The wait list is a doubly linked list threaded through pooled waiter
+// records, so waiting, signalling and leaving the list from the middle (a
+// timeout, a Kill) allocate nothing and cost the same at any length. A Cond
+// must not be copied while processes wait on it.
 type Cond struct {
-	sim     *Sim
-	waiters []*condWaiter
-	head    int
+	sim        *Sim
+	head, tail *condWaiter
 }
 
 // condWaiter is one blocked process. Records are pooled on the Sim: a
-// waiter is detached from its Cond before the owning process resumes, so
-// the process can safely return the record to the pool on wake-up.
+// waiter is off its Cond's list before the owning process resumes, so the
+// process can safely return the record to the pool on wake-up.
 type condWaiter struct {
-	c        *Cond
-	p        *Proc
-	signaled bool
-	removed  bool
-	timeout  Event
+	c          *Cond
+	p          *Proc
+	next, prev *condWaiter
+	queued     bool // on c's list
+	signaled   bool
+	timeout    Event
 }
 
 // NewCond returns a condition variable bound to s.
@@ -29,22 +30,17 @@ func NewCond(s *Sim) *Cond { return &Cond{sim: s} }
 
 // Init (re)binds c to s and empties the wait list. It lets callers embed a
 // Cond by value inside pooled records instead of allocating with NewCond.
-func (c *Cond) Init(s *Sim) {
-	c.sim = s
-	c.waiters = c.waiters[:0]
-	c.head = 0
-}
+func (c *Cond) Init(s *Sim) { *c = Cond{sim: s} }
 
 func (s *Sim) newWaiter(c *Cond, p *Proc) *condWaiter {
-	if n := len(s.freeWaiters); n > 0 {
-		w := s.freeWaiters[n-1]
-		s.freeWaiters = s.freeWaiters[:n-1]
-		w.c, w.p = c, p
-		w.signaled, w.removed = false, false
-		w.timeout = Event{}
-		return w
+	if len(s.freeWaiters) == 0 {
+		s.freeWaiters = refill(s.freeWaiters)
 	}
-	return &condWaiter{c: c, p: p}
+	n := len(s.freeWaiters) - 1
+	w := s.freeWaiters[n]
+	s.freeWaiters = s.freeWaiters[:n]
+	*w = condWaiter{c: c, p: p}
+	return w
 }
 
 func (s *Sim) putWaiter(w *condWaiter) {
@@ -52,47 +48,59 @@ func (s *Sim) putWaiter(w *condWaiter) {
 	s.freeWaiters = append(s.freeWaiters, w)
 }
 
-// A WaitTimeout deadline event carries its condWaiter as a typed target;
-// the event loop detaches the waiter from its Cond eagerly (rather than
-// leaving a tombstone for Signal to sweep) and dispatches the parked
-// process — which is what makes the record safe to recycle the moment
-// WaitTimeout returns.
-
-// detach removes w from the wait list, preserving FIFO order.
-func (c *Cond) detach(w *condWaiter) {
-	for i := c.head; i < len(c.waiters); i++ {
-		if c.waiters[i] == w {
-			copy(c.waiters[i:], c.waiters[i+1:])
-			c.waiters[len(c.waiters)-1] = nil
-			c.waiters = c.waiters[:len(c.waiters)-1]
-			if c.head == len(c.waiters) {
-				c.waiters = c.waiters[:0]
-				c.head = 0
-			}
-			return
-		}
+// enqueue makes a waiter record for p and appends it to the list.
+func (c *Cond) enqueue(p *Proc) *condWaiter {
+	w := c.sim.newWaiter(c, p)
+	w.queued = true
+	w.prev = c.tail
+	if c.tail != nil {
+		c.tail.next = w
+	} else {
+		c.head = w
 	}
+	c.tail = w
+	p.waiting = w
+	return w
+}
+
+// detach unlinks w from the wait list; a waiter already off it (signalled,
+// not yet resumed) is left alone. A WaitTimeout deadline carries its
+// condWaiter as a typed event target and the event loop detaches it before
+// dispatching the process, as Kill does for its victim — which is what
+// makes the record safe to recycle the moment the wait returns or unwinds.
+func (c *Cond) detach(w *condWaiter) {
+	if !w.queued {
+		return
+	}
+	w.queued = false
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		c.head = w.next
+	}
+	if w.next != nil {
+		w.next.prev = w.prev
+	} else {
+		c.tail = w.prev
+	}
+	w.next, w.prev = nil, nil
 }
 
 // Waiters reports how many processes are currently blocked on the Cond.
 func (c *Cond) Waiters() int {
 	n := 0
-	for _, w := range c.waiters[c.head:] {
-		if !w.removed {
-			n++
-		}
+	for w := c.head; w != nil; w = w.next {
+		n++
 	}
 	return n
 }
 
 // Wait blocks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	w := c.sim.newWaiter(c, p)
-	c.waiters = append(c.waiters, w)
-	p.waiting = w
+	w := c.enqueue(p)
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
-	// Only a Signal resumes a plain Wait, and Signal pops the waiter from
+	// Only a Signal resumes a plain Wait, and Signal takes the waiter off
 	// the list first, so the record is ours alone again.
 	c.sim.putWaiter(w)
 }
@@ -100,11 +108,9 @@ func (c *Cond) Wait(p *Proc) {
 // WaitTimeout blocks p until signaled or until d elapses. It reports true
 // if the process was signaled, false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
-	w := c.sim.newWaiter(c, p)
+	w := c.enqueue(p)
 	e := c.sim.schedule(d, nil, nil, w)
 	w.timeout = Event{e: e, gen: e.gen}
-	c.waiters = append(c.waiters, w)
-	p.waiting = w
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
 	signaled := w.signaled
@@ -115,38 +121,15 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 // Signal wakes the longest-waiting process, if any. It reports whether a
 // waiter was woken.
 func (c *Cond) Signal() bool {
-	for c.head < len(c.waiters) {
-		w := c.waiters[c.head]
-		c.waiters[c.head] = nil
-		c.head++
-		c.compact()
-		if w.removed {
-			continue
-		}
-		c.wake(w)
-		return true
+	w := c.head
+	if w == nil {
+		return false
 	}
-	return false
-}
-
-// compact reclaims the dead prefix of the wait list. Without it a cond
-// whose list never fully drains (an idle daemon pool re-waiting after
-// every signal) would grow its slice by one slot per wake forever.
-func (c *Cond) compact() {
-	if c.head == len(c.waiters) {
-		c.waiters = c.waiters[:0]
-		c.head = 0
-		return
-	}
-	if c.head >= 16 && c.head >= len(c.waiters)/2 {
-		n := copy(c.waiters, c.waiters[c.head:])
-		tail := c.waiters[n:]
-		for i := range tail {
-			tail[i] = nil
-		}
-		c.waiters = c.waiters[:n]
-		c.head = 0
-	}
+	c.detach(w)
+	w.signaled = true
+	w.timeout.Cancel()
+	c.sim.wakeProc(w.p)
+	return true
 }
 
 // Broadcast wakes all waiting processes in FIFO order. It returns the
@@ -159,13 +142,6 @@ func (c *Cond) Broadcast() int {
 	return n
 }
 
-func (c *Cond) wake(w *condWaiter) {
-	w.signaled = true
-	w.removed = true
-	w.timeout.Cancel()
-	c.sim.wakeProc(w.p)
-}
-
 // Resource is a counting semaphore with FIFO admission, used to model
 // servers with finite concurrency (a CPU, a disk arm, an nfsd pool slot).
 // It also tracks busy time so utilization can be reported.
@@ -173,7 +149,7 @@ type Resource struct {
 	sim      *Sim
 	capacity int
 	inUse    int
-	cond     *Cond
+	cond     Cond
 
 	busy      Duration // accumulated (inUse × elapsed) time
 	lastStamp Time
@@ -185,7 +161,7 @@ func NewResource(s *Sim, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{sim: s, capacity: capacity, cond: NewCond(s)}
+	return &Resource{sim: s, capacity: capacity, cond: Cond{sim: s}}
 }
 
 func (r *Resource) stamp() {

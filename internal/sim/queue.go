@@ -21,7 +21,7 @@ type Queue[T any] struct {
 	maxBytes int
 	curBytes int
 	sizeOf   func(T) int
-	cond     *Cond
+	cond     Cond
 
 	puts  uint64
 	drops uint64
@@ -32,14 +32,14 @@ type Queue[T any] struct {
 
 // NewQueue returns a queue bounded to maxItems entries (0 = unlimited).
 func NewQueue[T any](s *Sim, maxItems int) *Queue[T] {
-	return &Queue[T]{sim: s, maxItems: maxItems, cond: NewCond(s)}
+	return &Queue[T]{sim: s, maxItems: maxItems, cond: Cond{sim: s}}
 }
 
 // NewByteQueue returns a queue bounded to maxBytes total, with item sizes
 // measured by sizeOf. maxItems additionally bounds the entry count when
 // non-zero.
 func NewByteQueue[T any](s *Sim, maxItems, maxBytes int, sizeOf func(T) int) *Queue[T] {
-	return &Queue[T]{sim: s, maxItems: maxItems, maxBytes: maxBytes, sizeOf: sizeOf, cond: NewCond(s)}
+	return &Queue[T]{sim: s, maxItems: maxItems, maxBytes: maxBytes, sizeOf: sizeOf, cond: Cond{sim: s}}
 }
 
 // slot maps logical index i (0 = oldest) to a physical buffer index.

@@ -3,14 +3,15 @@
 //
 // A Sim owns a virtual clock and an event heap. Model code runs either as
 // plain callbacks scheduled with At, or as processes (Proc) spawned with
-// Spawn. A process is an ordinary goroutine, but the kernel guarantees that
-// at most one process executes at a time and that control transfers are
-// totally ordered by (virtual time, sequence number), so a simulation run is
-// fully deterministic for a given seed.
+// Spawn. A process runs on a coroutine (see carrier), so the kernel
+// guarantees that at most one process executes at a time and that control
+// transfers are totally ordered by (virtual time, sequence number): a
+// simulation run is fully deterministic for a given seed.
 //
 // Processes block with Proc.Sleep, Cond.Wait, Resource.Acquire, or
 // Queue.Get. While a process is blocked it consumes no virtual time beyond
-// what it asked for; real goroutines are parked on channels.
+// what it asked for; its coroutine is suspended. A Sim that spawned
+// processes holds their coroutines until Close.
 //
 // The event loop is a zero-allocation fast path: the pending set is a
 // concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
@@ -128,16 +129,21 @@ type Sim struct {
 	fired  uint64
 	until  Time // Run bound for the loop, 0 = none
 
-	// mainWake returns the run-loop token to the Run caller when the loop
-	// terminates in some process's goroutine (see loop).
-	mainWake chan struct{}
+	// carriers chains every coroutine this sim started (carrier.all), for
+	// Close; idle chains those whose process returned (carrier.idle), for
+	// the next Spawn.
+	carriers *carrier
+	idle     *carrier
 
-	// fatal carries a model-code panic from the process goroutine it
-	// unwound to the Run caller, which re-raises it (see runProc). The
-	// transfer makes a panicking simulation abort deterministically on
-	// the driving goroutine — recoverable by harnesses like the scenario
-	// fuzzer — instead of crashing the whole OS process from a worker.
+	// fatal carries a model-code panic from the process it unwound to the
+	// Run caller, which re-raises it (see runProc), so a panicking
+	// simulation aborts with one message on the driving goroutine —
+	// recoverable by harnesses like the scenario fuzzer.
 	fatal *fatalPanic
+	// halted stops loop from popping events: a process panicked, or Close
+	// began.
+	halted bool
+	closed bool
 
 	// Trace, when non-nil, receives a line per control transfer
 	// (debugging). Per-instance so concurrently executing sims can be
@@ -147,19 +153,21 @@ type Sim struct {
 	freeWaiters []*condWaiter
 }
 
-// fatalPanic records a panic captured in a process goroutine.
+// fatalPanic records a panic captured in a process.
 type fatalPanic struct {
 	val   any
 	proc  string
 	stack []byte
 }
 
+// raise re-panics on the caller's goroutine.
+func (f *fatalPanic) raise(now Time) {
+	panic(fmt.Sprintf("sim: process %q panicked at t=%d: %v\n%s", f.proc, now, f.val, f.stack))
+}
+
 // New returns a simulator with its clock at zero and the given RNG seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		mainWake: make(chan struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -172,13 +180,25 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // determinism checks and kernel tests.
 func (s *Sim) EventsFired() uint64 { return s.fired }
 
-func (s *Sim) newEvent() *event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free = s.free[:n-1]
-		return e
+// refill stocks an empty free list of event or waiter records from one
+// allocation of 64: a sim with ten thousand simultaneous sleepers pays
+// hundreds of allocations for its records, not one each.
+func refill[T any](free []*T) []*T {
+	slab := make([]T, 64)
+	for i := range slab {
+		free = append(free, &slab[i])
 	}
-	return &event{}
+	return free
+}
+
+func (s *Sim) newEvent() *event {
+	if len(s.free) == 0 {
+		s.free = refill(s.free)
+	}
+	n := len(s.free) - 1
+	e := s.free[n]
+	s.free = s.free[:n]
+	return e
 }
 
 // recycle returns a popped record to the free list. Bumping the generation
@@ -294,14 +314,23 @@ func (s *Sim) wakeProc(p *Proc) {
 
 // Run processes events until the heap is empty or the clock would pass
 // until (until <= 0 means run to completion). It returns the final clock.
+//
+// Run's goroutine is the hub of every process switch: a process that must
+// give way switches back here naming its successor, and Run resumes that
+// one. Both are same-thread coroutine switches that bypass the Go scheduler.
 func (s *Sim) Run(until Time) Time {
+	if s.closed {
+		panic("sim: Run after Close")
+	}
 	s.until = until
-	s.loop(nil)
+	for p := s.loop(); p != nil; {
+		p, _ = p.c.next()
+	}
 	if f := s.fatal; f != nil {
 		// Re-raise a captured process panic here, on the driving
-		// goroutine. The simulation is dead: parked process goroutines
-		// stay parked (their sim is abandoned with them).
-		panic(fmt.Sprintf("sim: process %q panicked at t=%d: %v\n%s", f.proc, s.now, f.val, f.stack))
+		// goroutine. The simulation is dead: every later Run raises it
+		// again, and only Close is left to do.
+		f.raise(s.now)
 	}
 	if until > 0 && s.now < until {
 		s.now = until
@@ -309,20 +338,15 @@ func (s *Sim) Run(until Time) Time {
 	return s.now
 }
 
-// loop is the event loop, run by whichever goroutine currently holds the
-// run-loop token: the Run caller (self == nil) or a process goroutine that
-// just yielded (self == its Proc). Control transfers are a direct handoff —
-// the yielding goroutine pops events itself and hands the token straight to
-// the next runnable process — so the strictly-serial kernel pays one
-// channel operation per process switch instead of the two of a dedicated
-// kernel goroutine ping-pong, and a process whose own wake-up is the next
-// event (the Sleep fast path) continues with no switch at all.
-//
-// loop returns when self has been re-dispatched (the token stays with its
-// goroutine and model code resumes), or, for the Run caller, when the loop
-// has terminated and the token came home.
-func (s *Sim) loop(self *Proc) {
-	for len(s.events) > 0 && s.fatal == nil {
+// loop is the event loop. It pops events until a process must run and
+// returns that process; nil means the run is over for now (heap empty,
+// until reached, or halted). Whoever gives up control runs it — Run, a
+// process that blocks (yield), a carrier whose process returned — so plain
+// callbacks fire inline wherever the loop happens to be, and a process
+// whose own wake-up is the next event gets itself back and continues with
+// no switch at all.
+func (s *Sim) loop() *Proc {
+	for len(s.events) > 0 && !s.halted {
 		e := s.events[0]
 		if s.until > 0 && e.t > s.until {
 			s.now = s.until
@@ -348,10 +372,8 @@ func (s *Sim) loop(self *Proc) {
 		fn, p, w := e.fn, e.proc, e.waiter
 		s.recycle(e)
 		if w != nil {
-			// A WaitTimeout deadline: detach the waiter from its Cond
-			// eagerly (no tombstone for Signal to sweep) and dispatch the
-			// parked process.
-			w.removed = true
+			// A WaitTimeout deadline: take the waiter off its Cond's list
+			// and dispatch the parked process.
 			w.c.detach(w)
 			p = w.p
 		}
@@ -368,41 +390,41 @@ func (s *Sim) loop(self *Proc) {
 		if s.Trace != nil {
 			s.Trace(fmt.Sprintf("t=%d dispatch %s", s.now, p.name))
 		}
-		if p == self {
-			return // own wake-up: resume model code, zero switches
+		return p
+	}
+	return nil
+}
+
+// Close ends the simulation and releases what it holds. Every live process
+// is unwound the way Kill unwinds one — its blocking call panics with the
+// kill sentinel, so deferred cleanups run — in no particular order and
+// without firing another event; every coroutine returns; the event heap
+// and the free lists are dropped. A suspended coroutine is a garbage
+// collection root, so a sim that spawned processes and is never closed
+// keeps them, their stacks and everything those reach for the life of the
+// program. Call Close when no Run is in progress and the last result has
+// been read. A second Close is a no-op; Spawn and Run after it panic. A panic other than the kill unwind raised by a cleanup is
+// re-raised here.
+func (s *Sim) Close() {
+	if s.closed {
+		return
+	}
+	s.closed, s.halted = true, true
+	s.fatal = nil // Run raised it already, if there was one
+	for c := s.carriers; c != nil; c = c.all {
+		c.stop()
+		if p := c.proc; p != nil {
+			// Spawned but never dispatched: the body never ran.
+			p.done, p.killed, p.fn, p.c = true, true, nil, nil
+			c.proc = nil
 		}
-		p.resume <- struct{}{} // hand the token to p
-		s.parkAfterHandoff(self)
-		return
 	}
-	// Loop over (heap empty or until reached): if a process goroutine holds
-	// the token, return it to the Run caller and park.
-	if self != nil {
-		s.mainWake <- struct{}{}
-		s.parkSelf(self)
+	s.nprocs = 0
+	s.carriers, s.idle = nil, nil
+	s.events, s.free, s.freeWaiters = nil, nil, nil
+	if f := s.fatal; f != nil {
+		f.raise(s.now)
 	}
-}
-
-// parkAfterHandoff parks the goroutine that just handed the token away.
-// The Run caller waits for the token to come home (the loop terminated in
-// some other goroutine); a live process waits to be re-dispatched; a
-// finished process simply returns so its goroutine can exit.
-func (s *Sim) parkAfterHandoff(self *Proc) {
-	if self == nil {
-		<-s.mainWake
-		return
-	}
-	s.parkSelf(self)
-}
-
-// parkSelf parks a process goroutine until it is handed the token again
-// (finished processes never are; their goroutines exit instead). On return
-// the caller resumes model code — loop's caller is always yield.
-func (s *Sim) parkSelf(p *Proc) {
-	if p.done {
-		return
-	}
-	<-p.resume
 }
 
 // Idle reports whether no events remain.
@@ -411,13 +433,14 @@ func (s *Sim) Idle() bool { return len(s.events) == 0 }
 // NumProcs reports the number of live (spawned, not yet finished) processes.
 func (s *Sim) NumProcs() int { return s.nprocs }
 
-// Proc is a simulation process: a goroutine scheduled cooperatively by the
-// kernel. All blocking methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a function run on a coroutine that the
+// kernel schedules cooperatively. All blocking methods must be called from
+// the process itself.
 type Proc struct {
 	sim    *Sim
 	name   string
-	resume chan struct{}
+	fn     func(p *Proc)
+	c      *carrier
 	done   bool
 	killed bool
 	// waiting is the cond waiter the process is currently parked on, if
@@ -445,20 +468,26 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.SpawnAfter(0, name, fn)
 }
 
-// SpawnAfter starts fn as a new process after delay d.
+// SpawnAfter starts fn as a new process after delay d. The process takes
+// over an idle carrier if there is one, so a model that spawns a process
+// per operation starts a coroutine per concurrent operation, not per
+// operation; the handle is a new Proc either way.
 func (s *Sim) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	if s.closed {
+		panic("sim: Spawn after Close")
+	}
+	var p *Proc
+	c := s.idle
+	if c != nil {
+		s.idle, c.idle = c.idle, nil
+		p = new(Proc)
+	} else {
+		c = s.newCarrier()
+		p = &c.first
+	}
+	*p = Proc{sim: s, name: name, fn: fn, c: c}
+	c.proc = p
 	s.nprocs++
-	go func() {
-		<-p.resume // wait for first dispatch (token arrives here)
-		runProc(p, fn)
-		p.done = true
-		p.unlinkParent()
-		s.nprocs--
-		// The finished process still holds the run-loop token: keep
-		// processing events until a handoff lets this goroutine exit.
-		s.loop(p)
-	}()
 	s.schedule(d, nil, p, nil)
 	return p
 }
@@ -475,8 +504,7 @@ func (s *Sim) SpawnChild(parent *Proc, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// unlinkParent removes a finished child from its parent's list (kernel
-// context: runs during the child's final handoff).
+// unlinkParent removes a finished child from its parent's list.
 func (p *Proc) unlinkParent() {
 	if p.parent == nil {
 		return
@@ -499,9 +527,9 @@ type killSentinel struct{}
 
 // runProc runs a process body, absorbing the kill unwind. Any other
 // panic is captured into s.fatal — the process's deferred cleanups have
-// already run by the time the recover sees it — and the loop shuts down
-// so the Run caller can re-raise it on the driving goroutine.
-func runProc(p *Proc, fn func(p *Proc)) {
+// already run by the time the recover sees it — and the loop halts so the
+// Run caller can re-raise it on the driving goroutine.
+func runProc(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); ok {
@@ -509,13 +537,14 @@ func runProc(p *Proc, fn func(p *Proc)) {
 			}
 			if p.sim.fatal == nil {
 				p.sim.fatal = &fatalPanic{val: r, proc: p.name, stack: debug.Stack()}
+				p.sim.halted = true
 			}
 		}
 	}()
 	if p.killed {
 		return // killed before first dispatch
 	}
-	fn(p)
+	p.fn(p)
 }
 
 // Kill marks p for termination: the next time the kernel dispatches it, the
@@ -544,7 +573,6 @@ func (s *Sim) Kill(p *Proc) {
 		// Scrub the parked process out of its wait list so a future
 		// Signal is not spent on a corpse, cancel any pending timeout,
 		// and recycle the waiter record (the unwinding Wait will not).
-		w.removed = true
 		w.c.detach(w)
 		w.timeout.Cancel()
 		p.waiting = nil
@@ -561,13 +589,17 @@ func (p *Proc) Killed() bool { return p.killed }
 // kill actually took down.
 func (p *Proc) Done() bool { return p.done }
 
-// yield hands the run-loop token back to the event loop, which keeps
-// running on this goroutine until another process (or the Run caller) must
-// take over; the process parks until re-dispatched. A killed process never
+// yield runs the event loop on the process's own coroutine until some
+// process must run. If that is p itself, model code simply continues;
+// otherwise p switches to Run's goroutine, naming the process to resume,
+// and stays suspended until it is dispatched again. A killed process never
 // resumes model code: the kill unwinds its stack here, through whatever
-// blocking primitive parked it.
+// blocking primitive parked it. So does Close, which stops the coroutine
+// (the switch then reports false, at once and on every later attempt).
 func (p *Proc) yield() {
-	p.sim.loop(p)
+	if next := p.sim.loop(); next != p && !p.c.yield(next) {
+		p.killed = true
+	}
 	if p.killed {
 		panic(killSentinel{})
 	}

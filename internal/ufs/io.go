@@ -1,7 +1,8 @@
 package ufs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/sim"
@@ -259,7 +260,7 @@ func (fs *FS) SyncData(p *sim.Proc, ino vfs.Ino, from, to uint32) error {
 	if len(blks) == 0 {
 		return nil
 	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i].phys < blks[j].phys })
+	slices.SortFunc(blks, func(a, b dirtyBlk) int { return cmp.Compare(a.phys, b.phys) })
 	// Cluster physically contiguous runs. No byte assembly: the device is
 	// handed the cache buffers themselves and snapshots them by reference
 	// (it takes its own refs before sleeping), eliminating both the old
