@@ -17,11 +17,12 @@ import (
 // segment. The queue bound is the bridge's drop budget; overflow and
 // down-port losses are counted per port.
 //
-// Forwarding is static: hosts are registered with SetForward (the Fabric
-// does this when a host is placed on a segment), mapping a destination
-// host name to the output port one hop closer to it. Datagrams for
-// unknown destinations are filtered, as a learning bridge discards
-// frames for addresses local to the arrival segment.
+// Forwarding is static. A bridge built by hand has hosts registered with
+// SetForward, mapping a destination host name to the output port one hop
+// closer to it; a Fabric's uplink bridge needs no entries — it asks the
+// fabric which way the host's segment lies — and takes them as overrides.
+// Datagrams for unknown destinations are filtered, as a learning bridge
+// discards frames for addresses local to the arrival segment.
 type Bridge struct {
 	Name  string
 	Ports []*BridgePort
@@ -131,13 +132,29 @@ func (b *Bridge) SetForward(dest string, out *BridgePort) {
 	b.forward[dest] = out
 }
 
+// outPort resolves the port a datagram for host leaves through, having
+// arrived on in: a forwarding entry if there is one, else — on a fabric —
+// the far side of this bridge when it is the hop from the arrival segment
+// toward the host's. nil filters the datagram.
+func (b *Bridge) outPort(in *BridgePort, host string) *BridgePort {
+	if out, ok := b.forward[host]; ok {
+		return out
+	}
+	if f := in.net.fabric; f != nil {
+		if h := f.hopToward(in.net.seg, host); h.via == in.ep {
+			return h.out
+		}
+	}
+	return nil
+}
+
 // receive drains one port's inbox, looking up the output port for each
-// datagram and enqueueing it on that port's FIFO. A missing entry — or
-// an entry pointing back out the arrival port — filters the datagram.
+// datagram and enqueueing it on that port's FIFO. No way onward — or one
+// pointing back out the arrival port — filters the datagram.
 func (b *Bridge) receive(p *sim.Proc, in *BridgePort) {
 	for {
 		dg := in.ep.Inbox.Get(p)
-		out := b.forward[dg.To]
+		out := b.outPort(in, dg.To)
 		if out == nil || out == in {
 			in.DropsNoRoute++
 			dg.Release()

@@ -20,20 +20,33 @@ type SegmentSpec struct {
 }
 
 // A Fabric is a tree of Network segments joined by uplink bridges, plus
-// the placement/routing bookkeeping that lets any attached host reach
-// any other by name: placing a host installs a route on every other
-// segment pointing one hop closer, and a forwarding entry in the bridge
-// between each segment and that hop.
+// the placement bookkeeping that lets any attached host reach any other by
+// name. Routing is by segment, not by host: placing a host records the
+// segment it lives on, and a segment or bridge holding a datagram for a
+// host it does not know asks the fabric, which resolves host -> segment ->
+// next hop from a table over segment pairs built once in NewFabric.
 type Fabric struct {
 	sim     *sim.Sim
 	names   []string // declaration order
+	index   map[string]int
 	nets    map[string]*Network
 	parent  map[string]string
 	uplinks map[string]*Bridge // child segment -> its uplink bridge
 	child   map[string]*BridgePort
 	toward  map[string]*BridgePort // child segment -> parent-side port
-	hosts   map[string]string      // host name -> segment
+	hosts   map[string]int         // host name -> index of its segment
 	root    string
+	// hops[from][to] is the first hop from segment from toward segment to
+	// (indices into names); the diagonal holds zero hops.
+	hops [][]hop
+}
+
+// hop is how a datagram leaves a segment toward another: it is delivered
+// to via, the local endpoint of the bridge joining the segment to the next
+// one on the path, and that bridge forwards it through out.
+type hop struct {
+	via *Endpoint
+	out *BridgePort
 }
 
 // NewFabric builds the segment tree. The spec must be well formed
@@ -43,19 +56,23 @@ type Fabric struct {
 func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 	f := &Fabric{
 		sim:     s,
+		index:   make(map[string]int, len(segs)),
 		nets:    make(map[string]*Network, len(segs)),
 		parent:  make(map[string]string, len(segs)),
 		uplinks: make(map[string]*Bridge),
 		child:   make(map[string]*BridgePort),
 		toward:  make(map[string]*BridgePort),
-		hosts:   make(map[string]string),
+		hosts:   make(map[string]int),
 	}
-	for _, sp := range segs {
+	for i, sp := range segs {
 		if _, dup := f.nets[sp.Name]; dup || sp.Name == "" {
 			panic(fmt.Sprintf("netsim: bad segment name %q", sp.Name))
 		}
 		f.names = append(f.names, sp.Name)
-		f.nets[sp.Name] = New(s, sp.Params)
+		f.index[sp.Name] = i
+		n := New(s, sp.Params)
+		n.fabric, n.seg = f, i
+		f.nets[sp.Name] = n
 		f.parent[sp.Name] = sp.Uplink
 		if sp.Uplink == "" {
 			if f.root != "" {
@@ -92,6 +109,15 @@ func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 			}
 		}
 	}
+	f.hops = make([][]hop, len(f.names))
+	for i, from := range f.names {
+		f.hops[i] = make([]hop, len(f.names))
+		for j, to := range f.names {
+			if i != j {
+				f.hops[i][j] = f.hopBetween(from, f.nextHop(from, to))
+			}
+		}
+	}
 	return f
 }
 
@@ -118,7 +144,12 @@ func (f *Fabric) Segment(name string) *Network {
 func (f *Fabric) Uplink(segment string) *Bridge { return f.uplinks[segment] }
 
 // SegmentOf reports the segment a placed host lives on ("" if unknown).
-func (f *Fabric) SegmentOf(host string) string { return f.hosts[host] }
+func (f *Fabric) SegmentOf(host string) string {
+	if i, ok := f.hosts[host]; ok {
+		return f.names[i]
+	}
+	return ""
+}
 
 // depth counts parent hops from a segment to the root.
 func (f *Fabric) depth(seg string) int {
@@ -155,48 +186,43 @@ func (f *Fabric) nextHop(from, to string) string {
 	return f.parent[from]
 }
 
-// portsBetween returns, for adjacent segments from -> next, the bridge
-// joining them and its output port on the next side.
-func (f *Fabric) portsBetween(from, next string) (br *Bridge, out *BridgePort) {
+// hopBetween returns the hop from a segment to the adjacent segment next:
+// the joining bridge's endpoint on the from side, and its port facing next.
+func (f *Fabric) hopBetween(from, next string) hop {
 	if f.parent[from] == next {
-		br = f.uplinks[from]
-		return br, f.toward[from]
+		// Up through from's own uplink bridge.
+		return hop{via: f.child[from].ep, out: f.toward[from]}
 	}
 	if f.parent[next] == from {
-		br = f.uplinks[next]
-		return br, f.child[next]
+		// Down through the child's uplink bridge.
+		return hop{via: f.toward[next].ep, out: f.child[next]}
 	}
 	panic(fmt.Sprintf("netsim: segments %q and %q are not adjacent", from, next))
 }
 
-// Place registers a host as attached to a segment ("" = root) and
-// installs the routes and bridge forwarding entries that make it
-// reachable from every other segment. Call it after the host's
-// endpoint is attached; re-placing (an adopted export after failover)
-// overwrites the old paths.
+// Place registers a host as attached to a segment ("" = root), which makes
+// it reachable from every other segment. Call it after the host's endpoint
+// is attached; re-placing (an adopted export after failover) moves it.
 func (f *Fabric) Place(host, segment string) {
 	if segment == "" {
 		segment = f.root
 	}
-	if _, ok := f.nets[segment]; !ok {
+	i, ok := f.index[segment]
+	if !ok {
 		panic(fmt.Sprintf("netsim: placing %q on unknown segment %q", host, segment))
 	}
-	f.hosts[host] = segment
-	for _, other := range f.names {
-		if other == segment {
-			continue
-		}
-		next := f.nextHop(other, segment)
-		br, out := f.portsBetween(other, next)
-		// The route on `other` points at the joining bridge's local
-		// endpoint; the bridge forwards out the port facing `next`.
-		local := f.child[other] // next is other's parent: its own uplink bridge
-		if f.parent[next] == other {
-			local = f.toward[next] // next is a child: that child's uplink bridge
-		}
-		f.nets[other].AddRoute(host, local.ep)
-		br.SetForward(host, out)
+	f.hosts[host] = i
+}
+
+// hopToward resolves the first hop from segment from toward wherever host
+// was placed. It is the zero hop for a host never placed, or placed on from
+// itself (it is not attached there, or the segment would have delivered).
+func (f *Fabric) hopToward(from int, host string) hop {
+	to, placed := f.hosts[host]
+	if !placed {
+		return hop{}
 	}
+	return f.hops[from][to]
 }
 
 // SetLinkDown severs or restores a host attachment wherever it lives —

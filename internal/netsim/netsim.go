@@ -117,6 +117,11 @@ type Network struct {
 	// segment to the local endpoint of a bridge that is one hop closer to
 	// them. A local endpoint always wins over a route.
 	routes map[string]*Endpoint
+	// fabric, when the segment is part of one, resolves the destinations
+	// that have neither an endpoint nor a route here; seg is this segment's
+	// index in it.
+	fabric *Fabric
+	seg    int
 	free   []*Datagram // datagram record pool
 
 	// Counters.
@@ -157,8 +162,9 @@ func (n *Network) MediumBusy() sim.Duration { return n.medium.BusyTime() }
 // endpoint on this segment — should be delivered to via, the local
 // endpoint of a bridge one hop closer to dest. The original destination
 // address is preserved, so the next segment resolves it again; chains of
-// routes carry a datagram across a multi-segment fabric. A locally
-// attached endpoint always shadows a route with the same name.
+// routes carry a datagram across hand-built bridged segments. A locally
+// attached endpoint always shadows a route with the same name, and on a
+// Fabric's segment a route overrides where the fabric placed dest.
 func (n *Network) AddRoute(dest string, via *Endpoint) {
 	if n.routes == nil {
 		n.routes = make(map[string]*Endpoint)
@@ -279,9 +285,7 @@ func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block
 	if !ok {
 		// Off-segment destination: hand the datagram to the bridge one hop
 		// closer, keeping the original addressing.
-		if via, routed := n.routes[to]; routed && !via.dead {
-			dst = via
-		} else {
+		if dst = n.routeTo(to); dst == nil || dst.dead {
 			n.DropsNoDest++
 			return false
 		}
@@ -295,6 +299,19 @@ func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block
 	dg.dst = dst
 	n.sim.At(n.p.Latency, dg.deliver)
 	return true
+}
+
+// routeTo returns the local bridge endpoint one hop closer to an
+// off-segment host: an explicit route if there is one, else the hop toward
+// the segment the fabric placed the host on; nil if neither knows it.
+func (n *Network) routeTo(host string) *Endpoint {
+	if via, ok := n.routes[host]; ok {
+		return via
+	}
+	if n.fabric != nil {
+		return n.fabric.hopToward(n.seg, host).via
+	}
+	return nil
 }
 
 // getDatagram takes a record from the pool, or builds one with its

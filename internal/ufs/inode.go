@@ -111,11 +111,14 @@ func inodeBlock(ino vfs.Ino) (int64, int) {
 	return 1 + idx/InodesPerBlock, int(idx % InodesPerBlock)
 }
 
-// allocInode finds a free inode number and initializes the in-core inode.
+// allocInode takes the lowest free inode number and initializes the
+// in-core inode. Every number below inoHint is in use, so the scan starts
+// there and finds what a scan from 1 would.
 func (fs *FS) allocInode(ft vfs.FileType, mode uint32) *inode {
-	for i := 1; i <= fs.ninodes; i++ {
+	for i := fs.inoHint; i <= fs.ninodes; i++ {
 		if !fs.inodeMap[i] {
 			fs.inodeMap[i] = true
+			fs.inoHint = i + 1
 			fs.genSeq++
 			now := fs.sim.Now()
 			in := &inode{
@@ -177,6 +180,7 @@ func (fs *FS) freeInode(p *sim.Proc, in *inode) error {
 	}
 	delete(fs.inodes, in.num)
 	fs.inodeMap[in.num] = false
+	fs.inoHint = min(fs.inoHint, int(in.num))
 	// Clear the on-disk slot synchronously so the remove is durable.
 	return fs.flushInodeSlotCleared(p, in.num)
 }

@@ -49,6 +49,7 @@ type FS struct {
 	// O(1) instead of a bitmap sweep per call.
 	freeData int64
 	inodeMap []bool
+	inoHint  int // no inode number below this is free (slot 0 is marked used)
 	cache    map[int64]*buf
 	rotor    int64
 	genSeq   uint32
