@@ -80,6 +80,17 @@ type Client struct {
 	scratchReadRes    nfsproto.ReadRes
 	scratchStatusRes  nfsproto.StatusRes
 	scratchReaddirRes nfsproto.ReaddirRes
+	// replyBody is the data block of the most recently completed call's
+	// reply when it arrived split (a READ answered by reference), one
+	// reference of the client's own; Read's result aliases it. It is the
+	// READ half of the result scratch and lives as long: until the next
+	// call completes (the caller has consumed its result by then) or the
+	// host crashes.
+	replyBody    *block.Buf
+	replyBodyLen int
+	// enc is reset onto each call's wire buffer (encoding never yields, so
+	// one serves every process of the host).
+	enc xdr.Encoder
 
 	// Counters.
 	Retransmissions uint64
@@ -127,6 +138,10 @@ type pendingCall struct {
 	cond     sim.Cond
 	reply    *oncrpc.ReplyMsg // nil until a reply arrives; points at replyBuf
 	replyBuf oncrpc.ReplyMsg
+	// body is the reply datagram's body reference, taken over by the
+	// receiver; finishCall passes it on to the client's replyBody.
+	body    *block.Buf
+	bodyLen int
 }
 
 // getPC takes a pending-call record from the pool.
@@ -258,10 +273,20 @@ func (c *Client) receiver(p *sim.Proc) {
 			}
 			c.bootIDs[dg.From] = id
 		}
+		// A split reply's data block stays with the call instead of dying
+		// with the datagram.
+		pc.body, pc.bodyLen = dg.TakeBody()
 		dg.Release()
 		pc.reply = &pc.replyBuf
 		pc.cond.Signal()
 	}
+}
+
+// encoder returns the client's one encoder, reset onto a fresh wire buffer
+// of exactly size bytes.
+func (c *Client) encoder(size int) *xdr.Encoder {
+	c.enc.Reset(make([]byte, 0, size))
+	return &c.enc
 }
 
 // call performs one RPC to the server endpoint to, encoding the RPC header
@@ -283,7 +308,7 @@ func (c *Client) call(p *sim.Proc, proc nfsproto.Proc, args argsEncoder, fh nfsp
 	verf := oncrpc.NullAuth()
 	c.xidSeq++
 	xid := c.xidSeq
-	e := xdr.NewEncoder(make([]byte, 0, oncrpc.CallHeaderSize(cred, verf)+args.EncodedSize()))
+	e := c.encoder(oncrpc.CallHeaderSize(cred, verf) + args.EncodedSize())
 	oncrpc.AppendCallHeader(e, xid, nfsproto.Program, nfsproto.Version, uint32(proc), cred, verf)
 	args.EncodeTo(e)
 	return c.finishCall(p, proc, xid, fh, true, "", e.Bytes(), nil, 0)
@@ -297,7 +322,7 @@ func (c *Client) callBody(p *sim.Proc, fh nfsproto.FH, off uint32, body *block.B
 	verf := oncrpc.NullAuth()
 	c.xidSeq++
 	xid := c.xidSeq
-	e := xdr.NewEncoder(make([]byte, 0, oncrpc.CallHeaderSize(cred, verf)+nfsproto.WriteArgsHeadSize))
+	e := c.encoder(oncrpc.CallHeaderSize(cred, verf) + nfsproto.WriteArgsHeadSize)
 	oncrpc.AppendCallHeader(e, xid, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcWrite), cred, verf)
 	nfsproto.AppendWriteArgsHead(e, fh, off, n)
 	return c.finishCall(p, nfsproto.ProcWrite, xid, fh, true, "", e.Bytes(), body, n)
@@ -339,6 +364,13 @@ func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsp
 	c.pending[xid] = pc
 	defer func() {
 		delete(c.pending, xid)
+		// The reply's body, if it had one, becomes the client's; the one
+		// held for the previous call is dead by the scratch discipline.
+		// An unwinding (killed) caller takes this path too, so a body that
+		// arrived for it is never stranded in the pooled record.
+		c.dropReplyBody()
+		c.replyBody, c.replyBodyLen = pc.body, pc.bodyLen
+		pc.body, pc.bodyLen = nil, 0
 		c.freePC = append(c.freePC, pc)
 	}()
 
@@ -388,6 +420,23 @@ func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsp
 	return nil, ErrTimeout
 }
 
+// dropReplyBody releases the reply body the client holds, if any.
+func (c *Client) dropReplyBody() {
+	if c.replyBody != nil {
+		c.replyBody.Release()
+		c.replyBody, c.replyBodyLen = nil, 0
+	}
+}
+
+// HeldBodies reports how many reply-body references the client holds: the
+// READ scratch, 0 or 1 (leak-check accounting).
+func (c *Client) HeldBodies() int {
+	if c.replyBody != nil {
+		return 1
+	}
+	return 0
+}
+
 // PendingRPCs reports calls awaiting replies right now — the
 // outstanding-RPC probe of the observability plane.
 func (c *Client) PendingRPCs() int { return len(c.pending) }
@@ -430,11 +479,13 @@ func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) 
 		return nil, err
 	}
 	if res.Status == nfsproto.ErrExist && c.lastAttempts > 1 {
-		// CREATE is not idempotent and the server keeps no reply cache: a
-		// retransmitted CREATE whose first execution's reply was lost (a
-		// crash window, a severed link, a dropped datagram) finds the file
-		// it just made already there. Recover the way real NFS clients do:
-		// treat EXIST on a retried CREATE as success and LOOKUP the handle.
+		// CREATE is not idempotent, and the server's duplicate request cache
+		// only remembers so much: an entry is evicted after DupCacheCap newer
+		// requests and the whole cache dies with a reboot. A retransmitted
+		// CREATE whose first execution's reply was lost and whose entry is
+		// gone by then finds the file it just made already there. Recover
+		// the way real NFS clients do: treat EXIST on a retried CREATE as
+		// success and LOOKUP the handle.
 		return c.Lookup(p, dir, name)
 	}
 	return res, nil
@@ -485,7 +536,9 @@ func (c *Client) Setattr(p *sim.Proc, fh nfsproto.FH, sa nfsproto.SAttr) (*nfspr
 	return res, nil
 }
 
-// Read fetches count bytes at off.
+// Read fetches count bytes at off. res.Data is result scratch like the
+// rest of res — it may alias a block the server still caches — so it is
+// read-only and dead at the caller's next blocking call.
 func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto.ReadRes, error) {
 	args := &nfsproto.ReadArgs{File: fh, Offset: off, Count: count}
 	reply, err := c.call(p, nfsproto.ProcRead, args, fh)
@@ -493,7 +546,14 @@ func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto
 		return nil, err
 	}
 	res := &c.scratchReadRes
-	if err := decodeDone(reply, nfsproto.DecodeReadResInto(reply.Results, res)); err != nil {
+	if c.replyBody != nil {
+		// Answered by reference: the data is the server's cache block,
+		// readable (never writable) while the client holds replyBody.
+		err = nfsproto.DecodeReadResSplitInto(reply.Results, c.replyBody.Data()[:c.replyBodyLen], res)
+	} else {
+		err = nfsproto.DecodeReadResInto(reply.Results, res)
+	}
+	if err := decodeDone(reply, err); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -700,6 +760,7 @@ func (c *Client) Crash() {
 			job.buf.Release()
 		}
 	}
+	c.dropReplyBody() // host memory
 	// Flow-control state resets with the daemons: killed biods never run
 	// their post-Get bookkeeping, and nothing outstanding can complete.
 	c.idleBiods = 0

@@ -460,6 +460,7 @@ func (n *Node) Crash() {
 			ex.Presto = nil
 		}
 		n.net.Detach(ex.Server.Endpoint().Name)
+		ex.Server.DropDupCache()
 		ex.FS.DropCaches()
 		ex.FS = nil
 		ex.Server = nil
@@ -468,8 +469,10 @@ func (n *Node) Crash() {
 	// The in-core filesystem dies with the host; Reboot remounts from the
 	// platters. DropCaches releases the buffer cache's block references
 	// (host memory is gone; contents shared with the platter store and the
-	// battery-backed NVRAM dirty map live on there). The old Presto board
-	// object survives only as the carrier of that dirty map.
+	// battery-backed NVRAM dirty map live on there), and so are the READ
+	// reply blocks the duplicate cache kept. The old Presto board object
+	// survives only as the carrier of that dirty map.
+	n.Server.DropDupCache()
 	n.FS.DropCaches()
 	n.FS = nil
 	n.Server = nil
@@ -640,16 +643,21 @@ func (c *Cluster) Roots() []nfsproto.FH {
 }
 
 // AccountedRefs sums the buffer references the cluster's long-lived
-// structures legitimately retain — buffer caches, platter stores and
-// NVRAM dirty maps, own and adopted. After a full quiesce, the process
-// block-reference total minus the pre-build baseline must equal exactly
-// this sum: any surplus is a reference leaked through an unwind path,
-// any deficit a double release. The scenario runner audits it per cell.
+// structures legitimately retain — buffer caches, platter stores, NVRAM
+// dirty maps and the READ reply blocks in duplicate caches, own and
+// adopted, plus the reply body each client holds as its READ scratch.
+// After a full quiesce, the process block-reference total minus the
+// pre-build baseline must equal exactly this sum: any surplus is a
+// reference leaked through an unwind path, any deficit a double release.
+// The scenario runner audits it per cell.
 func (c *Cluster) AccountedRefs() int64 {
 	var n int64
 	for _, node := range c.Nodes {
 		if node.FS != nil {
 			n += int64(node.FS.CachedBufs())
+		}
+		if node.Server != nil {
+			n += int64(node.Server.DupBodies())
 		}
 		for _, d := range node.Disks {
 			n += int64(d.StoredBufs())
@@ -661,10 +669,16 @@ func (c *Cluster) AccountedRefs() int64 {
 			if ex.FS != nil {
 				n += int64(ex.FS.CachedBufs())
 			}
+			if ex.Server != nil {
+				n += int64(ex.Server.DupBodies())
+			}
 			if ex.Presto != nil {
 				n += int64(ex.Presto.DirtyBufs())
 			}
 		}
+	}
+	for _, cli := range c.Clients {
+		n += int64(cli.HeldBodies())
 	}
 	return n
 }

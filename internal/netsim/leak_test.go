@@ -117,3 +117,36 @@ func TestSplitDatagramPadding(t *testing.T) {
 	n.SendBuf(nil, "a", "b", []byte("head"), body, 8190)
 	_ = s
 }
+
+// TestTakeBodyOutlivesTheDatagram: a consumer that takes the body over
+// keeps it past Release, which then has nothing left to drop.
+func TestTakeBodyOutlivesTheDatagram(t *testing.T) {
+	acct := block.NewAccounting()
+	s := sim.New(5)
+	n := New(s, hw.FDDI())
+	n.Attach("a", 0, 0)
+	b := n.Attach("b", 0, 0)
+	body := acct.NewPool().Get()
+	s.Spawn("sender", func(p *sim.Proc) { n.SendBuf(p, "a", "b", []byte("head"), body, 1000) })
+	s.Run(0)
+	body.Release() // the sender's
+	dg, ok := b.Inbox.TryGet()
+	if !ok {
+		t.Fatal("nothing delivered")
+	}
+	got, size := dg.TakeBody()
+	if got != body || size != 1000 || dg.Body != nil || dg.BodyLen != 0 {
+		t.Fatalf("TakeBody = %v, %d; datagram keeps %v, %d", got, size, dg.Body, dg.BodyLen)
+	}
+	dg.Release()
+	if body.Refs() != 1 || acct.TotalRefs() != 1 {
+		t.Fatalf("refs after the datagram died: %d (ledger %d), want the taker's 1", body.Refs(), acct.TotalRefs())
+	}
+	if b, n := dg.TakeBody(); b != nil || n != 0 {
+		t.Fatal("a datagram without a body gave one")
+	}
+	got.Release()
+	if acct.TotalRefs() != 0 {
+		t.Fatal("body leaked")
+	}
+}

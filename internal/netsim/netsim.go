@@ -23,11 +23,12 @@ const PerFragmentHeader = 34
 // Datagram is one UDP message in flight or queued at a receiver.
 //
 // A datagram carries either one contiguous Payload, or — for the
-// zero-copy WRITE path — a Payload holding the message head (RPC header
-// and argument prefix) plus a refcounted Body buffer carrying the data
-// bytes. Body rides by reference: the datagram holds one reference, taken
-// at Send and dropped at Release, wherever the datagram dies (consumed,
-// socket overflow, crashed destination, detach scrub).
+// zero-copy WRITE calls and READ replies — a Payload holding the message
+// head (RPC header and argument or result prefix) plus a refcounted Body
+// buffer carrying the data bytes. Body rides by reference: the datagram
+// holds one reference, taken at Send and dropped at Release, wherever the
+// datagram dies (consumed, socket overflow, crashed destination, detach
+// scrub) — unless the consumer took it over with TakeBody.
 //
 // Datagrams are pooled per Network: a consumer that has finished with one
 // (the payload may still be referenced — Release only drops the struct's
@@ -63,6 +64,15 @@ type Datagram struct {
 
 // Size reports the datagram's total UDP payload bytes (head plus body).
 func (d *Datagram) Size() int { return len(d.Payload) + d.BodyLen }
+
+// TakeBody hands the datagram's Body reference over to the caller (nil, 0
+// when it carries none): the consumer of a split message keeps the
+// payload past Release without a copy, and owes the reference's release.
+func (d *Datagram) TakeBody() (*block.Buf, int) {
+	b, n := d.Body, d.BodyLen
+	d.Body, d.BodyLen = nil, 0
+	return b, n
+}
 
 // Release returns the datagram record to its network's pool and drops its
 // Body reference, if any. The head payload bytes are not recycled — slices
@@ -253,7 +263,7 @@ func (n *Network) Send(p *sim.Proc, from, to string, payload []byte) bool {
 }
 
 // SendBuf transmits a two-segment message: head (RPC header plus argument
-// prefix) followed by bodyLen bytes of the refcounted body buffer. The
+// or result prefix) followed by bodyLen bytes of the refcounted body buffer. The
 // wire behaviour — serialization time, fragmentation, socket-buffer byte
 // accounting — is identical to a contiguous Send of the combined bytes;
 // only the host-side copies differ. The datagram takes its own reference

@@ -539,22 +539,30 @@ func (a *ReadArgs) Encode() []byte {
 
 // DecodeReadArgs parses READ arguments.
 func DecodeReadArgs(b []byte) (*ReadArgs, error) {
-	d := xdr.NewDecoder(b)
 	a := &ReadArgs{}
-	if err := decodeFH(d, &a.File); err != nil {
-		return nil, err
-	}
-	var err error
-	if a.Offset, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.Count, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if a.TotalCount, err = d.Uint32(); err != nil {
+	if err := DecodeReadArgsInto(b, a); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// DecodeReadArgsInto parses READ arguments into a caller-owned struct.
+func DecodeReadArgsInto(b []byte, a *ReadArgs) error {
+	d := xdr.NewDecoder(b)
+	if err := decodeFH(d, &a.File); err != nil {
+		return err
+	}
+	var err error
+	if a.Offset, err = d.Uint32(); err != nil {
+		return err
+	}
+	if a.Count, err = d.Uint32(); err != nil {
+		return err
+	}
+	if a.TotalCount, err = d.Uint32(); err != nil {
+		return err
+	}
+	return nil
 }
 
 // ReadRes is the READ result.
@@ -601,19 +609,63 @@ func DecodeReadRes(b []byte) (*ReadRes, error) {
 // aliases b.
 func DecodeReadResInto(b []byte, r *ReadRes) error {
 	d := xdr.NewDecoder(b)
+	if err := decodeReadResAttrs(d, r); err != nil || r.Status != OK {
+		return err
+	}
+	var err error
+	r.Data, err = d.OpaqueRef()
+	return err
+}
+
+// decodeReadResAttrs resets r and parses what precedes the data of a READ
+// result: the status and, when it is OK, the attributes.
+func decodeReadResAttrs(d *xdr.Decoder, r *ReadRes) error {
 	st, err := d.Uint32()
 	if err != nil {
 		return err
 	}
 	*r = ReadRes{Status: Status(st)}
 	if r.Status == OK {
-		if r.Attr, err = decodeFAttr(d); err != nil {
-			return err
-		}
-		if r.Data, err = d.OpaqueRef(); err != nil {
-			return err
-		}
+		r.Attr, err = decodeFAttr(d)
 	}
+	return err
+}
+
+// ReadResHeadSize is the encoded size of a successful READ result up to
+// and including the opaque data length word: the head segment of a split
+// (zero-copy) READ reply, whose data bytes travel as a refcounted datagram
+// body instead of being memmoved into the wire buffer.
+const ReadResHeadSize = 4 + fattrSize + 4
+
+// AppendReadResHead appends the head of a successful READ result — status,
+// attributes and the data length word — for n bytes of data that ride as a
+// separate datagram body segment. n must be a multiple of 4 (no XDR
+// padding can follow a split body).
+func AppendReadResHead(e *xdr.Encoder, attr *FAttr, n int) {
+	e.Uint32(uint32(OK))
+	attr.encode(e)
+	e.Uint32(uint32(n)) // opaque data length
+}
+
+// DecodeReadResSplitInto parses a split READ result's head from b and
+// attaches body as the data, verifying the length word agrees. Data
+// aliases body.
+func DecodeReadResSplitInto(b []byte, body []byte, r *ReadRes) error {
+	d := xdr.NewDecoder(b)
+	if err := decodeReadResAttrs(d, r); err != nil {
+		return err
+	}
+	if r.Status != OK {
+		return fmt.Errorf("nfsproto: split READ with status %s", r.Status)
+	}
+	n, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	if int(n) != len(body) {
+		return fmt.Errorf("nfsproto: split READ length %d, body %d", n, len(body))
+	}
+	r.Data = body
 	return nil
 }
 
@@ -1070,10 +1122,15 @@ func (a *FHArgs) Encode() []byte {
 
 // DecodeFHArgs parses a file-handle argument.
 func DecodeFHArgs(b []byte) (*FHArgs, error) {
-	d := xdr.NewDecoder(b)
 	a := &FHArgs{}
-	if err := decodeFH(d, &a.File); err != nil {
+	if err := DecodeFHArgsInto(b, a); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// DecodeFHArgsInto parses a file-handle argument into a caller-owned
+// struct.
+func DecodeFHArgsInto(b []byte, a *FHArgs) error {
+	return decodeFH(xdr.NewDecoder(b), &a.File)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xdr"
 )
 
 func TestFHPacking(t *testing.T) {
@@ -270,5 +272,67 @@ func TestTruncatedDecodersFail(t *testing.T) {
 	wb := wa.Encode()
 	if _, err := DecodeWriteArgs(wb[:20]); err == nil {
 		t.Fatal("truncated writeargs accepted")
+	}
+}
+
+// TestReadResSplitMatchesContiguous: head plus body of a split READ reply
+// are byte for byte the contiguous encoding (so the wire is the same
+// whichever way a reply goes), and the split decoder attaches the body as
+// Data without copying and refuses a length that disagrees.
+func TestReadResSplitMatchesContiguous(t *testing.T) {
+	attr := sampleAttr()
+	for _, n := range []int{0, 4, 1000, MaxData} {
+		body := bytes.Repeat([]byte{0xAB}, n)
+		e := xdr.NewEncoder(make([]byte, 0, ReadResHeadSize))
+		AppendReadResHead(e, &attr, n)
+		if e.Len() != ReadResHeadSize {
+			t.Fatalf("head is %d bytes, ReadResHeadSize %d", e.Len(), ReadResHeadSize)
+		}
+		whole := (&ReadRes{Status: OK, Attr: attr, Data: body}).Encode()
+		if !bytes.Equal(append(e.Bytes(), body...), whole) {
+			t.Fatalf("n=%d: head+body differs from the contiguous encoding", n)
+		}
+		var r ReadRes
+		if err := DecodeReadResSplitInto(whole[:ReadResHeadSize], body, &r); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if r.Status != OK || r.Attr != attr || len(r.Data) != n || (n > 0 && &r.Data[0] != &body[0]) {
+			t.Fatalf("n=%d: split decode mismatch", n)
+		}
+		if err := DecodeReadResSplitInto(whole[:ReadResHeadSize], body[:n/2], &r); n > 0 && err == nil {
+			t.Fatalf("n=%d: length mismatch accepted", n)
+		}
+	}
+	var r ReadRes
+	if err := DecodeReadResSplitInto((&ReadRes{Status: ErrIO}).Encode(), nil, &r); err == nil {
+		t.Fatal("an error result cannot carry a body")
+	}
+	if err := DecodeReadResSplitInto([]byte{0, 0}, nil, &r); err == nil {
+		t.Fatal("truncated head accepted")
+	}
+}
+
+// TestArgsDecodeIntoAllocatesNothing: the hot-path argument decoders fill
+// a caller-owned struct with what the allocating forms return, off the
+// heap.
+func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
+	ra := (&ReadArgs{File: NewFH(1, 7, 3), Offset: 4096, Count: 8192, TotalCount: 5}).Encode()
+	fa := (&FHArgs{File: NewFH(2, 9, 1)}).Encode()
+	var r ReadArgs
+	var f FHArgs
+	if n := testing.AllocsPerRun(100, func() {
+		if DecodeReadArgsInto(ra, &r) != nil || DecodeFHArgsInto(fa, &f) != nil {
+			t.Fatal("decode failed")
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per decode pair, want 0", n)
+	}
+	wr, _ := DecodeReadArgs(ra)
+	wf, _ := DecodeFHArgs(fa)
+	if r != *wr || f != *wf {
+		t.Fatal("Into forms disagree with the allocating ones")
+	}
+	if DecodeReadArgsInto(ra[:FHSize+8], &r) == nil || DecodeFHArgsInto(fa[:FHSize-1], &f) == nil {
+		t.Fatal("truncated arguments accepted")
 	}
 }

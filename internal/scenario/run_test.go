@@ -89,6 +89,12 @@ func TestRegistryScenariosRerunDeterministically(t *testing.T) {
 					t.Errorf("cell %s: metrics differ between identical runs:\n%+v\n%+v",
 						a.Cells[i].Label, a.Cells[i].Metrics, b.Cells[i].Metrics)
 				}
+				// Every audited cell of the registry ends with each block
+				// reference in a holder AccountedRefs names — dup-cache
+				// reply bodies and client READ scratch included.
+				if d := a.Cells[i].Durability; d != nil && d.UnaccountedRefs != 0 {
+					t.Errorf("cell %s: %d unaccounted block refs", a.Cells[i].Label, d.UnaccountedRefs)
+				}
 			}
 		})
 	}

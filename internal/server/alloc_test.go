@@ -70,8 +70,9 @@ func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
 	}
 
 	// The allocs budget covers what the round trip legitimately allocates
-	// per WRITE: the client's head wire buffer + encoder, the server's
-	// reply wire buffer, and the dup-cache bookkeeping. 8 writes/burst.
+	// per WRITE: the client's head wire buffer, the server's reply wire
+	// buffer (the encoders are reusable values), and the dup-cache
+	// bookkeeping. 8 writes/burst.
 	perOp := allocs / burst
 	if perOp > 10 {
 		t.Fatalf("steady-state WRITE costs %.1f allocs/op (%.0f per burst); "+

@@ -166,7 +166,7 @@ func (s *Server) handle(p *sim.Proc, id int, dg *netsim.Datagram) {
 			return
 		case dupDone:
 			s.DupResends++
-			s.sendRaw(p, dg.From, e.reply)
+			s.resend(p, dg.From, e)
 			return
 		}
 	}
@@ -289,31 +289,75 @@ func (s *Server) successHeaderSize() int {
 	return oncrpc.SuccessHeaderSize
 }
 
+// encoder returns the server's one encoder, reset onto a fresh wire buffer
+// of exactly size bytes. Encoding never yields, so every nfsd shares it.
+func (s *Server) encoder(size int) *xdr.Encoder {
+	s.enc.Reset(make([]byte, 0, size))
+	return &s.enc
+}
+
 // reply encodes, records and transmits a successful RPC reply. The RPC
 // header and procedure results share a single buffer; no intermediate
 // results slice is allocated.
 func (s *Server) reply(p *sim.Proc, k dupKey, res resultEncoder) {
-	e := xdr.NewEncoder(make([]byte, 0, s.successHeaderSize()+res.EncodedSize()))
+	e := s.encoder(s.successHeaderSize() + res.EncodedSize())
 	s.successHeader(e, k.xid)
 	res.EncodeTo(e)
 	raw := e.Bytes()
-	s.dup.done(k, raw)
+	s.dup.done(k, raw, nil, 0)
 	s.sendRaw(p, k.client, raw)
 }
 
 // replyEmpty sends a success reply with empty results (NULL).
 func (s *Server) replyEmpty(p *sim.Proc, k dupKey) {
-	e := xdr.NewEncoder(make([]byte, 0, s.successHeaderSize()))
+	e := s.encoder(s.successHeaderSize())
 	s.successHeader(e, k.xid)
 	raw := e.Bytes()
-	s.dup.done(k, raw)
+	s.dup.done(k, raw, nil, 0)
 	s.sendRaw(p, k.client, raw)
+}
+
+// replyRead sends a successful READ whose n data bytes are the front of
+// blk: only the RPC header and the result head are encoded, the block
+// rides the datagram by reference and the dup cache keeps a reference of
+// its own for resends. The wire — bytes, fragments, CPU charge — is that
+// of the contiguous reply.
+func (s *Server) replyRead(p *sim.Proc, k dupKey, attr *nfsproto.FAttr, blk *block.Buf, n int) {
+	e := s.encoder(s.successHeaderSize() + nfsproto.ReadResHeadSize)
+	s.successHeader(e, k.xid)
+	nfsproto.AppendReadResHead(e, attr, n)
+	head := e.Bytes()
+	s.dup.done(k, head, blk, n)
+	s.sendSplit(p, k.client, head, blk, n)
 }
 
 func (s *Server) sendRaw(p *sim.Proc, to string, raw []byte) {
 	s.charge(p, s.cfg.Costs.ReplySend)
 	s.net.Send(p, s.cfg.Name, to, raw)
 	s.RepliesSent++
+}
+
+// sendSplit is sendRaw for a head-plus-body message. The datagram takes
+// its reference to body only once it has serialized, so the caller must
+// hold one of its own across the call.
+func (s *Server) sendSplit(p *sim.Proc, to string, head []byte, body *block.Buf, n int) {
+	s.charge(p, s.cfg.Costs.ReplySend)
+	s.net.SendBuf(p, s.cfg.Name, to, head, body, n)
+	s.RepliesSent++
+}
+
+// resend answers a retransmission with the reply the dup cache kept. The
+// entry can be evicted while the send sleeps on the CPU or the medium, so
+// a split reply's block is pinned for the duration; the release is
+// deferred so an nfsd killed mid-send drops the pin.
+func (s *Server) resend(p *sim.Proc, to string, e *dupEntry) {
+	if e.body == nil {
+		s.sendRaw(p, to, e.reply)
+		return
+	}
+	body := e.body.Ref()
+	defer body.Release()
+	s.sendSplit(p, to, e.reply, body, e.bodyLen)
 }
 
 // timeVal converts virtual time to an NFS timeval.
@@ -380,8 +424,8 @@ func (s *Server) RootFH() nfsproto.FH {
 
 func (s *Server) doGetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath/2)
-	args, err := nfsproto.DecodeFHArgs(call.Args)
-	if err != nil {
+	var args nfsproto.FHArgs // per call: the handle outlives the yielding GetAttr
+	if err := nfsproto.DecodeFHArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -457,8 +501,8 @@ func (s *Server) doLookup(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 
 func (s *Server) doRead(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.ReadPath)
-	args, err := nfsproto.DecodeReadArgs(call.Args)
-	if err != nil {
+	var args nfsproto.ReadArgs // per call: used again after the yielding read
+	if err := nfsproto.DecodeReadArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -469,7 +513,13 @@ func (s *Server) doRead(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	}
 	buf := s.getReadBuf(int(count))
 	ino := vfs.Ino(args.File.Ino())
-	n, rerr := s.fs.Read(p, ino, args.Offset, buf)
+	blk, n, rerr := s.fs.ReadBuf(p, ino, args.Offset, buf)
+	if blk != nil {
+		// The filesystem answered with the cache block itself and left the
+		// staging buffer alone. This nfsd owns the reference until the
+		// reply is out, also when a crash unwinds it on the way.
+		defer blk.Release()
+	}
 	res := s.resReadRes()
 	if rerr != nil {
 		res.Status = errStatus(rerr)
@@ -478,9 +528,13 @@ func (s *Server) doRead(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 		res.Attr = fattrOf(args.File, a)
 		res.Data = buf[:n]
 	}
-	s.reply(p, k, res)
-	// reply has copied the data into the wire buffer; the read buffer can
-	// be pooled again.
+	if blk != nil {
+		s.replyRead(p, k, &res.Attr, blk, n)
+	} else {
+		s.reply(p, k, res)
+	}
+	// Either way the staging buffer is free again: reply has copied its
+	// data into the wire buffer, replyRead never looked at it.
 	s.putReadBuf(buf)
 	s.count(nfsproto.ProcRead, n)
 }
@@ -655,7 +709,8 @@ func (s *Server) doReaddir(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 
 func (s *Server) doStatfs(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath/2)
-	if _, err := nfsproto.DecodeFHArgs(call.Args); err != nil {
+	var args nfsproto.FHArgs
+	if err := nfsproto.DecodeFHArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return

@@ -1,9 +1,18 @@
 package server
 
+import "repro/internal/block"
+
 // dupCache is the duplicate request cache (Juszczak 1989): retransmitted
 // requests whose originals are still in progress are dropped; ones whose
 // replies were already sent get the cached reply resent, avoiding
 // re-execution of non-idempotent operations.
+//
+// A READ reply that went out by reference is kept the way it was sent: its
+// head bytes plus one reference to the data block. The reference is
+// dropped wherever the entry dies (evict, forget, drop); the filesystem's
+// copy-on-write keeps the block's bytes what they were when the reply was
+// first sent, so a retransmission is answered with the same data whatever
+// has been written since.
 
 type dupKey struct {
 	client string
@@ -19,7 +28,12 @@ const (
 
 type dupEntry struct {
 	state dupState
+	// reply is the whole reply message, or the head of a split one.
 	reply []byte
+	// body is the data block of a split READ reply (one reference, the
+	// entry's own) and bodyLen its byte count on the wire; nil otherwise.
+	body    *block.Buf
+	bodyLen int
 }
 
 type dupCache struct {
@@ -28,6 +42,7 @@ type dupCache struct {
 	order   []dupKey
 	head    int // index of the oldest entry in order
 	free    []*dupEntry
+	bodies  int // entries holding a body reference (leak-check accounting)
 }
 
 func newDupCache(cap int) *dupCache {
@@ -45,7 +60,6 @@ func (c *dupCache) begin(k dupKey) (*dupEntry, bool) {
 		e = c.free[n-1]
 		c.free = c.free[:n-1]
 		e.state = dupInProgress
-		e.reply = nil
 	} else {
 		e = &dupEntry{state: dupInProgress}
 	}
@@ -55,11 +69,17 @@ func (c *dupCache) begin(k dupKey) (*dupEntry, bool) {
 	return e, false
 }
 
-// done records the reply bytes for later resends.
-func (c *dupCache) done(k dupKey, reply []byte) {
+// done records the reply for later resends: the whole message, or — body
+// non-nil — the head of a split READ reply plus the entry's own reference
+// to its data block.
+func (c *dupCache) done(k dupKey, reply []byte, body *block.Buf, bodyLen int) {
 	if e, ok := c.entries[k]; ok {
 		e.state = dupDone
 		e.reply = reply
+		if body != nil {
+			e.body, e.bodyLen = body.Ref(), bodyLen
+			c.bodies++
+		}
 	}
 }
 
@@ -68,9 +88,33 @@ func (c *dupCache) done(k dupKey, reply []byte) {
 func (c *dupCache) forget(k dupKey) {
 	if e, ok := c.entries[k]; ok {
 		delete(c.entries, k)
-		e.reply = nil
-		c.free = append(c.free, e)
+		c.recycle(e)
 	}
+}
+
+// recycle drops what a dead entry holds — the reply bytes and the body
+// reference — and parks the record for reuse.
+func (c *dupCache) recycle(e *dupEntry) {
+	e.reply = nil
+	if e.body != nil {
+		e.body.Release()
+		e.body, e.bodyLen = nil, 0
+		c.bodies--
+	}
+	c.free = append(c.free, e)
+}
+
+// drop empties the cache, releasing every body reference: the crash. It
+// walks the keys in arrival order, so the blocks return to their pool in
+// the same order on every run.
+func (c *dupCache) drop() {
+	for _, k := range c.order[c.head:] {
+		if e, ok := c.entries[k]; ok {
+			delete(c.entries, k)
+			c.recycle(e)
+		}
+	}
+	c.order, c.head = c.order[:0], 0
 }
 
 // contains reports whether the key is known (in progress or done); the
@@ -95,8 +139,8 @@ func (c *dupCache) evict() {
 			scanned++
 			continue
 		} else if ok {
-			c.free = append(c.free, e)
 			delete(c.entries, victim)
+			c.recycle(e)
 		}
 	}
 	// Compact once the dead prefix dominates, so order stays O(cap)

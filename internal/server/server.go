@@ -18,6 +18,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // DefaultSockBuf is the server socket buffer bound: "DEC OSF/1 currently
@@ -91,6 +92,7 @@ type Server struct {
 	scratchReaddirRes nfsproto.ReaddirRes
 	scratchStatfsRes  nfsproto.StatfsRes
 	readBufs          [][]byte
+	enc               xdr.Encoder // reset onto each reply's wire buffer (see encoder)
 
 	// Counters the experiments read.
 	OpCounts    map[nfsproto.Proc]*stats.Counter
@@ -188,6 +190,15 @@ func (s *Server) CPUPercent(since sim.Time) float64 {
 	}
 	return 100 * float64(s.cpu.BusyTime()-s.cpuMark) / float64(el)
 }
+
+// DupBodies reports how many duplicate-cache entries hold a reference to
+// a READ reply's data block (leak-check accounting).
+func (s *Server) DupBodies() int { return s.dup.bodies }
+
+// DropDupCache discards the duplicate request cache without a trace: the
+// crash. The READ reply blocks it references are host memory, so they are
+// released; whoever kills the nfsds calls it.
+func (s *Server) DropDupCache() { s.dup.drop() }
 
 // charge consumes d of server CPU on behalf of p.
 func (s *Server) charge(p *sim.Proc, d sim.Duration) {

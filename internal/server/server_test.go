@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -35,6 +36,9 @@ type rigOpts struct {
 	nfsds     int
 	fddi      bool
 	record    bool
+	// acct is the buffer ledger every pool of the rig charges (nil = the
+	// process-global one).
+	acct *block.Accounting
 }
 
 func newRig(t *testing.T, seed int64, o rigOpts) *rig {
@@ -48,7 +52,7 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 	costs := hw.DEC3000CPU()
 
 	r := &rig{sim: s, net: n}
-	r.disk = disk.New(s, hw.RZ26(), nil)
+	r.disk = disk.New(s, hw.RZ26(), o.acct)
 	nfsds := o.nfsds
 	if nfsds == 0 {
 		nfsds = 8
@@ -67,17 +71,17 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 	}
 	var dev disk.Device = NewChargedDevice(r.disk, srvCPU, costs.DriverTrip)
 	if o.presto {
-		r.presto = nvram.New(s, hw.Prestoserve(), dev, nil)
+		r.presto = nvram.New(s, hw.Prestoserve(), dev, o.acct)
 		dev = NewChargedNVRAM(r.presto, srvCPU, costs.DriverTrip, costs.NVRAMCopyPer8K, hw.Prestoserve().MaxIO)
 	}
-	fs, err := ufs.Format(s, dev, 1, 512, nil)
+	fs, err := ufs.Format(s, dev, 1, 512, o.acct)
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
 	r.fs = fs
 	r.srv = New(s, n, fs, cfg)
 	fs.ChargeMeta = func(p *sim.Proc) { r.srv.charge(p, costs.MetaUpdate) }
-	r.cli = client.New(s, n, "client1", "server", hw.DEC3000Client(), o.biods, nil)
+	r.cli = client.New(s, n, "client1", "server", hw.DEC3000Client(), o.biods, o.acct)
 	return r
 }
 
@@ -471,9 +475,9 @@ func TestDupCacheEviction(t *testing.T) {
 	k2 := dupKey{"a", 2}
 	k3 := dupKey{"a", 3}
 	c.begin(k1)
-	c.done(k1, []byte{1})
+	c.done(k1, []byte{1}, nil, 0)
 	c.begin(k2)
-	c.done(k2, []byte{2})
+	c.done(k2, []byte{2}, nil, 0)
 	c.begin(k3) // evicts k1
 	if c.contains(k1) {
 		t.Fatal("k1 survived eviction")

@@ -11,20 +11,43 @@ import (
 
 // Read implements vfs.FileSystem.
 func (fs *FS) Read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (int, error) {
+	_, n, err := fs.read(p, ino, off, out, false)
+	return n, err
+}
+
+// ReadBuf implements vfs.BlockReader: VOP_READ answered, where it can be,
+// with a reference to the cache block itself. The simulated work — block
+// map walk, device fill, access-time update — is Read's in every case; the
+// only difference is whether the host memmoves the bytes. The reference is
+// safe to hold across later writes: the cache replaces a shared block
+// (own/ownFresh/adopt), it never writes into one.
+func (fs *FS) ReadBuf(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (*block.Buf, int, error) {
+	return fs.read(p, ino, off, out, true)
+}
+
+var _ vfs.BlockReader = (*FS)(nil)
+
+// read is the common VOP_READ body. With byRef set, a read that starts on
+// a block boundary, stays inside that block and has a length XDR would not
+// pad returns the cached block (one reference, the caller's) and leaves
+// out untouched — unless the block is a hole, which has no buffer to share.
+func (fs *FS) read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte, byRef bool) (*block.Buf, int, error) {
 	in, err := fs.getInode(ino)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if in.ftype == vfs.TypeDir {
-		return 0, vfs.ErrIsDir
+		return nil, 0, vfs.ErrIsDir
 	}
 	if off >= in.size {
-		return 0, nil
+		return nil, 0, nil
 	}
 	n := len(out)
 	if uint32(n) > in.size-off {
 		n = int(in.size - off)
 	}
+	byRef = byRef && off%BlockSize == 0 && n <= BlockSize && n%4 == 0
+	var ref *block.Buf
 	read := 0
 	for read < n {
 		fb := int64(off+uint32(read)) / BlockSize
@@ -35,30 +58,32 @@ func (fs *FS) Read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (int, error
 		}
 		phys, _, err := fs.bmap(p, in, fb, false)
 		if err != nil {
-			return read, err
+			return nil, read, err
 		}
 		if phys == 0 {
 			// Hole: zeros.
-			for i := 0; i < take; i++ {
-				out[read+i] = 0
-			}
+			clear(out[read : read+take])
 		} else {
 			b, cached := fs.cache[phys]
 			if !cached || (!b.dirty && b.owner != ino) {
 				nb, err := fs.getBuf(p, phys, true)
 				if err != nil {
-					return read, err
+					return nil, read, err
 				}
 				b = nb
 				b.owner, b.fblock = ino, fb
 			}
-			copy(out[read:read+take], b.data[bo:bo+int64(take)])
+			if byRef {
+				ref = b.blk.Ref()
+			} else {
+				fs.pool.Acct().CountCopy(copy(out[read:read+take], b.data[bo:bo+int64(take)]))
+			}
 		}
 		read += take
 	}
 	in.atime = fs.sim.Now()
 	in.dirtyCore = true
-	return read, nil
+	return ref, read, nil
 }
 
 // Write implements vfs.FileSystem: VOP_WRITE with the paper's flags.

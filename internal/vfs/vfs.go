@@ -148,3 +148,15 @@ type FileSystem interface {
 type BlockWriter interface {
 	WriteBuf(p *sim.Proc, ino Ino, off uint32, b *block.Buf, n int, flags IOFlags) error
 }
+
+// BlockReader is the optional zero-copy read entry point, the mirror of
+// BlockWriter: a filesystem that implements it answers a read that is a
+// prefix of one cached block, of a length XDR would not pad, with a
+// reference to that block instead of memmoving the bytes into out. b is
+// nil for every other read (holes, unaligned or block-spanning requests,
+// odd-length tails, reads at or past EOF), which fills out exactly as
+// Read does. A non-nil b belongs to the caller, who must Release it and
+// must never write through it; its first n bytes are the data.
+type BlockReader interface {
+	ReadBuf(p *sim.Proc, ino Ino, off uint32, out []byte) (b *block.Buf, n int, err error)
+}

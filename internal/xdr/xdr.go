@@ -27,6 +27,11 @@ type Encoder struct {
 // NewEncoder returns an encoder writing into buf (may be nil).
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
+// Reset points the encoder at buf, discarding what it held: a long-lived
+// Encoder value (one per server or client, since encoding never yields)
+// serves every message without a heap object per RPC.
+func (e *Encoder) Reset(buf []byte) { e.buf = buf }
+
 // Bytes returns the encoded bytes.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

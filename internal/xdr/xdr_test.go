@@ -236,3 +236,17 @@ func TestQuickLengthAlwaysMultipleOf4(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncoderReset: one Encoder value serves message after message, each
+// on its own buffer.
+func TestEncoderReset(t *testing.T) {
+	var e Encoder
+	e.Reset(make([]byte, 0, 8))
+	e.Uint32(1)
+	first := e.Bytes()
+	e.Reset(make([]byte, 0, 8))
+	e.Uint32(2)
+	if !bytes.Equal(first, []byte{0, 0, 0, 1}) || !bytes.Equal(e.Bytes(), []byte{0, 0, 0, 2}) {
+		t.Fatalf("messages overlap: %v %v", first, e.Bytes())
+	}
+}
