@@ -4,10 +4,9 @@
 // Usage:
 //
 //	nfsbench -list                  # print the scenario registry
-//	nfsbench -run table1            # one experiment (legacy renderer)
+//	nfsbench -run table1            # one registered scenario by name
 //	nfsbench -run table1,table3     # several
-//	nfsbench -run all               # tables 1-6, figures 1-3, scale, crash
-//	nfsbench -run partialcrash      # any registered scenario by name
+//	nfsbench -run all               # the whole registry
 //	nfsbench -dump figure2          # emit a scenario spec as JSON
 //	nfsbench -dump figure2 > f.json; vi f.json
 //	nfsbench -validate f.json       # parse + validate without running
@@ -28,8 +27,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -37,172 +38,134 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// traceOut and probesOut are the -trace / -probes destinations; either
-// being set forces the observe plane on for every scenario runSpec
-// executes (when several scenarios run, the last one's artifacts win).
-var traceOut, probesOut string
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	run := flag.String("run", "", "experiments to run: tableN, figureN, scale, crash, any registered scenario, comma separated, or 'all'")
-	list := flag.Bool("list", false, "list the scenario registry and exit")
-	dump := flag.String("dump", "", "print the named scenario's spec as JSON and exit")
-	scenarioFile := flag.String("scenario", "", "run a scenario spec from a JSON file")
-	validate := flag.String("validate", "", "parse and validate a scenario spec file without running it")
-	mb := flag.Int("mb", 10, "file copy size in MB (the paper used 10)")
-	quick := flag.Bool("quick", false, "coarser LADDIS sweeps for figures 2-3")
-	fuzz := flag.Int("fuzz", 0, "run N fuzzed scenarios against the durability and leak invariants")
-	seed := flag.Int64("seed", 1, "fuzzing campaign seed (with -fuzz)")
-	jobs := flag.Int("j", 0, "worker-pool size for sweep cells, registry scenarios and fuzz runs (default GOMAXPROCS; 1 forces the sequential engine)")
-	flag.StringVar(&traceOut, "trace", "", "write a Chrome trace_event JSON file for scenario runs (view in chrome://tracing or ui.perfetto.dev); forces the observe plane on")
-	flag.StringVar(&probesOut, "probes", "", "write the periodic probe time-series as CSV for scenario runs; forces the observe plane on")
-	flag.Parse()
+// app is one invocation: where it prints, and the -trace / -probes
+// destinations. Either destination being set forces the observe plane on
+// for every scenario runSpec executes (when several scenarios run, the
+// last one's artifacts win).
+type app struct {
+	out, errw           io.Writer
+	traceOut, probesOut string
+}
+
+// fail reports an error and returns the exit status to leave with.
+func (a *app) fail(status int, format string, args ...any) int {
+	fmt.Fprintf(a.errw, "nfsbench: "+format+"\n", args...)
+	return status
+}
+
+// run is the whole command behind main: it parses args, writes to the
+// given streams and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	a := &app{out: stdout, errw: stderr}
+	fs := flag.NewFlagSet("nfsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	names := fs.String("run", "", "scenarios to run: tableN, figureN, scale, crash, any registered scenario, comma separated, or 'all'")
+	list := fs.Bool("list", false, "list the scenario registry and exit")
+	dump := fs.String("dump", "", "print the named scenario's spec as JSON and exit")
+	scenarioFile := fs.String("scenario", "", "run a scenario spec from a JSON file")
+	validate := fs.String("validate", "", "parse and validate a scenario spec file without running it")
+	mb := fs.Int("mb", 10, "file copy size in MB (the paper used 10)")
+	quick := fs.Bool("quick", false, "coarser LADDIS sweeps for figures 2-3")
+	fuzz := fs.Int("fuzz", 0, "run N fuzzed scenarios against the durability and leak invariants")
+	seed := fs.Int64("seed", 1, "fuzzing campaign seed (with -fuzz)")
+	jobs := fs.Int("j", 0, "worker-pool size for sweep cells, registry scenarios and fuzz runs (default GOMAXPROCS; 1 forces the sequential engine)")
+	fs.StringVar(&a.traceOut, "trace", "", "write a Chrome trace_event JSON file for scenario runs (view in chrome://tracing or ui.perfetto.dev); forces the observe plane on")
+	fs.StringVar(&a.probesOut, "probes", "", "write the periodic probe time-series as CSV for scenario runs; forces the observe plane on")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	scenario.SetWorkers(*jobs)
 	wall := time.Now()
 
 	switch {
 	case *fuzz > 0:
-		runFuzz(*fuzz, *seed)
-		return
+		return a.runFuzz(*fuzz, *seed)
 	case *list:
-		listScenarios()
-		return
-	case *dump != "":
-		dumpScenario(*dump)
-		return
-	case *validate != "":
-		validateScenarioFile(*validate)
-		return
-	case *scenarioFile != "":
-		runScenarioFile(*scenarioFile)
-		return
-	}
-	if *run == "" {
-		*run = "all"
-	}
-
-	want := map[string]bool{}
-	if *run == "all" {
-		// Every registry entry: the legacy names render through their
-		// historical formatters below, and the remaining registry
-		// scenarios run through the uniform engine (in parallel at -j>1).
 		for _, e := range scenario.Registry() {
-			want[e.Name] = true
+			fmt.Fprintf(a.out, "%-14s %s\n", e.Name, e.Description)
 		}
-	} else {
-		for _, n := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
+		return 0
+	case *dump != "":
+		return a.dumpScenario(*dump)
+	case *validate != "":
+		return a.validateScenarioFile(*validate)
+	case *scenarioFile != "":
+		return a.runScenarioFile(*scenarioFile)
 	}
 
-	specs := experiments.TableSpecs()
-	var names []string
-	for n := range specs {
-		names = append(names, n)
+	// Every requested name resolves before the first simulation starts.
+	if *names == "" {
+		*names = "all"
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !want[n] {
-			continue
-		}
-		spec := specs[n]
-		spec.FileMB = *mb
-		tbl := experiments.RunCopyTable(spec)
-		fmt.Println(tbl.Render())
-		delete(want, n)
-	}
-
-	if want["figure1"] {
-		for _, gather := range []bool{false, true} {
-			out, _ := experiments.RunFigure1(experiments.DefaultFigure1(gather))
-			fmt.Println(out)
-		}
-		delete(want, "figure1")
-	}
-	for _, fig := range []struct {
-		name string
-		spec experiments.FigureSpec
-	}{
-		{"figure2", experiments.Figure2Spec()},
-		{"figure3", experiments.Figure3Spec()},
-	} {
-		if !want[fig.name] {
-			continue
-		}
-		spec := fig.spec
-		if *quick {
-			half := spec.Loads[:0:0]
-			for i, l := range fig.spec.Loads {
-				if i%2 == 0 {
-					half = append(half, l)
-				}
-			}
-			spec.Loads = half
-			spec.Measure = 5 * sim.Second
-		}
-		wo, wi := experiments.RunFigure(spec)
-		fmt.Println(experiments.RenderFigure(spec, wo, wi))
-		delete(want, fig.name)
-	}
-
-	if want["scale"] {
-		spec := experiments.DefaultScaleSpec()
-		if *quick {
-			spec.Measure = 2 * sim.Second
-		}
-		fmt.Println(experiments.RenderScaleSweep(spec, experiments.RunScaleSweep(spec)))
-		delete(want, "scale")
-	}
-	if want["crash"] {
-		for _, presto := range []bool{false, true} {
-			spec := experiments.DefaultCrashSpec(presto)
-			fmt.Println(experiments.RenderCrashRecovery(spec, experiments.RunCrashRecovery(spec)))
-		}
-		delete(want, "crash")
-	}
-
-	// Anything left is a registry scenario (the names above are rendered
-	// by their legacy formatters; everything else gets the uniform one).
-	var rest []string
-	for n := range want {
-		rest = append(rest, n)
-	}
-	sort.Strings(rest)
-	specsToRun := make([]scenario.Spec, len(rest))
-	for i, n := range rest {
-		spec, ok := scenario.Lookup(n)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nfsbench: no experiment or scenario named %q; known names: %s\n",
+	want := map[string]bool{}
+	for _, n := range strings.Split(*names, ",") {
+		n = strings.TrimSpace(n)
+		if _, ok := scenario.Find(n); !ok && n != "all" {
+			return a.fail(2, "no experiment or scenario named %q; known names: %s",
 				n, strings.Join(knownNames(), ", "))
-			os.Exit(2)
 		}
-		specsToRun[i] = spec
+		want[n] = true
 	}
-	runRegistryScenarios(rest, specsToRun)
-	fmt.Printf("nfsbench: total wall time %.2f s\n", time.Since(wall).Seconds())
+	// Blocks print in a fixed order: the entries with a layout of their
+	// own (the paper's tables and figures, scale, crash) in registry
+	// order, then the rest by name.
+	var entries, rest []scenario.Entry
+	for _, e := range scenario.Registry() {
+		switch {
+		case !want[e.Name] && !want["all"]:
+		case e.Render != nil:
+			entries = append(entries, e)
+		default:
+			rest = append(rest, e)
+		}
+	}
+	sort.Slice(rest, func(i, j int) bool { return rest[i].Name < rest[j].Name })
+	entries = append(entries, rest...)
+	specs := make([]scenario.Spec, len(entries))
+	for i, e := range entries {
+		specs[i] = e.Build()
+		if c := specs[i].Workload.Copy; c != nil {
+			c.FileMB = *mb
+		}
+		if *quick && e.Quick != nil {
+			e.Quick(&specs[i])
+		}
+	}
+	if status := a.runRegistryScenarios(entries, specs); status != 0 {
+		return status
+	}
+	fmt.Fprintf(a.out, "nfsbench: total wall time %.2f s\n", time.Since(wall).Seconds())
+	return 0
 }
 
 // runRegistryScenarios executes the registry scenarios, concurrently when
 // the worker pool allows: each scenario renders into its own buffer and
-// the buffers print in name order, so the transcript is byte-identical
-// to the sequential loop (wall-time lines aside). The -trace/-probes
-// artifact path keeps the sequential loop — its last-scenario-wins file
-// semantics are inherently ordered.
-func runRegistryScenarios(names []string, specs []scenario.Spec) {
+// the buffers print in the given order, so the transcript is
+// byte-identical to the sequential loop (wall-time lines aside). The
+// -trace/-probes artifact path keeps the sequential loop — its
+// last-scenario-wins file semantics are inherently ordered.
+func (a *app) runRegistryScenarios(entries []scenario.Entry, specs []scenario.Spec) int {
 	workers := scenario.Workers()
 	if workers > len(specs) {
 		workers = len(specs)
 	}
-	if workers <= 1 || traceOut != "" || probesOut != "" {
-		for _, spec := range specs {
-			runSpec(spec)
+	if workers <= 1 || a.traceOut != "" || a.probesOut != "" {
+		for i, spec := range specs {
+			if status := a.runSpec(spec, entries[i].Render); status != 0 {
+				return status
+			}
 		}
-		return
+		return 0
 	}
 	outs := make([]string, len(specs))
 	errs := make([]error, len(specs))
@@ -217,22 +180,21 @@ func runRegistryScenarios(names []string, specs []scenario.Spec) {
 				if i >= len(specs) {
 					return
 				}
-				_, outs[i], errs[i] = execSpec(specs[i])
+				_, outs[i], errs[i] = a.execSpec(specs[i], entries[i].Render)
 			}
 		}()
 	}
 	wg.Wait()
 	for i := range specs {
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "nfsbench: %s: %v\n", names[i], errs[i])
-			os.Exit(1)
+			return a.fail(1, "%s: %v", entries[i].Name, errs[i])
 		}
-		fmt.Print(outs[i])
+		fmt.Fprint(a.out, outs[i])
 	}
+	return 0
 }
 
-// knownNames lists every runnable name: the registry carries all of them
-// (the legacy experiment names are registry keys too).
+// knownNames lists every runnable name, sorted.
 func knownNames() []string {
 	var names []string
 	for _, e := range scenario.Registry() {
@@ -242,119 +204,117 @@ func knownNames() []string {
 	return names
 }
 
-func listScenarios() {
-	for _, e := range scenario.Registry() {
-		fmt.Printf("%-14s %s\n", e.Name, e.Description)
-	}
-}
-
-func dumpScenario(name string) {
+func (a *app) dumpScenario(name string) int {
 	spec, ok := scenario.Lookup(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "nfsbench: no scenario named %q (try -list)\n", name)
-		os.Exit(2)
+		return a.fail(2, "no scenario named %q (try -list)", name)
 	}
 	blob, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %v\n", err)
-		os.Exit(1)
+		return a.fail(1, "%v", err)
 	}
-	fmt.Println(string(blob))
+	fmt.Fprintln(a.out, string(blob))
+	return 0
 }
 
-func runScenarioFile(path string) {
+// decodeFile reads and strictly decodes a spec file.
+func (a *app) decodeFile(path string) (scenario.Spec, int) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %v\n", err)
-		os.Exit(1)
+		return scenario.Spec{}, a.fail(1, "%v", err)
 	}
 	spec, err := scenario.Decode(blob)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %s: %v\n", path, err)
-		os.Exit(1)
+		return scenario.Spec{}, a.fail(1, "%s: %v", path, err)
 	}
-	runSpec(spec)
+	return spec, 0
+}
+
+func (a *app) runScenarioFile(path string) int {
+	spec, status := a.decodeFile(path)
+	if status != 0 {
+		return status
+	}
+	return a.runSpec(spec, nil)
 }
 
 // validateScenarioFile parses and validates a spec file without running
 // it: decode errors (unknown fields, malformed JSON) and typed validation
 // errors print with the offending spec path, and the exit status is
 // nonzero on any problem — the CI-able lint for hand-edited specs.
-func validateScenarioFile(path string) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %v\n", err)
-		os.Exit(1)
-	}
-	spec, err := scenario.Decode(blob)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %s: %v\n", path, err)
-		os.Exit(1)
+func (a *app) validateScenarioFile(path string) int {
+	spec, status := a.decodeFile(path)
+	if status != 0 {
+		return status
 	}
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %s: %v\n", path, err)
-		os.Exit(1)
+		return a.fail(1, "%s: %v", path, err)
 	}
 	cells := len(spec.Cells)
 	if cells == 0 {
 		cells = 1
 	}
-	fmt.Printf("%s: spec %q valid (%d cells, workload %s)\n", path, spec.Name, cells, spec.Workload.Kind)
+	fmt.Fprintf(a.out, "%s: spec %q valid (%d cells, workload %s)\n", path, spec.Name, cells, spec.Workload.Kind)
+	return 0
 }
 
 // runFuzz executes a fuzzing campaign. On a failure the minimal
 // reproducing spec prints as runnable JSON (feed it back through
 // -scenario) and the exit status is 1.
-func runFuzz(runs int, seed int64) {
+func (a *app) runFuzz(runs int, seed int64) int {
 	failure := scenario.Fuzz(scenario.FuzzConfig{
 		Runs: runs,
 		Seed: seed,
 		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(a.errw, format+"\n", args...)
 		},
 	})
 	if failure != nil {
-		fmt.Fprintln(os.Stderr, failure.String())
+		fmt.Fprintln(a.errw, failure.String())
 		// Persist the repro with its observability artifacts: the shrunken
 		// spec as runnable JSON, plus the instrumented replay's span trace
 		// and probe time-series (partial when the replay panics).
-		writeRepro("fuzz-repro.json", []byte(failure.JSON()+"\n"))
-		writeRepro("fuzz-repro.trace.json", failure.TraceJSON)
-		writeRepro("fuzz-repro.series.csv", failure.SeriesCSV)
-		os.Exit(1)
+		a.writeRepro("fuzz-repro.json", []byte(failure.JSON()+"\n"))
+		a.writeRepro("fuzz-repro.trace.json", failure.TraceJSON)
+		a.writeRepro("fuzz-repro.series.csv", failure.SeriesCSV)
+		return 1
 	}
-	fmt.Printf("fuzz: %d runs, seed %d: all clean (durability and block accounting held)\n", runs, seed)
+	fmt.Fprintf(a.out, "fuzz: %d runs, seed %d: all clean (durability and block accounting held)\n", runs, seed)
+	return 0
 }
 
-func writeRepro(name string, blob []byte) {
+func (a *app) writeRepro(name string, blob []byte) {
 	if len(blob) == 0 {
 		return
 	}
 	if err := os.WriteFile(name, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: write %s: %v\n", name, err)
+		a.fail(1, "write %s: %v", name, err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "nfsbench: wrote %s\n", name)
+	fmt.Fprintf(a.errw, "nfsbench: wrote %s\n", name)
 }
 
-// execSpec runs one scenario and renders its full report — the result
-// table, the per-cell wall times, and the wall+sim summary — into a
-// string, so concurrent scenario runs can buffer output and print in
-// deterministic order.
-func execSpec(spec scenario.Spec) (*scenario.Result, string, error) {
-	if traceOut != "" || probesOut != "" {
+// execSpec runs one scenario and renders its full report — the result in
+// the given layout (nil: the uniform table), the per-cell wall times, and
+// the wall+sim summary — into a string, so concurrent scenario runs can
+// buffer output and print in deterministic order.
+func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string) (*scenario.Result, string, error) {
+	if a.traceOut != "" || a.probesOut != "" {
 		o := scenario.Observe{}
 		if spec.Observe != nil {
 			o = *spec.Observe
 		}
-		if traceOut != "" {
+		if a.traceOut != "" {
 			o.Trace = true
 		}
-		if probesOut != "" {
+		if a.probesOut != "" {
 			o.Probes = true
 		}
 		o.Histograms = true
 		spec.Observe = &o
+	}
+	if render == nil {
+		render = (*scenario.Result).Render
 	}
 	wall := time.Now()
 	res, err := scenario.Run(spec)
@@ -362,7 +322,7 @@ func execSpec(spec scenario.Spec) (*scenario.Result, string, error) {
 		return nil, "", err
 	}
 	var b strings.Builder
-	fmt.Fprintln(&b, res.Render())
+	fmt.Fprintln(&b, render(res))
 	var simTotal sim.Duration
 	for _, c := range res.Cells {
 		simTotal += c.SimTime
@@ -377,34 +337,36 @@ func execSpec(spec scenario.Spec) (*scenario.Result, string, error) {
 	return res, b.String(), nil
 }
 
-func runSpec(spec scenario.Spec) {
-	res, out, err := execSpec(spec)
+func (a *app) runSpec(spec scenario.Spec, render func(*scenario.Result) string) int {
+	res, out, err := a.execSpec(spec, render)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %v\n", err)
-		os.Exit(1)
+		return a.fail(1, "%v", err)
 	}
-	fmt.Print(out)
-	if traceOut != "" {
+	fmt.Fprint(a.out, out)
+	if a.traceOut != "" {
 		var traces []*obs.Trace
 		for i := range res.Cells {
 			if t := res.Cells[i].Trace; t != nil {
 				traces = append(traces, t)
 			}
 		}
-		writeArtifact(traceOut, func(f *os.File) error { return obs.WriteTraces(f, traces) })
+		if status := a.writeArtifact(a.traceOut, func(f *os.File) error { return obs.WriteTraces(f, traces) }); status != 0 {
+			return status
+		}
 	}
-	if probesOut != "" {
+	if a.probesOut != "" {
 		var series []*obs.TimeSeries
 		for i := range res.Cells {
 			if s := res.Cells[i].Series; s != nil {
 				series = append(series, s)
 			}
 		}
-		writeArtifact(probesOut, func(f *os.File) error { return obs.WriteSeriesCSV(f, series) })
+		return a.writeArtifact(a.probesOut, func(f *os.File) error { return obs.WriteSeriesCSV(f, series) })
 	}
+	return 0
 }
 
-func writeArtifact(path string, emit func(*os.File) error) {
+func (a *app) writeArtifact(path string, emit func(*os.File) error) int {
 	f, err := os.Create(path)
 	if err == nil {
 		err = emit(f)
@@ -413,8 +375,8 @@ func writeArtifact(path string, emit func(*os.File) error) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nfsbench: %s: %v\n", path, err)
-		os.Exit(1)
+		return a.fail(1, "%s: %v", path, err)
 	}
-	fmt.Printf("nfsbench: wrote %s\n", path)
+	fmt.Fprintf(a.out, "nfsbench: wrote %s\n", path)
+	return 0
 }

@@ -1,0 +1,83 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// transcript drops the lines that report real time, as the CI filter
+// (grep -v ' s wall' | grep -v 'total wall time') does.
+func transcript(out string) string {
+	var kept []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.Contains(line, " s wall") && !strings.Contains(line, "total wall time") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
+// TestRunAllMatchesGolden is the identity gate: the whole registry's
+// transcript — every paper table and figure, every beyond-paper scenario —
+// is byte-identical to the committed one. A deliberate model change
+// regenerates it with
+// go run ./cmd/nfsbench -run all | grep -v ' s wall' | grep -v 'total wall time' > cmd/nfsbench/testdata/run_all.golden
+func TestRunAllMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/run_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if status := run([]string{"-run", "all"}, &stdout, &stderr); status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr.String())
+	}
+	got := transcript(stdout.String())
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d differs from testdata/run_all.golden:\n got %.200q\nwant %.200q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("transcript is %d lines, golden %d", len(gotLines), len(wantLines))
+}
+
+// TestTraceAndProbesHonouredForEveryName: the paper's names write the
+// -trace and -probes artifacts like any other scenario.
+func TestTraceAndProbesHonouredForEveryName(t *testing.T) {
+	dir := t.TempDir()
+	traceFile, probeFile := filepath.Join(dir, "t.json"), filepath.Join(dir, "p.csv")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-run", "table1", "-mb", "1", "-trace", traceFile, "-probes", probeFile}
+	if status := run(args, &stdout, &stderr); status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr.String())
+	}
+	if blob, err := os.ReadFile(traceFile); err != nil || !bytes.Contains(blob, []byte(`"traceEvents"`)) {
+		t.Errorf("trace file: err=%v, %d bytes without a traceEvents array", err, len(blob))
+	}
+	if blob, err := os.ReadFile(probeFile); err != nil || !bytes.HasPrefix(blob, []byte("cell,time_s,")) || bytes.Count(blob, []byte("\n")) < 2 {
+		t.Errorf("probe CSV: err=%v, %d bytes, want a header and samples", err, len(blob))
+	}
+}
+
+// TestUnknownNameFailsBeforeAnyRun: one bad name in the list exits 2 with
+// the known names and without running the good ones first.
+func TestUnknownNameFailsBeforeAnyRun(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if status := run([]string{"-run", "table1,bogus"}, &stdout, &stderr); status != 2 {
+		t.Fatalf("exit %d, want 2", status)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran something before rejecting the name:\n%s", stdout.String())
+	}
+	for _, want := range []string{`"bogus"`, "known names:", "table1", "kneecurve"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q: %s", want, stderr.String())
+		}
+	}
+}

@@ -16,8 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -30,10 +31,32 @@ func main() {
 			"(JSON; replays via the scenario engine's openload workload)")
 	flag.Parse()
 
+	// The registry's figure1 is one cell per server build; keep the
+	// builds asked for (a capture takes exactly one).
+	spec, _ := scenario.Lookup("figure1")
+	spec.Topology.Clients[0].Biods = *biods
+	keep := map[bool]bool{false: !*gatherOnly, true: !*standardOnly}
 	if *capture != "" {
-		cfg := experiments.DefaultFigure1(*gatherOnly)
-		cfg.Biods = *biods
-		tr, err := experiments.CaptureFigure1(cfg)
+		keep = map[bool]bool{*gatherOnly: true}
+	}
+	var cells []scenario.Cell
+	for _, c := range spec.Cells {
+		if keep[*c.Gathering] {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) == 0 {
+		return
+	}
+	spec.Cells = cells
+	res := scenario.MustRun(spec)
+
+	if *capture != "" {
+		name := "figure1-standard"
+		if *gatherOnly {
+			name = "figure1-gathering"
+		}
+		tr, err := trace.CaptureFigure1(name, res.Cells[0].TraceLog)
 		if err == nil {
 			err = trace.SaveOps(*capture, tr)
 		}
@@ -46,29 +69,16 @@ func main() {
 		return
 	}
 
-	show := func(gathering bool) {
-		cfg := experiments.DefaultFigure1(gathering)
-		cfg.Biods = *biods
-		out, log := experiments.RunFigure1(cfg)
-		fmt.Println(out)
-		sum := log.Summary(0, 1<<62)
-		fmt.Printf("totals: client sends=%d replies=%d disk ops=%d\n\n",
-			sum["client:8K"], sum["client:<-"], countPrefix(sum, "disk:"))
-	}
-	if !*gatherOnly {
-		show(false)
-	}
-	if !*standardOnly {
-		show(true)
-	}
-}
-
-func countPrefix(m map[string]int, prefix string) int {
-	n := 0
-	for k, v := range m {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			n += v
+	for _, c := range res.Cells {
+		fmt.Println(c.TraceText)
+		sum := c.TraceLog.Summary(0, 1<<62)
+		disk := 0
+		for k, v := range sum {
+			if strings.HasPrefix(k, "disk:") {
+				disk += v
+			}
 		}
+		fmt.Printf("totals: client sends=%d replies=%d disk ops=%d\n\n",
+			sum["client:8K"], sum["client:<-"], disk)
 	}
-	return n
 }

@@ -8,7 +8,7 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -17,30 +17,32 @@ func main() {
 	mb := flag.Int("mb", 10, "file size in MB")
 	flag.Parse()
 
-	var spec experiments.CopySpec
+	name := "table1"
 	switch {
 	case *fddi && *presto:
-		spec = experiments.Table4Spec()
+		name = "table4"
 	case *fddi:
-		spec = experiments.Table3Spec()
+		name = "table3"
 	case *presto:
-		spec = experiments.Table2Spec()
-	default:
-		spec = experiments.Table1Spec()
+		name = "table2"
 	}
-	spec.FileMB = *mb
-	tbl := experiments.RunCopyTable(spec)
-	fmt.Println(tbl.Render())
+	table, _ := scenario.Find(name)
+	spec := table.Build()
+	spec.Workload.Copy.FileMB = *mb
+	res := scenario.MustRun(spec)
+	fmt.Println(table.Render(res))
 
 	// The paper's headline observations, computed from the rows.
-	wo, wi := tbl.Without, tbl.With
+	_, halves := res.Families()
+	wo, wi := halves["std"], halves["wg"]
 	last := len(wo) - 1
+	biods := scenario.StandardBiods()[last]
 	fmt.Printf("0-biod cost of gathering: %.0f%%\n",
 		100*(wo[0].ClientKBps-wi[0].ClientKBps)/wo[0].ClientKBps)
-	fmt.Printf("%d-biod gain from gathering: %.0f%%\n", wo[last].Biods,
+	fmt.Printf("%d-biod gain from gathering: %.0f%%\n", biods,
 		100*(wi[last].ClientKBps-wo[last].ClientKBps)/wo[last].ClientKBps)
-	fmt.Printf("disk transaction reduction at %d biods: %.1fx\n", wo[last].Biods,
-		wo[last].DiskTransSec/wi[last].DiskTransSec)
+	fmt.Printf("disk transaction reduction at %d biods: %.1fx\n", biods,
+		wo[last].DiskTps/wi[last].DiskTps)
 	fmt.Printf("mean gather batch at %d biods: %.1f writes per metadata commit\n",
-		wi[last].Biods, float64(wi[last].Gather.GatheredWrites)/float64(wi[last].Gather.Gathers))
+		biods, float64(wi[last].Gather.GatheredWrites)/float64(wi[last].Gather.Gathers))
 }

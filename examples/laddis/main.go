@@ -7,8 +7,7 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/experiments"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -16,20 +15,14 @@ func main() {
 	quick := flag.Bool("quick", true, "coarse sweep (faster)")
 	flag.Parse()
 
-	spec := experiments.Figure2Spec()
+	name := "figure2"
 	if *presto {
-		spec = experiments.Figure3Spec()
+		name = "figure3"
 	}
+	figure, _ := scenario.Find(name)
+	spec := figure.Build()
 	if *quick {
-		var half []float64
-		for i, l := range spec.Loads {
-			if i%2 == 0 {
-				half = append(half, l)
-			}
-		}
-		spec.Loads = half
-		spec.Measure = 5 * sim.Second
+		figure.Quick(&spec)
 	}
-	wo, wi := experiments.RunFigure(spec)
-	fmt.Println(experiments.RenderFigure(spec, wo, wi))
+	fmt.Println(figure.Render(scenario.MustRun(spec)))
 }

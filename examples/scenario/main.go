@@ -1,8 +1,7 @@
-// Scenario: compose an experiment the legacy entry points could not
-// express — entirely as data. A two-shard cluster where one shard runs
-// Presto NVRAM and the other does not, under client write streams with
-// every acked write durability-checked, driven through the typed fault
-// API: the Presto shard first survives a classic crash/reboot cycle (the
+// Scenario: compose an experiment no registry name expresses — entirely
+// as data. A two-shard cluster where one shard runs Presto NVRAM and the
+// other does not, under client write streams with every acked write
+// durability-checked, driven through the typed fault API: the Presto shard first survives a classic crash/reboot cycle (the
 // legacy `crashes` form still decodes as-is, and the reboot replays its
 // NVRAM), one client's network attachment flaps mid-stream, and finally
 // the Presto shard dies for good and the plain shard adopts its disks

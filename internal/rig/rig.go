@@ -1,8 +1,8 @@
 // Package rig assembles one single-server testbed (client hosts, network,
 // server, device stack) — the hardware/software configuration matrix of
 // the paper's Tables 1-6 and Figures 1-3. internal/scenario builds rigs
-// from declarative specs; internal/experiments re-exports the types for
-// compatibility with pre-scenario callers.
+// from declarative specs; bench/ builds them directly for its server
+// layer drivers.
 package rig
 
 import (

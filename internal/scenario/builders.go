@@ -8,9 +8,9 @@ import (
 )
 
 // The builders below construct the canonical spec shapes the paper's
-// experiments use. The experiments adapters and the registry both go
-// through them, so the seed formulas and sweep orders recorded in the
-// benchmark baselines are defined in exactly one place.
+// experiments use. The registry and bench/'s workloads both go through
+// them, so the seed formulas and sweep orders behind the golden
+// transcript and the sim_digests are defined in exactly one place.
 
 // StandardBiods is the biod sweep of Tables 1-4.
 func StandardBiods() []int { return []int{0, 3, 7, 11, 15} }

@@ -8,6 +8,12 @@ type Entry struct {
 	Description string
 	// Build returns a fresh copy of the spec (callers may mutate it).
 	Build func() Spec
+	// Render is the layout the scenario prints in: the paper's own for
+	// its tables and figures (layout.go), nil for (*Result).Render.
+	Render func(*Result) string
+	// Quick coarsens the spec for `nfsbench -quick`; nil where the flag
+	// leaves the scenario alone.
+	Quick func(*Spec)
 }
 
 // Registry lists the built-in scenarios in presentation order: the
@@ -15,37 +21,60 @@ type Entry struct {
 // the declarative API can express.
 func Registry() []Entry {
 	return []Entry{
-		{"table1", "Table 1: 10MB copy, Ethernet, 1 disk (biod sweep, std vs gathering)", table1},
-		{"table2", "Table 2: 10MB copy, Ethernet, Presto NVRAM", table2},
-		{"table3", "Table 3: 10MB copy, FDDI", table3},
-		{"table4", "Table 4: 10MB copy, FDDI, Presto NVRAM", table4},
-		{"table5", "Table 5: 10MB copy, FDDI, 3 striped drives", table5},
-		{"table6", "Table 6: 10MB copy, FDDI, Presto, 3 striped drives", table6},
-		{"figure1", "Figure 1: traffic timeline of a sequential writer, std vs gathering server", figure1},
-		{"figure2", "Figure 2: SPEC SFS 1.0 LADDIS throughput/latency sweep", figure2},
-		{"figure3", "Figure 3: LADDIS sweep with Prestoserve", figure3},
-		{"scale", "Scale-out grid: 1/2/4 LADDIS clients x 1/2 sharded servers", scale},
-		{"bridged", "Bridged fabric: Ethernet client segments store-and-forwarded into one FDDI server core, swept over segment count", bridged},
-		{"crash", "Crash/recovery durability: acked-write audit across two server crashes (plain and Presto)", crash},
-		{"partialcrash", "Partial-cluster crash under LADDIS load: one of two shards crashes mid-measure (std vs gathering)", partialCrash},
-		{"flapstorm", "Flapping storm: staggered short-outage crash trains on both shards under sharded write streams, durability-checked", flapStorm},
-		{"failover", "Shard failover: one of two shards dies mid-stream and the survivor adopts its disks under a stable FSID (plain vs Presto)", failOver},
-		{"clientreboot", "Client crash model: one client reboots mid-stream dropping dirty write-behind, another loses biods; acked bytes must all survive", clientReboot},
-		{"mediastorm", "Partial storage failure: media read errors, a degraded spindle and an armed torn write across a crash, durability-audited (plain vs Presto)", mediaStorm},
-		{"kneecurve", "Open-loop capacity curve: Poisson/Zipf arrivals swept past the knee, achieved-vs-offered with honest shed/queue accounting (std vs gathering)", kneecurve},
-		{"bridgedsat", "Bridged saturation: 50 Ethernet segments x 100 clients open-loop over one FDDI core shard, swept over segment count", bridgedSat},
+		{"table1", "Table 1: 10MB copy, Ethernet, 1 disk (biod sweep, std vs gathering)", table1, renderCopyTable, nil},
+		{"table2", "Table 2: 10MB copy, Ethernet, Presto NVRAM", table2, renderCopyTable, nil},
+		{"table3", "Table 3: 10MB copy, FDDI", table3, renderCopyTable, nil},
+		{"table4", "Table 4: 10MB copy, FDDI, Presto NVRAM", table4, renderCopyTable, nil},
+		{"table5", "Table 5: 10MB copy, FDDI, 3 striped drives", table5, renderCopyTable, nil},
+		{"table6", "Table 6: 10MB copy, FDDI, Presto, 3 striped drives", table6, renderCopyTable, nil},
+		{"figure1", "Figure 1: traffic timeline of a sequential writer, std vs gathering server", figure1, renderTimelines, nil},
+		{"figure2", "Figure 2: SPEC SFS 1.0 LADDIS throughput/latency sweep", figure2, renderFigure, quickLoadSweep},
+		{"figure3", "Figure 3: LADDIS sweep with Prestoserve", figure3, renderFigure, quickLoadSweep},
+		{"scale", "Scale-out grid: 1/2/4 LADDIS clients x 1/2 sharded servers", scale, renderScaleGrid, quickScale},
+		{"bridged", "Bridged fabric: Ethernet client segments store-and-forwarded into one FDDI server core, swept over segment count", bridged, nil, nil},
+		{"crash", "Crash/recovery durability: acked-write audit across two server crashes (plain and Presto)", crash, renderCrashReport, nil},
+		{"partialcrash", "Partial-cluster crash under LADDIS load: one of two shards crashes mid-measure (std vs gathering)", partialCrash, nil, nil},
+		{"flapstorm", "Flapping storm: staggered short-outage crash trains on both shards under sharded write streams, durability-checked", flapStorm, nil, nil},
+		{"failover", "Shard failover: one of two shards dies mid-stream and the survivor adopts its disks under a stable FSID (plain vs Presto)", failOver, nil, nil},
+		{"clientreboot", "Client crash model: one client reboots mid-stream dropping dirty write-behind, another loses biods; acked bytes must all survive", clientReboot, nil, nil},
+		{"mediastorm", "Partial storage failure: media read errors, a degraded spindle and an armed torn write across a crash, durability-audited (plain vs Presto)", mediaStorm, nil, nil},
+		{"kneecurve", "Open-loop capacity curve: Poisson/Zipf arrivals swept past the knee, achieved-vs-offered with honest shed/queue accounting (std vs gathering)", kneecurve, nil, nil},
+		{"bridgedsat", "Bridged saturation: 50 Ethernet segments x 100 clients open-loop over one FDDI core shard, swept over segment count", bridgedSat, nil, nil},
 	}
+}
+
+// Find returns the named registry entry.
+func Find(name string) (Entry, bool) {
+	for _, e := range Registry() {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Entry{}, false
 }
 
 // Lookup returns the named scenario's spec.
 func Lookup(name string) (Spec, bool) {
-	for _, e := range Registry() {
-		if e.Name == name {
-			return e.Build(), true
-		}
+	e, ok := Find(name)
+	if !ok {
+		return Spec{}, false
 	}
-	return Spec{}, false
+	return e.Build(), true
 }
+
+// quickLoadSweep is -quick for Figures 2-3: every other load pair,
+// measured for 5 s.
+func quickLoadSweep(spec *Spec) {
+	var cells []Cell
+	for i := 0; i+1 < len(spec.Cells); i += 4 {
+		cells = append(cells, spec.Cells[i], spec.Cells[i+1])
+	}
+	spec.Cells = cells
+	spec.Workload.LADDIS.Measure = 5 * sim.Second
+}
+
+// quickScale is -quick for the scale grid: every cell, measured for 2 s.
+func quickScale(spec *Spec) { spec.Workload.LADDIS.Measure = 2 * sim.Second }
 
 func table1() Spec {
 	return CopySweep(Copy("table1", "Table 1. NFS 10MB file copy: Ethernet",
@@ -292,11 +321,10 @@ func mediaStorm() Spec {
 	return spec
 }
 
-// partialCrash is only expressible in the scenario API: the legacy scale
-// sweep had no fault schedule and the legacy crash rig had no LADDIS
-// load. One of two shards crashes mid-measure; the sweep compares how the
-// standard and gathering builds absorb the outage (latency cliff,
-// retransmissions, reboot detections).
+// partialCrash combines what scale and crash keep apart: a fault
+// schedule under LADDIS load. One of two shards crashes mid-measure; the
+// sweep compares how the standard and gathering builds absorb the outage
+// (latency cliff, retransmissions, reboot detections).
 func partialCrash() Spec {
 	spec := ScaleBase("partialcrash",
 		"Partial-cluster crash under LADDIS load (2 clients x 2 shards, shard 2 crashes mid-measure)",
@@ -314,11 +342,10 @@ func partialCrash() Spec {
 	return spec
 }
 
-// flapStorm is the other scenario the legacy API could not express: the
-// legacy crash rig drove exactly one crash train against node 0. Here
-// both shards flap on staggered short-outage trains while every client
-// streams to its own shard, and the durability checker audits every
-// acked write across all eight crashes.
+// flapStorm goes past crash's single train against node 0: both shards
+// flap on staggered short-outage trains while every client streams to
+// its own shard, and the durability checker audits every acked write
+// across all eight crashes.
 func flapStorm() Spec {
 	spec := Spec{
 		Name:        "flapstorm",

@@ -212,8 +212,7 @@ type Durability struct {
 }
 
 // CellResult is one sweep point's outcome: the uniform metric columns
-// plus workload-specific detail the legacy adapters map back onto their
-// historical result types.
+// plus the workload-specific detail the paper's layouts print.
 type CellResult struct {
 	Label string `json:"label"`
 	Seed  int64  `json:"seed"`
@@ -538,50 +537,35 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
+// curves lays a load sweep out as one row per offered rate, rates
+// ascending, and one column per label family ("std-1000"/"wg-1000" →
+// families "std" and "wg").
+func (r *Result) curves() (fams []string, offers []float64, rows map[float64]map[string]*CellResult) {
+	fams, cells := r.Families()
+	rows = map[float64]map[string]*CellResult{}
+	for _, f := range fams {
+		for _, c := range cells[f] {
+			if rows[c.OfferedOpsPerSec] == nil {
+				rows[c.OfferedOpsPerSec] = map[string]*CellResult{}
+				offers = append(offers, c.OfferedOpsPerSec)
+			}
+			rows[c.OfferedOpsPerSec][f] = c
+		}
+	}
+	sort.Float64s(offers)
+	return fams, offers, rows
+}
+
 // renderCapacity appends the compact capacity-vs-offered-load table for
-// openload sweeps: one row per offered rate, one column per cell-label
-// family ("std-1000"/"wg-1000" → families "std" and "wg"), each cell
-// showing achieved ops/s at the p99 latency — the knee readable at a
-// glance without opening the CSV. Only multi-cell openload sweeps
-// produce it; every other workload's render is untouched.
+// openload sweeps: each curves cell shows achieved ops/s at the p99
+// latency — the knee readable at a glance without opening the CSV. Only
+// multi-cell openload sweeps produce it; every other workload's render
+// is untouched.
 func (r *Result) renderCapacity(b *strings.Builder) {
 	if r.Spec.Workload.Kind != KindOpenload || len(r.Cells) < 2 {
 		return
 	}
-	type point struct {
-		achieved, p99 float64
-		ok            bool
-	}
-	family := func(label string) string {
-		if i := strings.LastIndex(label, "-"); i > 0 {
-			return label[:i]
-		}
-		return label
-	}
-	var fams []string
-	var offers []float64
-	rows := map[float64]map[string]point{}
-	for _, cell := range r.Cells {
-		f := family(cell.Label)
-		seenF := false
-		for _, x := range fams {
-			if x == f {
-				seenF = true
-				break
-			}
-		}
-		if !seenF {
-			fams = append(fams, f)
-		}
-		row := rows[cell.OfferedOpsPerSec]
-		if row == nil {
-			row = map[string]point{}
-			rows[cell.OfferedOpsPerSec] = row
-			offers = append(offers, cell.OfferedOpsPerSec)
-		}
-		row[f] = point{achieved: cell.AchievedOpsPerSec, p99: cell.P99LatencyMs, ok: true}
-	}
-	sort.Float64s(offers)
+	fams, offers, rows := r.curves()
 	b.WriteString("capacity curve (achieved ops/s @ p99 ms):\n")
 	fmt.Fprintf(b, "  %10s", "offered")
 	for _, f := range fams {
@@ -591,12 +575,11 @@ func (r *Result) renderCapacity(b *strings.Builder) {
 	for _, off := range offers {
 		fmt.Fprintf(b, "  %10.0f", off)
 		for _, f := range fams {
-			p, ok := rows[off][f]
-			if !ok || !p.ok {
+			if c := rows[off][f]; c != nil {
+				fmt.Fprintf(b, "  %9.1f @ %7.2f", c.AchievedOpsPerSec, c.P99LatencyMs)
+			} else {
 				fmt.Fprintf(b, "  %19s", "-")
-				continue
 			}
-			fmt.Fprintf(b, "  %9.1f @ %7.2f", p.achieved, p.p99)
 		}
 		b.WriteString("\n")
 	}

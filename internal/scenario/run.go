@@ -23,11 +23,9 @@ import (
 )
 
 // Run validates the spec and executes every cell of its sweep, each on a
-// fresh deterministic simulation, returning the uniform result. The
-// engine reproduces the paper's historical runners exactly — the rig
+// fresh deterministic simulation, returning the uniform result: the rig
 // assembly for single-server copy/LADDIS/trace cells, the cluster
-// assembly for sharded, faulted or stream cells — so the legacy
-// experiments adapters produce byte-identical metric columns through it.
+// assembly for sharded, faulted or stream cells.
 //
 // Cells execute across the package worker pool (Workers, default
 // GOMAXPROCS); every cell is an independent simulation with its own
@@ -132,7 +130,7 @@ func runCellTimed(rc *resolved, capture obsCaptureFn) CellResult {
 	return cr
 }
 
-// MustRun is Run for specs known valid (the registry, the adapters).
+// MustRun is Run for specs known valid (the registry, its edited copies).
 func MustRun(spec Spec) *Result {
 	res, err := Run(spec)
 	if err != nil {
@@ -177,8 +175,8 @@ func (r *resolved) offered(nclients int) (perClient, total float64) {
 }
 
 // laddisBarrier is the common measurement-start barrier: setup runs
-// before it, every generator starts at it (legacy figure/scale runs used
-// the same 20 s instant).
+// before it, every generator starts at it (the recorded figure and
+// scale runs used the same 20 s instant).
 const laddisBarrier = sim.Time(20 * sim.Second)
 
 // aggregateLADDIS folds per-client points into the cell columns:

@@ -100,9 +100,8 @@ func TestRegistryScenariosRerunDeterministically(t *testing.T) {
 	}
 }
 
-// TestPartialCrashScenario runs the crash-under-load sweep the legacy
-// API could not express: a 2x2 LADDIS grid where one shard crashes
-// mid-measure. The cluster must keep serving (ops complete on the
+// TestPartialCrashScenario runs the crash-under-load sweep: a 2x2 LADDIS
+// grid where one shard crashes mid-measure. The cluster must keep serving (ops complete on the
 // surviving shard), clients must observe the outage, and the crashed
 // shard must come back.
 func TestPartialCrashScenario(t *testing.T) {

@@ -7,12 +7,11 @@
 // single-server configurations, internal/cluster for sharded and
 // crashable ones) and returns a uniform Result.
 //
-// Every entry point in internal/experiments (the paper's tables, figures,
-// scale and crash sweeps) is a thin adapter that builds a Spec and
-// delegates here; the built-in Registry names those plus scenarios the
-// legacy API could not express (crash-under-load sweeps, flapping
-// storms). New experiment shapes should be new specs, not new Run*
-// functions.
+// The built-in Registry names the paper's tables and figures, the scale
+// and crash sweeps, and the beyond-paper scenarios (crash-under-load
+// sweeps, flapping storms, bridged fabrics, open-loop load); an entry is
+// a spec builder plus, for the paper's names, the layout it prints in.
+// New experiment shapes should be new specs, not new Run* functions.
 package scenario
 
 import (

@@ -90,3 +90,38 @@ func LoadOps(path string) (*OpTrace, error) {
 	t.Sort()
 	return &t, nil
 }
+
+// CaptureFigure1 converts a Figure-1 timeline's client-lane write sends
+// into a replayable op capture: each "8K Write off=NK ->" event becomes
+// one record at its recorded instant, relative to the first send. The
+// capture replays through the scenario engine's openload workload,
+// re-offering the exact Figure-1 write timeline — same inter-arrival
+// gaps — against any rig.
+func CaptureFigure1(name string, log *Log) (*OpTrace, error) {
+	tr := &OpTrace{Name: name}
+	var first sim.Time
+	for _, e := range log.Events {
+		if e.Lane != "client" {
+			continue
+		}
+		var offKB int
+		if _, err := fmt.Sscanf(e.Label, "8K Write off=%dK ->", &offKB); err != nil {
+			continue
+		}
+		if len(tr.Ops) == 0 {
+			first = e.T
+		}
+		tr.Ops = append(tr.Ops, OpRecord{
+			At:   e.T.Sub(first),
+			Op:   "write",
+			File: 0,
+			Off:  uint32(offKB) * 1024,
+			N:    8 * 1024,
+		})
+	}
+	if len(tr.Ops) == 0 {
+		return nil, fmt.Errorf("trace: figure-1 log has no client write sends to capture")
+	}
+	tr.Sort()
+	return tr, nil
+}
