@@ -9,8 +9,8 @@
 //
 //   - an Arrival process (fixed-rate, Poisson, or bursty on/off
 //     MMPP-style), seed-driven and deterministic;
-//   - a Population — the per-cell file set, built once and shared by
-//     every client, with flat or Zipf-skewed target selection;
+//   - a Population — the per-cell file set, built once (Populate) and
+//     shared by every client, with flat or Zipf-skewed target selection;
 //   - an admission path: each arrival claims a slot from a bounded
 //     client.IssueWindow without blocking; when the window is full the
 //     arrival waits in a bounded backlog queue, and when the backlog is
@@ -33,6 +33,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/ufs"
+	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
@@ -128,10 +130,10 @@ const (
 	PopZipf = "zipf"
 )
 
-// Population is the shared per-cell file set: built once (by one
-// client) and used by every generator, with a pick distribution over
-// the files. Names and placement are deterministic, so every cell with
-// the same spec sees the same population.
+// Population is the shared per-cell file set: built once (Populate) and
+// used by every generator, with a pick distribution over the files.
+// Names and placement are deterministic, so every cell with the same
+// spec sees the same population.
 type Population struct {
 	Names  []string
 	Files  []nfsproto.FH
@@ -143,7 +145,7 @@ type Population struct {
 
 // NewPopulation describes a population of n files of blocks 8K blocks
 // each, skewed by kind ("flat" or "zipf" with exponent s; s <= 0 means
-// 1.1). Build must run before any Pick target is used.
+// 1.1). Populate must run before any Pick target is used.
 func NewPopulation(n, blocks int, kind string, s float64, roots []nfsproto.FH) (*Population, error) {
 	if n <= 0 {
 		n = 64
@@ -190,8 +192,85 @@ func (p *Population) rootFor(name string) nfsproto.FH {
 	return p.Roots[client.ShardIndex(name, len(p.Roots))]
 }
 
-// Build creates and fills the file set through cli (unmeasured; run it
-// once per cell before the generators start).
+// Populate builds the cell's starting image by calling the filesystems
+// directly: every population file created and filled in index order,
+// then one scratch directory per generator in gens order, each on the
+// shard rootFor picks (fsOf resolves a shard's mounted filesystem; nil
+// means nobody serves it). These are the ufs calls, in the order, that
+// the servers make when one client Builds the population over the wire
+// and the generators then Setup one after another, so inode numbers,
+// block layout and handles are that export's (TestImageEqualsWire) — but
+// no RPC is issued, no datagram sent, and every write is synchronous, so
+// the image is on the platters when Populate returns.
+//
+// The fill blocks are staged in the first generator's client's write
+// buffers, as Build stages them in its caller's, and the buffer caches
+// adopt them: when a measured WRITE replaces one, it goes back to a pool
+// that a client draws its next staging buffer from.
+func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens []*Gen) error {
+	if len(gens) == 0 {
+		return fmt.Errorf("openload: populate: no generators")
+	}
+	stage := gens[0].cli
+	for i, name := range p.Names {
+		fs, fh, err := p.place(q, fsOf, name, false)
+		if err != nil {
+			return err
+		}
+		for b := 0; b < p.Blocks; b++ {
+			off := uint32(b * nfsproto.MaxData)
+			buf := stage.GetWriteBuf()
+			client.FillPattern(buf.Data(), off)
+			err := fs.WriteBuf(q, vfs.Ino(fh.Ino()), off, buf, nfsproto.MaxData, vfs.IOSync)
+			buf.Release()
+			if err != nil {
+				return fmt.Errorf("openload: populate: fill %s: %w", name, err)
+			}
+		}
+		p.Files[i] = fh
+	}
+	for _, g := range gens {
+		_, fh, err := p.place(q, fsOf, g.scratchName(), true)
+		if err != nil {
+			return err
+		}
+		g.scratch = fh
+	}
+	p.built = true
+	return nil
+}
+
+// place makes one file (0644) or directory (0755) in its shard's root and
+// returns the filesystem it landed on and the handle a CREATE or MKDIR
+// reply would have carried.
+func (p *Population) place(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, name string, dir bool) (*ufs.FS, nfsproto.FH, error) {
+	root := p.rootFor(name)
+	fs := fsOf(root.FSID())
+	if fs == nil {
+		return nil, nfsproto.FH{}, fmt.Errorf("openload: populate: %s: nobody serves export %d", name, root.FSID())
+	}
+	var ino vfs.Ino
+	var err error
+	if dir {
+		ino, err = fs.Mkdir(q, vfs.Ino(root.Ino()), name, 0755)
+	} else {
+		ino, err = fs.Create(q, vfs.Ino(root.Ino()), name, 0644)
+	}
+	var a vfs.Attr
+	if err == nil {
+		a, err = fs.GetAttr(q, ino)
+	}
+	if err != nil {
+		return nil, nfsproto.FH{}, fmt.Errorf("openload: populate: %s: %w", name, err)
+	}
+	return fs, nfsproto.NewFH(root.FSID(), uint64(ino), a.Gen), nil
+}
+
+// Build is Populate's file half done over the wire through cli. The
+// engine no longer calls it: it stays exported, unchanged, only because
+// bench/drivers_stack.go compiles against it (ROADMAP item 5 moves that
+// driver onto Populate and deletes this), and as the reference the
+// image-equals-wire test holds Populate to.
 func (p *Population) Build(q *sim.Proc, cli *client.Client) error {
 	for i, name := range p.Names {
 		cres, err := cli.Create(q, p.rootFor(name), name, 0644)
@@ -311,16 +390,37 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 	return &Gen{cfg: cfg, cli: cli, pop: pop, res: Result{PerOp: make(map[string]int)}}
 }
 
-// Setup creates the generator's private scratch directory (create and
-// remove ops need a namespace that does not collide across clients).
-// The shared population must already be built.
+// scratchName names the generator's private scratch directory (create
+// and remove ops need a namespace that does not collide across clients).
+func (g *Gen) scratchName() string { return "olscratch-" + g.cli.Name() }
+
+// Setup creates the scratch directory with a MKDIR over the wire; the
+// shared population must already be built. Populate does this for every
+// generator without an RPC, and the engine no longer calls Setup: it
+// stays exported, unchanged, for bench/drivers_stack.go (ROADMAP item 5
+// removes it with Build) and for the scenario tests that keep a
+// concurrent mount storm as a bug-finder.
 func (g *Gen) Setup(p *sim.Proc) error {
-	sname := "olscratch-" + g.cli.Name()
+	sname := g.scratchName()
 	mres, err := g.cli.Mkdir(p, g.pop.rootFor(sname), sname, 0755)
 	if err != nil || mres.Status != nfsproto.OK {
 		return fmt.Errorf("openload: scratch mkdir: %v %v", err, mres)
 	}
 	g.scratch = mres.File
+	return nil
+}
+
+// CheckScratch GETATTRs the scratch directory over the wire and reports a
+// handle the server does not honour as a directory. An RPC that gets no
+// answer is not an error here: a cell's faults may have cut the path.
+func (g *Gen) CheckScratch(p *sim.Proc) error {
+	res, err := g.cli.Getattr(p, g.scratch)
+	if err != nil {
+		return nil
+	}
+	if res.Status != nfsproto.OK || res.Attr.Type != nfsproto.TypeDir {
+		return fmt.Errorf("openload: %s: server answered %v, type %v", g.scratchName(), res.Status, res.Attr.Type)
+	}
 	return nil
 }
 

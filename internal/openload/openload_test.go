@@ -2,9 +2,15 @@ package openload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/hw"
+	"repro/internal/nfsproto"
+	"repro/internal/rig"
 	"repro/internal/sim"
+	"repro/internal/ufs"
+	"repro/internal/vfs"
 )
 
 // TestArrivalMeetsTargetRate draws a long gap sequence from each process
@@ -100,5 +106,121 @@ func TestZipfSkewsHot(t *testing.T) {
 func TestPopulationRejectsUnknownKind(t *testing.T) {
 	if _, err := NewPopulation(10, 1, "normal", 0, nil); err == nil {
 		t.Error("unknown population kind accepted")
+	}
+}
+
+// imageRig is kneecurve's rig: four FDDI clients on one server.
+func imageRig(gathering bool) *rig.Rig {
+	return rig.New(rig.Config{Net: hw.FDDI(), Gathering: gathering, StripeDisks: 8, NumNfsds: 32,
+		Clients: 4, CPUScale: 1.8, Seed: 5151, Inodes: 2048})
+}
+
+// TestImageEqualsWire holds Populate to the wire path it replaced: on two
+// identical rigs the same population and scratch directories are built
+// once with RPCs (client 0 Builds, then each generator Setups, in client
+// order) and once by Populate, and the two exports are the same export:
+// equal handles, equal root listing, equal file bytes, equal Statfs. The
+// engine used to send the MKDIRs all at once, and the order a server
+// happened to take them in (clients 0, 3, 1, 2 on this rig) was a race on
+// the medium; the image fixes client order, which permutes four scratch
+// inodes and moved no row of kneecurve. This is the only test the kept
+// Build needs.
+func TestImageEqualsWire(t *testing.T) {
+	for _, gathering := range []bool{false, true} {
+		build := func(wire bool) (*rig.Rig, *Population, []*Gen) {
+			r := imageRig(gathering)
+			pop, err := NewPopulation(64, 4, PopZipf, 1.1, []nfsproto.FH{r.Server.RootFH()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens := make([]*Gen, len(r.Clients))
+			for i, cli := range r.Clients {
+				gens[i] = NewGen(cli, pop, Config{})
+			}
+			if wire {
+				r.Sim.Spawn("wire", func(p *sim.Proc) {
+					if err := pop.Build(p, r.Clients[0]); err != nil {
+						t.Error(err)
+						return
+					}
+					for _, g := range gens {
+						if err := g.Setup(p); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			} else {
+				r.Sim.Spawn("populate", func(p *sim.Proc) {
+					if err := pop.Populate(p, func(uint32) *ufs.FS { return r.FS }, gens); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			r.Sim.Run(0)
+			return r, pop, gens
+		}
+		wr, wpop, wgens := build(true)
+		ir, ipop, igens := build(false)
+		if t.Failed() {
+			wr.Sim.Close()
+			ir.Sim.Close()
+			return
+		}
+		if !reflect.DeepEqual(wpop.Files, ipop.Files) {
+			t.Errorf("gathering=%v: file handles differ:\nwire  %v\nimage %v", gathering, wpop.Files, ipop.Files)
+		}
+		for i := range wgens {
+			if wgens[i].scratch != igens[i].scratch || igens[i].scratch == (nfsproto.FH{}) {
+				t.Errorf("gathering=%v: client %d scratch handle: wire %v, image %v",
+					gathering, i, wgens[i].scratch, igens[i].scratch)
+			}
+		}
+		if ir.FS.DirtyBlocks() != 0 {
+			t.Errorf("gathering=%v: the image left %d dirty blocks", gathering, ir.FS.DirtyBlocks())
+		}
+
+		type export struct {
+			root   []vfs.DirEntry
+			bytes  [][]byte
+			blocks int
+			free   [2]int64
+		}
+		read := func(r *rig.Rig, pop *Population) (e export) {
+			r.Sim.Spawn("read", func(p *sim.Proc) {
+				for cookie := uint32(0); ; {
+					ents, eof, err := r.FS.Readdir(p, r.FS.Root(), cookie, 4096)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					e.root = append(e.root, ents...)
+					if eof || len(ents) == 0 {
+						break
+					}
+					cookie = ents[len(ents)-1].Cookie
+				}
+				for _, fh := range pop.Files {
+					data := make([]byte, pop.Blocks*nfsproto.MaxData)
+					if n, err := r.FS.Read(p, vfs.Ino(fh.Ino()), 0, data); err != nil || n != len(data) {
+						t.Errorf("read %v: %d bytes, %v", fh, n, err)
+					}
+					e.bytes = append(e.bytes, data)
+				}
+				e.blocks, e.free[0], e.free[1] = r.FS.Statfs(p)
+			})
+			r.Sim.Run(0)
+			return e
+		}
+		we, ie := read(wr, wpop), read(ir, ipop)
+		if want := len(wpop.Files) + len(wgens); len(we.root) != want {
+			t.Errorf("gathering=%v: the wire root lists %d entries, want %d", gathering, len(we.root), want)
+		}
+		if !reflect.DeepEqual(we, ie) {
+			t.Errorf("gathering=%v: exports differ: roots equal %v, bytes equal %v, statfs wire %d/%v image %d/%v",
+				gathering, reflect.DeepEqual(we.root, ie.root), reflect.DeepEqual(we.bytes, ie.bytes),
+				we.blocks, we.free, ie.blocks, ie.free)
+		}
+		wr.Sim.Close()
+		ir.Sim.Close()
 	}
 }

@@ -316,10 +316,11 @@ func TestOpenloadValidation(t *testing.T) {
 // o is shorthand for a spec's openload section in the validation table.
 func o(s *Spec) *OpenloadWorkload { return s.Workload.Openload }
 
-// TestBridgedSatSmoke runs a scaled-down bridgedsat shape — leaf
-// Ethernet client segments open-loop over a bridged FDDI core — and
-// checks placement, per-segment accounting and throughput all engage.
-func TestBridgedSatSmoke(t *testing.T) {
+// smokeCell runs the scaled-down bridgedsat shape the set-up tests share:
+// three Ethernet leaves of two clients each, open-loop over a bridged FDDI
+// core, 64 files of four blocks.
+func smokeCell(t *testing.T) (Spec, CellResult) {
+	t.Helper()
 	spec := OpenloadBridged("bridgedsat-smoke", "scaled-down bridged saturation",
 		3, 2, 8, 1, 300, sim.Second, 12)
 	spec.Cells = []Cell{BridgedCell(spec.Seed, 3, false)}
@@ -327,7 +328,15 @@ func TestBridgedSatSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Cells[0]
+	return spec, res.Cells[0]
+}
+
+// TestBridgedSatSmoke checks placement, per-segment accounting and
+// throughput all engage on the smoke shape, and that what the cell reports
+// is the measured window's: set-up is silent, so a light cell's leaf
+// traffic is its operations' and nothing else.
+func TestBridgedSatSmoke(t *testing.T) {
+	_, c := smokeCell(t)
 	if c.AchievedOpsPerSec <= 0 {
 		t.Fatal("bridged open-loop cell achieved nothing")
 	}
@@ -337,14 +346,26 @@ func TestBridgedSatSmoke(t *testing.T) {
 	if len(c.Segments) != 4 {
 		t.Fatalf("got %d segment stats, want core + 3 leaves", len(c.Segments))
 	}
-	var leafTraffic uint64
+	var leafTraffic, completed uint64
 	for _, sg := range c.Segments {
 		if sg.Name != "core" {
 			leafTraffic += sg.Datagrams
 		}
 	}
-	if leafTraffic == 0 {
-		t.Error("no datagrams crossed the leaf segments; placement did not engage")
+	for _, oc := range c.OpenloadClients {
+		completed += oc.Completed
+	}
+	// A call and its reply each cross one leaf, and a CREATE is followed by
+	// its REMOVE: two to three datagrams per completed op, after the two of
+	// the cell's closing check. Fewer means placement did not engage; more
+	// would be set-up traffic, which the wire set-up used to leave in every
+	// lifetime counter.
+	leafTraffic -= 2
+	if leafTraffic < 2*completed || leafTraffic > 3*completed {
+		t.Errorf("leaf segments carried %d datagrams for %d completed ops; want 2 to 3 per op", leafTraffic, completed)
+	}
+	if c.Retransmissions != 0 || c.BridgeDrops != 0 {
+		t.Errorf("light cell reports %d retransmissions and %d bridge drops", c.Retransmissions, c.BridgeDrops)
 	}
 }
 
@@ -380,29 +401,4 @@ func TestFuzzGeneratesOpenloadSpecs(t *testing.T) {
 		t.Error("200 generated specs, no openload spec carrying fault events")
 	}
 	t.Logf("fuzz coverage: arrivals %v, %d openload specs with faults", arrivals, withEvents)
-}
-
-// eventAt pulls the scheduling instant out of a fault event.
-func eventAt(ev FaultEvent) sim.Duration {
-	switch ev.Kind {
-	case FaultServerCrash:
-		return ev.ServerCrash.At
-	case FaultClientReboot:
-		return ev.ClientReboot.At
-	case FaultBiodLoss:
-		return ev.BiodLoss.At
-	case FaultShardFailover:
-		return ev.ShardFailover.At
-	case FaultLinkOutage:
-		return ev.LinkOutage.At
-	case FaultDiskReadError:
-		return ev.DiskReadError.At
-	case FaultDiskDegraded:
-		return ev.DiskDegraded.At
-	case FaultDiskTornWrite:
-		return ev.DiskTornWrite.At
-	case FaultNVRAMLyingSync:
-		return ev.NVRAMLyingSync.At
-	}
-	return 0
 }

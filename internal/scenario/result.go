@@ -225,6 +225,15 @@ type CellResult struct {
 	// excluded from serialization and from Render, keeping every
 	// recorded output byte-identical across worker counts and machines.
 	Wall time.Duration `json:"-"`
+	// setupEvents is the simulator's event count at the instant an
+	// open-loop cell's window opened: what set-up cost the harness, in a
+	// unit that does not depend on the host (0 for other workload kinds).
+	// TestOpenloadSetupBudget bounds it.
+	setupEvents uint64
+	// err is a spec error only running the cell could find (runOpenload's
+	// fault-before-the-window check). The cell stopped there and carries
+	// nothing else; runEngine returns it in place of the result.
+	err error
 	// Gather is the gathering engine's counters (zero without gathering;
 	// single-server cells only).
 	Gather core.Stats `json:"gather,omitempty"`

@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/ufs"
 	"repro/internal/workload"
 )
 
@@ -48,6 +49,10 @@ func RunWorkers(spec Spec, workers int) (*Result, error) {
 // cells, and gathers results in cell order. capture, when non-nil,
 // receives each cell's live observer as its hooks are installed (the
 // fuzzer's panic-survivable artifact path).
+//
+// A cell may find a spec error only a run can find (runOpenload's
+// fault-before-the-window check); the first such cell's error comes back
+// in place of the result, like the static ones.
 func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 	res := &Result{Name: spec.Name, Spec: spec}
 	var rcs []*resolved
@@ -67,6 +72,9 @@ func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 		}
 	}
 	for i := range crs {
+		if crs[i].err != nil {
+			return nil, crs[i].err
+		}
 		crs[i].Label = rcs[i].label
 		crs[i].Seed = rcs[i].seed
 	}
@@ -455,6 +463,9 @@ func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
 		runClusterLADDIS(rc, c, &cr)
 	case KindOpenload:
 		runClusterOpenload(rc, c, &cr, ob)
+		if cr.err != nil {
+			return cr // stopped mid-run: nothing to audit or report
+		}
 	}
 
 	// A scheduled recovery that failed (remount error, adoption error)
@@ -744,18 +755,87 @@ func runClusterCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 }
 
 func runRigOpenload(rc *resolved, r *rig.Rig, cr *CellResult, ob *cellObs) {
-	runOpenload(r.Sim, r.Clients, []nfsproto.FH{r.Server.RootFH()}, rc, cr, r.MarkInterval, ob)
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
+	fsOf := func(uint32) *ufs.FS { return r.FS }
+	open := func() {
+		assertSilentSetup(r.Clients, r.Net, r.Fabric, r.Server)
+		r.MarkInterval()
+	}
+	shut := func() {
+		cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
+		cr.CPUMaxPercent = cr.CPUPercent
+	}
+	runOpenload(r.Sim, r.Clients, []nfsproto.FH{r.Server.RootFH()}, fsOf, rc, cr, open, shut, ob)
 }
 
 func runClusterOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) {
-	runOpenload(c.Sim, c.Clients, c.Roots(), rc, cr, c.MarkInterval, ob)
-	st := c.IntervalStats()
-	cr.CPUPercent = st.CPUMeanPercent
-	cr.CPUMaxPercent = st.CPUMaxPercent
-	cr.DiskKBps = st.DiskKBps
-	cr.DiskTps = st.DiskTps
+	open := func() {
+		var srvs []*server.Server
+		for _, n := range c.Nodes {
+			if !n.Down { // a crash may land on the very instant the window opens
+				srvs = append(srvs, n.Server)
+			}
+		}
+		assertSilentSetup(c.Clients, c.Net, c.Fabric, srvs...)
+		c.MarkInterval()
+	}
+	shut := func() {
+		st := c.IntervalStats()
+		cr.CPUPercent = st.CPUMeanPercent
+		cr.CPUMaxPercent = st.CPUMaxPercent
+		cr.DiskKBps = st.DiskKBps
+		cr.DiskTps = st.DiskTps
+	}
+	runOpenload(c.Sim, c.Clients, c.Roots(), c.FSByFSID, rc, cr, open, shut, ob)
+}
+
+// assertSilentSetup is the open-loop runners' audit at the instant the
+// window opens: set-up is an image built through ufs, so no client has
+// issued or retransmitted an RPC, no segment (the lone medium, or every
+// one of the fabric's) or bridge has carried or dropped a datagram, no
+// gathering engine has seen a write, and no filesystem holds a dirty
+// block. Every counter the cell reports therefore covers the measured
+// window and its drain, nothing before (and, of the lifetime ones, the
+// closing check's one RPC after). A violation is a harness bug, so it
+// panics, like the reference-leak audit.
+func assertSilentSetup(clis []*client.Client, net *netsim.Network, f *netsim.Fabric, srvs ...*server.Server) {
+	bad := func(format string, args ...any) {
+		panic("scenario: open-loop set-up was not silent: " + fmt.Sprintf(format, args...))
+	}
+	for _, cli := range clis {
+		if cli.Calls != 0 || cli.Retransmissions != 0 {
+			bad("%s issued %d RPCs and retransmitted %d before the window opened",
+				cli.Name(), cli.Calls, cli.Retransmissions)
+		}
+	}
+	nets := []*netsim.Network{net}
+	if f != nil {
+		nets = nets[:0]
+		for _, name := range f.Names() {
+			nets = append(nets, f.Segment(name))
+		}
+		for _, br := range f.Bridges() {
+			for _, bp := range br.Ports {
+				if drops := bp.DropsQueueFull() + bp.DropsLinkDown() + bp.DropsNoRoute; bp.Forwarded != 0 || drops != 0 {
+					bad("bridge %s forwarded %d datagrams and dropped %d before the window opened",
+						br.Name, bp.Forwarded, drops)
+				}
+			}
+		}
+	}
+	for _, n := range nets {
+		if n.SentDatagrams != 0 || n.DropsNoDest != 0 || n.DropsLinkDown != 0 {
+			bad("a segment carried %d datagrams and dropped %d before the window opened",
+				n.SentDatagrams, n.DropsNoDest+n.DropsLinkDown)
+		}
+	}
+	for _, srv := range srvs {
+		if eng := srv.Engine(); eng != nil && eng.Stats().Writes != 0 {
+			bad("%s's gathering engine saw %d writes before the window opened", srv.Name(), eng.Stats().Writes)
+		}
+		if d := srv.FS().DirtyBlocks(); d != 0 {
+			bad("%s's image has %d dirty blocks at the instant the window opened", srv.Name(), d)
+		}
+	}
 }
 
 // splitReplay deals a captured timeline round-robin across n clients;
@@ -773,13 +853,27 @@ func splitReplay(tr *trace.OpTrace, n int) []*trace.OpTrace {
 	return out
 }
 
-// runOpenload drives the open-loop generators on either assembly: client
-// 0 builds the shared population, every client sets up its scratch
-// namespace, all synchronize on the common measurement barrier, and the
-// cell aggregates the honest overload accounting — achieved vs offered
-// throughput, shed/expired arrivals, peak backlog — plus full latency
-// quantiles from the merged arrival-to-completion histograms.
-func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *resolved, cr *CellResult, mark func(), ob *cellObs) {
+// runOpenload drives the open-loop generators on either assembly. Set-up
+// is an image, not traffic: one process builds the shared population and
+// every generator's scratch directory by calling ufs directly (fsOf
+// resolves a shard's filesystem), the window opens at a shared barrier
+// after it returns, and the cell aggregates the honest overload
+// accounting — achieved vs offered throughput, shed/expired arrivals,
+// peak backlog — plus full latency quantiles from the merged
+// arrival-to-completion histograms.
+//
+// open runs at the instant the window opens and shut once the last
+// generator has drained; the assembly's interval statistics span the two.
+//
+// The cell then closes with one RPC of its own: the last generator
+// GETATTRs its scratch directory, the last object the image got, and the
+// server must call the handle Populate minted a directory. Nothing else
+// proves that over the wire in a cell whose window saw no arrival
+// (bench/'s 1 ms set-up twins are such cells, and read model.p99_ms off
+// their RPC spans). It follows shut, so no rate or utilisation the cell
+// reports covers it. A cell whose faults take a server or its storage
+// away skips it.
+func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf func(fsid uint32) *ufs.FS, rc *resolved, cr *CellResult, open, shut func(), ob *cellObs) {
 	w := rc.open
 	nclients := len(clis)
 
@@ -820,22 +914,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 
 	gens := make([]*openload.Gen, nclients)
 	results := make([]openload.Result, nclients)
-	popBuilt := false
-	popCond := sim.NewCond(s)
-	finished := 0
-	// The measured phase opens at a shared barrier, like the closed-loop
-	// runners — but per-client scratch setup serializes at the server's
-	// sync metadata writes, and at thousands of clients (bridgedsat runs
-	// 5000) that spills past the fixed 20s mark. So the barrier is
-	// derived inside the sim: once every client is set up, arrivals open
-	// together at the next whole second, no earlier than 20s. The instant
-	// is a function of the cell's own deterministic history, so reruns
-	// and any -j agree on it.
-	barrier := sim.Time(0)
-	setupDone := 0
-	startCond := sim.NewCond(s)
 	for i, cli := range clis {
-		i, cli := i, cli
 		cfg := openload.Config{
 			Arrival:  w.Arrival,
 			Rate:     w.TargetOps / float64(nclients),
@@ -853,50 +932,72 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 			cfg.ReplaySpeed = speed
 		}
 		gens[i] = openload.NewGen(cli, pop, cfg)
-		// One name for all: a fan-in cell spawns thousands of these, and a
-		// process name only feeds Sim.Trace and panic text.
-		s.Spawn("openload-driver", func(p *sim.Proc) {
-			if i == 0 {
-				if err := pop.Build(p, cli); err != nil {
-					panic("scenario: openload population build: " + err.Error())
-				}
-				popBuilt = true
-				popCond.Broadcast()
-			}
-			for !popBuilt {
-				popCond.Wait(p)
-			}
-			if err := gens[i].Setup(p); err != nil {
-				panic("scenario: openload setup: " + err.Error())
-			}
-			setupDone++
-			if setupDone == nclients {
-				b := laddisBarrier
-				if late := p.Now().Sub(b); late > 0 {
-					b = b.Add((late + sim.Second - 1) / sim.Second * sim.Second)
-				}
-				barrier = b
-				startCond.Broadcast()
-			}
-			for barrier == 0 {
-				startCond.Wait(p)
-			}
-			p.Sleep(barrier.Sub(p.Now()))
-			if i == 0 {
-				mark()
-			}
-			res, err := gens[i].Run(p)
-			if err != nil {
-				panic("scenario: openload run: " + err.Error())
-			}
-			results[i] = res
-			finished++
-		})
 	}
+	finished := 0
+	ev, field, imageFault := rc.firstImageFault()
+	// The window opens at a shared barrier, like the closed-loop runners':
+	// the first whole second at or after both the 20s mark and the instant
+	// the image is built (serial synchronous directory updates take 425
+	// simulated seconds for bridgedsat's 5000 scratch directories). The
+	// instant is a function of the cell's own deterministic history, so
+	// reruns and any -j agree on it. The generators' drivers start there,
+	// in client order.
+	barrier := sim.Time(0)
+	s.Spawn("openload-populate", func(p *sim.Proc) {
+		if err := pop.Populate(p, fsOf, gens); err != nil {
+			panic("scenario: openload set-up: " + err.Error())
+		}
+		barrier = laddisBarrier
+		if late := p.Now().Sub(barrier); late > 0 {
+			barrier = barrier.Add((late + sim.Second - 1) / sim.Second * sim.Second)
+		}
+		for i := range gens {
+			// One name for all: a fan-in cell spawns thousands of these, and
+			// a process name only feeds Sim.Trace and panic text.
+			s.SpawnAfter(barrier.Sub(p.Now()), "openload-driver", func(p *sim.Proc) {
+				if i == 0 {
+					cr.setupEvents = s.EventsFired()
+					open()
+				}
+				res, err := gens[i].Run(p)
+				if err != nil {
+					panic("scenario: openload run: " + err.Error())
+				}
+				results[i] = res
+				finished++
+			})
+		}
+	})
 	ob.setOpenload(gens)
+	// A fault that takes a server or its storage away must find the image
+	// built and the window open: stop short of the first one and look. It
+	// is the one spec error only a run can find (a large population pushes
+	// the window past an instant validation accepted); the cell stops here
+	// and runEngine returns the error.
+	if imageFault {
+		at := sim.Time(eventAt(ev))
+		s.Run(at - 1)
+		switch {
+		case barrier == 0:
+			cr.err = imageFaultError(field, ev, "the image was still half-built then")
+			return
+		case at < barrier:
+			cr.err = imageFaultError(field, ev, fmt.Sprintf("it opened at %v", sim.Duration(barrier)))
+			return
+		}
+	}
 	s.Run(0)
 	if finished != nclients {
 		panic("scenario: openload drivers did not finish")
+	}
+	shut()
+	if !imageFault {
+		s.Spawn("openload-close", func(p *sim.Proc) {
+			if err := gens[nclients-1].CheckScratch(p); err != nil {
+				panic("scenario: openload closing check: " + err.Error())
+			}
+		})
+		s.Run(0)
 	}
 
 	elapsed := w.Measure

@@ -645,7 +645,6 @@ func (r *resolved) validateFaults() error {
 			},
 		})
 	}
-	legacy := len(r.faults.Crashes)
 	r.events = append(r.events, r.faults.Events...)
 
 	serverWin := map[int][]faultWindow{}
@@ -675,12 +674,7 @@ func (r *resolved) validateFaults() error {
 	degradeWin := map[int][]diskWindow{}
 
 	for i, ev := range r.events {
-		var field string
-		if i < legacy {
-			field = fmt.Sprintf("faults.crashes[%d]", i)
-		} else {
-			field = fmt.Sprintf("faults.events[%d]", i-legacy)
-		}
+		field := r.eventField(i)
 		if err := r.checkVariant(field, ev); err != nil {
 			return err
 		}
@@ -952,7 +946,77 @@ func (r *resolved) validateFaults() error {
 	if r.faults.CheckDurability && r.kind == KindTrace {
 		return invalid("faults.check_durability", "the trace workload has no durability journal")
 	}
+	if ev, field, ok := r.firstImageFault(); ok && sim.Time(eventAt(ev)) < laddisBarrier {
+		return imageFaultError(field, ev, fmt.Sprintf("none opens before %v", sim.Duration(laddisBarrier)))
+	}
 	return nil
+}
+
+// eventAt pulls the scheduling instant out of a fault event.
+func eventAt(ev FaultEvent) sim.Duration {
+	switch ev.Kind {
+	case FaultServerCrash:
+		return ev.ServerCrash.At
+	case FaultClientReboot:
+		return ev.ClientReboot.At
+	case FaultBiodLoss:
+		return ev.BiodLoss.At
+	case FaultShardFailover:
+		return ev.ShardFailover.At
+	case FaultLinkOutage:
+		return ev.LinkOutage.At
+	case FaultDiskReadError:
+		return ev.DiskReadError.At
+	case FaultDiskDegraded:
+		return ev.DiskDegraded.At
+	case FaultDiskTornWrite:
+		return ev.DiskTornWrite.At
+	case FaultNVRAMLyingSync:
+		return ev.NVRAMLyingSync.At
+	}
+	return 0
+}
+
+// firstImageFault finds the earliest scheduled event of an open-loop cell
+// that takes a server or its storage away — a crash, a failover or a
+// storage fault — with its spec field. The open-loop set-up process holds
+// the servers' filesystems while it builds the starting image, so such an
+// event may not fire before the window opens; a link outage may (set-up
+// sends nothing). Other workload kinds set up over the wire and carry no
+// such constraint.
+func (r *resolved) firstImageFault() (first FaultEvent, field string, ok bool) {
+	if r.kind != KindOpenload {
+		return FaultEvent{}, "", false
+	}
+	for i, ev := range r.events {
+		switch ev.Kind {
+		case FaultServerCrash, FaultShardFailover, FaultDiskReadError,
+			FaultDiskDegraded, FaultDiskTornWrite, FaultNVRAMLyingSync:
+		default:
+			continue
+		}
+		if !ok || eventAt(ev) < eventAt(first) {
+			first, field, ok = ev, r.eventField(i), true
+		}
+	}
+	return first, field, ok
+}
+
+// eventField names the spec field the i-th normalized event came from:
+// the legacy crash trains lead the list, the typed events follow.
+func (r *resolved) eventField(i int) string {
+	if legacy := len(r.faults.Crashes); i >= legacy {
+		return fmt.Sprintf("faults.events[%d]", i-legacy)
+	}
+	return fmt.Sprintf("faults.crashes[%d]", i)
+}
+
+// imageFaultError is the spec error for an event firstImageFault found
+// ahead of the window; window says what is known of the window then.
+func imageFaultError(field string, ev FaultEvent, window string) error {
+	return invalid(field,
+		"%s at %v lands ahead of the measured window (%s): open-loop set-up builds the export through ufs and holds the servers' filesystems until the window opens; schedule the fault inside it",
+		ev.Kind, eventAt(ev), window)
 }
 
 // checkVariant enforces the tagged-union contract: exactly the variant
