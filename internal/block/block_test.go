@@ -164,3 +164,147 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("Get/Release allocated %.1f objects per run, want 0", n)
 	}
 }
+
+// TestArenaHandsBuffersOn: the bytes ledger A retires are what ledger B's
+// first Get returns, under a new header, and B's counters start at zero.
+func TestArenaHandsBuffersOn(t *testing.T) {
+	ar := NewArena()
+	a := ar.NewAccounting()
+	pa := a.NewPool()
+	held, freed := pa.Get(), pa.Get()
+	held.Data()[0], freed.Data()[0] = 0x11, 0x22
+	freed.Release() // parked in pa's free list: retired all the same
+	if ar.Fresh() != 2 {
+		t.Fatalf("Fresh = %d, want 2", ar.Fresh())
+	}
+	a.CountCopy(7)
+	mem := held.Data()
+	a.Retire()
+
+	b := ar.NewAccounting()
+	if b.Live() != 0 || b.TotalRefs() != 0 || b.Copies() != 0 {
+		t.Fatalf("ledger B born with live=%d refs=%d copies=%d", b.Live(), b.TotalRefs(), b.Copies())
+	}
+	pb := b.NewPool()
+	b1, b2 := pb.Get(), pb.Get()
+	if b1 == held || b1 == freed || b2 == held || b2 == freed {
+		t.Fatal("a retired header came back")
+	}
+	if &b1.Data()[0] != &mem[0] && &b2.Data()[0] != &mem[0] {
+		t.Fatal("ledger B did not get ledger A's memory")
+	}
+	if got := b1.Data()[0] + b2.Data()[0]; got != 0x33 {
+		t.Fatalf("recycled bytes read %#x, want A's 0x11 and 0x22", got)
+	}
+	if ar.Fresh() != 2 || b.Live() != 2 || b.TotalRefs() != 2 {
+		t.Fatalf("after two recycled Gets: fresh=%d live=%d refs=%d", ar.Fresh(), b.Live(), b.TotalRefs())
+	}
+	pb.Get() // the arena is empty again
+	if ar.Fresh() != 3 {
+		t.Fatalf("Fresh = %d, want 3", ar.Fresh())
+	}
+}
+
+// TestRetirePoisonsHeaders: a header held across Retire cannot reach the
+// buffer's next tenant — no bytes, Ref and Release panic, handles are
+// stale — and neither can its pool.
+func TestRetirePoisonsHeaders(t *testing.T) {
+	ar := NewArena()
+	a := ar.NewAccounting()
+	a.Debug = true
+	p := a.NewPool()
+	held, freed := p.Get(), p.Get()
+	h := held.Handle()
+	freed.Release()
+	a.Retire()
+
+	next := ar.NewAccounting().NewPool().Get()
+	for _, v := range next.Data() {
+		if v != 0xA5 {
+			t.Fatalf("Debug retire left byte %#x, want the 0xA5 scribble", v)
+		}
+	}
+	if held.Data() != nil || freed.Data() != nil {
+		t.Fatal("a retired header still has bytes")
+	}
+	if h.Valid() {
+		t.Fatal("handle survived the retire")
+	}
+	for name, f := range map[string]func(){
+		"Ref":             func() { held.Ref() },
+		"Release":         func() { held.Release() },
+		"Release of free": func() { freed.Release() },
+		"Handle.Buf":      func() { h.Buf() }, // a.Debug: stale dereference panics
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a retired header did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	// The pool forgot the poisoned header it had parked; the ledger is a
+	// plain one now.
+	if p.FreeLen() != 0 {
+		t.Fatalf("FreeLen after retire = %d, want 0", p.FreeLen())
+	}
+	if b := p.Get(); b == freed || b.Data() == nil || &b.Data()[0] == &next.Data()[0] {
+		t.Fatal("Get after retire returned a retired header or the next tenant's memory")
+	}
+}
+
+// TestRetireTwiceAndWithoutArena: a second Retire gives nothing twice, and
+// a plain or global ledger never touches an arena.
+func TestRetireTwiceAndWithoutArena(t *testing.T) {
+	ar := NewArena()
+	a := ar.NewAccounting()
+	a.NewPool().Get()
+	a.Retire()
+	a.Retire()
+	if len(ar.free) != 1 {
+		t.Fatalf("arena holds %d buffers after a double retire, want 1", len(ar.free))
+	}
+
+	for name, l := range map[string]*Accounting{"global": Global(), "plain": NewAccounting()} {
+		b := l.NewPool().Get()
+		l.Retire()
+		if l.issued != nil || b.Data() == nil || b.Refs() != 1 {
+			t.Fatalf("%s ledger tracked or retired a buffer", name)
+		}
+		b.Release()
+	}
+	if len(ar.free) != 1 || ar.Fresh() != 1 {
+		t.Fatalf("arena moved: %d free, %d fresh", len(ar.free), ar.Fresh())
+	}
+}
+
+// TestArenaKeepsTheSmallestSimulation: the arena never holds more than the
+// smallest ledger so far issued, whatever was idle in it or retired to it,
+// so nothing sits in it through a simulation that is like the ones before.
+func TestArenaKeepsTheSmallestSimulation(t *testing.T) {
+	ar := NewArena()
+	issue := func(n int) {
+		a := ar.NewAccounting()
+		p := a.NewPool()
+		for i := 0; i < n; i++ {
+			p.Get()
+		}
+		a.Retire()
+	}
+	for _, step := range []struct{ issue, held int }{
+		{5, 5}, // the first simulation: all of it
+		{8, 5}, // a larger one leaves what the smaller needed
+		{2, 2}, // a smaller one: its 2, not the 3 it left idle
+		{5, 2},
+	} {
+		issue(step.issue)
+		if len(ar.free) != step.held {
+			t.Fatalf("after a simulation of %d buffers the arena holds %d, want %d", step.issue, len(ar.free), step.held)
+		}
+	}
+	if ar.Fresh() != 5+3+0+3 {
+		t.Fatalf("Fresh = %d, want 11", ar.Fresh())
+	}
+}

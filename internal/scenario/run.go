@@ -50,6 +50,9 @@ func RunWorkers(spec Spec, workers int) (*Result, error) {
 // receives each cell's live observer as its hooks are installed (the
 // fuzzer's panic-survivable artifact path).
 //
+// Buffers outlive the cell, not the run: each worker goroutine (or the
+// sequential loop) owns a block.Arena, garbage when runEngine returns.
+//
 // A cell may find a spec error only a run can find (runOpenload's
 // fault-before-the-window check); the first such cell's error comes back
 // in place of the result, like the static ones.
@@ -67,8 +70,9 @@ func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 	if workers > 1 && len(rcs) > 1 {
 		runCellsParallel(rcs, crs, workers, capture)
 	} else {
+		ar := block.NewArena()
 		for i, rc := range rcs {
-			crs[i] = runCellTimed(rc, capture)
+			crs[i] = runCellTimed(rc, ar, capture)
 		}
 	}
 	for i := range crs {
@@ -88,7 +92,8 @@ func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 // take the process down from a worker goroutine: the panic is captured
 // and re-raised — lowest cell index first, matching what the sequential
 // engine would have surfaced — on the calling goroutine after the pool
-// drains, so harnesses that recover (the fuzzer) see the same value.
+// drains, so harnesses that recover (the fuzzer) see the same value. Its
+// worker goes on with a new arena: nothing the dead cell touched is reused.
 func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture obsCaptureFn) {
 	if workers > len(rcs) {
 		workers = len(rcs)
@@ -102,6 +107,7 @@ func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture ob
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ar := block.NewArena()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(rcs) {
@@ -110,6 +116,7 @@ func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture ob
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
+							ar = block.NewArena()
 							mu.Lock()
 							if panicIdx < 0 || i < panicIdx {
 								panicIdx, panicVal = i, r
@@ -117,7 +124,7 @@ func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture ob
 							mu.Unlock()
 						}
 					}()
-					crs[i] = runCellTimed(rcs[i], capture)
+					crs[i] = runCellTimed(rcs[i], ar, capture)
 				}()
 			}
 		}()
@@ -131,9 +138,9 @@ func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture ob
 // runCellTimed stamps the cell's real (host) execution time — harness
 // observability for the parallel engine, never part of rendered or
 // serialized output.
-func runCellTimed(rc *resolved, capture obsCaptureFn) CellResult {
+func runCellTimed(rc *resolved, ar *block.Arena, capture obsCaptureFn) CellResult {
 	t0 := time.Now()
-	cr := runCell(rc, capture)
+	cr := runCell(rc, ar, capture)
 	cr.Wall = time.Since(t0)
 	return cr
 }
@@ -147,11 +154,22 @@ func MustRun(spec Spec) *Result {
 	return res
 }
 
-func runCell(rc *resolved, capture obsCaptureFn) CellResult {
+// runCell executes one cell on its own buffer ledger (concurrent cells
+// never perturb each other's accounting), born from the worker's arena,
+// and retires it when the runner returns — early (cr.err) or not. By then
+// the runner's deferred Sim.Close has run, and that order is the rule:
+// Close first, because the processes it unwinds still release references;
+// retire second, never the reverse. A cell that panics never gets here and
+// forfeits its buffers: a sim unwound by a panic may have a live holder.
+func runCell(rc *resolved, ar *block.Arena, capture obsCaptureFn) CellResult {
+	run := runClusterCell
 	if rc.assembly == AssemblyRig {
-		return runRigCell(rc, capture)
+		run = runRigCell
 	}
-	return runClusterCell(rc, capture)
+	acct := ar.NewAccounting()
+	cr := run(rc, acct, capture)
+	acct.Retire()
+	return cr
 }
 
 func (r *resolved) rigConfig() rig.Config {
@@ -209,11 +227,9 @@ func aggregateLADDIS(cr *CellResult, results []workload.LADDISResult) {
 }
 
 // runRigCell executes one cell on the single-server rig assembly.
-func runRigCell(rc *resolved, capture obsCaptureFn) CellResult {
+func runRigCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
 	cfg := rc.rigConfig()
-	// Per-cell buffer ledger: this sim's pools charge their own counters,
-	// so concurrent cells never perturb each other's accounting.
-	cfg.Acct = block.NewAccounting()
+	cfg.Acct = acct
 	r := rig.New(cfg)
 	// Runs once cr has been copied out for the caller: what the unwinding
 	// processes still touch is the rig's, never the result's.
@@ -410,13 +426,10 @@ func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
 }
 
 // runClusterCell executes one cell on the crashable sharded assembly.
-func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
-	// Per-cell buffer ledger: every pool in this cell's assembly charges
-	// it, so the leak audit below reads this sim's counters exactly —
-	// immune to other cells, tests or goroutines touching the global
-	// ledger (the historical audit diffed global counters against a
-	// baseline, which concurrent activity could mask or misattribute).
-	acct := block.NewAccounting()
+func runClusterCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
+	// Every pool in this cell's assembly charges the cell's own ledger, so
+	// the leak audit below reads this sim's counters exactly — immune to
+	// other cells, tests or goroutines touching the global ledger.
 	ob := newCellObs(rc, capture)
 	ccfg := rc.clusterConfig()
 	ccfg.Acct = acct

@@ -478,14 +478,22 @@ func (fs *FS) Readdir(p *sim.Proc, dir vfs.Ino, cookie uint32, count int) ([]vfs
 	if err != nil {
 		return nil, false, err
 	}
-	var out []vfs.DirEntry
-	bytes := 0
-	for i := int(cookie); i < len(ents); i++ {
-		bytes += 16 + len(ents[i].name)
-		if bytes > count && len(out) > 0 {
-			return out, false, nil
+	// Find where the reply ends first (the entry at the cookie always
+	// goes, whatever count says), so out is sized once.
+	start, bytes := int(cookie), 0
+	end := start
+	for ; end < len(ents); end++ {
+		bytes += 16 + len(ents[end].name)
+		if bytes > count && end > start {
+			break
 		}
+	}
+	if end <= start {
+		return nil, true, nil
+	}
+	out := make([]vfs.DirEntry, 0, end-start)
+	for i := start; i < end; i++ {
 		out = append(out, vfs.DirEntry{Ino: ents[i].ino, Name: ents[i].name, Cookie: uint32(i + 1)})
 	}
-	return out, true, nil
+	return out, end == len(ents), nil
 }

@@ -390,6 +390,55 @@ func TestReaddir(t *testing.T) {
 	})
 }
 
+// TestReaddirEdges pins the reply's shape over the cookie/count edges: an
+// entry costs 16 bytes plus its name, the entry at the cookie goes whatever
+// count says, cookies are the next index, and the slice is sized once.
+func TestReaddirEdges(t *testing.T) {
+	s, fs, _ := rig(t, 1)
+	run(s, func(p *sim.Proc) {
+		d, err := fs.Mkdir(p, fs.Root(), "d", 0755)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		names := []string{"a", "bbbb", "cc"} // 17, 20 and 18 bytes
+		for _, n := range names {
+			fs.Create(p, d, n, 0644)
+		}
+		for _, tc := range []struct {
+			cookie uint32
+			count  int
+			want   int // entries from the cookie on
+			eof    bool
+		}{
+			{0, 4096, 3, true},
+			{0, 1, 1, false}, // first entry larger than count
+			{0, 17, 1, false},
+			{0, 36, 1, false},
+			{0, 37, 2, false}, // exact fit of two
+			{0, 54, 2, false},
+			{0, 55, 3, true}, // exact fit of all
+			{1, 20, 1, false},
+			{2, 1, 1, true},    // the last entry, larger than count
+			{3, 4096, 0, true}, // cookie at the end
+			{9, 4096, 0, true}, // and past it
+		} {
+			ents, eof, err := fs.Readdir(p, d, tc.cookie, tc.count)
+			if err != nil || eof != tc.eof || len(ents) != tc.want || cap(ents) != len(ents) {
+				t.Errorf("Readdir(cookie %d, count %d) = %v (cap %d), eof %v, %v; want %d entries, eof %v",
+					tc.cookie, tc.count, ents, cap(ents), eof, err, tc.want, tc.eof)
+				continue
+			}
+			for i, e := range ents {
+				if at := int(tc.cookie) + i; e.Name != names[at] || e.Cookie != uint32(at+1) {
+					t.Errorf("Readdir(cookie %d, count %d)[%d] = %+v, want %q with cookie %d",
+						tc.cookie, tc.count, i, e, names[at], at+1)
+				}
+			}
+		}
+	})
+}
+
 func TestSetAttrsTruncate(t *testing.T) {
 	s, fs, _ := rig(t, 1)
 	run(s, func(p *sim.Proc) {
