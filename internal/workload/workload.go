@@ -156,7 +156,8 @@ type LADDIS struct {
 	roots []nfsproto.FH // shard roots; [root] when unsharded
 
 	files   []nfsproto.FH
-	cursors []int // per-file append cursor, in blocks
+	names   []string // the working set's names, formatted once by Setup
+	cursors []int    // per-file append cursor, in blocks
 	scratch nfsproto.FH
 	lat     stats.Latency
 	hists   *[numOps]stats.Histogram // nil unless cfg.Histograms
@@ -268,6 +269,7 @@ func (l *LADDIS) Setup(p *sim.Proc) error {
 			}
 		}
 		l.files = append(l.files, fh)
+		l.names = append(l.names, name)
 		l.cursors = append(l.cursors, l.cfg.FileBlocks)
 	}
 	return nil
@@ -405,7 +407,7 @@ func (l *LADDIS) doOp(q *sim.Proc, r int) {
 	var err error
 	switch op {
 	case OpLookup:
-		name := fmt.Sprintf("ws-%s-%d", l.cli.Name(), r%l.cfg.Files)
+		name := l.names[r%l.cfg.Files]
 		_, err = l.cli.Lookup(q, l.rootFor(name), name)
 	case OpRead:
 		_, err = l.cli.Read(q, fh, off, nfsproto.MaxData)
@@ -445,11 +447,19 @@ func (l *LADDIS) doOp(q *sim.Proc, r int) {
 		_, err = l.cli.Readdir(q, l.roots[r%len(l.roots)], 0, 512)
 	case OpCreate:
 		l.seq++
+		seq := l.seq
+		name := fmt.Sprintf("t%d", seq)
 		var cres *nfsproto.DirOpRes
-		cres, err = l.cli.Create(q, l.scratch, fmt.Sprintf("t%d", l.seq), 0644)
+		cres, err = l.cli.Create(q, l.scratch, name, 0644)
 		if err == nil && cres.Status == nfsproto.OK {
-			// Keep the scratch directory bounded: remove as we go.
-			l.cli.Remove(q, l.scratch, fmt.Sprintf("t%d", l.seq))
+			// Keep the scratch directory bounded: remove as we go. The
+			// REMOVE names the newest number issued, which is another
+			// generator's when its CREATE overlapped this one; the
+			// recorded results depend on that.
+			if l.seq != seq {
+				name = fmt.Sprintf("t%d", l.seq)
+			}
+			l.cli.Remove(q, l.scratch, name)
 		}
 	case OpRemove:
 		// Remove of a nonexistent name exercises the path cheaply.
