@@ -1,12 +1,12 @@
 // Scenario: compose an experiment no registry name expresses — entirely
 // as data. A two-shard cluster where one shard runs Presto NVRAM and the
 // other does not, under client write streams with every acked write
-// durability-checked, driven through the typed fault API: the Presto shard first survives a classic crash/reboot cycle (the
-// legacy `crashes` form still decodes as-is, and the reboot replays its
-// NVRAM), one client's network attachment flaps mid-stream, and finally
-// the Presto shard dies for good and the plain shard adopts its disks
-// under a stable FSID — handles stay valid, clients reroute, and the
-// checker reads every acked byte back through the migrated export.
+// durability-checked, driven through the typed fault API: the Presto
+// shard first survives a classic crash/reboot cycle (the reboot replays
+// its NVRAM), one client's network attachment flaps mid-stream, and
+// finally the Presto shard dies for good and the plain shard adopts its
+// disks under a stable FSID — handles stay valid, clients reroute, and
+// the checker reads every acked byte back through the migrated export.
 //
 // Run with -dump to print the spec as JSON instead (pipe it to a file,
 // check it with `nfsbench -validate <file>`, edit it, and replay it with
@@ -49,13 +49,14 @@ func main() {
 			Stream: &scenario.StreamWorkload{FileMB: 1, Shard: true}},
 		Faults: scenario.Faults{
 			CheckDurability: true,
-			// The legacy crash-train form and the typed events compose in
-			// one schedule: trains are adapted onto server-crash events
-			// ahead of the list below.
-			Crashes: []scenario.CrashTrain{
-				{Node: 1, At: 300 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1},
-			},
 			Events: []scenario.FaultEvent{
+				{
+					Kind: scenario.FaultServerCrash,
+					ServerCrash: &scenario.ServerCrashFault{
+						Node: 1, At: 300 * sim.Millisecond,
+						Outage: 150 * sim.Millisecond, Count: 1,
+					},
+				},
 				{
 					Kind: scenario.FaultLinkOutage,
 					LinkOutage: &scenario.LinkOutageFault{

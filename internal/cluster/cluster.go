@@ -1,7 +1,10 @@
-// Package cluster composes scale-out testbeds: N LADDIS-class clients and
-// M NFS server shards on one simulated medium. Each server exports its own
-// filesystem (a distinct FSID); a deterministic shard map places working
-// files on exports and routes every RPC to the server owning its handle.
+// Package cluster assembles every testbed the engine runs: N LADDIS-class
+// clients and M NFS server shards on one simulated medium or a bridged
+// fabric. Each server exports its own filesystem (a distinct FSID); a
+// deterministic shard map places working files on exports and routes
+// every RPC to the server owning its handle. The paper's Tables 1-6 and
+// Figures 1-3 ran on one server, which is a one-node cluster built with
+// Config.PaperBoot.
 //
 // Nodes are built to be crashed: all volatile state (nfsd pool, socket
 // buffer, buffer cache, dup cache) hangs off per-boot objects that a crash
@@ -88,6 +91,16 @@ type Config struct {
 	// Server instances are replaced wholesale on these transitions, so
 	// observers use this to (re)install their hooks on the fresh objects.
 	OnServerUp func(srv *server.Server, presto *nvram.Presto)
+	// PaperBoot boots the paper's single server instead of a crashable
+	// shard, and three things change: the node is named "server", its
+	// replies carry no boot verifier (the classic AUTH_NULL verifier and
+	// wire sizes), and nothing flushes the superblock and root inode at
+	// t=0. That flush is a disk transaction, and the disk draws each
+	// rotational delay from the shared random source, so it would move
+	// every draw after it. Without the flush the image is not mountable
+	// until something writes it, so a paper boot is not for crashing. It
+	// requires one server.
+	PaperBoot bool
 }
 
 // NodeConfig is one server's deviation from the cluster-wide settings.
@@ -198,15 +211,18 @@ type Cluster struct {
 	timeMark sim.Time
 }
 
-// New builds the full cluster for cfg. Every node's on-disk image is made
-// mountable immediately (superblock and root inode flushed at t=0), so a
-// crash injector may fire at any time.
+// New builds the full cluster for cfg. Unless cfg.PaperBoot, every node's
+// on-disk image is made mountable immediately (superblock and root inode
+// flushed at t=0), so a crash injector may fire at any time.
 func New(cfg Config) *Cluster {
 	if cfg.Clients == 0 {
 		cfg.Clients = 1
 	}
 	if cfg.Servers == 0 {
 		cfg.Servers = 1
+	}
+	if cfg.PaperBoot && cfg.Servers != 1 {
+		panic(fmt.Sprintf("cluster: the paper boot builds one server, not %d", cfg.Servers))
 	}
 	if cfg.StripeDisks == 0 {
 		cfg.StripeDisks = 1
@@ -236,7 +252,7 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		n := &Node{
-			Name:        serverName(i),
+			Name:        c.serverName(i),
 			Index:       i,
 			FSID:        uint32(i + 1),
 			c:           c,
@@ -282,27 +298,29 @@ func New(cfg Config) *Cluster {
 		}
 		n.FS = fs
 		n.startServer(fs, cpu)
-		// Make the fresh image crash-mountable: flush the superblock and
-		// the root inode before any load arrives. The flusher is part of
-		// the node's volatile state — a crash in the first instants must
-		// kill it too, or it would land platter writes posthumously.
-		n.mkfs = s.Spawn(n.Name+"-mkfs", func(p *sim.Proc) {
-			// A storage fault can fail the initial flush; retry briefly
-			// (consuming transient media-error rules) before giving up.
-			for attempt := 0; ; attempt++ {
-				err := fs.WriteSuper(p)
-				if err == nil {
-					err = fs.Fsync(p, fs.Root(), vfs.FWrite|vfs.FWriteMetadata)
+		if !cfg.PaperBoot {
+			// Make the fresh image crash-mountable: flush the superblock and
+			// the root inode before any load arrives. The flusher is part of
+			// the node's volatile state — a crash in the first instants must
+			// kill it too, or it would land platter writes posthumously.
+			n.mkfs = s.Spawn(n.Name+"-mkfs", func(p *sim.Proc) {
+				// A storage fault can fail the initial flush; retry briefly
+				// (consuming transient media-error rules) before giving up.
+				for attempt := 0; ; attempt++ {
+					err := fs.WriteSuper(p)
+					if err == nil {
+						err = fs.Fsync(p, fs.Root(), vfs.FWrite|vfs.FWriteMetadata)
+					}
+					if err == nil {
+						return
+					}
+					if attempt >= 4 {
+						panic("cluster: initial root flush: " + err.Error())
+					}
+					p.Sleep(10 * sim.Millisecond)
 				}
-				if err == nil {
-					return
-				}
-				if attempt >= 4 {
-					panic("cluster: initial root flush: " + err.Error())
-				}
-				p.Sleep(10 * sim.Millisecond)
-			}
-		})
+			})
+		}
 		c.Nodes = append(c.Nodes, n)
 	}
 	c.Shards = newShardMap(c.Nodes)
@@ -338,7 +356,12 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-func serverName(i int) string { return fmt.Sprintf("server%d", i+1) }
+func (c *Cluster) serverName(i int) string {
+	if c.cfg.PaperBoot {
+		return "server"
+	}
+	return fmt.Sprintf("server%d", i+1)
+}
 
 // mountRetry mounts with a bounded retry: a transient media error during
 // the superblock or inode-region read is absorbed the way disk firmware
@@ -385,8 +408,9 @@ func (n *Node) buildDeviceStack() (disk.Device, *sim.Resource) {
 // adopted export's takeover instance. It is the single source of the
 // config defaulting, gather policy, boot-verifier formula (index and
 // boot count identify the export's instance; clients detect the change
-// and know the dup cache died) and metadata charge hook, so rebooted and
-// adopted servers can never silently diverge.
+// and know the dup cache died; the paper boot sends none) and metadata
+// charge hook, so rebooted and adopted servers can never silently
+// diverge.
 func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *sim.Resource, nfsds int, presto bool, index, boots int) *server.Server {
 	cfg := c.cfg
 	costs := c.costs
@@ -398,7 +422,9 @@ func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *s
 		Accelerated:   presto,
 		RecordReplies: cfg.RecordReplies,
 		CPU:           cpu,
-		BootVerifier:  uint64(index+1)<<32 | uint64(boots+1),
+	}
+	if !cfg.PaperBoot {
+		scfg.BootVerifier = uint64(index+1)<<32 | uint64(boots+1)
 	}
 	if cfg.Gathering {
 		if cfg.GatherOverride != nil {
@@ -622,16 +648,6 @@ func (c *Cluster) FSByFSID(fsid uint32) *ufs.FS {
 	return nil
 }
 
-// NodeByFSID resolves the owning node of an export.
-func (c *Cluster) NodeByFSID(fsid uint32) *Node {
-	for _, n := range c.Nodes {
-		if n.FSID == fsid {
-			return n
-		}
-	}
-	return nil
-}
-
 // Roots returns one exported root handle per node, in node order — the
 // shard roots a sharded workload spreads its files across.
 func (c *Cluster) Roots() []nfsproto.FH {
@@ -705,33 +721,24 @@ func (n *Node) diskTotals() (uint64, uint64) {
 	return trans, bytes
 }
 
-// NodeStats is one node's interval roll-up.
-type NodeStats struct {
-	Name       string
-	CPUPercent float64
-	DiskKBps   float64
-	DiskTps    float64
-	Boots      int
-}
-
 // Stats is the cluster-wide interval roll-up.
 type Stats struct {
-	Nodes []NodeStats
 	// CPUMeanPercent and CPUMaxPercent summarize server CPU load across
-	// shards; skew between them exposes an unbalanced shard map.
+	// shards; skew between them exposes an unbalanced shard map. On one
+	// server they are equal.
 	CPUMeanPercent float64
 	CPUMaxPercent  float64
-	DiskKBps       float64
-	DiskTps        float64
-	// Retransmissions sums client retransmissions (outages inflate it).
-	Retransmissions uint64
+	// DiskKBps and DiskTps count spindle-level transfers, as the paper's
+	// tables do.
+	DiskKBps float64
+	DiskTps  float64
 	// RebootsSeen sums boot-verifier changes clients observed.
 	RebootsSeen uint64
 }
 
-// IntervalStats reports per-node and aggregate rates since MarkInterval.
-// A node rebooted mid-interval reports the CPU busy time of its current
-// boot only (clamped, never negative).
+// IntervalStats reports aggregate rates since MarkInterval. A node
+// rebooted mid-interval reports the CPU busy time of its current boot
+// only (clamped, never negative).
 func (c *Cluster) IntervalStats() Stats {
 	elapsed := c.Sim.Now().Sub(c.timeMark)
 	var st Stats
@@ -740,28 +747,22 @@ func (c *Cluster) IntervalStats() Stats {
 	}
 	sec := elapsed.Seconds()
 	for _, n := range c.Nodes {
-		ns := NodeStats{Name: n.Name, Boots: n.Boots}
+		var cpu float64
 		if n.Server != nil {
 			busy := n.Server.CPUBusy() - n.cpuMark
 			if busy < 0 {
 				busy = n.Server.CPUBusy()
 			}
-			ns.CPUPercent = 100 * float64(busy) / float64(elapsed)
+			cpu = 100 * float64(busy) / float64(elapsed)
 		}
 		trans, bytes := n.diskTotals()
-		ns.DiskKBps = float64(bytes-n.bytesMark) / 1024 / sec
-		ns.DiskTps = float64(trans-n.transMark) / sec
-		st.Nodes = append(st.Nodes, ns)
-		st.CPUMeanPercent += ns.CPUPercent
-		if ns.CPUPercent > st.CPUMaxPercent {
-			st.CPUMaxPercent = ns.CPUPercent
-		}
-		st.DiskKBps += ns.DiskKBps
-		st.DiskTps += ns.DiskTps
+		st.CPUMeanPercent += cpu
+		st.CPUMaxPercent = max(st.CPUMaxPercent, cpu)
+		st.DiskKBps += float64(bytes-n.bytesMark) / 1024 / sec
+		st.DiskTps += float64(trans-n.transMark) / sec
 	}
 	st.CPUMeanPercent /= float64(len(c.Nodes))
 	for _, cli := range c.Clients {
-		st.Retransmissions += cli.Retransmissions
 		st.RebootsSeen += cli.RebootsSeen
 	}
 	return st

@@ -72,9 +72,8 @@ func TestMultiClientMultiServerCopies(t *testing.T) {
 			t.Errorf("%s executed no writes; shard map did not spread load", n.Name)
 		}
 	}
-	stats := c.IntervalStats()
-	if len(stats.Nodes) != 2 {
-		t.Fatalf("stats cover %d nodes", len(stats.Nodes))
+	if st := c.IntervalStats(); st.DiskTps == 0 || st.CPUMaxPercent < st.CPUMeanPercent {
+		t.Fatalf("interval stats since boot: %+v", st)
 	}
 
 	// Verify one file's bytes server-side through the owning shard.

@@ -5,11 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
-	"repro/internal/rig"
 	"repro/internal/sim"
-	"repro/internal/ufs"
 	"repro/internal/vfs"
 )
 
@@ -109,10 +108,11 @@ func TestPopulationRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-// imageRig is kneecurve's rig: four FDDI clients on one server.
-func imageRig(gathering bool) *rig.Rig {
-	return rig.New(rig.Config{Net: hw.FDDI(), Gathering: gathering, StripeDisks: 8, NumNfsds: 32,
-		Clients: 4, CPUScale: 1.8, Seed: 5151, Inodes: 2048})
+// imageRig is kneecurve's testbed: four FDDI clients on the paper's one
+// server.
+func imageRig(gathering bool) *cluster.Cluster {
+	return cluster.New(cluster.Config{Net: hw.FDDI(), Gathering: gathering, StripeDisks: 8, NumNfsds: 32,
+		Clients: 4, CPUScale: 1.8, Seed: 5151, Inodes: 2048, PaperBoot: true})
 }
 
 // TestImageEqualsWire holds Populate to the wire path it replaced: on two
@@ -127,9 +127,9 @@ func imageRig(gathering bool) *rig.Rig {
 // Build needs.
 func TestImageEqualsWire(t *testing.T) {
 	for _, gathering := range []bool{false, true} {
-		build := func(wire bool) (*rig.Rig, *Population, []*Gen) {
+		build := func(wire bool) (*cluster.Cluster, *Population, []*Gen) {
 			r := imageRig(gathering)
-			pop, err := NewPopulation(64, 4, PopZipf, 1.1, []nfsproto.FH{r.Server.RootFH()})
+			pop, err := NewPopulation(64, 4, PopZipf, 1.1, r.Roots())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestImageEqualsWire(t *testing.T) {
 				})
 			} else {
 				r.Sim.Spawn("populate", func(p *sim.Proc) {
-					if err := pop.Populate(p, func(uint32) *ufs.FS { return r.FS }, gens); err != nil {
+					if err := pop.Populate(p, r.FSByFSID, gens); err != nil {
 						t.Error(err)
 					}
 				})
@@ -175,8 +175,8 @@ func TestImageEqualsWire(t *testing.T) {
 					gathering, i, wgens[i].scratch, igens[i].scratch)
 			}
 		}
-		if ir.FS.DirtyBlocks() != 0 {
-			t.Errorf("gathering=%v: the image left %d dirty blocks", gathering, ir.FS.DirtyBlocks())
+		if d := ir.Nodes[0].FS.DirtyBlocks(); d != 0 {
+			t.Errorf("gathering=%v: the image left %d dirty blocks", gathering, d)
 		}
 
 		type export struct {
@@ -185,10 +185,11 @@ func TestImageEqualsWire(t *testing.T) {
 			blocks int
 			free   [2]int64
 		}
-		read := func(r *rig.Rig, pop *Population) (e export) {
+		read := func(r *cluster.Cluster, pop *Population) (e export) {
+			fs := r.Nodes[0].FS
 			r.Sim.Spawn("read", func(p *sim.Proc) {
 				for cookie := uint32(0); ; {
-					ents, eof, err := r.FS.Readdir(p, r.FS.Root(), cookie, 4096)
+					ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 4096)
 					if err != nil {
 						t.Error(err)
 						return
@@ -201,12 +202,12 @@ func TestImageEqualsWire(t *testing.T) {
 				}
 				for _, fh := range pop.Files {
 					data := make([]byte, pop.Blocks*nfsproto.MaxData)
-					if n, err := r.FS.Read(p, vfs.Ino(fh.Ino()), 0, data); err != nil || n != len(data) {
+					if n, err := fs.Read(p, vfs.Ino(fh.Ino()), 0, data); err != nil || n != len(data) {
 						t.Errorf("read %v: %d bytes, %v", fh, n, err)
 					}
 					e.bytes = append(e.bytes, data)
 				}
-				e.blocks, e.free[0], e.free[1] = r.FS.Statfs(p)
+				e.blocks, e.free[0], e.free[1] = fs.Statfs(p)
 			})
 			r.Sim.Run(0)
 			return e

@@ -3,6 +3,7 @@ package rig
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -17,13 +18,20 @@ func TestRigAssemblyVariants(t *testing.T) {
 	}
 	for i, cfg := range cases {
 		r := New(cfg)
-		if r.Server == nil || r.FS == nil || len(r.Clients) == 0 {
+		if len(r.Nodes) != 1 || r.Server != r.Nodes[0].Server {
+			t.Fatalf("case %d: a rig is one node, its server at hand", i)
+		}
+		node := r.Nodes[0]
+		if r.Server == nil || node.FS == nil || len(r.Clients) == 0 {
 			t.Fatalf("case %d: incomplete rig", i)
 		}
-		if cfg.Presto && r.Presto == nil {
+		if node.Name != "server" {
+			t.Fatalf("case %d: node %q, want the paper boot's \"server\"", i, node.Name)
+		}
+		if cfg.Presto && node.Presto == nil {
 			t.Fatalf("case %d: missing presto", i)
 		}
-		if cfg.StripeDisks == 3 && (r.Stripe == nil || len(r.Disks) != 3) {
+		if cfg.StripeDisks == 3 && (node.Stripe == nil || len(node.Disks) != 3) {
 			t.Fatalf("case %d: missing stripe", i)
 		}
 		if cfg.Gathering != (r.Server.Engine() != nil) {
@@ -44,8 +52,7 @@ func TestIntervalStatsExcludePrehistory(t *testing.T) {
 		p.Sleep(sim.Second)
 	})
 	r.Sim.Run(0)
-	cpu, kbps, tps := r.IntervalStats()
-	if cpu != 0 || kbps != 0 || tps != 0 {
-		t.Fatalf("interval stats include prehistory: %v %v %v", cpu, kbps, tps)
+	if st := r.IntervalStats(); st != (cluster.Stats{}) {
+		t.Fatalf("interval stats include prehistory: %+v", st)
 	}
 }

@@ -67,7 +67,7 @@ func TestCellsRunOnTheFirstCellsBuffers(t *testing.T) {
 	ar := block.NewArena()
 	var fresh []uint64
 	for i, rc := range resolveAll(t, spec) {
-		cr := runCell(rc, ar, nil)
+		cr := runCellTimed(rc, ar, nil)
 		cr.Label, cr.Seed = rc.label, rc.seed
 		if got := cellJSON(t, cr); got != solo[i] {
 			t.Errorf("cell %s on a shared arena differs from its solo run:\n%s\n%s", rc.label, got, solo[i])

@@ -338,9 +338,15 @@ func StreamCrash(name, description string, presto, gathering bool, clients, file
 		Workload: Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: fileMB}},
 		Faults: Faults{
 			CheckDurability: true,
-			Crashes: []CrashTrain{
-				{Node: 0, At: at, Period: period, Outage: outage, Count: crashes},
-			},
+			Events:          []FaultEvent{serverCrash(0, at, period, outage, crashes)},
 		},
 	}
+}
+
+// serverCrash is a server-crash event: count crash/reboot cycles on one
+// shard, the first at at, one every period, each down for outage.
+func serverCrash(node int, at, period, outage sim.Duration, count int) FaultEvent {
+	return FaultEvent{Kind: FaultServerCrash, ServerCrash: &ServerCrashFault{
+		Node: node, At: at, Period: period, Outage: outage, Count: count,
+	}}
 }

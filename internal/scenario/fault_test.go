@@ -246,12 +246,11 @@ func TestValidateFailoverTargets(t *testing.T) {
 
 	// Failover to a node scheduled to die: the adopter must stay up.
 	s = faultSpec()
-	s.Faults.Crashes = []CrashTrain{{Node: 0, At: 2 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}}
-	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second},
-	}}
-	wantInvalid(t, s, "faults.events[0]")
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, 2*sim.Second, 0, 100*sim.Millisecond, 1),
+		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
+	}
+	wantInvalid(t, s, "faults.events[1]")
 
 	// A second event aimed at the failed-over source overlaps its
 	// open-ended down-window.
@@ -266,11 +265,10 @@ func TestValidateFailoverTargets(t *testing.T) {
 	// An adopter crash fully recovered before the failover is fine (the
 	// takeover waits out a remount tail).
 	s = faultSpec()
-	s.Faults.Crashes = []CrashTrain{{Node: 0, At: 100 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1}}
-	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second},
-	}}
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, 100*sim.Millisecond, 0, 100*sim.Millisecond, 1),
+		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
+	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("pre-failover adopter crash rejected: %v", err)
 	}
@@ -314,11 +312,11 @@ func TestFailoverWaitsOutRemountTail(t *testing.T) {
 	s.Faults.CheckDurability = true
 	// Window [100ms,200ms): the reboot starts at 200ms and remounts for
 	// ~100ms more; the failover at 210ms lands inside that tail.
-	s.Faults.Crashes = []CrashTrain{{Node: 1, At: 100 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1}}
-	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: 210 * sim.Millisecond, Takeover: 50 * sim.Millisecond},
-	}}
+	s.Faults.Events = []FaultEvent{
+		serverCrash(1, 100*sim.Millisecond, 0, 100*sim.Millisecond, 1),
+		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{
+			Node: 1, To: 0, At: 210 * sim.Millisecond, Takeover: 50 * sim.Millisecond}},
+	}
 	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -359,34 +357,10 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 
 	// A link outage overlapping a crash window on the same node.
 	s = faultSpec()
-	s.Faults.Crashes = []CrashTrain{{Node: 0, At: sim.Second, Outage: 200 * sim.Millisecond, Count: 1}}
-	s.Faults.Events = []FaultEvent{{
-		Kind: FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{
-			Node: &zero, At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1,
-		},
-	}}
-	wantInvalid(t, s, "faults.crashes[0]")
-}
-
-// TestLegacyCrashSpecsNormalize pins the adapter: a legacy crashes-only
-// spec validates, and mixing it with typed events keeps the trains ahead
-// of the events in the normalized schedule.
-func TestLegacyCrashSpecsNormalize(t *testing.T) {
-	s := faultSpec()
-	s.Faults.Crashes = []CrashTrain{{Node: 0, At: sim.Second, Outage: 100 * sim.Millisecond, Count: 1}}
-	s.Faults.Events = []FaultEvent{{
-		Kind:        FaultServerCrash,
-		ServerCrash: &ServerCrashFault{Node: 1, At: sim.Second, Outage: 100 * sim.Millisecond, Count: 1},
-	}}
-	r, err := s.resolve(Cell{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, sim.Second, 0, 200*sim.Millisecond, 1),
+		{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+			Node: &zero, At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1}},
 	}
-	if len(r.events) != 2 {
-		t.Fatalf("normalized %d events, want 2", len(r.events))
-	}
-	if r.events[0].ServerCrash.Node != 0 || r.events[1].ServerCrash.Node != 1 {
-		t.Fatal("legacy trains must precede typed events in the schedule")
-	}
+	wantInvalid(t, s, "faults.events[0]")
 }

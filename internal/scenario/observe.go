@@ -17,10 +17,8 @@ import (
 	"repro/internal/nvram"
 	"repro/internal/obs"
 	"repro/internal/openload"
-	"repro/internal/rig"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/ufs"
 	"repro/internal/vfs"
 )
 
@@ -190,20 +188,6 @@ func (ob *cellObs) hookDisk(s *sim.Sim, proc string, idx int, d *disk.Disk) {
 	}
 }
 
-// probeSources abstracts the two assemblies for the sampler. Servers,
-// filesystems and boards are fetched per sample (the cluster rebuilds
-// them across reboots); spindles and clients are stable objects.
-type probeSources struct {
-	servers func() []*server.Server
-	fses    func() []*ufs.FS
-	prestos func() []*nvram.Presto
-	disks   []*disk.Disk
-	clients []*client.Client
-	// fabric, when non-nil, appends the bridged-topology columns (see
-	// probeCols); nil keeps the historical five-column samples.
-	fabric *netsim.Fabric
-}
-
 // startProbes arms the periodic sampler: a self-rescheduling weak event
 // that samples the probe catalog every SampleEvery. Weak events fire only
 // while live ordinary work remains and are otherwise dropped without
@@ -211,18 +195,26 @@ type probeSources struct {
 // natural quiesce — the run's final sim time is identical with and
 // without the sampler. The sampler draws no randomness and acquires no
 // resources, so enabling it never changes any other event's order.
-func (ob *cellObs) startProbes(s *sim.Sim, src probeSources) {
+// Servers, filesystems and boards are read off the nodes per sample (the
+// cluster rebuilds them across reboots); spindles and clients are stable
+// objects. A bridged fabric appends its columns (see probeCols).
+func (ob *cellObs) startProbes(c *cluster.Cluster) {
 	if ob == nil || ob.series == nil {
 		return
+	}
+	s := c.Sim
+	var disks []*disk.Disk
+	for _, n := range c.Nodes {
+		disks = append(disks, n.Disks...)
 	}
 	var lastBusy sim.Duration
 	var lastT sim.Time
 	var segNames []string
 	var bridges []*netsim.Bridge
 	var lastSegBusy []sim.Duration
-	if src.fabric != nil {
-		segNames = src.fabric.Names()
-		bridges = src.fabric.Bridges()
+	if c.Fabric != nil {
+		segNames = c.Fabric.Names()
+		bridges = c.Fabric.Bridges()
 		lastSegBusy = make([]sim.Duration, len(segNames))
 	}
 	var tick func()
@@ -230,27 +222,23 @@ func (ob *cellObs) startProbes(s *sim.Sim, src probeSources) {
 		now := s.Now()
 		var queue, cache, outst int
 		var used, capacity int
-		for _, srv := range src.servers() {
-			if srv != nil {
-				queue += srv.Endpoint().Inbox.Len()
+		for _, n := range c.Nodes {
+			if !n.Down {
+				queue += n.Server.Endpoint().Inbox.Len()
 			}
-		}
-		for _, fs := range src.fses() {
-			if fs != nil {
-				cache += fs.CachedBufs()
+			if n.FS != nil {
+				cache += n.FS.CachedBufs()
 			}
-		}
-		for _, pr := range src.prestos() {
-			if pr != nil {
-				used += pr.CacheUsed()
-				capacity += pr.CacheBytes()
+			if n.Presto != nil {
+				used += n.Presto.CacheUsed()
+				capacity += n.Presto.CacheBytes()
 			}
 		}
 		var busy sim.Duration
-		for _, d := range src.disks {
+		for _, d := range disks {
 			busy += d.Stats().BusyTime
 		}
-		for _, cli := range src.clients {
+		for _, cli := range c.Clients {
 			outst += cli.PendingRPCs()
 		}
 		dirtyPct := 0.0
@@ -258,14 +246,14 @@ func (ob *cellObs) startProbes(s *sim.Sim, src probeSources) {
 			dirtyPct = 100 * float64(used) / float64(capacity)
 		}
 		utilPct := 0.0
-		if window := now.Sub(lastT); window > 0 && len(src.disks) > 0 {
-			utilPct = 100 * float64(busy-lastBusy) / float64(int64(window)*int64(len(src.disks)))
+		if window := now.Sub(lastT); window > 0 && len(disks) > 0 {
+			utilPct = 100 * float64(busy-lastBusy) / float64(int64(window)*int64(len(disks)))
 		}
 		window := now.Sub(lastT)
 		lastBusy, lastT = busy, now
 		vals := []float64{float64(queue), float64(cache), dirtyPct, utilPct, float64(outst)}
 		for i, name := range segNames {
-			segBusy := src.fabric.Segment(name).MediumBusy()
+			segBusy := c.Fabric.Segment(name).MediumBusy()
 			segUtil := 0.0
 			if window > 0 {
 				segUtil = 100 * float64(segBusy-lastSegBusy[i]) / float64(window)
@@ -303,74 +291,24 @@ func (ob *cellObs) startProbes(s *sim.Sim, src probeSources) {
 	s.AtWeak(ob.cfg.SampleEvery, tick)
 }
 
-// installRig wires the whole plane onto a single-server rig.
-func (ob *cellObs) installRig(r *rig.Rig) {
-	if ob == nil {
-		return
-	}
-	for i, cli := range r.Clients {
-		ob.hookClient(r.Sim, i, cli)
-	}
-	ob.hookServer(r.Server, r.Presto)
-	for i, d := range r.Disks {
-		ob.hookDisk(r.Sim, "server:"+r.Server.Name(), i, d)
-	}
-	ob.startProbes(r.Sim, probeSources{
-		servers: func() []*server.Server { return []*server.Server{r.Server} },
-		fses:    func() []*ufs.FS { return []*ufs.FS{r.FS} },
-		prestos: func() []*nvram.Presto { return []*nvram.Presto{r.Presto} },
-		disks:   r.Disks,
-		clients: r.Clients,
-		fabric:  r.Fabric,
-	})
-}
-
-// installCluster wires clients, spindles and the sampler onto a cluster.
-// Server-side hooks ride cluster.Config.OnServerUp instead (see
-// clusterObserveConfig): the server and NVRAM objects are rebuilt on
-// every reboot and adoption, and the hook re-fires for each new build.
-func (ob *cellObs) installCluster(c *cluster.Cluster) {
+// install wires clients, spindles and the sampler onto the cell's
+// cluster. Server-side hooks ride cluster.Config.OnServerUp instead
+// (runCell sets it to hookServer): the server and NVRAM objects are
+// rebuilt on every reboot and adoption, and the hook re-fires for each
+// new build.
+func (ob *cellObs) install(c *cluster.Cluster) {
 	if ob == nil {
 		return
 	}
 	for i, cli := range c.Clients {
 		ob.hookClient(c.Sim, i, cli)
 	}
-	var disks []*disk.Disk
 	for _, n := range c.Nodes {
 		for i, d := range n.Disks {
 			ob.hookDisk(c.Sim, "server:"+n.Name, i, d)
-			disks = append(disks, d)
 		}
 	}
-	ob.startProbes(c.Sim, probeSources{
-		servers: func() []*server.Server {
-			srvs := make([]*server.Server, 0, len(c.Nodes))
-			for _, n := range c.Nodes {
-				if !n.Down {
-					srvs = append(srvs, n.Server)
-				}
-			}
-			return srvs
-		},
-		fses: func() []*ufs.FS {
-			fss := make([]*ufs.FS, 0, len(c.Nodes))
-			for _, n := range c.Nodes {
-				fss = append(fss, n.FS)
-			}
-			return fss
-		},
-		prestos: func() []*nvram.Presto {
-			prs := make([]*nvram.Presto, 0, len(c.Nodes))
-			for _, n := range c.Nodes {
-				prs = append(prs, n.Presto)
-			}
-			return prs
-		},
-		disks:   disks,
-		clients: c.Clients,
-		fabric:  c.Fabric,
-	})
+	ob.startProbes(c)
 }
 
 // setOpenload hands the sampler the cell's live generators. Nil-safe,

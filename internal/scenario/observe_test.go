@@ -165,7 +165,7 @@ func TestObserveOnClusterFollowsReboots(t *testing.T) {
 		Workload: Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: 1}},
 		Faults: Faults{
 			CheckDurability: true,
-			Crashes:         []CrashTrain{{Node: 0, At: 500 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1}},
+			Events:          []FaultEvent{serverCrash(0, 500*sim.Millisecond, 0, 100*sim.Millisecond, 1)},
 		},
 		Observe: &Observe{Trace: true, Probes: true},
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -73,16 +74,42 @@ func TestOpenloadOverloadHonesty(t *testing.T) {
 	if hi < 0.75*lo || hi > 1.25*lo {
 		t.Errorf("overload plateau not flat: achieved %.1f at 2x knee vs %.1f at 4x", lo, hi)
 	}
+	// Honest books (every arrival completed, shed or expired) are the
+	// engine's to assert, in every open-loop cell: see
+	// TestOpenloadLedgerAuditFires.
+}
 
-	// Honest books: every arrival is completed, shed or expired — none
-	// vanish.
-	for _, c := range seq.Cells {
-		for i, oc := range c.OpenloadClients {
-			if oc.Offered != oc.Completed+oc.Shed+oc.Expired {
-				t.Errorf("%s client %d: offered %d != completed %d + shed %d + expired %d",
-					c.Label, i, oc.Offered, oc.Completed, oc.Shed, oc.Expired)
+// TestOpenloadLedgerAuditFires holds the runner's quiesce identity to
+// both sides: an overloaded cell's books, with arrivals shed, balance, and
+// a planted violation (one completion that never happened) panics with
+// the numbers.
+func TestOpenloadLedgerAuditFires(t *testing.T) {
+	spec := kneeTestSpec()
+	spec.Cells = spec.Cells[len(spec.Cells)-1:]
+	spec.Workload.Openload.Measure = sim.Second
+	c := MustRun(spec).Cells[0]
+	if c.ShedArrivals == 0 {
+		t.Fatalf("%s shed nothing; the test wants every term of the ledger", c.Label)
+	}
+	audit := func(clients []OpenloadClient) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
 			}
-		}
+		}()
+		assertOpenloadLedger(clients)
+		return ""
+	}
+	if msg := audit(c.OpenloadClients); msg != "" {
+		t.Fatalf("audit fired on the books the runner just checked: %s", msg)
+	}
+	planted := append([]OpenloadClient(nil), c.OpenloadClients...)
+	oc := &planted[1]
+	oc.Completed++
+	want := fmt.Sprintf("scenario: open-loop ledger does not balance: client 1 offered %d != completed %d + shed %d + expired %d",
+		oc.Offered, oc.Completed, oc.Shed, oc.Expired)
+	if msg := audit(planted); msg != want {
+		t.Errorf("planted violation: panic %q, want %q", msg, want)
 	}
 }
 

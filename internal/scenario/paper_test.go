@@ -216,6 +216,32 @@ func TestFigure1GatheringReducesDiskOps(t *testing.T) {
 	}
 }
 
+// TestFigure1OnTheCluster runs the trace workload on the cluster boot,
+// which it could not before there was one assembly. The transfer still
+// traces end to end and gathering still cuts the disk ops; the log also
+// holds the boot's image flush, which the paper boot never writes.
+func TestFigure1OnTheCluster(t *testing.T) {
+	spec, _ := Lookup("figure1")
+	spec.Seed = 3
+	spec.Workload.Trace.FileKB = 160
+	spec.Topology.Assembly = AssemblyCluster
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, wg := res.Cells[0], res.Cells[1]
+	if !strings.Contains(wg.TraceText, "Gathering Server") || wg.TraceLog.Summary(0, 1<<62)["client:8K"] == 0 {
+		t.Fatalf("no traced transfer:\n%.300s", wg.TraceText)
+	}
+	if sOps, gOps := diskOps(std.TraceLog), diskOps(wg.TraceLog); gOps >= sOps {
+		t.Errorf("gathering disk ops %d not below standard %d", gOps, sOps)
+	}
+	paperStd, _ := figure1Small()
+	if got, paper := diskOps(std.TraceLog), diskOps(paperStd.TraceLog); got <= paper {
+		t.Errorf("the cluster boot logged %d disk ops, the paper boot %d; the image flush is missing", got, paper)
+	}
+}
+
 // TestLADDISCurveCapacity pins the Figures 2-3 capacity line: per build,
 // the highest achieved rate among the points at or under 50 ms.
 func TestLADDISCurveCapacity(t *testing.T) {
@@ -265,7 +291,7 @@ func TestCrashRecoveryDurability(t *testing.T) {
 	crash, _ := Find("crash")
 	spec := crash.Build()
 	if testing.Short() {
-		spec.Faults.Crashes[0].Count = 1
+		spec.Faults.Events[0].ServerCrash.Count = 1
 		spec.Workload.Stream.FileMB = 1
 	}
 	res := MustRun(spec)

@@ -330,8 +330,8 @@ func partialCrash() Spec {
 		"Partial-cluster crash under LADDIS load (2 clients x 2 shards, shard 2 crashes mid-measure)",
 		false, 250, 8, 16, 2, 24, 8, 6*sim.Second, 9595)
 	spec.Topology.Clients[0].MaxRetries = 64
-	spec.Faults = Faults{Crashes: []CrashTrain{
-		{Node: 1, At: 22 * sim.Second, Outage: 1 * sim.Second, Count: 1},
+	spec.Faults = Faults{Events: []FaultEvent{
+		serverCrash(1, 22*sim.Second, 0, 1*sim.Second, 1),
 	}}
 	two := 2
 	std, wg := false, true
@@ -360,9 +360,9 @@ func flapStorm() Spec {
 		Workload: Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: 2, Shard: true}},
 		Faults: Faults{
 			CheckDurability: true,
-			Crashes: []CrashTrain{
-				{Node: 0, At: 400 * sim.Millisecond, Period: 900 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 4},
-				{Node: 1, At: 850 * sim.Millisecond, Period: 900 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 4},
+			Events: []FaultEvent{
+				serverCrash(0, 400*sim.Millisecond, 900*sim.Millisecond, 150*sim.Millisecond, 4),
+				serverCrash(1, 850*sim.Millisecond, 900*sim.Millisecond, 150*sim.Millisecond, 4),
 			},
 		},
 	}

@@ -7,26 +7,20 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
-	"repro/internal/nvram"
 	"repro/internal/openload"
-	"repro/internal/rig"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/ufs"
 	"repro/internal/workload"
 )
 
 // Run validates the spec and executes every cell of its sweep, each on a
-// fresh deterministic simulation, returning the uniform result: the rig
-// assembly for single-server copy/LADDIS/trace cells, the cluster
-// assembly for sharded, faulted or stream cells.
+// fresh deterministic simulation of a cluster (one node with the paper
+// boot for rig-assembly cells), returning the uniform result.
 //
 // Cells execute across the package worker pool (Workers, default
 // GOMAXPROCS); every cell is an independent simulation with its own
@@ -135,12 +129,22 @@ func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture ob
 	}
 }
 
-// runCellTimed stamps the cell's real (host) execution time — harness
+// runCellTimed runs one cell on its own buffer ledger, born from the
+// worker's arena (concurrent cells never perturb each other's
+// accounting), and stamps the cell's real (host) execution time — harness
 // observability for the parallel engine, never part of rendered or
 // serialized output.
+//
+// The ledger retires when runCell returns, early (cr.err) or not. By then
+// runCell's deferred Sim.Close has run, and that order is the rule: Close
+// first, because the processes it unwinds still release references;
+// retire second, never the reverse. A cell that panics never gets here and
+// forfeits its buffers: a sim unwound by a panic may have a live holder.
 func runCellTimed(rc *resolved, ar *block.Arena, capture obsCaptureFn) CellResult {
 	t0 := time.Now()
-	cr := runCell(rc, ar, capture)
+	acct := ar.NewAccounting()
+	cr := runCell(rc, acct, capture)
+	acct.Retire()
 	cr.Wall = time.Since(t0)
 	return cr
 }
@@ -152,44 +156,6 @@ func MustRun(spec Spec) *Result {
 		panic(err)
 	}
 	return res
-}
-
-// runCell executes one cell on its own buffer ledger (concurrent cells
-// never perturb each other's accounting), born from the worker's arena,
-// and retires it when the runner returns — early (cr.err) or not. By then
-// the runner's deferred Sim.Close has run, and that order is the rule:
-// Close first, because the processes it unwinds still release references;
-// retire second, never the reverse. A cell that panics never gets here and
-// forfeits its buffers: a sim unwound by a panic may have a live holder.
-func runCell(rc *resolved, ar *block.Arena, capture obsCaptureFn) CellResult {
-	run := runClusterCell
-	if rc.assembly == AssemblyRig {
-		run = runRigCell
-	}
-	acct := ar.NewAccounting()
-	cr := run(rc, acct, capture)
-	acct.Retire()
-	return cr
-}
-
-func (r *resolved) rigConfig() rig.Config {
-	return rig.Config{
-		Net:            r.net,
-		Segments:       r.segments,
-		ServerSegment:  r.servers.Segment,
-		ClientSegment:  r.groups[0].Segment,
-		Presto:         r.servers.Presto,
-		Gathering:      r.servers.Gathering,
-		GatherOverride: r.servers.GatherOverride,
-		StripeDisks:    r.servers.StripeDisks,
-		NumNfsds:       r.servers.Nfsds,
-		Clients:        r.groups[0].Count,
-		Biods:          r.groups[0].Biods,
-		CPUScale:       r.cpuScale,
-		Seed:           r.seed,
-		RecordReplies:  r.servers.RecordReplies,
-		Inodes:         r.servers.Inodes,
-	}
 }
 
 // offered returns the per-client and aggregate LADDIS request rates.
@@ -226,230 +192,27 @@ func aggregateLADDIS(cr *CellResult, results []workload.LADDISResult) {
 	cr.ClientResults = results
 }
 
-// runRigCell executes one cell on the single-server rig assembly.
-func runRigCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
-	cfg := rc.rigConfig()
+// runCell executes one cell on its own cluster, every pool of which
+// charges acct: the cell's ledger, started at zero and charged by nothing
+// else, so the leak audit below reads this sim's counters exactly. A
+// rig-assembly cell is a one-node cluster with the paper boot.
+func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
+	ob := newCellObs(rc, capture)
+	cfg := rc.clusterConfig()
 	cfg.Acct = acct
-	r := rig.New(cfg)
+	// Server-side hooks must follow the server object across reboots and
+	// adoptions: the cluster re-announces every (re)built server.
+	cfg.OnServerUp = ob.hookServer
+	c := cluster.New(cfg)
 	// Runs once cr has been copied out for the caller: what the unwinding
-	// processes still touch is the rig's, never the result's.
-	defer r.Sim.Close()
-	ob := newCellObs(rc, capture)
-	ob.installRig(r)
-	var cr CellResult
-	switch rc.kind {
-	case KindCopy:
-		runRigCopy(rc, r, &cr)
-	case KindLADDIS:
-		runRigLADDIS(rc, r, &cr)
-	case KindTrace:
-		runRigTrace(rc, r, &cr)
-	case KindOpenload:
-		runRigOpenload(rc, r, &cr, ob)
-	}
-	if eng := r.Server.Engine(); eng != nil {
-		cr.Gather = eng.Stats()
-		cr.GatherBatch = summarize(eng.BatchHist(), 1)
-		cr.GatherCommitMs = summarize(eng.CommitHist(), 1e-3)
-	}
-	cr.Drops = r.Server.Endpoint().Drops()
-	for _, cli := range r.Clients {
-		cr.Retransmissions += cli.Retransmissions
-		cr.RebootsSeen += cli.RebootsSeen
-	}
-	collectFabric(&cr, r.Fabric)
-	cr.SimTime = sim.Duration(r.Sim.Now())
-	ob.finish(&cr)
-	return cr
-}
-
-func runRigCopy(rc *resolved, r *rig.Rig, cr *CellResult) {
-	size := rc.copyW.FileMB * 1024 * 1024
-	r.Sim.Spawn("copy", func(p *sim.Proc) {
-		// Create outside the measured interval, as the paper measures the
-		// transfer.
-		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "copy.dat", 0644)
-		if err != nil {
-			panic("scenario: create failed: " + err.Error())
-		}
-		r.MarkInterval()
-		start := p.Now()
-		if _, err := r.Clients[0].WriteFile(p, cres.File, size); err != nil {
-			panic("scenario: copy failed: " + err.Error())
-		}
-		cr.Elapsed = p.Now().Sub(start)
-	})
-	r.Sim.Run(0)
-
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	cr.ClientKBps = float64(size) / 1024 / cr.Elapsed.Seconds()
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
-}
-
-func runRigLADDIS(rc *resolved, r *rig.Rig, cr *CellResult) {
-	perClient, total := rc.offered(len(r.Clients))
-
-	gens := make([]*workload.LADDIS, len(r.Clients))
-	results := make([]workload.LADDISResult, len(r.Clients))
-	finished := 0
-	cond := sim.NewCond(r.Sim)
-	for i, cli := range r.Clients {
-		i, cli := i, cli
-		gens[i] = workload.NewLADDIS(cli, r.Server.RootFH(), workload.LADDISConfig{
-			Files:            rc.laddis.Files,
-			FileBlocks:       rc.laddis.FileBlocks,
-			OfferedOpsPerSec: perClient,
-			Procs:            rc.laddis.Procs,
-			Warmup:           rc.laddis.Warmup,
-			Duration:         rc.laddis.Measure,
-			Seed:             rc.laddis.Seed + int64(i),
-			Histograms:       rc.histograms(),
-		})
-		r.Sim.Spawn(fmt.Sprintf("laddis-driver-%d", i), func(p *sim.Proc) {
-			if err := gens[i].Setup(p); err != nil {
-				panic("scenario: laddis setup: " + err.Error())
-			}
-			// Synchronize measurement start across clients: wait until a
-			// common barrier time well past setup.
-			if wait := laddisBarrier.Sub(p.Now()); wait > 0 {
-				p.Sleep(wait)
-			}
-			if i == 0 {
-				r.MarkInterval()
-			}
-			results[i] = gens[i].Run(p)
-			finished++
-			cond.Broadcast()
-		})
-	}
-	r.Sim.Run(0)
-	if finished != len(r.Clients) {
-		panic("scenario: laddis drivers did not finish")
-	}
-
-	cr.OfferedOpsPerSec = total
-	aggregateLADDIS(cr, results)
-	if rc.histograms() {
-		fillQuantiles(cr, results)
-	}
-	cr.Elapsed = rc.laddis.Measure
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
-}
-
-func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
-	log := &trace.Log{}
-	cli := r.Clients[0]
-	cli.OnWriteEvent = func(ev string, off uint32, n int) {
-		switch ev {
-		case "send":
-			log.Add(r.Sim.Now(), "client", "8K Write off=%dK ->", off/1024)
-		case "reply":
-			log.Add(r.Sim.Now(), "client", "<- Write Reply off=%dK", off/1024)
-		}
-	}
-	for i, d := range r.Disks {
-		i, d := i, d
-		// The observe plane may already own the hook; chain it so a traced
-		// run can carry both the Figure 1 timeline and the span trace.
-		prev := d.OnOp
-		d.OnOp = func(write bool, blk int64, n int, svc sim.Duration) {
-			if prev != nil {
-				prev(write, blk, n, svc)
-			}
-			kind := "read"
-			if write {
-				kind = "write"
-			}
-			what := "data"
-			if blk < 20 { // inode region of this filesystem
-				what = "metadata"
-			}
-			log.Add(r.Sim.Now(), "disk", "%dK %s to disk (%s) [d%d]", n/1024, kind, what, i)
-		}
-	}
-
-	// Mark gather commits via the engine's stats transitions: poll cheaply
-	// from a watcher process.
-	bound := sim.Time(rc.trace.Bound)
-	if eng := r.Server.Engine(); eng != nil {
-		r.Sim.Spawn("gather-watch", func(p *sim.Proc) {
-			last := eng.Stats().Gathers
-			for {
-				p.Sleep(500 * sim.Microsecond)
-				st := eng.Stats()
-				if st.Gathers != last {
-					log.Add(p.Now(), "server", "Gather commit #%d (batch so far %d writes)",
-						st.Gathers, st.GatheredWrites)
-					last = st.Gathers
-				}
-				if p.Now() > bound {
-					return
-				}
-			}
-		})
-	}
-
-	windowAfter := uint32(rc.trace.WindowAfterKB) * 1024
-	var windowStart sim.Time
-	r.Sim.Spawn("copy", func(p *sim.Proc) {
-		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "figure1.dat", 0644)
-		if err != nil {
-			panic("scenario: trace create: " + err.Error())
-		}
-		// Track when the transfer passes the window offset.
-		inner := cli.OnWriteEvent
-		cli.OnWriteEvent = func(ev string, off uint32, n int) {
-			if windowStart == 0 && ev == "send" && off >= windowAfter {
-				windowStart = p.Sim().Now()
-			}
-			inner(ev, off, n)
-		}
-		if _, err := cli.WriteFile(p, cres.File, rc.trace.FileKB*1024); err != nil {
-			panic("scenario: trace copy: " + err.Error())
-		}
-	})
-	r.Sim.Run(bound)
-
-	mode := "Standard Server"
-	if rc.servers.Gathering {
-		mode = "Gathering Server"
-	}
-	title := fmt.Sprintf("Figure 1 (%s): client with %d biods, sequential writer, >%dK into file",
-		mode, rc.groups[0].Biods, rc.trace.WindowAfterKB)
-	cr.TraceText = log.Render(title, windowStart, windowStart.Add(rc.trace.Window))
-	cr.TraceLog = log
-	cr.Elapsed = sim.Duration(r.Sim.Now())
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-}
-
-// runClusterCell executes one cell on the crashable sharded assembly.
-func runClusterCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
-	// Every pool in this cell's assembly charges the cell's own ledger, so
-	// the leak audit below reads this sim's counters exactly — immune to
-	// other cells, tests or goroutines touching the global ledger.
-	ob := newCellObs(rc, capture)
-	ccfg := rc.clusterConfig()
-	ccfg.Acct = acct
-	if ob != nil {
-		// Server-side hooks must follow the server object across reboots
-		// and adoptions: the cluster re-announces every (re)built server.
-		ccfg.OnServerUp = func(srv *server.Server, pr *nvram.Presto) {
-			ob.hookServer(srv, pr)
-		}
-	}
-	c := cluster.New(ccfg)
-	defer c.Sim.Close() // after the audits and the result's copy-out, as in runRigCell
-	ob.installCluster(c)
+	// processes still touch is the cluster's, never the result's.
+	defer c.Sim.Close()
+	ob.install(c)
 	var cr CellResult
 
 	// Durability journal first, then the fault schedule, then the
 	// workload: hook order fixes same-instant event order, and recorded
-	// crash runs hooked in this order. The normalized event list already
-	// has the legacy crash trains ahead of the typed events, so a legacy
-	// spec arms exactly the s.At sequence it always did.
+	// crash runs hooked in this order.
 	var j *fault.Journal
 	if rc.faults.CheckDurability {
 		j = fault.NewJournal()
@@ -458,24 +221,26 @@ func runClusterCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) 
 		}
 	}
 	var in *fault.Injector
-	if len(rc.events) > 0 {
+	if len(rc.faults.Events) > 0 {
 		in = fault.NewInjector(c)
 		in.Journal = j
-		for _, ev := range rc.events {
+		for _, ev := range rc.faults.Events {
 			in.Add(buildKind(ev))
 		}
 		in.ScheduleAll()
 	}
 
 	switch rc.kind {
-	case KindStream:
-		runClusterStream(rc, c, &cr)
 	case KindCopy:
-		runClusterCopy(rc, c, &cr)
+		runCopy(rc, c, &cr)
 	case KindLADDIS:
-		runClusterLADDIS(rc, c, &cr)
+		runLADDIS(rc, c, &cr)
+	case KindTrace:
+		runTrace(rc, c, &cr)
+	case KindStream:
+		runStream(rc, c, &cr)
 	case KindOpenload:
-		runClusterOpenload(rc, c, &cr, ob)
+		runOpenload(rc, c, &cr, ob)
 		if cr.err != nil {
 			return cr // stopped mid-run: nothing to audit or report
 		}
@@ -579,10 +344,28 @@ func runClusterCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) 
 	}
 	cr.GatherBatch = summarize(&batch, 1)
 	cr.GatherCommitMs = summarize(&commit, 1e-3)
+	if cfg.PaperBoot {
+		// The paper's server also reports its engine counters and endpoint
+		// drops. Cluster cells never did, and their recorded bytes (the
+		// fanin-5k sim_digest among them) pin that they still do not.
+		srv := c.Nodes[0].Server
+		if eng := srv.Engine(); eng != nil {
+			cr.Gather = eng.Stats()
+		}
+		cr.Drops = srv.Endpoint().Drops()
+	}
 	collectFabric(&cr, c.Fabric)
 	cr.SimTime = sim.Duration(c.Sim.Now())
 	ob.finish(&cr)
 	return cr
+}
+
+// intervalStats fills the cell's server columns from the interval the
+// workload runner marked.
+func intervalStats(c *cluster.Cluster, cr *CellResult) {
+	st := c.IntervalStats()
+	cr.CPUPercent, cr.CPUMaxPercent = st.CPUMeanPercent, st.CPUMaxPercent
+	cr.DiskKBps, cr.DiskTps = st.DiskKBps, st.DiskTps
 }
 
 // collectFabric rolls the bridged fabric's wire and bridge counters into
@@ -683,7 +466,187 @@ func buildKind(ev FaultEvent) fault.Kind {
 	panic("scenario: unvalidated fault kind " + ev.Kind)
 }
 
-func runClusterStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+// runCopy is the paper's case study: client 1 copies one file to shard 1,
+// and the transfer is the measured interval.
+func runCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+	roots := c.Roots()
+	size := rc.copyW.FileMB * 1024 * 1024
+	c.Sim.Spawn("copy", func(p *sim.Proc) {
+		// Create outside the measured interval, as the paper measures the
+		// transfer.
+		cres, err := c.Clients[0].Create(p, roots[0], "copy.dat", 0644)
+		if err != nil || cres.Status != nfsproto.OK {
+			panic(fmt.Sprintf("scenario: copy create: %v %v", err, cres))
+		}
+		c.MarkInterval()
+		start := p.Now()
+		if _, err := c.Clients[0].WriteFile(p, cres.File, size); err != nil {
+			panic("scenario: copy: " + err.Error())
+		}
+		cr.Elapsed = p.Now().Sub(start)
+	})
+	c.Sim.Run(0)
+
+	cr.ElapsedSec = cr.Elapsed.Seconds()
+	cr.ClientKBps = float64(size) / 1024 / cr.Elapsed.Seconds()
+	intervalStats(c, cr)
+}
+
+// runLADDIS drives one closed-loop LADDIS generator per client, its
+// working set spread across the shards' roots.
+func runLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+	roots := c.Roots()
+	nclients := len(c.Clients)
+	perClient, total := rc.offered(nclients)
+
+	gens := make([]*workload.LADDIS, nclients)
+	results := make([]workload.LADDISResult, nclients)
+	finished := 0
+	for i, cli := range c.Clients {
+		i, cli := i, cli
+		gens[i] = workload.NewLADDIS(cli, roots[0], workload.LADDISConfig{
+			Files:            rc.laddis.Files,
+			FileBlocks:       rc.laddis.FileBlocks,
+			OfferedOpsPerSec: perClient,
+			Procs:            rc.laddis.Procs,
+			Warmup:           rc.laddis.Warmup,
+			Duration:         rc.laddis.Measure,
+			Seed:             rc.laddis.Seed + int64(i),
+			Roots:            roots,
+			Histograms:       rc.histograms(),
+		})
+		c.Sim.Spawn(fmt.Sprintf("laddis-driver-%d", i), func(p *sim.Proc) {
+			if err := gens[i].Setup(p); err != nil {
+				panic("scenario: laddis setup: " + err.Error())
+			}
+			// Barrier: measurement starts together, well past setup. A
+			// setup that overruns the barrier would silently skew the
+			// interval stats (clients starting staggered, MarkInterval
+			// mid-load), so it is a hard error: grow the barrier with the
+			// working set, don't ignore it.
+			wait := laddisBarrier.Sub(p.Now())
+			if wait < 0 {
+				panic(fmt.Sprintf("scenario: laddis setup for client %d ran %v past the %v barrier; working set too large for the barrier",
+					i, -wait, sim.Duration(laddisBarrier)))
+			}
+			p.Sleep(wait)
+			if i == 0 {
+				c.MarkInterval()
+			}
+			results[i] = gens[i].Run(p)
+			finished++
+		})
+	}
+	c.Sim.Run(0)
+	if finished != nclients {
+		panic("scenario: laddis drivers did not finish")
+	}
+
+	cr.OfferedOpsPerSec = total
+	aggregateLADDIS(cr, results)
+	if rc.histograms() {
+		fillQuantiles(cr, results)
+	}
+	cr.Elapsed = rc.laddis.Measure
+	cr.ElapsedSec = cr.Elapsed.Seconds()
+	intervalStats(c, cr)
+}
+
+// runTrace is Figure 1: client 1 streams a file to shard 1 while its
+// write sends and replies, shard 1's platter transfers and its gather
+// commits are logged, and the cell renders the log's window past the
+// spec's offset.
+func runTrace(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+	log := &trace.Log{}
+	cli := c.Clients[0]
+	node := c.Nodes[0]
+	cli.OnWriteEvent = func(ev string, off uint32, n int) {
+		switch ev {
+		case "send":
+			log.Add(c.Sim.Now(), "client", "8K Write off=%dK ->", off/1024)
+		case "reply":
+			log.Add(c.Sim.Now(), "client", "<- Write Reply off=%dK", off/1024)
+		}
+	}
+	for i, d := range node.Disks {
+		i, d := i, d
+		// The observe plane may already own the hook; chain it so a traced
+		// run can carry both the Figure 1 timeline and the span trace.
+		prev := d.OnOp
+		d.OnOp = func(write bool, blk int64, n int, svc sim.Duration) {
+			if prev != nil {
+				prev(write, blk, n, svc)
+			}
+			kind := "read"
+			if write {
+				kind = "write"
+			}
+			what := "data"
+			if blk < 20 { // inode region of this filesystem
+				what = "metadata"
+			}
+			log.Add(c.Sim.Now(), "disk", "%dK %s to disk (%s) [d%d]", n/1024, kind, what, i)
+		}
+	}
+
+	// Mark gather commits via the engine's stats transitions: poll cheaply
+	// from a watcher process.
+	bound := sim.Time(rc.trace.Bound)
+	if eng := node.Server.Engine(); eng != nil {
+		c.Sim.Spawn("gather-watch", func(p *sim.Proc) {
+			last := eng.Stats().Gathers
+			for {
+				p.Sleep(500 * sim.Microsecond)
+				st := eng.Stats()
+				if st.Gathers != last {
+					log.Add(p.Now(), "server", "Gather commit #%d (batch so far %d writes)",
+						st.Gathers, st.GatheredWrites)
+					last = st.Gathers
+				}
+				if p.Now() > bound {
+					return
+				}
+			}
+		})
+	}
+
+	windowAfter := uint32(rc.trace.WindowAfterKB) * 1024
+	var windowStart sim.Time
+	root := c.Roots()[0]
+	c.Sim.Spawn("copy", func(p *sim.Proc) {
+		cres, err := cli.Create(p, root, "figure1.dat", 0644)
+		if err != nil {
+			panic("scenario: trace create: " + err.Error())
+		}
+		// Track when the transfer passes the window offset.
+		inner := cli.OnWriteEvent
+		cli.OnWriteEvent = func(ev string, off uint32, n int) {
+			if windowStart == 0 && ev == "send" && off >= windowAfter {
+				windowStart = p.Sim().Now()
+			}
+			inner(ev, off, n)
+		}
+		if _, err := cli.WriteFile(p, cres.File, rc.trace.FileKB*1024); err != nil {
+			panic("scenario: trace copy: " + err.Error())
+		}
+	})
+	c.Sim.Run(bound)
+
+	mode := "Standard Server"
+	if rc.servers.Gathering {
+		mode = "Gathering Server"
+	}
+	title := fmt.Sprintf("Figure 1 (%s): client with %d biods, sequential writer, >%dK into file",
+		mode, rc.groups[0].Biods, rc.trace.WindowAfterKB)
+	cr.TraceText = log.Render(title, windowStart, windowStart.Add(rc.trace.Window))
+	cr.TraceLog = log
+	cr.Elapsed = sim.Duration(c.Sim.Now())
+	cr.ElapsedSec = cr.Elapsed.Seconds()
+}
+
+// runStream gives every client one sequential write stream, to shard 1 or
+// (Shard) to shard i mod servers, measured end to end including outages.
+func runStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	roots := c.Roots()
 	size := rc.stream.FileMB << 20
 	done := 0
@@ -741,87 +704,27 @@ func runClusterStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	}
 }
 
-func runClusterCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
-	roots := c.Roots()
-	size := rc.copyW.FileMB * 1024 * 1024
-	c.Sim.Spawn("copy", func(p *sim.Proc) {
-		cres, err := c.Clients[0].Create(p, roots[0], "copy.dat", 0644)
-		if err != nil || cres.Status != nfsproto.OK {
-			panic(fmt.Sprintf("scenario: copy create: %v %v", err, cres))
-		}
-		c.MarkInterval()
-		start := p.Now()
-		if _, err := c.Clients[0].WriteFile(p, cres.File, size); err != nil {
-			panic("scenario: copy: " + err.Error())
-		}
-		cr.Elapsed = p.Now().Sub(start)
-	})
-	c.Sim.Run(0)
-
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	cr.ClientKBps = float64(size) / 1024 / cr.Elapsed.Seconds()
-	st := c.IntervalStats()
-	cr.CPUPercent = st.CPUMeanPercent
-	cr.CPUMaxPercent = st.CPUMaxPercent
-	cr.DiskKBps = st.DiskKBps
-	cr.DiskTps = st.DiskTps
-}
-
-func runRigOpenload(rc *resolved, r *rig.Rig, cr *CellResult, ob *cellObs) {
-	fsOf := func(uint32) *ufs.FS { return r.FS }
-	open := func() {
-		assertSilentSetup(r.Clients, r.Net, r.Fabric, r.Server)
-		r.MarkInterval()
-	}
-	shut := func() {
-		cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-		cr.CPUMaxPercent = cr.CPUPercent
-	}
-	runOpenload(r.Sim, r.Clients, []nfsproto.FH{r.Server.RootFH()}, fsOf, rc, cr, open, shut, ob)
-}
-
-func runClusterOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) {
-	open := func() {
-		var srvs []*server.Server
-		for _, n := range c.Nodes {
-			if !n.Down { // a crash may land on the very instant the window opens
-				srvs = append(srvs, n.Server)
-			}
-		}
-		assertSilentSetup(c.Clients, c.Net, c.Fabric, srvs...)
-		c.MarkInterval()
-	}
-	shut := func() {
-		st := c.IntervalStats()
-		cr.CPUPercent = st.CPUMeanPercent
-		cr.CPUMaxPercent = st.CPUMaxPercent
-		cr.DiskKBps = st.DiskKBps
-		cr.DiskTps = st.DiskTps
-	}
-	runOpenload(c.Sim, c.Clients, c.Roots(), c.FSByFSID, rc, cr, open, shut, ob)
-}
-
-// assertSilentSetup is the open-loop runners' audit at the instant the
+// assertSilentSetup is the open-loop runner's audit at the instant the
 // window opens: set-up is an image built through ufs, so no client has
 // issued or retransmitted an RPC, no segment (the lone medium, or every
 // one of the fabric's) or bridge has carried or dropped a datagram, no
-// gathering engine has seen a write, and no filesystem holds a dirty
-// block. Every counter the cell reports therefore covers the measured
-// window and its drain, nothing before (and, of the lifetime ones, the
-// closing check's one RPC after). A violation is a harness bug, so it
-// panics, like the reference-leak audit.
-func assertSilentSetup(clis []*client.Client, net *netsim.Network, f *netsim.Fabric, srvs ...*server.Server) {
+// running server's gathering engine has seen a write, and no filesystem
+// holds a dirty block. Every counter the cell reports therefore covers the
+// measured window and its drain, nothing before (and, of the lifetime
+// ones, the closing check's one RPC after). A violation is a harness bug,
+// so it panics, like the reference-leak audit.
+func assertSilentSetup(c *cluster.Cluster) {
 	bad := func(format string, args ...any) {
 		panic("scenario: open-loop set-up was not silent: " + fmt.Sprintf(format, args...))
 	}
-	for _, cli := range clis {
+	for _, cli := range c.Clients {
 		if cli.Calls != 0 || cli.Retransmissions != 0 {
 			bad("%s issued %d RPCs and retransmitted %d before the window opened",
 				cli.Name(), cli.Calls, cli.Retransmissions)
 		}
 	}
-	nets := []*netsim.Network{net}
-	if f != nil {
+	nets := []*netsim.Network{c.Net}
+	if f := c.Fabric; f != nil {
 		nets = nets[:0]
 		for _, name := range f.Names() {
 			nets = append(nets, f.Segment(name))
@@ -841,12 +744,29 @@ func assertSilentSetup(clis []*client.Client, net *netsim.Network, f *netsim.Fab
 				n.SentDatagrams, n.DropsNoDest+n.DropsLinkDown)
 		}
 	}
-	for _, srv := range srvs {
+	for _, n := range c.Nodes {
+		if n.Down { // a crash may land on the very instant the window opens
+			continue
+		}
+		srv := n.Server
 		if eng := srv.Engine(); eng != nil && eng.Stats().Writes != 0 {
 			bad("%s's gathering engine saw %d writes before the window opened", srv.Name(), eng.Stats().Writes)
 		}
 		if d := srv.FS().DirtyBlocks(); d != 0 {
 			bad("%s's image has %d dirty blocks at the instant the window opened", srv.Name(), d)
+		}
+	}
+}
+
+// assertOpenloadLedger is the open-loop identity at quiesce: every arrival
+// a generator offered was completed, shed at a full backlog or expired in
+// it — none is left in flight or lost. A violation is a harness bug, so it
+// panics with the numbers.
+func assertOpenloadLedger(clients []OpenloadClient) {
+	for i, oc := range clients {
+		if oc.Offered != oc.Completed+oc.Shed+oc.Expired {
+			panic(fmt.Sprintf("scenario: open-loop ledger does not balance: client %d offered %d != completed %d + shed %d + expired %d",
+				i, oc.Offered, oc.Completed, oc.Shed, oc.Expired))
 		}
 	}
 }
@@ -866,29 +786,28 @@ func splitReplay(tr *trace.OpTrace, n int) []*trace.OpTrace {
 	return out
 }
 
-// runOpenload drives the open-loop generators on either assembly. Set-up
-// is an image, not traffic: one process builds the shared population and
-// every generator's scratch directory by calling ufs directly (fsOf
-// resolves a shard's filesystem), the window opens at a shared barrier
-// after it returns, and the cell aggregates the honest overload
+// runOpenload drives the open-loop generators. Set-up is an image, not
+// traffic: one process builds the shared population and every generator's
+// scratch directory by calling ufs directly, the window opens at a shared
+// barrier after it returns, and the cell aggregates the honest overload
 // accounting — achieved vs offered throughput, shed/expired arrivals,
 // peak backlog — plus full latency quantiles from the merged
-// arrival-to-completion histograms.
-//
-// open runs at the instant the window opens and shut once the last
-// generator has drained; the assembly's interval statistics span the two.
+// arrival-to-completion histograms. The interval statistics span the
+// window's opening and the last generator's drain, and every generator's
+// ledger must balance at quiesce (assertOpenloadLedger).
 //
 // The cell then closes with one RPC of its own: the last generator
 // GETATTRs its scratch directory, the last object the image got, and the
 // server must call the handle Populate minted a directory. Nothing else
 // proves that over the wire in a cell whose window saw no arrival
 // (bench/'s 1 ms set-up twins are such cells, and read model.p99_ms off
-// their RPC spans). It follows shut, so no rate or utilisation the cell
-// reports covers it. A cell whose faults take a server or its storage
-// away skips it.
-func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf func(fsid uint32) *ufs.FS, rc *resolved, cr *CellResult, open, shut func(), ob *cellObs) {
+// their RPC spans). It follows the interval statistics, so no rate or
+// utilisation the cell reports covers it. A cell whose faults take a
+// server or its storage away skips it.
+func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) {
+	s := c.Sim
 	w := rc.open
-	nclients := len(clis)
+	nclients := len(c.Clients)
 
 	var tr *trace.OpTrace
 	var reps []*trace.OpTrace
@@ -913,7 +832,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 			popFiles = mf + 1
 		}
 	}
-	pop, err := openload.NewPopulation(popFiles, w.FileBlocks, w.Population, w.ZipfS, roots)
+	pop, err := openload.NewPopulation(popFiles, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
 	if err != nil {
 		panic("scenario: openload population: " + err.Error())
 	}
@@ -927,7 +846,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 
 	gens := make([]*openload.Gen, nclients)
 	results := make([]openload.Result, nclients)
-	for i, cli := range clis {
+	for i, cli := range c.Clients {
 		cfg := openload.Config{
 			Arrival:  w.Arrival,
 			Rate:     w.TargetOps / float64(nclients),
@@ -957,7 +876,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 	// in client order.
 	barrier := sim.Time(0)
 	s.Spawn("openload-populate", func(p *sim.Proc) {
-		if err := pop.Populate(p, fsOf, gens); err != nil {
+		if err := pop.Populate(p, c.FSByFSID, gens); err != nil {
 			panic("scenario: openload set-up: " + err.Error())
 		}
 		barrier = laddisBarrier
@@ -970,7 +889,8 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 			s.SpawnAfter(barrier.Sub(p.Now()), "openload-driver", func(p *sim.Proc) {
 				if i == 0 {
 					cr.setupEvents = s.EventsFired()
-					open()
+					assertSilentSetup(c)
+					c.MarkInterval()
 				}
 				res, err := gens[i].Run(p)
 				if err != nil {
@@ -1003,7 +923,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 	if finished != nclients {
 		panic("scenario: openload drivers did not finish")
 	}
-	shut()
+	intervalStats(c, cr)
 	if !imageFault {
 		s.Spawn("openload-close", func(p *sim.Proc) {
 			if err := gens[nclients-1].CheckScratch(p); err != nil {
@@ -1046,6 +966,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 			PerOp:        res.PerOp,
 		})
 	}
+	assertOpenloadLedger(cr.OpenloadClients)
 	if tr != nil {
 		// A replay's offered rate is the capture's, not a spec knob.
 		if elapsed > 0 {
@@ -1071,66 +992,4 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, fsOf fu
 	}
 	cr.Elapsed = elapsed
 	cr.ElapsedSec = elapsed.Seconds()
-}
-
-func runClusterLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
-	roots := c.Roots()
-	nclients := len(c.Clients)
-	perClient, total := rc.offered(nclients)
-
-	gens := make([]*workload.LADDIS, nclients)
-	results := make([]workload.LADDISResult, nclients)
-	finished := 0
-	for i, cli := range c.Clients {
-		i, cli := i, cli
-		gens[i] = workload.NewLADDIS(cli, roots[0], workload.LADDISConfig{
-			Files:            rc.laddis.Files,
-			FileBlocks:       rc.laddis.FileBlocks,
-			OfferedOpsPerSec: perClient,
-			Procs:            rc.laddis.Procs,
-			Warmup:           rc.laddis.Warmup,
-			Duration:         rc.laddis.Measure,
-			Seed:             rc.laddis.Seed + int64(i),
-			Roots:            roots,
-			Histograms:       rc.histograms(),
-		})
-		c.Sim.Spawn(fmt.Sprintf("laddis-driver-%d", i), func(p *sim.Proc) {
-			if err := gens[i].Setup(p); err != nil {
-				panic("scenario: laddis setup: " + err.Error())
-			}
-			// Barrier: measurement starts together, well past setup. A
-			// setup that overruns the barrier would silently skew the
-			// interval stats (clients starting staggered, MarkInterval
-			// mid-load), so it is a hard error: grow the barrier with the
-			// working set, don't ignore it.
-			wait := laddisBarrier.Sub(p.Now())
-			if wait < 0 {
-				panic(fmt.Sprintf("scenario: laddis setup for client %d ran %v past the %v barrier; working set too large for the barrier",
-					i, -wait, sim.Duration(laddisBarrier)))
-			}
-			p.Sleep(wait)
-			if i == 0 {
-				c.MarkInterval()
-			}
-			results[i] = gens[i].Run(p)
-			finished++
-		})
-	}
-	c.Sim.Run(0)
-	if finished != nclients {
-		panic("scenario: laddis drivers did not finish")
-	}
-
-	cr.OfferedOpsPerSec = total
-	aggregateLADDIS(cr, results)
-	if rc.histograms() {
-		fillQuantiles(cr, results)
-	}
-	cr.Elapsed = rc.laddis.Measure
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	st := c.IntervalStats()
-	cr.CPUPercent = st.CPUMeanPercent
-	cr.CPUMaxPercent = st.CPUMaxPercent
-	cr.DiskKBps = st.DiskKBps
-	cr.DiskTps = st.DiskTps
 }

@@ -203,9 +203,7 @@ func TestPerNodeOverrides(t *testing.T) {
 		Workload: Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: 1, Shard: true}},
 		Faults: Faults{
 			CheckDurability: true,
-			Crashes: []CrashTrain{
-				{Node: 1, At: 300 * sim.Millisecond, Outage: 200 * sim.Millisecond, Count: 1},
-			},
+			Events:          []FaultEvent{serverCrash(1, 300*sim.Millisecond, 0, 200*sim.Millisecond, 1)},
 		},
 	}
 	res, err := Run(spec)

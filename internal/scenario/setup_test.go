@@ -91,7 +91,7 @@ func TestSilentSetupAuditFires(t *testing.T) {
 				msg = fmt.Sprint(r)
 			}
 		}()
-		assertSilentSetup(c.Clients, c.Net, c.Fabric, c.Nodes[0].Server)
+		assertSilentSetup(c)
 		return ""
 	}
 	c.Sim.Run(0) // the boot-time image flush
@@ -122,9 +122,7 @@ func lateImageSpec() Spec {
 }
 
 func crashAt(at sim.Duration) FaultEvent {
-	return FaultEvent{Kind: FaultServerCrash, ServerCrash: &ServerCrashFault{
-		Node: 0, At: at, Outage: 100 * sim.Millisecond, Count: 1,
-	}}
+	return serverCrash(0, at, 0, 100*sim.Millisecond, 1)
 }
 
 // TestOpenloadFaultOnHalfBuiltImage pins the one constraint the image

@@ -1,11 +1,10 @@
 // Package scenario is the unified experiment API: one declarative,
 // JSON-serializable Spec describes a topology (client groups, server
 // shards, media), a workload (file copies, LADDIS mixes, write streams,
-// traced transfers), an optional fault schedule (per-node crash trains)
-// and a metric selection — and one engine, Run, executes any of them on
-// the appropriate testbed assembly (internal/rig for the paper's
-// single-server configurations, internal/cluster for sharded and
-// crashable ones) and returns a uniform Result.
+// traced transfers, open-loop load), an optional schedule of typed fault
+// events and a metric selection — and one engine, Run, executes any of
+// them on an internal/cluster testbed (one node with the paper boot for
+// the paper's single-server configurations) and returns a uniform Result.
 //
 // The built-in Registry names the paper's tables and figures, the scale
 // and crash sweeps, and the beyond-paper scenarios (crash-under-load
@@ -115,11 +114,12 @@ type Topology struct {
 	Clients []ClientGroup `json:"clients"`
 	// Servers is the server-shard population.
 	Servers Servers `json:"servers"`
-	// Assembly pins the testbed builder: "rig" (single-server, the
-	// paper's original testbed), "cluster" (crashable sharded nodes), or
-	// "" to let the engine choose. The two assemblies boot differently
-	// (the cluster flushes a mountable image at t=0 and names its server
-	// "server1", not "server"), so recorded baselines pin theirs.
+	// Assembly pins how the testbed boots: "rig" (the paper's single
+	// server), "cluster" (crashable sharded nodes), or "" to let the engine
+	// choose. Both are internal/cluster builds, and they boot differently
+	// (the cluster flushes a mountable image at t=0, names its server
+	// "server1", not "server", and carries a boot verifier in its
+	// replies), so recorded baselines pin theirs.
 	Assembly string `json:"assembly,omitempty"`
 }
 
@@ -383,18 +383,10 @@ const (
 	FaultNVRAMLyingSync = fault.KindNVRAMLyingSync
 )
 
-// Faults is the deterministic fault schedule: typed events plus the
-// legacy crash-train list.
+// Faults is the deterministic fault schedule.
 type Faults struct {
-	// Crashes are per-node server crash trains — the original fault
-	// shape, kept first-class in the schema so every recorded spec and
-	// registry entry round-trips byte-identically. Each train is adapted
-	// onto a server-crash event ahead of the typed Events below, in list
-	// order, so a legacy spec schedules exactly what it always did.
-	Crashes []CrashTrain `json:"crashes,omitempty"`
-	// Events is the general form: a list of tagged fault events, each
-	// validated by kind and scheduled in list order after the legacy
-	// trains. See FaultEvent.
+	// Events is a list of tagged fault events, each validated by kind and
+	// scheduled in list order. See FaultEvent.
 	Events []FaultEvent `json:"events,omitempty"`
 	// CheckDurability journals every client-acked write and, after the
 	// run, reads each range back through the recovered shards: acked
@@ -402,17 +394,6 @@ type Faults struct {
 	// client buffered but no server ever acked are tracked separately —
 	// a client crash may legitimately lose those.
 	CheckDurability bool `json:"check_durability,omitempty"`
-}
-
-// CrashTrain schedules Count crash/reboot cycles on one server shard:
-// the first crash at At (simulated time), repeating every Period, each
-// with the given Outage before the reboot starts.
-type CrashTrain struct {
-	Node   int          `json:"node"`
-	At     sim.Duration `json:"at_ns"`
-	Period sim.Duration `json:"period_ns,omitempty"`
-	Outage sim.Duration `json:"outage_ns"`
-	Count  int          `json:"count"`
 }
 
 // FaultEvent is one tagged fault: Kind selects the failure mode and
@@ -440,8 +421,9 @@ type FaultEvent struct {
 	NVRAMLyingSync *NVRAMLyingSyncFault `json:"nvram_lying_sync,omitempty"`
 }
 
-// ServerCrashFault is CrashTrain as a typed event: Count crash/reboot
-// cycles on server shard Node.
+// ServerCrashFault schedules Count crash/reboot cycles on server shard
+// Node: the first crash at At (simulated time), repeating every Period,
+// each with the given Outage before the reboot starts.
 type ServerCrashFault struct {
 	Node   int          `json:"node"`
 	At     sim.Duration `json:"at_ns"`

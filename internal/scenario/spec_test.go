@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,31 +59,31 @@ func TestValidateZeroClients(t *testing.T) {
 func TestValidateUnknownFaultNode(t *testing.T) {
 	s := validSpec()
 	s.Workload = Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: 1}}
-	s.Faults.Crashes = []CrashTrain{{Node: 3, At: sim.Duration(sim.Second), Outage: sim.Millisecond, Count: 1}}
-	wantInvalid(t, s, "faults.crashes[0]")
+	s.Faults.Events = []FaultEvent{serverCrash(3, sim.Second, 0, sim.Millisecond, 1)}
+	wantInvalid(t, s, "faults.events[0]")
 }
 
 func TestValidateOverlappingCrashWindows(t *testing.T) {
 	s := validSpec()
 	s.Workload = Workload{Kind: KindStream, Stream: &StreamWorkload{FileMB: 1}}
 	// Two trains on node 0 whose scheduled outage windows collide.
-	s.Faults.Crashes = []CrashTrain{
-		{Node: 0, At: 100 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1},
-		{Node: 0, At: 120 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1},
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, 100*sim.Millisecond, 0, 50*sim.Millisecond, 1),
+		serverCrash(0, 120*sim.Millisecond, 0, 50*sim.Millisecond, 1),
 	}
-	wantInvalid(t, s, "faults.crashes")
+	wantInvalid(t, s, "faults.events")
 
 	// A single train overlapping itself: period shorter than the outage.
-	s.Faults.Crashes = []CrashTrain{
-		{Node: 0, At: 100 * sim.Millisecond, Period: 20 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 2},
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, 100*sim.Millisecond, 20*sim.Millisecond, 50*sim.Millisecond, 2),
 	}
-	wantInvalid(t, s, "faults.crashes")
+	wantInvalid(t, s, "faults.events")
 
 	// Disjoint windows on distinct nodes are fine.
 	s.Topology.Servers.Count = 2
-	s.Faults.Crashes = []CrashTrain{
-		{Node: 0, At: 100 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1},
-		{Node: 1, At: 120 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1},
+	s.Faults.Events = []FaultEvent{
+		serverCrash(0, 100*sim.Millisecond, 0, 50*sim.Millisecond, 1),
+		serverCrash(1, 120*sim.Millisecond, 0, 50*sim.Millisecond, 1),
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("disjoint per-node windows rejected: %v", err)
@@ -163,6 +164,32 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := Decode([]byte(typo)); err == nil {
 		t.Fatal("strict decode accepted a typo'd field name")
+	}
+}
+
+// TestLegacyCrashesFailDecode: the crash-train list is gone from the
+// schema, so a spec that still spells faults.crashes is an unknown field
+// to the strict decoder, not a schedule that silently runs without its
+// crashes. The same train written as a server-crash event decodes.
+func TestLegacyCrashesFailDecode(t *testing.T) {
+	const spec = `{"name": "t", "seed": 0,
+		"topology": {"net": "fddi", "clients": [{"count": 1}], "servers": {"count": 1}},
+		"workload": {"kind": "stream", "stream": {"file_mb": 1}},
+		"faults": {%s}}`
+	legacy := `"crashes": [{"node": 0, "at_ns": 500000, "outage_ns": 100000, "count": 1}]`
+	if _, err := Decode([]byte(fmt.Sprintf(spec, legacy))); err == nil || !strings.Contains(err.Error(), `"crashes"`) {
+		t.Fatalf("a faults.crashes spec decoded (err %v); the strict decoder must name the field", err)
+	}
+	typed := `"events": [{"kind": "server-crash", "server_crash": {"node": 0, "at_ns": 500000, "outage_ns": 100000, "count": 1}}]`
+	s, err := Decode([]byte(fmt.Sprintf(spec, typed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serverCrash(0, 500*sim.Millisecond, 0, 100*sim.Millisecond, 1); !reflect.DeepEqual(s.Faults.Events, []FaultEvent{want}) {
+		t.Fatalf("decoded events %+v, want %+v", s.Faults.Events, want)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // ValidationError reports one way a Spec is invalid. Field is the dotted
-// spec path ("topology.clients", "faults.crashes[1]"); for sweeps the
+// spec path ("topology.clients", "faults.events[1]"); for sweeps the
 // engine prefixes the offending cell.
 type ValidationError struct {
 	Field  string
@@ -82,11 +82,9 @@ type resolved struct {
 	// spec declares none — the zero-cost path).
 	observe *Observe
 
+	// faults is the validated fault schedule; Run arms its events in
+	// list order.
 	faults Faults
-	// events is the normalized fault schedule: the legacy crash trains
-	// adapted onto server-crash events (in list order), then the typed
-	// events, all validated. Run schedules exactly this list in order.
-	events []FaultEvent
 	// storageFaults is true when the schedule carries storage-plane
 	// events (media errors, degraded windows, torn writes, lying NVRAM):
 	// the runner then tolerates failed client operations and failed
@@ -358,10 +356,6 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	default:
 		return nil, invalid("topology.assembly", "unknown assembly %q", s.Topology.Assembly)
 	}
-	if r.kind == KindTrace && r.assembly == AssemblyCluster {
-		return nil, invalid("workload.kind",
-			"the trace workload runs on the single-server rig assembly only")
-	}
 	return r, nil
 }
 
@@ -593,12 +587,12 @@ func trimSegments(media []Medium, groups []ClientGroup, n int) ([]Medium, []Clie
 }
 
 // needsCluster reports why the cell requires the cluster assembly ("" if
-// the single-server rig suffices).
+// the rig, the paper's single-server boot, suffices).
 func (r *resolved) needsCluster() string {
 	switch {
 	case r.servers.Count > 1:
 		return "multiple server shards"
-	case len(r.faults.Crashes) > 0 || len(r.faults.Events) > 0 || r.faults.CheckDurability:
+	case len(r.faults.Events) > 0 || r.faults.CheckDurability:
 		return "fault injection (only cluster assemblies are faultable)"
 	case len(r.servers.Nodes) > 0:
 		return "per-node server overrides"
@@ -627,26 +621,14 @@ type faultWindow struct {
 // back).
 const forever = sim.Duration(1<<63 - 1)
 
-// validateFaults normalizes the fault schedule — the legacy crash trains
-// become server-crash events ahead of the typed list — and checks every
-// event by kind against the resolved topology: known targets, sane cycle
+// validateFaults checks every fault event by kind against the resolved
+// topology: known targets, sane cycle
 // parameters, strict kind/variant pairing, per-target non-overlapping
 // down-windows (the injector skips a fault aimed at a target that is
 // still down, so an overlapping schedule would silently drop cycles
 // instead of running what the spec describes), and failover sanity (the
 // adopter must not be dead, dying, or itself failed-over).
 func (r *resolved) validateFaults() error {
-	r.events = nil
-	for _, tr := range r.faults.Crashes {
-		r.events = append(r.events, FaultEvent{
-			Kind: FaultServerCrash,
-			ServerCrash: &ServerCrashFault{
-				Node: tr.Node, At: tr.At, Period: tr.Period, Outage: tr.Outage, Count: tr.Count,
-			},
-		})
-	}
-	r.events = append(r.events, r.faults.Events...)
-
 	serverWin := map[int][]faultWindow{}
 	clientWin := map[int][]faultWindow{}
 	segWin := map[string][]faultWindow{}
@@ -673,8 +655,8 @@ func (r *resolved) validateFaults() error {
 	}
 	degradeWin := map[int][]diskWindow{}
 
-	for i, ev := range r.events {
-		field := r.eventField(i)
+	for i, ev := range r.faults.Events {
+		field := eventField(i)
 		if err := r.checkVariant(field, ev); err != nil {
 			return err
 		}
@@ -988,7 +970,7 @@ func (r *resolved) firstImageFault() (first FaultEvent, field string, ok bool) {
 	if r.kind != KindOpenload {
 		return FaultEvent{}, "", false
 	}
-	for i, ev := range r.events {
+	for i, ev := range r.faults.Events {
 		switch ev.Kind {
 		case FaultServerCrash, FaultShardFailover, FaultDiskReadError,
 			FaultDiskDegraded, FaultDiskTornWrite, FaultNVRAMLyingSync:
@@ -996,20 +978,14 @@ func (r *resolved) firstImageFault() (first FaultEvent, field string, ok bool) {
 			continue
 		}
 		if !ok || eventAt(ev) < eventAt(first) {
-			first, field, ok = ev, r.eventField(i), true
+			first, field, ok = ev, eventField(i), true
 		}
 	}
 	return first, field, ok
 }
 
-// eventField names the spec field the i-th normalized event came from:
-// the legacy crash trains lead the list, the typed events follow.
-func (r *resolved) eventField(i int) string {
-	if legacy := len(r.faults.Crashes); i >= legacy {
-		return fmt.Sprintf("faults.events[%d]", i-legacy)
-	}
-	return fmt.Sprintf("faults.crashes[%d]", i)
-}
+// eventField names the spec field of the i-th fault event.
+func eventField(i int) string { return fmt.Sprintf("faults.events[%d]", i) }
 
 // imageFaultError is the spec error for an event firstImageFault found
 // ahead of the window; window says what is known of the window then.
@@ -1109,9 +1085,11 @@ func (r *resolved) clientBiods(idx int) int {
 	return 0
 }
 
-// clusterConfig maps the resolved cell onto a cluster build.
+// clusterConfig maps the resolved cell onto a cluster build: the paper
+// boot for the rig assembly, the crashable default for the cluster one.
 func (r *resolved) clusterConfig() cluster.Config {
 	cfg := cluster.Config{
+		PaperBoot:      r.assembly == AssemblyRig,
 		Net:            r.net,
 		Servers:        r.servers.Count,
 		Presto:         r.servers.Presto,
