@@ -64,11 +64,12 @@ type Client struct {
 	outstanding int
 	closeCond   *sim.Cond
 
-	// Volatile host state the fault layer manipulates: the daemon
-	// processes (receiver + biods) a crash kills, the application
-	// processes registered via AdoptApp that die with the host, and the
-	// per-biod in-flight job table KillBiods uses to settle flow-control
-	// accounting for daemons killed mid-RPC.
+	// Volatile host state the fault layer manipulates: the biod
+	// processes a crash kills, the application processes registered via
+	// AdoptApp that die with the host, and the per-biod in-flight job
+	// table KillBiods uses to settle flow-control accounting for daemons
+	// killed mid-RPC. (The reply demultiplexer is a callback on the
+	// endpoint, and dies with it.)
 	daemons    []*sim.Proc
 	apps       []*sim.Proc
 	activeJobs map[*sim.Proc]*writeJob
@@ -97,7 +98,12 @@ type Client struct {
 	Calls           uint64
 	// Timeouts counts calls that exhausted every retransmission attempt
 	// and returned ErrTimeout — the storm signature of sustained overload.
-	Timeouts     uint64
+	Timeouts uint64
+	// Replied counts calls that returned with a reply, Abandoned those
+	// whose caller a kill unwound first (a host crash, a lost biod); at
+	// quiesce Calls = Replied + Timeouts + Abandoned.
+	Replied      uint64
+	Abandoned    uint64
 	WriteCounter stats.Counter
 	WriteLatency stats.Latency
 	// RebootsSeen counts server boot-verifier changes observed in replies.
@@ -138,8 +144,8 @@ type pendingCall struct {
 	cond     sim.Cond
 	reply    *oncrpc.ReplyMsg // nil until a reply arrives; points at replyBuf
 	replyBuf oncrpc.ReplyMsg
-	// body is the reply datagram's body reference, taken over by the
-	// receiver; finishCall passes it on to the client's replyBody.
+	// body is the reply datagram's body reference, taken over by
+	// receive; finishCall passes it on to the client's replyBody.
 	body    *block.Buf
 	bodyLen int
 }
@@ -205,11 +211,12 @@ func New(s *sim.Sim, n *netsim.Network, name, server string, params hw.ClientPar
 	return c
 }
 
-// startDaemons spawns one boot's volatile processes: the reply receiver
-// and the biod pool. New and Reboot both go through here.
+// startDaemons starts one boot's volatile machinery: the reply
+// demultiplexer on the boot's endpoint and the biod pool. New and Reboot
+// both go through here.
 func (c *Client) startDaemons() {
+	c.ep.Serve(c.receive)
 	c.daemons = c.daemons[:0]
-	c.daemons = append(c.daemons, c.sim.Spawn(c.name+"-recv", c.receiver))
 	for i := 0; i < c.numBiods; i++ {
 		c.daemons = append(c.daemons, c.sim.Spawn(fmt.Sprintf("%s-biod%d", c.name, i), c.biod))
 	}
@@ -242,44 +249,43 @@ func (c *Client) dest(fh nfsproto.FH) string {
 	return c.server
 }
 
-// receiver demultiplexes replies to waiting callers by XID. Replies are
-// decoded into the pending call's embedded record — the steady-state path
-// allocates nothing — and late duplicates are dropped without a decode.
-func (c *Client) receiver(p *sim.Proc) {
-	for {
-		dg := c.ep.Inbox.Get(p)
-		xid, ok := oncrpc.PeekXID(dg.Payload)
-		if !ok {
-			dg.Release()
-			continue
-		}
-		pc, active := c.pending[xid]
-		if !active || pc.reply != nil {
-			dg.Release() // late duplicate reply; drop
-			continue
-		}
-		if err := oncrpc.DecodeReplyInto(dg.Payload, &pc.replyBuf); err != nil {
-			dg.Release()
-			continue
-		}
-		// A changed boot-instance verifier is the client's only evidence
-		// that the server restarted (and lost its duplicate cache).
-		if id, has := oncrpc.BootVerf(pc.replyBuf.Verf); has {
-			if last, seen := c.bootIDs[dg.From]; seen && last != id {
-				c.RebootsSeen++
-			}
-			if c.bootIDs == nil {
-				c.bootIDs = make(map[string]uint64)
-			}
-			c.bootIDs[dg.From] = id
-		}
-		// A split reply's data block stays with the call instead of dying
-		// with the datagram.
-		pc.body, pc.bodyLen = dg.TakeBody()
+// receive demultiplexes one reply to its waiting caller by XID. It never
+// blocks, so it runs as the endpoint's callback (Endpoint.Serve), not as a
+// process. Replies are decoded into the pending call's embedded record —
+// the steady-state path allocates nothing — and late duplicates are
+// dropped without a decode.
+func (c *Client) receive(dg *netsim.Datagram) {
+	xid, ok := oncrpc.PeekXID(dg.Payload)
+	if !ok {
 		dg.Release()
-		pc.reply = &pc.replyBuf
-		pc.cond.Signal()
+		return
 	}
+	pc, active := c.pending[xid]
+	if !active || pc.reply != nil {
+		dg.Release() // late duplicate reply; drop
+		return
+	}
+	if err := oncrpc.DecodeReplyInto(dg.Payload, &pc.replyBuf); err != nil {
+		dg.Release()
+		return
+	}
+	// A changed boot-instance verifier is the client's only evidence that
+	// the server restarted (and lost its duplicate cache).
+	if id, has := oncrpc.BootVerf(pc.replyBuf.Verf); has {
+		if last, seen := c.bootIDs[dg.From]; seen && last != id {
+			c.RebootsSeen++
+		}
+		if c.bootIDs == nil {
+			c.bootIDs = make(map[string]uint64)
+		}
+		c.bootIDs[dg.From] = id
+	}
+	// A split reply's data block stays with the call instead of dying with
+	// the datagram.
+	pc.body, pc.bodyLen = dg.TakeBody()
+	dg.Release()
+	pc.reply = &pc.replyBuf
+	pc.cond.Signal()
 }
 
 // encoder returns the client's one encoder, reset onto a fresh wire buffer
@@ -362,7 +368,11 @@ func (c *Client) CallTo(p *sim.Proc, to string, proc nfsproto.Proc, args []byte)
 func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsproto.FH, routed bool, to string, raw []byte, body *block.Buf, bodyLen int) (*oncrpc.ReplyMsg, error) {
 	pc := c.getPC()
 	c.pending[xid] = pc
+	settled := false
 	defer func() {
+		if !settled {
+			c.Abandoned++ // the caller is being unwound by a kill
+		}
 		delete(c.pending, xid)
 		// The reply's body, if it had one, becomes the client's; the one
 		// held for the previous call is dead by the scratch discipline.
@@ -394,6 +404,8 @@ func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsp
 			c.net.Send(p, c.name, to, raw)
 		}
 		if pc.cond.WaitTimeout(p, rto) || pc.reply != nil {
+			settled = true
+			c.Replied++
 			reply := pc.reply
 			c.lastAttempts = attempt + 1
 			if c.OnRPC != nil {
@@ -412,6 +424,7 @@ func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsp
 			rto = c.MaxRTO
 		}
 	}
+	settled = true
 	c.lastAttempts = tries
 	c.Timeouts++
 	if c.OnRPC != nil {
@@ -725,13 +738,14 @@ func (c *Client) AdoptApp(p *sim.Proc) { c.apps = append(c.apps, p) }
 // streams that can never finish.
 func (c *Client) AppsKilled() int { return c.appsKilled }
 
-// Crash kills the client host instantaneously: the receiver, the biod
-// pool and every adopted application process die mid-operation, the
-// socket buffer is lost with the interface, and the dirty write-behind
-// queue — writes the application was told "done" about but no server ever
-// acked — is discarded, exactly what a workstation power cycle loses.
-// Pending RPCs clean themselves up as their killed callers unwind. The
-// platters of this story live on the servers; a client has none.
+// Crash kills the client host instantaneously: the biod pool and every
+// adopted application process die mid-operation, the socket buffer is lost
+// with the interface (and its reply demultiplexer with it), and the dirty
+// write-behind queue — writes the application was told "done" about but
+// no server ever acked — is discarded, exactly what a workstation power
+// cycle loses. Pending RPCs clean themselves up as their killed callers
+// unwind. The platters of this story live on the servers; a client has
+// none.
 func (c *Client) Crash() {
 	if c.Down {
 		return
@@ -768,10 +782,10 @@ func (c *Client) Crash() {
 	c.Down = true
 }
 
-// Reboot brings the client host back: a fresh interface attachment, a
-// fresh receiver and a fresh biod pool. Applications do not restart —
-// whatever stream was interrupted stays interrupted, as it would on a
-// real workstation — and the write-behind dropped by the crash stays
+// Reboot brings the client host back: a fresh interface attachment served
+// by a fresh demultiplexer, and a fresh biod pool. Applications do not
+// restart — whatever stream was interrupted stays interrupted, as it would
+// on a real workstation — and the write-behind dropped by the crash stays
 // dropped: NFS promises durability only for server-acked bytes.
 func (c *Client) Reboot() {
 	if !c.Down {
@@ -793,9 +807,6 @@ func (c *Client) KillBiods(n int) int {
 		pr := c.daemons[i]
 		if pr.Done() || pr.Killed() {
 			continue
-		}
-		if pr == c.daemons[0] {
-			continue // never the receiver; biods only
 		}
 		if job, busy := c.activeJobs[pr]; busy {
 			delete(c.activeJobs, pr)

@@ -11,10 +11,12 @@ import (
 // datagrams through the normal delivery path — the "store") and owns a
 // bounded FIFO output queue feeding a transmitter process that
 // re-serializes forwarded datagrams onto the attached segment (the
-// "forward"). Queueing delay is therefore charged in sim time by the
-// target medium itself: one transmitter per port drains the FIFO in
-// order, and each datagram pays the full wire time of the outgoing
-// segment. The queue bound is the bridge's drop budget; overflow and
+// "forward"). Routing an arrival onto an output queue never blocks, so
+// the receive side is a callback on the port's endpoint, not a process;
+// only the transmitter, which holds the medium, is one. Queueing delay is
+// therefore charged in sim time by the target medium itself: one
+// transmitter per port drains the FIFO in order, and each datagram pays
+// the full wire time of the outgoing segment. The queue bound is the bridge's drop budget; overflow and
 // down-port losses are counted per port.
 //
 // Forwarding is static. A bridge built by hand has hosts registered with
@@ -108,8 +110,8 @@ func NewBridge(s *sim.Sim, name string, p BridgeParams) *Bridge {
 }
 
 // AttachPort joins the bridge to a segment: it attaches an endpoint
-// named after the bridge, and spawns the port's receiver and
-// transmitter processes. segment is a reporting label.
+// named after the bridge, serves it with the port's router, and spawns
+// the port's transmitter process. segment is a reporting label.
 func (b *Bridge) AttachPort(n *Network, segment string) *BridgePort {
 	bp := &BridgePort{
 		Index:   len(b.Ports),
@@ -121,7 +123,7 @@ func (b *Bridge) AttachPort(n *Network, segment string) *BridgePort {
 			func(d *Datagram) int { return d.Size() }),
 	}
 	b.Ports = append(b.Ports, bp)
-	b.sim.Spawn(fmt.Sprintf("%s.rx%d", b.Name, bp.Index), func(p *sim.Proc) { b.receive(p, bp) })
+	bp.ep.Serve(func(dg *Datagram) { b.route(bp, dg) })
 	b.sim.Spawn(fmt.Sprintf("%s.tx%d", b.Name, bp.Index), func(p *sim.Proc) { bp.transmit(p) })
 	return bp
 }
@@ -148,23 +150,20 @@ func (b *Bridge) outPort(in *BridgePort, host string) *BridgePort {
 	return nil
 }
 
-// receive drains one port's inbox, looking up the output port for each
-// datagram and enqueueing it on that port's FIFO. No way onward — or one
-// pointing back out the arrival port — filters the datagram.
-func (b *Bridge) receive(p *sim.Proc, in *BridgePort) {
-	for {
-		dg := in.ep.Inbox.Get(p)
-		out := b.outPort(in, dg.To)
-		if out == nil || out == in {
-			in.DropsNoRoute++
-			dg.Release()
-			continue
-		}
-		if !out.out.Put(dg) {
-			// Queue full: the per-port drop budget is spent; the byte
-			// queue counted the drop, we just release the record.
-			dg.Release()
-		}
+// route looks up the output port for one datagram that arrived on in and
+// enqueues it on that port's FIFO. No way onward — or one pointing back
+// out the arrival port — filters the datagram.
+func (b *Bridge) route(in *BridgePort, dg *Datagram) {
+	out := b.outPort(in, dg.To)
+	if out == nil || out == in {
+		in.DropsNoRoute++
+		dg.Release()
+		return
+	}
+	if !out.out.Put(dg) {
+		// Queue full: the per-port drop budget is spent; the byte queue
+		// counted the drop, we just release the record.
+		dg.Release()
 	}
 }
 

@@ -111,6 +111,26 @@ type Endpoint struct {
 	linkDown bool
 }
 
+// Serve hands every datagram that reaches the socket buffer to fn, oldest
+// first, from a callback armed on the buffer (Queue.Notify): a consumer
+// that never blocks mid-datagram needs no process. Serving stops when the
+// endpoint is detached; a drain already scheduled then finds it dead and
+// does nothing, and Detach has released whatever was queued.
+func (e *Endpoint) Serve(fn func(*Datagram)) {
+	var drain func()
+	drain = func() {
+		for !e.dead {
+			dg, ok := e.Inbox.TryGet()
+			if !ok {
+				e.Inbox.Notify(drain)
+				return
+			}
+			fn(dg)
+		}
+	}
+	e.Inbox.Notify(drain)
+}
+
 // Dead reports whether the endpoint has been detached from its network.
 func (e *Endpoint) Dead() bool { return e.dead }
 

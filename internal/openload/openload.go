@@ -20,6 +20,10 @@
 //
 // A captured op timeline (trace.OpTrace) replays through the same
 // admission path at recorded or speed-scaled instants.
+//
+// The arrival clock never blocks, so it is no process but a chain of
+// events (Gen.Start); an admitted operation, which waits on its RPCs, runs
+// on a process of its own.
 package openload
 
 import (
@@ -321,7 +325,7 @@ type Config struct {
 	// Seed drives this generator's op/file/gap draws.
 	Seed int64
 	// Replay substitutes a captured timeline for the synthetic process;
-	// Speed scales its clock (0 means 1x). Arrival/Rate/Mix are ignored.
+	// ReplaySpeed scales its clock (0 = 1x); Arrival/Rate/Mix are ignored.
 	Replay      *trace.OpTrace
 	ReplaySpeed float64
 }
@@ -371,9 +375,19 @@ type Gen struct {
 	name    string // of every operation's process
 	scratch nfsproto.FH
 	seq     int
-	end     sim.Time
-	active  int
-	done    sim.Cond
+
+	// The arrival clock (Start): tick is synthetic or replay, re-armed
+	// with At until the window closes; due is the next synthetic arrival,
+	// next the next replay record.
+	sim        *sim.Sim
+	tick       func()
+	arr        Arrival
+	due        sim.Time
+	next       int
+	start, end sim.Time
+	closed     bool
+	active     int
+	finish     func(Result)
 }
 
 // NewGen builds a generator bound to one client over the shared
@@ -387,6 +401,9 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.Window
+	}
+	if cfg.ReplaySpeed <= 0 {
+		cfg.ReplaySpeed = 1
 	}
 	return &Gen{cfg: cfg, cli: cli, pop: pop, name: "openload-" + cli.Name(), res: Result{PerOp: make(map[string]int)}}
 }
@@ -425,39 +442,43 @@ func (g *Gen) CheckScratch(p *sim.Proc) error {
 	return nil
 }
 
-// Run emits arrivals until Measure elapses (or the replay timeline
-// ends), waits for in-flight and backlogged work to drain, and returns
-// the accounting. The caller's process blocks for the duration.
-func (g *Gen) Run(p *sim.Proc) (Result, error) {
-	s := p.Sim()
+// Start opens the window on s now. A chain of events emits arrivals until
+// Measure elapses (or the replay timeline ends); once in-flight and
+// backlogged work has drained too, finish receives the accounting.
+func (g *Gen) Start(s *sim.Sim, finish func(Result)) error {
+	g.sim, g.finish = s, finish
 	g.rng = rand.New(rand.NewSource(g.cfg.Seed))
 	g.win = client.NewIssueWindow(g.cfg.Window)
 	g.backlog = sim.NewQueue[task](s, g.cfg.QueueCap)
-	g.done.Init(s)
-	start := s.Now()
-	g.end = start.Add(g.cfg.Measure)
-
+	g.start = s.Now()
+	g.end = g.start.Add(g.cfg.Measure)
 	if g.cfg.Replay != nil {
-		g.replayArrivals(p, start)
+		g.tick = g.replay
 	} else {
 		arr, err := NewArrival(g.cfg.Arrival, g.cfg.Rate, g.cfg.BurstOn, g.cfg.BurstOff)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		g.syntheticArrivals(p, arr)
+		g.arr, g.tick = arr, g.synthetic
+		g.due = g.start.Add(arr.First(g.rng))
 	}
-	// Drain: every backlogged arrival is either executed or expired by
-	// the op processes before they release their window slots.
-	for g.active > 0 {
-		g.done.Wait(p)
+	g.tick()
+	return nil
+}
+
+// Run is Start on p's simulation plus a wait: p blocks until the window
+// has closed and the last operation has drained, and gets the accounting.
+func (g *Gen) Run(p *sim.Proc) (Result, error) {
+	wake := p.Park()
+	if err := g.Start(p.Sim(), func(Result) { wake() }); err != nil {
+		return Result{}, err
 	}
-	g.res.PeakQueue = g.backlog.PeakLen()
-	g.res.PeakInFlight = g.win.Peak()
+	p.Block()
 	return g.res, nil
 }
 
 // InFlight reports operations currently holding admission slots (the
-// observability plane's probe; zero before Run starts).
+// observability plane's probe; zero before Start).
 func (g *Gen) InFlight() int {
 	if g.win == nil {
 		return 0
@@ -465,7 +486,7 @@ func (g *Gen) InFlight() int {
 	return g.win.InFlight()
 }
 
-// QueueLen reports the current backlog depth (zero before Run starts).
+// QueueLen reports the current backlog depth (zero before Start).
 func (g *Gen) QueueLen() int {
 	if g.backlog == nil {
 		return 0
@@ -476,46 +497,60 @@ func (g *Gen) QueueLen() int {
 // Counters reports (offered, shed) so far, for probes.
 func (g *Gen) Counters() (offered, shed uint64) { return g.res.Offered, g.res.Shed }
 
-// syntheticArrivals emits mix-driven arrivals on the arrival process's
-// clock until the measure window closes.
-func (g *Gen) syntheticArrivals(p *sim.Proc, arr Arrival) {
-	for gap := arr.First(g.rng); ; gap = arr.Gap(g.rng) {
-		now := p.Now()
-		if now.Add(gap) >= g.end {
-			// The next arrival falls past the window; advance to the
-			// boundary so the cell's quiesce stays tight.
-			if left := g.end.Sub(now); left > 0 {
-				p.Sleep(left)
-			}
+// synthetic admits the mix-driven arrivals due by now and arms the clock
+// for the next one. An arrival that would fall past the window instead
+// advances the clock to the boundary, so the cell's quiesce stays tight,
+// and closes the window there.
+func (g *Gen) synthetic() {
+	for {
+		now := g.sim.Now()
+		if at := min(g.due, g.end); at > now {
+			g.sim.At(at.Sub(now), g.tick)
 			return
 		}
-		if gap > 0 {
-			p.Sleep(gap)
+		if g.due >= g.end {
+			g.closed = true
+			g.settle()
+			return
 		}
-		g.admit(p, g.nextTask(p.Now()))
+		g.admit(g.nextTask(now))
+		g.due = now.Add(g.arr.Gap(g.rng))
 	}
 }
 
-// replayArrivals re-emits a captured timeline at recorded (or
-// speed-scaled) instants through the same admission path.
-func (g *Gen) replayArrivals(p *sim.Proc, start sim.Time) {
-	speed := g.cfg.ReplaySpeed
-	if speed <= 0 {
-		speed = 1
-	}
-	for _, rec := range g.cfg.Replay.Ops {
-		at := start.Add(sim.Duration(float64(rec.At) / speed))
+// replay re-emits a captured timeline at recorded (or speed-scaled)
+// instants through the same admission path, and closes the window after
+// the last record, or at the first one past Measure.
+func (g *Gen) replay() {
+	for ops := g.cfg.Replay.Ops; g.next < len(ops); g.next++ {
+		rec := ops[g.next]
+		at := g.start.Add(sim.Duration(float64(rec.At) / g.cfg.ReplaySpeed))
 		if g.cfg.Measure > 0 && at >= g.end {
-			return
+			break
 		}
-		if wait := at.Sub(p.Now()); wait > 0 {
-			p.Sleep(wait)
+		now := g.sim.Now()
+		if at > now {
+			g.sim.At(at.Sub(now), g.tick)
+			return
 		}
 		op, ok := workload.OpByName(rec.Op)
 		if !ok {
 			op = workload.OpGetattr // unknown names degrade to the cheapest attr op
 		}
-		g.admit(p, task{at: p.Now(), op: op, file: rec.File % len(g.pop.Files), off: rec.Off})
+		g.admit(task{at: now, op: op, file: rec.File % len(g.pop.Files), off: rec.Off})
+	}
+	g.closed = true
+	g.settle()
+}
+
+// settle hands the accounting to Start's caller once the window has closed
+// and the last operation has ended: every backlogged arrival is executed or
+// expired by the op processes before they release their window slots.
+func (g *Gen) settle() {
+	if g.closed && g.active == 0 {
+		g.res.PeakQueue = g.backlog.PeakLen()
+		g.res.PeakInFlight = g.win.Peak()
+		g.finish(g.res)
 	}
 }
 
@@ -542,10 +577,10 @@ func (g *Gen) nextTask(now sim.Time) task {
 // admit is the open-loop admission decision at one arrival instant:
 // claim a window slot without blocking, else backlog, else shed. It
 // never delays the arrival clock.
-func (g *Gen) admit(p *sim.Proc, t task) {
+func (g *Gen) admit(t task) {
 	g.res.Offered++
 	if g.win.TryAcquire() {
-		g.dispatch(p.Sim(), t)
+		g.dispatch(t)
 	} else if !g.backlog.Put(t) {
 		g.res.Shed++
 	}
@@ -554,9 +589,9 @@ func (g *Gen) admit(p *sim.Proc, t task) {
 // dispatch runs one admitted task on its own process; after completing
 // it the process keeps its window slot and chains through the backlog
 // until the backlog is empty, then releases.
-func (g *Gen) dispatch(s *sim.Sim, t task) {
+func (g *Gen) dispatch(t task) {
 	g.active++
-	s.Spawn(g.name, func(q *sim.Proc) {
+	g.sim.Spawn(g.name, func(q *sim.Proc) {
 		for {
 			g.exec(q, t)
 			nt, ok := g.nextLive(q)
@@ -567,9 +602,7 @@ func (g *Gen) dispatch(s *sim.Sim, t task) {
 		}
 		g.win.Release()
 		g.active--
-		if g.active == 0 {
-			g.done.Broadcast()
-		}
+		g.settle()
 	})
 }
 

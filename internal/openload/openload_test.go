@@ -9,6 +9,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
@@ -223,5 +224,66 @@ func TestImageEqualsWire(t *testing.T) {
 		}
 		wr.Sim.Close()
 		ir.Sim.Close()
+	}
+}
+
+// TestRunIsStartPlusWait holds the one arrival path to its two entry
+// points: generators started as events (Start, as the engine starts them)
+// and generators run by a waiting process (Run) give the same accounting
+// and end the simulation at the same instant. The last generator replays a
+// timeline whose only record falls past its window, so it settles inside
+// Start, before Run's process has blocked.
+func TestRunIsStartPlusWait(t *testing.T) {
+	run := func(wait bool) ([]Result, sim.Time) {
+		r := imageRig(true)
+		defer r.Sim.Close()
+		pop, err := NewPopulation(32, 4, PopZipf, 1.1, r.Roots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := make([]*Gen, len(r.Clients))
+		for i, cli := range r.Clients {
+			cfg := Config{Arrival: ArrivalPoisson, Rate: 150, Measure: 2 * sim.Second, Seed: 40 + int64(i)}
+			if i == len(gens)-1 {
+				cfg.Replay = &trace.OpTrace{Ops: []trace.OpRecord{{At: 3 * sim.Second, Op: "read"}}}
+			}
+			gens[i] = NewGen(cli, pop, cfg)
+		}
+		results := make([]Result, len(gens))
+		settled := 0
+		r.Sim.Spawn("populate", func(p *sim.Proc) {
+			if err := pop.Populate(p, r.FSByFSID, gens); err != nil {
+				t.Error(err)
+				return
+			}
+			for i, g := range gens {
+				if wait {
+					r.Sim.Spawn("run", func(q *sim.Proc) {
+						res, err := g.Run(q)
+						if err != nil {
+							t.Error(err)
+						}
+						results[i] = res
+						settled++
+					})
+				} else if err := g.Start(r.Sim, func(res Result) { results[i] = res; settled++ }); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		end := r.Sim.Run(0)
+		if settled != len(gens) {
+			t.Fatalf("wait=%v: %d of %d generators settled", wait, settled, len(gens))
+		}
+		return results, end
+	}
+	started, startEnd := run(false)
+	waited, waitEnd := run(true)
+	if startEnd != waitEnd || !reflect.DeepEqual(started, waited) {
+		t.Errorf("Start ended at %v, Run at %v; accounting equal: %v", startEnd, waitEnd, reflect.DeepEqual(started, waited))
+	}
+	if started[0].Completed == 0 || started[len(started)-1].Offered != 0 {
+		t.Errorf("first generator completed %d ops, the replay offered %d; want some and none",
+			started[0].Completed, started[len(started)-1].Offered)
 	}
 }

@@ -312,7 +312,7 @@ func (ob *cellObs) install(c *cluster.Cluster) {
 }
 
 // setOpenload hands the sampler the cell's live generators. Nil-safe,
-// like every cellObs method; before the generators' Run starts their
+// like every cellObs method; before the generators start, their
 // gauges read zero, so early samples stay well-formed.
 func (ob *cellObs) setOpenload(gens []*openload.Gen) {
 	if ob == nil || ob.series == nil {

@@ -429,3 +429,31 @@ func TestFuzzGeneratesOpenloadSpecs(t *testing.T) {
 	}
 	t.Logf("fuzz coverage: arrivals %v, %d openload specs with faults", arrivals, withEvents)
 }
+
+// TestProcessesDoNotScaleWithClients counts the coroutines an open-loop
+// cell of 1,000 clients on 10 bridged segments starts. A client's reply
+// demultiplexer, a bridge port's router and a generator's arrival clock
+// never block mid-stack, so none of them is a process: the count is
+// bounded by the operations in flight at once, the nfsds and the bridges'
+// transmitters, plus a few of the harness's own (the image builder, the
+// closing check) — not by the number of clients, two per client when the
+// first three were processes. It counts and never times, so it cannot
+// flake.
+func TestProcessesDoNotScaleWithClients(t *testing.T) {
+	const segments, perSegment, harness = 10, 100, 4
+	spec := OpenloadBridged("carriers", "processes against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
+	spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}
+	c := MustRun(spec).Cells[0]
+	inFlight := 0 // the clients' peaks summed: at least the cell's peak
+	for _, oc := range c.OpenloadClients {
+		inFlight += oc.PeakInFlight
+	}
+	txPorts := 2 * segments // one uplink bridge per leaf, two ports each
+	bound := inFlight + spec.Topology.Servers.Nfsds + txPorts + harness
+	t.Logf("%d clients: %d coroutines; %d ops in flight at the clients' peaks, bound %d",
+		segments*perSegment, c.carriers, inFlight, bound)
+	if c.carriers > bound {
+		t.Errorf("%d clients started %d coroutines, more than %d in flight + %d nfsds + %d transmitters + %d",
+			segments*perSegment, c.carriers, inFlight, spec.Topology.Servers.Nfsds, txPorts, harness)
+	}
+}

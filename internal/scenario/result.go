@@ -230,6 +230,9 @@ type CellResult struct {
 	// unit that does not depend on the host (0 for other workload kinds).
 	// TestOpenloadSetupBudget bounds it.
 	setupEvents uint64
+	// carriers is how many coroutines the cell's simulation started: the
+	// peak number of processes alive at once (TestProcessesDoNotScaleWithClients).
+	carriers int
 	// err is a spec error only running the cell could find (runOpenload's
 	// fault-before-the-window check). The cell stopped there and carries
 	// nothing else; runEngine returns it in place of the result.

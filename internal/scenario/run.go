@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/netsim"
@@ -281,6 +282,9 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 		c.Sim.Spawn("verify", func(p *sim.Proc) { check = j.Verify(p, c) })
 		c.Sim.Run(0)
 	}
+	if rc.kind != KindTrace { // a trace cell stops at its bound, mid-copy
+		assertRPCLedger(c.Clients)
+	}
 
 	for _, cli := range c.Clients {
 		cr.Retransmissions += cli.Retransmissions
@@ -356,6 +360,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 	}
 	collectFabric(&cr, c.Fabric)
 	cr.SimTime = sim.Duration(c.Sim.Now())
+	cr.carriers = c.Sim.Carriers()
 	ob.finish(&cr)
 	return cr
 }
@@ -771,6 +776,20 @@ func assertOpenloadLedger(clients []OpenloadClient) {
 	}
 }
 
+// assertRPCLedger is the client identity at quiesce: every RPC a client
+// issued was answered, timed out, or abandoned by a caller a kill unwound,
+// and none is still registered. A call the books lose — a caller parked for
+// good, an unwind that skipped finishCall's cleanup — is a harness bug, so
+// it panics with the numbers.
+func assertRPCLedger(clients []*client.Client) {
+	for _, cli := range clients {
+		if n := cli.PendingRPCs(); cli.Calls != cli.Replied+cli.Timeouts+cli.Abandoned || n != 0 {
+			panic(fmt.Sprintf("scenario: RPC ledger does not balance: %s issued %d != replied %d + timed out %d + abandoned %d, %d pending",
+				cli.Name(), cli.Calls, cli.Replied, cli.Timeouts, cli.Abandoned, n))
+		}
+	}
+}
+
 // splitReplay deals a captured timeline round-robin across n clients;
 // records keep their capture-relative instants, so the aggregate arrival
 // pattern on the wire matches the capture regardless of client count.
@@ -872,8 +891,8 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	// the image is built (serial synchronous directory updates take 425
 	// simulated seconds for bridgedsat's 5000 scratch directories). The
 	// instant is a function of the cell's own deterministic history, so
-	// reruns and any -j agree on it. The generators' drivers start there,
-	// in client order.
+	// reruns and any -j agree on it. The generators start there, in client
+	// order, as events: an arrival clock is no process.
 	barrier := sim.Time(0)
 	s.Spawn("openload-populate", func(p *sim.Proc) {
 		if err := pop.Populate(p, c.FSByFSID, gens); err != nil {
@@ -884,20 +903,19 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 			barrier = barrier.Add((late + sim.Second - 1) / sim.Second * sim.Second)
 		}
 		for i := range gens {
-			// One name for all: a fan-in cell spawns thousands of these, and
-			// a process name only feeds Sim.Trace and panic text.
-			s.SpawnAfter(barrier.Sub(p.Now()), "openload-driver", func(p *sim.Proc) {
+			s.At(barrier.Sub(p.Now()), func() {
 				if i == 0 {
 					cr.setupEvents = s.EventsFired()
 					assertSilentSetup(c)
 					c.MarkInterval()
 				}
-				res, err := gens[i].Run(p)
+				err := gens[i].Start(s, func(res openload.Result) {
+					results[i] = res
+					finished++
+				})
 				if err != nil {
 					panic("scenario: openload run: " + err.Error())
 				}
-				results[i] = res
-				finished++
 			})
 		}
 	})
@@ -921,7 +939,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	}
 	s.Run(0)
 	if finished != nclients {
-		panic("scenario: openload drivers did not finish")
+		panic("scenario: openload generators did not finish")
 	}
 	intervalStats(c, cr)
 	if !imageFault {

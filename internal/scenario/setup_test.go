@@ -315,3 +315,44 @@ func listRoot(t *testing.T, p *sim.Proc, fs *ufs.FS) []vfs.DirEntry {
 		cookie = ents[len(ents)-1].Cookie
 	}
 }
+
+// TestRPCLedgerAuditFires holds the runner's client identity to both
+// sides: books with a call answered and a call its crashed host abandoned
+// balance, and a planted violation (a reply that never reached its
+// caller) panics with the numbers.
+func TestRPCLedgerAuditFires(t *testing.T) {
+	c := cluster.New(cluster.Config{Net: hw.FDDI(), Clients: 2, Seed: 1})
+	defer c.Sim.Close()
+	audit := func() (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		assertRPCLedger(c.Clients)
+		return ""
+	}
+	for i, cli := range c.Clients {
+		app := c.Sim.Spawn("app", func(p *sim.Proc) {
+			if _, err := cli.Getattr(p, c.Roots()[0]); err != nil {
+				t.Errorf("getattr: %v", err)
+			}
+		})
+		if i == 1 {
+			cli.AdoptApp(app)
+			c.Sim.At(sim.Microsecond, cli.Crash) // mid-call
+		}
+	}
+	c.Sim.Run(0)
+	if a, b := c.Clients[0], c.Clients[1]; a.Replied != 1 || b.Abandoned != 1 {
+		t.Fatalf("replied %d on the first client, abandoned %d on the crashed one; want 1 and 1", a.Replied, b.Abandoned)
+	}
+	if msg := audit(); msg != "" {
+		t.Fatalf("audit fired on balanced books: %s", msg)
+	}
+	c.Clients[0].Replied--
+	want := "scenario: RPC ledger does not balance: client1 issued 1 != replied 0 + timed out 0 + abandoned 0, 0 pending"
+	if msg := audit(); msg != want {
+		t.Errorf("audit after a lost reply said %q, want %q", msg, want)
+	}
+}

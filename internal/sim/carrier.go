@@ -31,6 +31,7 @@ type carrier struct {
 func (s *Sim) newCarrier() *carrier {
 	c := &carrier{sim: s, all: s.carriers}
 	s.carriers = c
+	s.ncarriers++
 	c.next, c.stop = iter.Pull(c.run)
 	return c
 }

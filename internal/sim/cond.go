@@ -13,12 +13,14 @@ type Cond struct {
 	head, tail *condWaiter
 }
 
-// condWaiter is one blocked process. Records are pooled on the Sim: a
-// waiter is off its Cond's list before the owning process resumes, so the
-// process can safely return the record to the pool on wake-up.
+// condWaiter is one blocked process, or one armed callback (Notify).
+// Records are pooled on the Sim: a waiter is off its Cond's list before the
+// owning process resumes, so the process can safely return the record to
+// the pool on wake-up; a callback's record goes back when Signal reaches it.
 type condWaiter struct {
 	c          *Cond
 	p          *Proc
+	fn         func() // set for a callback waiter, which has no p
 	next, prev *condWaiter
 	queued     bool // on c's list
 	signaled   bool
@@ -32,25 +34,26 @@ func NewCond(s *Sim) *Cond { return &Cond{sim: s} }
 // Cond by value inside pooled records instead of allocating with NewCond.
 func (c *Cond) Init(s *Sim) { *c = Cond{sim: s} }
 
-func (s *Sim) newWaiter(c *Cond, p *Proc) *condWaiter {
+func (s *Sim) newWaiter(c *Cond, p *Proc, fn func()) *condWaiter {
 	if len(s.freeWaiters) == 0 {
 		s.freeWaiters = refill(s.freeWaiters)
 	}
 	n := len(s.freeWaiters) - 1
 	w := s.freeWaiters[n]
 	s.freeWaiters = s.freeWaiters[:n]
-	*w = condWaiter{c: c, p: p}
+	*w = condWaiter{c: c, p: p, fn: fn}
 	return w
 }
 
 func (s *Sim) putWaiter(w *condWaiter) {
-	w.c, w.p = nil, nil
+	w.c, w.p, w.fn = nil, nil, nil
 	s.freeWaiters = append(s.freeWaiters, w)
 }
 
-// enqueue makes a waiter record for p and appends it to the list.
-func (c *Cond) enqueue(p *Proc) *condWaiter {
-	w := c.sim.newWaiter(c, p)
+// enqueue makes a waiter record for p, or for the callback fn, and appends
+// it to the list.
+func (c *Cond) enqueue(p *Proc, fn func()) *condWaiter {
+	w := c.sim.newWaiter(c, p, fn)
 	w.queued = true
 	w.prev = c.tail
 	if c.tail != nil {
@@ -59,7 +62,9 @@ func (c *Cond) enqueue(p *Proc) *condWaiter {
 		c.head = w
 	}
 	c.tail = w
-	p.waiting = w
+	if p != nil {
+		p.waiting = w
+	}
 	return w
 }
 
@@ -86,7 +91,8 @@ func (c *Cond) detach(w *condWaiter) {
 	w.next, w.prev = nil, nil
 }
 
-// Waiters reports how many processes are currently blocked on the Cond.
+// Waiters reports how many processes are blocked, and callbacks armed, on
+// the Cond.
 func (c *Cond) Waiters() int {
 	n := 0
 	for w := c.head; w != nil; w = w.next {
@@ -97,7 +103,7 @@ func (c *Cond) Waiters() int {
 
 // Wait blocks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	w := c.enqueue(p)
+	w := c.enqueue(p, nil)
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
 	// Only a Signal resumes a plain Wait, and Signal takes the waiter off
@@ -108,7 +114,7 @@ func (c *Cond) Wait(p *Proc) {
 // WaitTimeout blocks p until signaled or until d elapses. It reports true
 // if the process was signaled, false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
-	w := c.enqueue(p)
+	w := c.enqueue(p, nil)
 	w.timeout = c.sim.handle(c.sim.schedule(d, nil, nil, w))
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
@@ -117,14 +123,27 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	return signaled
 }
 
-// Signal wakes the longest-waiting process, if any. It reports whether a
-// waiter was woken.
+// Notify arms fn as a one-shot callback waiter. It takes the place in the
+// FIFO that a process calling Wait would take, and the Signal that reaches
+// it schedules fn at the current instant, in the (time, seq) slot that
+// process's wake-up would have had: a waiter that never blocks mid-stack
+// needs no process, and the run is the same event for event, less the
+// process switches. Close with fn still armed never calls it.
+func (c *Cond) Notify(fn func()) { c.enqueue(nil, fn) }
+
+// Signal wakes the longest waiter, process or callback, if any. It reports
+// whether a waiter was woken.
 func (c *Cond) Signal() bool {
 	w := c.head
 	if w == nil {
 		return false
 	}
 	c.detach(w)
+	if fn := w.fn; fn != nil {
+		c.sim.putWaiter(w)
+		c.sim.schedule(0, fn, nil, nil)
+		return true
+	}
 	w.signaled = true
 	w.timeout.Cancel()
 	c.sim.wakeProc(w.p)

@@ -7,15 +7,6 @@ import (
 	"testing"
 )
 
-// numCarriers counts the coroutines s has started.
-func numCarriers(s *Sim) int {
-	n := 0
-	for c := s.carriers; c != nil; c = c.all {
-		n++
-	}
-	return n
-}
-
 // mustPanic runs fn and returns the text of the panic it must raise.
 func mustPanic(t *testing.T, fn func()) (msg string) {
 	t.Helper()
@@ -181,7 +172,7 @@ func TestCarrierReuse(t *testing.T) {
 		handles = append(handles, s.Spawn("short", func(p *Proc) { p.Sleep(1) }))
 		s.Run(0)
 	}
-	if n := numCarriers(s); n != 1 {
+	if n := s.Carriers(); n != 1 {
 		t.Fatalf("%d carriers after 50 spawn-and-finish cycles, want 1", n)
 	}
 	seen := map[*Proc]bool{}
@@ -218,7 +209,7 @@ func TestCarrierReuse(t *testing.T) {
 		}
 		s.Run(0)
 	}
-	if n := numCarriers(s); n != 8 {
+	if n := s.Carriers(); n != 8 {
 		t.Errorf("%d carriers after bursts of 8, want 8", n)
 	}
 }

@@ -120,6 +120,19 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 	return q.pop(), true
 }
 
+// Notify arms fn to run once the queue holds an item: as a callback waiter
+// on the queue (Cond.Notify) while it is empty, or as an event at the
+// current instant when it is not. A consumer that never blocks mid-item — a
+// demultiplexer, a router — drains the queue with TryGet from fn and arms
+// it again, and needs no process of its own.
+func (q *Queue[T]) Notify(fn func()) {
+	if q.count > 0 {
+		q.sim.At(0, fn)
+		return
+	}
+	q.cond.Notify(fn)
+}
+
 // TryGet returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if q.count == 0 {

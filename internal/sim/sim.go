@@ -11,7 +11,10 @@
 // Processes block with Proc.Sleep, Cond.Wait, Resource.Acquire, or
 // Queue.Get. While a process is blocked it consumes no virtual time beyond
 // what it asked for; its coroutine is suspended. A Sim that spawned
-// processes holds their coroutines until Close.
+// processes holds their coroutines until Close. Code that waits but never
+// blocks mid-stack — a demultiplexer, a clock — is no process: it waits as
+// a callback (Cond.Notify, Queue.Notify) or an At chain, and costs neither
+// a coroutine nor a switch.
 //
 // The event loop is a zero-allocation fast path: the pending set is a
 // concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
@@ -140,8 +143,9 @@ type Sim struct {
 	// carriers chains every coroutine this sim started (carrier.all), for
 	// Close; idle chains those whose process returned (carrier.idle), for
 	// the next Spawn.
-	carriers *carrier
-	idle     *carrier
+	carriers  *carrier
+	idle      *carrier
+	ncarriers int
 
 	// fatal carries a model-code panic from the process it unwound to the
 	// Run caller, which re-raises it (see runProc), so a panicking
@@ -477,6 +481,11 @@ func (s *Sim) Pending() int { return len(s.events) }
 
 // NumProcs reports the number of live (spawned, not yet finished) processes.
 func (s *Sim) NumProcs() int { return s.nprocs }
+
+// Carriers reports how many coroutines the sim has started. A finished
+// process's coroutine carries the next one, so this is the peak number of
+// processes alive at once.
+func (s *Sim) Carriers() int { return s.ncarriers }
 
 // Proc is a simulation process: a function run on a coroutine that the
 // kernel schedules cooperatively. All blocking methods must be called from
