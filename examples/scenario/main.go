@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -51,22 +52,22 @@ func main() {
 			CheckDurability: true,
 			Events: []scenario.FaultEvent{
 				{
-					Kind: scenario.FaultServerCrash,
-					ServerCrash: &scenario.ServerCrashFault{
+					Kind: fault.KindServerCrash,
+					ServerCrash: &fault.ServerCrash{
 						Node: 1, At: 300 * sim.Millisecond,
 						Outage: 150 * sim.Millisecond, Count: 1,
 					},
 				},
 				{
-					Kind: scenario.FaultLinkOutage,
-					LinkOutage: &scenario.LinkOutageFault{
+					Kind: fault.KindLinkOutage,
+					LinkOutage: &fault.LinkOutage{
 						Client: &client1, At: 600 * sim.Millisecond,
 						Outage: 100 * sim.Millisecond, Count: 1,
 					},
 				},
 				{
-					Kind: scenario.FaultShardFailover,
-					ShardFailover: &scenario.ShardFailoverFault{
+					Kind: fault.KindShardFailover,
+					ShardFailover: &fault.ShardFailover{
 						Node: 1, To: 0, At: 1100 * sim.Millisecond,
 						Takeover: 250 * sim.Millisecond,
 					},

@@ -38,11 +38,12 @@ func TestCrashMidWriteNoBlockLeakOrAckLoss(t *testing.T) {
 				j.Attach(cli)
 			}
 			in := NewInjector(c)
-			crashAt := sim.Time(800 * sim.Millisecond)
+			crashAt := 800 * sim.Millisecond
 			if presto {
-				crashAt = sim.Time(200 * sim.Millisecond)
+				crashAt = 200 * sim.Millisecond
 			}
-			in.Schedule(Crash{Node: 0, At: crashAt, Outage: 400 * sim.Millisecond})
+			in.Add(ServerCrash{Node: 0, At: crashAt, Outage: 400 * sim.Millisecond, Count: 1})
+			in.ScheduleAll()
 
 			roots := c.Roots()
 			done := 0

@@ -1,8 +1,12 @@
 // Package fault is the deterministic fault-injection layer over a cluster:
-// scheduled server crashes and reboots driven off simulated time and the
-// run's seed, plus the write-durability checker that makes NFS's central
-// crash-recovery contract testable — an acked write must survive a server
-// crash.
+// nine fault kinds (server crashes, client reboots, biod loss, shard
+// failover, link outages and four storage faults) driven off simulated
+// time and the run's seed, plus the write-durability checker that makes
+// NFS's central crash-recovery contract testable — an acked write must
+// survive a server crash.
+//
+// Each kind is also the scenario schema's variant for its tag: a spec's
+// fault event decodes straight into the value that injects it.
 //
 // The crash model (what a crash loses and what it keeps) is implemented by
 // cluster.Node.Crash/Reboot; this package owns the schedule and the audit.
@@ -15,26 +19,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Crash is one scheduled fault: node Node crashes At (absolute simulated
-// time) and begins rebooting after Outage.
-type Crash struct {
-	Node   int
-	At     sim.Time
-	Outage sim.Duration
-}
-
 // Injector schedules faults against a cluster and records recovery
 // outcomes. Fault behaviour is pluggable: every fault type implements
 // Kind, and the injector just arms each kind's schedule and aggregates
-// the shared accounting. The original crash-train methods (Schedule,
-// ScheduleEvery) remain as the server-crash primitive the ServerCrash
-// kind delegates to.
+// the shared accounting.
 type Injector struct {
 	c     *cluster.Cluster
 	kinds []Kind
 
 	// Journal, when non-nil, is the durability journal kinds annotate
-	// with their loss semantics (ScheduleAll passes it to each kind).
+	// with their loss semantics (ScheduleAll passes it to each Annotator).
 	Journal *Journal
 
 	// Crashes and Reboots count completed server transitions.
@@ -70,63 +64,31 @@ func NewInjector(c *cluster.Cluster) *Injector {
 // Add registers a fault kind; ScheduleAll arms it.
 func (in *Injector) Add(k Kind) { in.kinds = append(in.kinds, k) }
 
-// ScheduleAll arms every added kind, in order, and gives each a chance to
+// ScheduleAll arms every added kind, in order, and lets each Annotator
 // annotate the durability journal with its loss semantics. Kinds added in
 // the same order produce the same same-instant event order — the recorded
 // baselines depend on it.
 func (in *Injector) ScheduleAll() {
 	for _, k := range in.kinds {
 		k.Schedule(in)
-		if in.Journal != nil {
-			k.AnnotateJournal(in, in.Journal)
+		if a, ok := k.(Annotator); ok && in.Journal != nil {
+			a.AnnotateJournal(in, in.Journal)
 		}
 	}
+}
+
+// until returns the delay from now to the simulated instant at. A kind
+// armed after its own instant is a harness bug.
+func (in *Injector) until(at sim.Duration, what string) sim.Duration {
+	delay := sim.Time(at).Sub(in.c.Sim.Now())
+	if delay < 0 {
+		panic(fmt.Sprintf("fault: %s time %v already past", what, at))
+	}
+	return delay
 }
 
 // fired appends one timestamped line to the EventsFired record.
 func (in *Injector) fired(format string, args ...any) {
 	in.EventsFired = append(in.EventsFired,
 		fmt.Sprintf("t=%v ", sim.Duration(in.c.Sim.Now()))+fmt.Sprintf(format, args...))
-}
-
-// Schedule arms one crash/reboot cycle. The crash fires exactly at f.At;
-// the reboot process starts after f.Outage and takes additional simulated
-// time for the remount (recorded in RecoveryTimes).
-func (in *Injector) Schedule(f Crash) {
-	node := in.c.Nodes[f.Node]
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: crash time %v already past", f.At))
-	}
-	s.At(delay, func() {
-		if node.Down {
-			return // overlapping schedules: already down
-		}
-		node.Crash()
-		in.Crashes++
-		in.fired("server-crash %s", node.Name)
-		s.SpawnAfter(f.Outage, fmt.Sprintf("reboot-%s", node.Name), func(p *sim.Proc) {
-			start := p.Now()
-			if err := node.Reboot(p); err != nil {
-				in.Failures = append(in.Failures, err)
-				return
-			}
-			in.RecoveryTimes = append(in.RecoveryTimes, p.Now().Sub(start))
-			in.Reboots++
-			in.fired("server-reboot %s", node.Name)
-		})
-	})
-}
-
-// ScheduleEvery arms count crash cycles on one node, the first at start,
-// spaced every period, each with the given outage. Deterministic and
-// collision-free by construction: a cycle scheduled while the node is
-// still down is skipped.
-func (in *Injector) ScheduleEvery(node int, start sim.Time, period, outage sim.Duration, count int) {
-	at := start
-	for i := 0; i < count; i++ {
-		in.Schedule(Crash{Node: node, At: at, Outage: outage})
-		at = at.Add(period)
-	}
 }

@@ -33,11 +33,12 @@ func runDurabilityDisks(t *testing.T, presto bool, disks int) {
 	in := NewInjector(c)
 	// Presto absorbs the stream at NVRAM speed, so its crash must come
 	// sooner to land mid-stream.
-	crashAt := sim.Time(1 * sim.Second)
+	crashAt := 1 * sim.Second
 	if presto {
-		crashAt = sim.Time(250 * sim.Millisecond)
+		crashAt = 250 * sim.Millisecond
 	}
-	in.Schedule(Crash{Node: 0, At: crashAt, Outage: 500 * sim.Millisecond})
+	in.Add(ServerCrash{Node: 0, At: crashAt, Outage: 500 * sim.Millisecond, Count: 1})
+	in.ScheduleAll()
 
 	roots := c.Roots()
 	const size = 1 << 20

@@ -6,9 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Spec-level fault kind tags. The scenario schema's tagged events decode
-// onto exactly these; the two layers share the vocabulary through these
-// constants.
+// Host and network fault kind tags. A scenario spec's tagged fault event
+// names its kind with one of these (the storage tags are in storage.go).
 const (
 	KindServerCrash   = "server-crash"
 	KindClientReboot  = "client-reboot"
@@ -19,67 +18,92 @@ const (
 
 // Kind is one pluggable fault type. An implementation owns the full
 // lifecycle of its failure mode: Schedule arms the timed injection and
-// recovery transitions against the injector's cluster (recording each in
-// EventsFired and the shared counters), and AnnotateJournal teaches the
-// durability checker the kind's loss semantics — which bytes a recovery
-// may legitimately surface without, and which remain hard obligations.
+// recovery transitions against the injector's cluster, recording each in
+// EventsFired and the shared counters.
 //
-// New failure modes plug in here: implement Kind, map a spec event onto
-// it, and every scenario machine (validation, sweeps, durability audit,
-// rendering) picks it up without a special case.
+// Every kind is also the scenario schema's variant for its tag: its JSON
+// fields are the spec's, so the fault a spec declares is the object that
+// injects it. New failure modes plug in here: implement Kind, add its
+// variant field to scenario.FaultEvent (and to that type's variant list),
+// and give it a validation case.
 type Kind interface {
-	// Kind returns the spec-level tag (Kind* constants).
-	Kind() string
+	// Start is the simulated instant of the fault's first transition.
+	Start() sim.Duration
 	// Schedule arms the fault's transitions. Called before the simulation
 	// runs; all timing is via the cluster's simulator.
 	Schedule(in *Injector)
-	// AnnotateJournal records the kind's durability semantics on the
-	// journal (no-op for kinds that change no obligations).
+}
+
+// Annotator is implemented by the kinds that change the durability
+// checker's obligations: a kind that may legitimately lose unacked
+// buffered writes, or acked bytes, says so on the journal. Every other
+// kind leaves each acked byte a hard obligation.
+type Annotator interface {
 	AnnotateJournal(in *Injector, j *Journal)
 }
 
-// ServerCrash is the original fault: a train of Count crash/reboot cycles
-// on one server shard, the first at At, spaced every Period, each with
-// the given Outage before the reboot starts.
+// ServerCrash schedules Count crash/reboot cycles on server shard Node:
+// the first crash at At, repeating every Period, each with the given
+// Outage before the reboot starts. A cycle that comes due while the node
+// is still down is skipped. A server crash changes no obligations: every
+// acked byte must survive it. That is the contract under test.
 type ServerCrash struct {
-	Node   int
-	At     sim.Time
-	Period sim.Duration
-	Outage sim.Duration
-	Count  int
+	Node   int          `json:"node"`
+	At     sim.Duration `json:"at_ns"`
+	Period sim.Duration `json:"period_ns,omitempty"`
+	Outage sim.Duration `json:"outage_ns"`
+	Count  int          `json:"count"`
 }
 
-func (f ServerCrash) Kind() string { return KindServerCrash }
+func (f ServerCrash) Start() sim.Duration { return f.At }
 
+// Schedule arms each cycle: the crash fires exactly at its instant, the
+// reboot process starts after Outage and takes additional simulated time
+// for the remount (recorded in RecoveryTimes).
 func (f ServerCrash) Schedule(in *Injector) {
-	in.ScheduleEvery(f.Node, f.At, f.Period, f.Outage, f.Count)
+	node := in.c.Nodes[f.Node]
+	s := in.c.Sim
+	at := f.At
+	for i := 0; i < f.Count; i++ {
+		s.At(in.until(at, "crash"), func() {
+			if node.Down {
+				return // overlapping schedules: already down
+			}
+			node.Crash()
+			in.Crashes++
+			in.fired("server-crash %s", node.Name)
+			s.SpawnAfter(f.Outage, fmt.Sprintf("reboot-%s", node.Name), func(p *sim.Proc) {
+				start := p.Now()
+				if err := node.Reboot(p); err != nil {
+					in.Failures = append(in.Failures, err)
+					return
+				}
+				in.RecoveryTimes = append(in.RecoveryTimes, p.Now().Sub(start))
+				in.Reboots++
+				in.fired("server-reboot %s", node.Name)
+			})
+		})
+		at += f.Period
+	}
 }
 
-// AnnotateJournal: a server crash changes no obligations — every acked
-// byte must survive it. That is the contract under test.
-func (f ServerCrash) AnnotateJournal(in *Injector, j *Journal) {}
-
-// ClientReboot power-cycles one client workstation at At: the host's
-// daemons and applications die, dirty write-behind is discarded, and
-// after Outage the host boots back with fresh daemons (applications do
-// not restart). Client is the 0-based index into the cluster's client
-// population.
+// ClientReboot power-cycles client host Client (0-based index into the
+// cluster's client population) at At: the host's daemons and applications
+// die, dirty write-behind and pending biod retries are discarded with host
+// memory, and after Outage the host boots back with fresh daemons.
+// Applications do not restart — an interrupted stream stays interrupted.
 type ClientReboot struct {
-	Client int
-	At     sim.Time
-	Outage sim.Duration
+	Client int          `json:"client"`
+	At     sim.Duration `json:"at_ns"`
+	Outage sim.Duration `json:"outage_ns"`
 }
 
-func (f ClientReboot) Kind() string { return KindClientReboot }
+func (f ClientReboot) Start() sim.Duration { return f.At }
 
 func (f ClientReboot) Schedule(in *Injector) {
 	cli := in.c.Clients[f.Client]
 	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: client reboot time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	s.At(in.until(f.At, "client reboot"), func() {
 		if cli.Down {
 			return
 		}
@@ -105,21 +129,16 @@ func (f ClientReboot) AnnotateJournal(in *Injector, j *Journal) {
 // never come back, so write-behind degrades toward §4.1's do-it-yourself
 // flow control. A daemon killed mid-RPC abandons its write unacked.
 type BiodLoss struct {
-	Client int
-	At     sim.Time
-	Lose   int
+	Client int          `json:"client"`
+	At     sim.Duration `json:"at_ns"`
+	Lose   int          `json:"lose"`
 }
 
-func (f BiodLoss) Kind() string { return KindBiodLoss }
+func (f BiodLoss) Start() sim.Duration { return f.At }
 
 func (f BiodLoss) Schedule(in *Injector) {
 	cli := in.c.Clients[f.Client]
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: biod loss time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	in.c.Sim.At(in.until(f.At, "biod loss"), func() {
 		if cli.Down {
 			return
 		}
@@ -140,26 +159,24 @@ func (f BiodLoss) AnnotateJournal(in *Injector, j *Journal) {
 
 // ShardFailover kills shard Node at At and, after the Takeover delay
 // (failure detection plus tray handover), has surviving shard To adopt
-// its disks: NVRAM replay, remount at device speed, and a dedicated
-// server instance under the adopter's CPU serving the dead shard's FSID.
-// The source node never reboots — its export lives on through the
-// adopter.
+// its disks under a stable FSID: NVRAM replay, remount at device speed,
+// and a dedicated server instance under the adopter's CPU. Existing file
+// handles stay valid and clients reroute to the adopter. The source node
+// never reboots — its export lives on through the adopter. Failover
+// preserves every obligation: the platters move, and the acked bytes must
+// all still be readable through the adopter.
 type ShardFailover struct {
-	Node     int
-	To       int
-	At       sim.Time
-	Takeover sim.Duration
+	Node     int          `json:"node"`
+	To       int          `json:"to"`
+	At       sim.Duration `json:"at_ns"`
+	Takeover sim.Duration `json:"takeover_ns"`
 }
 
-func (f ShardFailover) Kind() string { return KindShardFailover }
+func (f ShardFailover) Start() sim.Duration { return f.At }
 
 func (f ShardFailover) Schedule(in *Injector) {
 	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: failover time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	s.At(in.until(f.At, "failover"), func() {
 		node := in.c.Nodes[f.Node]
 		if !node.Down {
 			node.Crash()
@@ -196,37 +213,35 @@ func (f ShardFailover) Schedule(in *Injector) {
 	})
 }
 
-// AnnotateJournal: failover preserves every obligation — the platters
-// move, the acked bytes must all still be readable through the adopter.
-func (f ShardFailover) AnnotateJournal(in *Injector, j *Journal) {}
-
-// LinkOutage severs one host's network attachment for a train of timed
-// windows: Count cycles starting at At, spaced every Period, each Outage
-// long. The host stays up — clients ride it out with retransmission, a
-// cut-off server keeps serving its queued work into a dead interface.
-// TargetClient selects a client host by index instead of a server shard;
-// Segment instead severs a whole bridged segment's uplink port,
-// partitioning every host on it from the rest of the fabric.
+// LinkOutage severs one network attachment for a train of timed windows:
+// Count cycles starting at At, spaced every Period, each Outage long.
+// Exactly one of Node (a server shard), Client (a client host) and
+// Segment (a bridged segment's uplink port, partitioning every host on it
+// from the rest of the fabric) selects the target. The host stays up —
+// clients ride it out with retransmission, a cut-off server keeps serving
+// its queued work into a dead interface. An outage loses datagrams, never
+// acked bytes (the retransmission layer's whole job), so no obligation
+// changes.
 type LinkOutage struct {
-	TargetClient bool
-	Index        int
-	Segment      string
-	At           sim.Time
-	Period       sim.Duration
-	Outage       sim.Duration
-	Count        int
+	Node    *int         `json:"node,omitempty"`
+	Client  *int         `json:"client,omitempty"`
+	Segment *string      `json:"segment,omitempty"`
+	At      sim.Duration `json:"at_ns"`
+	Period  sim.Duration `json:"period_ns,omitempty"`
+	Outage  sim.Duration `json:"outage_ns"`
+	Count   int          `json:"count"`
 }
 
-func (f LinkOutage) Kind() string { return KindLinkOutage }
+func (f LinkOutage) Start() sim.Duration { return f.At }
 
 // targets resolves the host's endpoint names at fire time. A server host
 // carries one endpoint per export it serves — its own plus any adopted
 // ones — and a severed NIC cuts them all.
 func (f LinkOutage) targets(in *Injector) []string {
-	if f.TargetClient {
-		return []string{in.c.Clients[f.Index].Name()}
+	if f.Client != nil {
+		return []string{in.c.Clients[*f.Client].Name()}
 	}
-	n := in.c.Nodes[f.Index]
+	n := in.c.Nodes[*f.Node]
 	names := []string{n.Name}
 	for _, ex := range n.Adopted {
 		names = append(names, ex.Server.Endpoint().Name)
@@ -238,13 +253,13 @@ func (f LinkOutage) targets(in *Injector) []string {
 // remounting) — there is no attachment to sever then. A segment target
 // has no host: its uplink port is bridge hardware, always severable.
 func (f LinkOutage) hostDown(in *Injector) bool {
-	if f.Segment != "" {
+	if f.Segment != nil {
 		return false
 	}
-	if f.TargetClient {
-		return in.c.Clients[f.Index].Down
+	if f.Client != nil {
+		return in.c.Clients[*f.Client].Down
 	}
-	n := in.c.Nodes[f.Index]
+	n := in.c.Nodes[*f.Node]
 	return n.Down || n.Rebooting
 }
 
@@ -252,10 +267,7 @@ func (f LinkOutage) Schedule(in *Injector) {
 	s := in.c.Sim
 	at := f.At
 	for i := 0; i < f.Count; i++ {
-		delay := at.Sub(s.Now())
-		if delay < 0 {
-			panic(fmt.Sprintf("fault: link outage time %v already past", at))
-		}
+		delay := in.until(at, "link outage")
 		// Each cycle is a paired down/up transition. A cycle aimed at a
 		// host that is down at the down-instant (a crash window precedes
 		// the cycle and its device-timed remount tail runs long) is
@@ -267,13 +279,13 @@ func (f LinkOutage) Schedule(in *Injector) {
 			if f.hostDown(in) {
 				return
 			}
-			if f.Segment != "" {
-				if !in.c.SetUplinkDown(f.Segment, true) {
+			if f.Segment != nil {
+				if !in.c.SetUplinkDown(*f.Segment, true) {
 					return
 				}
 				*cut = true
 				in.LinkOutages++
-				in.fired("link-down segment %s", f.Segment)
+				in.fired("link-down segment %s", *f.Segment)
 				return
 			}
 			names := f.targets(in)
@@ -288,9 +300,9 @@ func (f LinkOutage) Schedule(in *Injector) {
 			if !*cut {
 				return
 			}
-			if f.Segment != "" {
-				in.c.SetUplinkDown(f.Segment, false)
-				in.fired("link-up segment %s", f.Segment)
+			if f.Segment != nil {
+				in.c.SetUplinkDown(*f.Segment, false)
+				in.fired("link-up segment %s", *f.Segment)
 				return
 			}
 			// Re-resolve: an export adopted during the window attached to
@@ -302,10 +314,6 @@ func (f LinkOutage) Schedule(in *Injector) {
 			}
 			in.fired("link-up %s", names[0])
 		})
-		at = at.Add(f.Period)
+		at += f.Period
 	}
 }
-
-// AnnotateJournal: an outage loses datagrams, never acked bytes — the
-// retransmission layer's whole job. No obligations change.
-func (f LinkOutage) AnnotateJournal(in *Injector, j *Journal) {}

@@ -3,9 +3,8 @@ package fault
 import (
 	"fmt"
 	"reflect"
-	"testing"
-
 	"strings"
+	"testing"
 
 	"repro/internal/block"
 	"repro/internal/client"
@@ -49,6 +48,9 @@ func streamRig(t *testing.T, cfg cluster.Config, size int) (*cluster.Cluster, *J
 	return c, j, done
 }
 
+// ptr returns a pointer to v, for a link outage's target fields.
+func ptr[T any](v T) *T { return &v }
+
 // verify runs the durability audit on its own process after the run.
 func verify(c *cluster.Cluster, j *Journal) CheckResult {
 	var res CheckResult
@@ -75,7 +77,7 @@ func TestClientRebootDurability(t *testing.T) {
 
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(ClientReboot{Client: 1, At: sim.Time(300 * sim.Millisecond), Outage: 400 * sim.Millisecond})
+	in.Add(ClientReboot{Client: 1, At: 300 * sim.Millisecond, Outage: 400 * sim.Millisecond})
 	in.ScheduleAll()
 
 	c.Sim.Run(0)
@@ -135,7 +137,7 @@ func TestBiodLossDegradesWriteBehind(t *testing.T) {
 
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(BiodLoss{Client: 0, At: sim.Time(150 * sim.Millisecond), Lose: 3})
+	in.Add(BiodLoss{Client: 0, At: 150 * sim.Millisecond, Lose: 3})
 	in.ScheduleAll()
 
 	c.Sim.Run(0)
@@ -172,7 +174,7 @@ func TestShardFailoverKeepsAckedReadable(t *testing.T) {
 
 			in := NewInjector(c)
 			in.Journal = j
-			in.Add(ShardFailover{Node: 1, To: 0, At: sim.Time(250 * sim.Millisecond), Takeover: 200 * sim.Millisecond})
+			in.Add(ShardFailover{Node: 1, To: 0, At: 250 * sim.Millisecond, Takeover: 200 * sim.Millisecond})
 			in.ScheduleAll()
 
 			c.Sim.Run(0)
@@ -263,7 +265,7 @@ func TestAdopterCrashCarriesAdoptedNVRAM(t *testing.T) {
 		})
 	}
 	in := NewInjector(c)
-	in.Add(ShardFailover{Node: 1, To: 0, At: sim.Time(250 * sim.Millisecond), Takeover: 200 * sim.Millisecond})
+	in.Add(ShardFailover{Node: 1, To: 0, At: 250 * sim.Millisecond, Takeover: 200 * sim.Millisecond})
 	in.ScheduleAll()
 	// Crash the adopter at the instant an ack lands on the migrated
 	// export: the acked block was just accepted into the adopted board's
@@ -315,7 +317,7 @@ func TestLinkOutageRidesOnRetransmission(t *testing.T) {
 
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(LinkOutage{Index: 0, At: sim.Time(150 * sim.Millisecond), Period: 600 * sim.Millisecond,
+	in.Add(LinkOutage{Node: ptr(0), At: 150 * sim.Millisecond, Period: 600 * sim.Millisecond,
 		Outage: 200 * sim.Millisecond, Count: 2})
 	in.ScheduleAll()
 
@@ -399,8 +401,8 @@ func TestLinkOutageSkipsDownHost(t *testing.T) {
 	in.Journal = j
 	// Crash window [100ms,200ms); the reboot's remount runs ~100ms past
 	// it, so the outage at 210ms finds the host still down.
-	in.Add(ServerCrash{Node: 0, At: sim.Time(100 * sim.Millisecond), Outage: 100 * sim.Millisecond, Count: 1})
-	in.Add(LinkOutage{Index: 0, At: sim.Time(210 * sim.Millisecond), Outage: 50 * sim.Millisecond, Count: 1})
+	in.Add(ServerCrash{Node: 0, At: 100 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1})
+	in.Add(LinkOutage{Node: ptr(0), At: 210 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1})
 	in.ScheduleAll()
 
 	c.Sim.Run(0)
@@ -485,8 +487,8 @@ func TestLinkOutageCutsAdoptedEndpoints(t *testing.T) {
 
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(ShardFailover{Node: 1, To: 0, At: sim.Time(250 * sim.Millisecond), Takeover: 200 * sim.Millisecond})
-	in.Add(LinkOutage{Index: 0, At: sim.Time(1200 * sim.Millisecond), Outage: 200 * sim.Millisecond, Count: 1})
+	in.Add(ShardFailover{Node: 1, To: 0, At: 250 * sim.Millisecond, Takeover: 200 * sim.Millisecond})
+	in.Add(LinkOutage{Node: ptr(0), At: 1200 * sim.Millisecond, Outage: 200 * sim.Millisecond, Count: 1})
 	in.ScheduleAll()
 
 	cutBoth := false
@@ -531,8 +533,8 @@ func TestBiodLossZeroKillNotRecorded(t *testing.T) {
 	}, 1<<20)
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(BiodLoss{Client: 0, At: sim.Time(150 * sim.Millisecond), Lose: 2})
-	in.Add(BiodLoss{Client: 0, At: sim.Time(300 * sim.Millisecond), Lose: 2})
+	in.Add(BiodLoss{Client: 0, At: 150 * sim.Millisecond, Lose: 2})
+	in.Add(BiodLoss{Client: 0, At: 300 * sim.Millisecond, Lose: 2})
 	in.ScheduleAll()
 	c.Sim.Run(0)
 	if *done != 1 {
@@ -563,9 +565,9 @@ func TestEventsFiredDeterministic(t *testing.T) {
 		}, 1<<20)
 		in := NewInjector(c)
 		in.Journal = j
-		in.Add(ServerCrash{Node: 0, At: sim.Time(200 * sim.Millisecond), Outage: 150 * sim.Millisecond, Count: 1})
-		in.Add(ClientReboot{Client: 0, At: sim.Time(450 * sim.Millisecond), Outage: 100 * sim.Millisecond})
-		in.Add(LinkOutage{TargetClient: true, Index: 1, At: sim.Time(600 * sim.Millisecond),
+		in.Add(ServerCrash{Node: 0, At: 200 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1})
+		in.Add(ClientReboot{Client: 0, At: 450 * sim.Millisecond, Outage: 100 * sim.Millisecond})
+		in.Add(LinkOutage{Client: ptr(1), At: 600 * sim.Millisecond,
 			Outage: 100 * sim.Millisecond, Count: 1})
 		in.ScheduleAll()
 		c.Sim.Run(0)

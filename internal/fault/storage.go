@@ -7,8 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Storage fault kind tags (see the disk/NVRAM kinds below). Like the host
-// and network kinds, the scenario schema shares this vocabulary.
+// Storage fault kind tags (see the disk/NVRAM kinds below).
 const (
 	KindDiskReadError  = "disk-read-error"
 	KindDiskDegraded   = "disk-degraded"
@@ -55,31 +54,30 @@ func diskName(in *Injector, node, idx int) string {
 	return fmt.Sprintf("%s/disk%d", n.Name, idx)
 }
 
-// DiskReadError arms a media read error on one spindle (or every member
-// of a stripe when Disk is negative): reads overlapping blocks
-// [BlockFrom, BlockTo) fail with disk.ErrMedia, starting AfterOps
-// overlapping reads after At, for Times occurrences. The platter contents
-// are intact — only the transfer fails, as a grown media defect the drive
-// later remaps would fail it.
+// DiskReadError arms a media read error on server shard Node's spindle
+// Disk (-1 targets every member of the shard's stripe): reads overlapping
+// platter blocks [BlockFrom, BlockTo) fail with disk.ErrMedia, starting
+// AfterOps overlapping reads after At, for Times occurrences (0 means one
+// — the one-shot grown defect). BlockTo 0 means the end of the disk. The
+// platter contents are intact — only the transfer fails, as a grown media
+// defect the drive later remaps would fail it, and the server's error
+// path surfaces it as an I/O-error NFS reply. No stored byte is
+// destroyed, so every acked write remains a hard obligation (retries and
+// recovery absorb the failed transfers).
 type DiskReadError struct {
-	Node      int
-	Disk      int
-	At        sim.Time
-	BlockFrom int64
-	BlockTo   int64
-	AfterOps  int
-	Times     int
+	Node      int          `json:"node"`
+	Disk      int          `json:"disk,omitempty"`
+	At        sim.Duration `json:"at_ns"`
+	BlockFrom int64        `json:"block_from,omitempty"`
+	BlockTo   int64        `json:"block_to,omitempty"`
+	AfterOps  int          `json:"after_ops,omitempty"`
+	Times     int          `json:"times,omitempty"`
 }
 
-func (f DiskReadError) Kind() string { return KindDiskReadError }
+func (f DiskReadError) Start() sim.Duration { return f.At }
 
 func (f DiskReadError) Schedule(in *Injector) {
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: disk read error time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	in.c.Sim.At(in.until(f.At, "disk read error"), func() {
 		for _, d := range targetDisks(in, f.Node, f.Disk) {
 			d.InjectReadError(f.BlockFrom, f.BlockTo, f.AfterOps, f.Times)
 		}
@@ -88,11 +86,6 @@ func (f DiskReadError) Schedule(in *Injector) {
 	})
 }
 
-// AnnotateJournal: a media read error destroys no stored byte — every
-// acked write remains a hard obligation (retries and recovery absorb the
-// failed transfers).
-func (f DiskReadError) AnnotateJournal(in *Injector, j *Journal) {}
-
 // Heal clears rules the workload never consumed so the audit reads clean.
 func (f DiskReadError) Heal(in *Injector) {
 	for _, d := range targetDisks(in, f.Node, f.Disk) {
@@ -100,60 +93,52 @@ func (f DiskReadError) Heal(in *Injector) {
 	}
 }
 
-// DiskDegraded multiplies one spindle's service time by Factor for the
-// window [At, At+Duration) — a drive in internal error recovery, or
-// thermal recalibration, slow but correct.
+// DiskDegraded multiplies shard Node's spindle Disk service time by
+// Factor (> 1) for the window [At, At+Duration) — a drive in internal
+// error recovery, or thermal recalibration, slow but correct. Windows on
+// the same spindle must not overlap. A slow disk loses nothing, so no
+// obligation changes.
 type DiskDegraded struct {
-	Node     int
-	Disk     int
-	At       sim.Time
-	Duration sim.Duration
-	Factor   float64
+	Node     int          `json:"node"`
+	Disk     int          `json:"disk,omitempty"`
+	At       sim.Duration `json:"at_ns"`
+	Duration sim.Duration `json:"duration_ns"`
+	Factor   float64      `json:"factor"`
 }
 
-func (f DiskDegraded) Kind() string { return KindDiskDegraded }
+func (f DiskDegraded) Start() sim.Duration { return f.At }
 
 func (f DiskDegraded) Schedule(in *Injector) {
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: disk degrade time %v already past", f.At))
-	}
+	delay := in.until(f.At, "disk degrade")
 	// The window is registered up front (the disk gates it on simulated
 	// time); only the event-log entry waits for the window to open.
+	from := sim.Time(f.At)
 	for _, d := range targetDisks(in, f.Node, f.Disk) {
-		d.Degrade(f.At, f.At.Add(f.Duration), f.Factor)
+		d.Degrade(from, from.Add(f.Duration), f.Factor)
 	}
-	s.At(delay, func() {
+	in.c.Sim.At(delay, func() {
 		in.StorageFaults++
 		in.fired("disk-degraded %s x%.1f for %v", diskName(in, f.Node, f.Disk), f.Factor, f.Duration)
 	})
 }
 
-// AnnotateJournal: a slow disk loses nothing. No obligations change.
-func (f DiskDegraded) AnnotateJournal(in *Injector, j *Journal) {}
-
-// DiskTornWrite arms one torn multi-block write on the target spindle(s):
-// the next WriteBufs interrupted by a power event persists only a prefix
-// of its blocks. Without a crash the armed tear never manifests. A torn
-// write can never violate durability by itself — the interrupted transfer
-// was never acknowledged as complete, and an NVRAM board that acked the
-// data replays it on recovery.
+// DiskTornWrite arms one torn multi-block write on shard Node's spindle
+// Disk at At: the next WriteBufs interrupted by a power event persists
+// only a prefix of its blocks. Pair it with a server crash — without one
+// the armed tear never manifests. A torn write can never violate
+// durability by itself, so it exposes no acked byte to loss: the
+// interrupted transfer was never acknowledged as complete, and an NVRAM
+// board that acked the data replays it on recovery.
 type DiskTornWrite struct {
-	Node int
-	Disk int
-	At   sim.Time
+	Node int          `json:"node"`
+	Disk int          `json:"disk,omitempty"`
+	At   sim.Duration `json:"at_ns"`
 }
 
-func (f DiskTornWrite) Kind() string { return KindDiskTornWrite }
+func (f DiskTornWrite) Start() sim.Duration { return f.At }
 
 func (f DiskTornWrite) Schedule(in *Injector) {
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: torn write arm time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	in.c.Sim.At(in.until(f.At, "torn write arm"), func() {
 		for _, d := range targetDisks(in, f.Node, f.Disk) {
 			d.ArmTornWrite()
 		}
@@ -162,9 +147,6 @@ func (f DiskTornWrite) Schedule(in *Injector) {
 	})
 }
 
-// AnnotateJournal: see above — a tear exposes no acked byte to loss.
-func (f DiskTornWrite) AnnotateJournal(in *Injector, j *Journal) {}
-
 // Heal disarms a tear no crash ever consumed.
 func (f DiskTornWrite) Heal(in *Injector) {
 	for _, d := range targetDisks(in, f.Node, f.Disk) {
@@ -172,25 +154,21 @@ func (f DiskTornWrite) Heal(in *Injector) {
 	}
 }
 
-// NVRAMLyingSync corrupts one node's NVRAM board at At: from then on the
-// board keeps acknowledging stable storage but its "battery-backed" dirty
-// map evaporates at the next power event instead of replaying. Every
-// acked-but-undrained byte at that instant is lost — the scheduled,
-// detectable durability violation the checker must report.
+// NVRAMLyingSync corrupts shard Node's NVRAM board at At (the shard must
+// run Presto): from then on the board keeps acknowledging stable storage
+// but its "battery-backed" dirty map evaporates at the next power event
+// instead of replaying. Every acked-but-undrained byte at that instant is
+// lost — the scheduled, detectable durability violation the checker must
+// report.
 type NVRAMLyingSync struct {
-	Node int
-	At   sim.Time
+	Node int          `json:"node"`
+	At   sim.Duration `json:"at_ns"`
 }
 
-func (f NVRAMLyingSync) Kind() string { return KindNVRAMLyingSync }
+func (f NVRAMLyingSync) Start() sim.Duration { return f.At }
 
 func (f NVRAMLyingSync) Schedule(in *Injector) {
-	s := in.c.Sim
-	delay := f.At.Sub(s.Now())
-	if delay < 0 {
-		panic(fmt.Sprintf("fault: lying sync time %v already past", f.At))
-	}
-	s.At(delay, func() {
+	in.c.Sim.At(in.until(f.At, "lying sync"), func() {
 		n := in.c.Nodes[f.Node]
 		if n.Presto == nil {
 			return // validation requires a board; a raced rebuild without one is a no-op

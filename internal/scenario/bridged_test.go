@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -122,8 +123,8 @@ func TestBridgedPartitionRideout(t *testing.T) {
 	seg := "lan1"
 	spec := bridgedStreamSpec()
 	spec.Faults.Events = []FaultEvent{{
-		Kind: FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{
+		Kind: fault.KindLinkOutage,
+		LinkOutage: &fault.LinkOutage{
 			Segment: &seg, At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1,
 		},
 	}}
@@ -171,8 +172,8 @@ func TestBridgedFailoverAcrossSegments(t *testing.T) {
 	spec.Topology.Servers.Count = 2
 	spec.Workload.Stream.Shard = true
 	spec.Faults.Events = []FaultEvent{{
-		Kind: FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{
+		Kind: fault.KindShardFailover,
+		ShardFailover: &fault.ShardFailover{
 			Node: 1, To: 0, At: 400 * sim.Millisecond, Takeover: 250 * sim.Millisecond,
 		},
 	}}
@@ -288,8 +289,8 @@ func TestValidateBridgedPlacement(t *testing.T) {
 	s = base()
 	root := "core"
 	s.Faults.Events = []FaultEvent{{
-		Kind: FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{
+		Kind: fault.KindLinkOutage,
+		LinkOutage: &fault.LinkOutage{
 			Segment: &root, At: sim.Millisecond, Outage: sim.Millisecond, Count: 1,
 		},
 	}}
@@ -301,8 +302,8 @@ func TestValidateBridgedPlacement(t *testing.T) {
 	s.Topology.Net, s.Topology.Media = "fddi", nil
 	s.Topology.Clients[0].Segment = ""
 	s.Faults.Events = []FaultEvent{{
-		Kind: FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{
+		Kind: fault.KindLinkOutage,
+		LinkOutage: &fault.LinkOutage{
 			Segment: &seg, At: sim.Millisecond, Outage: sim.Millisecond, Count: 1,
 		},
 	}}
@@ -339,7 +340,7 @@ func TestFuzzGeneratesBridgedTopologies(t *testing.T) {
 			}
 		}
 		for _, ev := range spec.Faults.Events {
-			if ev.Kind == FaultLinkOutage && ev.LinkOutage.Segment != nil {
+			if ev.Kind == fault.KindLinkOutage && ev.LinkOutage.Segment != nil {
 				segEvents++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -346,7 +347,7 @@ func StreamCrash(name, description string, presto, gathering bool, clients, file
 // serverCrash is a server-crash event: count crash/reboot cycles on one
 // shard, the first at at, one every period, each down for outage.
 func serverCrash(node int, at, period, outage sim.Duration, count int) FaultEvent {
-	return FaultEvent{Kind: FaultServerCrash, ServerCrash: &ServerCrashFault{
+	return FaultEvent{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
 		Node: node, At: at, Period: period, Outage: outage, Count: count,
 	}}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -127,10 +128,10 @@ func TestLinkOutageSpecDeterministic(t *testing.T) {
 		Faults: Faults{
 			CheckDurability: true,
 			Events: []FaultEvent{
-				{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+				{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
 					Node: &node0, At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1,
 				}},
-				{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+				{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
 					Client: &clientIdx, At: 400 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1,
 				}},
 			},
@@ -185,14 +186,14 @@ func TestValidateFaultEventKinds(t *testing.T) {
 
 	// Kind without its variant.
 	s = faultSpec()
-	s.Faults.Events = []FaultEvent{{Kind: FaultClientReboot}}
+	s.Faults.Events = []FaultEvent{{Kind: fault.KindClientReboot}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Kind with a mismatched variant.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:         FaultServerCrash,
-		ClientReboot: &ClientRebootFault{Client: 0, At: sim.Second, Outage: sim.Millisecond},
+		Kind:         fault.KindServerCrash,
+		ClientReboot: &fault.ClientReboot{Client: 0, At: sim.Second, Outage: sim.Millisecond},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 }
@@ -201,8 +202,8 @@ func TestValidateClientFaultTargets(t *testing.T) {
 	// Unknown client index.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:         FaultClientReboot,
-		ClientReboot: &ClientRebootFault{Client: 5, At: sim.Second, Outage: sim.Millisecond},
+		Kind:         fault.KindClientReboot,
+		ClientReboot: &fault.ClientReboot{Client: 5, At: sim.Second, Outage: sim.Millisecond},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -211,25 +212,25 @@ func TestValidateClientFaultTargets(t *testing.T) {
 	s.Topology.Clients = []ClientGroup{{Count: 1, Biods: 4}}
 	s.Workload = Workload{Kind: KindCopy, Copy: &CopyWorkload{FileMB: 1}}
 	s.Faults.Events = []FaultEvent{{
-		Kind:         FaultClientReboot,
-		ClientReboot: &ClientRebootFault{Client: 0, At: sim.Second, Outage: sim.Millisecond},
+		Kind:         fault.KindClientReboot,
+		ClientReboot: &fault.ClientReboot{Client: 0, At: sim.Second, Outage: sim.Millisecond},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Biod loss beyond the client's pool.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:     FaultBiodLoss,
-		BiodLoss: &BiodLossFault{Client: 0, At: sim.Second, Lose: 9},
+		Kind:     fault.KindBiodLoss,
+		BiodLoss: &fault.BiodLoss{Client: 0, At: sim.Second, Lose: 9},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Biod loss inside the same client's reboot window.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
-		{Kind: FaultClientReboot, ClientReboot: &ClientRebootFault{
+		{Kind: fault.KindClientReboot, ClientReboot: &fault.ClientReboot{
 			Client: 0, At: 100 * sim.Millisecond, Outage: 200 * sim.Millisecond}},
-		{Kind: FaultBiodLoss, BiodLoss: &BiodLossFault{
+		{Kind: fault.KindBiodLoss, BiodLoss: &fault.BiodLoss{
 			Client: 0, At: 150 * sim.Millisecond, Lose: 1}},
 	}
 	wantInvalid(t, s, "faults.events[1]")
@@ -239,8 +240,8 @@ func TestValidateFailoverTargets(t *testing.T) {
 	// Failover to self.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{Node: 1, To: 1, At: sim.Second},
+		Kind:          fault.KindShardFailover,
+		ShardFailover: &fault.ShardFailover{Node: 1, To: 1, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -248,7 +249,7 @@ func TestValidateFailoverTargets(t *testing.T) {
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
 		serverCrash(0, 2*sim.Second, 0, 100*sim.Millisecond, 1),
-		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
+		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
 	}
 	wantInvalid(t, s, "faults.events[1]")
 
@@ -256,8 +257,8 @@ func TestValidateFailoverTargets(t *testing.T) {
 	// open-ended down-window.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
-		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
-		{Kind: FaultServerCrash, ServerCrash: &ServerCrashFault{
+		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
+		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
 			Node: 1, At: 3 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}},
 	}
 	wantInvalid(t, s, "faults.events[0]")
@@ -267,7 +268,7 @@ func TestValidateFailoverTargets(t *testing.T) {
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
 		serverCrash(0, 100*sim.Millisecond, 0, 100*sim.Millisecond, 1),
-		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
+		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("pre-failover adopter crash rejected: %v", err)
@@ -277,9 +278,9 @@ func TestValidateFailoverTargets(t *testing.T) {
 	zero := 0
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
-		{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
 			Node: &zero, At: 2 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}},
-		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second}},
+		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("link outage on the adopter rejected: %v", err)
@@ -292,8 +293,8 @@ func TestValidateFailoverTargets(t *testing.T) {
 		OfferedOpsPerSec: 10, Measure: sim.Second,
 	}}
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultShardFailover,
-		ShardFailover: &ShardFailoverFault{Node: 1, To: 0, At: sim.Second},
+		Kind:          fault.KindShardFailover,
+		ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 }
@@ -314,7 +315,7 @@ func TestFailoverWaitsOutRemountTail(t *testing.T) {
 	// ~100ms more; the failover at 210ms lands inside that tail.
 	s.Faults.Events = []FaultEvent{
 		serverCrash(1, 100*sim.Millisecond, 0, 100*sim.Millisecond, 1),
-		{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{
+		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{
 			Node: 1, To: 0, At: 210 * sim.Millisecond, Takeover: 50 * sim.Millisecond}},
 	}
 	res, err := Run(s)
@@ -339,8 +340,8 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	// Neither target set.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:       FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{At: sim.Second, Outage: sim.Millisecond, Count: 1},
+		Kind:       fault.KindLinkOutage,
+		LinkOutage: &fault.LinkOutage{At: sim.Second, Outage: sim.Millisecond, Count: 1},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -348,8 +349,8 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	zero := 0
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind: FaultLinkOutage,
-		LinkOutage: &LinkOutageFault{
+		Kind: fault.KindLinkOutage,
+		LinkOutage: &fault.LinkOutage{
 			Node: &zero, Client: &zero, At: sim.Second, Outage: sim.Millisecond, Count: 1,
 		},
 	}}
@@ -359,7 +360,7 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
 		serverCrash(0, sim.Second, 0, 200*sim.Millisecond, 1),
-		{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
 			Node: &zero, At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1}},
 	}
 	wantInvalid(t, s, "faults.events[0]")

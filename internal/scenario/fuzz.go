@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -405,24 +406,24 @@ func genEvent(rng *rand.Rand, spec *Spec) FaultEvent {
 	}
 	switch rng.Intn(9) {
 	case 0:
-		return FaultEvent{Kind: FaultServerCrash, ServerCrash: &ServerCrashFault{
+		return FaultEvent{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
 			Node: node, At: powerAt, Period: rngMS(rng, 300, 700),
 			Outage: rngMS(rng, 50, 250), Count: 1 + rng.Intn(2),
 		}}
 	case 1:
-		return FaultEvent{Kind: FaultClientReboot, ClientReboot: &ClientRebootFault{
+		return FaultEvent{Kind: fault.KindClientReboot, ClientReboot: &fault.ClientReboot{
 			Client: rng.Intn(clients), At: at, Outage: rngMS(rng, 50, 250),
 		}}
 	case 2:
-		return FaultEvent{Kind: FaultBiodLoss, BiodLoss: &BiodLossFault{
+		return FaultEvent{Kind: fault.KindBiodLoss, BiodLoss: &fault.BiodLoss{
 			Client: rng.Intn(clients), At: at, Lose: 1 + rng.Intn(3),
 		}}
 	case 3:
-		return FaultEvent{Kind: FaultShardFailover, ShardFailover: &ShardFailoverFault{
+		return FaultEvent{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{
 			Node: node, To: (node + 1) % servers, At: powerAt, Takeover: rngMS(rng, 20, 100),
 		}}
 	case 4:
-		f := &LinkOutageFault{
+		f := &fault.LinkOutage{
 			At: at, Period: rngMS(rng, 200, 500),
 			Outage: rngMS(rng, 20, 120), Count: 1 + rng.Intn(2),
 		}
@@ -438,29 +439,29 @@ func genEvent(rng *rand.Rand, spec *Spec) FaultEvent {
 			cli := rng.Intn(clients)
 			f.Client = &cli
 		}
-		return FaultEvent{Kind: FaultLinkOutage, LinkOutage: f}
+		return FaultEvent{Kind: fault.KindLinkOutage, LinkOutage: f}
 	case 5:
 		from := int64(rng.Intn(2000))
 		to := int64(0)
 		if rng.Intn(2) == 0 {
 			to = from + 1 + int64(rng.Intn(64))
 		}
-		return FaultEvent{Kind: FaultDiskReadError, DiskReadError: &DiskReadErrorFault{
+		return FaultEvent{Kind: fault.KindDiskReadError, DiskReadError: &fault.DiskReadError{
 			Node: node, Disk: disk, At: at,
 			BlockFrom: from, BlockTo: to,
 			AfterOps: rng.Intn(4), Times: 1 + rng.Intn(3),
 		}}
 	case 6:
-		return FaultEvent{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		return FaultEvent{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: node, Disk: disk, At: at,
 			Duration: rngMS(rng, 50, 400), Factor: 2 + float64(rng.Intn(15)),
 		}}
 	case 7:
-		return FaultEvent{Kind: FaultDiskTornWrite, DiskTornWrite: &DiskTornWriteFault{
+		return FaultEvent{Kind: fault.KindDiskTornWrite, DiskTornWrite: &fault.DiskTornWrite{
 			Node: node, Disk: disk, At: at,
 		}}
 	default:
-		return FaultEvent{Kind: FaultNVRAMLyingSync, NVRAMLyingSync: &NVRAMLyingSyncFault{
+		return FaultEvent{Kind: fault.KindNVRAMLyingSync, NVRAMLyingSync: &fault.NVRAMLyingSync{
 			Node: node, At: at,
 		}}
 	}
@@ -595,7 +596,7 @@ func shrinkSpec(spec Spec, class string, budget int) (Spec, int) {
 				}
 				kept := s.Faults.Events[:0]
 				for _, ev := range s.Faults.Events {
-					if ev.Kind == FaultLinkOutage && ev.LinkOutage.Segment != nil {
+					if ev.Kind == fault.KindLinkOutage && ev.LinkOutage.Segment != nil {
 						continue
 					}
 					kept = append(kept, ev)
@@ -627,13 +628,13 @@ func setInt(p *int, v int) bool {
 func simplifyEvent(ev *FaultEvent) bool {
 	changed := false
 	switch ev.Kind {
-	case FaultServerCrash:
+	case fault.KindServerCrash:
 		changed = setInt(&ev.ServerCrash.Count, 1)
-	case FaultLinkOutage:
+	case fault.KindLinkOutage:
 		changed = setInt(&ev.LinkOutage.Count, 1)
-	case FaultBiodLoss:
+	case fault.KindBiodLoss:
 		changed = setInt(&ev.BiodLoss.Lose, 1)
-	case FaultDiskReadError:
+	case fault.KindDiskReadError:
 		f := ev.DiskReadError
 		changed = setInt(&f.Times, 1)
 		if f.AfterOps != 0 {

@@ -414,7 +414,7 @@ func TestFuzzGeneratesOpenloadSpecs(t *testing.T) {
 			withEvents++
 		}
 		for j, ev := range spec.Faults.Events {
-			if at := eventAt(ev); at < 20*sim.Second {
+			if at := ev.Fault().Start(); at < 20*sim.Second {
 				t.Errorf("run %d event %d (%s): at %v, before the 20s setup barrier", i, j, ev.Kind, at)
 			}
 		}

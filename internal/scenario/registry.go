@@ -1,6 +1,9 @@
 package scenario
 
-import "repro/internal/sim"
+import (
+	"repro/internal/fault"
+	"repro/internal/sim"
+)
 
 // Entry is one named scenario in the built-in registry.
 type Entry struct {
@@ -203,8 +206,8 @@ func failOver() Spec {
 		Faults: Faults{
 			CheckDurability: true,
 			Events: []FaultEvent{{
-				Kind: FaultShardFailover,
-				ShardFailover: &ShardFailoverFault{
+				Kind: fault.KindShardFailover,
+				ShardFailover: &fault.ShardFailover{
 					Node: 1, To: 0, At: 400 * sim.Millisecond, Takeover: 250 * sim.Millisecond,
 				},
 			}},
@@ -241,14 +244,14 @@ func clientReboot() Spec {
 			CheckDurability: true,
 			Events: []FaultEvent{
 				{
-					Kind: FaultClientReboot,
-					ClientReboot: &ClientRebootFault{
+					Kind: fault.KindClientReboot,
+					ClientReboot: &fault.ClientReboot{
 						Client: 1, At: 300 * sim.Millisecond, Outage: 500 * sim.Millisecond,
 					},
 				},
 				{
-					Kind: FaultBiodLoss,
-					BiodLoss: &BiodLossFault{
+					Kind: fault.KindBiodLoss,
+					BiodLoss: &fault.BiodLoss{
 						Client: 0, At: 200 * sim.Millisecond, Lose: 2,
 					},
 				},
@@ -285,27 +288,27 @@ func mediaStorm() Spec {
 			CheckDurability: true,
 			Events: []FaultEvent{
 				{
-					Kind: FaultDiskReadError,
-					DiskReadError: &DiskReadErrorFault{
+					Kind: fault.KindDiskReadError,
+					DiskReadError: &fault.DiskReadError{
 						Node: 0, Disk: 0, At: 200 * sim.Millisecond, Times: 2,
 					},
 				},
 				{
-					Kind: FaultDiskDegraded,
-					DiskDegraded: &DiskDegradedFault{
+					Kind: fault.KindDiskDegraded,
+					DiskDegraded: &fault.DiskDegraded{
 						Node: 0, Disk: 1, At: 300 * sim.Millisecond,
 						Duration: 250 * sim.Millisecond, Factor: 6,
 					},
 				},
 				{
-					Kind: FaultDiskTornWrite,
-					DiskTornWrite: &DiskTornWriteFault{
+					Kind: fault.KindDiskTornWrite,
+					DiskTornWrite: &fault.DiskTornWrite{
 						Node: 0, Disk: -1, At: 100 * sim.Millisecond,
 					},
 				},
 				{
-					Kind: FaultServerCrash,
-					ServerCrash: &ServerCrashFault{
+					Kind: fault.KindServerCrash,
+					ServerCrash: &fault.ServerCrash{
 						Node: 0, At: 600 * sim.Millisecond,
 						Outage: 150 * sim.Millisecond, Count: 1,
 					},

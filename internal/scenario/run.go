@@ -226,7 +226,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 		in = fault.NewInjector(c)
 		in.Journal = j
 		for _, ev := range rc.faults.Events {
-			in.Add(buildKind(ev))
+			in.Add(ev.Fault())
 		}
 		in.ScheduleAll()
 	}
@@ -411,64 +411,6 @@ func collectFabric(cr *CellResult, f *netsim.Fabric) {
 		cr.BridgeDrops += bs.DropsQueueFull + bs.DropsLinkDown + bs.DropsNoRoute
 		cr.Bridges = append(cr.Bridges, bs)
 	}
-}
-
-// buildKind maps one validated spec event onto its engine implementation.
-// The spec and engine layers share the kind vocabulary; this is the only
-// place that knows both shapes.
-func buildKind(ev FaultEvent) fault.Kind {
-	switch ev.Kind {
-	case FaultServerCrash:
-		f := ev.ServerCrash
-		return fault.ServerCrash{
-			Node: f.Node, At: sim.Time(f.At), Period: f.Period, Outage: f.Outage, Count: f.Count,
-		}
-	case FaultClientReboot:
-		f := ev.ClientReboot
-		return fault.ClientReboot{Client: f.Client, At: sim.Time(f.At), Outage: f.Outage}
-	case FaultBiodLoss:
-		f := ev.BiodLoss
-		return fault.BiodLoss{Client: f.Client, At: sim.Time(f.At), Lose: f.Lose}
-	case FaultShardFailover:
-		f := ev.ShardFailover
-		return fault.ShardFailover{
-			Node: f.Node, To: f.To, At: sim.Time(f.At), Takeover: f.Takeover,
-		}
-	case FaultLinkOutage:
-		f := ev.LinkOutage
-		k := fault.LinkOutage{
-			At: sim.Time(f.At), Period: f.Period, Outage: f.Outage, Count: f.Count,
-		}
-		switch {
-		case f.Client != nil:
-			k.TargetClient, k.Index = true, *f.Client
-		case f.Segment != nil:
-			k.Segment = *f.Segment
-		default:
-			k.Index = *f.Node
-		}
-		return k
-	case FaultDiskReadError:
-		f := ev.DiskReadError
-		return fault.DiskReadError{
-			Node: f.Node, Disk: f.Disk, At: sim.Time(f.At),
-			BlockFrom: f.BlockFrom, BlockTo: f.BlockTo,
-			AfterOps: f.AfterOps, Times: f.Times,
-		}
-	case FaultDiskDegraded:
-		f := ev.DiskDegraded
-		return fault.DiskDegraded{
-			Node: f.Node, Disk: f.Disk, At: sim.Time(f.At),
-			Duration: f.Duration, Factor: f.Factor,
-		}
-	case FaultDiskTornWrite:
-		f := ev.DiskTornWrite
-		return fault.DiskTornWrite{Node: f.Node, Disk: f.Disk, At: sim.Time(f.At)}
-	case FaultNVRAMLyingSync:
-		f := ev.NVRAMLyingSync
-		return fault.NVRAMLyingSync{Node: f.Node, At: sim.Time(f.At)}
-	}
-	panic("scenario: unvalidated fault kind " + ev.Kind)
 }
 
 // runCopy is the paper's case study: client 1 copies one file to shard 1,
@@ -926,7 +868,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	// the window past an instant validation accepted); the cell stops here
 	// and runEngine returns the error.
 	if imageFault {
-		at := sim.Time(eventAt(ev))
+		at := sim.Time(ev.Fault().Start())
 		s.Run(at - 1)
 		switch {
 		case barrier == 0:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/openload"
 	"repro/internal/sim"
@@ -154,22 +155,22 @@ func TestOpenloadFaultOnHalfBuiltImage(t *testing.T) {
 		ev   FaultEvent
 	}{
 		{"server-crash", crashAt(5 * sim.Second)},
-		{"disk-degraded", FaultEvent{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		{"disk-degraded", FaultEvent{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: 0, Disk: 0, At: 19900 * sim.Millisecond, Duration: sim.Second, Factor: 4}}},
-		{"disk-torn-write", FaultEvent{Kind: FaultDiskTornWrite, DiskTornWrite: &DiskTornWriteFault{
+		{"disk-torn-write", FaultEvent{Kind: fault.KindDiskTornWrite, DiskTornWrite: &fault.DiskTornWrite{
 			Node: 0, Disk: 0, At: 0}}},
 	}
 	for _, tc := range static {
 		t.Run("static/"+tc.name, func(t *testing.T) {
 			spec := lateImageSpec()
 			spec.Faults.Events = []FaultEvent{tc.ev}
-			wantErr(t, spec.Validate(), tc.name, eventAt(tc.ev).String(), "none opens before 20.000s")
+			wantErr(t, spec.Validate(), tc.name, tc.ev.Fault().Start().String(), "none opens before 20.000s")
 		})
 	}
 	t.Run("static/link-outage-is-fine", func(t *testing.T) {
 		// Set-up sends nothing, so a severed uplink cannot hurt it.
 		spec := OpenloadBridged("early-outage", "", 2, 2, 8, 1, 100, sim.Second, 3)
-		spec.Faults.Events = []FaultEvent{{Kind: FaultLinkOutage, LinkOutage: &LinkOutageFault{
+		spec.Faults.Events = []FaultEvent{{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
 			Segment: &seg, At: sim.Second, Outage: 2 * sim.Second, Count: 1}}}
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,8 @@
 // JSON-serializable Spec describes a topology (client groups, server
 // shards, media), a workload (file copies, LADDIS mixes, write streams,
 // traced transfers, open-loop load), an optional schedule of typed fault
-// events and a metric selection — and one engine, Run, executes any of
+// events (each one an internal/fault kind, decoded straight from its tag)
+// and a metric selection — and one engine, Run, executes any of
 // them on an internal/cluster testbed (one node with the paper boot for
 // the paper's single-server configurations) and returns a uniform Result.
 //
@@ -368,21 +369,6 @@ type ReplayWorkload struct {
 	Speed float64 `json:"speed,omitempty"`
 }
 
-// Fault event kinds — the tags FaultEvent.Kind takes. The vocabulary is
-// shared with the engine layer (internal/fault), where each tag names a
-// pluggable fault.Kind implementation.
-const (
-	FaultServerCrash    = fault.KindServerCrash
-	FaultClientReboot   = fault.KindClientReboot
-	FaultBiodLoss       = fault.KindBiodLoss
-	FaultShardFailover  = fault.KindShardFailover
-	FaultLinkOutage     = fault.KindLinkOutage
-	FaultDiskReadError  = fault.KindDiskReadError
-	FaultDiskDegraded   = fault.KindDiskDegraded
-	FaultDiskTornWrite  = fault.KindDiskTornWrite
-	FaultNVRAMLyingSync = fault.KindNVRAMLyingSync
-)
-
 // Faults is the deterministic fault schedule.
 type Faults struct {
 	// Events is a list of tagged fault events, each validated by kind and
@@ -399,131 +385,75 @@ type Faults struct {
 // FaultEvent is one tagged fault: Kind selects the failure mode and
 // exactly the matching variant field must be set (strict decoding — a
 // kind/variant mismatch is a validation error, an unknown kind likewise).
+// Each variant is the internal/fault kind that injects it, so its JSON
+// fields are that type's: renaming one is a schema change.
 type FaultEvent struct {
 	Kind string `json:"kind"`
 	// ServerCrash matches kind "server-crash".
-	ServerCrash *ServerCrashFault `json:"server_crash,omitempty"`
+	ServerCrash *fault.ServerCrash `json:"server_crash,omitempty"`
 	// ClientReboot matches kind "client-reboot".
-	ClientReboot *ClientRebootFault `json:"client_reboot,omitempty"`
+	ClientReboot *fault.ClientReboot `json:"client_reboot,omitempty"`
 	// BiodLoss matches kind "biod-loss".
-	BiodLoss *BiodLossFault `json:"biod_loss,omitempty"`
+	BiodLoss *fault.BiodLoss `json:"biod_loss,omitempty"`
 	// ShardFailover matches kind "shard-failover".
-	ShardFailover *ShardFailoverFault `json:"shard_failover,omitempty"`
+	ShardFailover *fault.ShardFailover `json:"shard_failover,omitempty"`
 	// LinkOutage matches kind "link-outage".
-	LinkOutage *LinkOutageFault `json:"link_outage,omitempty"`
+	LinkOutage *fault.LinkOutage `json:"link_outage,omitempty"`
 	// DiskReadError matches kind "disk-read-error".
-	DiskReadError *DiskReadErrorFault `json:"disk_read_error,omitempty"`
+	DiskReadError *fault.DiskReadError `json:"disk_read_error,omitempty"`
 	// DiskDegraded matches kind "disk-degraded".
-	DiskDegraded *DiskDegradedFault `json:"disk_degraded,omitempty"`
+	DiskDegraded *fault.DiskDegraded `json:"disk_degraded,omitempty"`
 	// DiskTornWrite matches kind "disk-torn-write".
-	DiskTornWrite *DiskTornWriteFault `json:"disk_torn_write,omitempty"`
+	DiskTornWrite *fault.DiskTornWrite `json:"disk_torn_write,omitempty"`
 	// NVRAMLyingSync matches kind "nvram-lying-sync".
-	NVRAMLyingSync *NVRAMLyingSyncFault `json:"nvram_lying_sync,omitempty"`
+	NVRAMLyingSync *fault.NVRAMLyingSync `json:"nvram_lying_sync,omitempty"`
 }
 
-// ServerCrashFault schedules Count crash/reboot cycles on server shard
-// Node: the first crash at At (simulated time), repeating every Period,
-// each with the given Outage before the reboot starts.
-type ServerCrashFault struct {
-	Node   int          `json:"node"`
-	At     sim.Duration `json:"at_ns"`
-	Period sim.Duration `json:"period_ns,omitempty"`
-	Outage sim.Duration `json:"outage_ns"`
-	Count  int          `json:"count"`
+// variant is one of FaultEvent's variant fields: the kind tag that
+// selects it and its value, nil when the field is unset.
+type variant struct {
+	kind  string
+	fault fault.Kind
 }
 
-// ClientRebootFault power-cycles client host Client (0-based index into
-// the topology's client population) at At: dirty write-behind and pending
-// biod retries are discarded with host memory, and the host boots back
-// after Outage with fresh daemons. Applications do not restart — an
-// interrupted stream stays interrupted.
-type ClientRebootFault struct {
-	Client int          `json:"client"`
-	At     sim.Duration `json:"at_ns"`
-	Outage sim.Duration `json:"outage_ns"`
+// variants lists the event's variant fields in schema order. It is the one
+// list of kinds the schema knows: validation and Fault both read it.
+func (ev FaultEvent) variants() []variant {
+	return []variant{
+		{fault.KindServerCrash, kindOf(ev.ServerCrash)},
+		{fault.KindClientReboot, kindOf(ev.ClientReboot)},
+		{fault.KindBiodLoss, kindOf(ev.BiodLoss)},
+		{fault.KindShardFailover, kindOf(ev.ShardFailover)},
+		{fault.KindLinkOutage, kindOf(ev.LinkOutage)},
+		{fault.KindDiskReadError, kindOf(ev.DiskReadError)},
+		{fault.KindDiskDegraded, kindOf(ev.DiskDegraded)},
+		{fault.KindDiskTornWrite, kindOf(ev.DiskTornWrite)},
+		{fault.KindNVRAMLyingSync, kindOf(ev.NVRAMLyingSync)},
+	}
 }
 
-// BiodLossFault kills Lose of one client's biod daemons at At; the pool
-// stays shrunk for the rest of the run.
-type BiodLossFault struct {
-	Client int          `json:"client"`
-	At     sim.Duration `json:"at_ns"`
-	Lose   int          `json:"lose"`
+// kindOf turns an unset (nil) variant pointer into a nil fault.Kind.
+func kindOf[P interface {
+	comparable
+	fault.Kind
+}](p P) fault.Kind {
+	var unset P
+	if p == unset {
+		return nil
+	}
+	return p
 }
 
-// ShardFailoverFault kills server shard Node at At and, after the
-// Takeover delay, has surviving shard To adopt its disks under a stable
-// FSID: existing file handles stay valid and clients reroute to the
-// adopter. The source shard never reboots.
-type ShardFailoverFault struct {
-	Node     int          `json:"node"`
-	To       int          `json:"to"`
-	At       sim.Duration `json:"at_ns"`
-	Takeover sim.Duration `json:"takeover_ns"`
-}
-
-// LinkOutageFault severs a network attachment for Count timed windows
-// of Outage, starting at At and spaced every Period. Exactly one of
-// Node (server shard), Client (client host) and Segment (a bridged
-// segment's uplink port — partitioning the whole segment from the rest
-// of the fabric) selects the target. Segment targets require a
-// multi-segment topology.media and must name a non-root segment.
-type LinkOutageFault struct {
-	Node    *int         `json:"node,omitempty"`
-	Client  *int         `json:"client,omitempty"`
-	Segment *string      `json:"segment,omitempty"`
-	At      sim.Duration `json:"at_ns"`
-	Period  sim.Duration `json:"period_ns,omitempty"`
-	Outage  sim.Duration `json:"outage_ns"`
-	Count   int          `json:"count"`
-}
-
-// DiskReadErrorFault arms a media read error on server shard Node's
-// spindle Disk (-1 targets every member of the shard's stripe): reads
-// overlapping platter blocks [BlockFrom, BlockTo) fail, starting
-// AfterOps overlapping reads after At, for Times occurrences (0 means
-// one — the one-shot grown defect). BlockTo 0 means the end of the disk.
-// The stored bytes are intact; only transfers fail, and the server's
-// error path surfaces them as I/O-error NFS replies.
-type DiskReadErrorFault struct {
-	Node      int          `json:"node"`
-	Disk      int          `json:"disk,omitempty"`
-	At        sim.Duration `json:"at_ns"`
-	BlockFrom int64        `json:"block_from,omitempty"`
-	BlockTo   int64        `json:"block_to,omitempty"`
-	AfterOps  int          `json:"after_ops,omitempty"`
-	Times     int          `json:"times,omitempty"`
-}
-
-// DiskDegradedFault multiplies shard Node's spindle Disk service time by
-// Factor (> 1) for the window [At, At+Duration) — a drive slow but
-// correct. Windows on the same spindle must not overlap.
-type DiskDegradedFault struct {
-	Node     int          `json:"node"`
-	Disk     int          `json:"disk,omitempty"`
-	At       sim.Duration `json:"at_ns"`
-	Duration sim.Duration `json:"duration_ns"`
-	Factor   float64      `json:"factor"`
-}
-
-// DiskTornWriteFault arms one torn multi-block write on shard Node's
-// spindle Disk at At: the next clustered write a power event interrupts
-// persists only a prefix of its blocks. Pair it with a server-crash
-// event — without a crash the armed tear never manifests.
-type DiskTornWriteFault struct {
-	Node int          `json:"node"`
-	Disk int          `json:"disk,omitempty"`
-	At   sim.Duration `json:"at_ns"`
-}
-
-// NVRAMLyingSyncFault corrupts shard Node's NVRAM board at At: it keeps
-// acknowledging stable storage, but its dirty map evaporates at the next
-// power event instead of replaying. Requires the shard to run Presto.
-// The durability checker reports the resulting loss as expected — the
-// scenario exists to prove the audit catches a lying board.
-type NVRAMLyingSyncFault struct {
-	Node int          `json:"node"`
-	At   sim.Duration `json:"at_ns"`
+// Fault returns the variant Kind names, as the fault kind that injects
+// it: nil when the kind is unknown or its variant is unset (both
+// validation errors).
+func (ev FaultEvent) Fault() fault.Kind {
+	for _, v := range ev.variants() {
+		if v.kind == ev.Kind {
+			return v.fault
+		}
+	}
+	return nil
 }
 
 // Cell is one sweep point: the base spec with these overrides applied.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/ufs"
 )
@@ -14,24 +15,24 @@ func TestValidateStorageFaultTargets(t *testing.T) {
 	// Unknown node.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskReadError,
-		DiskReadError: &DiskReadErrorFault{Node: 7, At: sim.Second},
+		Kind:          fault.KindDiskReadError,
+		DiskReadError: &fault.DiskReadError{Node: 7, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Unknown spindle: the default topology runs one disk per shard.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskReadError,
-		DiskReadError: &DiskReadErrorFault{Node: 0, Disk: 3, At: sim.Second},
+		Kind:          fault.KindDiskReadError,
+		DiskReadError: &fault.DiskReadError{Node: 0, Disk: 3, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Disk -1 (all stripe members) is a valid target.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskReadError,
-		DiskReadError: &DiskReadErrorFault{Node: 0, Disk: -1, At: sim.Second},
+		Kind:          fault.KindDiskReadError,
+		DiskReadError: &fault.DiskReadError{Node: 0, Disk: -1, At: sim.Second},
 	}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("disk -1 rejected: %v", err)
@@ -42,8 +43,8 @@ func TestValidateDiskReadErrorParameters(t *testing.T) {
 	// Empty block range.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskReadError,
-		DiskReadError: &DiskReadErrorFault{Node: 0, At: sim.Second, BlockFrom: 10, BlockTo: 5},
+		Kind:          fault.KindDiskReadError,
+		DiskReadError: &fault.DiskReadError{Node: 0, At: sim.Second, BlockFrom: 10, BlockTo: 5},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -53,8 +54,8 @@ func TestValidateDiskReadErrorParameters(t *testing.T) {
 	s.Topology.Clients = []ClientGroup{{Count: 1, Biods: 4}}
 	s.Workload = Workload{Kind: KindCopy, Copy: &CopyWorkload{FileMB: 1}}
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskReadError,
-		DiskReadError: &DiskReadErrorFault{Node: 0, At: sim.Second},
+		Kind:          fault.KindDiskReadError,
+		DiskReadError: &fault.DiskReadError{Node: 0, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 }
@@ -63,17 +64,17 @@ func TestValidateDiskDegradedWindows(t *testing.T) {
 	// Factor must exceed 1.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:         FaultDiskDegraded,
-		DiskDegraded: &DiskDegradedFault{Node: 0, At: sim.Second, Duration: sim.Second, Factor: 1},
+		Kind:         fault.KindDiskDegraded,
+		DiskDegraded: &fault.DiskDegraded{Node: 0, At: sim.Second, Duration: sim.Second, Factor: 1},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
 	// Overlapping windows on the same spindle.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
-		{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: 0, At: sim.Second, Duration: sim.Second, Factor: 4}},
-		{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: 0, At: sim.Second + 500*sim.Millisecond, Duration: sim.Second, Factor: 8}},
 	}
 	wantInvalid(t, s, "faults.events[0]")
@@ -81,9 +82,9 @@ func TestValidateDiskDegradedWindows(t *testing.T) {
 	// The same two windows on different shards coexist.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
-		{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: 0, At: sim.Second, Duration: sim.Second, Factor: 4}},
-		{Kind: FaultDiskDegraded, DiskDegraded: &DiskDegradedFault{
+		{Kind: fault.KindDiskDegraded, DiskDegraded: &fault.DiskDegraded{
 			Node: 1, At: sim.Second + 500*sim.Millisecond, Duration: sim.Second, Factor: 8}},
 	}
 	if err := s.Validate(); err != nil {
@@ -95,8 +96,8 @@ func TestValidateNVRAMLyingSyncRequiresPresto(t *testing.T) {
 	// faultSpec runs no boards: a lying-sync fault has nothing to corrupt.
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:           FaultNVRAMLyingSync,
-		NVRAMLyingSync: &NVRAMLyingSyncFault{Node: 0, At: sim.Second},
+		Kind:           fault.KindNVRAMLyingSync,
+		NVRAMLyingSync: &fault.NVRAMLyingSync{Node: 0, At: sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -104,8 +105,8 @@ func TestValidateNVRAMLyingSyncRequiresPresto(t *testing.T) {
 	s = faultSpec()
 	s.Topology.Servers.Presto = true
 	s.Faults.Events = []FaultEvent{{
-		Kind:           FaultNVRAMLyingSync,
-		NVRAMLyingSync: &NVRAMLyingSyncFault{Node: 0, At: sim.Second},
+		Kind:           fault.KindNVRAMLyingSync,
+		NVRAMLyingSync: &fault.NVRAMLyingSync{Node: 0, At: sim.Second},
 	}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("lying-sync on a presto shard rejected: %v", err)
@@ -114,8 +115,8 @@ func TestValidateNVRAMLyingSyncRequiresPresto(t *testing.T) {
 	// Torn-write arm time must not be negative.
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{{
-		Kind:          FaultDiskTornWrite,
-		DiskTornWrite: &DiskTornWriteFault{Node: 0, At: -sim.Second},
+		Kind:          fault.KindDiskTornWrite,
+		DiskTornWrite: &fault.DiskTornWrite{Node: 0, At: -sim.Second},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 }
@@ -137,8 +138,8 @@ func lyingSpec(lying bool) Spec {
 		Faults: Faults{
 			CheckDurability: true,
 			Events: []FaultEvent{{
-				Kind: FaultServerCrash,
-				ServerCrash: &ServerCrashFault{
+				Kind: fault.KindServerCrash,
+				ServerCrash: &fault.ServerCrash{
 					Node: 0, At: 300 * sim.Millisecond,
 					Outage: 100 * sim.Millisecond, Count: 1,
 				},
@@ -147,8 +148,8 @@ func lyingSpec(lying bool) Spec {
 	}
 	if lying {
 		s.Faults.Events = append(s.Faults.Events, FaultEvent{
-			Kind:           FaultNVRAMLyingSync,
-			NVRAMLyingSync: &NVRAMLyingSyncFault{Node: 0, At: 100 * sim.Millisecond},
+			Kind:           fault.KindNVRAMLyingSync,
+			NVRAMLyingSync: &fault.NVRAMLyingSync{Node: 0, At: 100 * sim.Millisecond},
 		})
 	}
 	return s

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -606,16 +607,36 @@ func (r *resolved) needsCluster() string {
 	return ""
 }
 
-// faultWindow is one scheduled down-window on a target, kept with the
-// spec field it came from so overlap errors name both offenders. fatal
-// windows take the host down (crash, reboot, failover); non-fatal ones
-// only sever its attachment (link outage) — the host, its daemons and
-// any adopted exports live on.
+// faultWindow is one scheduled window on a target, kept with the spec
+// field it came from so overlap errors name both offenders. fatal windows
+// take the host down (crash, reboot, failover); non-fatal ones only sever
+// its attachment (link outage) — the host, its daemons and any adopted
+// exports live on. disk is a degraded window's spindle (-1: every stripe
+// member).
 type faultWindow struct {
 	from, to sim.Duration
 	field    string
 	fatal    bool
+	disk     int
 }
+
+// overlap returns the first pair of ws, in declaration order, whose
+// windows intersect and which conflict accepts (nil accepts every pair).
+func overlap(ws []faultWindow, conflict func(a, b faultWindow) bool) (a, b faultWindow, ok bool) {
+	for i := range ws {
+		for j := i + 1; j < len(ws); j++ {
+			a, b := ws[i], ws[j]
+			if a.from < b.to && b.from < a.to && (conflict == nil || conflict(a, b)) {
+				return a, b, true
+			}
+		}
+	}
+	return a, b, false
+}
+
+// sameSpindle reports whether two degraded windows on one node slow the
+// same spindle.
+func sameSpindle(a, b faultWindow) bool { return a.disk < 0 || b.disk < 0 || a.disk == b.disk }
 
 // forever marks an open-ended window (a failed-over shard never comes
 // back).
@@ -648,21 +669,15 @@ func (r *resolved) validateFaults() error {
 	// would multiply factors in an order the spec never stated, so they
 	// are rejected. disk -1 (every stripe member) conflicts with any
 	// window on the same node.
-	type diskWindow struct {
-		disk     int
-		from, to sim.Duration
-		field    string
-	}
-	degradeWin := map[int][]diskWindow{}
+	degradeWin := map[int][]faultWindow{}
 
 	for i, ev := range r.faults.Events {
 		field := eventField(i)
-		if err := r.checkVariant(field, ev); err != nil {
+		if err := checkVariant(field, ev); err != nil {
 			return err
 		}
-		switch ev.Kind {
-		case FaultServerCrash:
-			f := ev.ServerCrash
+		switch f := ev.Fault().(type) {
+		case *fault.ServerCrash:
 			if f.Node < 0 || f.Node >= r.servers.Count {
 				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
 			}
@@ -680,10 +695,9 @@ func (r *resolved) validateFaults() error {
 			}
 			for k := 0; k < f.Count; k++ {
 				at := f.At + sim.Duration(k)*f.Period
-				serverWin[f.Node] = append(serverWin[f.Node], faultWindow{at, at + f.Outage, field, true})
+				serverWin[f.Node] = append(serverWin[f.Node], faultWindow{at, at + f.Outage, field, true, 0})
 			}
-		case FaultClientReboot:
-			f := ev.ClientReboot
+		case *fault.ClientReboot:
 			if f.Client < 0 || f.Client >= r.nclients {
 				return invalid(field, "fault targets unknown client %d (topology has %d clients)", f.Client, r.nclients)
 			}
@@ -696,9 +710,8 @@ func (r *resolved) validateFaults() error {
 			if r.kind != KindStream {
 				return invalid(field, "client faults require the stream workload (the %s runner cannot lose a client)", r.kind)
 			}
-			clientWin[f.Client] = append(clientWin[f.Client], faultWindow{f.At, f.At + f.Outage, field, true})
-		case FaultBiodLoss:
-			f := ev.BiodLoss
+			clientWin[f.Client] = append(clientWin[f.Client], faultWindow{f.At, f.At + f.Outage, field, true, 0})
+		case *fault.BiodLoss:
 			if f.Client < 0 || f.Client >= r.nclients {
 				return invalid(field, "fault targets unknown client %d (topology has %d clients)", f.Client, r.nclients)
 			}
@@ -713,8 +726,7 @@ func (r *resolved) validateFaults() error {
 				return invalid(field, "lose must be between 1 and the client's %d biods", biods)
 			}
 			biodPoints = append(biodPoints, point{f.Client, f.At, field})
-		case FaultShardFailover:
-			f := ev.ShardFailover
+		case *fault.ShardFailover:
 			if f.Node < 0 || f.Node >= r.servers.Count {
 				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
 			}
@@ -733,10 +745,9 @@ func (r *resolved) validateFaults() error {
 			}
 			// The source never comes back: its down-window is open-ended,
 			// which also rejects any later event aimed at it.
-			serverWin[f.Node] = append(serverWin[f.Node], faultWindow{f.At, forever, field, true})
+			serverWin[f.Node] = append(serverWin[f.Node], faultWindow{f.At, forever, field, true, 0})
 			adoptions = append(adoptions, adoption{f.To, f.At, field})
-		case FaultLinkOutage:
-			f := ev.LinkOutage
+		case *fault.LinkOutage:
 			targets := 0
 			for _, set := range []bool{f.Node != nil, f.Client != nil, f.Segment != nil} {
 				if set {
@@ -774,7 +785,7 @@ func (r *resolved) validateFaults() error {
 				}
 				for k := 0; k < f.Count; k++ {
 					at := f.At + sim.Duration(k)*f.Period
-					segWin[seg] = append(segWin[seg], faultWindow{at, at + f.Outage, field, false})
+					segWin[seg] = append(segWin[seg], faultWindow{at, at + f.Outage, field, false, 0})
 				}
 				break
 			}
@@ -790,10 +801,9 @@ func (r *resolved) validateFaults() error {
 			}
 			for k := 0; k < f.Count; k++ {
 				at := f.At + sim.Duration(k)*f.Period
-				win[idx] = append(win[idx], faultWindow{at, at + f.Outage, field, false})
+				win[idx] = append(win[idx], faultWindow{at, at + f.Outage, field, false, 0})
 			}
-		case FaultDiskReadError:
-			f := ev.DiskReadError
+		case *fault.DiskReadError:
 			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
 				return err
 			}
@@ -813,8 +823,7 @@ func (r *resolved) validateFaults() error {
 				return invalid(field, "disk read errors require the stream workload (the %s runner cannot absorb I/O-error replies)", r.kind)
 			}
 			r.storageFaults = true
-		case FaultDiskDegraded:
-			f := ev.DiskDegraded
+		case *fault.DiskDegraded:
 			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
 				return err
 			}
@@ -828,10 +837,9 @@ func (r *resolved) validateFaults() error {
 				return invalid(field, "degrade factor must exceed 1 (got %g)", f.Factor)
 			}
 			degradeWin[f.Node] = append(degradeWin[f.Node],
-				diskWindow{f.Disk, f.At, f.At + f.Duration, field})
+				faultWindow{f.At, f.At + f.Duration, field, false, f.Disk})
 			r.storageFaults = true
-		case FaultDiskTornWrite:
-			f := ev.DiskTornWrite
+		case *fault.DiskTornWrite:
 			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
 				return err
 			}
@@ -839,8 +847,7 @@ func (r *resolved) validateFaults() error {
 				return invalid(field, "arm time must not be negative")
 			}
 			r.storageFaults = true
-		case FaultNVRAMLyingSync:
-			f := ev.NVRAMLyingSync
+		case *fault.NVRAMLyingSync:
 			if f.Node < 0 || f.Node >= r.servers.Count {
 				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
 			}
@@ -852,51 +859,34 @@ func (r *resolved) validateFaults() error {
 			}
 			r.storageFaults = true
 		default:
-			// checkVariant already rejected unknown kinds; a kind added
-			// to its table but not here must fail loudly, not skip its
-			// validation.
+			// checkVariant already rejected unknown kinds; a variant
+			// added to FaultEvent but not here must fail loudly, not skip
+			// its validation.
 			panic("scenario: fault kind " + ev.Kind + " has no validation case")
 		}
 	}
 
 	for node, ws := range degradeWin {
-		for i := range ws {
-			for j := i + 1; j < len(ws); j++ {
-				a, b := ws[i], ws[j]
-				sameDisk := a.disk < 0 || b.disk < 0 || a.disk == b.disk
-				if sameDisk && a.from < b.to && b.from < a.to {
-					return invalid(a.field,
-						"overlapping degraded windows on node %d disk %d (%s [%v,%v] and %s [%v,%v])",
-						node, a.disk, a.field, a.from, a.to, b.field, b.from, b.to)
-				}
-			}
+		if a, b, ok := overlap(ws, sameSpindle); ok {
+			return invalid(a.field,
+				"overlapping degraded windows on node %d disk %d (%s [%v,%v] and %s [%v,%v])",
+				node, a.disk, a.field, a.from, a.to, b.field, b.from, b.to)
 		}
 	}
-
 	for _, byTarget := range []map[int][]faultWindow{serverWin, clientWin} {
 		for target, ws := range byTarget {
-			for i := range ws {
-				for j := i + 1; j < len(ws); j++ {
-					a, b := ws[i], ws[j]
-					if a.from < b.to && b.from < a.to {
-						return invalid(a.field,
-							"overlapping fault windows on target %d (%s [%v,%v] and %s [%v,%v])",
-							target, a.field, a.from, a.to, b.field, b.from, b.to)
-					}
-				}
+			if a, b, ok := overlap(ws, nil); ok {
+				return invalid(a.field,
+					"overlapping fault windows on target %d (%s [%v,%v] and %s [%v,%v])",
+					target, a.field, a.from, a.to, b.field, b.from, b.to)
 			}
 		}
 	}
 	for seg, ws := range segWin {
-		for i := range ws {
-			for j := i + 1; j < len(ws); j++ {
-				a, b := ws[i], ws[j]
-				if a.from < b.to && b.from < a.to {
-					return invalid(a.field,
-						"overlapping outage windows on segment %q (%s [%v,%v] and %s [%v,%v])",
-						seg, a.field, a.from, a.to, b.field, b.from, b.to)
-				}
-			}
+		if a, b, ok := overlap(ws, nil); ok {
+			return invalid(a.field,
+				"overlapping outage windows on segment %q (%s [%v,%v] and %s [%v,%v])",
+				seg, a.field, a.from, a.to, b.field, b.from, b.to)
 		}
 	}
 	// An adopter must survive from the failover on: adopted exports die
@@ -928,35 +918,10 @@ func (r *resolved) validateFaults() error {
 	if r.faults.CheckDurability && r.kind == KindTrace {
 		return invalid("faults.check_durability", "the trace workload has no durability journal")
 	}
-	if ev, field, ok := r.firstImageFault(); ok && sim.Time(eventAt(ev)) < laddisBarrier {
+	if ev, field, ok := r.firstImageFault(); ok && sim.Time(ev.Fault().Start()) < laddisBarrier {
 		return imageFaultError(field, ev, fmt.Sprintf("none opens before %v", sim.Duration(laddisBarrier)))
 	}
 	return nil
-}
-
-// eventAt pulls the scheduling instant out of a fault event.
-func eventAt(ev FaultEvent) sim.Duration {
-	switch ev.Kind {
-	case FaultServerCrash:
-		return ev.ServerCrash.At
-	case FaultClientReboot:
-		return ev.ClientReboot.At
-	case FaultBiodLoss:
-		return ev.BiodLoss.At
-	case FaultShardFailover:
-		return ev.ShardFailover.At
-	case FaultLinkOutage:
-		return ev.LinkOutage.At
-	case FaultDiskReadError:
-		return ev.DiskReadError.At
-	case FaultDiskDegraded:
-		return ev.DiskDegraded.At
-	case FaultDiskTornWrite:
-		return ev.DiskTornWrite.At
-	case FaultNVRAMLyingSync:
-		return ev.NVRAMLyingSync.At
-	}
-	return 0
 }
 
 // firstImageFault finds the earliest scheduled event of an open-loop cell
@@ -971,13 +936,13 @@ func (r *resolved) firstImageFault() (first FaultEvent, field string, ok bool) {
 		return FaultEvent{}, "", false
 	}
 	for i, ev := range r.faults.Events {
-		switch ev.Kind {
-		case FaultServerCrash, FaultShardFailover, FaultDiskReadError,
-			FaultDiskDegraded, FaultDiskTornWrite, FaultNVRAMLyingSync:
+		switch ev.Fault().(type) {
+		case *fault.ServerCrash, *fault.ShardFailover, *fault.DiskReadError,
+			*fault.DiskDegraded, *fault.DiskTornWrite, *fault.NVRAMLyingSync:
 		default:
 			continue
 		}
-		if !ok || eventAt(ev) < eventAt(first) {
+		if !ok || ev.Fault().Start() < first.Fault().Start() {
 			first, field, ok = ev, eventField(i), true
 		}
 	}
@@ -992,34 +957,21 @@ func eventField(i int) string { return fmt.Sprintf("faults.events[%d]", i) }
 func imageFaultError(field string, ev FaultEvent, window string) error {
 	return invalid(field,
 		"%s at %v lands ahead of the measured window (%s): open-loop set-up builds the export through ufs and holds the servers' filesystems until the window opens; schedule the fault inside it",
-		ev.Kind, eventAt(ev), window)
+		ev.Kind, ev.Fault().Start(), window)
 }
 
 // checkVariant enforces the tagged-union contract: exactly the variant
 // matching Kind is set.
-func (r *resolved) checkVariant(field string, ev FaultEvent) error {
-	variants := []struct {
-		kind string
-		set  bool
-	}{
-		{FaultServerCrash, ev.ServerCrash != nil},
-		{FaultClientReboot, ev.ClientReboot != nil},
-		{FaultBiodLoss, ev.BiodLoss != nil},
-		{FaultShardFailover, ev.ShardFailover != nil},
-		{FaultLinkOutage, ev.LinkOutage != nil},
-		{FaultDiskReadError, ev.DiskReadError != nil},
-		{FaultDiskDegraded, ev.DiskDegraded != nil},
-		{FaultDiskTornWrite, ev.DiskTornWrite != nil},
-		{FaultNVRAMLyingSync, ev.NVRAMLyingSync != nil},
-	}
+func checkVariant(field string, ev FaultEvent) error {
+	variants := ev.variants()
 	known := false
 	for _, v := range variants {
 		if v.kind == ev.Kind {
 			known = true
-			if !v.set {
+			if v.fault == nil {
 				return invalid(field, "kind %q declared but its %s variant is missing", ev.Kind, jsonName(ev.Kind))
 			}
-		} else if v.set {
+		} else if v.fault != nil {
 			return invalid(field, "kind %q set alongside a %s variant", ev.Kind, v.kind)
 		}
 	}
