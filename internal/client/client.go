@@ -171,8 +171,8 @@ type argsEncoder interface {
 }
 
 // GetWriteBuf takes a staging buffer from the client's pool; the caller
-// fills it and hands it to WriteSyncBuf/writeBehind, then releases its
-// reference when the write has completed.
+// fills it and hands it to WriteSyncBufRelease or writeBehindBuf, which
+// release it when the write has completed.
 func (c *Client) GetWriteBuf() *block.Buf { return c.pool.Get() }
 
 type writeJob struct {
@@ -603,7 +603,7 @@ func (c *Client) Readdir(p *sim.Proc, dir nfsproto.FH, cookie, count uint32) (*n
 // WriteSync issues one WRITE RPC and waits for its reply, recording write
 // latency and throughput counters. The payload is copied into the wire
 // buffer (data may be reused by the caller immediately); the zero-copy
-// twin is WriteSyncBuf.
+// twin is WriteSyncBufRelease.
 func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
 	args := &nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
 	start := p.Now()
@@ -614,13 +614,15 @@ func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte)
 	return c.writeDone(p, fh, off, len(data), start, reply, err)
 }
 
-// WriteSyncBuf issues one WRITE RPC whose n-byte payload travels as a
-// refcounted datagram body — never memmoved between the staging buffer
-// and the server's buffer cache. The caller keeps its reference to b (and
-// may release it as soon as this returns); each transmitted datagram
-// holds its own. Payload lengths the XDR opaque would pad fall back to
-// the copying path.
-func (c *Client) WriteSyncBuf(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
+// WriteSyncBufRelease issues one WRITE RPC whose n-byte payload travels
+// as a refcounted datagram body — never memmoved between the staging
+// buffer and the server's buffer cache — and takes ownership of the
+// caller's reference to b: it is released when the RPC completes, via
+// defer, so even a kill that unwinds the calling process mid-RPC cannot
+// strand it. Each transmitted datagram holds its own reference. Payload
+// lengths the XDR opaque would pad fall back to the copying path.
+func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
+	defer b.Release()
 	if n%4 != 0 {
 		return c.WriteSync(p, fh, off, b.Data()[:n])
 	}
@@ -632,15 +634,17 @@ func (c *Client) WriteSyncBuf(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.
 	return c.writeDone(p, fh, off, n, start, reply, err)
 }
 
-// WriteSyncBufRelease is WriteSyncBuf taking ownership of the caller's
-// reference: the buffer is released when the RPC completes, via defer, so
-// even a kill that unwinds the calling process mid-RPC cannot strand it.
-func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
-	defer b.Release()
-	return c.WriteSyncBuf(p, fh, off, b, n)
+// WritePattern writes one MaxData block of the audit pattern (FillPattern)
+// at off: a fresh staging buffer per request, released when the RPC
+// completes, because the pool must not recycle it while a queued
+// duplicate datagram still references the payload.
+func (c *Client) WritePattern(p *sim.Proc, fh nfsproto.FH, off uint32) error {
+	buf := c.GetWriteBuf()
+	FillPattern(buf.Data(), off)
+	return c.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData)
 }
 
-// writeDone is the shared reply half of WriteSync/WriteSyncBuf.
+// writeDone is the shared reply half of WriteSync/WriteSyncBufRelease.
 func (c *Client) writeDone(p *sim.Proc, fh nfsproto.FH, off uint32, n int, start sim.Time, reply *oncrpc.ReplyMsg, err error) error {
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("reply", off, n)

@@ -172,7 +172,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 			Where: nfsproto.DirOpArgs{Dir: root, Name: "w.dat"},
 			Attr:  nfsproto.DefaultSAttr(0644),
 		}).Encode()))
-		dres, err := nfsproto.DecodeDirOpRes(cres.Results)
+		var dres nfsproto.DirOpRes
+		err := nfsproto.DecodeDirOpResInto(cres.Results, &dres)
 		if err != nil || dres.Status != nfsproto.OK {
 			t.Errorf("setup create: %v %v", err, dres)
 			return
@@ -185,7 +186,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 			File: fh, Offset: 0, TotalCount: uint32(len(data)), Data: data,
 		}).Encode())
 		first := pr.rpc(p, writeRaw)
-		ws, err := nfsproto.DecodeAttrStat(first.Results)
+		var ws nfsproto.AttrStat
+		err = nfsproto.DecodeAttrStatInto(first.Results, &ws)
 		if err != nil || ws.Status != nfsproto.OK {
 			t.Errorf("write: %v %v", err, ws)
 			return
@@ -204,7 +206,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 			Attr:  nfsproto.DefaultSAttr(0644),
 		}).Encode())
 		c1 := pr.rpc(p, createRaw)
-		d1, err := nfsproto.DecodeDirOpRes(c1.Results)
+		var d1 nfsproto.DirOpRes
+		err = nfsproto.DecodeDirOpResInto(c1.Results, &d1)
 		if err != nil || d1.Status != nfsproto.OK {
 			t.Errorf("create once.dat: %v %v", err, d1)
 			return
@@ -225,7 +228,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 		// Retransmitted WRITE re-executes (no cache), and that is safe:
 		// identical bytes land on identical offsets.
 		re := pr.rpc(p, writeRaw)
-		rs, err := nfsproto.DecodeAttrStat(re.Results)
+		var rs nfsproto.AttrStat
+		err = nfsproto.DecodeAttrStatInto(re.Results, &rs)
 		if err != nil || rs.Status != nfsproto.OK {
 			t.Errorf("re-executed write: %v %v", err, rs)
 			return
@@ -241,7 +245,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 		// Retransmitted CREATE re-executes and turns into ErrExist — the
 		// observable anomaly a volatile dup cache permits.
 		c2 := pr.rpc(p, createRaw)
-		d2, err := nfsproto.DecodeDirOpRes(c2.Results)
+		var d2 nfsproto.DirOpRes
+		err = nfsproto.DecodeDirOpResInto(c2.Results, &d2)
 		if err != nil {
 			t.Errorf("re-executed create decode: %v", err)
 			return

@@ -344,15 +344,6 @@ func (r *AttrStat) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeAttrStat parses an attrstat result.
-func DecodeAttrStat(b []byte) (*AttrStat, error) {
-	r := &AttrStat{}
-	if err := DecodeAttrStatInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeAttrStatInto parses an attrstat result into a caller-owned struct
 // (which may be pooled or per-client scratch).
 func DecodeAttrStatInto(b []byte, r *AttrStat) error {
@@ -445,15 +436,6 @@ func (r *DirOpRes) Encode() []byte {
 	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
 	r.EncodeTo(e)
 	return e.Bytes()
-}
-
-// DecodeDirOpRes parses a diropres result.
-func DecodeDirOpRes(b []byte) (*DirOpRes, error) {
-	r := &DirOpRes{}
-	if err := DecodeDirOpResInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // DecodeDirOpResInto parses a diropres result into a caller-owned struct.
@@ -596,15 +578,6 @@ func (r *ReadRes) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReadRes parses a READ result.
-func DecodeReadRes(b []byte) (*ReadRes, error) {
-	r := &ReadRes{}
-	if err := DecodeReadResInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeReadResInto parses a READ result into a caller-owned struct. Data
 // aliases b.
 func DecodeReadResInto(b []byte, r *ReadRes) error {
@@ -696,15 +669,6 @@ func (a *WriteArgs) Encode() []byte {
 	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
 	a.EncodeTo(e)
 	return e.Bytes()
-}
-
-// DecodeWriteArgs parses WRITE arguments. Data aliases b.
-func DecodeWriteArgs(b []byte) (*WriteArgs, error) {
-	a := &WriteArgs{}
-	if err := DecodeWriteArgsInto(b, a); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // DecodeWriteArgsInto parses WRITE arguments into a caller-owned struct
@@ -885,15 +849,6 @@ func (r *StatusRes) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeStatusRes parses a status-only result.
-func DecodeStatusRes(b []byte) (*StatusRes, error) {
-	r := &StatusRes{}
-	if err := DecodeStatusResInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeStatusResInto parses a status-only result into a caller-owned
 // struct.
 func DecodeStatusResInto(b []byte, r *StatusRes) error {
@@ -995,15 +950,6 @@ func (r *ReaddirRes) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReaddirRes parses a READDIR result.
-func DecodeReaddirRes(b []byte) (*ReaddirRes, error) {
-	r := &ReaddirRes{}
-	if err := DecodeReaddirResInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeReaddirResInto parses a READDIR result into a caller-owned struct,
 // reusing its Entries backing.
 func DecodeReaddirResInto(b []byte, r *ReaddirRes) error {
@@ -1081,24 +1027,23 @@ func (r *StatfsRes) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeStatfsRes parses a STATFS result.
-func DecodeStatfsRes(b []byte) (*StatfsRes, error) {
+// DecodeStatfsResInto parses a STATFS result into a caller-owned struct.
+func DecodeStatfsResInto(b []byte, r *StatfsRes) error {
 	d := xdr.NewDecoder(b)
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &StatfsRes{Status: Status(st)}
+	*r = StatfsRes{Status: Status(st)}
 	if r.Status != OK {
-		return r, nil
+		return nil
 	}
-	fields := []*uint32{&r.TSize, &r.BSize, &r.Blocks, &r.BFree, &r.BAvail}
-	for _, f := range fields {
+	for _, f := range []*uint32{&r.TSize, &r.BSize, &r.Blocks, &r.BFree, &r.BAvail} {
 		if *f, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // FHArgs is the single-file-handle argument used by GETATTR, READLINK and

@@ -49,19 +49,19 @@ func sampleAttr() FAttr {
 
 func TestAttrStatRoundTrip(t *testing.T) {
 	r := &AttrStat{Status: OK, Attr: sampleAttr()}
-	got, err := DecodeAttrStat(r.Encode())
-	if err != nil {
+	var got AttrStat
+	if err := DecodeAttrStatInto(r.Encode(), &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if *got != *r {
+	if got != *r {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, r)
 	}
 }
 
 func TestAttrStatError(t *testing.T) {
 	r := &AttrStat{Status: ErrStale}
-	got, err := DecodeAttrStat(r.Encode())
-	if err != nil {
+	var got AttrStat
+	if err := DecodeAttrStatInto(r.Encode(), &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Status != ErrStale {
@@ -79,8 +79,8 @@ func TestWriteArgsRoundTrip(t *testing.T) {
 	if len(enc) != a.WireSize() {
 		t.Fatalf("WireSize = %d, encoded %d", a.WireSize(), len(enc))
 	}
-	got, err := DecodeWriteArgs(enc)
-	if err != nil {
+	var got WriteArgs
+	if err := DecodeWriteArgsInto(enc, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.File != a.File || got.Offset != a.Offset || !bytes.Equal(got.Data, a.Data) {
@@ -98,7 +98,8 @@ func TestWriteArgsQuick(t *testing.T) {
 		if len(enc) != a.WireSize() {
 			return false
 		}
-		got, err := DecodeWriteArgs(enc)
+		var got WriteArgs
+		err := DecodeWriteArgsInto(enc, &got)
 		return err == nil && got.Offset == off && bytes.Equal(got.Data, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -113,8 +114,8 @@ func TestReadArgsResRoundTrip(t *testing.T) {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &ReadRes{Status: OK, Attr: sampleAttr(), Data: []byte("hello world")}
-	gr, err := DecodeReadRes(r.Encode())
-	if err != nil {
+	var gr ReadRes
+	if err := DecodeReadResInto(r.Encode(), &gr); err != nil {
 		t.Fatalf("res decode: %v", err)
 	}
 	if gr.Status != OK || !bytes.Equal(gr.Data, r.Data) || gr.Attr != r.Attr {
@@ -129,16 +130,16 @@ func TestDirOpRoundTrip(t *testing.T) {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &DirOpRes{Status: OK, File: NewFH(1, 9, 1), Attr: sampleAttr()}
-	gr, err := DecodeDirOpRes(r.Encode())
-	if err != nil || *gr != *r {
+	var gr DirOpRes
+	if err := DecodeDirOpResInto(r.Encode(), &gr); err != nil || gr != *r {
 		t.Fatalf("res round trip: %+v err %v", gr, err)
 	}
 }
 
 func TestDirOpResError(t *testing.T) {
 	r := &DirOpRes{Status: ErrNoEnt}
-	gr, err := DecodeDirOpRes(r.Encode())
-	if err != nil || gr.Status != ErrNoEnt {
+	var gr DirOpRes
+	if err := DecodeDirOpResInto(r.Encode(), &gr); err != nil || gr.Status != ErrNoEnt {
 		t.Fatalf("error res: %+v err %v", gr, err)
 	}
 }
@@ -191,8 +192,8 @@ func TestReaddirRoundTrip(t *testing.T) {
 		},
 		EOF: true,
 	}
-	gr, err := DecodeReaddirRes(r.Encode())
-	if err != nil {
+	var gr ReaddirRes
+	if err := DecodeReaddirResInto(r.Encode(), &gr); err != nil {
 		t.Fatalf("res decode: %v", err)
 	}
 	if gr.Status != OK || !gr.EOF || len(gr.Entries) != 3 {
@@ -207,16 +208,16 @@ func TestReaddirRoundTrip(t *testing.T) {
 
 func TestReaddirEmpty(t *testing.T) {
 	r := &ReaddirRes{Status: OK, EOF: true}
-	gr, err := DecodeReaddirRes(r.Encode())
-	if err != nil || len(gr.Entries) != 0 || !gr.EOF {
+	var gr ReaddirRes
+	if err := DecodeReaddirResInto(r.Encode(), &gr); err != nil || len(gr.Entries) != 0 || !gr.EOF {
 		t.Fatalf("empty readdir: %+v err %v", gr, err)
 	}
 }
 
 func TestStatfsRoundTrip(t *testing.T) {
 	r := &StatfsRes{Status: OK, TSize: 8192, BSize: 8192, Blocks: 131072, BFree: 1000, BAvail: 900}
-	gr, err := DecodeStatfsRes(r.Encode())
-	if err != nil || *gr != *r {
+	var gr StatfsRes
+	if err := DecodeStatfsResInto(r.Encode(), &gr); err != nil || gr != *r {
 		t.Fatalf("round trip: %+v err %v", gr, err)
 	}
 }
@@ -265,12 +266,12 @@ func TestTimeValLess(t *testing.T) {
 func TestTruncatedDecodersFail(t *testing.T) {
 	r := &AttrStat{Status: OK, Attr: sampleAttr()}
 	b := r.Encode()
-	if _, err := DecodeAttrStat(b[:8]); err == nil {
+	if err := DecodeAttrStatInto(b[:8], &AttrStat{}); err == nil {
 		t.Fatal("truncated attrstat accepted")
 	}
 	wa := &WriteArgs{File: NewFH(1, 1, 1), Data: []byte("xyz")}
 	wb := wa.Encode()
-	if _, err := DecodeWriteArgs(wb[:20]); err == nil {
+	if err := DecodeWriteArgsInto(wb[:20], &WriteArgs{}); err == nil {
 		t.Fatal("truncated writeargs accepted")
 	}
 }

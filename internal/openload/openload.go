@@ -144,7 +144,6 @@ type Population struct {
 	Roots  []nfsproto.FH // shard roots; placement by client.ShardIndex
 	Blocks int           // file size in 8K blocks
 	cdf    []float64     // cumulative pick weights; nil = flat
-	built  bool
 }
 
 // NewPopulation describes a population of n files of blocks 8K blocks
@@ -187,25 +186,17 @@ func NewPopulation(n, blocks int, kind string, s float64, roots []nfsproto.FH) (
 	return p, nil
 }
 
-// rootFor places name on its shard root (the cluster-wide placement
-// function, shared with the closed-loop working sets).
-func (p *Population) rootFor(name string) nfsproto.FH {
-	if len(p.Roots) == 1 {
-		return p.Roots[0]
-	}
-	return p.Roots[client.ShardIndex(name, len(p.Roots))]
-}
-
 // Populate builds the cell's starting image by calling the filesystems
 // directly: every population file created and filled in index order,
 // then one scratch directory per generator in gens order, each on the
-// shard rootFor picks (fsOf resolves a shard's mounted filesystem; nil
-// means nobody serves it). These are the ufs calls, in the order, that
-// the servers make when one client Builds the population over the wire
-// and the generators then Setup one after another, so inode numbers,
-// block layout and handles are that export's (TestImageEqualsWire) — but
-// no RPC is issued, no datagram sent, and every write is synchronous, so
-// the image is on the platters when Populate returns.
+// shard workload.RootFor picks (fsOf resolves a shard's mounted
+// filesystem; nil means nobody serves it). These are the ufs calls, in
+// the order, that the servers make when one client Builds the population
+// over the wire and the generators then Setup one after another, so
+// inode numbers, block layout and handles are that export's
+// (TestImageEqualsWire) — but no RPC is issued, no datagram sent, and
+// every write is synchronous, so the image is on the platters when
+// Populate returns.
 //
 // The fill blocks are staged in the first generator's client's write
 // buffers, as Build stages them in its caller's, and the buffer caches
@@ -215,7 +206,7 @@ func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens 
 	if len(gens) == 0 {
 		return fmt.Errorf("openload: populate: no generators")
 	}
-	stage := gens[0].cli
+	stage := gens[0].t.Client
 	for i, name := range p.Names {
 		fs, fh, err := p.place(q, fsOf, name, false)
 		if err != nil {
@@ -238,9 +229,8 @@ func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens 
 		if err != nil {
 			return err
 		}
-		g.scratch = fh
+		g.t.Scratch = fh
 	}
-	p.built = true
 	return nil
 }
 
@@ -248,7 +238,7 @@ func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens 
 // returns the filesystem it landed on and the handle a CREATE or MKDIR
 // reply would have carried.
 func (p *Population) place(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, name string, dir bool) (*ufs.FS, nfsproto.FH, error) {
-	root := p.rootFor(name)
+	root := workload.RootFor(p.Roots, name)
 	fs := fsOf(root.FSID())
 	if fs == nil {
 		return nil, nfsproto.FH{}, fmt.Errorf("openload: populate: %s: nobody serves export %d", name, root.FSID())
@@ -277,21 +267,18 @@ func (p *Population) place(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, name str
 // image-equals-wire test holds Populate to.
 func (p *Population) Build(q *sim.Proc, cli *client.Client) error {
 	for i, name := range p.Names {
-		cres, err := cli.Create(q, p.rootFor(name), name, 0644)
+		cres, err := cli.Create(q, workload.RootFor(p.Roots, name), name, 0644)
 		if err != nil || cres.Status != nfsproto.OK {
 			return fmt.Errorf("openload: create %s: %v %v", name, err, cres)
 		}
 		fh := cres.File // copy: cres is client scratch, dead at the next RPC
 		for b := 0; b < p.Blocks; b++ {
-			buf := cli.GetWriteBuf()
-			client.FillPattern(buf.Data(), uint32(b*nfsproto.MaxData))
-			if err := cli.WriteSyncBufRelease(q, fh, uint32(b*nfsproto.MaxData), buf, nfsproto.MaxData); err != nil {
+			if err := cli.WritePattern(q, fh, uint32(b*nfsproto.MaxData)); err != nil {
 				return fmt.Errorf("openload: fill %s: %w", name, err)
 			}
 		}
 		p.Files[i] = fh
 	}
-	p.built = true
 	return nil
 }
 
@@ -365,16 +352,14 @@ type task struct {
 // Gen is one client's open-loop generator.
 type Gen struct {
 	cfg     Config
-	cli     *client.Client
+	t       workload.Target // the client and pop's files; one WRITE per write op
 	pop     *Population
 	win     *client.IssueWindow
 	backlog *sim.Queue[task]
 	rng     *rand.Rand
 	res     Result
 
-	name    string // of every operation's process
-	scratch nfsproto.FH
-	seq     int
+	name string // of every operation's process
 
 	// The arrival clock (Start): tick is synthetic or replay, re-armed
 	// with At until the window closes; due is the next synthetic arrival,
@@ -405,12 +390,13 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 	if cfg.ReplaySpeed <= 0 {
 		cfg.ReplaySpeed = 1
 	}
-	return &Gen{cfg: cfg, cli: cli, pop: pop, name: "openload-" + cli.Name(), res: Result{PerOp: make(map[string]int)}}
+	t := workload.Target{Client: cli, Names: pop.Names, Files: pop.Files, Roots: pop.Roots}
+	return &Gen{cfg: cfg, t: t, pop: pop, name: "openload-" + cli.Name(), res: Result{PerOp: make(map[string]int)}}
 }
 
 // scratchName names the generator's private scratch directory (create
 // and remove ops need a namespace that does not collide across clients).
-func (g *Gen) scratchName() string { return "olscratch-" + g.cli.Name() }
+func (g *Gen) scratchName() string { return "olscratch-" + g.t.Client.Name() }
 
 // Setup creates the scratch directory with a MKDIR over the wire; the
 // shared population must already be built. Populate does this for every
@@ -420,11 +406,11 @@ func (g *Gen) scratchName() string { return "olscratch-" + g.cli.Name() }
 // concurrent mount storm as a bug-finder.
 func (g *Gen) Setup(p *sim.Proc) error {
 	sname := g.scratchName()
-	mres, err := g.cli.Mkdir(p, g.pop.rootFor(sname), sname, 0755)
+	mres, err := g.t.Client.Mkdir(p, workload.RootFor(g.pop.Roots, sname), sname, 0755)
 	if err != nil || mres.Status != nfsproto.OK {
 		return fmt.Errorf("openload: scratch mkdir: %v %v", err, mres)
 	}
-	g.scratch = mres.File
+	g.t.Scratch = mres.File
 	return nil
 }
 
@@ -432,7 +418,7 @@ func (g *Gen) Setup(p *sim.Proc) error {
 // handle the server does not honour as a directory. An RPC that gets no
 // answer is not an error here: a cell's faults may have cut the path.
 func (g *Gen) CheckScratch(p *sim.Proc) error {
-	res, err := g.cli.Getattr(p, g.scratch)
+	res, err := g.t.Client.Getattr(p, g.t.Scratch)
 	if err != nil {
 		return nil
 	}
@@ -558,17 +544,9 @@ func (g *Gen) settle() {
 // population, offset within the file.
 func (g *Gen) nextTask(now sim.Time) task {
 	r := g.rng.Intn(1 << 20)
-	acc, op := 0, workload.OpLookup
-	for i, pct := 0, r%100; i < workload.Ops(); i++ {
-		acc += g.cfg.Mix[i]
-		if pct < acc {
-			op = workload.Op(i)
-			break
-		}
-	}
 	return task{
 		at:   now,
-		op:   op,
+		op:   g.cfg.Mix.Pick(r),
 		file: g.pop.Pick(g.rng),
 		off:  uint32((r/100)%g.pop.Blocks) * nfsproto.MaxData,
 	}
@@ -623,39 +601,7 @@ func (g *Gen) nextLive(q *sim.Proc) (task, bool) {
 
 // exec performs one operation and records arrival-to-completion latency.
 func (g *Gen) exec(q *sim.Proc, t task) {
-	fh := g.pop.Files[t.file]
-	var err error
-	switch t.op {
-	case workload.OpLookup:
-		name := g.pop.Names[t.file]
-		_, err = g.cli.Lookup(q, g.pop.rootFor(name), name)
-	case workload.OpRead:
-		_, err = g.cli.Read(q, fh, t.off, nfsproto.MaxData)
-	case workload.OpWrite:
-		buf := g.cli.GetWriteBuf()
-		client.FillPattern(buf.Data(), t.off)
-		err = g.cli.WriteSyncBufRelease(q, fh, t.off, buf, nfsproto.MaxData)
-	case workload.OpGetattr:
-		_, err = g.cli.Getattr(q, fh)
-	case workload.OpReaddir:
-		_, err = g.cli.Readdir(q, g.pop.Roots[t.file%len(g.pop.Roots)], 0, 512)
-	case workload.OpCreate:
-		g.seq++
-		var cres *nfsproto.DirOpRes
-		name := fmt.Sprintf("o%d", g.seq)
-		cres, err = g.cli.Create(q, g.scratch, name, 0644)
-		if err == nil && cres.Status == nfsproto.OK {
-			// Keep the scratch directory bounded: remove as we go.
-			g.cli.Remove(q, g.scratch, name)
-		}
-	case workload.OpRemove:
-		// Remove of a nonexistent name exercises the path cheaply.
-		_, err = g.cli.Remove(q, g.scratch, "absent")
-	case workload.OpStatfs:
-		_, err = g.cli.Call(q, nfsproto.ProcStatfs, (&nfsproto.FHArgs{File: g.pop.Roots[0]}).Encode())
-	case workload.OpSetattr:
-		_, err = g.cli.Setattr(q, fh, nfsproto.DefaultSAttr(0644))
-	}
+	err := g.t.Do(q, t.op, workload.Draw{File: t.file, Off: t.off, Dir: t.file % len(g.t.Roots), Blocks: 1})
 	g.res.Completed++
 	g.res.PerOp[t.op.String()]++
 	if err != nil {

@@ -171,9 +171,9 @@ func TestImageEqualsWire(t *testing.T) {
 			t.Errorf("gathering=%v: file handles differ:\nwire  %v\nimage %v", gathering, wpop.Files, ipop.Files)
 		}
 		for i := range wgens {
-			if wgens[i].scratch != igens[i].scratch || igens[i].scratch == (nfsproto.FH{}) {
+			if wgens[i].t.Scratch != igens[i].t.Scratch || igens[i].t.Scratch == (nfsproto.FH{}) {
 				t.Errorf("gathering=%v: client %d scratch handle: wire %v, image %v",
-					gathering, i, wgens[i].scratch, igens[i].scratch)
+					gathering, i, wgens[i].t.Scratch, igens[i].t.Scratch)
 			}
 		}
 		if d := ir.Nodes[0].FS.DirtyBlocks(); d != 0 {

@@ -247,8 +247,9 @@ type LADDISWorkload struct {
 	Measure sim.Duration `json:"measure_ns"`
 	// Warmup operations are excluded from latency statistics.
 	Warmup int `json:"warmup,omitempty"`
-	// Seed is the generator seed base (generator i uses Seed+i). It is
-	// distinct from the cell seed, which drives the simulation kernel.
+	// Seed is handed to generator i as Seed+i but read by none: every
+	// closed-loop draw comes from the cell seed's kernel source, which
+	// disk rotation draws from too (ROADMAP item 2(f)).
 	Seed int64 `json:"seed"`
 }
 

@@ -385,7 +385,8 @@ func TestGatheredRepliesShareMTime(t *testing.T) {
 				args := &nfsproto.WriteArgs{File: fh, Offset: off, Data: data}
 				reply, err := r.cli.Call(q, nfsproto.ProcWrite, args.Encode())
 				if err == nil {
-					if res, err := nfsproto.DecodeAttrStat(reply.Results); err == nil && res.Status == nfsproto.OK {
+					var res nfsproto.AttrStat
+					if nfsproto.DecodeAttrStatInto(reply.Results, &res) == nil && res.Status == nfsproto.OK {
 						mtimes = append(mtimes, res.Attr.MTime)
 					}
 				}

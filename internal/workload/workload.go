@@ -90,8 +90,19 @@ func MetadataMix() Mix {
 	}
 }
 
-// Ops reports the number of operation classes (the Mix array length).
-func Ops() int { return int(numOps) }
+// Pick selects the operation for draw r: r%100 walks the mix's cumulative
+// percentages, so r = 0…99 reproduces the mix exactly.
+func (m Mix) Pick(r int) Op {
+	r %= 100
+	acc := 0
+	for op := Op(0); op < numOps; op++ {
+		acc += m[op]
+		if r < acc {
+			return op
+		}
+	}
+	return OpLookup
+}
 
 // OpByName resolves an operation name from the opNames vocabulary
 // (trace-capture records use the names); ok is false for unknown names.
@@ -102,6 +113,90 @@ func OpByName(name string) (Op, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Target is what one generator issues its operations against: the
+// client, the working set, the shard roots and a private scratch
+// directory. The closed loop (LADDIS) and the open loop
+// (openload.Gen) issue every operation through Target.Do.
+type Target struct {
+	Client *client.Client
+	Names  []string      // working-set names, parallel to Files
+	Files  []nfsproto.FH // working-set files
+	Roots  []nfsproto.FH // shard roots; Roots[0] answers STATFS
+	// Scratch is the directory CREATE and REMOVE work in.
+	Scratch nfsproto.FH
+
+	// Writes issues a write op's n 8K WRITEs to fh from off and returns
+	// once all have completed. nil means one inline WritePattern, and a
+	// Draw's Blocks must then be 1. The closed loop sets it to its writer
+	// pool, so even a burst of one is issued from a pool worker in that
+	// worker's wake slot. ROADMAP item 7 deletes the field with the pool.
+	Writes func(q *sim.Proc, fh nfsproto.FH, off uint32, n int) error
+	// RemoveNewest makes the REMOVE after a CREATE name the newest
+	// sequence number issued, which is another process's when two CREATEs
+	// overlap: the recorded closed-loop rule. Without it a CREATE removes
+	// its own name. ROADMAP item 2(b) deletes the field and re-records.
+	RemoveNewest bool
+
+	seq int // the last CREATE's number; CREATE names are t<seq>
+}
+
+// Draw is the caller's choice of targets for one operation.
+type Draw struct {
+	File   int    // index into Files and Names
+	Off    uint32 // byte offset of a READ or of a write op's first WRITE
+	Dir    int    // index into Roots of a READDIR
+	Blocks int    // 8K WRITEs in a write op
+}
+
+// RootFor places a working-set name on its shard root (the cluster-wide
+// placement function, client.ShardIndex).
+func RootFor(roots []nfsproto.FH, name string) nfsproto.FH {
+	return roots[client.ShardIndex(name, len(roots))]
+}
+
+// Do issues one operation with draw d and returns its error. A CREATE is
+// followed by a REMOVE, so the scratch directory stays bounded; a REMOVE
+// op names an absent file, which exercises the path cheaply.
+func (t *Target) Do(q *sim.Proc, op Op, d Draw) error {
+	cli, fh := t.Client, t.Files[d.File]
+	var err error
+	switch op {
+	case OpLookup:
+		name := t.Names[d.File]
+		_, err = cli.Lookup(q, RootFor(t.Roots, name), name)
+	case OpRead:
+		_, err = cli.Read(q, fh, d.Off, nfsproto.MaxData)
+	case OpWrite:
+		if t.Writes == nil {
+			return cli.WritePattern(q, fh, d.Off)
+		}
+		return t.Writes(q, fh, d.Off, d.Blocks)
+	case OpGetattr:
+		_, err = cli.Getattr(q, fh)
+	case OpReaddir:
+		_, err = cli.Readdir(q, t.Roots[d.Dir], 0, 512)
+	case OpCreate:
+		t.seq++
+		seq := t.seq
+		name := fmt.Sprintf("t%d", seq)
+		var cres *nfsproto.DirOpRes
+		cres, err = cli.Create(q, t.Scratch, name, 0644)
+		if err == nil && cres.Status == nfsproto.OK {
+			if t.RemoveNewest && t.seq != seq {
+				name = fmt.Sprintf("t%d", t.seq)
+			}
+			cli.Remove(q, t.Scratch, name)
+		}
+	case OpRemove:
+		_, err = cli.Remove(q, t.Scratch, "absent")
+	case OpStatfs:
+		_, err = cli.Call(q, nfsproto.ProcStatfs, (&nfsproto.FHArgs{File: t.Roots[0]}).Encode())
+	case OpSetattr:
+		_, err = cli.Setattr(q, fh, nfsproto.DefaultSAttr(0644))
+	}
+	return err
 }
 
 // LADDISConfig parameterizes a mixed-load run.
@@ -120,12 +215,15 @@ type LADDISConfig struct {
 	Warmup int
 	// Duration bounds the measured phase.
 	Duration sim.Duration
-	// Seed drives op/file/offset selection.
+	// Seed is read nowhere: Run draws every op, file and offset from the
+	// simulation's own source (Sim.Rand), which disk rotation draws from
+	// too. It stays because spec files carry it; ROADMAP item 2(f) gives
+	// the closed loop a source of its own seeded from it.
 	Seed int64
 	// Roots, when set, shards the working set across several exports: each
 	// file is placed under the root chosen by a hash of its name (the
 	// cluster rig passes one root per server). Empty means the single root
-	// given to NewLADDIS.
+	// given to NewLADDIS. Roots[0] answers STATFS.
 	Roots []nfsproto.FH
 	// Histograms additionally records per-op-kind latency histograms
 	// (constant memory, streaming) surfaced as LADDISResult.Hists. The
@@ -150,28 +248,17 @@ type LADDISResult struct {
 // and reports achieved throughput and latency. The caller provides the
 // process; the run creates its own working set first (unmeasured).
 type LADDIS struct {
-	cfg   LADDISConfig
-	cli   *client.Client
-	root  nfsproto.FH
-	roots []nfsproto.FH // shard roots; [root] when unsharded
-
-	files   []nfsproto.FH
-	names   []string // the working set's names, formatted once by Setup
-	cursors []int    // per-file append cursor, in blocks
-	scratch nfsproto.FH
+	cfg     LADDISConfig
+	t       Target
+	cursors []int // per-file append cursor, in blocks
 	lat     stats.Latency
 	hists   *[numOps]stats.Histogram // nil unless cfg.Histograms
 	done    int
 	errors  int
 	perOp   map[string]int
-	seq     int
 
-	// Write worker pool: one SFS write op is a burst of concurrent 8K
-	// WRITEs; bursts are dispatched to pre-spawned workers instead of a
-	// goroutine per request, so dense multi-client sweeps pay no
-	// spawn/teardown. The pool is sized so a burst never waits for a
-	// worker (Procs generators × the largest burst), keeping the request
-	// schedule identical to the spawn-per-write form.
+	// The write pool (writeBurst): pre-spawned workers, not a process per
+	// WRITE, so dense multi-client sweeps pay no spawn/teardown.
 	writeJobs  *sim.Queue[writeTask]
 	freeBursts []*burstState
 }
@@ -193,30 +280,6 @@ type burstState struct {
 	done      sim.Cond
 }
 
-// getBurst takes a pooled burst record.
-func (l *LADDIS) getBurst(s *sim.Sim) *burstState {
-	if n := len(l.freeBursts); n > 0 {
-		b := l.freeBursts[n-1]
-		l.freeBursts = l.freeBursts[:n-1]
-		b.done.Init(s)
-		return b
-	}
-	b := &burstState{}
-	b.done.Init(s)
-	return b
-}
-
-func (l *LADDIS) putBurst(b *burstState) { l.freeBursts = append(l.freeBursts, b) }
-
-// rootFor places a working-set name on its shard root (the cluster-wide
-// placement function, client.ShardIndex).
-func (l *LADDIS) rootFor(name string) nfsproto.FH {
-	if len(l.roots) == 1 {
-		return l.roots[0]
-	}
-	return l.roots[client.ShardIndex(name, len(l.roots))]
-}
-
 // NewLADDIS builds a generator bound to one client.
 func NewLADDIS(cli *client.Client, root nfsproto.FH, cfg LADDISConfig) *LADDIS {
 	if cfg.Mix == (Mix{}) {
@@ -235,7 +298,8 @@ func NewLADDIS(cli *client.Client, root nfsproto.FH, cfg LADDISConfig) *LADDIS {
 	if len(roots) == 0 {
 		roots = []nfsproto.FH{root}
 	}
-	l := &LADDIS{cfg: cfg, cli: cli, root: root, roots: roots, perOp: make(map[string]int)}
+	l := &LADDIS{cfg: cfg, t: Target{Client: cli, Roots: roots, RemoveNewest: true}, perOp: make(map[string]int)}
+	l.t.Writes = l.writeBurst
 	if cfg.Histograms {
 		l.hists = new([numOps]stats.Histogram)
 	}
@@ -245,31 +309,27 @@ func NewLADDIS(cli *client.Client, root nfsproto.FH, cfg LADDISConfig) *LADDIS {
 // Setup creates and fills the working set (not measured). With shard
 // roots, each file lands on the export its name hashes to.
 func (l *LADDIS) Setup(p *sim.Proc) error {
-	sname := "scratch-" + l.cli.Name()
-	mres, err := l.cli.Mkdir(p, l.rootFor(sname), sname, 0755)
+	cli := l.t.Client
+	sname := "scratch-" + cli.Name()
+	mres, err := cli.Mkdir(p, RootFor(l.t.Roots, sname), sname, 0755)
 	if err != nil || mres.Status != nfsproto.OK {
 		return fmt.Errorf("workload: scratch mkdir: %v %v", err, mres)
 	}
-	l.scratch = mres.File
+	l.t.Scratch = mres.File
 	for i := 0; i < l.cfg.Files; i++ {
-		name := fmt.Sprintf("ws-%s-%d", l.cli.Name(), i)
-		cres, err := l.cli.Create(p, l.rootFor(name), name, 0644)
+		name := fmt.Sprintf("ws-%s-%d", cli.Name(), i)
+		cres, err := cli.Create(p, RootFor(l.t.Roots, name), name, 0644)
 		if err != nil || cres.Status != nfsproto.OK {
 			return fmt.Errorf("workload: create %s: %v", name, err)
 		}
 		fh := cres.File // copy: cres is client scratch, dead at the next RPC
 		for b := 0; b < l.cfg.FileBlocks; b++ {
-			// One staging buffer per request, released on completion: the
-			// pool cannot recycle it while any queued duplicate datagram
-			// still references the payload.
-			buf := l.cli.GetWriteBuf()
-			client.FillPattern(buf.Data(), uint32(b*nfsproto.MaxData))
-			if err := l.cli.WriteSyncBufRelease(p, fh, uint32(b*nfsproto.MaxData), buf, nfsproto.MaxData); err != nil {
+			if err := cli.WritePattern(p, fh, uint32(b*nfsproto.MaxData)); err != nil {
 				return fmt.Errorf("workload: fill %s: %w", name, err)
 			}
 		}
-		l.files = append(l.files, fh)
-		l.names = append(l.names, name)
+		l.t.Files = append(l.t.Files, fh)
+		l.t.Names = append(l.t.Names, name)
 		l.cursors = append(l.cursors, l.cfg.FileBlocks)
 	}
 	return nil
@@ -291,44 +351,61 @@ func burstLen(r int) int {
 	}
 }
 
-// pickOp selects the next operation per the mix.
-func (l *LADDIS) pickOp(r int) Op {
-	r = r % 100
-	acc := 0
-	for op := Op(0); op < numOps; op++ {
-		acc += l.cfg.Mix[op]
-		if r < acc {
-			return op
-		}
+// startWriters spawns the write pool: enough workers that a burst never
+// waits for one (Procs generators, each with at most one burst
+// outstanding, × the largest burst), keeping the request schedule that
+// of a process per WRITE.
+func (l *LADDIS) startWriters(s *sim.Sim) {
+	l.writeJobs = sim.NewQueue[writeTask](s, 0)
+	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
+		s.Spawn(fmt.Sprintf("laddis-writer-%s-%d", l.t.Client.Name(), w), l.writeWorker)
 	}
-	return OpLookup
+}
+
+// stopWriters retires the write pool once every burst has drained, so
+// all workers are parked on the queue: one zero task each releases them.
+func (l *LADDIS) stopWriters() {
+	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
+		l.writeJobs.Put(writeTask{})
+	}
+}
+
+// writeBurst is the closed loop's Target.Writes: it hands the burst's n
+// WRITEs to pool workers, as concurrent client biods would emit them, and
+// blocks until they drain. The workers account for each WRITE.
+func (l *LADDIS) writeBurst(q *sim.Proc, fh nfsproto.FH, off uint32, n int) error {
+	var bs *burstState
+	if k := len(l.freeBursts); k > 0 {
+		bs, l.freeBursts = l.freeBursts[k-1], l.freeBursts[:k-1]
+	} else {
+		bs = &burstState{}
+	}
+	bs.done.Init(q.Sim())
+	bs.remaining = n
+	for i := 0; i < n; i++ {
+		l.writeJobs.Put(writeTask{fh: fh, off: off + uint32(i*nfsproto.MaxData), burst: bs})
+	}
+	for bs.remaining > 0 {
+		bs.done.Wait(q)
+	}
+	l.freeBursts = append(l.freeBursts, bs)
+	return nil
 }
 
 // writeWorker is one pool worker: it performs burst writes handed to it
 // for the life of the run (the pooled twin of the old goroutine-per-write
 // form; the request schedule is identical). A zero task is the shutdown
-// sentinel Run enqueues once the measured phase ends, so the pool's
-// goroutines do not outlive their run.
+// sentinel stopWriters enqueues once the measured phase ends, so the
+// pool's goroutines do not outlive their run.
 func (l *LADDIS) writeWorker(w *sim.Proc) {
 	for {
 		task := l.writeJobs.Get(w)
 		if task.burst == nil {
 			return
 		}
-		buf := l.cli.GetWriteBuf()
-		client.FillPattern(buf.Data(), task.off)
-		wbegin := w.Now()
-		if werr := l.cli.WriteSyncBufRelease(w, task.fh, task.off, buf, nfsproto.MaxData); werr != nil {
-			l.errors++
-		} else if l.done > l.cfg.Warmup {
-			d := w.Now().Sub(wbegin)
-			l.lat.Record(d)
-			if l.hists != nil {
-				l.hists[OpWrite].Record(int64(d))
-			}
-		}
-		l.done++
-		l.perOp[OpWrite.String()]++
+		begin := w.Now()
+		err := l.t.Client.WritePattern(w, task.fh, task.off)
+		l.account(OpWrite, w.Now().Sub(begin), err, l.done > l.cfg.Warmup)
 		task.burst.remaining--
 		if task.burst.remaining == 0 {
 			task.burst.done.Signal()
@@ -346,14 +423,9 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	interval := sim.Duration(float64(sim.Second) / l.cfg.OfferedOpsPerSec * float64(l.cfg.Procs))
 	finished := 0
 	cond := sim.NewCond(s)
-	// The write pool: enough workers that a generator's burst never queues
-	// behind another (each generator has at most one burst outstanding).
-	l.writeJobs = sim.NewQueue[writeTask](s, 0)
-	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
-		s.Spawn(fmt.Sprintf("laddis-writer-%s-%d", l.cli.Name(), w), l.writeWorker)
-	}
+	l.startWriters(s)
 	for g := 0; g < l.cfg.Procs; g++ {
-		s.Spawn(fmt.Sprintf("laddis-%s-%d", l.cli.Name(), g), func(q *sim.Proc) {
+		s.Spawn(fmt.Sprintf("laddis-%s-%d", l.t.Client.Name(), g), func(q *sim.Proc) {
 			defer func() { finished++; cond.Broadcast() }()
 			for q.Now() < end {
 				// Open-loop Poisson arrivals: exponential gaps.
@@ -371,12 +443,8 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	for finished < l.cfg.Procs {
 		cond.Wait(p)
 	}
-	// Retire the write pool: every generator has drained its last burst,
-	// so all workers are parked on the queue; one sentinel each releases
-	// them. Same-instant events — the measured interval is unaffected.
-	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
-		l.writeJobs.Put(writeTask{})
-	}
+	// Same-instant events: the measured interval is unaffected.
+	l.stopWriters()
 	elapsed := s.Now().Sub(start)
 	res := LADDISResult{
 		AchievedOpsPerSec: float64(l.done) / elapsed.Seconds(),
@@ -398,89 +466,47 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	return res
 }
 
-// doOp executes one operation and records its latency.
+// doOp draws one operation from r, issues it and records its latency.
 func (l *LADDIS) doOp(q *sim.Proc, r int) {
-	op := l.pickOp(r)
-	fh := l.files[r%len(l.files)]
-	off := uint32(r/7%l.cfg.FileBlocks) * nfsproto.MaxData
-	begin := q.Now()
-	var err error
-	switch op {
-	case OpLookup:
-		name := l.names[r%l.cfg.Files]
-		_, err = l.cli.Lookup(q, l.rootFor(name), name)
-	case OpRead:
-		_, err = l.cli.Read(q, fh, off, nfsproto.MaxData)
-	case OpWrite:
+	op := l.cfg.Mix.Pick(r)
+	d := Draw{
+		File: r % len(l.t.Files),
+		Off:  uint32(r/7%l.cfg.FileBlocks) * nfsproto.MaxData,
+		Dir:  r % len(l.t.Roots),
+	}
+	if op == OpWrite {
 		// One SFS write op is a burst of sequential 8K overwrites within
 		// one pre-created working file, issued concurrently the way client
 		// biods would emit them — the traffic write gathering exploits.
 		// Overwrites of allocated blocks are the common SFS case, so the
 		// standard server usually pays one disk op per request (§4.4).
-		// Each request goes to a pool worker; the generator blocks until
-		// its burst drains.
-		idx := r % len(l.files)
-		burst := burstLen(r / 13)
-		if burst > l.cfg.FileBlocks {
-			burst = l.cfg.FileBlocks
+		// The pool accounts for each WRITE.
+		d.Blocks = min(burstLen(r/13), l.cfg.FileBlocks)
+		if l.cursors[d.File]+d.Blocks > l.cfg.FileBlocks {
+			l.cursors[d.File] = 0
 		}
-		if l.cursors[idx]+burst > l.cfg.FileBlocks {
-			l.cursors[idx] = 0
-		}
-		startBlk := l.cursors[idx]
-		l.cursors[idx] += burst
-		fh := l.files[idx]
-		bs := l.getBurst(q.Sim())
-		bs.remaining = burst
-		for i := 0; i < burst; i++ {
-			off := uint32(startBlk+i) * nfsproto.MaxData
-			l.writeJobs.Put(writeTask{fh: fh, off: off, burst: bs})
-		}
-		for bs.remaining > 0 {
-			bs.done.Wait(q)
-		}
-		l.putBurst(bs)
+		d.Off = uint32(l.cursors[d.File]) * nfsproto.MaxData
+		l.cursors[d.File] += d.Blocks
+		l.t.Do(q, op, d)
 		return
-	case OpGetattr:
-		_, err = l.cli.Getattr(q, fh)
-	case OpReaddir:
-		_, err = l.cli.Readdir(q, l.roots[r%len(l.roots)], 0, 512)
-	case OpCreate:
-		l.seq++
-		seq := l.seq
-		name := fmt.Sprintf("t%d", seq)
-		var cres *nfsproto.DirOpRes
-		cres, err = l.cli.Create(q, l.scratch, name, 0644)
-		if err == nil && cres.Status == nfsproto.OK {
-			// Keep the scratch directory bounded: remove as we go. The
-			// REMOVE names the newest number issued, which is another
-			// generator's when its CREATE overlapped this one; the
-			// recorded results depend on that.
-			if l.seq != seq {
-				name = fmt.Sprintf("t%d", l.seq)
-			}
-			l.cli.Remove(q, l.scratch, name)
-		}
-	case OpRemove:
-		// Remove of a nonexistent name exercises the path cheaply.
-		_, err = l.cli.Remove(q, l.scratch, "absent")
-	case OpStatfs:
-		_, err = l.cli.Call(q, nfsproto.ProcStatfs, (&nfsproto.FHArgs{File: l.root}).Encode())
-	case OpSetattr:
-		sa := nfsproto.DefaultSAttr(0644)
-		_, err = l.cli.Setattr(q, fh, sa)
 	}
+	begin := q.Now()
+	err := l.t.Do(q, op, d)
+	l.account(op, q.Now().Sub(begin), err, l.done >= l.cfg.Warmup)
+}
+
+// account counts one finished op, or one WRITE of a write op, and records
+// its latency if warm. A pool worker tests the warm-up before it counts,
+// doOp as if after; the recorded results keep both.
+func (l *LADDIS) account(op Op, lat sim.Duration, err error, warm bool) {
 	l.done++
 	l.perOp[op.String()]++
 	if err != nil {
 		l.errors++
-		return
-	}
-	if l.done > l.cfg.Warmup {
-		d := q.Now().Sub(begin)
-		l.lat.Record(d)
+	} else if warm {
+		l.lat.Record(lat)
 		if l.hists != nil {
-			l.hists[op].Record(int64(d))
+			l.hists[op].Record(int64(lat))
 		}
 	}
 }

@@ -15,6 +15,13 @@ import (
 
 // testbed builds a minimal FDDI rig for workload tests.
 func testbed(t *testing.T, gathering bool) (*sim.Sim, *client.Client, *server.Server) {
+	s, _, cli, srv := rig(t, gathering, "server")
+	return s, cli, srv
+}
+
+// rig is testbed with the server's endpoint named srvName; the client
+// always addresses "server".
+func rig(t *testing.T, gathering bool, srvName string) (*sim.Sim, *netsim.Network, *client.Client, *server.Server) {
 	t.Helper()
 	s := sim.New(7)
 	n := netsim.New(s, hw.FDDI())
@@ -26,14 +33,14 @@ func testbed(t *testing.T, gathering bool) (*sim.Sim, *client.Client, *server.Se
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	cfg := server.Config{NumNfsds: 8, Costs: costs, CPU: cpu, Gathering: gathering}
+	cfg := server.Config{Name: srvName, NumNfsds: 8, Costs: costs, CPU: cpu, Gathering: gathering}
 	if gathering {
 		cfg.Gather = core.DefaultConfig(false, hw.FDDI().Procrastinate)
 	}
 	srv := server.New(s, n, fs, cfg)
 	fs.ChargeMeta = func(p *sim.Proc) { cpu.Use(p, costs.MetaUpdate) }
 	cli := client.New(s, n, "c", "server", hw.DEC3000Client(), 4, nil)
-	return s, cli, srv
+	return s, n, cli, srv
 }
 
 func TestFileCopyHelper(t *testing.T) {
@@ -72,29 +79,29 @@ func TestFileCopyDuplicateNameFails(t *testing.T) {
 }
 
 func TestMixSumsTo100(t *testing.T) {
-	m := LADDISMix()
-	sum := 0
-	for _, v := range m {
-		sum += v
+	for name, m := range map[string]Mix{"laddis": LADDISMix(), "metadata": MetadataMix()} {
+		sum := 0
+		for _, v := range m {
+			sum += v
+		}
+		if sum != 100 {
+			t.Fatalf("%s mix sums to %d", name, sum)
+		}
 	}
-	if sum != 100 {
-		t.Fatalf("mix sums to %d", sum)
-	}
-	if m[OpWrite] != 15 {
+	if m := LADDISMix(); m[OpWrite] != 15 {
 		t.Fatalf("write share = %d%%, paper says 15%%", m[OpWrite])
 	}
 }
 
-func TestPickOpDistribution(t *testing.T) {
-	l := NewLADDIS(nil, [32]byte{}, LADDISConfig{})
-	counts := map[Op]int{}
-	for r := 0; r < 100; r++ {
-		counts[l.pickOp(r)]++
-	}
-	// Over one full modulus cycle the histogram equals the mix exactly.
-	for op, want := range map[Op]int{OpLookup: 34, OpRead: 22, OpWrite: 15, OpGetattr: 21} {
-		if counts[op] != want {
-			t.Fatalf("op %v count = %d, want %d", op, counts[op], want)
+func TestMixPick(t *testing.T) {
+	for name, m := range map[string]Mix{"laddis": LADDISMix(), "metadata": MetadataMix()} {
+		var got Mix
+		for r := 0; r < 100; r++ {
+			got[m.Pick(r)]++
+		}
+		// Over one full modulus cycle the histogram equals the mix exactly.
+		if got != m {
+			t.Fatalf("%s: r = 0…99 picks %v, want %v", name, got, m)
 		}
 	}
 }
