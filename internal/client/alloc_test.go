@@ -11,13 +11,13 @@ import (
 	"repro/internal/xdr"
 )
 
-// TestReplyDecodeSteadyStateAllocs pins the client-side decode pooling:
-// once the pending-call pool has warmed up, a reply costs no ReplyMsg and
-// no per-procedure result allocation (both decode into pooled/per-client
-// records). The bound below covers what the round trip legitimately
-// allocates — the args record and the two wire buffers, which must stay
-// fresh because in-flight datagrams alias them — and fails if per-reply
-// decode records come back.
+// TestReplyDecodeSteadyStateAllocs pins the client's steady-state RPC
+// path: once the pending-call pool has warmed up, a round trip allocates
+// nothing. The reply decodes into the pooled ReplyMsg and the per-client
+// result scratch, the argument record lives on the caller's stack, and
+// both wire heads — the call and the echo server's reply — are carved
+// from the segment's slab (Network.WireBuf): fresh, never reused, but not
+// one malloc each.
 func TestReplyDecodeSteadyStateAllocs(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.New(s, hw.FDDI())
@@ -33,8 +33,7 @@ func TestReplyDecodeSteadyStateAllocs(t *testing.T) {
 		for {
 			dg := ep.Inbox.Get(p)
 			xid, _ := oncrpc.PeekXID(dg.Payload)
-			reply := make([]byte, len(template))
-			copy(reply, template)
+			reply := append(n.WireBuf(len(template)), template...)
 			reply[0], reply[1], reply[2], reply[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
 			dg.Release()
 			n.Send(p, "server", "c", reply)
@@ -62,12 +61,10 @@ func TestReplyDecodeSteadyStateAllocs(t *testing.T) {
 		oneOp() // warm every pool (events, waiters, datagrams, pending calls)
 	}
 	allocs := testing.AllocsPerRun(200, oneOp)
-	// The 3 legitimate per-op allocations: args record, call wire buffer,
-	// and the echo server's reply buffer (wire buffers must stay fresh —
-	// in-flight datagrams alias them; the encoder is the client's one
-	// reusable value). An un-pooled decode path adds at least two more
-	// (ReplyMsg + AttrStat).
-	if allocs > 3 {
-		t.Fatalf("steady-state round trip allocates %.1f objects/op; decode records are no longer pooled", allocs)
+	// Any object is a regression: an args record built per call, a wire
+	// head made instead of carved, or an un-pooled decode record
+	// (ReplyMsg, AttrStat).
+	if allocs > 0 {
+		t.Fatalf("steady-state round trip allocates %.2f objects/op, want 0", allocs)
 	}
 }

@@ -164,12 +164,6 @@ func (c *Client) getPC() *pendingCall {
 	return pc
 }
 
-// argsEncoder is the argument half of an NFS procedure.
-type argsEncoder interface {
-	EncodedSize() int
-	EncodeTo(e *xdr.Encoder)
-}
-
 // GetWriteBuf takes a staging buffer from the client's pool; the caller
 // fills it and hands it to WriteSyncBufRelease or writeBehindBuf, which
 // release it when the write has completed.
@@ -288,50 +282,47 @@ func (c *Client) receive(dg *netsim.Datagram) {
 	pc.cond.Signal()
 }
 
-// encoder returns the client's one encoder, reset onto a fresh wire buffer
-// of exactly size bytes.
-func (c *Client) encoder(size int) *xdr.Encoder {
-	c.enc.Reset(make([]byte, 0, size))
+// callEncoder starts one call: it takes the next XID and returns the
+// client's one encoder, reset onto a fresh wire head of exactly the call's
+// size, carved by the network (Network.WireBuf), that already holds the
+// RPC header. The caller appends argsSize bytes of arguments and hands the
+// encoder to call before it yields.
+func (c *Client) callEncoder(proc nfsproto.Proc, argsSize int) *xdr.Encoder {
+	cred := oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw}
+	verf := oncrpc.NullAuth()
+	c.xidSeq++
+	c.enc.Reset(c.net.WireBuf(oncrpc.CallHeaderSize(cred, verf) + argsSize))
+	oncrpc.AppendCallHeader(&c.enc, c.xidSeq, nfsproto.Program, nfsproto.Version, uint32(proc), cred, verf)
 	return &c.enc
 }
 
-// call performs one RPC to the server endpoint to, encoding the RPC header
-// and the procedure arguments into a single exactly-sized wire buffer (no
-// intermediate args slice), then running the retransmission loop.
+// call performs the RPC that callEncoder started and e now holds whole
+// (no intermediate args slice): it runs the retransmission loop.
 //
-// Scratch discipline: the returned ReplyMsg points into the pending-call
-// record, and the procedure methods decode results into per-client scratch
-// structs. Both stay valid only until the calling process next yields
-// (sleeps, sends, or performs another RPC): callers must consume a result
-// before their next blocking call, exactly like the server's result
-// scratch in dispatch.go.
+// Scratch discipline: a procedure method builds its argument record on its
+// own stack and encodes it before its first yield, so the record costs no
+// heap object and no per-client bytes. The returned ReplyMsg points into
+// the pending-call record, and the procedure methods decode results into
+// per-client scratch structs. Both stay valid only until the calling
+// process next yields (sleeps, sends, or performs another RPC): callers
+// must consume a result before their next blocking call, exactly like the
+// server's result scratch in dispatch.go.
 // call routes by fh: the destination is re-resolved from the routing
 // table on every transmission attempt, so a handle whose shard migrated
 // mid-call (failover) reaches the adopting server on the next retry
 // instead of timing out against the dead endpoint.
-func (c *Client) call(p *sim.Proc, proc nfsproto.Proc, args argsEncoder, fh nfsproto.FH) (*oncrpc.ReplyMsg, error) {
-	cred := oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw}
-	verf := oncrpc.NullAuth()
-	c.xidSeq++
-	xid := c.xidSeq
-	e := c.encoder(oncrpc.CallHeaderSize(cred, verf) + args.EncodedSize())
-	oncrpc.AppendCallHeader(e, xid, nfsproto.Program, nfsproto.Version, uint32(proc), cred, verf)
-	args.EncodeTo(e)
-	return c.finishCall(p, proc, xid, fh, true, "", e.Bytes(), nil, 0)
+func (c *Client) call(p *sim.Proc, proc nfsproto.Proc, e *xdr.Encoder, fh nfsproto.FH) (*oncrpc.ReplyMsg, error) {
+	// Nothing has yielded since callEncoder, so xidSeq is still its XID.
+	return c.finishCall(p, proc, c.xidSeq, fh, true, "", e.Bytes(), nil, 0)
 }
 
 // callBody performs one WRITE RPC whose payload rides as a refcounted
 // datagram body: only the RPC header and the WRITE argument head are
 // encoded into the wire buffer; the 8K data segment is never memmoved.
 func (c *Client) callBody(p *sim.Proc, fh nfsproto.FH, off uint32, body *block.Buf, n int) (*oncrpc.ReplyMsg, error) {
-	cred := oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw}
-	verf := oncrpc.NullAuth()
-	c.xidSeq++
-	xid := c.xidSeq
-	e := c.encoder(oncrpc.CallHeaderSize(cred, verf) + nfsproto.WriteArgsHeadSize)
-	oncrpc.AppendCallHeader(e, xid, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcWrite), cred, verf)
+	e := c.callEncoder(nfsproto.ProcWrite, nfsproto.WriteArgsHeadSize)
 	nfsproto.AppendWriteArgsHead(e, fh, off, n)
-	return c.finishCall(p, nfsproto.ProcWrite, xid, fh, true, "", e.Bytes(), body, n)
+	return c.finishCall(p, nfsproto.ProcWrite, c.xidSeq, fh, true, "", e.Bytes(), body, n)
 }
 
 // Call performs one RPC to the default server with pre-encoded args and
@@ -465,8 +456,10 @@ func decodeDone(reply *oncrpc.ReplyMsg, err error) error {
 
 // Lookup resolves name in dir.
 func (c *Client) Lookup(p *sim.Proc, dir nfsproto.FH, name string) (*nfsproto.DirOpRes, error) {
-	args := &nfsproto.DirOpArgs{Dir: dir, Name: name}
-	reply, err := c.call(p, nfsproto.ProcLookup, args, dir)
+	args := nfsproto.DirOpArgs{Dir: dir, Name: name}
+	e := c.callEncoder(nfsproto.ProcLookup, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcLookup, e, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -479,11 +472,13 @@ func (c *Client) Lookup(p *sim.Proc, dir nfsproto.FH, name string) (*nfsproto.Di
 
 // Create makes a file in dir.
 func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (*nfsproto.DirOpRes, error) {
-	args := &nfsproto.CreateArgs{
+	args := nfsproto.CreateArgs{
 		Where: nfsproto.DirOpArgs{Dir: dir, Name: name},
 		Attr:  nfsproto.DefaultSAttr(mode),
 	}
-	reply, err := c.call(p, nfsproto.ProcCreate, args, dir)
+	e := c.callEncoder(nfsproto.ProcCreate, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcCreate, e, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -506,11 +501,13 @@ func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) 
 
 // Mkdir makes a directory in dir.
 func (c *Client) Mkdir(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (*nfsproto.DirOpRes, error) {
-	args := &nfsproto.CreateArgs{
+	args := nfsproto.CreateArgs{
 		Where: nfsproto.DirOpArgs{Dir: dir, Name: name},
 		Attr:  nfsproto.DefaultSAttr(mode),
 	}
-	reply, err := c.call(p, nfsproto.ProcMkdir, args, dir)
+	e := c.callEncoder(nfsproto.ProcMkdir, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcMkdir, e, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -523,8 +520,10 @@ func (c *Client) Mkdir(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (
 
 // Getattr fetches attributes.
 func (c *Client) Getattr(p *sim.Proc, fh nfsproto.FH) (*nfsproto.AttrStat, error) {
-	args := &nfsproto.FHArgs{File: fh}
-	reply, err := c.call(p, nfsproto.ProcGetattr, args, fh)
+	args := nfsproto.FHArgs{File: fh}
+	e := c.callEncoder(nfsproto.ProcGetattr, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcGetattr, e, fh)
 	if err != nil {
 		return nil, err
 	}
@@ -537,8 +536,10 @@ func (c *Client) Getattr(p *sim.Proc, fh nfsproto.FH) (*nfsproto.AttrStat, error
 
 // Setattr applies attributes.
 func (c *Client) Setattr(p *sim.Proc, fh nfsproto.FH, sa nfsproto.SAttr) (*nfsproto.AttrStat, error) {
-	args := &nfsproto.SetattrArgs{File: fh, Attr: sa}
-	reply, err := c.call(p, nfsproto.ProcSetattr, args, fh)
+	args := nfsproto.SetattrArgs{File: fh, Attr: sa}
+	e := c.callEncoder(nfsproto.ProcSetattr, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcSetattr, e, fh)
 	if err != nil {
 		return nil, err
 	}
@@ -553,8 +554,10 @@ func (c *Client) Setattr(p *sim.Proc, fh nfsproto.FH, sa nfsproto.SAttr) (*nfspr
 // rest of res — it may alias a block the server still caches — so it is
 // read-only and dead at the caller's next blocking call.
 func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto.ReadRes, error) {
-	args := &nfsproto.ReadArgs{File: fh, Offset: off, Count: count}
-	reply, err := c.call(p, nfsproto.ProcRead, args, fh)
+	args := nfsproto.ReadArgs{File: fh, Offset: off, Count: count}
+	e := c.callEncoder(nfsproto.ProcRead, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcRead, e, fh)
 	if err != nil {
 		return nil, err
 	}
@@ -574,8 +577,10 @@ func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto
 
 // Remove unlinks name in dir.
 func (c *Client) Remove(p *sim.Proc, dir nfsproto.FH, name string) (nfsproto.Status, error) {
-	args := &nfsproto.DirOpArgs{Dir: dir, Name: name}
-	reply, err := c.call(p, nfsproto.ProcRemove, args, dir)
+	args := nfsproto.DirOpArgs{Dir: dir, Name: name}
+	e := c.callEncoder(nfsproto.ProcRemove, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcRemove, e, dir)
 	if err != nil {
 		return nfsproto.ErrIO, err
 	}
@@ -588,8 +593,10 @@ func (c *Client) Remove(p *sim.Proc, dir nfsproto.FH, name string) (nfsproto.Sta
 
 // Readdir lists a directory page.
 func (c *Client) Readdir(p *sim.Proc, dir nfsproto.FH, cookie, count uint32) (*nfsproto.ReaddirRes, error) {
-	args := &nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}
-	reply, err := c.call(p, nfsproto.ProcReaddir, args, dir)
+	args := nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}
+	e := c.callEncoder(nfsproto.ProcReaddir, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcReaddir, e, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -605,12 +612,14 @@ func (c *Client) Readdir(p *sim.Proc, dir nfsproto.FH, cookie, count uint32) (*n
 // buffer (data may be reused by the caller immediately); the zero-copy
 // twin is WriteSyncBufRelease.
 func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
-	args := &nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
 	start := p.Now()
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("send", off, len(data))
 	}
-	reply, err := c.call(p, nfsproto.ProcWrite, args, fh)
+	args := nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
+	e := c.callEncoder(nfsproto.ProcWrite, args.EncodedSize())
+	args.EncodeTo(e)
+	reply, err := c.call(p, nfsproto.ProcWrite, e, fh)
 	return c.writeDone(p, fh, off, len(data), start, reply, err)
 }
 

@@ -153,6 +153,9 @@ type Network struct {
 	fabric *Fabric
 	seg    int
 	free   []*Datagram // datagram record pool
+	// slab is the current wire-head slab: WireBuf carves heads off its
+	// front and never hands the same bytes out twice.
+	slab []byte
 
 	// Counters.
 	SentDatagrams uint64
@@ -251,6 +254,36 @@ func (n *Network) SetLinkDown(name string, down bool) {
 	if ep, ok := n.endpoints[name]; ok {
 		ep.linkDown = down
 	}
+}
+
+const (
+	// wireSlab is the size of the slab WireBuf carves heads from.
+	wireSlab = 16 << 10
+	// wireHeadMax is the largest head WireBuf carves; a bigger one (a large
+	// READDIR reply, a copying READ reply or WRITE call) gets its own
+	// allocation.
+	wireHeadMax = 2 << 10
+)
+
+// WireBuf returns a zero-length buffer of capacity size for encoding one
+// message head sent on this segment. Heads are carved from a shared slab
+// rather than allocated one by one, but each is still a fresh, private
+// buffer: carved bytes are never handed out twice and never pooled, so a
+// head stays valid for as long as anything references it — an in-flight
+// or queued datagram, a pending retransmission, a dup-cache entry, a
+// decoded alias — and the GC frees a slab once no head in it is
+// referenced. The result is cap-limited, so an encoder that outgrows size
+// reallocates instead of writing into the next head.
+func (n *Network) WireBuf(size int) []byte {
+	if size > wireHeadMax {
+		return make([]byte, 0, size)
+	}
+	if len(n.slab)+size > cap(n.slab) {
+		n.slab = make([]byte, 0, wireSlab)
+	}
+	i := len(n.slab)
+	n.slab = n.slab[:i+size]
+	return n.slab[i : i : i+size]
 }
 
 // FragCount reports how many fragments a payload of n bytes needs.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/hw"
@@ -172,5 +173,56 @@ func TestUtilizationReflectsTraffic(t *testing.T) {
 	}
 	if n.SentDatagrams != 10 {
 		t.Fatalf("SentDatagrams = %d", n.SentDatagrams)
+	}
+}
+
+// TestWireBufCarving pins WireBuf's contract: heads carved from one slab
+// are disjoint and cap-limited, so an encoder that outgrows its head
+// reallocates rather than writing into the next one; a head too big to
+// carve gets its own buffer; and an exhausted slab is replaced, never
+// reused.
+func TestWireBufCarving(t *testing.T) {
+	n := New(sim.New(1), hw.Ethernet())
+	a := n.WireBuf(100)
+	b := n.WireBuf(60)
+	if len(a) != 0 || cap(a) != 100 || len(b) != 0 || cap(b) != 60 {
+		t.Fatalf("carved len/cap %d/%d and %d/%d, want 0/100 and 0/60", len(a), cap(a), len(b), cap(b))
+	}
+	if &a[:1][0] == &b[:1][0] || &a[:100][99] == &b[:1][0] {
+		t.Fatal("successive carves overlap")
+	}
+	b = append(b, bytes.Repeat([]byte{0xBB}, 60)...)
+	a = append(a, bytes.Repeat([]byte{0xAA}, 101)...) // one byte past its head
+	if !bytes.Equal(b, bytes.Repeat([]byte{0xBB}, 60)) {
+		t.Fatal("appending past one head's capacity wrote into the next head")
+	}
+	if len(a) != 101 {
+		t.Fatalf("overgrown head has %d bytes, want 101", len(a))
+	}
+
+	// A head over the carving limit bypasses the slab: the next small
+	// carve still comes from the same slab, right after b.
+	big := n.WireBuf(wireHeadMax + 1)
+	c := n.WireBuf(4)
+	if cap(big) != wireHeadMax+1 || &c[:1][0] != &n.slab[160] {
+		t.Fatal("a head over the carving limit was carved from the slab")
+	}
+
+	// Exhaust the slab; the carve that does not fit starts a new one and
+	// leaves every byte of the old one where it was.
+	old := n.slab[:cap(n.slab)]
+	for len(n.slab)+wireHeadMax <= cap(n.slab) {
+		copy(n.WireBuf(wireHeadMax)[:wireHeadMax], bytes.Repeat([]byte{0xCC}, wireHeadMax))
+	}
+	snapshot := append([]byte(nil), old...)
+	d := append(n.WireBuf(wireHeadMax), bytes.Repeat([]byte{0xDD}, wireHeadMax)...)
+	if &n.slab[0] == &old[0] {
+		t.Fatal("an exhausted slab was reused")
+	}
+	if &d[0] != &n.slab[0] {
+		t.Fatal("the carve that did not fit is not the front of the new slab")
+	}
+	if !bytes.Equal(old, snapshot) {
+		t.Fatal("carving from the new slab wrote into the old one")
 	}
 }

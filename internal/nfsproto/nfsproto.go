@@ -383,18 +383,29 @@ func (a *DirOpArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeDirOpArgs parses diropargs.
+// DecodeDirOpArgs parses diropargs into a fresh record. Outside
+// tests only bench/drivers_sim.go calls it; ROADMAP item 6 moves that
+// caller onto DecodeDirOpArgsInto and deletes it.
 func DecodeDirOpArgs(b []byte) (*DirOpArgs, error) {
-	d := xdr.NewDecoder(b)
 	a := &DirOpArgs{}
-	if err := decodeFH(d, &a.Dir); err != nil {
-		return nil, err
-	}
-	var err error
-	if a.Name, err = d.String(); err != nil {
+	if err := DecodeDirOpArgsInto(b, a); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// DecodeDirOpArgsInto parses diropargs into a caller-owned struct.
+func DecodeDirOpArgsInto(b []byte, a *DirOpArgs) error {
+	return decodeDirOpArgs(xdr.NewDecoder(b), a)
+}
+
+func decodeDirOpArgs(d *xdr.Decoder, a *DirOpArgs) error {
+	if err := decodeFH(d, &a.Dir); err != nil {
+		return err
+	}
+	var err error
+	a.Name, err = d.String()
+	return err
 }
 
 func decodeFH(d *xdr.Decoder, fh *FH) error {
@@ -479,18 +490,16 @@ func (a *SetattrArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeSetattrArgs parses SETATTR arguments.
-func DecodeSetattrArgs(b []byte) (*SetattrArgs, error) {
+// DecodeSetattrArgsInto parses SETATTR arguments into a caller-owned
+// struct.
+func DecodeSetattrArgsInto(b []byte, a *SetattrArgs) error {
 	d := xdr.NewDecoder(b)
-	a := &SetattrArgs{}
 	if err := decodeFH(d, &a.File); err != nil {
-		return nil, err
+		return err
 	}
 	var err error
-	if a.Attr, err = decodeSAttr(d); err != nil {
-		return nil, err
-	}
-	return a, nil
+	a.Attr, err = decodeSAttr(d)
+	return err
 }
 
 // ReadArgs are the READ arguments.
@@ -519,7 +528,9 @@ func (a *ReadArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReadArgs parses READ arguments.
+// DecodeReadArgs parses READ arguments into a fresh record. Outside
+// tests only bench/drivers_sim.go calls it; ROADMAP item 6 moves that
+// caller onto DecodeReadArgsInto and deletes it.
 func DecodeReadArgs(b []byte) (*ReadArgs, error) {
 	a := &ReadArgs{}
 	if err := DecodeReadArgsInto(b, a); err != nil {
@@ -770,21 +781,16 @@ func (a *CreateArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeCreateArgs parses CREATE/MKDIR arguments.
-func DecodeCreateArgs(b []byte) (*CreateArgs, error) {
+// DecodeCreateArgsInto parses CREATE/MKDIR arguments into a caller-owned
+// struct.
+func DecodeCreateArgsInto(b []byte, a *CreateArgs) error {
 	d := xdr.NewDecoder(b)
-	a := &CreateArgs{}
-	if err := decodeFH(d, &a.Where.Dir); err != nil {
-		return nil, err
+	if err := decodeDirOpArgs(d, &a.Where); err != nil {
+		return err
 	}
 	var err error
-	if a.Where.Name, err = d.String(); err != nil {
-		return nil, err
-	}
-	if a.Attr, err = decodeSAttr(d); err != nil {
-		return nil, err
-	}
-	return a, nil
+	a.Attr, err = decodeSAttr(d)
+	return err
 }
 
 // RenameArgs are the RENAME arguments.
@@ -809,24 +815,13 @@ func (a *RenameArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeRenameArgs parses RENAME arguments.
-func DecodeRenameArgs(b []byte) (*RenameArgs, error) {
+// DecodeRenameArgsInto parses RENAME arguments into a caller-owned struct.
+func DecodeRenameArgsInto(b []byte, a *RenameArgs) error {
 	d := xdr.NewDecoder(b)
-	a := &RenameArgs{}
-	if err := decodeFH(d, &a.From.Dir); err != nil {
-		return nil, err
+	if err := decodeDirOpArgs(d, &a.From); err != nil {
+		return err
 	}
-	var err error
-	if a.From.Name, err = d.String(); err != nil {
-		return nil, err
-	}
-	if err := decodeFH(d, &a.To.Dir); err != nil {
-		return nil, err
-	}
-	if a.To.Name, err = d.String(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return decodeDirOpArgs(d, &a.To)
 }
 
 // StatusRes is the bare-status result of SETATTR-like procedures on the
@@ -885,21 +880,19 @@ func (a *ReaddirArgs) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReaddirArgs parses READDIR arguments.
-func DecodeReaddirArgs(b []byte) (*ReaddirArgs, error) {
+// DecodeReaddirArgsInto parses READDIR arguments into a caller-owned
+// struct.
+func DecodeReaddirArgsInto(b []byte, a *ReaddirArgs) error {
 	d := xdr.NewDecoder(b)
-	a := &ReaddirArgs{}
 	if err := decodeFH(d, &a.Dir); err != nil {
-		return nil, err
+		return err
 	}
 	var err error
 	if a.Cookie, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
-	if a.Count, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	a.Count, err = d.Uint32()
+	return err
 }
 
 // DirEntry is one READDIR entry.

@@ -125,8 +125,8 @@ func TestReadArgsResRoundTrip(t *testing.T) {
 
 func TestDirOpRoundTrip(t *testing.T) {
 	a := &DirOpArgs{Dir: NewFH(1, 1, 0), Name: "passwd"}
-	ga, err := DecodeDirOpArgs(a.Encode())
-	if err != nil || ga.Dir != a.Dir || ga.Name != a.Name {
+	var ga DirOpArgs
+	if err := DecodeDirOpArgsInto(a.Encode(), &ga); err != nil || ga != *a {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &DirOpRes{Status: OK, File: NewFH(1, 9, 1), Attr: sampleAttr()}
@@ -149,19 +149,19 @@ func TestCreateArgsRoundTrip(t *testing.T) {
 		Where: DirOpArgs{Dir: NewFH(1, 1, 0), Name: "newfile"},
 		Attr:  DefaultSAttr(0644),
 	}
-	ga, err := DecodeCreateArgs(a.Encode())
-	if err != nil {
+	var ga CreateArgs
+	if err := DecodeCreateArgsInto(a.Encode(), &ga); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if ga.Where != a.Where || ga.Attr != a.Attr {
+	if ga != *a {
 		t.Fatalf("round trip: %+v vs %+v", ga, a)
 	}
 }
 
 func TestSetattrArgsRoundTrip(t *testing.T) {
 	a := &SetattrArgs{File: NewFH(2, 5, 0), Attr: SAttr{Mode: 0600, UID: NoValue, GID: NoValue, Size: 0, ATime: TimeVal{NoValue, NoValue}, MTime: TimeVal{NoValue, NoValue}}}
-	ga, err := DecodeSetattrArgs(a.Encode())
-	if err != nil || *ga != *a {
+	var ga SetattrArgs
+	if err := DecodeSetattrArgsInto(a.Encode(), &ga); err != nil || ga != *a {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
@@ -171,16 +171,16 @@ func TestRenameArgsRoundTrip(t *testing.T) {
 		From: DirOpArgs{Dir: NewFH(1, 1, 0), Name: "old"},
 		To:   DirOpArgs{Dir: NewFH(1, 2, 0), Name: "new"},
 	}
-	ga, err := DecodeRenameArgs(a.Encode())
-	if err != nil || *ga != *a {
+	var ga RenameArgs
+	if err := DecodeRenameArgsInto(a.Encode(), &ga); err != nil || ga != *a {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
 
 func TestReaddirRoundTrip(t *testing.T) {
 	a := &ReaddirArgs{Dir: NewFH(1, 1, 0), Cookie: 2, Count: 512}
-	ga, err := DecodeReaddirArgs(a.Encode())
-	if err != nil || *ga != *a {
+	var ga ReaddirArgs
+	if err := DecodeReaddirArgsInto(a.Encode(), &ga); err != nil || ga != *a {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &ReaddirRes{

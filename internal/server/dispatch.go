@@ -81,7 +81,11 @@ func (s *Server) getPC() *parsedCall {
 	return &parsedCall{}
 }
 
+// putPC parks a parse record for reuse. Its decoded call aliases the
+// request's wire head, so it is cleared: a pooled record must not pin the
+// slab that head was carved from (Network.WireBuf).
 func (s *Server) putPC(pc *parsedCall) {
+	pc.call = oncrpc.CallMsg{}
 	pc.body = nil
 	s.freePC = append(s.freePC, pc)
 }
@@ -290,9 +294,10 @@ func (s *Server) successHeaderSize() int {
 }
 
 // encoder returns the server's one encoder, reset onto a fresh wire buffer
-// of exactly size bytes. Encoding never yields, so every nfsd shares it.
+// of exactly size bytes carved by the network (Network.WireBuf). Encoding
+// never yields, so every nfsd shares it.
 func (s *Server) encoder(size int) *xdr.Encoder {
-	s.enc.Reset(make([]byte, 0, size))
+	s.enc.Reset(s.net.WireBuf(size))
 	return &s.enc
 }
 
@@ -443,8 +448,8 @@ func (s *Server) doGetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 
 func (s *Server) doSetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.MetaUpdate)
-	args, err := nfsproto.DecodeSetattrArgs(call.Args)
-	if err != nil {
+	var args nfsproto.SetattrArgs
+	if err := nfsproto.DecodeSetattrArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -479,8 +484,8 @@ func (s *Server) doSetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 
 func (s *Server) doLookup(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath)
-	args, err := nfsproto.DecodeDirOpArgs(call.Args)
-	if err != nil {
+	var args nfsproto.DirOpArgs
+	if err := nfsproto.DecodeDirOpArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -608,8 +613,8 @@ func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, ino
 
 func (s *Server) doCreate(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool) {
 	s.charge(p, s.cfg.Costs.VopWriteData)
-	args, err := nfsproto.DecodeCreateArgs(call.Args)
-	if err != nil {
+	var args nfsproto.CreateArgs
+	if err := nfsproto.DecodeCreateArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -644,8 +649,8 @@ func (s *Server) doCreate(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool)
 
 func (s *Server) doRemove(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool) {
 	s.charge(p, s.cfg.Costs.VopWriteData)
-	args, err := nfsproto.DecodeDirOpArgs(call.Args)
-	if err != nil {
+	var args nfsproto.DirOpArgs
+	if err := nfsproto.DecodeDirOpArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -668,8 +673,8 @@ func (s *Server) doRemove(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool)
 
 func (s *Server) doRename(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.VopWriteData)
-	args, err := nfsproto.DecodeRenameArgs(call.Args)
-	if err != nil {
+	var args nfsproto.RenameArgs
+	if err := nfsproto.DecodeRenameArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
@@ -685,8 +690,8 @@ func (s *Server) doRename(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 
 func (s *Server) doReaddir(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.ReadPath)
-	args, err := nfsproto.DecodeReaddirArgs(call.Args)
-	if err != nil {
+	var args nfsproto.ReaddirArgs
+	if err := nfsproto.DecodeReaddirArgsInto(call.Args, &args); err != nil {
 		s.dup.forget(k)
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return

@@ -36,6 +36,8 @@ type rigOpts struct {
 	nfsds     int
 	fddi      bool
 	record    bool
+	// dupCap is the dup cache's capacity (0 = the server default).
+	dupCap int
 	// acct is the buffer ledger every pool of the rig charges (nil = the
 	// process-global one).
 	acct *block.Accounting
@@ -65,6 +67,7 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 		Accelerated:   o.presto,
 		RecordReplies: o.record,
 		CPU:           srvCPU,
+		DupCacheCap:   o.dupCap,
 	}
 	if o.gathering {
 		cfg.Gather = core.DefaultConfig(o.presto, np.Procrastinate)

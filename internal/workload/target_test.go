@@ -57,15 +57,13 @@ func decodeCall(t *testing.T, m *oncrpc.CallMsg, body *block.Buf, n int) call {
 	var err error
 	switch c.proc {
 	case nfsproto.ProcLookup, nfsproto.ProcRemove:
-		var a *nfsproto.DirOpArgs
-		if a, err = nfsproto.DecodeDirOpArgs(m.Args); err == nil {
-			c.name = a.Name
-		}
+		var a nfsproto.DirOpArgs
+		err = nfsproto.DecodeDirOpArgsInto(m.Args, &a)
+		c.name = a.Name
 	case nfsproto.ProcCreate:
-		var a *nfsproto.CreateArgs
-		if a, err = nfsproto.DecodeCreateArgs(m.Args); err == nil {
-			c.name = a.Where.Name
-		}
+		var a nfsproto.CreateArgs
+		err = nfsproto.DecodeCreateArgsInto(m.Args, &a)
+		c.name = a.Where.Name
 	case nfsproto.ProcRead:
 		var a nfsproto.ReadArgs
 		err = nfsproto.DecodeReadArgsInto(m.Args, &a)

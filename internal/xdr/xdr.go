@@ -211,8 +211,9 @@ func (d *Decoder) OpaqueRef() ([]byte, error) {
 	return d.FixedOpaqueRef(int(n))
 }
 
-// String decodes an XDR string.
+// String decodes an XDR string. The conversion is its one copy: the bytes
+// are read in place, not first copied out as Opaque would.
 func (d *Decoder) String() (string, error) {
-	b, err := d.Opaque()
+	b, err := d.OpaqueRef()
 	return string(b), err
 }

@@ -113,6 +113,10 @@ func TestFixedOpaqueRoundTrip(t *testing.T) {
 	}
 }
 
+// stringSink keeps a decoded string on the heap, as a caller that keeps
+// the name would.
+var stringSink string
+
 func TestStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "a", "hello", "exact4ch", "ünïcødé"} {
 		e := NewEncoder(nil)
@@ -122,6 +126,25 @@ func TestStringRoundTrip(t *testing.T) {
 		if err != nil || got != s {
 			t.Fatalf("round trip %q -> %q, err %v", s, got, err)
 		}
+	}
+
+	// The string is the one copy: it survives the buffer being
+	// overwritten, and decoding it costs one object, not two.
+	e := NewEncoder(nil)
+	e.String("hello")
+	buf := e.Bytes()
+	got, _ := NewDecoder(buf).String()
+	copy(buf[4:], "XXXXX")
+	if got != "hello" {
+		t.Fatalf("decoded string aliases the buffer: %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if stringSink, err = NewDecoder(buf).String(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("String costs %v allocs, want 1", n)
 	}
 }
 
