@@ -327,14 +327,34 @@ func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string)
 	for _, c := range res.Cells {
 		simTotal += c.SimTime
 	}
-	if len(res.Cells) > 1 {
-		for _, c := range res.Cells {
-			fmt.Fprintf(&b, "  cell %-28s %8.3f s wall\n", c.Label, c.Wall.Seconds())
-		}
+	for _, c := range res.Cells {
+		fmt.Fprintf(&b, "  cell %-28s %8.3f s wall, %s\n", c.Label, c.Wall.Seconds(), selfReport(&c))
 	}
 	fmt.Fprintf(&b, "%s: %.2f s wall, %.2f s simulated (%d cells, %d workers)\n",
 		spec.Name, time.Since(wall).Seconds(), simTotal.Seconds(), len(res.Cells), scenario.Workers())
 	return res, b.String(), nil
+}
+
+// selfReport is what a cell cost the kernel: events fired, coroutine
+// switches and coroutines started, and per completed operation where the
+// cell counts them (LADDIS and open-loop cells). Like the wall time it is
+// the harness's, not the model's, so it rides on the " s wall" lines that
+// every golden comparison strips.
+func selfReport(c *scenario.CellResult) string {
+	ops := 0
+	for _, r := range c.ClientResults {
+		for _, n := range r.PerOp {
+			ops += n
+		}
+	}
+	for _, oc := range c.OpenloadClients {
+		ops += int(oc.Completed)
+	}
+	s := fmt.Sprintf("%d events, %d switches, %d coroutines", c.Events, c.Switches, c.Carriers)
+	if ops > 0 {
+		s += fmt.Sprintf(" (%.1f events/op, %.2f switches/op)", float64(c.Events)/float64(ops), float64(c.Switches)/float64(ops))
+	}
+	return s
 }
 
 func (a *app) runSpec(spec scenario.Spec, render func(*scenario.Result) string) int {

@@ -39,14 +39,10 @@ type Client struct {
 	// handle. Handles with no route go to the default server.
 	routes map[uint32]string
 
-	xidSeq uint32
-	// lastAttempts is the transmission count of the most recent completed
-	// call: >1 means the reply answers a retransmission, which
-	// non-idempotent ops (CREATE) must account for.
-	lastAttempts int
-	pending      map[uint32]*pendingCall
-	freePC       []*pendingCall // pendingCall pool
-	credRaw      []byte         // AUTH_UNIX credential, constant per client
+	xidSeq  uint32
+	pending map[uint32]*pendingCall
+	freePC  []*pendingCall // pendingCall pool
+	credRaw []byte         // AUTH_UNIX credential, constant per client
 	// pool backs write payload staging: WriteFile and the LADDIS burst
 	// workers stage each 8K request in a refcounted buffer that then rides
 	// the wire by reference (every in-flight datagram holds its own ref),
@@ -81,6 +77,7 @@ type Client struct {
 	scratchReadRes    nfsproto.ReadRes
 	scratchStatusRes  nfsproto.StatusRes
 	scratchReaddirRes nfsproto.ReaddirRes
+	scratchStatfsRes  nfsproto.StatfsRes
 	// replyBody is the data block of the most recently completed call's
 	// reply when it arrived split (a READ answered by reference), one
 	// reference of the client's own; Read's result aliases it. It is the
@@ -138,16 +135,44 @@ type Client struct {
 	OnRPC func(proc nfsproto.Proc, xid uint32, issued sim.Time, attempts int, ok bool)
 }
 
-// pendingCall embeds the reply decode target, so the steady-state RPC path
-// allocates no ReplyMsg: the record cycles through the client's pool.
+// pendingCall is one RPC from start to settle, pooled per client: the
+// call's state for the retransmission loop (start, aim, settle), the reply
+// decode target, so the steady-state path allocates no ReplyMsg, and Go's
+// continuations, bound once when the record is made.
 type pendingCall struct {
+	c        *Client
 	cond     sim.Cond
 	reply    *oncrpc.ReplyMsg // nil until a reply arrives; points at replyBuf
 	replyBuf oncrpc.ReplyMsg
 	// body is the reply datagram's body reference, taken over by
-	// receive; finishCall passes it on to the client's replyBody.
+	// receive; endCall passes it on to the client's replyBody.
 	body    *block.Buf
 	bodyLen int
+
+	// The call, as start made it: raw is its encoded head, never mutated
+	// (queued and retransmitted datagrams alias it), out its split WRITE
+	// payload, which every transmission references. With routed set each
+	// attempt re-resolves its destination from fh's route (static routes
+	// make this a no-op; a mid-call failover redirects the next retry);
+	// otherwise to is used verbatim.
+	proc    nfsproto.Proc
+	xid     uint32
+	fh      nfsproto.FH
+	routed  bool
+	to      string
+	raw     []byte
+	out     *block.Buf
+	outLen  int
+	issued  sim.Time
+	rto     sim.Duration
+	attempt int // transmissions so far, once settled the call's attempt count
+	tries   int
+
+	// Go's request and its caller's continuation.
+	req    Req
+	done   func(nfsproto.Status, error)
+	sentFn func()
+	waitFn func()
 }
 
 // getPC takes a pending-call record from the pool.
@@ -159,8 +184,9 @@ func (c *Client) getPC() *pendingCall {
 		pc.cond.Init(c.sim)
 		return pc
 	}
-	pc := &pendingCall{}
+	pc := &pendingCall{c: c}
 	pc.cond.Init(c.sim)
+	pc.sentFn, pc.waitFn = pc.sent, pc.wait
 	return pc
 }
 
@@ -282,11 +308,28 @@ func (c *Client) receive(dg *netsim.Datagram) {
 	pc.cond.Signal()
 }
 
+// Req names one procedure and its arguments, for Go and for the blocking
+// procedures, which share its encode half.
+type Req struct {
+	Proc nfsproto.Proc
+	// FH is the file the call is about, or the directory Name is looked
+	// up, made or removed in. Every call but STATFS routes by it.
+	FH   nfsproto.FH
+	Name string // LOOKUP, CREATE, MKDIR, REMOVE
+	// Off is a READ's or WRITE's byte offset, a READDIR's cookie.
+	Off uint32
+	// Count is a READ's or READDIR's byte count, a WRITE's length; Go
+	// writes one MaxData block of the audit pattern (WritePattern).
+	Count uint32
+	Mode  uint32         // CREATE, MKDIR
+	Attr  nfsproto.SAttr // SETATTR
+}
+
 // callEncoder starts one call: it takes the next XID and returns the
 // client's one encoder, reset onto a fresh wire head of exactly the call's
 // size, carved by the network (Network.WireBuf), that already holds the
-// RPC header. The caller appends argsSize bytes of arguments and hands the
-// encoder to call before it yields.
+// RPC header. The caller appends argsSize bytes of arguments and starts
+// the call before anything yields.
 func (c *Client) callEncoder(proc nfsproto.Proc, argsSize int) *xdr.Encoder {
 	cred := oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw}
 	verf := oncrpc.NullAuth()
@@ -296,33 +339,156 @@ func (c *Client) callEncoder(proc nfsproto.Proc, argsSize int) *xdr.Encoder {
 	return &c.enc
 }
 
-// call performs the RPC that callEncoder started and e now holds whole
-// (no intermediate args slice): it runs the retransmission loop.
-//
-// Scratch discipline: a procedure method builds its argument record on its
-// own stack and encodes it before its first yield, so the record costs no
-// heap object and no per-client bytes. The returned ReplyMsg points into
-// the pending-call record, and the procedure methods decode results into
-// per-client scratch structs. Both stay valid only until the calling
-// process next yields (sleeps, sends, or performs another RPC): callers
-// must consume a result before their next blocking call, exactly like the
-// server's result scratch in dispatch.go.
-// call routes by fh: the destination is re-resolved from the routing
-// table on every transmission attempt, so a handle whose shard migrated
-// mid-call (failover) reaches the adopting server on the next retry
-// instead of timing out against the dead endpoint.
-func (c *Client) call(p *sim.Proc, proc nfsproto.Proc, e *xdr.Encoder, fh nfsproto.FH) (*oncrpc.ReplyMsg, error) {
-	// Nothing has yielded since callEncoder, so xidSeq is still its XID.
-	return c.finishCall(p, proc, c.xidSeq, fh, true, "", e.Bytes(), nil, 0)
+// encode is every procedure's encode half: callEncoder plus r's
+// arguments. Each case builds its argument record on the caller's stack
+// and encodes it at once, so the record costs no heap object.
+func (c *Client) encode(r *Req) *xdr.Encoder {
+	var e *xdr.Encoder
+	switch r.Proc {
+	case nfsproto.ProcLookup, nfsproto.ProcRemove:
+		args := nfsproto.DirOpArgs{Dir: r.FH, Name: r.Name}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcCreate, nfsproto.ProcMkdir:
+		args := nfsproto.CreateArgs{
+			Where: nfsproto.DirOpArgs{Dir: r.FH, Name: r.Name},
+			Attr:  nfsproto.DefaultSAttr(r.Mode),
+		}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcGetattr, nfsproto.ProcStatfs:
+		args := nfsproto.FHArgs{File: r.FH}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcSetattr:
+		args := nfsproto.SetattrArgs{File: r.FH, Attr: r.Attr}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcRead:
+		args := nfsproto.ReadArgs{File: r.FH, Offset: r.Off, Count: r.Count}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcReaddir:
+		args := nfsproto.ReaddirArgs{Dir: r.FH, Cookie: r.Off, Count: r.Count}
+		e = c.callEncoder(r.Proc, args.EncodedSize())
+		args.EncodeTo(e)
+	case nfsproto.ProcWrite:
+		// The head only: the data rides as the datagram body.
+		e = c.callEncoder(r.Proc, nfsproto.WriteArgsHeadSize)
+		nfsproto.AppendWriteArgsHead(e, r.FH, r.Off, int(r.Count))
+	default:
+		panic(fmt.Sprintf("client: no encode half for procedure %d", r.Proc))
+	}
+	return e
 }
 
-// callBody performs one WRITE RPC whose payload rides as a refcounted
-// datagram body: only the RPC header and the WRITE argument head are
-// encoded into the wire buffer; the 8K data segment is never memmoved.
-func (c *Client) callBody(p *sim.Proc, fh nfsproto.FH, off uint32, body *block.Buf, n int) (*oncrpc.ReplyMsg, error) {
-	e := c.callEncoder(nfsproto.ProcWrite, nfsproto.WriteArgsHeadSize)
-	nfsproto.AppendWriteArgsHead(e, fh, off, n)
-	return c.finishCall(p, nfsproto.ProcWrite, c.xidSeq, fh, true, "", e.Bytes(), body, n)
+// start registers the call callEncoder began (its XID is still xidSeq:
+// nothing has yielded since) and readies its first attempt. STATFS asks
+// the default server, as the recorded runs always have; every other
+// procedure routes by its handle.
+func (c *Client) start(proc nfsproto.Proc, fh nfsproto.FH, raw []byte, out *block.Buf, outLen int) *pendingCall {
+	if proc == nfsproto.ProcStatfs {
+		return c.startTo(proc, false, c.server, fh, raw, out, outLen)
+	}
+	return c.startTo(proc, true, "", fh, raw, out, outLen)
+}
+
+func (c *Client) startTo(proc nfsproto.Proc, routed bool, to string, fh nfsproto.FH, raw []byte, out *block.Buf, outLen int) *pendingCall {
+	pc := c.getPC()
+	pc.proc, pc.xid, pc.fh, pc.routed, pc.to = proc, c.xidSeq, fh, routed, to
+	pc.raw, pc.out, pc.outLen = raw, out, outLen
+	pc.issued, pc.rto, pc.attempt = c.sim.Now(), c.params.RetransTimeout, 0
+	pc.tries = c.MaxRetries
+	if pc.tries <= 0 {
+		pc.tries = 8
+	}
+	c.pending[pc.xid] = pc
+	c.Calls++
+	return pc
+}
+
+// aim begins one attempt of the retransmission loop: it counts a
+// retransmission and resolves where the attempt goes.
+func (pc *pendingCall) aim() string {
+	c := pc.c
+	if pc.attempt > 0 {
+		c.Retransmissions++
+	}
+	if pc.routed {
+		pc.to = c.dest(pc.fh)
+	}
+	return pc.to
+}
+
+// settle ends one attempt: replied says its wait ended with a reply. It
+// reports whether the call is over — replied, or out of tries — and backs
+// the timer off when it is not.
+func (pc *pendingCall) settle(replied bool) bool {
+	c := pc.c
+	pc.attempt++
+	if replied {
+		c.Replied++
+		if c.OnRPC != nil {
+			c.OnRPC(pc.proc, pc.xid, pc.issued, pc.attempt, pc.reply.Stat == oncrpc.MsgAccepted && pc.reply.AccStat == oncrpc.Success)
+		}
+		return true
+	}
+	pc.rto *= 2
+	if pc.rto > c.MaxRTO {
+		pc.rto = c.MaxRTO
+	}
+	if pc.attempt < pc.tries {
+		return false
+	}
+	c.Timeouts++
+	if c.OnRPC != nil {
+		c.OnRPC(pc.proc, pc.xid, pc.issued, pc.attempt, false)
+	}
+	return true
+}
+
+// outcome is a settled call's reply and RPC-level error.
+func (pc *pendingCall) outcome() (*oncrpc.ReplyMsg, error) {
+	reply := pc.reply
+	switch {
+	case reply == nil:
+		return nil, ErrTimeout
+	case reply.Stat != oncrpc.MsgAccepted:
+		return reply, ErrDenied
+	case reply.AccStat != oncrpc.Success:
+		return reply, fmt.Errorf("client: rpc accept status %d", reply.AccStat)
+	}
+	return reply, nil
+}
+
+// endCall retires a settled (or abandoned) call. The reply's body, if it
+// had one, becomes the client's; the one held for the previous call is
+// dead by the scratch discipline. The returned reply stays readable until
+// the record is next taken from the pool.
+func (c *Client) endCall(pc *pendingCall) {
+	delete(c.pending, pc.xid)
+	c.dropReplyBody()
+	c.replyBody, c.replyBodyLen = pc.body, pc.bodyLen
+	pc.body, pc.bodyLen = nil, 0
+	pc.raw, pc.out, pc.req, pc.done = nil, nil, Req{}, nil
+	c.freePC = append(c.freePC, pc)
+}
+
+// do performs the RPC r names from the parked process p, the blocking
+// driver of the retransmission loop, and decodes its reply. It returns the
+// call's attempt count and the procedure's error.
+//
+// Scratch discipline: results decode into per-client scratch structs
+// (decode), which stay valid only until the calling process next yields
+// (sleeps, sends, or performs another RPC): callers must consume a result
+// before their next blocking call, exactly like the server's result
+// scratch in dispatch.go. A Go continuation's result is valid until it
+// returns.
+func (c *Client) do(p *sim.Proc, r *Req) (int, error) {
+	e := c.encode(r)
+	reply, attempts, err := c.finish(p, c.start(r.Proc, r.FH, e.Bytes(), nil, 0))
+	_, err = c.decode(r.Proc, reply, err)
+	return attempts, err
 }
 
 // Call performs one RPC to the default server with pre-encoded args and
@@ -332,12 +498,12 @@ func (c *Client) Call(p *sim.Proc, proc nfsproto.Proc, args []byte) (*oncrpc.Rep
 	return c.CallTo(p, c.server, proc, args)
 }
 
-// CallTo is Call aimed at an explicit server endpoint.
+// CallTo is Call aimed at an explicit server endpoint. The returned
+// ReplyMsg points into the pooled pending-call record: result scratch.
 func (c *Client) CallTo(p *sim.Proc, to string, proc nfsproto.Proc, args []byte) (*oncrpc.ReplyMsg, error) {
 	c.xidSeq++
-	xid := c.xidSeq
 	call := &oncrpc.CallMsg{
-		XID:  xid,
+		XID:  c.xidSeq,
 		Prog: nfsproto.Program,
 		Vers: nfsproto.Version,
 		Proc: uint32(proc),
@@ -345,83 +511,153 @@ func (c *Client) CallTo(p *sim.Proc, to string, proc nfsproto.Proc, args []byte)
 		Verf: oncrpc.NullAuth(),
 		Args: args,
 	}
-	return c.finishCall(p, proc, xid, nfsproto.FH{}, false, to, call.Encode(), nil, 0)
+	reply, _, err := c.finish(p, c.startTo(proc, false, to, nfsproto.FH{}, call.Encode(), nil, 0))
+	return reply, err
 }
 
-// finishCall registers the pending call and runs the retransmission loop.
-// raw must not be mutated afterwards: in-flight and queued (possibly
-// retransmitted) datagrams alias it. A non-nil body is the split WRITE
-// payload; each transmission's datagram takes its own reference, the
-// caller keeps its own. With routed set, the destination is re-resolved
-// from fh's route before every attempt (static routes make this a no-op;
-// a mid-call failover redirects the next retry); otherwise to is used
-// verbatim.
-func (c *Client) finishCall(p *sim.Proc, proc nfsproto.Proc, xid uint32, fh nfsproto.FH, routed bool, to string, raw []byte, body *block.Buf, bodyLen int) (*oncrpc.ReplyMsg, error) {
-	pc := c.getPC()
-	c.pending[xid] = pc
+// finish runs the retransmission loop from the parked process p, which is
+// pc's Cond waiter itself: a reply's Signal wakes it directly. It returns
+// the reply, the attempt count and the RPC error. A caller a kill unwinds
+// mid-call is counted Abandoned.
+func (c *Client) finish(p *sim.Proc, pc *pendingCall) (*oncrpc.ReplyMsg, int, error) {
 	settled := false
 	defer func() {
 		if !settled {
 			c.Abandoned++ // the caller is being unwound by a kill
 		}
-		delete(c.pending, xid)
-		// The reply's body, if it had one, becomes the client's; the one
-		// held for the previous call is dead by the scratch discipline.
 		// An unwinding (killed) caller takes this path too, so a body that
 		// arrived for it is never stranded in the pooled record.
-		c.dropReplyBody()
-		c.replyBody, c.replyBodyLen = pc.body, pc.bodyLen
-		pc.body, pc.bodyLen = nil, 0
-		c.freePC = append(c.freePC, pc)
+		c.endCall(pc)
 	}()
-
-	issued := p.Now()
-	rto := c.params.RetransTimeout
-	c.Calls++
-	tries := c.MaxRetries
-	if tries <= 0 {
-		tries = 8
-	}
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt > 0 {
-			c.Retransmissions++
-		}
-		if routed {
-			to = c.dest(fh)
-		}
-		if body != nil {
-			c.net.SendBuf(p, c.name, to, raw, body, bodyLen)
+	for {
+		to := pc.aim()
+		if pc.out != nil {
+			c.net.SendBuf(p, c.name, to, pc.raw, pc.out, pc.outLen)
 		} else {
-			c.net.Send(p, c.name, to, raw)
+			c.net.Send(p, c.name, to, pc.raw)
 		}
-		if pc.cond.WaitTimeout(p, rto) || pc.reply != nil {
-			settled = true
-			c.Replied++
-			reply := pc.reply
-			c.lastAttempts = attempt + 1
-			if c.OnRPC != nil {
-				c.OnRPC(proc, xid, issued, attempt+1, reply.Stat == oncrpc.MsgAccepted && reply.AccStat == oncrpc.Success)
-			}
-			if reply.Stat != oncrpc.MsgAccepted {
-				return reply, ErrDenied
-			}
-			if reply.AccStat != oncrpc.Success {
-				return reply, fmt.Errorf("client: rpc accept status %d", reply.AccStat)
-			}
-			return reply, nil
-		}
-		rto *= 2
-		if rto > c.MaxRTO {
-			rto = c.MaxRTO
+		if pc.settle(pc.cond.WaitTimeout(p, pc.rto) || pc.reply != nil) {
+			break
 		}
 	}
 	settled = true
-	c.lastAttempts = tries
-	c.Timeouts++
-	if c.OnRPC != nil {
-		c.OnRPC(proc, xid, issued, tries, false)
+	reply, err := pc.outcome()
+	return reply, pc.attempt, err
+}
+
+// Go issues r as a call that is no process's: it sends, waits for the
+// medium, arms its retransmission timer and takes its reply entirely as
+// run-loop events, and then calls done with the procedure's status and
+// error — what its blocking twin returns — where that twin's caller would
+// have resumed. A WRITE writes one MaxData block of the audit pattern at
+// r.Off from a pooled staging buffer (WritePattern's request); a CREATE
+// whose retransmission finds the file made goes on to LOOKUP it, as
+// Create does. The call's results are valid until done returns.
+//
+// Go and the blocking procedures run one retransmission loop (start, aim,
+// settle): each of Go's steps schedules exactly the event the parked
+// process's step does, in the same (time, seq) slot, so which driver a
+// caller uses moves no recorded result. A callback call is nobody's stack,
+// so a host crash does not unwind it: it stays pending, transmits nothing
+// while the host is down, and settles as a reply or a timeout.
+func (c *Client) Go(r Req, done func(nfsproto.Status, error)) {
+	var out *block.Buf
+	outLen := 0
+	if r.Proc == nfsproto.ProcWrite {
+		out, outLen = c.GetWriteBuf(), nfsproto.MaxData
+		FillPattern(out.Data(), r.Off)
+		r.Count = nfsproto.MaxData
+		if c.OnWriteEvent != nil {
+			c.OnWriteEvent("send", r.Off, nfsproto.MaxData)
+		}
 	}
-	return nil, ErrTimeout
+	e := c.encode(&r)
+	pc := c.start(r.Proc, r.FH, e.Bytes(), out, outLen)
+	pc.req, pc.done = r, done
+	pc.transmit()
+}
+
+// transmit is Go's attempt: a callback send, then sent.
+func (pc *pendingCall) transmit() {
+	c := pc.c
+	to := pc.aim()
+	if c.Down {
+		pc.sent() // a crashed host sends nothing; the attempt times out
+		return
+	}
+	c.net.SendNotify(c.name, to, pc.raw, pc.out, pc.outLen, pc.sentFn)
+}
+
+// sent arms the attempt's wait: a reply's Signal or the timer calls wait.
+func (pc *pendingCall) sent() { pc.cond.NotifyTimeout(pc.rto, pc.waitFn) }
+
+// wait ends Go's attempt: the next one, or the decode half and done. Only
+// receive signals the call's Cond, once its reply is in, so a reply is
+// what tells a Signal from the timer — and a reply that came in while
+// the attempt was still being sent counts at the timer, as in the
+// blocking driver.
+func (pc *pendingCall) wait() {
+	if !pc.settle(pc.reply != nil) {
+		pc.transmit()
+		return
+	}
+	c := pc.c
+	reply, err := pc.outcome()
+	r, done, out, issued, attempts := pc.req, pc.done, pc.out, pc.issued, pc.attempt
+	c.endCall(pc)
+	st := nfsproto.OK
+	if out != nil {
+		err = c.writeDone(r.FH, r.Off, nfsproto.MaxData, issued, reply, err)
+		out.Release()
+	} else {
+		st, err = c.decode(r.Proc, reply, err)
+	}
+	if r.Proc == nfsproto.ProcCreate && err == nil && st == nfsproto.ErrExist && attempts > 1 {
+		// Create's recovery of a retried CREATE (see Create).
+		c.Go(Req{Proc: nfsproto.ProcLookup, FH: r.FH, Name: r.Name}, done)
+		return
+	}
+	done(st, err)
+}
+
+// decode is every procedure's decode half, given its call's reply and
+// RPC error: it decodes the results into the procedure's per-client
+// scratch and reports the status they carry and the error the blocking
+// procedure returns. The pooled reply record is cleared once decoded, so
+// records waiting in the pool do not pin the wire payloads they aliased.
+func (c *Client) decode(proc nfsproto.Proc, reply *oncrpc.ReplyMsg, err error) (nfsproto.Status, error) {
+	if err != nil {
+		return nfsproto.ErrIO, err
+	}
+	var st nfsproto.Status
+	switch b := reply.Results; proc {
+	case nfsproto.ProcLookup, nfsproto.ProcCreate, nfsproto.ProcMkdir:
+		err, st = nfsproto.DecodeDirOpResInto(b, &c.scratchDirOpRes), c.scratchDirOpRes.Status
+	case nfsproto.ProcGetattr, nfsproto.ProcSetattr, nfsproto.ProcWrite:
+		err, st = nfsproto.DecodeAttrStatInto(b, &c.scratchAttrStat), c.scratchAttrStat.Status
+	case nfsproto.ProcRead:
+		if c.replyBody != nil {
+			// Answered by reference: the data is the server's cache block,
+			// readable (never writable) while the client holds replyBody.
+			err = nfsproto.DecodeReadResSplitInto(b, c.replyBody.Data()[:c.replyBodyLen], &c.scratchReadRes)
+		} else {
+			err = nfsproto.DecodeReadResInto(b, &c.scratchReadRes)
+		}
+		st = c.scratchReadRes.Status
+	case nfsproto.ProcRemove:
+		err, st = nfsproto.DecodeStatusResInto(b, &c.scratchStatusRes), c.scratchStatusRes.Status
+	case nfsproto.ProcReaddir:
+		err, st = nfsproto.DecodeReaddirResInto(b, &c.scratchReaddirRes), c.scratchReaddirRes.Status
+	case nfsproto.ProcStatfs:
+		err, st = nfsproto.DecodeStatfsResInto(b, &c.scratchStatfsRes), c.scratchStatfsRes.Status
+	default:
+		panic(fmt.Sprintf("client: no decode half for procedure %d", proc))
+	}
+	*reply = oncrpc.ReplyMsg{}
+	if err != nil {
+		return nfsproto.ErrIO, err
+	}
+	return st, nil
 }
 
 // dropReplyBody releases the reply body the client holds, if any.
@@ -445,48 +681,21 @@ func (c *Client) HeldBodies() int {
 // outstanding-RPC probe of the observability plane.
 func (c *Client) PendingRPCs() int { return len(c.pending) }
 
-// decodeDone clears a pooled reply record once its results are decoded,
-// so records waiting in the pool do not pin the wire payloads they last
-// aliased. Call as decodeDone(reply, Decode...(reply.Results, ...)):
-// arguments evaluate left to right, so the decode runs first.
-func decodeDone(reply *oncrpc.ReplyMsg, err error) error {
-	*reply = oncrpc.ReplyMsg{}
-	return err
-}
-
 // Lookup resolves name in dir.
 func (c *Client) Lookup(p *sim.Proc, dir nfsproto.FH, name string) (*nfsproto.DirOpRes, error) {
-	args := nfsproto.DirOpArgs{Dir: dir, Name: name}
-	e := c.callEncoder(nfsproto.ProcLookup, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcLookup, e, dir)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcLookup, FH: dir, Name: name}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchDirOpRes
-	if err := decodeDone(reply, nfsproto.DecodeDirOpResInto(reply.Results, res)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &c.scratchDirOpRes, nil
 }
 
 // Create makes a file in dir.
 func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (*nfsproto.DirOpRes, error) {
-	args := nfsproto.CreateArgs{
-		Where: nfsproto.DirOpArgs{Dir: dir, Name: name},
-		Attr:  nfsproto.DefaultSAttr(mode),
-	}
-	e := c.callEncoder(nfsproto.ProcCreate, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcCreate, e, dir)
+	attempts, err := c.do(p, &Req{Proc: nfsproto.ProcCreate, FH: dir, Name: name, Mode: mode})
 	if err != nil {
 		return nil, err
 	}
-	res := &c.scratchDirOpRes
-	if err := decodeDone(reply, nfsproto.DecodeDirOpResInto(reply.Results, res)); err != nil {
-		return nil, err
-	}
-	if res.Status == nfsproto.ErrExist && c.lastAttempts > 1 {
+	if c.scratchDirOpRes.Status == nfsproto.ErrExist && attempts > 1 {
 		// CREATE is not idempotent, and the server's duplicate request cache
 		// only remembers so much: an entry is evicted after DupCacheCap newer
 		// requests and the whole cache dies with a reboot. A retransmitted
@@ -496,115 +705,65 @@ func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) 
 		// success and LOOKUP the handle.
 		return c.Lookup(p, dir, name)
 	}
-	return res, nil
+	return &c.scratchDirOpRes, nil
 }
 
 // Mkdir makes a directory in dir.
 func (c *Client) Mkdir(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (*nfsproto.DirOpRes, error) {
-	args := nfsproto.CreateArgs{
-		Where: nfsproto.DirOpArgs{Dir: dir, Name: name},
-		Attr:  nfsproto.DefaultSAttr(mode),
-	}
-	e := c.callEncoder(nfsproto.ProcMkdir, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcMkdir, e, dir)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcMkdir, FH: dir, Name: name, Mode: mode}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchDirOpRes
-	if err := decodeDone(reply, nfsproto.DecodeDirOpResInto(reply.Results, res)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &c.scratchDirOpRes, nil
 }
 
 // Getattr fetches attributes.
 func (c *Client) Getattr(p *sim.Proc, fh nfsproto.FH) (*nfsproto.AttrStat, error) {
-	args := nfsproto.FHArgs{File: fh}
-	e := c.callEncoder(nfsproto.ProcGetattr, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcGetattr, e, fh)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcGetattr, FH: fh}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchAttrStat
-	if err := decodeDone(reply, nfsproto.DecodeAttrStatInto(reply.Results, res)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &c.scratchAttrStat, nil
 }
 
 // Setattr applies attributes.
 func (c *Client) Setattr(p *sim.Proc, fh nfsproto.FH, sa nfsproto.SAttr) (*nfsproto.AttrStat, error) {
-	args := nfsproto.SetattrArgs{File: fh, Attr: sa}
-	e := c.callEncoder(nfsproto.ProcSetattr, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcSetattr, e, fh)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcSetattr, FH: fh, Attr: sa}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchAttrStat
-	if err := decodeDone(reply, nfsproto.DecodeAttrStatInto(reply.Results, res)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &c.scratchAttrStat, nil
 }
 
 // Read fetches count bytes at off. res.Data is result scratch like the
 // rest of res — it may alias a block the server still caches — so it is
 // read-only and dead at the caller's next blocking call.
 func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto.ReadRes, error) {
-	args := nfsproto.ReadArgs{File: fh, Offset: off, Count: count}
-	e := c.callEncoder(nfsproto.ProcRead, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcRead, e, fh)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcRead, FH: fh, Off: off, Count: count}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchReadRes
-	if c.replyBody != nil {
-		// Answered by reference: the data is the server's cache block,
-		// readable (never writable) while the client holds replyBody.
-		err = nfsproto.DecodeReadResSplitInto(reply.Results, c.replyBody.Data()[:c.replyBodyLen], res)
-	} else {
-		err = nfsproto.DecodeReadResInto(reply.Results, res)
-	}
-	if err := decodeDone(reply, err); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &c.scratchReadRes, nil
 }
 
 // Remove unlinks name in dir.
 func (c *Client) Remove(p *sim.Proc, dir nfsproto.FH, name string) (nfsproto.Status, error) {
-	args := nfsproto.DirOpArgs{Dir: dir, Name: name}
-	e := c.callEncoder(nfsproto.ProcRemove, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcRemove, e, dir)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcRemove, FH: dir, Name: name}); err != nil {
 		return nfsproto.ErrIO, err
 	}
-	res := &c.scratchStatusRes
-	if err := decodeDone(reply, nfsproto.DecodeStatusResInto(reply.Results, res)); err != nil {
-		return nfsproto.ErrIO, err
-	}
-	return res.Status, nil
+	return c.scratchStatusRes.Status, nil
 }
 
 // Readdir lists a directory page.
 func (c *Client) Readdir(p *sim.Proc, dir nfsproto.FH, cookie, count uint32) (*nfsproto.ReaddirRes, error) {
-	args := nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}
-	e := c.callEncoder(nfsproto.ProcReaddir, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcReaddir, e, dir)
-	if err != nil {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcReaddir, FH: dir, Off: cookie, Count: count}); err != nil {
 		return nil, err
 	}
-	res := &c.scratchReaddirRes
-	if err := decodeDone(reply, nfsproto.DecodeReaddirResInto(reply.Results, res)); err != nil {
+	return &c.scratchReaddirRes, nil
+}
+
+// Statfs reports the filesystem fh lives on. It asks the default server.
+func (c *Client) Statfs(p *sim.Proc, fh nfsproto.FH) (*nfsproto.StatfsRes, error) {
+	if _, err := c.do(p, &Req{Proc: nfsproto.ProcStatfs, FH: fh}); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &c.scratchStatfsRes, nil
 }
 
 // WriteSync issues one WRITE RPC and waits for its reply, recording write
@@ -619,8 +778,8 @@ func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte)
 	args := nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
 	e := c.callEncoder(nfsproto.ProcWrite, args.EncodedSize())
 	args.EncodeTo(e)
-	reply, err := c.call(p, nfsproto.ProcWrite, e, fh)
-	return c.writeDone(p, fh, off, len(data), start, reply, err)
+	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, e.Bytes(), nil, 0))
+	return c.writeDone(fh, off, len(data), start, reply, err)
 }
 
 // WriteSyncBufRelease issues one WRITE RPC whose n-byte payload travels
@@ -639,8 +798,9 @@ func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b 
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("send", off, n)
 	}
-	reply, err := c.callBody(p, fh, off, b, n)
-	return c.writeDone(p, fh, off, n, start, reply, err)
+	e := c.encode(&Req{Proc: nfsproto.ProcWrite, FH: fh, Off: off, Count: uint32(n)})
+	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, e.Bytes(), b, n))
+	return c.writeDone(fh, off, n, start, reply, err)
 }
 
 // WritePattern writes one MaxData block of the audit pattern (FillPattern)
@@ -653,22 +813,21 @@ func (c *Client) WritePattern(p *sim.Proc, fh nfsproto.FH, off uint32) error {
 	return c.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData)
 }
 
-// writeDone is the shared reply half of WriteSync/WriteSyncBufRelease.
-func (c *Client) writeDone(p *sim.Proc, fh nfsproto.FH, off uint32, n int, start sim.Time, reply *oncrpc.ReplyMsg, err error) error {
+// writeDone is the WRITE's decode half, shared by WriteSync,
+// WriteSyncBufRelease and Go: a status other than OK is the write's error,
+// and an acked write records its latency from start and its bytes.
+func (c *Client) writeDone(fh nfsproto.FH, off uint32, n int, start sim.Time, reply *oncrpc.ReplyMsg, err error) error {
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("reply", off, n)
 	}
+	st, err := c.decode(nfsproto.ProcWrite, reply, err)
 	if err != nil {
 		return err
 	}
-	res := &c.scratchAttrStat
-	if err := decodeDone(reply, nfsproto.DecodeAttrStatInto(reply.Results, res)); err != nil {
-		return err
+	if st != nfsproto.OK {
+		return st.Err()
 	}
-	if res.Status != nfsproto.OK {
-		return res.Status.Err()
-	}
-	c.WriteLatency.Record(p.Now().Sub(start))
+	c.WriteLatency.Record(c.sim.Now().Sub(start))
 	c.WriteCounter.Add(n)
 	if c.OnWriteAcked != nil {
 		c.OnWriteAcked(fh, off, n)

@@ -153,6 +153,7 @@ type Network struct {
 	fabric *Fabric
 	seg    int
 	free   []*Datagram // datagram record pool
+	freeTx []*transmit // SendNotify record pool
 	// slab is the current wire-head slab: WireBuf carves heads off its
 	// front and never hands the same bytes out twice.
 	slab []byte
@@ -331,10 +332,7 @@ func (n *Network) SendBuf(p *sim.Proc, from, to string, head []byte, body *block
 }
 
 func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block.Buf, bodyLen int) bool {
-	if src, ok := n.endpoints[from]; ok && src.linkDown {
-		// The sender's attachment is severed: the datagram dies in the
-		// driver without ever touching the shared medium.
-		n.DropsLinkDown++
+	if n.severed(from) {
 		return false
 	}
 	d, frags, wire := n.wireTime(len(payload) + bodyLen)
@@ -342,6 +340,22 @@ func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block
 	// crashing server's nfsd half-way through a reply — frees the shared
 	// medium as it unwinds.
 	n.medium.Use(p, d)
+	return n.emit(from, to, payload, body, bodyLen, frags, wire)
+}
+
+// severed drops a datagram whose sender's attachment is down: it dies in
+// the driver without ever touching the shared medium.
+func (n *Network) severed(from string) bool {
+	if src, ok := n.endpoints[from]; ok && src.linkDown {
+		n.DropsLinkDown++
+		return true
+	}
+	return false
+}
+
+// emit is a send's second half, once the datagram has serialized onto the
+// medium: count it and schedule its delivery after the latency.
+func (n *Network) emit(from, to string, payload []byte, body *block.Buf, bodyLen, frags, wire int) bool {
 	n.SentDatagrams++
 	n.SentBytes += uint64(wire)
 	dst, ok := n.endpoints[to]
@@ -362,6 +376,76 @@ func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block
 	dg.dst = dst
 	n.sim.At(n.p.Latency, dg.deliver)
 	return true
+}
+
+// SendNotify is Send and SendBuf for a sender that is no process (body nil
+// for a contiguous payload): it takes the medium with a callback acquire,
+// holds it with an At event where Send's process sleeps, releases it and
+// schedules the delivery, and then calls done. Every step schedules the
+// one event the process form does, in the same (time, seq) slot, and done
+// runs where Send would return: inline when the datagram dies in a severed
+// driver, at the end of the hold otherwise. The caller keeps its own
+// reference to body, as with SendBuf.
+func (n *Network) SendNotify(from, to string, payload []byte, body *block.Buf, bodyLen int, done func()) {
+	if bodyLen%4 != 0 {
+		panic(fmt.Sprintf("netsim: split body of %d bytes needs XDR padding", bodyLen))
+	}
+	if n.severed(from) {
+		done()
+		return
+	}
+	t := n.getTransmit()
+	t.from, t.to, t.payload, t.body, t.bodyLen, t.done = from, to, payload, body, bodyLen, done
+	t.hold, t.frags, t.wire = n.wireTime(len(payload) + bodyLen)
+	t.acquire()
+}
+
+// transmit is one SendNotify waiting for or holding the medium. Records
+// are pooled per network, each with its continuations bound once, so a
+// callback send allocates nothing in the steady state.
+type transmit struct {
+	n           *Network
+	from, to    string
+	payload     []byte
+	body        *block.Buf
+	bodyLen     int
+	hold        sim.Duration
+	frags, wire int
+	done        func()
+	acquireFn   func()
+	releaseFn   func()
+}
+
+func (n *Network) getTransmit() *transmit {
+	if k := len(n.freeTx); k > 0 {
+		t := n.freeTx[k-1]
+		n.freeTx = n.freeTx[:k-1]
+		return t
+	}
+	t := &transmit{n: n}
+	t.acquireFn, t.releaseFn = t.acquire, t.release
+	return t
+}
+
+// acquire takes the medium, or waits for it in Acquire's FIFO place, and
+// holds it for the serialization time.
+func (t *transmit) acquire() {
+	if t.n.medium.AcquireNotify(t.acquireFn) {
+		t.n.sim.At(t.hold, t.releaseFn)
+	}
+}
+
+// release ends the hold: the medium goes to the next sender before the
+// delivery is scheduled, as Use's deferred Release does, and the record
+// is back in the pool before done runs.
+func (t *transmit) release() {
+	n := t.n
+	n.medium.Release()
+	n.emit(t.from, t.to, t.payload, t.body, t.bodyLen, t.frags, t.wire)
+	done := t.done
+	t.payload, t.body, t.done = nil, nil, nil
+	n.freeTx = append(n.freeTx, t)
+	done()
 }
 
 // routeTo returns the local bridge endpoint one hop closer to an

@@ -21,9 +21,9 @@
 // A captured op timeline (trace.OpTrace) replays through the same
 // admission path at recorded or speed-scaled instants.
 //
-// The arrival clock never blocks, so it is no process but a chain of
-// events (Gen.Start); an admitted operation, which waits on its RPCs, runs
-// on a process of its own.
+// Nothing here is a process: the arrival clock is a chain of events
+// (Gen.Start), and an admitted operation is a pooled record its RPCs'
+// callbacks drive (workload.Task).
 package openload
 
 import (
@@ -352,14 +352,14 @@ type task struct {
 // Gen is one client's open-loop generator.
 type Gen struct {
 	cfg     Config
-	t       workload.Target // the client and pop's files; one WRITE per write op
+	t       workload.Target // the client and pop's files
 	pop     *Population
 	win     *client.IssueWindow
 	backlog *sim.Queue[task]
 	rng     *rand.Rand
 	res     Result
 
-	name string // of every operation's process
+	free []*op // op records not in flight
 
 	// The arrival clock (Start): tick is synthetic or replay, re-armed
 	// with At until the window closes; due is the next synthetic arrival,
@@ -391,7 +391,7 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 		cfg.ReplaySpeed = 1
 	}
 	t := workload.Target{Client: cli, Names: pop.Names, Files: pop.Files, Roots: pop.Roots}
-	return &Gen{cfg: cfg, t: t, pop: pop, name: "openload-" + cli.Name(), res: Result{PerOp: make(map[string]int)}}
+	return &Gen{cfg: cfg, t: t, pop: pop, res: Result{PerOp: make(map[string]int)}}
 }
 
 // scratchName names the generator's private scratch directory (create
@@ -531,7 +531,7 @@ func (g *Gen) replay() {
 
 // settle hands the accounting to Start's caller once the window has closed
 // and the last operation has ended: every backlogged arrival is executed or
-// expired by the op processes before they release their window slots.
+// expired by the op records before they release their window slots.
 func (g *Gen) settle() {
 	if g.closed && g.active == 0 {
 		g.res.PeakQueue = g.backlog.PeakLen()
@@ -564,49 +564,74 @@ func (g *Gen) admit(t task) {
 	}
 }
 
-// dispatch runs one admitted task on its own process; after completing
-// it the process keeps its window slot and chains through the backlog
-// until the backlog is empty, then releases.
+// dispatch starts one admitted task on an op record from the pool (at
+// most Window are live: each holds a window slot), at the current instant
+// after the work already scheduled for it, the slot a process spawned for
+// the task would have started in.
 func (g *Gen) dispatch(t task) {
 	g.active++
-	g.sim.Spawn(g.name, func(q *sim.Proc) {
-		for {
-			g.exec(q, t)
-			nt, ok := g.nextLive(q)
-			if !ok {
-				break
-			}
-			t = nt
-		}
-		g.win.Release()
-		g.active--
-		g.settle()
-	})
+	var o *op
+	if k := len(g.free); k > 0 {
+		o, g.free = g.free[k-1], g.free[:k-1]
+	} else {
+		o = &op{g: g}
+		o.k = g.t.NewTask(o.done)
+		o.startFn = o.start
+	}
+	o.t = t
+	g.sim.At(0, o.startFn)
+}
+
+// op is one admitted operation in flight: no process, but a pooled record
+// whose continuations are bound once. After completing its task it keeps
+// its window slot and chains through the backlog until the backlog is
+// empty, then releases.
+type op struct {
+	g       *Gen
+	t       task
+	k       *workload.Task
+	startFn func()
+}
+
+func (o *op) start() {
+	g, t := o.g, o.t
+	o.k.Go(t.op, workload.Draw{File: t.file, Off: t.off, Dir: t.file % len(g.t.Roots)})
+}
+
+// done records one operation's arrival-to-completion latency and takes
+// the next live backlogged arrival, if any.
+func (o *op) done(err error) {
+	g := o.g
+	now := g.sim.Now()
+	g.res.Completed++
+	g.res.PerOp[o.t.op.String()]++
+	if err != nil {
+		g.res.Errors++
+	} else {
+		g.res.Lat.Record(now.Sub(o.t.at))
+	}
+	if nt, ok := g.nextLive(now); ok {
+		o.t = nt
+		o.start()
+		return
+	}
+	g.free = append(g.free, o)
+	g.win.Release()
+	g.active--
+	g.settle()
 }
 
 // nextLive pulls backlogged arrivals, expiring the stale ones.
-func (g *Gen) nextLive(q *sim.Proc) (task, bool) {
+func (g *Gen) nextLive(now sim.Time) (task, bool) {
 	for {
 		t, ok := g.backlog.TryGet()
 		if !ok {
 			return task{}, false
 		}
-		if g.cfg.Deadline > 0 && q.Now().Sub(t.at) > g.cfg.Deadline {
+		if g.cfg.Deadline > 0 && now.Sub(t.at) > g.cfg.Deadline {
 			g.res.Expired++
 			continue
 		}
 		return t, true
 	}
-}
-
-// exec performs one operation and records arrival-to-completion latency.
-func (g *Gen) exec(q *sim.Proc, t task) {
-	err := g.t.Do(q, t.op, workload.Draw{File: t.file, Off: t.off, Dir: t.file % len(g.t.Roots), Blocks: 1})
-	g.res.Completed++
-	g.res.PerOp[t.op.String()]++
-	if err != nil {
-		g.res.Errors++
-		return
-	}
-	g.res.Lat.Record(q.Now().Sub(t.at))
 }

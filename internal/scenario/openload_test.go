@@ -432,13 +432,14 @@ func TestFuzzGeneratesOpenloadSpecs(t *testing.T) {
 
 // TestProcessesDoNotScaleWithClients counts the coroutines an open-loop
 // cell of 1,000 clients on 10 bridged segments starts. A client's reply
-// demultiplexer, a bridge port's router and a generator's arrival clock
-// never block mid-stack, so none of them is a process: the count is
-// bounded by the operations in flight at once, the nfsds and the bridges'
+// demultiplexer, a bridge port's router, a generator's arrival clock and
+// an admitted operation never block mid-stack, so none of them is a
+// process: the count is bounded by the nfsds and the bridges'
 // transmitters, plus a few of the harness's own (the image builder, the
 // closing check) — not by the number of clients, two per client when the
-// first three were processes. It counts and never times, so it cannot
-// flake.
+// first three were processes, nor by the operations in flight, one each
+// when an operation was a process. It counts and never times, so it
+// cannot flake.
 func TestProcessesDoNotScaleWithClients(t *testing.T) {
 	const segments, perSegment, harness = 10, 100, 4
 	spec := OpenloadBridged("carriers", "processes against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
@@ -449,11 +450,36 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 		inFlight += oc.PeakInFlight
 	}
 	txPorts := 2 * segments // one uplink bridge per leaf, two ports each
-	bound := inFlight + spec.Topology.Servers.Nfsds + txPorts + harness
-	t.Logf("%d clients: %d coroutines; %d ops in flight at the clients' peaks, bound %d",
-		segments*perSegment, c.carriers, inFlight, bound)
-	if c.carriers > bound {
-		t.Errorf("%d clients started %d coroutines, more than %d in flight + %d nfsds + %d transmitters + %d",
-			segments*perSegment, c.carriers, inFlight, spec.Topology.Servers.Nfsds, txPorts, harness)
+	bound := spec.Topology.Servers.Nfsds + txPorts + harness
+	t.Logf("%d clients: %d coroutines, %d switches; %d ops in flight at the clients' peaks, bound %d",
+		segments*perSegment, c.Carriers, c.Switches, inFlight, bound)
+	if inFlight == 0 {
+		t.Fatal("no operation was ever in flight")
+	}
+	if c.Carriers > bound {
+		t.Errorf("%d clients started %d coroutines, more than %d nfsds + %d transmitters + %d",
+			segments*perSegment, c.Carriers, spec.Topology.Servers.Nfsds, txPorts, harness)
+	}
+}
+
+// TestClosedLoopProcessesDoNotScaleWithProcs is the closed loop's twin:
+// a LADDIS generator and its write bursts are At chains and callback
+// RPCs, so a cell starts the same coroutines with 4 generators per client
+// as with 64. It used to park Procs generators and Procs × 8 burst
+// writers per client for the whole run.
+func TestClosedLoopProcessesDoNotScaleWithProcs(t *testing.T) {
+	carriers := map[int]int{}
+	for _, procs := range []int{4, 64} {
+		spec := LADDISRig("procs", "generators against coroutines", false, 4, procs, 8, 2, sim.Second, 7)
+		spec.Cells = []Cell{LADDISCell(spec.Seed, 400, false)}
+		c := MustRun(spec).Cells[0]
+		if c.AchievedOpsPerSec == 0 {
+			t.Fatalf("Procs %d: no operation completed", procs)
+		}
+		carriers[procs] = c.Carriers
+		t.Logf("Procs %d: %.0f ops/s, %d coroutines, %d switches", procs, c.AchievedOpsPerSec, c.Carriers, c.Switches)
+	}
+	if carriers[4] != carriers[64] {
+		t.Errorf("coroutines started: %d at Procs 4, %d at Procs 64; want them equal", carriers[4], carriers[64])
 	}
 }

@@ -230,9 +230,15 @@ type CellResult struct {
 	// unit that does not depend on the host (0 for other workload kinds).
 	// TestOpenloadSetupBudget bounds it.
 	setupEvents uint64
-	// carriers is how many coroutines the cell's simulation started: the
-	// peak number of processes alive at once (TestProcessesDoNotScaleWithClients).
-	carriers int
+	// Events, Switches and Carriers are the harness's self-report, from
+	// the cell's simulation when it quiesced: events fired, coroutine
+	// resumptions, and coroutines started, which is the peak number of
+	// processes alive at once (TestProcessesDoNotScaleWithClients). They
+	// are the kernel's cost of the model, not the model, so like Wall they
+	// stay out of serialization and Render.
+	Events   uint64 `json:"-"`
+	Switches uint64 `json:"-"`
+	Carriers int    `json:"-"`
 	// err is a spec error only running the cell could find (runOpenload's
 	// fault-before-the-window check). The cell stopped there and carries
 	// nothing else; runEngine returns it in place of the result.

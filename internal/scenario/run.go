@@ -360,7 +360,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 	}
 	collectFabric(&cr, c.Fabric)
 	cr.SimTime = sim.Duration(c.Sim.Now())
-	cr.carriers = c.Sim.Carriers()
+	cr.Events, cr.Switches, cr.Carriers = c.Sim.EventsFired(), c.Sim.Switches(), c.Sim.Carriers()
 	ob.finish(&cr)
 	return cr
 }
@@ -721,8 +721,9 @@ func assertOpenloadLedger(clients []OpenloadClient) {
 // assertRPCLedger is the client identity at quiesce: every RPC a client
 // issued was answered, timed out, or abandoned by a caller a kill unwound,
 // and none is still registered. A call the books lose — a caller parked for
-// good, an unwind that skipped finishCall's cleanup — is a harness bug, so
-// it panics with the numbers.
+// good, an unwind that skipped the blocking driver's cleanup, a callback
+// call whose continuation never fired — is a harness bug, so it panics
+// with the numbers.
 func assertRPCLedger(clients []*client.Client) {
 	for _, cli := range clients {
 		if n := cli.PendingRPCs(); cli.Calls != cli.Replied+cli.Timeouts+cli.Abandoned || n != 0 {

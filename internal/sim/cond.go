@@ -13,10 +13,11 @@ type Cond struct {
 	head, tail *condWaiter
 }
 
-// condWaiter is one blocked process, or one armed callback (Notify).
-// Records are pooled on the Sim: a waiter is off its Cond's list before the
-// owning process resumes, so the process can safely return the record to
-// the pool on wake-up; a callback's record goes back when Signal reaches it.
+// condWaiter is one blocked process, or one armed callback (Notify,
+// NotifyTimeout). Records are pooled on the Sim: a waiter is off its Cond's
+// list before the owning process resumes, so the process can safely return
+// the record to the pool on wake-up; a callback's record goes back when
+// Signal or its deadline reaches it.
 type condWaiter struct {
 	c          *Cond
 	p          *Proc
@@ -131,6 +132,18 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 // process switches. Close with fn still armed never calls it.
 func (c *Cond) Notify(fn func()) { c.enqueue(nil, fn) }
 
+// NotifyTimeout is WaitTimeout for a waiter that is no process: fn takes
+// the FIFO place a process calling WaitTimeout would take, and runs once,
+// in the slot a Signal's wake-up would have had, or at the deadline d from
+// now, where the timed-out process would resume. Either way it is exactly
+// the one event the process form schedules. A caller that must tell the
+// two apart reads its own state, as the signaller set it. Close with fn
+// still armed never calls it.
+func (c *Cond) NotifyTimeout(d Duration, fn func()) {
+	w := c.enqueue(nil, fn)
+	w.timeout = c.sim.handle(c.sim.schedule(d, nil, nil, w))
+}
+
 // Signal wakes the longest waiter, process or callback, if any. It reports
 // whether a waiter was woken.
 func (c *Cond) Signal() bool {
@@ -139,13 +152,13 @@ func (c *Cond) Signal() bool {
 		return false
 	}
 	c.detach(w)
+	w.timeout.Cancel()
 	if fn := w.fn; fn != nil {
 		c.sim.putWaiter(w)
 		c.sim.schedule(0, fn, nil, nil)
 		return true
 	}
 	w.signaled = true
-	w.timeout.Cancel()
 	c.sim.wakeProc(w.p)
 	return true
 }
@@ -217,6 +230,20 @@ func (r *Resource) Release() {
 	r.stamp()
 	r.inUse--
 	r.cond.Signal()
+}
+
+// AcquireNotify is Acquire for a caller that is no process. It takes a
+// slot and reports true when one is free. Otherwise it arms fn in the FIFO
+// place Acquire's process would take (Cond.Notify) and reports false; fn
+// then runs in that process's wake slot and must call AcquireNotify again,
+// because like Acquire's loop it re-checks on waking and goes to the tail
+// if the slot went to someone else meanwhile.
+func (r *Resource) AcquireNotify(fn func()) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	r.cond.Notify(fn)
+	return false
 }
 
 // Use acquires the resource, holds it for d, and releases it; the classic

@@ -183,3 +183,99 @@ func TestCloseWithArmedCallbacks(t *testing.T) {
 		t.Errorf("NumGoroutine=%d after Close, %d before New", got, before)
 	}
 }
+
+// slotScript is one model run whose actors each loop three times over a
+// held Resource (capacity 1, so they contend) and a timed wait on a Cond,
+// either as processes (Use, WaitTimeout) or as callbacks (AcquireNotify
+// plus an At hold, NotifyTimeout). A signaller wakes the Cond at fixed
+// instants, so some waits end on a Signal before their deadline and some
+// time out. Every step the trace records carries the fired count, so a
+// callback that ran in any other (t, seq) slot than its process twin
+// would show.
+func slotScript(callback bool) (trace []string, fired uint64, end Time) {
+	s := New(5)
+	defer s.Close()
+	logf := func(format string, args ...any) {
+		trace = append(trace, fmt.Sprintf("t=%d fired=%d ", s.Now(), s.EventsFired())+fmt.Sprintf(format, args...))
+	}
+	r := NewResource(s, 1)
+	c := NewCond(s)
+	const rounds = 3
+	for i := 0; i < 4; i++ {
+		hold, wait := Duration(2+i), Duration(3+4*i)
+		if callback {
+			a := &slotActor{s: s, r: r, c: c, hold: hold, wait: wait, rounds: rounds, i: i, logf: logf}
+			a.acquireFn, a.releaseFn, a.waitedFn = a.acquire, a.release, a.waited
+			s.At(0, a.acquireFn)
+			continue
+		}
+		s.Spawn(fmt.Sprintf("actor%d", i), func(p *Proc) {
+			for k := 0; k < rounds; k++ {
+				r.Use(p, hold)
+				logf("actor%d held", i)
+				c.WaitTimeout(p, wait)
+				logf("actor%d waited", i)
+			}
+		})
+	}
+	for _, at := range []Duration{4, 9, 10, 17, 30} {
+		s.At(at, func() { logf("signal %v", c.Signal()) })
+	}
+	end = s.Run(0)
+	return trace, s.EventsFired(), end
+}
+
+// slotActor is slotScript's callback actor.
+type slotActor struct {
+	s                    *Sim
+	r                    *Resource
+	c                    *Cond
+	hold, wait           Duration
+	rounds, k, i         int
+	logf                 func(string, ...any)
+	acquireFn, releaseFn func()
+	waitedFn             func()
+}
+
+func (a *slotActor) acquire() {
+	if a.r.AcquireNotify(a.acquireFn) {
+		a.s.At(a.hold, a.releaseFn)
+	}
+}
+
+func (a *slotActor) release() {
+	a.r.Release()
+	a.logf("actor%d held", a.i)
+	a.c.NotifyTimeout(a.wait, a.waitedFn)
+}
+
+func (a *slotActor) waited() {
+	a.logf("actor%d waited", a.i)
+	if a.k++; a.k < a.rounds {
+		a.acquire()
+	}
+}
+
+// The callback forms of Resource.Acquire/Use and Cond.WaitTimeout take
+// the slots of their process forms: the same script either way fires the
+// same events in the same order and ends at the same clock, under
+// contention, with waits that end on a Signal and waits that time out.
+func TestCallbackWaitsRunInTheProcessSlots(t *testing.T) {
+	digest := func(callback bool) string {
+		trace, fired, end := slotScript(callback)
+		sum := sha256.Sum256([]byte(strings.Join(trace, "\n")))
+		return fmt.Sprintf("fired=%d end=%d lines=%d trace=%x", fired, end, len(trace), sum[:8])
+	}
+	proc, cb := digest(false), digest(true)
+	if proc != cb {
+		t.Errorf("processes: %s\ncallbacks: %s", proc, cb)
+	}
+	trace, _, _ := slotScript(true)
+	all := strings.Join(trace, "\n")
+	if n := strings.Count(all, "signal true"); n == 0 || n == 12 {
+		t.Errorf("%d of 12 waits ended on a Signal; the script must cover both endings", n)
+	}
+	if n := strings.Count(all, "held"); n != 12 {
+		t.Errorf("%d holds, want 12", n)
+	}
+}

@@ -81,7 +81,7 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 //
 // Exactly one of fn, proc, waiter is set: fn is a plain callback, proc is a
 // process to dispatch (Sleep/Spawn/wake-ups), waiter is a Cond.WaitTimeout
-// deadline.
+// or NotifyTimeout deadline.
 type event struct {
 	t      Time
 	seq    uint64
@@ -139,6 +139,8 @@ type Sim struct {
 
 	// The event ledger beside seq, which Run checks (audit).
 	fired, cancelled, dropped uint64
+	// switches counts coroutine resumptions (Switches).
+	switches uint64
 
 	// carriers chains every coroutine this sim started (carrier.all), for
 	// Close; idle chains those whose process returned (carrier.idle), for
@@ -191,6 +193,11 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // EventsFired reports how many events have fired so far; useful for
 // determinism checks and kernel tests.
 func (s *Sim) EventsFired() uint64 { return s.fired }
+
+// Switches reports how many times the kernel has resumed a process's
+// coroutine. A process whose own wake-up is the next event continues with
+// no switch, and a callback never costs one.
+func (s *Sim) Switches() uint64 { return s.switches }
 
 // refill stocks an empty free list of event or waiter records from one
 // allocation of 64: a sim with ten thousand simultaneous sleepers pays
@@ -357,6 +364,7 @@ func (s *Sim) Run(until Time) Time {
 	}
 	s.until = until
 	for p := s.loop(); p != nil; {
+		s.switches++
 		p, _ = p.c.next()
 	}
 	if f := s.fatal; f != nil {
@@ -417,8 +425,14 @@ func (s *Sim) loop() *Proc {
 		s.recycle(e)
 		if w != nil {
 			// A WaitTimeout deadline: take the waiter off its Cond's list
-			// and dispatch the parked process.
+			// and dispatch the parked process, or call a NotifyTimeout
+			// callback.
 			w.c.detach(w)
+			if fn := w.fn; fn != nil {
+				s.putWaiter(w)
+				fn()
+				continue
+			}
 			p = w.p
 		}
 		if p == nil {

@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/client"
 	"repro/internal/nfsproto"
@@ -117,8 +118,8 @@ func OpByName(name string) (Op, bool) {
 
 // Target is what one generator issues its operations against: the
 // client, the working set, the shard roots and a private scratch
-// directory. The closed loop (LADDIS) and the open loop
-// (openload.Gen) issue every operation through Target.Do.
+// directory. The closed loop (LADDIS) and the open loop (openload.Gen)
+// issue every operation through a Task of their Target.
 type Target struct {
 	Client *client.Client
 	Names  []string      // working-set names, parallel to Files
@@ -127,14 +128,8 @@ type Target struct {
 	// Scratch is the directory CREATE and REMOVE work in.
 	Scratch nfsproto.FH
 
-	// Writes issues a write op's n 8K WRITEs to fh from off and returns
-	// once all have completed. nil means one inline WritePattern, and a
-	// Draw's Blocks must then be 1. The closed loop sets it to its writer
-	// pool, so even a burst of one is issued from a pool worker in that
-	// worker's wake slot. ROADMAP item 7 deletes the field with the pool.
-	Writes func(q *sim.Proc, fh nfsproto.FH, off uint32, n int) error
 	// RemoveNewest makes the REMOVE after a CREATE name the newest
-	// sequence number issued, which is another process's when two CREATEs
+	// sequence number issued, which another task's is when two CREATEs
 	// overlap: the recorded closed-loop rule. Without it a CREATE removes
 	// its own name. ROADMAP item 2(b) deletes the field and re-records.
 	RemoveNewest bool
@@ -144,10 +139,9 @@ type Target struct {
 
 // Draw is the caller's choice of targets for one operation.
 type Draw struct {
-	File   int    // index into Files and Names
-	Off    uint32 // byte offset of a READ or of a write op's first WRITE
-	Dir    int    // index into Roots of a READDIR
-	Blocks int    // 8K WRITEs in a write op
+	File int    // index into Files and Names
+	Off  uint32 // byte offset of a READ or WRITE
+	Dir  int    // index into Roots of a READDIR
 }
 
 // RootFor places a working-set name on its shard root (the cluster-wide
@@ -156,47 +150,86 @@ func RootFor(roots []nfsproto.FH, name string) nfsproto.FH {
 	return roots[client.ShardIndex(name, len(roots))]
 }
 
-// Do issues one operation with draw d and returns its error. A CREATE is
+// Task is one operation at a time in flight through its Target: no
+// process, but a record whose continuations are bound once (NewTask), so
+// its caller reuses it op after op and issuing one allocates nothing but
+// a CREATE's name.
+type Task struct {
+	t    *Target
+	op   Op
+	name string // a CREATE's name
+	seq  int    // a CREATE's number, 0 once its REMOVE is issued
+	done func(error)
+	rpc  func(nfsproto.Status, error)
+}
+
+// NewTask makes a task of t that calls done with each operation's error.
+func (t *Target) NewTask(done func(error)) *Task {
+	k := &Task{t: t, done: done}
+	k.rpc = k.settled
+	return k
+}
+
+// Go issues op with draw d by callback (client.Go) and calls the task's
+// done with its error where a process blocked in the op would have
+// resumed. A write op is one 8K WRITE of the audit pattern. A CREATE is
 // followed by a REMOVE, so the scratch directory stays bounded; a REMOVE
-// op names an absent file, which exercises the path cheaply.
-func (t *Target) Do(q *sim.Proc, op Op, d Draw) error {
-	cli, fh := t.Client, t.Files[d.File]
-	var err error
+// op names an absent file, which exercises the path cheaply. The error is
+// the RPC's, or a decode's, or a WRITE's status; a CREATE's REMOVE counts
+// for nothing.
+func (k *Task) Go(op Op, d Draw) {
+	t := k.t
+	fh := t.Files[d.File]
+	k.op = op
+	var r client.Req
 	switch op {
 	case OpLookup:
 		name := t.Names[d.File]
-		_, err = cli.Lookup(q, RootFor(t.Roots, name), name)
+		r = client.Req{Proc: nfsproto.ProcLookup, FH: RootFor(t.Roots, name), Name: name}
 	case OpRead:
-		_, err = cli.Read(q, fh, d.Off, nfsproto.MaxData)
+		r = client.Req{Proc: nfsproto.ProcRead, FH: fh, Off: d.Off, Count: nfsproto.MaxData}
 	case OpWrite:
-		if t.Writes == nil {
-			return cli.WritePattern(q, fh, d.Off)
-		}
-		return t.Writes(q, fh, d.Off, d.Blocks)
+		r = client.Req{Proc: nfsproto.ProcWrite, FH: fh, Off: d.Off}
 	case OpGetattr:
-		_, err = cli.Getattr(q, fh)
+		r = client.Req{Proc: nfsproto.ProcGetattr, FH: fh}
 	case OpReaddir:
-		_, err = cli.Readdir(q, t.Roots[d.Dir], 0, 512)
+		r = client.Req{Proc: nfsproto.ProcReaddir, FH: t.Roots[d.Dir], Count: 512}
 	case OpCreate:
 		t.seq++
-		seq := t.seq
-		name := fmt.Sprintf("t%d", seq)
-		var cres *nfsproto.DirOpRes
-		cres, err = cli.Create(q, t.Scratch, name, 0644)
-		if err == nil && cres.Status == nfsproto.OK {
-			if t.RemoveNewest && t.seq != seq {
-				name = fmt.Sprintf("t%d", t.seq)
-			}
-			cli.Remove(q, t.Scratch, name)
-		}
+		k.seq, k.name = t.seq, fmt.Sprintf("t%d", t.seq)
+		r = client.Req{Proc: nfsproto.ProcCreate, FH: t.Scratch, Name: k.name, Mode: 0644}
 	case OpRemove:
-		_, err = cli.Remove(q, t.Scratch, "absent")
+		r = client.Req{Proc: nfsproto.ProcRemove, FH: t.Scratch, Name: "absent"}
 	case OpStatfs:
-		_, err = cli.Call(q, nfsproto.ProcStatfs, (&nfsproto.FHArgs{File: t.Roots[0]}).Encode())
+		r = client.Req{Proc: nfsproto.ProcStatfs, FH: t.Roots[0]}
 	case OpSetattr:
-		_, err = cli.Setattr(q, fh, nfsproto.DefaultSAttr(0644))
+		r = client.Req{Proc: nfsproto.ProcSetattr, FH: fh, Attr: nfsproto.DefaultSAttr(0644)}
 	}
-	return err
+	t.Client.Go(r, k.rpc)
+}
+
+// settled takes each RPC's outcome: a made CREATE goes on to its REMOVE,
+// anything else ends the op.
+func (k *Task) settled(st nfsproto.Status, err error) {
+	if k.op != OpCreate {
+		k.done(err)
+		return
+	}
+	if k.seq == 0 { // the REMOVE, whose outcome is not the op's
+		k.done(nil)
+		return
+	}
+	seq, name := k.seq, k.name
+	k.seq, k.name = 0, ""
+	if err != nil || st != nfsproto.OK {
+		k.done(err)
+		return
+	}
+	t := k.t
+	if t.RemoveNewest && t.seq != seq {
+		name = fmt.Sprintf("t%d", t.seq)
+	}
+	t.Client.Go(client.Req{Proc: nfsproto.ProcRemove, FH: t.Scratch, Name: name}, k.rpc)
 }
 
 // LADDISConfig parameterizes a mixed-load run.
@@ -209,7 +242,8 @@ type LADDISConfig struct {
 	FileBlocks int
 	// OfferedOpsPerSec is the open-loop aggregate request rate.
 	OfferedOpsPerSec float64
-	// Procs is the number of generator processes (paper: 4 per client).
+	// Procs is the number of generators (paper: 4 load processes per
+	// client).
 	Procs int
 	// Warmup operations are excluded from latency statistics.
 	Warmup int
@@ -257,27 +291,12 @@ type LADDIS struct {
 	errors  int
 	perOp   map[string]int
 
-	// The write pool (writeBurst): pre-spawned workers, not a process per
-	// WRITE, so dense multi-client sweeps pay no spawn/teardown.
-	writeJobs  *sim.Queue[writeTask]
-	freeBursts []*burstState
-}
-
-// maxBurst is the largest write burst burstLen can draw.
-const maxBurst = 8
-
-// writeTask is one 8K WRITE dispatched to a pool worker.
-type writeTask struct {
-	fh    nfsproto.FH
-	off   uint32
-	burst *burstState
-}
-
-// burstState tracks one in-flight write burst; the issuing generator waits
-// on done until its workers drain the burst.
-type burstState struct {
-	remaining int
-	done      sim.Cond
+	// Run's clock, which its generators share.
+	rng      *rand.Rand
+	end      sim.Time
+	interval sim.Duration
+	finished int
+	cond     *sim.Cond
 }
 
 // NewLADDIS builds a generator bound to one client.
@@ -299,7 +318,6 @@ func NewLADDIS(cli *client.Client, root nfsproto.FH, cfg LADDISConfig) *LADDIS {
 		roots = []nfsproto.FH{root}
 	}
 	l := &LADDIS{cfg: cfg, t: Target{Client: cli, Roots: roots, RemoveNewest: true}, perOp: make(map[string]int)}
-	l.t.Writes = l.writeBurst
 	if cfg.Histograms {
 		l.hists = new([numOps]stats.Histogram)
 	}
@@ -351,100 +369,157 @@ func burstLen(r int) int {
 	}
 }
 
-// startWriters spawns the write pool: enough workers that a burst never
-// waits for one (Procs generators, each with at most one burst
-// outstanding, × the largest burst), keeping the request schedule that
-// of a process per WRITE.
-func (l *LADDIS) startWriters(s *sim.Sim) {
-	l.writeJobs = sim.NewQueue[writeTask](s, 0)
-	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
-		s.Spawn(fmt.Sprintf("laddis-writer-%s-%d", l.t.Client.Name(), w), l.writeWorker)
-	}
+// gen is one generator of the closed loop: a chain of At events, not a
+// process. Each of its steps runs in the (time, seq) slot a generator
+// process's blocking step — its Sleep, its op's RPCs, its wait for a
+// burst — would resume in (DESIGN.md, "An RPC is a state machine"), so
+// no recorded result depends on which form the generator takes.
+type gen struct {
+	l     *LADDIS
+	task  *Task
+	op    Op
+	begin sim.Time // when the op, or the write burst, was issued
+
+	// The write burst in flight: its draw, the WRITEs started and still
+	// unsettled, and a task per WRITE.
+	burstD   Draw
+	started  int
+	left     int
+	writes   []*Task
+	loopFn   func()
+	arriveFn func()
+	startFn  func()
 }
 
-// stopWriters retires the write pool once every burst has drained, so
-// all workers are parked on the queue: one zero task each releases them.
-func (l *LADDIS) stopWriters() {
-	for w := 0; w < l.cfg.Procs*maxBurst; w++ {
-		l.writeJobs.Put(writeTask{})
-	}
+func (l *LADDIS) newGen() *gen {
+	g := &gen{l: l}
+	g.task = l.t.NewTask(g.opDone)
+	g.loopFn, g.arriveFn, g.startFn = g.loop, g.arrive, g.startWrite
+	return g
 }
 
-// writeBurst is the closed loop's Target.Writes: it hands the burst's n
-// WRITEs to pool workers, as concurrent client biods would emit them, and
-// blocks until they drain. The workers account for each WRITE.
-func (l *LADDIS) writeBurst(q *sim.Proc, fh nfsproto.FH, off uint32, n int) error {
-	var bs *burstState
-	if k := len(l.freeBursts); k > 0 {
-		bs, l.freeBursts = l.freeBursts[k-1], l.freeBursts[:k-1]
-	} else {
-		bs = &burstState{}
+// loop is the generator's loop head: the window check, then an
+// exponential gap (open-loop Poisson arrivals) before the next op.
+func (g *gen) loop() {
+	l := g.l
+	s := l.t.Client.Sim()
+	if s.Now() >= l.end {
+		l.finished++
+		l.cond.Broadcast()
+		return
 	}
-	bs.done.Init(q.Sim())
-	bs.remaining = n
+	if gap := sim.Duration(l.rng.ExpFloat64() * float64(l.interval)); gap > 0 {
+		s.At(gap, g.arriveFn)
+		return
+	}
+	g.arrive()
+}
+
+// arrive issues the op drawn at the end of a gap, unless the window
+// closed meanwhile.
+func (g *gen) arrive() {
+	l := g.l
+	if l.t.Client.Sim().Now() >= l.end {
+		g.loop()
+		return
+	}
+	g.doOp(l.rng.Intn(1000000))
+}
+
+// doOp draws one operation from r and issues it; its completion accounts
+// for it and goes round the loop.
+func (g *gen) doOp(r int) {
+	l := g.l
+	op := l.cfg.Mix.Pick(r)
+	d := Draw{
+		File: r % len(l.t.Files),
+		Off:  uint32(r/7%l.cfg.FileBlocks) * nfsproto.MaxData,
+		Dir:  r % len(l.t.Roots),
+	}
+	if op == OpWrite {
+		// One SFS write op is a burst of sequential 8K overwrites within
+		// one pre-created working file, issued concurrently the way client
+		// biods would emit them — the traffic write gathering exploits.
+		// Overwrites of allocated blocks are the common SFS case, so the
+		// standard server usually pays one disk op per request (§4.4).
+		// Each WRITE is accounted for on its own.
+		n := min(burstLen(r/13), l.cfg.FileBlocks)
+		if l.cursors[d.File]+n > l.cfg.FileBlocks {
+			l.cursors[d.File] = 0
+		}
+		d.Off = uint32(l.cursors[d.File]) * nfsproto.MaxData
+		l.cursors[d.File] += n
+		g.burst(d, n)
+		return
+	}
+	g.op, g.begin = op, l.t.Client.Sim().Now()
+	g.task.Go(op, d)
+}
+
+func (g *gen) opDone(err error) {
+	l := g.l
+	l.account(g.op, l.t.Client.Sim().Now().Sub(g.begin), err, l.done >= l.cfg.Warmup)
+	g.loop()
+}
+
+// burst issues n sequential WRITEs from d.Off, each from an At(0) event:
+// the slot in which a pool of writer processes parked on a queue wakes a
+// worker per Put, in order (TestBurstRunsInThePoolSlots). A worker
+// finishing at the same instant as a Put would take the WRITE inline
+// instead, since Queue.Get pops without waiting when an item is queued;
+// counted in an instrumented copy of that pool on laddis-closed, figure2,
+// figure3 and every other registry scenario, that happened 0 times, so
+// the At(0) starts reproduce it on every recorded run. Every WRITE starts
+// at the burst's instant, so each one's latency runs from there.
+func (g *gen) burst(d Draw, n int) {
+	s := g.l.t.Client.Sim()
+	g.begin, g.burstD, g.started, g.left = s.Now(), d, 0, n
+	for len(g.writes) < n {
+		g.writes = append(g.writes, g.l.t.NewTask(g.wrote))
+	}
 	for i := 0; i < n; i++ {
-		l.writeJobs.Put(writeTask{fh: fh, off: off + uint32(i*nfsproto.MaxData), burst: bs})
-	}
-	for bs.remaining > 0 {
-		bs.done.Wait(q)
-	}
-	l.freeBursts = append(l.freeBursts, bs)
-	return nil
-}
-
-// writeWorker is one pool worker: it performs burst writes handed to it
-// for the life of the run (the pooled twin of the old goroutine-per-write
-// form; the request schedule is identical). A zero task is the shutdown
-// sentinel stopWriters enqueues once the measured phase ends, so the
-// pool's goroutines do not outlive their run.
-func (l *LADDIS) writeWorker(w *sim.Proc) {
-	for {
-		task := l.writeJobs.Get(w)
-		if task.burst == nil {
-			return
-		}
-		begin := w.Now()
-		err := l.t.Client.WritePattern(w, task.fh, task.off)
-		l.account(OpWrite, w.Now().Sub(begin), err, l.done > l.cfg.Warmup)
-		task.burst.remaining--
-		if task.burst.remaining == 0 {
-			task.burst.done.Signal()
-		}
+		s.At(0, g.startFn)
 	}
 }
 
-// Run launches the generator processes and blocks p until the measured
-// phase completes, returning the curve point.
+// startWrite starts the burst's next WRITE.
+func (g *gen) startWrite() {
+	d := g.burstD
+	d.Off += uint32(g.started * nfsproto.MaxData)
+	g.started++
+	g.writes[g.started-1].Go(OpWrite, d)
+}
+
+// wrote accounts for one WRITE of the burst, testing the warm-up before it
+// counts. The last one goes round the generator's loop from an event of
+// its own, the slot in which a generator process waiting for the burst
+// would be woken by that WRITE's Signal; inline, it would run one event
+// early.
+func (g *gen) wrote(err error) {
+	l := g.l
+	s := l.t.Client.Sim()
+	l.account(OpWrite, s.Now().Sub(g.begin), err, l.done > l.cfg.Warmup)
+	if g.left--; g.left == 0 {
+		s.At(0, g.loopFn)
+	}
+}
+
+// Run starts the generators and blocks p until the measured phase
+// completes, returning the curve point.
 func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	s := p.Sim()
-	rng := s.Rand()
+	l.rng = s.Rand()
 	start := s.Now()
-	end := start.Add(l.cfg.Duration)
-	interval := sim.Duration(float64(sim.Second) / l.cfg.OfferedOpsPerSec * float64(l.cfg.Procs))
-	finished := 0
-	cond := sim.NewCond(s)
-	l.startWriters(s)
-	for g := 0; g < l.cfg.Procs; g++ {
-		s.Spawn(fmt.Sprintf("laddis-%s-%d", l.t.Client.Name(), g), func(q *sim.Proc) {
-			defer func() { finished++; cond.Broadcast() }()
-			for q.Now() < end {
-				// Open-loop Poisson arrivals: exponential gaps.
-				gap := sim.Duration(rng.ExpFloat64() * float64(interval))
-				if gap > 0 {
-					q.Sleep(gap)
-				}
-				if q.Now() >= end {
-					return
-				}
-				l.doOp(q, rng.Intn(1000000))
-			}
-		})
+	l.end = start.Add(l.cfg.Duration)
+	l.interval = sim.Duration(float64(sim.Second) / l.cfg.OfferedOpsPerSec * float64(l.cfg.Procs))
+	l.finished = 0
+	l.cond = sim.NewCond(s)
+	for i := 0; i < l.cfg.Procs; i++ {
+		s.At(0, l.newGen().loopFn)
 	}
-	for finished < l.cfg.Procs {
-		cond.Wait(p)
+	for l.finished < l.cfg.Procs {
+		l.cond.Wait(p)
 	}
-	// Same-instant events: the measured interval is unaffected.
-	l.stopWriters()
 	elapsed := s.Now().Sub(start)
 	res := LADDISResult{
 		AchievedOpsPerSec: float64(l.done) / elapsed.Seconds(),
@@ -466,38 +541,9 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	return res
 }
 
-// doOp draws one operation from r, issues it and records its latency.
-func (l *LADDIS) doOp(q *sim.Proc, r int) {
-	op := l.cfg.Mix.Pick(r)
-	d := Draw{
-		File: r % len(l.t.Files),
-		Off:  uint32(r/7%l.cfg.FileBlocks) * nfsproto.MaxData,
-		Dir:  r % len(l.t.Roots),
-	}
-	if op == OpWrite {
-		// One SFS write op is a burst of sequential 8K overwrites within
-		// one pre-created working file, issued concurrently the way client
-		// biods would emit them — the traffic write gathering exploits.
-		// Overwrites of allocated blocks are the common SFS case, so the
-		// standard server usually pays one disk op per request (§4.4).
-		// The pool accounts for each WRITE.
-		d.Blocks = min(burstLen(r/13), l.cfg.FileBlocks)
-		if l.cursors[d.File]+d.Blocks > l.cfg.FileBlocks {
-			l.cursors[d.File] = 0
-		}
-		d.Off = uint32(l.cursors[d.File]) * nfsproto.MaxData
-		l.cursors[d.File] += d.Blocks
-		l.t.Do(q, op, d)
-		return
-	}
-	begin := q.Now()
-	err := l.t.Do(q, op, d)
-	l.account(op, q.Now().Sub(begin), err, l.done >= l.cfg.Warmup)
-}
-
 // account counts one finished op, or one WRITE of a write op, and records
-// its latency if warm. A pool worker tests the warm-up before it counts,
-// doOp as if after; the recorded results keep both.
+// its latency if warm. A burst's WRITE tests the warm-up before it
+// counts, any other op as if after; the recorded results keep both.
 func (l *LADDIS) account(op Op, lat sim.Duration, err error, warm bool) {
 	l.done++
 	l.perOp[op.String()]++
