@@ -44,8 +44,8 @@ func (f *fakeFS) Rmdir(*sim.Proc, vfs.Ino, string) error  { return vfs.ErrNoEnt 
 func (f *fakeFS) Rename(*sim.Proc, vfs.Ino, string, vfs.Ino, string) error {
 	return vfs.ErrNoEnt
 }
-func (f *fakeFS) Readdir(*sim.Proc, vfs.Ino, uint32, int) ([]vfs.DirEntry, bool, error) {
-	return nil, true, nil
+func (f *fakeFS) Readdir(_ *sim.Proc, _ vfs.Ino, _ uint32, _ int, dst []vfs.DirEntry) ([]vfs.DirEntry, bool, error) {
+	return dst, true, nil
 }
 func (f *fakeFS) GetAttr(*sim.Proc, vfs.Ino) (vfs.Attr, error) { return vfs.Attr{}, nil }
 func (f *fakeFS) SetAttrs(*sim.Proc, vfs.Ino, vfs.SetAttr) (vfs.Attr, error) {

@@ -363,7 +363,10 @@ func DecodeAttrStatInto(b []byte, r *AttrStat) error {
 
 // DirOpArgs names an entry within a directory.
 type DirOpArgs struct {
-	Dir  FH
+	Dir FH
+	// Name, once decoded, aliases the message it was decoded from (wire
+	// heads are never written after their send): a holder that keeps it
+	// past the message copies it.
 	Name string
 }
 
@@ -404,7 +407,7 @@ func decodeDirOpArgs(d *xdr.Decoder, a *DirOpArgs) error {
 		return err
 	}
 	var err error
-	a.Name, err = d.String()
+	a.Name, err = d.StringRef()
 	return err
 }
 
@@ -898,6 +901,8 @@ func DecodeReaddirArgsInto(b []byte, a *ReaddirArgs) error {
 // DirEntry is one READDIR entry.
 type DirEntry struct {
 	FileID uint32
+	// Name, once decoded, aliases the reply it was decoded from, like
+	// DirOpArgs.Name.
 	Name   string
 	Cookie uint32
 }
@@ -944,7 +949,9 @@ func (r *ReaddirRes) Encode() []byte {
 }
 
 // DecodeReaddirResInto parses a READDIR result into a caller-owned struct,
-// reusing its Entries backing.
+// reusing its Entries backing. The backing is cleared first, so that past
+// len(r.Entries) no name aliases an older reply: a reused record pins only
+// the message it last decoded.
 func DecodeReaddirResInto(b []byte, r *ReaddirRes) error {
 	d := xdr.NewDecoder(b)
 	st, err := d.Uint32()
@@ -953,6 +960,7 @@ func DecodeReaddirResInto(b []byte, r *ReaddirRes) error {
 	}
 	r.Status = Status(st)
 	r.EOF = false
+	clear(r.Entries[:cap(r.Entries)])
 	r.Entries = r.Entries[:0]
 	if r.Status != OK {
 		return nil
@@ -969,7 +977,7 @@ func DecodeReaddirResInto(b []byte, r *ReaddirRes) error {
 		if ent.FileID, err = d.Uint32(); err != nil {
 			return err
 		}
-		if ent.Name, err = d.String(); err != nil {
+		if ent.Name, err = d.StringRef(); err != nil {
 			return err
 		}
 		if ent.Cookie, err = d.Uint32(); err != nil {

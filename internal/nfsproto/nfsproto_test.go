@@ -2,6 +2,7 @@ package nfsproto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -315,18 +316,36 @@ func TestReadResSplitMatchesContiguous(t *testing.T) {
 
 // TestArgsDecodeIntoAllocatesNothing: the hot-path argument decoders fill
 // a caller-owned struct with what the allocating form returns (READ) or
-// with the handle that was encoded (FH), off the heap.
+// with what was encoded (FH, and the names of LOOKUP, CREATE and RENAME,
+// which alias the message), off the heap.
 func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
 	ra := (&ReadArgs{File: NewFH(1, 7, 3), Offset: 4096, Count: 8192, TotalCount: 5}).Encode()
 	fa := (&FHArgs{File: NewFH(2, 9, 1)}).Encode()
+	dir := NewFH(1, 2, 3)
+	da := (&DirOpArgs{Dir: dir, Name: "lookup.me"}).Encode()
+	ca := (&CreateArgs{Where: DirOpArgs{Dir: dir, Name: "new.file"}, Attr: DefaultSAttr(0644)}).Encode()
+	na := (&RenameArgs{From: DirOpArgs{Dir: dir, Name: "old"}, To: DirOpArgs{Dir: dir, Name: "new"}}).Encode()
 	var r ReadArgs
 	var f FHArgs
+	var d DirOpArgs
+	var c CreateArgs
+	var rn RenameArgs
 	if n := testing.AllocsPerRun(100, func() {
 		if DecodeReadArgsInto(ra, &r) != nil || DecodeFHArgsInto(fa, &f) != nil {
 			t.Fatal("decode failed")
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocs per decode pair, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if DecodeDirOpArgsInto(da, &d) != nil || DecodeCreateArgsInto(ca, &c) != nil || DecodeRenameArgsInto(na, &rn) != nil {
+			t.Fatal("decode failed")
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per LOOKUP, CREATE and RENAME decode, want 0", n)
+	}
+	if d.Name != "lookup.me" || c.Where.Name != "new.file" || rn.From.Name != "old" || rn.To.Name != "new" {
+		t.Fatalf("decoded names %q, %q, %q, %q", d.Name, c.Where.Name, rn.From.Name, rn.To.Name)
 	}
 	wr, _ := DecodeReadArgs(ra)
 	if r != *wr || f.File != NewFH(2, 9, 1) {
@@ -335,4 +354,40 @@ func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
 	if DecodeReadArgsInto(ra[:FHSize+8], &r) == nil || DecodeFHArgsInto(fa[:FHSize-1], &f) == nil {
 		t.Fatal("truncated arguments accepted")
 	}
+}
+
+// TestReaddirResIntoReusesItsBacking: a warm ReaddirRes decodes a reply
+// without allocating (entry names alias the reply), and it holds names of
+// the reply it last decoded and no other, so a long reply followed by a
+// short one leaves no name past the short one's entries.
+func TestReaddirResIntoReusesItsBacking(t *testing.T) {
+	long, short := readdirRes(24).Encode(), readdirRes(3).Encode()
+	var g ReaddirRes
+	if n := testing.AllocsPerRun(100, func() {
+		if DecodeReaddirResInto(long, &g) != nil {
+			t.Fatal("decode failed")
+		}
+	}); n != 0 {
+		t.Errorf("warm 24-entry decode allocates %v objects, want 0", n)
+	}
+	if len(g.Entries) != 24 || g.Entries[23].Name != "entry-23" {
+		t.Fatalf("24-entry decode: %+v", g.Entries)
+	}
+	if err := DecodeReaddirResInto(short, &g); err != nil || len(g.Entries) != 3 {
+		t.Fatalf("3-entry decode: %d entries, %v", len(g.Entries), err)
+	}
+	for i, e := range g.Entries[3:cap(g.Entries)] {
+		if e.Name != "" {
+			t.Fatalf("Entries[%d] past the reply still names %q", 3+i, e.Name)
+		}
+	}
+}
+
+// readdirRes is an OK READDIR result of n named entries.
+func readdirRes(n int) *ReaddirRes {
+	r := &ReaddirRes{Status: OK, EOF: true}
+	for i := 0; i < n; i++ {
+		r.Entries = append(r.Entries, DirEntry{FileID: uint32(i + 2), Name: fmt.Sprintf("entry-%02d", i), Cookie: uint32(i + 1)})
+	}
+	return r
 }

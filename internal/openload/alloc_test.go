@@ -14,26 +14,43 @@ import (
 )
 
 // An admitted operation is a pooled record its RPC's callbacks drive, not
-// a process: once the pools are warm, one GETATTR op end to end —
-// admission, dispatch, the call, its reply and the accounting — allocates
-// nothing.
+// a process: once the pools are warm, one GETATTR, LOOKUP or READDIR op end
+// to end — admission, dispatch, the call, its reply and the accounting —
+// allocates nothing. The READDIR reply carries named entries, which the
+// client decodes in place.
 func TestOpSteadyStateAllocs(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
 	n := netsim.New(s, hw.FDDI())
 	ep := n.Attach("server", 0, 0)
-	res := &nfsproto.AttrStat{Status: nfsproto.OK}
-	e := xdr.NewEncoder(make([]byte, 0, oncrpc.SuccessHeaderSize+res.EncodedSize()))
-	oncrpc.AppendSuccessHeader(e, 0)
-	res.EncodeTo(e)
-	template := e.Bytes()
+	templates := map[nfsproto.Proc][]byte{}
+	for proc, res := range map[nfsproto.Proc]interface {
+		EncodedSize() int
+		EncodeTo(*xdr.Encoder)
+	}{
+		nfsproto.ProcGetattr: &nfsproto.AttrStat{Status: nfsproto.OK},
+		nfsproto.ProcLookup:  &nfsproto.DirOpRes{Status: nfsproto.OK},
+		nfsproto.ProcReaddir: &nfsproto.ReaddirRes{Status: nfsproto.OK, EOF: true, Entries: []nfsproto.DirEntry{
+			{FileID: 2, Name: "f0", Cookie: 1}, {FileID: 3, Name: "f1", Cookie: 2}, {FileID: 4, Name: "f2", Cookie: 3},
+		}},
+	} {
+		e := xdr.NewEncoder(make([]byte, 0, oncrpc.SuccessHeaderSize+res.EncodedSize()))
+		oncrpc.AppendSuccessHeader(e, 0)
+		res.EncodeTo(e)
+		templates[proc] = e.Bytes()
+	}
 	s.Spawn("server", func(p *sim.Proc) {
+		var call oncrpc.CallMsg
 		for {
 			dg := ep.Inbox.Get(p)
-			xid, _ := oncrpc.PeekXID(dg.Payload)
+			if err := oncrpc.DecodeCallInto(dg.Payload, &call); err != nil {
+				t.Error(err)
+				return
+			}
+			template := templates[nfsproto.Proc(call.Proc)]
 			dg.Release()
 			reply := append(n.WireBuf(len(template)), template...)
-			reply[0], reply[1], reply[2], reply[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
+			reply[0], reply[1], reply[2], reply[3] = byte(call.XID>>24), byte(call.XID>>16), byte(call.XID>>8), byte(call.XID)
 			n.Send(p, "server", "c", reply)
 		}
 	})
@@ -48,17 +65,21 @@ func TestOpSteadyStateAllocs(t *testing.T) {
 	if err := g.Start(s, func(Result) {}); err != nil {
 		t.Fatal(err)
 	}
-	oneOp := func() {
-		g.admit(task{at: s.Now(), op: workload.OpGetattr})
-		s.Run(0)
+	var ops uint64
+	for _, op := range []workload.Op{workload.OpGetattr, workload.OpLookup, workload.OpReaddir} {
+		oneOp := func() {
+			g.admit(task{at: s.Now(), op: op})
+			s.Run(0)
+		}
+		for i := 0; i < 64; i++ {
+			oneOp()
+		}
+		if allocs := testing.AllocsPerRun(200, oneOp); allocs > 0 {
+			t.Errorf("one open-loop %v allocates %.2f objects, want 0", op, allocs)
+		}
+		ops += 64 + 201
 	}
-	for i := 0; i < 64; i++ {
-		oneOp()
-	}
-	if allocs := testing.AllocsPerRun(200, oneOp); allocs > 0 {
-		t.Errorf("one open-loop GETATTR allocates %.2f objects, want 0", allocs)
-	}
-	if r := g.res; r.Completed != 64+201 || r.Errors != 0 || g.active != 0 {
-		t.Errorf("completed %d, errors %d, %d still active; want 265 clean ops", r.Completed, r.Errors, g.active)
+	if r := g.res; r.Completed != ops || r.Errors != 0 || g.active != 0 {
+		t.Errorf("completed %d, errors %d, %d still active; want %d clean ops", r.Completed, r.Errors, g.active, ops)
 	}
 }

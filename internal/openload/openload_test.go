@@ -190,12 +190,13 @@ func TestImageEqualsWire(t *testing.T) {
 			fs := r.Nodes[0].FS
 			r.Sim.Spawn("read", func(p *sim.Proc) {
 				for cookie := uint32(0); ; {
-					ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 4096)
+					n := len(e.root)
+					ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 4096, e.root)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					e.root = append(e.root, ents...)
+					e.root, ents = ents, ents[n:]
 					if eof || len(ents) == 0 {
 						break
 					}

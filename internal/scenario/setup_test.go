@@ -304,12 +304,13 @@ func listRoot(t *testing.T, p *sim.Proc, fs *ufs.FS) []vfs.DirEntry {
 	t.Helper()
 	var all []vfs.DirEntry
 	for cookie := uint32(0); ; {
-		ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 4096)
+		n := len(all)
+		ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 4096, all)
 		if err != nil {
 			t.Errorf("readdir: %v", err)
 			return all
 		}
-		all = append(all, ents...)
+		all, ents = ents, ents[n:]
 		if eof || len(ents) == 0 {
 			return all
 		}

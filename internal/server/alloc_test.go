@@ -192,11 +192,12 @@ func TestMetadataRoundTripAllocs(t *testing.T) {
 		{"GETATTR", opGetattr, 0},
 		// Nothing: the data rides by reference from the cache block.
 		{"READ", opRead, 0},
-		// The server's copy of the name, which ufs.Lookup reads.
-		{"LOOKUP", opLookup, 1},
-		// The entry slice ufs.Readdir builds, and the client's copy of
-		// the one entry's name.
-		{"READDIR", opReaddir, 2},
+		// Nothing: the server's name aliases the call's wire head, which
+		// ufs.Lookup only reads.
+		{"LOOKUP", opLookup, 0},
+		// Nothing: ufs.Readdir appends to the server's entry scratch,
+		// and the client's entry name aliases the reply's wire head.
+		{"READDIR", opReaddir, 0},
 	} {
 		oneOp := func() {
 			trigger.Put(c.op)

@@ -696,7 +696,12 @@ func (s *Server) doReaddir(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
 		return
 	}
-	ents, eof, rerr := s.fs.Readdir(p, vfs.Ino(args.Dir.Ino()), args.Cookie, int(args.Count))
+	// The entry scratch follows the result-scratch rule: ufs appends to it
+	// after its last yield (loadDir), and the entries are copied into the
+	// result and encoded before this handler's next yield, so a concurrent
+	// READDIR on another nfsd never sees it half filled.
+	ents, eof, rerr := s.fs.Readdir(p, vfs.Ino(args.Dir.Ino()), args.Cookie, int(args.Count), s.scratchDirEnts[:0])
+	s.scratchDirEnts = ents
 	res := s.resReaddirRes()
 	if rerr != nil {
 		res.Status = errStatus(rerr)

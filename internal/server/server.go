@@ -91,6 +91,7 @@ type Server struct {
 	scratchReadRes    nfsproto.ReadRes
 	scratchReaddirRes nfsproto.ReaddirRes
 	scratchStatfsRes  nfsproto.StatfsRes
+	scratchDirEnts    []vfs.DirEntry
 	readBufs          [][]byte
 	enc               xdr.Encoder // reset onto each reply's wire buffer (see encoder)
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -30,6 +31,9 @@ const (
 	direntFixed   = 10 // inode number + name length
 )
 
+// A dirent's name is its own: the names the FileSystem methods take may
+// alias a wire buffer, so the three places that store one (makeNode and
+// Rename's two branches) copy it with strings.Clone.
 type dirent struct {
 	ino  vfs.Ino
 	name string
@@ -318,7 +322,7 @@ func (fs *FS) makeNode(p *sim.Proc, dir vfs.Ino, name string, mode uint32, ft vf
 	if in == nil {
 		return 0, vfs.ErrNoSpace
 	}
-	ents = append(ents, dirent{ino: in.num, name: name})
+	ents = append(ents, dirent{ino: in.num, name: strings.Clone(name)})
 	if err := fs.storeDir(p, din, ents, len(ents)-1); err != nil {
 		return 0, err
 	}
@@ -434,7 +438,7 @@ func (fs *FS) Rename(p *sim.Proc, fromDir vfs.Ino, fromName string, toDir vfs.In
 			}
 			first = min(idx, j)
 		}
-		fents[idx].name = toName
+		fents[idx].name = strings.Clone(toName)
 		return fs.storeDir(p, fdin, fents, first)
 	}
 	if err := fs.storeDir(p, fdin, slices.Delete(fents, idx, idx+1), idx); err != nil {
@@ -448,7 +452,7 @@ func (fs *FS) Rename(p *sim.Proc, fromDir vfs.Ino, fromName string, toDir vfs.In
 		tents = slices.Delete(tents, j, j+1)
 		first = j
 	}
-	return fs.storeDir(p, tdin, append(tents, dirent{ino: moved, name: toName}), first)
+	return fs.storeDir(p, tdin, append(tents, dirent{ino: moved, name: strings.Clone(toName)}), first)
 }
 
 // dropTarget unlinks the regular file a rename replaces.
@@ -468,32 +472,25 @@ func (fs *FS) dropTarget(p *sim.Proc, ino vfs.Ino) error {
 }
 
 // Readdir implements vfs.FileSystem. The cookie is the index of the next
-// entry; count bounds the total name bytes returned.
-func (fs *FS) Readdir(p *sim.Proc, dir vfs.Ino, cookie uint32, count int) ([]vfs.DirEntry, bool, error) {
+// entry; count bounds the total name bytes returned. The entries are
+// appended to dst after loadDir, the last yield.
+func (fs *FS) Readdir(p *sim.Proc, dir vfs.Ino, cookie uint32, count int, dst []vfs.DirEntry) ([]vfs.DirEntry, bool, error) {
 	din, err := fs.getInode(dir)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	ents, err := fs.loadDir(p, din)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
-	// Find where the reply ends first (the entry at the cookie always
-	// goes, whatever count says), so out is sized once.
-	start, bytes := int(cookie), 0
-	end := start
-	for ; end < len(ents); end++ {
-		bytes += 16 + len(ents[end].name)
-		if bytes > count && end > start {
-			break
+	// The entry at the cookie always goes, whatever count says.
+	bytes := 0
+	for i := int(cookie); i < len(ents); i++ {
+		bytes += 16 + len(ents[i].name)
+		if bytes > count && i > int(cookie) {
+			return dst, false, nil
 		}
+		dst = append(dst, vfs.DirEntry{Ino: ents[i].ino, Name: ents[i].name, Cookie: uint32(i + 1)})
 	}
-	if end <= start {
-		return nil, true, nil
-	}
-	out := make([]vfs.DirEntry, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, vfs.DirEntry{Ino: ents[i].ino, Name: ents[i].name, Cookie: uint32(i + 1)})
-	}
-	return out, end == len(ents), nil
+	return dst, true, nil
 }

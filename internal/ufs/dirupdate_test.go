@@ -75,7 +75,7 @@ func listDir(t *testing.T, p *sim.Proc, fs *FS, ino vfs.Ino) []refEnt {
 	var out []refEnt
 	cookie := uint32(0)
 	for {
-		ents, eof, err := fs.Readdir(p, ino, cookie, 4096)
+		ents, eof, err := fs.Readdir(p, ino, cookie, 4096, nil)
 		if err != nil {
 			t.Errorf("Readdir %d: %v", ino, err)
 			return out

@@ -253,7 +253,8 @@ func (fs *FS) flushInode(p *sim.Proc, in *inode, metaOnly, force bool) error {
 	}
 	fs.own(b)
 	first := vfs.Ino((phys-1))*InodesPerBlock + 1
-	var encoded []*inode
+	var onStack [InodesPerBlock]*inode
+	encoded := onStack[:0]
 	for j := 0; j < InodesPerBlock; j++ {
 		other, ok := fs.inodes[first+vfs.Ino(j)]
 		if !ok {

@@ -2,6 +2,7 @@ package ufs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // rig builds a formatted filesystem on a fresh RZ26.
@@ -371,7 +373,7 @@ func TestReaddir(t *testing.T) {
 		var all []string
 		cookie := uint32(0)
 		for {
-			ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 64)
+			ents, eof, err := fs.Readdir(p, fs.Root(), cookie, 64, nil)
 			if err != nil {
 				t.Errorf("Readdir: %v", err)
 				return
@@ -392,7 +394,8 @@ func TestReaddir(t *testing.T) {
 
 // TestReaddirEdges pins the reply's shape over the cookie/count edges: an
 // entry costs 16 bytes plus its name, the entry at the cookie goes whatever
-// count says, cookies are the next index, and the slice is sized once.
+// count says, cookies are the next index, and the entries are appended to
+// the caller's slice, which a warm caller reuses without allocating.
 func TestReaddirEdges(t *testing.T) {
 	s, fs, _ := rig(t, 1)
 	run(s, func(p *sim.Proc) {
@@ -423,18 +426,25 @@ func TestReaddirEdges(t *testing.T) {
 			{3, 4096, 0, true}, // cookie at the end
 			{9, 4096, 0, true}, // and past it
 		} {
-			ents, eof, err := fs.Readdir(p, d, tc.cookie, tc.count)
-			if err != nil || eof != tc.eof || len(ents) != tc.want || cap(ents) != len(ents) {
-				t.Errorf("Readdir(cookie %d, count %d) = %v (cap %d), eof %v, %v; want %d entries, eof %v",
-					tc.cookie, tc.count, ents, cap(ents), eof, err, tc.want, tc.eof)
+			kept := vfs.DirEntry{Ino: 99, Name: "kept", Cookie: 99}
+			ents, eof, err := fs.Readdir(p, d, tc.cookie, tc.count, []vfs.DirEntry{kept})
+			if err != nil || eof != tc.eof || len(ents) != 1+tc.want || ents[0] != kept {
+				t.Errorf("Readdir(cookie %d, count %d) = %v, eof %v, %v; want %v then %d entries, eof %v",
+					tc.cookie, tc.count, ents, eof, err, kept, tc.want, tc.eof)
 				continue
 			}
-			for i, e := range ents {
+			for i, e := range ents[1:] {
 				if at := int(tc.cookie) + i; e.Name != names[at] || e.Cookie != uint32(at+1) {
 					t.Errorf("Readdir(cookie %d, count %d)[%d] = %+v, want %q with cookie %d",
 						tc.cookie, tc.count, i, e, names[at], at+1)
 				}
 			}
+		}
+		scratch := make([]vfs.DirEntry, 0, len(names))
+		if n := testing.AllocsPerRun(10, func() {
+			scratch, _, _ = fs.Readdir(p, d, 0, 4096, scratch[:0])
+		}); n != 0 {
+			t.Errorf("Readdir into a warm scratch allocates %v objects, want 0", n)
 		}
 	})
 }
@@ -695,6 +705,79 @@ func TestStatfs(t *testing.T) {
 		_, _, free2 := fs.Statfs(p)
 		if free2 >= free1 {
 			t.Error("allocation did not reduce free count")
+		}
+	})
+}
+
+// TestStoredNamesAreCopies: the names ufs is handed may alias a wire
+// buffer (the server decodes them in place), so every entry it stores —
+// by Create, Mkdir and both Rename branches — must be its own copy. The
+// names here alias a test-owned buffer that is overwritten once they are
+// stored; Lookup and Readdir must still see the originals.
+func TestStoredNamesAreCopies(t *testing.T) {
+	s, fs, _ := rig(t, 1)
+	e := xdr.NewEncoder(nil)
+	for _, n := range []string{"file.a", "dir.b", "same.c", "cross.d"} {
+		e.String(n)
+	}
+	buf := e.Bytes()
+	d := xdr.NewDecoder(buf)
+	alias := func() string {
+		n, err := d.StringRef()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	file, dir, same, cross := alias(), alias(), alias(), alias()
+	run(s, func(p *sim.Proc) {
+		root := fs.Root()
+		if _, err := fs.Create(p, root, file, 0644); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		sub, err := fs.Mkdir(p, root, dir, 0755)
+		if err != nil {
+			t.Errorf("Mkdir: %v", err)
+			return
+		}
+		for _, from := range []string{"x", "y"} {
+			if _, err := fs.Create(p, root, from, 0644); err != nil {
+				t.Errorf("Create %s: %v", from, err)
+				return
+			}
+		}
+		if err := fs.Rename(p, root, "x", root, same); err != nil {
+			t.Errorf("same-directory Rename: %v", err)
+			return
+		}
+		if err := fs.Rename(p, root, "y", sub, cross); err != nil {
+			t.Errorf("cross-directory Rename: %v", err)
+			return
+		}
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		for _, c := range []struct {
+			dir   vfs.Ino
+			names []string
+		}{
+			{root, []string{"file.a", "dir.b", "same.c"}},
+			{sub, []string{"cross.d"}},
+		} {
+			for _, n := range c.names {
+				if _, err := fs.Lookup(p, c.dir, n); err != nil {
+					t.Errorf("Lookup(%d, %q) after the buffer was overwritten: %v", c.dir, n, err)
+				}
+			}
+			ents, _, err := fs.Readdir(p, c.dir, 0, 4096, nil)
+			var got []string
+			for _, e := range ents {
+				got = append(got, e.Name)
+			}
+			if err != nil || !slices.Equal(got, c.names) {
+				t.Errorf("Readdir(%d) = %q, %v; want %q", c.dir, got, err, c.names)
+			}
 		}
 	})
 }

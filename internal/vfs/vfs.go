@@ -94,7 +94,9 @@ var (
 
 // FileSystem is the interface between the NFS server layer and the local
 // filesystem. All methods that touch the device take the calling process
-// so device service time can be charged to it.
+// so device service time can be charged to it. A name argument may alias
+// the wire buffer it was decoded from; an implementation that keeps one
+// past the call copies it.
 type FileSystem interface {
 	// Root returns the root directory inode.
 	Root() Ino
@@ -105,19 +107,22 @@ type FileSystem interface {
 	Lookup(p *sim.Proc, dir Ino, name string) (Ino, error)
 	// Create makes a regular file; it is fully synchronous (data for the
 	// directory plus both inodes are durable when it returns), as NFS
-	// requires.
+	// requires. name may alias a wire buffer: the entry keeps a copy.
 	Create(p *sim.Proc, dir Ino, name string, mode uint32) (Ino, error)
-	// Mkdir makes a directory, fully synchronously.
+	// Mkdir makes a directory, fully synchronously. name may alias a wire
+	// buffer: the entry keeps a copy.
 	Mkdir(p *sim.Proc, dir Ino, name string, mode uint32) (Ino, error)
 	// Remove unlinks a regular file, fully synchronously.
 	Remove(p *sim.Proc, dir Ino, name string) error
 	// Rmdir removes an empty directory.
 	Rmdir(p *sim.Proc, dir Ino, name string) error
-	// Rename moves an entry, fully synchronously.
+	// Rename moves an entry, fully synchronously. toName may alias a wire
+	// buffer: the entry keeps a copy.
 	Rename(p *sim.Proc, fromDir Ino, fromName string, toDir Ino, toName string) error
-	// Readdir lists entries starting after cookie, up to count bytes of
-	// names.
-	Readdir(p *sim.Proc, dir Ino, cookie uint32, count int) ([]DirEntry, bool, error)
+	// Readdir appends to dst the entries starting after cookie, up to
+	// count bytes of names, and returns the extended slice, so a caller
+	// that passes its own scratch allocates nothing.
+	Readdir(p *sim.Proc, dir Ino, cookie uint32, count int, dst []DirEntry) ([]DirEntry, bool, error)
 
 	// GetAttr returns attributes.
 	GetAttr(p *sim.Proc, ino Ino) (Attr, error)

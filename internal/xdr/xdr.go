@@ -6,6 +6,7 @@ package xdr
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Errors returned by the decoder.
@@ -216,4 +217,17 @@ func (d *Decoder) OpaqueRef() ([]byte, error) {
 func (d *Decoder) String() (string, error) {
 	b, err := d.OpaqueRef()
 	return string(b), err
+}
+
+// StringRef is String without the copy: the returned string aliases the
+// decoder's buffer, under OpaqueRef's contract that the buffer is immutable
+// for the life of the result (wire payloads are). A caller that keeps the
+// name past the message must copy it (strings.Clone). It is the tree's one
+// use of unsafe.
+func (d *Decoder) StringRef() (string, error) {
+	b, err := d.OpaqueRef()
+	if len(b) == 0 {
+		return "", err
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
 }

@@ -3,6 +3,7 @@ package xdr
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,59 @@ func TestStringRoundTrip(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Fatalf("String costs %v allocs, want 1", n)
+	}
+}
+
+// StringRef is the copy-free String: the result aliases the buffer (so an
+// overwrite shows through), length 0 gives "", a bad or truncated length
+// fails as OpaqueRef does, and decoding costs nothing.
+func TestStringRefAliases(t *testing.T) {
+	for _, s := range []string{"", "a", "hello", "exact4ch", "ünïcødé"} {
+		e := NewEncoder(nil)
+		e.String(s)
+		e.Uint32(7)
+		d := NewDecoder(e.Bytes())
+		got, err := d.StringRef()
+		if err != nil || got != s {
+			t.Fatalf("round trip %q -> %q, err %v", s, got, err)
+		}
+		if v, err := d.Uint32(); err != nil || v != 7 {
+			t.Fatalf("after %q: next value %d, err %v (padding not skipped)", s, v, err)
+		}
+	}
+
+	e := NewEncoder(nil)
+	e.String("hello")
+	buf := e.Bytes()
+	got, _ := NewDecoder(buf).StringRef()
+	copy(buf[4:], "XXXXX")
+	if got != "XXXXX" {
+		t.Fatalf("StringRef copied the buffer: %q after overwrite", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if stringSink, err = NewDecoder(buf).StringRef(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("StringRef costs %v allocs, want 0", n)
+	}
+
+	for _, tc := range []struct {
+		b    []byte
+		want error
+	}{
+		{[]byte{0, 0}, ErrShortBuffer},                      // truncated length
+		{[]byte{0, 0, 0, 8, 1, 2}, ErrShortBuffer},          // claims 8 bytes, has 2
+		{[]byte{0, 0, 0, 3, 'a', 'b', 'c'}, ErrShortBuffer}, // padding missing
+		{[]byte{0xFF, 0xFF, 0xFF, 0xF0, 0}, ErrBadLength},   // implausible length
+		{[]byte{0, 0, 0, 0, 99}, nil},                       // length 0
+	} {
+		_, ref := NewDecoder(tc.b).OpaqueRef()
+		got, err := NewDecoder(tc.b).StringRef()
+		if !errors.Is(err, tc.want) || fmt.Sprint(err) != fmt.Sprint(ref) || got != "" {
+			t.Fatalf("StringRef(%v) = %q, %v; want %v, as OpaqueRef's %v", tc.b, got, err, tc.want, ref)
+		}
 	}
 }
 
