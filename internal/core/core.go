@@ -74,7 +74,8 @@ type WriteDesc struct {
 	Arrived sim.Time
 	// Send delivers the reply; the engine calls it exactly once, after the
 	// metadata covering the write is stable. ok=false reports a flush
-	// failure so an error reply can be produced.
+	// failure so an error reply can be produced. The call ends the
+	// engine's use of the descriptor: Send may recycle it.
 	Send func(p *sim.Proc, ok bool)
 
 	sent bool
@@ -231,6 +232,10 @@ func (e *Engine) PendingReplies() int {
 	return n
 }
 
+// HandlesHeld reports how many transport handles are detached: replies
+// owed, queued or mid-commit. Zero at quiesce.
+func (e *Engine) HandlesHeld() int { return e.inUse }
+
 func (e *Engine) file(ino vfs.Ino) *fileGather {
 	g, ok := e.files[ino]
 	if !ok {
@@ -253,15 +258,17 @@ func (e *Engine) release(ino vfs.Ino, g *fileGather) {
 	}
 }
 
-func (e *Engine) setStage(nfsd int, st NfsdStage, d *WriteDesc) {
+// setStage publishes nfsd's slot of the state table.
+func (e *Engine) setStage(nfsd int, st NfsdState) {
 	if nfsd < 0 || nfsd >= len(e.nfsds) {
 		return
 	}
-	if d == nil {
-		e.nfsds[nfsd] = NfsdState{Stage: st}
-		return
-	}
-	e.nfsds[nfsd] = NfsdState{Stage: st, Ino: d.Ino, Offset: d.Offset, Length: d.Length}
+	e.nfsds[nfsd] = st
+}
+
+// at is d's state-table slot at stage st.
+func (d *WriteDesc) at(st NfsdStage) NfsdState {
+	return NfsdState{Stage: st, Ino: d.Ino, Offset: d.Offset, Length: d.Length}
 }
 
 // takeHandle detaches a transport handle from the handle cache (§6.1): the
@@ -281,11 +288,16 @@ func (e *Engine) putHandle() { e.inUse-- }
 // the metadata writer); either way the caller's nfsd is free to take new
 // work. A filesystem error is returned immediately and the descriptor's
 // Send is called with ok=false.
+//
+// Send ends the descriptor: its owner may recycle it at once, so the
+// engine reads nothing of d once d's reply has gone — not even from the
+// nfsd that brought it, which may be the metadata writer sending it.
 func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) error {
 	e.stats.Writes++
-	g := e.file(d.Ino)
+	ino := d.Ino
+	g := e.file(ino)
 	g.active++
-	e.setStage(nfsd, StageWriting, d)
+	e.setStage(nfsd, d.at(StageWriting))
 
 	// Hand off data to UFS via VOP_WRITE (§6.3 duality), under the vnode
 	// sleep lock.
@@ -295,24 +307,24 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 	} else {
 		flags = vfs.IODelayData
 	}
-	e.locks.Lock(p, d.Ino)
+	e.locks.Lock(p, ino)
 	var err error
 	if d.Body != nil && e.bw != nil {
-		err = e.bw.WriteBuf(p, d.Ino, d.Offset, d.Body, len(data), flags)
+		err = e.bw.WriteBuf(p, ino, d.Offset, d.Body, len(data), flags)
 	} else {
-		err = e.fs.Write(p, d.Ino, d.Offset, data, flags)
+		err = e.fs.Write(p, ino, d.Offset, data, flags)
 	}
 	// The borrow ends here: the descriptor outlives the datagram whose
 	// reference backs Body (it sits on the gather queue across sleeps), so
 	// clear it rather than leave a dangling pointer past its validity.
 	d.Body = nil
-	e.locks.Unlock(d.Ino)
+	e.locks.Unlock(ino)
 	if err != nil {
 		g.active--
-		e.release(d.Ino, g)
-		e.setStage(nfsd, StageIdle, nil)
-		d.Send(p, false)
+		e.release(ino, g)
+		e.setStage(nfsd, NfsdState{Stage: StageIdle})
 		d.sent = true
+		d.Send(p, false)
 		return err
 	}
 
@@ -320,35 +332,35 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 	// and detach a transport handle so this nfsd could take other work.
 	g.queue = append(g.queue, d)
 	e.takeHandle()
-	e.setStage(nfsd, StageDeciding, d)
+	e.setStage(nfsd, d.at(StageDeciding))
 
 	procrastinations := 0
 	for {
 		// Another nfsd mid-write on the same vnode — either inside the
 		// gather path (active) or blocked on the vnode lock — will pass
 		// through this decision later and can take the metadata duty.
-		if g.active > 1 || e.locks.Blocked(d.Ino) > 0 {
+		if g.active > 1 || e.locks.Blocked(ino) > 0 {
 			g.active--
 			e.stats.HandoffsToActive++
-			e.setStage(nfsd, StageIdle, nil)
+			e.setStage(nfsd, NfsdState{Stage: StageIdle})
 			return nil
 		}
 		// Search the socket buffer for another write to this file.
-		if e.cfg.MbufHunter && e.hunter != nil && e.hunter(d.Ino) {
+		if e.cfg.MbufHunter && e.hunter != nil && e.hunter(ino) {
 			g.active--
 			e.stats.HunterHits++
-			e.setStage(nfsd, StageIdle, nil)
+			e.setStage(nfsd, NfsdState{Stage: StageIdle})
 			return nil
 		}
 		if e.cfg.FirstWriteLatency && procrastinations == 0 && !e.cfg.Accelerated {
 			// [SIVA93]: send the first write's data to disk and use that
 			// I/O as the latency device, then re-check once.
 			procrastinations++
-			e.setStage(nfsd, StageFlushing, d)
-			if err := e.fs.SyncData(p, d.Ino, d.Offset, d.Offset+d.Length); err != nil {
-				return e.failBatch(p, nfsd, g, d, err)
+			e.setStage(nfsd, d.at(StageFlushing))
+			if err := e.fs.SyncData(p, ino, d.Offset, d.Offset+d.Length); err != nil {
+				return e.failBatch(p, nfsd, g, ino, err)
 			}
-			e.setStage(nfsd, StageDeciding, d)
+			e.setStage(nfsd, d.at(StageDeciding))
 			continue
 		}
 		if procrastinations >= e.cfg.MaxProcrastinations {
@@ -356,21 +368,22 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 		}
 		procrastinations++
 		e.stats.Procrastinations++
-		e.setStage(nfsd, StageProcrastinating, d)
+		e.setStage(nfsd, d.at(StageProcrastinating))
 		p.Sleep(e.cfg.Procrastinate)
-		e.setStage(nfsd, StageDeciding, d)
+		e.setStage(nfsd, d.at(StageDeciding))
 	}
 
 	// Become the metadata writer and assume responsibility for this file.
-	e.setStage(nfsd, StageFlushing, d)
+	// d is in the first batch: from its commit on, only ino is read.
+	e.setStage(nfsd, d.at(StageFlushing))
 	for len(g.queue) > 0 {
 		batch := g.takeBatch()
-		err := e.commit(p, d.Ino, batch)
+		err := e.commit(p, ino, batch)
 		g.doneBatch(batch)
 		if err != nil {
 			g.active--
-			e.release(d.Ino, g)
-			e.setStage(nfsd, StageIdle, nil)
+			e.release(ino, g)
+			e.setStage(nfsd, NfsdState{Stage: StageIdle})
 			return err
 		}
 		// Writes that arrived during the commit were queued by nfsds that
@@ -378,8 +391,8 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 		// orphaned (§6.9).
 	}
 	g.active--
-	e.release(d.Ino, g)
-	e.setStage(nfsd, StageIdle, nil)
+	e.release(ino, g)
+	e.setStage(nfsd, NfsdState{Stage: StageIdle})
 	return nil
 }
 
@@ -425,13 +438,13 @@ func (e *Engine) commit(p *sim.Proc, ino vfs.Ino, batch []*WriteDesc) error {
 }
 
 // failBatch aborts the gather on an I/O error mid-decision.
-func (e *Engine) failBatch(p *sim.Proc, nfsd int, g *fileGather, d *WriteDesc, err error) error {
+func (e *Engine) failBatch(p *sim.Proc, nfsd int, g *fileGather, ino vfs.Ino, err error) error {
 	batch := g.takeBatch()
 	e.sendAll(p, batch, false)
 	g.doneBatch(batch)
 	g.active--
-	e.release(d.Ino, g)
-	e.setStage(nfsd, StageIdle, nil)
+	e.release(ino, g)
+	e.setStage(nfsd, NfsdState{Stage: StageIdle})
 	return err
 }
 
@@ -468,7 +481,7 @@ func (e *Engine) AdoptOrphan(p *sim.Proc, nfsd int, ino vfs.Ino) bool {
 		return false
 	}
 	g.active++
-	e.setStage(nfsd, StageFlushing, &WriteDesc{Ino: ino})
+	e.setStage(nfsd, NfsdState{Stage: StageFlushing, Ino: ino})
 	adopted := false
 	for len(g.queue) > 0 {
 		batch := g.takeBatch()
@@ -482,7 +495,7 @@ func (e *Engine) AdoptOrphan(p *sim.Proc, nfsd int, ino vfs.Ino) bool {
 	e.stats.Adoptions++
 	g.active--
 	e.release(ino, g)
-	e.setStage(nfsd, StageIdle, nil)
+	e.setStage(nfsd, NfsdState{Stage: StageIdle})
 	return adopted
 }
 

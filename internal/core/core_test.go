@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,6 +20,7 @@ type fakeFS struct {
 	syncLat   sim.Duration
 	fsyncLat  sim.Duration
 	failWrite bool
+	failSync  bool
 	failFsync bool
 	fsyncs    int
 	syncs     int
@@ -65,6 +67,9 @@ func (f *fakeFS) Write(p *sim.Proc, ino vfs.Ino, off uint32, data []byte, flags 
 }
 
 func (f *fakeFS) SyncData(p *sim.Proc, ino vfs.Ino, from, to uint32) error {
+	if f.failSync {
+		return vfs.ErrIO
+	}
 	f.syncs++
 	f.logf("syncdata ino=%d %d..%d", ino, from, to)
 	if f.syncLat > 0 {
@@ -513,6 +518,117 @@ func TestStatsWritesCount(t *testing.T) {
 	s.Run(0)
 	if e.Stats().Writes != 3 {
 		t.Fatalf("Writes = %d", e.Stats().Writes)
+	}
+}
+
+// TestEngineReadsNothingOfASentDescriptor drives every way a reply leaves
+// the engine with a Send that zeroes its descriptor, as a recycled parse
+// record would be before it is refilled. If the engine read the descriptor
+// after its reply it would commit, release or stage ino 0, and if it wrote
+// to it it would mark another write's descriptor. Instead each path must
+// reply once per write, leave every descriptor as its Send left it, and
+// leave the engine clean: nothing queued, no per-file record, every
+// transport handle back, every nfsd idle and no filesystem call on ino 0.
+func TestEngineReadsNothingOfASentDescriptor(t *testing.T) {
+	hunterOnce := func() func(vfs.Ino) bool {
+		n := 0
+		return func(vfs.Ino) bool { n++; return n == 1 }
+	}
+	for _, c := range []struct {
+		name    string
+		fs      fakeFS
+		cfg     func(*Config)
+		hunter  func(vfs.Ino) bool
+		arrive  []sim.Duration // one write per entry, on its own nfsd
+		adopt   bool           // an adopter rescues the queue afterwards
+		took    func(Stats) bool
+		replyOK bool
+	}{
+		{name: "handoff to active", fs: fakeFS{writeLat: sim.Millisecond},
+			arrive:  []sim.Duration{0, 100 * sim.Microsecond, 200 * sim.Microsecond, 300 * sim.Microsecond},
+			took:    func(st Stats) bool { return st.HandoffsToActive == 3 && st.Gathers == 1 },
+			replyOK: true},
+		{name: "gather across commits", fs: fakeFS{fsyncLat: 10 * sim.Millisecond, syncLat: 5 * sim.Millisecond},
+			arrive:  []sim.Duration{0, 4 * sim.Millisecond},
+			took:    func(st Stats) bool { return st.Gathers == 2 },
+			replyOK: true},
+		{name: "hunter hit", hunter: hunterOnce(),
+			arrive:  []sim.Duration{0, 2 * sim.Millisecond},
+			took:    func(st Stats) bool { return st.HunterHits == 1 && st.Gathers == 1 },
+			replyOK: true},
+		{name: "write error", fs: fakeFS{failWrite: true},
+			arrive: []sim.Duration{0},
+			took:   func(st Stats) bool { return st.Gathers == 0 }},
+		{name: "fsync error", fs: fakeFS{writeLat: sim.Millisecond, failFsync: true},
+			arrive: []sim.Duration{0, 100 * sim.Microsecond, 200 * sim.Microsecond},
+			took:   func(st Stats) bool { return st.Gathers == 0 && st.HandoffsToActive == 2 }},
+		{name: "first-write sync error", fs: fakeFS{failSync: true},
+			cfg:    func(c *Config) { c.FirstWriteLatency = true },
+			arrive: []sim.Duration{0},
+			took:   func(st Stats) bool { return st.Gathers == 0 }},
+		{name: "adoption", hunter: func(vfs.Ino) bool { return true },
+			arrive:  []sim.Duration{0, 100 * sim.Microsecond},
+			adopt:   true,
+			took:    func(st Stats) bool { return st.Adoptions == 1 && st.Gathers == 1 },
+			replyOK: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New(1)
+			fs := c.fs
+			fs.s = s
+			cfg := DefaultConfig(false, sim.Millisecond)
+			if c.cfg != nil {
+				c.cfg(&cfg)
+			}
+			e := NewEngine(s, &fs, len(c.arrive)+1, cfg, c.hunter)
+			var replies []replyRec
+			descs := make([]*WriteDesc, len(c.arrive))
+			for i, at := range c.arrive {
+				d := &WriteDesc{Ino: 7, Offset: uint32(i) * 8192, Length: 8192}
+				d.Send = func(p *sim.Proc, ok bool) {
+					replies = append(replies, replyRec{id: i, ok: ok})
+					*d = WriteDesc{}
+				}
+				descs[i] = d
+				s.SpawnAfter(at, "nfsd", func(p *sim.Proc) {
+					e.HandleWrite(p, i, d, make([]byte, 8192))
+				})
+			}
+			s.Run(0)
+			if c.adopt {
+				s.Spawn("adopter", func(p *sim.Proc) { e.AdoptOrphan(p, len(c.arrive), 7) })
+				s.Run(0)
+			}
+			if !c.took(e.Stats()) {
+				t.Fatalf("path not taken: %+v", e.Stats())
+			}
+			if len(replies) != len(c.arrive) {
+				t.Fatalf("%d replies for %d writes: %+v", len(replies), len(c.arrive), replies)
+			}
+			for _, r := range replies {
+				if r.ok != c.replyOK {
+					t.Fatalf("replies %+v, want ok=%v", replies, c.replyOK)
+				}
+			}
+			for i, d := range descs {
+				if d.Ino != 0 || d.Offset != 0 || d.Send != nil || d.sent {
+					t.Fatalf("descriptor %d written after its reply: %+v", i, *d)
+				}
+			}
+			if n, g, h := e.PendingReplies(), len(e.files), e.HandlesHeld(); n != 0 || g != 0 || h != 0 {
+				t.Fatalf("engine not clean: %d replies pending, %d file records, %d handles held", n, g, h)
+			}
+			for _, l := range fs.log {
+				if strings.Contains(l, "ino=0 ") {
+					t.Fatalf("filesystem call on a scribbled descriptor's file: %q in %q", l, fs.log)
+				}
+			}
+			for i, st := range e.NfsdStates() {
+				if st != (NfsdState{Stage: StageIdle}) {
+					t.Fatalf("nfsd %d left in state %+v", i, st)
+				}
+			}
+		})
 	}
 }
 

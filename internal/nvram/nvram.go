@@ -21,6 +21,8 @@ import (
 // guards against the lost-update race where a block is rewritten while a
 // drain I/O for its previous contents is in flight: the drainer only
 // retires the entry if the version still matches what it snapshotted.
+// The dirty map holds entries by value; a block is dirty iff its entry's
+// buf is non-nil.
 type dirtyBlock struct {
 	buf *block.Buf
 	ver uint64
@@ -33,7 +35,7 @@ type Presto struct {
 	p     hw.PrestoParams
 	under disk.Device
 	// dirty maps block number -> cached block contents not yet drained.
-	dirty map[int64]*dirtyBlock
+	dirty map[int64]dirtyBlock
 	used  int // bytes of NVRAM in use
 	space *sim.Cond
 	work  *sim.Cond
@@ -79,7 +81,7 @@ func New(s *sim.Sim, p hw.PrestoParams, under disk.Device, acct *block.Accountin
 		sim:      s,
 		p:        p,
 		under:    under,
-		dirty:    make(map[int64]*dirtyBlock),
+		dirty:    make(map[int64]dirtyBlock),
 		space:    sim.NewCond(s),
 		work:     sim.NewCond(s),
 		clean:    sim.NewCond(s),
@@ -174,7 +176,7 @@ func (pr *Presto) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 func (pr *Presto) waitSpace(p *sim.Proc, blk, nb int64) {
 	need := 0
 	for i := int64(0); i < nb; i++ {
-		if pr.dirty[blk+i] == nil {
+		if pr.dirty[blk+i].buf == nil {
 			need += pr.BlockSize()
 		}
 	}
@@ -188,15 +190,12 @@ func (pr *Presto) waitSpace(p *sim.Proc, blk, nb int64) {
 // contents does not retire the entry.
 func (pr *Presto) store(blk int64, buf *block.Buf) {
 	b := pr.dirty[blk]
-	if b == nil {
-		b = &dirtyBlock{}
-		pr.dirty[blk] = b
+	if b.buf == nil {
 		pr.used += pr.BlockSize()
 	} else {
 		b.buf.Release()
 	}
-	b.buf = buf
-	b.ver++
+	pr.dirty[blk] = dirtyBlock{buf, b.ver + 1}
 }
 
 func (pr *Presto) accept(n int) {
@@ -217,7 +216,7 @@ func (pr *Presto) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	nb := int64(len(buf)) / bs
 	allCached := true
 	for i := int64(0); i < nb; i++ {
-		if pr.dirty[blk+i] == nil {
+		if pr.dirty[blk+i].buf == nil {
 			allCached = false
 			break
 		}
@@ -237,7 +236,7 @@ func (pr *Presto) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	}
 	// Overlay any blocks that are newer in NVRAM.
 	for i := int64(0); i < nb; i++ {
-		if b := pr.dirty[blk+i]; b != nil {
+		if b := pr.dirty[blk+i]; b.buf != nil {
 			copy(buf[i*bs:(i+1)*bs], b.buf.Data())
 		}
 	}
@@ -321,7 +320,7 @@ func (pr *Presto) drainOne(p *sim.Proc, blk int64, run []*block.Buf, vers []uint
 	// data had to stay stable. A block rewritten during the disk I/O has
 	// a newer version and must stay dirty for the next drain pass.
 	for i := int64(0); i < nb; i++ {
-		if b := pr.dirty[blk+i]; b != nil && b.ver == vers[i] {
+		if b := pr.dirty[blk+i]; b.buf != nil && b.ver == vers[i] {
 			b.buf.Release()
 			delete(pr.dirty, blk+i)
 			pr.used -= pr.BlockSize()
@@ -395,7 +394,7 @@ func (pr *Presto) nextCluster() (int64, []*block.Buf, []uint64) {
 	run, vers := pr.getRun()
 	for i := 0; i < maxBlocks; i++ {
 		b := pr.dirty[min+int64(i)]
-		if b == nil || pr.inFlight[min+int64(i)] {
+		if b.buf == nil || pr.inFlight[min+int64(i)] {
 			break
 		}
 		run = append(run, b.buf.Ref())

@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/openload"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -284,6 +285,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 	}
 	if rc.kind != KindTrace { // a trace cell stops at its bound, mid-copy
 		assertRPCLedger(c.Clients)
+		assertWriteLedger(c.Nodes)
 	}
 
 	for _, cli := range c.Clients {
@@ -729,6 +731,29 @@ func assertRPCLedger(clients []*client.Client) {
 		if n := cli.PendingRPCs(); cli.Calls != cli.Replied+cli.Timeouts+cli.Abandoned || n != 0 {
 			panic(fmt.Sprintf("scenario: RPC ledger does not balance: %s issued %d != replied %d + timed out %d + abandoned %d, %d pending",
 				cli.Name(), cli.Calls, cli.Replied, cli.Timeouts, cli.Abandoned, n))
+		}
+	}
+}
+
+// assertWriteLedger is the server identity at quiesce: every live server —
+// each node's own and each export it adopted — owes no gathered WRITE
+// reply, holds no detached transport handle, and has every parse record
+// it made back in its pool (server.CheckWriteLedger). A crashed server's
+// records die with it and are not audited. A violation is a server bug,
+// so it panics with the numbers.
+func assertWriteLedger(nodes []*cluster.Node) {
+	check := func(srv *server.Server) {
+		if err := srv.CheckWriteLedger(); err != nil {
+			panic(fmt.Sprintf("scenario: write-descriptor ledger does not balance: %v", err))
+		}
+	}
+	for _, n := range nodes {
+		if n.Down {
+			continue
+		}
+		check(n.Server)
+		for _, ex := range n.Adopted {
+			check(ex.Server)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/nfsproto"
 	"repro/internal/openload"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -356,5 +357,67 @@ func TestRPCLedgerAuditFires(t *testing.T) {
 	want := "scenario: RPC ledger does not balance: client1 issued 1 != replied 0 + timed out 0 + abandoned 0, 0 pending"
 	if msg := audit(); msg != want {
 		t.Errorf("audit after a lost reply said %q, want %q", msg, want)
+	}
+}
+
+// TestWriteLedgerAuditFires holds the runner's server identity to both
+// sides. While a gathered write stream is in flight the live server owes
+// replies and has parse records out, so the audit fires and names it; at
+// quiesce the same books balance. A server crashed mid-stream is not
+// audited: its records died with it.
+func TestWriteLedgerAuditFires(t *testing.T) {
+	audit := func(c *cluster.Cluster) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		assertWriteLedger(c.Nodes)
+		return ""
+	}
+	// stream builds a gathering server and one write-behind client, starts
+	// a 64-block file write and runs until the audit first fires.
+	stream := func() (*cluster.Cluster, string) {
+		c := cluster.New(cluster.Config{Net: hw.FDDI(), Clients: 1, Biods: 4, Gathering: true, Seed: 1})
+		c.Sim.Spawn("app", func(p *sim.Proc) {
+			cli := c.Clients[0]
+			cres, err := cli.Create(p, c.Roots()[0], "f", 0644)
+			if err != nil || cres.Status != nfsproto.OK {
+				t.Errorf("create: %v %v", err, cres)
+				return
+			}
+			if _, err := cli.WriteFile(p, cres.File, 64*nfsproto.MaxData); err != nil {
+				t.Errorf("WriteFile: %v", err)
+			}
+		})
+		var msg string
+		for now := sim.Time(sim.Millisecond); msg == "" && now < sim.Time(sim.Second); now += sim.Time(sim.Millisecond) {
+			c.Sim.Run(now)
+			if c.Nodes[0].Server.Engine().Stats().Writes > 0 {
+				msg = audit(c)
+			}
+		}
+		return c, msg
+	}
+
+	c, msg := stream()
+	defer c.Sim.Close()
+	want := "scenario: write-descriptor ledger does not balance: " + c.Nodes[0].Name + " owes "
+	if !strings.HasPrefix(msg, want) {
+		t.Fatalf("audit mid-stream said %q, want it to start %q", msg, want)
+	}
+	c.Sim.Run(0)
+	if msg := audit(c); msg != "" {
+		t.Fatalf("audit fired at quiesce: %s", msg)
+	}
+
+	crashed, msg := stream()
+	defer crashed.Sim.Close()
+	if msg == "" {
+		t.Fatal("audit never fired mid-stream")
+	}
+	crashed.Nodes[0].Crash()
+	if msg := audit(crashed); msg != "" {
+		t.Fatalf("audit read a crashed server's books: %s", msg)
 	}
 }

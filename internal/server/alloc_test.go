@@ -12,76 +12,89 @@ import (
 // TestWriteBurstAllocAndCopyGuard is the server-side counterpart of the
 // client decode alloc guard: a LADDIS-style burst of 8K WRITEs driven
 // through the full stack — RPC dispatch, the gathering engine, the ufs
-// buffer cache and the NVRAM board down to the platters — must move the
-// payload with ZERO copies in steady state (the wire body is adopted by
-// the buffer cache and travels to NVRAM and the platter store by
-// reference), and the whole round trip must stay within a small allocs/op
-// budget once every pool is warm.
+// buffer cache and the device below — must move the payload with ZERO
+// copies in steady state (the wire body is adopted by the buffer cache and
+// travels to the device by reference), and the whole round trip must stay
+// within a small allocs/op budget once every pool is warm. Both §6.3
+// paths are held: Presto (IO_DATAONLY data pushed through the NVRAM board,
+// drained to the platters) and plain disk (IO_DELAYDATA, then one
+// clustered SyncData per commit).
 func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
-	r := newRig(t, 11, rigOpts{gathering: true, presto: true, fddi: true})
-	root := r.srv.RootFH()
+	for _, c := range []struct {
+		name   string
+		presto bool
+		// budget is what the round trip still allocates per WRITE. The
+		// gathered WRITE itself allocates nothing: its descriptor lives in
+		// the pooled parse record, its reply is the method value bound once
+		// per record, and the NVRAM board keeps dirty blocks by value. What
+		// is left is the dup-cache entry, one per WRITE while the 1,024-entry
+		// cache is still filling.
+		budget float64
+	}{
+		{"presto", true, 1},
+		{"plain disk", false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 11, rigOpts{gathering: true, presto: c.presto, fddi: true})
+			root := r.srv.RootFH()
 
-	const burst = 8 // the largest LADDIS write burst
-	var fh nfsproto.FH
-	trigger := sim.NewQueue[int](r.sim, 0)
-	r.sim.Spawn("app", func(p *sim.Proc) {
-		cres, err := r.cli.Create(p, root, "burst.dat", 0644)
-		if err != nil || cres.Status != nfsproto.OK {
-			t.Errorf("create: %v %v", err, cres)
-			return
-		}
-		fh = cres.File
-		for {
-			trigger.Get(p)
-			for i := 0; i < burst; i++ {
-				buf := r.cli.GetWriteBuf()
-				off := uint32(i) * nfsproto.MaxData
-				client.FillPattern(buf.Data(), off)
-				if err := r.cli.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData); err != nil {
-					t.Errorf("write %d: %v", i, err)
+			const burst = 8 // the largest LADDIS write burst
+			var fh nfsproto.FH
+			trigger := sim.NewQueue[int](r.sim, 0)
+			r.sim.Spawn("app", func(p *sim.Proc) {
+				cres, err := r.cli.Create(p, root, "burst.dat", 0644)
+				if err != nil || cres.Status != nfsproto.OK {
+					t.Errorf("create: %v %v", err, cres)
 					return
 				}
+				fh = cres.File
+				for {
+					trigger.Get(p)
+					for i := 0; i < burst; i++ {
+						buf := r.cli.GetWriteBuf()
+						off := uint32(i) * nfsproto.MaxData
+						client.FillPattern(buf.Data(), off)
+						if err := r.cli.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData); err != nil {
+							t.Errorf("write %d: %v", i, err)
+							return
+						}
+					}
+				}
+			})
+
+			oneBurst := func() {
+				trigger.Put(0)
+				r.sim.Run(0) // runs the burst AND, with Presto, the full NVRAM drain to platters
 			}
-		}
-	})
+			// Warm-up: first pass allocates the file and every pool; a few more
+			// passes settle the drain elevator and the dup cache.
+			for i := 0; i < 16; i++ {
+				oneBurst()
+			}
 
-	oneBurst := func() {
-		trigger.Put(0)
-		r.sim.Run(0) // runs the burst AND the full NVRAM drain to platters
-	}
-	// Warm-up: first pass allocates the file and every pool; a few more
-	// passes settle the drain elevator and the dup cache.
-	for i := 0; i < 16; i++ {
-		oneBurst()
-	}
+			copies0 := block.Copies()
+			allocs := testing.AllocsPerRun(50, oneBurst)
+			copied := block.Copies() - copies0
 
-	copies0 := block.Copies()
-	allocs := testing.AllocsPerRun(50, oneBurst)
-	copied := block.Copies() - copies0
-
-	// Steady-state overwrites adopt the wire payload into the cache and
-	// hand it by reference to NVRAM and the disk: no payload byte is
-	// memmoved anywhere in the pipeline. Any regression — a revived
-	// platter-store copy, a cluster assembly buffer, an un-adopted cache
-	// landing — shows up here as 8K+ per write.
-	if copied != 0 {
-		t.Fatalf("write burst copied %d bytes/burst through the data path, want 0 "+
-			"(%.1f bytes per 8K write)", copied, float64(copied)/(51*burst))
+			// Steady-state overwrites adopt the wire payload into the cache and
+			// hand it by reference to the device: no payload byte is memmoved
+			// anywhere in the pipeline. Any regression — a revived platter-store
+			// copy, a cluster assembly buffer, an un-adopted cache landing —
+			// shows up here as 8K+ per write.
+			if copied != 0 {
+				t.Fatalf("write burst copied %d bytes/burst through the data path, want 0 "+
+					"(%.1f bytes per 8K write)", copied, float64(copied)/(51*burst))
+			}
+			// Wire heads are carved from the segment's slab, not allocated one
+			// by one.
+			perOp := allocs / burst
+			if perOp > c.budget {
+				t.Fatalf("steady-state WRITE costs %.2f allocs/op (%.0f per burst), budget %.0f; "+
+					"the pooled write path has regressed", perOp, allocs, c.budget)
+			}
+			t.Logf("write burst: %.2f allocs/op, %d payload bytes copied", perOp, copied)
+		})
 	}
-
-	// The allocs budget is what the round trip still allocates per WRITE,
-	// five objects: the gathering engine's WriteDesc and its Send closure,
-	// the parse record a gathering server cannot recycle (the detached
-	// reply holds its WriteArgs), the NVRAM board's dirty-block record, and
-	// the dup-cache entry (the 1,024-entry cache is still filling). Wire
-	// heads are carved from the segment's slab, not allocated one by one.
-	// 8 writes/burst.
-	perOp := allocs / burst
-	if perOp > 5 {
-		t.Fatalf("steady-state WRITE costs %.1f allocs/op (%.0f per burst); "+
-			"the pooled write path has regressed", perOp, allocs)
-	}
-	t.Logf("write burst: %.1f allocs/op, %d payload bytes copied", perOp, copied)
 }
 
 // TestWriteBurstNoBufLeak sweeps a write burst and then checks the global

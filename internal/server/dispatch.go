@@ -41,13 +41,12 @@ func (s *Server) serveOne(p *sim.Proc, id int, dg *netsim.Datagram) {
 	} else {
 		s.handle(p, id, dg)
 	}
-	// The datagram record and its parse are dead once handled (decoded
-	// slices alias the payload, not the records); recycle them. Write
-	// parses are exempt only on a gathering server, where a detached
-	// reply closure may still hold the WriteArgs after the handler
-	// returns; the standard server always replies synchronously.
-	if pc, ok := dg.Parsed.(*parsedCall); ok && (pc.write == nil || s.engine == nil) {
-		s.putPC(pc)
+	// The datagram's hold on its parse ends here (decoded slices alias the
+	// payload, not the record). A gathered WRITE whose reply is still owed
+	// keeps the record alive until writeSent lets go of it; every other
+	// record goes back to the pool now.
+	if pc, ok := dg.Parsed.(*parsedCall); ok {
+		s.releasePC(pc)
 	}
 }
 
@@ -55,6 +54,12 @@ func (s *Server) serveOne(p *sim.Proc, id int, dg *netsim.Datagram) {
 // the dispatch path and the mbuf hunter. Records are pooled on the server
 // and embed their decode targets, so the steady-state request path does
 // not allocate per message.
+//
+// A record has up to two owners: the datagram it was decoded from, until
+// serveOne has handled it (and reported it to OnServe), and, for a
+// gathered WRITE, the reply owed while its descriptor is queued, until
+// writeSent has sent it. Either may let go first; the record returns to
+// the pool when both have (releasePC).
 type parsedCall struct {
 	call     oncrpc.CallMsg
 	proc     nfsproto.Proc
@@ -66,26 +71,53 @@ type parsedCall struct {
 	// takes its own reference if it adopts the buffer.
 	body *block.Buf
 	bad  bool
+
+	// A gathered WRITE: the descriptor the engine queues and the dup-cache
+	// key its reply goes out under. sent is the method value writeSent,
+	// bound once when the record is made; doWrite makes it desc.Send.
+	desc core.WriteDesc
+	key  dupKey
+	sent func(p *sim.Proc, ok bool)
+
+	owners int // holders of the record; 0 = parked in the pool
+	srv    *Server
 }
 
-// getPC takes a parse record from the pool.
+// getPC takes a parse record from the pool, owned by the caller.
 func (s *Server) getPC() *parsedCall {
+	var pc *parsedCall
 	if n := len(s.freePC); n > 0 {
-		pc := s.freePC[n-1]
+		pc = s.freePC[n-1]
 		s.freePC = s.freePC[:n-1]
 		pc.write = nil
-		pc.body = nil
 		pc.bad = false
-		return pc
+	} else {
+		pc = &parsedCall{srv: s}
+		pc.sent = pc.writeSent
+		s.madePC++
 	}
-	return &parsedCall{}
+	pc.owners = 1
+	return pc
 }
 
-// putPC parks a parse record for reuse. Its decoded call aliases the
-// request's wire head, so it is cleared: a pooled record must not pin the
-// slab that head was carved from (Network.WireBuf).
+// releasePC drops one owner's hold on pc and parks it once nobody holds it.
+func (s *Server) releasePC(pc *parsedCall) {
+	pc.owners--
+	if pc.owners < 0 {
+		panic("server: parse record released more often than it was held")
+	}
+	if pc.owners == 0 {
+		s.putPC(pc)
+	}
+}
+
+// putPC parks a parse record for reuse. Its decoded call and write
+// arguments alias the request's wire head, so they are cleared: a pooled
+// record must not pin the slab that head was carved from
+// (Network.WireBuf).
 func (s *Server) putPC(pc *parsedCall) {
 	pc.call = oncrpc.CallMsg{}
+	pc.writeBuf = nfsproto.WriteArgs{}
 	pc.body = nil
 	s.freePC = append(s.freePC, pc)
 }
@@ -568,21 +600,30 @@ func (s *Server) doWrite(p *sim.Proc, id int, k dupKey, pc *parsedCall) {
 		return
 	}
 
-	// Gathering server (§6.8). The reply is detached into the descriptor;
-	// whichever nfsd becomes the metadata writer sends it.
+	// Gathering server (§6.8). The reply is detached into the descriptor,
+	// which lives in the parse record; whichever nfsd becomes the metadata
+	// writer sends it, and the owed reply holds the record until then.
 	s.charge(p, s.cfg.Costs.GatherCheck)
-	d := &core.WriteDesc{
+	pc.key = k
+	pc.desc = core.WriteDesc{
 		Ino:     ino,
 		Offset:  args.Offset,
 		Length:  uint32(len(args.Data)),
 		Body:    pc.body,
 		Arrived: s.sim.Now(),
-		Send: func(p *sim.Proc, ok bool) {
-			s.writeReply(p, k, args, ino, ok, nil)
-		},
+		Send:    pc.sent,
 	}
+	pc.owners++
 	// Errors are reported through Send(ok=false); nothing more to do here.
-	_ = s.engine.HandleWrite(p, id, d, args.Data)
+	_ = s.engine.HandleWrite(p, id, &pc.desc, args.Data)
+}
+
+// writeSent is a gathered WRITE's reply (its descriptor's Send): it answers
+// the call and lets go of the record the reply held.
+func (pc *parsedCall) writeSent(p *sim.Proc, ok bool) {
+	s := pc.srv
+	s.writeReply(p, pc.key, pc.write, pc.desc.Ino, ok, nil)
+	s.releasePC(pc)
 }
 
 // writeReply builds and sends a WRITE reply, auditing it when configured.

@@ -7,6 +7,8 @@
 package server
 
 import (
+	"fmt"
+
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -82,6 +84,7 @@ type Server struct {
 	locks  *core.VnodeLocks
 	dup    *dupCache
 	freePC []*parsedCall // parse record pool
+	madePC int           // parse records ever made; all parked at quiesce
 	procs  []*sim.Proc   // the nfsd pool, for crash injection
 
 	// Per-server result scratch (see dispatch.go).
@@ -190,6 +193,22 @@ func (s *Server) CPUPercent(since sim.Time) float64 {
 		return 0
 	}
 	return 100 * float64(s.cpu.BusyTime()-s.cpuMark) / float64(el)
+}
+
+// CheckWriteLedger is the gathered-WRITE identity at quiesce: the engine
+// owes no reply and holds no detached transport handle, and every parse
+// record the server made is back in its pool. The error names the server.
+// A crashed server's records die with it; only a live one balances.
+func (s *Server) CheckWriteLedger() error {
+	owed, handles := 0, 0
+	if s.engine != nil {
+		owed, handles = s.engine.PendingReplies(), s.engine.HandlesHeld()
+	}
+	if out := s.madePC - len(s.freePC); owed != 0 || handles != 0 || out != 0 {
+		return fmt.Errorf("%s owes %d replies, holds %d transport handles, has %d of %d parse records out of its pool",
+			s.cfg.Name, owed, handles, out, s.madePC)
+	}
+	return nil
 }
 
 // DupBodies reports how many duplicate-cache entries hold a reference to

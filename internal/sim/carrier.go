@@ -54,7 +54,29 @@ func (c *carrier) run(yield func(*Proc) bool) {
 		// A callback fired by this loop may spawn onto this very carrier;
 		// if that process's dispatch comes up here it starts with no switch.
 		if next := s.loop(); (next == nil || next.c != c) && !yield(next) {
+			shedStack()
 			return
 		}
 	}
 }
+
+// shedStack is a carrier's last call, made when Close stops it. An ended
+// goroutine's record keeps its stack for the next goroutine only if that
+// stack is the runtime's current starting size, which the runtime
+// re-estimates at every collection from the stacks it scans. Left alone,
+// whether a closed sim's carriers leave their stacks behind would hang on
+// when the collector last ran (and shrank the parked ones), so the memory
+// a finished run retains would move by a stack span from one run to the
+// next. shedStack's 8 KB frame grows the stack to at least 16 KB, past the
+// starting sizes a run produces (2 to 8 KB), so the runtime frees it when
+// the coroutine returns. A 16 KB stack still comes from the runtime's
+// small-stack cache; a larger frame would map fresh pages per carrier.
+//
+//go:noinline
+func shedStack() {
+	var frame [8 << 10]byte
+	keepFrame(&frame)
+}
+
+//go:noinline
+func keepFrame(*[8 << 10]byte) {}

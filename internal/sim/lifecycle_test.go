@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -77,6 +80,61 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got != before {
 		t.Errorf("NumGoroutine=%d after Close, %d before New", got, before)
+	}
+}
+
+// Close must leave no carrier stack with the runtime. An ended goroutine
+// keeps its stack only when it is the runtime's current starting size, and
+// that size moves with the collector, so a kept stack would make the memory
+// a finished run retains vary from one run to the next (see shedStack). The
+// check runs in a fresh process of this test binary on one P, where the
+// sim's carriers are nearly the only goroutines ever ended. Collections
+// while the 48 carriers are parked shrink their stacks to the starting size,
+// as a long run's collections do; without shedStack, Close then leaves them
+// all on the P's free list (96 KB more stack memory on linux/amd64).
+func TestClosedCarriersLeaveNoStacks(t *testing.T) {
+	const child = "SIM_CARRIER_STACKS_CHILD"
+	if os.Getenv(child) == "1" {
+		debug.SetGCPercent(-1) // the starting size stays put until Close
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		before := m.StackInuse
+		s := New(1)
+		for i := 0; i < 48; i++ {
+			d := Duration(1 + i%2*1000) // the odd ones are parked at Close
+			s.Spawn("shallow", func(p *Proc) { p.Sleep(d) })
+		}
+		s.Run(10)
+		for i := 0; i < 4; i++ {
+			runtime.GC()
+		}
+		s.Close()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		fmt.Printf("carrier stacks: %d %d\n", before, m.StackInuse)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestClosedCarriersLeaveNoStacks$", "-test.count=1")
+	cmd.Env = append(os.Environ(), child+"=1", "GOMAXPROCS=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	var before, after uint64
+	i := strings.Index(string(out), "carrier stacks:")
+	if i < 0 {
+		t.Fatalf("child printed no measurement:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(string(out[i:]), "carrier stacks: %d %d", &before, &after); err != nil {
+		t.Fatalf("child output: %v\n%s", err, out)
+	}
+	// A stack span is 32 KB. One may come or go with the runtime's own
+	// goroutines (the race detector's runtime, for one); two or more are
+	// kept carrier stacks.
+	if after >= before+64<<10 {
+		t.Errorf("stack memory %d B before the sim, %d B after Close: closed carriers kept their stacks", before, after)
 	}
 }
 
