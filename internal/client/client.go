@@ -43,12 +43,16 @@ type Client struct {
 	pending map[uint32]*pendingCall
 	freePC  []*pendingCall // pendingCall pool
 	credRaw []byte         // AUTH_UNIX credential, constant per client
-	// pool backs write payload staging: WriteFile and the LADDIS burst
-	// workers stage each 8K request in a refcounted buffer that then rides
+	// pool backs write payload staging for what is not a whole aligned
+	// block of the pattern (PatternBuf): a refcounted buffer that rides
 	// the wire by reference (every in-flight datagram holds its own ref),
 	// so the staging buffer is reusable the moment the RPC completes even
 	// though retransmitted copies may still be queued somewhere.
 	pool *block.Pool
+	// Pages is the table of pattern pages a whole aligned block of the
+	// audit pattern is sent from (PatternBuf). cluster.New gives one to
+	// all of its clients; a client without one makes its own on first use.
+	Pages *Pages
 	// bootIDs remembers the last boot-instance verifier seen per server;
 	// a change means the server rebooted and its dup cache is gone.
 	bootIDs map[string]uint64
@@ -550,7 +554,7 @@ func (c *Client) finish(p *sim.Proc, pc *pendingCall) (*oncrpc.ReplyMsg, int, er
 // run-loop events, and then calls done with the procedure's status and
 // error — what its blocking twin returns — where that twin's caller would
 // have resumed. A WRITE writes one MaxData block of the audit pattern at
-// r.Off from a pooled staging buffer (WritePattern's request); a CREATE
+// r.Off (WritePattern's request, PatternBuf's buffer); a CREATE
 // whose retransmission finds the file made goes on to LOOKUP it, as
 // Create does. The call's results are valid until done returns.
 //
@@ -564,8 +568,7 @@ func (c *Client) Go(r Req, done func(nfsproto.Status, error)) {
 	var out *block.Buf
 	outLen := 0
 	if r.Proc == nfsproto.ProcWrite {
-		out, outLen = c.GetWriteBuf(), nfsproto.MaxData
-		FillPattern(out.Data(), r.Off)
+		out, outLen = c.PatternBuf(r.Off, nfsproto.MaxData), nfsproto.MaxData
 		r.Count = nfsproto.MaxData
 		if c.OnWriteEvent != nil {
 			c.OnWriteEvent("send", r.Off, nfsproto.MaxData)
@@ -804,13 +807,10 @@ func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b 
 }
 
 // WritePattern writes one MaxData block of the audit pattern (FillPattern)
-// at off: a fresh staging buffer per request, released when the RPC
-// completes, because the pool must not recycle it while a queued
-// duplicate datagram still references the payload.
+// at off from PatternBuf: the reference is released when the RPC
+// completes, and every queued duplicate datagram holds its own.
 func (c *Client) WritePattern(p *sim.Proc, fh nfsproto.FH, off uint32) error {
-	buf := c.GetWriteBuf()
-	FillPattern(buf.Data(), off)
-	return c.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData)
+	return c.WriteSyncBufRelease(p, fh, off, c.PatternBuf(off, nfsproto.MaxData), nfsproto.MaxData)
 }
 
 // writeDone is the WRITE's decode half, shared by WriteSync,
@@ -1075,9 +1075,9 @@ func FillPattern(buf []byte, off uint32) {
 // closes. It returns the elapsed time from first byte to close completion.
 func (c *Client) WriteFile(p *sim.Proc, fh nfsproto.FH, size int) (sim.Duration, error) {
 	start := p.Now()
-	// A host crash can kill this process while a staging buffer is filled
-	// but not yet handed to the write path (the WriteGenerate sleep); the
-	// deferred release keeps the pool's accounting exact across the kill.
+	// A host crash can kill this process while a payload is staged but not
+	// yet handed to the write path (the WriteGenerate sleep); the deferred
+	// release keeps the ledger's accounting exact across the kill.
 	var staged *block.Buf
 	defer func() {
 		if staged != nil {
@@ -1090,9 +1090,8 @@ func (c *Client) WriteFile(p *sim.Proc, fh nfsproto.FH, size int) (sim.Duration,
 		if n > remaining {
 			n = remaining
 		}
-		buf := c.GetWriteBuf()
+		buf := c.PatternBuf(off, n)
 		staged = buf
-		FillPattern(buf.Data()[:n], off)
 		p.Sleep(c.params.WriteGenerate)
 		staged = nil // ownership passes to the write path, which releases
 		if err := c.writeBehindBuf(p, fh, off, buf, n); err != nil {

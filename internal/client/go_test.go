@@ -18,11 +18,12 @@ import (
 // attrServer answers every call with an OK attrstat after delay, releasing
 // each call datagram (and the WRITE body it may carry) as it goes, so the
 // block ledger sees only what the client holds. While mute it drains
-// calls without answering.
+// calls without answering. onCall, if set, sees each call datagram first.
 type attrServer struct {
 	mute    bool
 	drop    int // calls still to swallow, as a lost datagram
 	answers int
+	onCall  func(dg *netsim.Datagram)
 }
 
 func newAttrServer(s *sim.Sim, n *netsim.Network, delay sim.Duration) *attrServer {
@@ -38,6 +39,9 @@ func newAttrServer(s *sim.Sim, n *netsim.Network, delay sim.Duration) *attrServe
 			dg := ep.Inbox.Get(p)
 			xid, _ := oncrpc.PeekXID(dg.Payload)
 			from := dg.From
+			if srv.onCall != nil {
+				srv.onCall(dg)
+			}
 			dg.Release()
 			if srv.mute {
 				continue
@@ -186,7 +190,7 @@ func TestGoSettlesAcrossCrash(t *testing.T) {
 			t.Errorf("proc %d: %d answers, %d retransmissions; want the lost first reply and the one after the reboot, 3 retransmissions",
 				tc.proc, srv.answers, c.Retransmissions)
 		}
-		if unaccounted := acct.TotalRefs() - int64(c.HeldBodies()); unaccounted != 0 {
+		if unaccounted := acct.TotalRefs() - int64(c.HeldBodies()+c.Pages.Refs()); unaccounted != 0 {
 			t.Errorf("proc %d reboot=%v: %d block references unaccounted for", tc.proc, tc.reboot, unaccounted)
 		}
 		s.Close()

@@ -205,6 +205,9 @@ type Cluster struct {
 	Nodes   []*Node
 	Clients []*client.Client
 	Shards  *ShardMap
+	// Pages is the cell's one table of pattern pages, shared by every
+	// client: a table per client would build the same pages once per host.
+	Pages *client.Pages
 
 	cfg      Config
 	costs    hw.CPUParams
@@ -242,6 +245,7 @@ func New(cfg Config) *Cluster {
 		Sim:   s,
 		cfg:   cfg,
 		costs: costs,
+		Pages: client.NewPages(cfg.Acct),
 	}
 	if len(cfg.Segments) > 0 {
 		c.Fabric = netsim.NewFabric(s, cfg.Segments)
@@ -341,6 +345,7 @@ func New(cfg Config) *Cluster {
 			name := fmt.Sprintf("client%d", idx)
 			cli := client.New(s, cnet, name, c.Nodes[0].Name,
 				hw.DEC3000Client(), g.Biods, cfg.Acct)
+			cli.Pages = c.Pages
 			if c.Fabric != nil {
 				c.Fabric.Place(name, g.Segment)
 			}
@@ -661,7 +666,8 @@ func (c *Cluster) Roots() []nfsproto.FH {
 // AccountedRefs sums the buffer references the cluster's long-lived
 // structures legitimately retain — buffer caches, platter stores, NVRAM
 // dirty maps and the READ reply blocks in duplicate caches, own and
-// adopted, plus the reply body each client holds as its READ scratch.
+// adopted, plus the reply body each client holds as its READ scratch and
+// the pattern table's own reference to each page it built.
 // After a full quiesce, the process block-reference total minus the
 // pre-build baseline must equal exactly this sum: any surplus is a
 // reference leaked through an unwind path, any deficit a double release.
@@ -696,7 +702,7 @@ func (c *Cluster) AccountedRefs() int64 {
 	for _, cli := range c.Clients {
 		n += int64(cli.HeldBodies())
 	}
-	return n
+	return n + int64(c.Pages.Refs())
 }
 
 // MarkInterval starts a measurement interval on every node.

@@ -166,6 +166,12 @@ type Network struct {
 	// from a link-down host (the NIC cannot drive the medium) and
 	// deliveries arriving at one.
 	DropsLinkDown uint64
+
+	// The rest of the datagram ledger (CheckDatagrams): sends a severed
+	// driver dropped before the medium (the send half of DropsLinkDown),
+	// datagrams accepted into a socket buffer, and arrivals lost to a full
+	// socket buffer or a crashed host.
+	severedSends, delivered, dropsSocket, dropsHostDown uint64
 }
 
 // New builds a network with the given link parameters.
@@ -348,6 +354,7 @@ func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block
 func (n *Network) severed(from string) bool {
 	if src, ok := n.endpoints[from]; ok && src.linkDown {
 		n.DropsLinkDown++
+		n.severedSends++
 		return true
 	}
 	return false
@@ -472,21 +479,42 @@ func (n *Network) getDatagram() *Datagram {
 	}
 	d := &Datagram{net: n}
 	d.deliver = func() {
-		if d.dst.linkDown {
+		n := d.net
+		switch {
+		case d.dst.linkDown:
 			// The destination's attachment went down while the datagram
 			// was in flight: it arrives at a severed interface and is lost.
-			d.net.DropsLinkDown++
-			d.Release()
+			n.DropsLinkDown++
+		case d.dst.dead:
+			// The destination host crashed while the datagram was in
+			// flight.
+			n.dropsHostDown++
+		case d.dst.Inbox.Put(d):
+			n.delivered++
 			return
+		default:
+			// Socket buffer overflow: it dies here, exactly as a UDP
+			// socket drops it.
+			n.dropsSocket++
 		}
-		if d.dst.dead || !d.dst.Inbox.Put(d) {
-			// Socket buffer overflow — or the destination host crashed
-			// while the datagram was in flight: it dies here, exactly as
-			// a UDP socket drops it; recycle the record immediately.
-			d.Release()
-		}
+		d.Release() // recycle the record immediately
 	}
 	return d
+}
+
+// CheckDatagrams is the segment's datagram identity, for a segment with
+// nothing in flight (a quiesced simulation): every datagram sent onto the
+// medium was delivered into a socket buffer or dropped for a counted
+// cause — no destination, a severed attachment at arrival, a full socket
+// buffer, or a crashed host. A datagram that vanished uncounted fails
+// it, and the error carries the numbers.
+func (n *Network) CheckDatagrams() error {
+	linkDown := n.DropsLinkDown - n.severedSends
+	if n.SentDatagrams != n.delivered+n.DropsNoDest+linkDown+n.dropsSocket+n.dropsHostDown {
+		return fmt.Errorf("sent %d != delivered %d + no destination %d + link down %d + socket buffer full %d + host down %d",
+			n.SentDatagrams, n.delivered, n.DropsNoDest, linkDown, n.dropsSocket, n.dropsHostDown)
+	}
+	return nil
 }
 
 // Drops reports datagrams dropped at an endpoint's socket buffer.

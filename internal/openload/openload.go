@@ -198,10 +198,12 @@ func NewPopulation(n, blocks int, kind string, s float64, roots []nfsproto.FH) (
 // every write is synchronous, so the image is on the platters when
 // Populate returns.
 //
-// The fill blocks are staged in the first generator's client's write
-// buffers, as Build stages them in its caller's, and the buffer caches
-// adopt them: when a measured WRITE replaces one, it goes back to a pool
-// that a client draws its next staging buffer from.
+// Each fill block is the first generator's client's pattern page for its
+// offset (Client.PatternBuf), the payload Build sends through its caller,
+// and the buffer caches and platter stores keep a reference to it. The
+// pages are the cell's, shared by every client, so the image costs no
+// buffer of its own and a measured WRITE that replaces a block only drops
+// a reference.
 func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens []*Gen) error {
 	if len(gens) == 0 {
 		return fmt.Errorf("openload: populate: no generators")
@@ -214,8 +216,7 @@ func (p *Population) Populate(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, gens 
 		}
 		for b := 0; b < p.Blocks; b++ {
 			off := uint32(b * nfsproto.MaxData)
-			buf := stage.GetWriteBuf()
-			client.FillPattern(buf.Data(), off)
+			buf := stage.PatternBuf(off, nfsproto.MaxData)
 			err := fs.WriteBuf(q, vfs.Ino(fh.Ino()), off, buf, nfsproto.MaxData, vfs.IOSync)
 			buf.Release()
 			if err != nil {

@@ -286,7 +286,9 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 	if rc.kind != KindTrace { // a trace cell stops at its bound, mid-copy
 		assertRPCLedger(c.Clients)
 		assertWriteLedger(c.Nodes)
+		assertDatagramLedger(c)
 	}
+	assertPagesIntact(c.Pages)
 
 	for _, cli := range c.Clients {
 		cr.Retransmissions += cli.Retransmissions
@@ -672,12 +674,7 @@ func assertSilentSetup(c *cluster.Cluster) {
 				cli.Name(), cli.Calls, cli.Retransmissions)
 		}
 	}
-	nets := []*netsim.Network{c.Net}
 	if f := c.Fabric; f != nil {
-		nets = nets[:0]
-		for _, name := range f.Names() {
-			nets = append(nets, f.Segment(name))
-		}
 		for _, br := range f.Bridges() {
 			for _, bp := range br.Ports {
 				if drops := bp.DropsQueueFull() + bp.DropsLinkDown() + bp.DropsNoRoute; bp.Forwarded != 0 || drops != 0 {
@@ -687,12 +684,12 @@ func assertSilentSetup(c *cluster.Cluster) {
 			}
 		}
 	}
-	for _, n := range nets {
+	eachSegment(c, func(name string, n *netsim.Network) {
 		if n.SentDatagrams != 0 || n.DropsNoDest != 0 || n.DropsLinkDown != 0 {
-			bad("a segment carried %d datagrams and dropped %d before the window opened",
-				n.SentDatagrams, n.DropsNoDest+n.DropsLinkDown)
+			bad("segment %s carried %d datagrams and dropped %d before the window opened",
+				name, n.SentDatagrams, n.DropsNoDest+n.DropsLinkDown)
 		}
-	}
+	})
 	for _, n := range c.Nodes {
 		if n.Down { // a crash may land on the very instant the window opens
 			continue
@@ -755,6 +752,42 @@ func assertWriteLedger(nodes []*cluster.Node) {
 		for _, ex := range n.Adopted {
 			check(ex.Server)
 		}
+	}
+}
+
+// assertDatagramLedger is the network identity at quiesce: on every
+// segment, each datagram sent was delivered into a socket buffer or
+// dropped for a counted cause (netsim.Network.CheckDatagrams). A datagram
+// that vanished uncounted is a network bug, so it panics with the numbers
+// and the segment's name.
+func assertDatagramLedger(c *cluster.Cluster) {
+	eachSegment(c, func(name string, n *netsim.Network) {
+		if err := n.CheckDatagrams(); err != nil {
+			panic(fmt.Sprintf("scenario: datagram ledger does not balance on segment %s: %v", name, err))
+		}
+	})
+}
+
+// assertPagesIntact is the payload identity: every pattern page the cell
+// built still holds its pattern and the table's reference
+// (client.Pages.Check), so no receiver wrote into a shared payload — not
+// the buffer cache, NVRAM, a torn disk write or a lying NVRAM board. A
+// violation panics naming the page.
+func assertPagesIntact(t *client.Pages) {
+	if err := t.Check(); err != nil {
+		panic("scenario: " + err.Error())
+	}
+}
+
+// eachSegment calls fn for every network segment of the cell: the
+// fabric's in declaration order, or the lone medium.
+func eachSegment(c *cluster.Cluster, fn func(name string, n *netsim.Network)) {
+	if c.Fabric == nil {
+		fn("medium", c.Net)
+		return
+	}
+	for _, name := range c.Fabric.Names() {
+		fn(name, c.Fabric.Segment(name))
 	}
 }
 

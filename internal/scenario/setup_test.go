@@ -421,3 +421,74 @@ func TestWriteLedgerAuditFires(t *testing.T) {
 		t.Fatalf("audit read a crashed server's books: %s", msg)
 	}
 }
+
+// TestPayloadAndDatagramAuditsFire holds the runner's two quiesce
+// identities for payloads and datagrams to both sides. A write-behind
+// stream lands on a gathering Presto server as pattern pages (buffer
+// cache, NVRAM, platters), then an unaligned write and a read-back touch
+// the same blocks: at quiesce every page is intact and every segment's
+// datagrams are accounted for. Mid-stream, with datagrams in flight, the
+// datagram audit fires; a planted uncounted datagram and one scribbled
+// page byte each fire a message that names the segment or the page.
+func TestPayloadAndDatagramAuditsFire(t *testing.T) {
+	audit := func(fn func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		fn()
+		return ""
+	}
+	c := cluster.New(cluster.Config{Net: hw.FDDI(), Clients: 1, Biods: 4, Gathering: true, Presto: true, Seed: 1})
+	defer c.Sim.Close()
+	c.Sim.Spawn("app", func(p *sim.Proc) {
+		cli := c.Clients[0]
+		cres, err := cli.Create(p, c.Roots()[0], "f", 0644)
+		if err != nil || cres.Status != nfsproto.OK {
+			t.Errorf("create: %v %v", err, cres)
+			return
+		}
+		fh := cres.File
+		if _, err := cli.WriteFile(p, fh, 300*nfsproto.MaxData); err != nil {
+			t.Errorf("WriteFile: %v", err)
+		}
+		if err := cli.WriteSync(p, fh, 4096, make([]byte, 512)); err != nil {
+			t.Errorf("unaligned write: %v", err)
+		}
+		if _, err := cli.Read(p, fh, 0, nfsproto.MaxData); err != nil {
+			t.Errorf("read: %v", err)
+		}
+	})
+	var msg string
+	for now := sim.Time(sim.Millisecond); msg == "" && now < sim.Time(sim.Second); now += sim.Time(100 * sim.Microsecond) {
+		c.Sim.Run(now)
+		msg = audit(func() { assertDatagramLedger(c) })
+	}
+	if want := "scenario: datagram ledger does not balance on segment medium: "; !strings.HasPrefix(msg, want) {
+		t.Fatalf("audit mid-stream said %q, want it to start %q", msg, want)
+	}
+	c.Sim.Run(0)
+	if got := c.Pages.Refs(); got != 256 {
+		t.Fatalf("the 300-block file built %d pattern pages, want all 256", got)
+	}
+	if msg := audit(func() { assertDatagramLedger(c) }); msg != "" {
+		t.Fatalf("datagram audit fired at quiesce: %s", msg)
+	}
+	if msg := audit(func() { assertPagesIntact(c.Pages) }); msg != "" {
+		t.Fatalf("pages audit fired at quiesce: %s", msg)
+	}
+
+	c.Net.SentDatagrams++
+	msg = audit(func() { assertDatagramLedger(c) })
+	if want := "scenario: datagram ledger does not balance on segment medium: sent "; !strings.HasPrefix(msg, want) {
+		t.Errorf("audit after an uncounted datagram said %q, want it to start %q", msg, want)
+	}
+	page := c.Pages.Ref(5 << 13)
+	page.Data()[17] ^= 1
+	page.Release()
+	msg = audit(func() { assertPagesIntact(c.Pages) })
+	if want := "scenario: pattern page 5: byte 17 is "; !strings.HasPrefix(msg, want) {
+		t.Errorf("audit after a scribbled page said %q, want it to start %q", msg, want)
+	}
+}

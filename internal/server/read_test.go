@@ -97,9 +97,9 @@ func TestReadBurstAllocAndCopyGuard(t *testing.T) {
 	t.Logf("read burst: %.1f allocs/op, %.0f B/op, 0 payload bytes copied", allocs/burst, perRead)
 
 	// Every reference outstanding is a long-lived holder's.
-	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.presto.DirtyBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies())
+	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.presto.DirtyBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs())
 	if got := acct.TotalRefs(); got != held {
-		t.Fatalf("%d block refs outstanding, %d held by cache/platters/NVRAM/dup cache/READ scratch", got, held)
+		t.Fatalf("%d block refs outstanding, %d held by cache/platters/NVRAM/dup cache/READ scratch/pattern pages", got, held)
 	}
 	if r.srv.DupBodies() == 0 || r.cli.HeldBodies() != 1 {
 		t.Fatalf("dup bodies %d, client bodies %d: the replies did not go by reference",
@@ -227,7 +227,7 @@ func TestReadReplySurvivesOverwrite(t *testing.T) {
 	if !done {
 		t.Fatal("app did not finish")
 	}
-	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies())
+	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs())
 	if got := acct.TotalRefs(); got != held {
 		t.Fatalf("%d block refs outstanding, %d held", got, held)
 	}
@@ -344,7 +344,7 @@ func TestReadReplyDroppedAtFullSocketBuffer(t *testing.T) {
 	if probe.Drops() != 1 || probe.Inbox.Len() != 1 {
 		t.Fatalf("drops %d, queued %d: want one reply dropped and one queued", probe.Drops(), probe.Inbox.Len())
 	}
-	held := int64(r.fs.CachedBufs() + r.disk.StoredBufs() + r.srv.DupBodies())
+	held := int64(r.fs.CachedBufs() + r.disk.StoredBufs() + r.srv.DupBodies() + r.cli.Pages.Refs())
 	if got := acct.TotalRefs(); got != held+1 {
 		t.Fatalf("%d block refs outstanding, want %d held + 1 in the queued reply", got, held)
 	}

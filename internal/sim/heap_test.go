@@ -10,11 +10,15 @@ import (
 	"testing"
 )
 
-// checkHeap asserts the indexed heap's invariants: every record knows its
-// slot, no record sorts before its parent, and weakN counts the weak ones.
+// checkHeap asserts the pending set's invariants: every heap record knows
+// its slot and no record sorts before its parent; every lane record is at
+// now, after every heap record at now and after the lane record before
+// it, and laneLive counts the live ones; weakN counts the live weak
+// records in both.
 func checkHeap(t *testing.T, s *Sim) {
 	t.Helper()
 	weak := 0
+	var last *event // the heap record at now with the highest seq
 	for i, e := range s.events {
 		if e.idx != i {
 			t.Fatalf("record in slot %d says it is in slot %d", i, e.idx)
@@ -25,10 +29,41 @@ func checkHeap(t *testing.T, s *Sim) {
 		if e.weak {
 			weak++
 		}
+		if e.t == s.now && (last == nil || last.seq < e.seq) {
+			last = e
+		}
+	}
+	live := 0
+	for i, e := range s.lane[s.laneHead:] {
+		if e.t != s.now || (last != nil && !eventLess(last, e)) {
+			t.Fatalf("lane record %d at (%d, %d) is out of order at now %d", i, e.t, e.seq, s.now)
+		}
+		last = e
+		switch e.idx {
+		case laneSlot:
+			live++
+			if e.weak {
+				weak++
+			}
+		case deadSlot:
+		default:
+			t.Fatalf("lane record %d says it is in heap slot %d", i, e.idx)
+		}
+	}
+	if live != s.laneLive {
+		t.Fatalf("%d live records on the lane, laneLive says %d", live, s.laneLive)
 	}
 	if weak != s.weakN {
-		t.Fatalf("%d weak records in the heap, weakN says %d", weak, s.weakN)
+		t.Fatalf("%d live weak records, weakN says %d", weak, s.weakN)
 	}
+}
+
+// holds reports whether rec is pending: in the heap, or live on the lane.
+func holds(s *Sim, rec *event) bool {
+	if rec.idx >= 0 {
+		return rec.idx < len(s.events) && s.events[rec.idx] == rec
+	}
+	return rec.idx == laneSlot && slices.Contains(s.lane[s.laneHead:], rec)
 }
 
 // key is an event's place in the firing order.
@@ -45,9 +80,9 @@ func keyCmp(a, b key) int {
 }
 
 // TestIndexedHeapProperty interleaves every way a record enters or leaves
-// the heap — At, AtWeak, Spawn, Sleep, WaitTimeout, Signal, pops in Run,
-// and cancels of live, fired, recycled and zero handles — and checks the
-// heap after every step. The events that fire must be, in order, exactly
+// the heap or the lane — At, AtWeak, Spawn, Sleep, WaitTimeout, Signal,
+// pops in Run, and cancels of live, fired, recycled and zero handles — and
+// checks both after every step. The events that fire must be, in order, exactly
 // the scheduled events that were not cancelled, sorted by (t, seq): a
 // cancelled record never fired and never moved the clock, so taking it out
 // early reorders nothing.
@@ -157,7 +192,7 @@ func TestIndexedHeapProperty(t *testing.T) {
 				drop(h.k)
 				want--
 				live++
-			case rec.idx < len(s.events) && s.events[rec.idx] == rec:
+			case holds(s, rec):
 				recycled++ // the record is pending again, for someone else
 			default:
 				stale++
@@ -249,8 +284,9 @@ func TestCancelledDeadlinesLeaveHeap(t *testing.T) {
 	}
 }
 
-// A cancel after Close finds no heap to take the record out of: it is
-// inert, whether made by the caller or by a cleanup that Close unwinds.
+// A cancel after Close finds no heap or lane to take the record out of:
+// it is inert, whether made by the caller or by a cleanup that Close
+// unwinds.
 func TestCancelAfterCloseIsInert(t *testing.T) {
 	s := New(1)
 	c := NewCond(s)
@@ -261,16 +297,18 @@ func TestCancelAfterCloseIsInert(t *testing.T) {
 		p.Sleep(Second)
 	})
 	s.Run(Time(Millisecond))
+	now := s.At(0, func() { t.Error("lane event fired after Close") })
 	s.Close()
 	ev.Cancel()
-	if !ev.Cancelled() || s.Pending() != 0 {
-		t.Errorf("Cancelled=%v Pending=%d after Close", ev.Cancelled(), s.Pending())
+	now.Cancel()
+	if !ev.Cancelled() || !now.Cancelled() || s.Pending() != 0 {
+		t.Errorf("Cancelled=%v/%v Pending=%d after Close", ev.Cancelled(), now.Cancelled(), s.Pending())
 	}
 }
 
 // Kill takes a WaitTimeout waiter's deadline out of the heap at once. The
 // deadline's handle then stays inert while its record, recycled, carries
-// the kill wake-up and later another waiter's deadline.
+// the kill wake-up on the lane and later another waiter's deadline.
 func TestKillWaitTimeoutLeavesHeap(t *testing.T) {
 	s := New(1)
 	defer s.Close()
@@ -285,7 +323,7 @@ func TestKillWaitTimeoutLeavesHeap(t *testing.T) {
 	}
 	stale := victim.waiting.timeout
 	s.Kill(victim)
-	if s.Pending() != 1 || s.events[0].proc != victim {
+	if s.Pending() != 1 || len(s.events) != 0 || s.lane[s.laneHead] != stale.e || stale.e.proc != victim {
 		t.Fatalf("Pending %d after Kill, want only the kill wake-up", s.Pending())
 	}
 	s.Run(20)

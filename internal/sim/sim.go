@@ -17,12 +17,13 @@
 // a coroutine nor a switch.
 //
 // The event loop is a zero-allocation fast path: the pending set is a
-// concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
+// concrete 4-ary min-heap of pooled event records keyed on (time, seq),
+// beside a FIFO lane for the records scheduled with zero delay, so
 // scheduling involves no interface conversions and, once the free list has
-// warmed up, no heap allocations. Each record knows its slot, so a cancel
-// takes it out at once and the heap holds only live work. Process wake-ups
-// (Sleep, Cond, Resource, Queue) are typed targets on the event record
-// rather than closures.
+// warmed up, no heap allocations. A heap record knows its slot, so a
+// cancel takes it out at once; a cancelled lane record is marked dead and
+// skipped. Process wake-ups (Sleep, Cond, Resource, Queue) are typed
+// targets on the event record rather than closures.
 package sim
 
 import (
@@ -88,10 +89,17 @@ type event struct {
 	fn     func()
 	proc   *Proc
 	waiter *condWaiter
-	idx    int // slot in Sim.events while pending
+	idx    int // slot in Sim.events while in the heap; laneSlot or deadSlot in the lane
 	weak   bool
 	gen    uint64
 }
+
+// A lane record's idx: live, or cancelled and waiting for its pop to
+// recycle it.
+const (
+	laneSlot = -1
+	deadSlot = -2
+)
 
 func eventLess(a, b *event) bool {
 	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
@@ -107,7 +115,7 @@ type Event struct {
 }
 
 // Cancel prevents the event from firing and takes its record out of the
-// heap at once. Cancelling an event that already fired or was already
+// pending set at once. Cancelling an event that already fired or was already
 // cancelled is a no-op: the handle's generation no longer matches the
 // pooled record, so a recycled record is never touched. So is a cancel
 // after Close, which dropped the heap.
@@ -130,12 +138,17 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
 type Sim struct {
 	now    Time
 	events []*event // 4-ary min-heap on (t, seq); each record knows its slot
-	free   []*event // event record free list
-	seq    uint64
-	rng    *rand.Rand
-	nprocs int
-	until  Time // Run bound for the loop, 0 = none
-	weakN  int  // weak events in the heap
+	// lane holds the records scheduled with zero delay, from laneHead on:
+	// all at now, in seq order. laneLive counts those not cancelled.
+	lane     []*event
+	laneHead int
+	laneLive int
+	free     []*event // event record free list
+	seq      uint64
+	rng      *rand.Rand
+	nprocs   int
+	until    Time // Run bound for the loop, 0 = none
+	weakN    int  // live weak events, in the heap or the lane
 
 	// The event ledger beside seq, which Run checks (audit).
 	fired, cancelled, dropped uint64
@@ -220,7 +233,7 @@ func (s *Sim) newEvent() *event {
 	return e
 }
 
-// recycle returns a record that left the heap to the free list. Bumping
+// recycle returns a record that left the pending set to the free list. Bumping
 // the generation first makes any outstanding handle to it inert.
 func (s *Sim) recycle(e *event) {
 	e.gen++
@@ -231,7 +244,8 @@ func (s *Sim) recycle(e *event) {
 	s.free = append(s.free, e)
 }
 
-// schedule enqueues one event record d after the current time.
+// schedule enqueues one event record d after the current time: on the
+// lane for a zero delay, in the heap otherwise.
 func (s *Sim) schedule(d Duration, fn func(), p *Proc, w *condWaiter) *event {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -241,6 +255,12 @@ func (s *Sim) schedule(d Duration, fn func(), p *Proc, w *condWaiter) *event {
 	e.seq = s.seq
 	e.fn, e.proc, e.waiter = fn, p, w
 	s.seq++
+	if d == 0 {
+		e.idx = laneSlot
+		s.lane = append(s.lane, e)
+		s.laneLive++
+		return e
+	}
 	e.idx = len(s.events)
 	s.events = append(s.events, e)
 	s.up(e.idx)
@@ -307,14 +327,34 @@ func (s *Sim) down(i int) {
 	h[i], e.idx = e, i
 }
 
-// cancel takes a pending record out of the heap and recycles it.
+// cancel takes a pending record out of the heap and recycles it. A lane
+// record keeps its place until its pop recycles it: marked dead, with its
+// generation bumped so its handle is inert at once.
 func (s *Sim) cancel(e *event) {
-	s.heapRemove(e.idx)
 	if e.weak {
 		s.weakN--
 	}
 	s.cancelled++
+	if e.idx == laneSlot {
+		e.idx = deadSlot
+		e.gen++
+		s.laneLive--
+		return
+	}
+	s.heapRemove(e.idx)
 	s.recycle(e)
+}
+
+// popLane takes the lane's first record off it; a drained lane starts
+// again at the front of its array.
+func (s *Sim) popLane() *event {
+	e := s.lane[s.laneHead]
+	s.lane[s.laneHead] = nil
+	s.laneHead++
+	if s.laneHead == len(s.lane) {
+		s.lane, s.laneHead = s.lane[:0], 0
+	}
+	return e
 }
 
 // handle returns the caller's cancellable handle to a scheduled record.
@@ -328,8 +368,8 @@ func (s *Sim) At(d Duration, fn func()) Event {
 }
 
 // AtWeak schedules fn like At, but as a weak event: at its scheduled time
-// it fires only if at least one ordinary (non-weak) event remains in the
-// heap. Otherwise the record is dropped without advancing the clock. A
+// it fires only if at least one ordinary (non-weak) event remains
+// pending. Otherwise the record is dropped without advancing the clock. A
 // self-rescheduling observer (a periodic sampler) uses this so its next
 // tick can never extend the simulation past the workload's natural
 // quiesce: the run ends at exactly the instant it would have ended with no
@@ -341,10 +381,10 @@ func (s *Sim) AtWeak(d Duration, fn func()) Event {
 	return s.handle(e)
 }
 
-// liveOrdinary reports whether any ordinary (non-weak) event remains in the
-// heap. Cancelled events leave the heap at once, so every record in it is
-// live, and counting the weak ones is enough.
-func (s *Sim) liveOrdinary() bool { return len(s.events) > s.weakN }
+// liveOrdinary reports whether any ordinary (non-weak) event remains
+// pending. Cancelled events leave the heap at once and the lane's live
+// count, so counting the weak ones is enough.
+func (s *Sim) liveOrdinary() bool { return s.Pending() > s.weakN }
 
 // wakeProc schedules a dispatch of p at the current instant without
 // allocating a closure (the typed fast path behind Cond, Resource, Queue).
@@ -381,12 +421,12 @@ func (s *Sim) Run(until Time) Time {
 }
 
 // audit checks the event ledger: every event ever scheduled has fired,
-// been cancelled, been dropped at quiesce, or is still in the heap. A
-// record that left the heap any other way would be a lost wake-up.
+// been cancelled, been dropped at quiesce, or is still pending. A record
+// that left the pending set any other way would be a lost wake-up.
 func (s *Sim) audit() {
-	if s.seq != s.fired+s.cancelled+s.dropped+uint64(len(s.events)) {
+	if s.seq != s.fired+s.cancelled+s.dropped+uint64(s.Pending()) {
 		panic(fmt.Sprintf("sim: event ledger does not balance: scheduled %d != fired %d + cancelled %d + dropped %d + pending %d",
-			s.seq, s.fired, s.cancelled, s.dropped, len(s.events)))
+			s.seq, s.fired, s.cancelled, s.dropped, s.Pending()))
 	}
 }
 
@@ -397,14 +437,38 @@ func (s *Sim) audit() {
 // callbacks fire inline wherever the loop happens to be, and a process
 // whose own wake-up is the next event gets itself back and continues with
 // no switch at all.
+//
+// The order is (t, seq) exactly, with the lane cut in at now: a heap
+// record at now was scheduled before the clock reached now, so its seq is
+// below every lane record's. So the loop pops the heap while its head is
+// at now, then drains the lane, and only then advances the clock.
 func (s *Sim) loop() *Proc {
-	for len(s.events) > 0 && !s.halted {
-		e := s.events[0]
+	for !s.halted {
+		var e *event
+		h := s.events
+		fromHeap := len(h) > 0 && (h[0].t == s.now || s.laneHead == len(s.lane))
+		switch {
+		case fromHeap:
+			e = h[0]
+		case s.laneHead < len(s.lane):
+			e = s.lane[s.laneHead]
+			if e.idx == deadSlot {
+				s.recycle(s.popLane())
+				continue
+			}
+		default:
+			return nil
+		}
 		if s.until > 0 && e.t > s.until {
 			s.now = s.until
 			break
 		}
-		s.heapRemove(0)
+		if fromHeap {
+			s.heapRemove(0)
+		} else {
+			s.popLane()
+			s.laneLive--
+		}
 		if e.weak {
 			s.weakN--
 			if !s.liveOrdinary() {
@@ -480,18 +544,20 @@ func (s *Sim) Close() {
 	s.nprocs = 0
 	s.carriers, s.idle = nil, nil
 	s.events, s.free, s.freeWaiters = nil, nil, nil
+	s.lane, s.laneHead, s.laneLive = nil, 0, 0
 	if f := s.fatal; f != nil {
 		f.raise(s.now)
 	}
 }
 
-// Idle reports whether no events remain. A cancelled event leaves the
-// heap at once, so a sim whose last deadlines were all cancelled is idle.
-func (s *Sim) Idle() bool { return len(s.events) == 0 }
+// Idle reports whether no events remain. A cancelled event stops counting
+// at once, so a sim whose last deadlines were all cancelled is idle.
+func (s *Sim) Idle() bool { return s.Pending() == 0 }
 
 // Pending reports how many events are scheduled and have not yet fired,
-// been cancelled or been dropped: the live records in the heap.
-func (s *Sim) Pending() int { return len(s.events) }
+// been cancelled or been dropped: the records in the heap and the live
+// ones on the lane.
+func (s *Sim) Pending() int { return len(s.events) + s.laneLive }
 
 // NumProcs reports the number of live (spawned, not yet finished) processes.
 func (s *Sim) NumProcs() int { return s.nprocs }
