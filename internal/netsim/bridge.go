@@ -64,6 +64,8 @@ type BridgePort struct {
 	ForwardedBytes uint64 // payload bytes retransmitted
 	DropsNoRoute   uint64 // arrivals with no forwarding entry (filtered)
 	dropsLinkDown  uint64 // dequeued while the port was down
+	received       uint64 // arrivals on this port's endpoint
+	routed         uint64 // arrivals offered to an output port's FIFO
 }
 
 // Net returns the segment network the port is attached to.
@@ -86,6 +88,28 @@ func (bp *BridgePort) DropsQueueFull() uint64 { return bp.out.Drops() }
 // output drained while severed, plus in-flight deliveries that arrived
 // at the severed attachment (counted by the segment, attributed here).
 func (bp *BridgePort) DropsLinkDown() uint64 { return bp.dropsLinkDown }
+
+// CheckDatagrams checks the bridge's datagram identity port by port:
+// every arrival on a port was filtered (no route) or offered to an output
+// FIFO, and every datagram a FIFO accepted was forwarded, dropped at a
+// down port or is still queued. Offers a full FIFO rejected are its
+// queue-full drops, so summed over the ports, datagrams received =
+// forwarded + dropped (no route, queue full, link down) + still queued.
+// It holds whenever no transmitter is between dequeue and send — at
+// quiesce. The error names the bridge and the port.
+func (b *Bridge) CheckDatagrams() error {
+	for _, bp := range b.Ports {
+		if bp.received != bp.DropsNoRoute+bp.routed {
+			return fmt.Errorf("bridge %s port %d (%s): received %d != no route %d + routed %d",
+				b.Name, bp.Index, bp.Segment, bp.received, bp.DropsNoRoute, bp.routed)
+		}
+		if q := uint64(bp.out.Len()); bp.out.Puts() != bp.Forwarded+bp.dropsLinkDown+q {
+			return fmt.Errorf("bridge %s port %d (%s): queued %d != forwarded %d + link down %d + still queued %d",
+				b.Name, bp.Index, bp.Segment, bp.out.Puts(), bp.Forwarded, bp.dropsLinkDown, q)
+		}
+	}
+	return nil
+}
 
 // SetDown severs or restores the port. While down the port neither
 // receives (in-flight deliveries to its endpoint are lost, exactly as
@@ -154,12 +178,14 @@ func (b *Bridge) outPort(in *BridgePort, host string) *BridgePort {
 // enqueues it on that port's FIFO. No way onward — or one pointing back
 // out the arrival port — filters the datagram.
 func (b *Bridge) route(in *BridgePort, dg *Datagram) {
+	in.received++
 	out := b.outPort(in, dg.To)
 	if out == nil || out == in {
 		in.DropsNoRoute++
 		dg.Release()
 		return
 	}
+	in.routed++
 	if !out.out.Put(dg) {
 		// Queue full: the per-port drop budget is spent; the byte queue
 		// counted the drop, we just release the record.

@@ -13,7 +13,10 @@ import (
 // receiver, a full socket buffer, a host that crashes while its datagram
 // is in flight — and checks that the segment's identity holds at quiesce
 // with every cause counted. Then one datagram goes missing uncounted, and
-// the identity names the numbers.
+// the identity names the numbers. A bridge's ports get the same treatment:
+// datagrams forwarded, filtered for want of a route, dropped at a full
+// FIFO and at a down port balance at quiesce, and an arrival that vanishes
+// uncounted is named with its bridge and port.
 func TestDatagramLedger(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
@@ -50,5 +53,55 @@ func TestDatagramLedger(t *testing.T) {
 	err := n.CheckDatagrams()
 	if err == nil || !strings.Contains(err.Error(), "sent 7 != delivered 2 + no destination 1 + link down 1 + socket buffer full 1 + host down 1") {
 		t.Fatalf("planted violation: %v", err)
+	}
+
+	// FDDI feeding Ethernet through a one-deep FIFO: a burst overflows it.
+	// A port taken down drops what it dequeues, and what it was
+	// processing when it went down.
+	lan, wan := New(s, hw.FDDI()), New(s, hw.Ethernet())
+	br := NewBridge(s, "br", BridgeParams{QueueItems: 1, ForwardLatency: 10 * sim.Millisecond})
+	in, out := br.AttachPort(lan, "lan"), br.AttachPort(wan, "wan")
+	lan.Attach("src", 0, 0)
+	wan.Attach("sink", 0, 0)
+	lan.AddRoute("sink", in.ep)
+	lan.AddRoute("stranger", in.ep) // routed to the bridge, which has no entry
+	br.SetForward("sink", out)
+	s.Spawn("bridged", func(p *sim.Proc) {
+		msg := make([]byte, 8192)
+		lan.Send(p, "src", "stranger", msg)
+		for i := 0; i < 8; i++ {
+			lan.Send(p, "src", "sink", msg)
+		}
+		p.Sleep(sim.Second)
+		out.SetDown(true)
+		lan.Send(p, "src", "sink", msg)
+		p.Sleep(sim.Second)
+		out.SetDown(false)
+		lan.Send(p, "src", "sink", msg)
+		p.Sleep(5 * sim.Millisecond) // inside the bridge's 10 ms of processing
+		out.SetDown(true)
+		p.Sleep(sim.Second)
+		out.SetDown(false)
+	})
+	s.Run(0)
+	if err := br.CheckDatagrams(); err != nil {
+		t.Fatal(err)
+	}
+	if in.received != 11 || in.DropsNoRoute != 1 || out.Forwarded == 0 || out.DropsQueueFull() == 0 || out.DropsLinkDown() != 2 ||
+		out.Forwarded+out.DropsQueueFull()+out.DropsLinkDown() != 10 {
+		t.Fatalf("received %d, no route %d, forwarded %d, queue full %d, link down %d",
+			in.received, in.DropsNoRoute, out.Forwarded, out.DropsQueueFull(), out.DropsLinkDown())
+	}
+
+	in.received++ // planted: an arrival on the lan port vanished uncounted
+	err = br.CheckDatagrams()
+	if err == nil || !strings.Contains(err.Error(), "bridge br port 0 (lan): received 12 != no route 1 + routed 10") {
+		t.Fatalf("planted bridge violation: %v", err)
+	}
+	in.received--
+	out.Forwarded-- // planted: a datagram left the wan port's FIFO uncounted
+	err = br.CheckDatagrams()
+	if err == nil || !strings.Contains(err.Error(), "bridge br port 1 (wan): queued ") {
+		t.Fatalf("planted bridge violation: %v", err)
 	}
 }

@@ -62,7 +62,7 @@ func TestOpSteadyStateAllocs(t *testing.T) {
 	g := NewGen(cli, pop, Config{Rate: 1})
 	// A zero-length window: Start opens and closes it, leaving the
 	// admission path ready for the ops the test admits by hand.
-	if err := g.Start(s, func(Result) {}); err != nil {
+	if err := g.Start(s, func(*Result) {}); err != nil {
 		t.Fatal(err)
 	}
 	var ops uint64

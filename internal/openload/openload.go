@@ -373,7 +373,7 @@ type Gen struct {
 	start, end sim.Time
 	closed     bool
 	active     int
-	finish     func(Result)
+	finish     func(*Result)
 }
 
 // NewGen builds a generator bound to one client over the shared
@@ -431,8 +431,10 @@ func (g *Gen) CheckScratch(p *sim.Proc) error {
 
 // Start opens the window on s now. A chain of events emits arrivals until
 // Measure elapses (or the replay timeline ends); once in-flight and
-// backlogged work has drained too, finish receives the accounting.
-func (g *Gen) Start(s *sim.Sim, finish func(Result)) error {
+// backlogged work has drained too, finish receives the accounting. It is
+// the generator's own record, handed over by pointer, not a copy: its
+// latency histogram is the one the operations recorded into.
+func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	g.sim, g.finish = s, finish
 	g.rng = rand.New(rand.NewSource(g.cfg.Seed))
 	g.win = client.NewIssueWindow(g.cfg.Window)
@@ -455,13 +457,17 @@ func (g *Gen) Start(s *sim.Sim, finish func(Result)) error {
 
 // Run is Start on p's simulation plus a wait: p blocks until the window
 // has closed and the last operation has drained, and gets the accounting.
+// The latency histogram is handed over with it: the generator keeps its
+// counters but no longer holds the buckets.
 func (g *Gen) Run(p *sim.Proc) (Result, error) {
 	wake := p.Park()
-	if err := g.Start(p.Sim(), func(Result) { wake() }); err != nil {
+	if err := g.Start(p.Sim(), func(*Result) { wake() }); err != nil {
 		return Result{}, err
 	}
 	p.Block()
-	return g.res, nil
+	res := g.res
+	g.res.Lat = stats.Latency{}
+	return res, nil
 }
 
 // InFlight reports operations currently holding admission slots (the
@@ -537,7 +543,7 @@ func (g *Gen) settle() {
 	if g.closed && g.active == 0 {
 		g.res.PeakQueue = g.backlog.PeakLen()
 		g.res.PeakInFlight = g.win.Peak()
-		g.finish(g.res)
+		g.finish(&g.res)
 	}
 }
 

@@ -267,7 +267,7 @@ func TestRunIsStartPlusWait(t *testing.T) {
 						results[i] = res
 						settled++
 					})
-				} else if err := g.Start(r.Sim, func(res Result) { results[i] = res; settled++ }); err != nil {
+				} else if err := g.Start(r.Sim, func(res *Result) { results[i] = *res; settled++ }); err != nil {
 					t.Error(err)
 				}
 			}

@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/openload"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -459,6 +462,51 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 	if c.Carriers > bound {
 		t.Errorf("%d clients started %d coroutines, more than %d nfsds + %d transmitters + %d",
 			segments*perSegment, c.Carriers, spec.Topology.Servers.Nfsds, txPorts, harness)
+	}
+}
+
+// TestClientSetupFootprint bounds the heap an open-loop client costs
+// before its generator starts: the cluster's client, its generator and the
+// cell's slot for its result, as runOpenload builds them. It is the slope
+// of the live heap between 100 and 1,000 clients on the same 10 bridged
+// segments, so the server, its disks and the fabric drop out. A latency
+// histogram holds no buckets before its first sample and a generator's
+// result is handed over, not copied: a client cost 8.9 KB when the
+// client's, the generator's and the copied result's histograms were three
+// fixed 2 KB bucket arrays. No generator starts, so no rand source counts.
+func TestClientSetupFootprint(t *testing.T) {
+	const segments, bound = 10, 3200 // measured 2,561 bytes per client, + 25 %
+	heap := func(perSegment int) (uint64, int) {
+		spec := OpenloadBridged("footprint", "heap against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
+		spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}
+		rc := resolveAll(t, spec)[0]
+		w := rc.open
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := cluster.New(rc.clusterConfig())
+		defer c.Sim.Close()
+		pop, err := openload.NewPopulation(w.Files, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := make([]*openload.Gen, len(c.Clients))
+		results := make([]*openload.Result, len(c.Clients))
+		for i, cli := range c.Clients {
+			gens[i] = openload.NewGen(cli, pop, openload.Config{Rate: w.TargetOps / float64(len(c.Clients)), Measure: w.Measure, Seed: w.Seed + int64(i)})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(gens)
+		runtime.KeepAlive(results)
+		return after.HeapAlloc - before.HeapAlloc, len(c.Clients)
+	}
+	small, n0 := heap(10)
+	large, n1 := heap(100)
+	perClient := float64(large-small) / float64(n1-n0)
+	t.Logf("%d clients: %d bytes live; %d clients: %d bytes; %.0f bytes per client", n0, small, n1, large, perClient)
+	if perClient > bound {
+		t.Errorf("an open-loop client costs %.0f bytes before its generator starts, more than %d", perClient, bound)
 	}
 }
 

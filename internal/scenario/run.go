@@ -287,6 +287,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 		assertRPCLedger(c.Clients)
 		assertWriteLedger(c.Nodes)
 		assertDatagramLedger(c)
+		assertBridgeLedger(c)
 	}
 	assertPagesIntact(c.Pages)
 
@@ -768,6 +769,22 @@ func assertDatagramLedger(c *cluster.Cluster) {
 	})
 }
 
+// assertBridgeLedger is the fabric's identity at quiesce: on every bridge
+// port, each datagram received was forwarded, dropped for a counted cause
+// (no route, queue full, link down) or is still queued
+// (netsim.Bridge.CheckDatagrams). A violation panics naming the bridge and
+// the port.
+func assertBridgeLedger(c *cluster.Cluster) {
+	if c.Fabric == nil {
+		return
+	}
+	for _, br := range c.Fabric.Bridges() {
+		if err := br.CheckDatagrams(); err != nil {
+			panic("scenario: bridge ledger does not balance: " + err.Error())
+		}
+	}
+}
+
 // assertPagesIntact is the payload identity: every pattern page the cell
 // built still holds its pattern and the table's reference
 // (client.Pages.Check), so no receiver wrote into a shared payload — not
@@ -865,7 +882,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	}
 
 	gens := make([]*openload.Gen, nclients)
-	results := make([]openload.Result, nclients)
+	results := make([]*openload.Result, nclients)
 	for i, cli := range c.Clients {
 		cfg := openload.Config{
 			Arrival:  w.Arrival,
@@ -910,7 +927,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 					assertSilentSetup(c)
 					c.MarkInterval()
 				}
-				err := gens[i].Start(s, func(res openload.Result) {
+				err := gens[i].Start(s, func(res *openload.Result) {
 					results[i] = res
 					finished++
 				})
@@ -961,8 +978,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	var completed, offered uint64
 	var latSumUs float64
 	var latN int
-	for i := range results {
-		res := &results[i]
+	for _, res := range results {
 		offered += res.Offered
 		completed += res.Completed
 		cr.Errors += res.Errors

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/openload"
 	"repro/internal/sim"
@@ -422,14 +423,17 @@ func TestWriteLedgerAuditFires(t *testing.T) {
 	}
 }
 
-// TestPayloadAndDatagramAuditsFire holds the runner's two quiesce
-// identities for payloads and datagrams to both sides. A write-behind
+// TestPayloadAndDatagramAuditsFire holds the runner's quiesce identities
+// for payloads, datagrams and bridges to both sides. A write-behind
 // stream lands on a gathering Presto server as pattern pages (buffer
 // cache, NVRAM, platters), then an unaligned write and a read-back touch
 // the same blocks: at quiesce every page is intact and every segment's
 // datagrams are accounted for. Mid-stream, with datagrams in flight, the
 // datagram audit fires; a planted uncounted datagram and one scribbled
-// page byte each fire a message that names the segment or the page.
+// page byte each fire a message that names the segment or the page. The
+// same stream from behind a bridge leaves every bridge port balanced at
+// quiesce, and a datagram that leaves a port's FIFO uncounted fires a
+// message that names the bridge and the port.
 func TestPayloadAndDatagramAuditsFire(t *testing.T) {
 	audit := func(fn func()) (msg string) {
 		defer func() {
@@ -490,5 +494,39 @@ func TestPayloadAndDatagramAuditsFire(t *testing.T) {
 	msg = audit(func() { assertPagesIntact(c.Pages) })
 	if want := "scenario: pattern page 5: byte 17 is "; !strings.HasPrefix(msg, want) {
 		t.Errorf("audit after a scribbled page said %q, want it to start %q", msg, want)
+	}
+
+	b := cluster.New(cluster.Config{
+		Segments: []netsim.SegmentSpec{
+			{Name: "core", Params: hw.FDDI()},
+			{Name: "leaf", Params: hw.Ethernet(), Uplink: "core"},
+		},
+		ServerSegment: "core", ClientSegment: "leaf",
+		Clients: 1, Biods: 4, Gathering: true, Presto: true, Seed: 1,
+	})
+	defer b.Sim.Close()
+	b.Sim.Spawn("app", func(p *sim.Proc) {
+		cli := b.Clients[0]
+		cres, err := cli.Create(p, b.Roots()[0], "f", 0644)
+		if err != nil || cres.Status != nfsproto.OK {
+			t.Errorf("bridged create: %v %v", err, cres)
+			return
+		}
+		if _, err := cli.WriteFile(p, cres.File, 30*nfsproto.MaxData); err != nil {
+			t.Errorf("bridged WriteFile: %v", err)
+		}
+	})
+	b.Sim.Run(0)
+	if msg := audit(func() { assertBridgeLedger(b) }); msg != "" {
+		t.Fatalf("bridge audit fired at quiesce: %s", msg)
+	}
+	up := b.Fabric.Uplink("leaf").Ports[1]
+	if up.Forwarded < 30 {
+		t.Fatalf("the uplink forwarded %d datagrams toward the server, want the 30 WRITEs at least", up.Forwarded)
+	}
+	up.Forwarded-- // planted: a datagram left the port's FIFO uncounted
+	msg = audit(func() { assertBridgeLedger(b) })
+	if want := "scenario: bridge ledger does not balance: bridge bridge:leaf port 1 (core): queued "; !strings.HasPrefix(msg, want) {
+		t.Errorf("audit after an uncounted forward said %q, want it to start %q", msg, want)
 	}
 }

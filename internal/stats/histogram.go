@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // HistBuckets is the number of buckets in a Histogram: values 0..3 get
@@ -14,17 +15,22 @@ const HistBuckets = 4 + 4*61
 // Histogram is a streaming log-scale histogram over non-negative int64
 // values (latencies in microseconds, batch sizes, byte counts). It uses
 // fixed buckets — four sub-buckets per power of two — so memory is
-// constant regardless of sample count and no per-sample record is kept.
-// All bucket math is integer-only, so recording is deterministic and
-// Merge is exactly associative.
+// bounded regardless of sample count and no per-sample record is kept.
+// The bucket slice is nil until the first sample and holds buckets only
+// up to the highest one recorded or merged: a histogram of a client that
+// never completed an operation costs nothing. All bucket math is
+// integer-only, so recording is deterministic and Merge is exactly
+// associative.
 //
-// The zero value is an empty histogram ready for use.
+// The zero value is an empty histogram ready for use. A plain copy shares
+// the buckets of its source, so histograms are handed over by pointer, or
+// copied with Clone.
 type Histogram struct {
 	Count   int64
 	Sum     int64
 	MinSeen int64 // valid only when Count > 0
 	MaxSeen int64
-	buckets [HistBuckets]int64
+	buckets []int64
 }
 
 // BucketIndex maps a value to its bucket. Negative values clamp to
@@ -70,7 +76,23 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.Count++
 	h.Sum += v
-	h.buckets[BucketIndex(v)]++
+	i := BucketIndex(v)
+	h.grow(i + 1)
+	h.buckets[i]++
+}
+
+// grow extends the bucket slice to at least n buckets.
+func (h *Histogram) grow(n int) {
+	if n > len(h.buckets) {
+		h.buckets = append(h.buckets, make([]int64, n-len(h.buckets))...)
+	}
+}
+
+// Clone returns a copy of h that shares nothing with it.
+func (h *Histogram) Clone() Histogram {
+	c := *h
+	c.buckets = slices.Clone(h.buckets)
+	return c
 }
 
 // N reports the number of recorded samples.
@@ -85,7 +107,12 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
+func (h *Histogram) Bucket(i int) int64 {
+	if i >= len(h.buckets) {
+		return 0
+	}
+	return h.buckets[i]
+}
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
 // interpolation within the covering bucket, clamped to the observed
@@ -139,7 +166,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
+	h.grow(len(o.buckets))
+	for i, n := range o.buckets {
+		h.buckets[i] += n
 	}
 }

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// sameHist reports whether a and b agree in count, sum, min, max and every
+// bucket.
+func sameHist(a, b *Histogram) bool {
+	if a.Count != b.Count || a.Sum != b.Sum || a.MinSeen != b.MinSeen || a.MaxSeen != b.MaxSeen {
+		return false
+	}
+	for i := 0; i < HistBuckets; i++ {
+		if a.Bucket(i) != b.Bucket(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // Every value must land in a bucket whose bounds bracket it, and bucket
 // lower bounds must be strictly increasing.
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -41,12 +55,34 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if BucketIndex(-5) != 0 {
 		t.Fatalf("negative values must clamp to bucket 0")
 	}
+
+	// A histogram holds buckets up to the highest it recorded, no more,
+	// and a lower sample after a high one does not grow it.
+	var h Histogram
+	h.Record(1 << 40)
+	if want := BucketIndex(1<<40) + 1; len(h.buckets) != want {
+		t.Fatalf("after one high sample: %d buckets, want %d", len(h.buckets), want)
+	}
+	n := len(h.buckets)
+	if allocs := testing.AllocsPerRun(100, func() { h.Record(5) }); allocs != 0 || len(h.buckets) != n {
+		t.Fatalf("a low sample after a high one: %v allocations, %d buckets, want 0 and %d", allocs, len(h.buckets), n)
+	}
 }
 
 func TestHistogramQuantileInterpolation(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 {
 		t.Fatalf("empty histogram quantile must be 0")
+	}
+	// An empty histogram holds no buckets, and reading, merging or
+	// cloning one allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		var e Histogram
+		e.Merge(&h)
+		c := e.Clone()
+		_ = c.Quantile(0.99) + c.Mean() + float64(c.Bucket(HistBuckets-1))
+	}); allocs != 0 || h.buckets != nil {
+		t.Fatalf("empty histogram: %v allocations, %d buckets", allocs, len(h.buckets))
 	}
 	// All mass in one exact bucket: every quantile is that value.
 	for i := 0; i < 10; i++ {
@@ -130,18 +166,35 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 	right.Merge(a)
 	right.Merge(bc)
 
-	if *left != *right {
+	if !sameHist(left, right) {
 		t.Fatalf("merge is not associative: (a+b)+c != a+(b+c)")
 	}
 	if left.Count != 3500 {
 		t.Fatalf("merged count = %d, want 3500", left.Count)
 	}
 	// Merging an empty or nil histogram is a no-op.
-	before := *left
+	before := left.Clone()
 	left.Merge(&Histogram{})
 	left.Merge(nil)
-	if *left != before {
+	if !sameHist(left, &before) {
 		t.Fatalf("merging empty/nil changed the histogram")
+	}
+
+	// A longer histogram merged into a shorter one grows it to the longer
+	// one's buckets, and the sum is what recording both would have given.
+	var short, long, both Histogram
+	for _, v := range []int64{0, 3, 9} {
+		short.Record(v)
+		both.Record(v)
+	}
+	for _, v := range []int64{2, 1 << 20, 1 << 40} {
+		long.Record(v)
+		both.Record(v)
+	}
+	short.Merge(&long)
+	if !sameHist(&short, &both) || len(short.buckets) != len(long.buckets) {
+		t.Fatalf("longer into shorter: %d buckets, equal to recording both: %v; want %d, true",
+			len(short.buckets), sameHist(&short, &both), len(long.buckets))
 	}
 }
 
@@ -162,12 +215,25 @@ func TestHistogramDeterminism(t *testing.T) {
 	}
 	h1, q1 := run()
 	h2, q2 := run()
-	if h1 != h2 {
+	if !sameHist(&h1, &h2) {
 		t.Fatalf("histograms differ across identical seeds")
 	}
 	for i := range q1 {
 		if q1[i] != q2[i] {
 			t.Fatalf("quantile %d differs across identical seeds: %g vs %g", i, q1[i], q2[i])
+		}
+	}
+
+	// A Clone is equal to its source and independent of it both ways.
+	c := h1.Clone()
+	if !sameHist(&c, &h1) {
+		t.Fatalf("a clone differs from its source")
+	}
+	for _, v := range []int64{1000, 1 << 50} {
+		h1.Record(v)
+		c.Record(3 * v)
+		if c.Bucket(BucketIndex(v)) != h2.Bucket(BucketIndex(v)) || h1.Bucket(BucketIndex(3*v)) != h2.Bucket(BucketIndex(3*v)) {
+			t.Fatalf("a clone shares buckets with its source: recording %d and %d", v, 3*v)
 		}
 	}
 }

@@ -106,55 +106,40 @@ func (u *Utilization) Percent(now sim.Time) float64 {
 	return 100 * float64(u.Busy(now)-u.markBusy) / float64(elapsed)
 }
 
-// Latency streams response-time samples into constant memory: an exact
-// sum and count back the mean, an exact running max backs Max, and a
-// log-scale Histogram backs percentile estimates. No per-sample record
-// is kept, so 100x10 sweep grids and thousand-seed fuzz campaigns hold
-// the same memory per worker as a single cell.
+// Latency streams response-time samples into bounded memory: the
+// histogram's exact sum and count back the mean, its exact running max
+// backs Max, and its log-scale buckets back percentile estimates. No
+// per-sample record is kept, so 100x10 sweep grids and thousand-seed fuzz
+// campaigns hold the same memory per worker as a single cell. Like its
+// Histogram, a Latency is handed over by pointer, not copied.
 type Latency struct {
-	n    int64
-	sum  sim.Duration
-	max  sim.Duration
 	hist Histogram
 }
 
 // Record adds one sample. Negative durations clamp to zero.
-func (l *Latency) Record(d sim.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	l.n++
-	l.sum += d
-	if d > l.max {
-		l.max = d
-	}
-	l.hist.Record(int64(d))
-}
+func (l *Latency) Record(d sim.Duration) { l.hist.Record(int64(d)) }
 
 // N reports the number of samples.
-func (l *Latency) N() int { return int(l.n) }
+func (l *Latency) N() int { return int(l.hist.Count) }
 
 // Mean reports the average sample, or 0 with no samples. It is exact
 // (integer sum over count), not a histogram estimate.
 func (l *Latency) Mean() sim.Duration {
-	if l.n == 0 {
+	if l.hist.Count == 0 {
 		return 0
 	}
-	return l.sum / sim.Duration(l.n)
+	return sim.Duration(l.hist.Sum / l.hist.Count)
 }
 
 // Percentile estimates the p-th percentile (0 < p <= 100) from the
 // histogram: linear interpolation within the covering log-scale bucket,
 // clamped to the observed min/max.
 func (l *Latency) Percentile(p float64) sim.Duration {
-	if l.n == 0 {
-		return 0
-	}
 	return sim.Duration(l.hist.Quantile(p / 100))
 }
 
 // Max reports the largest sample, exactly.
-func (l *Latency) Max() sim.Duration { return l.max }
+func (l *Latency) Max() sim.Duration { return sim.Duration(l.hist.MaxSeen) }
 
 // Hist exposes the underlying histogram for merging into roll-ups.
 func (l *Latency) Hist() *Histogram { return &l.hist }

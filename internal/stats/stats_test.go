@@ -119,6 +119,12 @@ func TestLatencyEmpty(t *testing.T) {
 	if l.Mean() != 0 || l.Percentile(95) != 0 || l.Max() != 0 {
 		t.Fatal("empty latency stats not zero")
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var e Latency
+		_ = e.Mean() + e.Percentile(99) + e.Max() + sim.Duration(e.Hist().Quantile(0.5))
+	}); allocs != 0 || l.Hist().buckets != nil {
+		t.Fatalf("an empty Latency allocated %v objects and holds %d buckets", allocs, len(l.Hist().buckets))
+	}
 }
 
 func TestQuickPercentileWithinRange(t *testing.T) {

@@ -70,7 +70,7 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 		return nil
 	}
 	// A shrinking truncate invalidates any memoized directory parse.
-	in.dents, in.dentsOK = nil, false
+	in.dents, in.names, in.dentsOK = nil, nil, false
 	keep := (int64(size) + BlockSize - 1) / BlockSize
 	// Free direct blocks beyond the cut.
 	for fb := keep; fb < NumDirect; fb++ {

@@ -39,7 +39,12 @@ type dirent struct {
 	name string
 }
 
-// indexOf returns the position of name in ents, or -1.
+// A dirIndex maps every name of a parsed directory to its inode number.
+// Its keys are the dirents' own strings, never a caller's.
+type dirIndex map[string]vfs.Ino
+
+// indexOf returns the position of name in ents, or -1. Lookups go through
+// the dirIndex; this scan is only for a removal, which needs the position.
 func indexOf(ents []dirent, name string) int {
 	for i, e := range ents {
 		if e.name == name {
@@ -49,43 +54,45 @@ func indexOf(ents []dirent, name string) int {
 	return -1
 }
 
-// loadDir returns the directory's parsed contents. The parse is memoized
-// on the inode and the memo is edited in place: readers (Lookup, Readdir)
-// finish with the slice before they yield, and a mutator edits it and hands
-// it to storeDir without yielding in between — one that has to yield first
-// (Rename dropping its target, Rmdir reading the victim) calls loadDir
-// again afterwards. The memo never changes simulated timing — directory
-// blocks stay in the buffer cache once read, so a reparse would cost no
-// virtual time either.
-func (fs *FS) loadDir(p *sim.Proc, in *inode) ([]dirent, error) {
+// loadDir returns the directory's parsed contents and their name index.
+// The parse is memoized on the inode and the memo is edited in place:
+// readers (Lookup, Readdir) finish with it before they yield, and a mutator
+// edits the slice and the index together and hands both to storeDir
+// without yielding in between — one that has to yield first (Rename
+// dropping its target, Rmdir reading the victim) calls loadDir again
+// afterwards. The memo never changes simulated timing — directory blocks
+// stay in the buffer cache once read, so a reparse would cost no virtual
+// time either.
+func (fs *FS) loadDir(p *sim.Proc, in *inode) ([]dirent, dirIndex, error) {
 	if in.ftype != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
+		return nil, nil, vfs.ErrNotDir
 	}
 	if in.dentsOK {
-		return in.dents, nil
+		return in.dents, in.names, nil
 	}
-	ents, err := fs.parseDir(p, in)
+	ents, names, err := fs.parseDir(p, in)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Memoize only quiescent parses: while a storeDir is mid-flush on this
 	// inode (it yields for disk I/O), a parse may observe a transient state
 	// that no later invalidation would clear.
 	if in.storing == 0 {
-		in.dents, in.dentsOK = ents, true
+		in.dents, in.names, in.dentsOK = ents, names, true
 	}
-	return ents, nil
+	return ents, names, nil
 }
 
-// parseDir reads and parses the directory's contents from the cache/device.
-func (fs *FS) parseDir(p *sim.Proc, in *inode) ([]dirent, error) {
+// parseDir reads and parses the directory's contents from the cache/device
+// and indexes them by name.
+func (fs *FS) parseDir(p *sim.Proc, in *inode) ([]dirent, dirIndex, error) {
 	var raw []byte
 	for {
 		f0 := fs.sim.EventsFired()
 		raw = make([]byte, in.size)
 		if in.size > 0 {
 			if _, err := fs.readRaw(p, in, 0, raw); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if fs.sim.EventsFired() == f0 {
@@ -98,49 +105,49 @@ func (fs *FS) parseDir(p *sim.Proc, in *inode) ([]dirent, error) {
 		// one consistent copy.
 	}
 	if len(raw) < dirHeaderSize {
-		return nil, nil
+		return nil, dirIndex{}, nil
 	}
 	n := binary.BigEndian.Uint32(raw)
 	ents := make([]dirent, 0, n)
+	names := make(dirIndex, n)
 	off := dirHeaderSize
 	for i := uint32(0); i < n; i++ {
 		if off+direntFixed > len(raw) {
-			return nil, fmt.Errorf("ufs: corrupt directory %d", in.num)
+			return nil, nil, fmt.Errorf("ufs: corrupt directory %d", in.num)
 		}
 		ino := vfs.Ino(binary.BigEndian.Uint64(raw[off:]))
 		nl := int(binary.BigEndian.Uint16(raw[off+8:]))
 		off += direntFixed
 		if off+nl > len(raw) {
-			return nil, fmt.Errorf("ufs: corrupt directory %d", in.num)
+			return nil, nil, fmt.Errorf("ufs: corrupt directory %d", in.num)
 		}
-		ents = append(ents, dirent{ino: ino, name: string(raw[off : off+nl])})
+		name := string(raw[off : off+nl])
+		ents = append(ents, dirent{ino: ino, name: name})
+		names[name] = ino
 		off += nl
 	}
-	return ents, nil
+	return ents, names, nil
 }
 
-// storeDir makes ents the directory's contents and commits them
-// synchronously (data and metadata both durable on return). first is the
-// index of the first entry that differs from what the directory held when
-// ents was loaded; the bytes of the entries before it are already in the
-// buffer cache where they belong, so only the count header and the entries
-// from first on are encoded and copied — host work in the bytes that
-// changed, not in the size of the directory. The simulated work is that of
-// a whole rewrite: see writeDir.
+// storeDir makes ents, indexed by names, the directory's contents and
+// commits them synchronously (data and metadata both durable on return).
+// first is the index of the first entry that differs from what the
+// directory held when ents was loaded, and off its byte offset; the bytes
+// of the entries before it are already in the buffer cache where they
+// belong, so only the count header and the entries from first on are
+// encoded and copied — host work in the bytes that changed, not in the
+// size of the directory. The simulated work is that of a whole rewrite:
+// see writeDir.
 //
-// It invalidates the memoized parse and re-validates it as ents only if
-// the cache update ran without yielding. Otherwise concurrent mutators of
-// the same directory may have interleaved, the memo stays invalid, and the
-// next quiescent loadDir rebuilds it from the buffer cache at zero
-// simulated cost.
-func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent, first int) error {
-	in.dents, in.dentsOK = nil, false
+// It invalidates the memoized parse and its index and re-validates them as
+// ents and names only if the cache update ran without yielding. Otherwise
+// concurrent mutators of the same directory may have interleaved, the memo
+// stays invalid, and the next quiescent loadDir rebuilds it from the
+// buffer cache at zero simulated cost.
+func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent, names dirIndex, first, off int) error {
+	in.dents, in.names, in.dentsOK = nil, nil, false
 	in.storing++
 	defer func() { in.storing-- }()
-	off := dirHeaderSize
-	for _, e := range ents[:first] {
-		off += direntFixed + len(e.name)
-	}
 	n := 0
 	for _, e := range ents[first:] {
 		n += direntFixed + len(e.name)
@@ -164,7 +171,7 @@ func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent, first int) error {
 		// interleave: the buffer cache holds exactly ents. Re-validate the
 		// memo now, before the flushes below yield, so concurrent readers
 		// and mutators work on it.
-		in.dents, in.dentsOK = ents, true
+		in.dents, in.names, in.dentsOK = ents, names, true
 	}
 	// Directory writes are synchronous end to end.
 	if err := fs.SyncData(p, in.num, 0, in.size); err != nil {
@@ -175,6 +182,18 @@ func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent, first int) error {
 	}
 	return fs.flushInode(p, in, false, true)
 }
+
+// direntOffset is the byte offset of ents[i] in the directory's encoding.
+func direntOffset(ents []dirent, i int) int {
+	off := dirHeaderSize
+	for _, e := range ents[:i] {
+		off += direntFixed + len(e.name)
+	}
+	return off
+}
+
+// dirEnd is the byte offset where an entry appended to the directory goes.
+func dirEnd(in *inode) int { return max(int(in.size), dirHeaderSize) }
 
 // readRaw reads file bytes without touching atime (directory internal).
 func (fs *FS) readRaw(p *sim.Proc, in *inode, off uint32, out []byte) (int, error) {
@@ -275,14 +294,12 @@ func (fs *FS) Lookup(p *sim.Proc, dir vfs.Ino, name string) (vfs.Ino, error) {
 		// NFS layer resolves ".." only at the root in these workloads.
 		return dir, nil
 	}
-	ents, err := fs.loadDir(p, din)
+	_, names, err := fs.loadDir(p, din)
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range ents {
-		if e.name == name {
-			return e.ino, nil
-		}
+	if ino, ok := names[name]; ok {
+		return ino, nil
 	}
 	return 0, vfs.ErrNoEnt
 }
@@ -311,19 +328,21 @@ func (fs *FS) makeNode(p *sim.Proc, dir vfs.Ino, name string, mode uint32, ft vf
 	if err != nil {
 		return 0, err
 	}
-	ents, err := fs.loadDir(p, din)
+	ents, names, err := fs.loadDir(p, din)
 	if err != nil {
 		return 0, err
 	}
-	if indexOf(ents, name) >= 0 {
+	if _, ok := names[name]; ok {
 		return 0, vfs.ErrExist
 	}
 	in := fs.allocInode(ft, mode)
 	if in == nil {
 		return 0, vfs.ErrNoSpace
 	}
-	ents = append(ents, dirent{ino: in.num, name: strings.Clone(name)})
-	if err := fs.storeDir(p, din, ents, len(ents)-1); err != nil {
+	kept := strings.Clone(name)
+	ents = append(ents, dirent{ino: in.num, name: kept})
+	names[kept] = in.num
+	if err := fs.storeDir(p, din, ents, names, len(ents)-1, dirEnd(din)); err != nil {
 		return 0, err
 	}
 	// New inode durable too.
@@ -348,7 +367,7 @@ func (fs *FS) unlink(p *sim.Proc, dir vfs.Ino, name string, wantDir bool) error 
 	if err != nil {
 		return err
 	}
-	ents, err := fs.loadDir(p, din)
+	ents, names, err := fs.loadDir(p, din)
 	if err != nil {
 		return err
 	}
@@ -364,7 +383,7 @@ func (fs *FS) unlink(p *sim.Proc, dir vfs.Ino, name string, wantDir bool) error 
 		if tin.ftype != vfs.TypeDir {
 			return vfs.ErrNotDir
 		}
-		sub, err := fs.loadDir(p, tin)
+		sub, _, err := fs.loadDir(p, tin)
 		if err != nil {
 			return err
 		}
@@ -372,7 +391,7 @@ func (fs *FS) unlink(p *sim.Proc, dir vfs.Ino, name string, wantDir bool) error 
 			return vfs.ErrNotEmpty
 		}
 		// Reading the victim may have slept; take the parent again.
-		if ents, err = fs.loadDir(p, din); err != nil {
+		if ents, names, err = fs.loadDir(p, din); err != nil {
 			return err
 		}
 		if i = indexOf(ents, name); i < 0 || ents[i].ino != tin.num {
@@ -381,7 +400,8 @@ func (fs *FS) unlink(p *sim.Proc, dir vfs.Ino, name string, wantDir bool) error 
 	} else if tin.ftype == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	if err := fs.storeDir(p, din, slices.Delete(ents, i, i+1), i); err != nil {
+	delete(names, name)
+	if err := fs.storeDir(p, din, slices.Delete(ents, i, i+1), names, i, direntOffset(ents, i)); err != nil {
 		return err
 	}
 	tin.nlink--
@@ -398,61 +418,72 @@ func (fs *FS) Rename(p *sim.Proc, fromDir vfs.Ino, fromName string, toDir vfs.In
 	if err != nil {
 		return err
 	}
-	fents, err := fs.loadDir(p, fdin)
+	_, fnames, err := fs.loadDir(p, fdin)
 	if err != nil {
 		return err
 	}
-	idx := indexOf(fents, fromName)
-	if idx < 0 {
+	moved, ok := fnames[fromName]
+	if !ok {
 		return vfs.ErrNoEnt
 	}
-	moved := fents[idx].ino
 	tdin, err := fs.getInode(toDir)
 	if err != nil {
 		return err
 	}
 	// An existing destination goes first. Dropping it clears its inode slot
 	// on the device, which yields, so the entries are taken afresh after it.
-	tents, err := fs.loadDir(p, tdin)
+	_, tnames, err := fs.loadDir(p, tdin)
 	if err != nil {
 		return err
 	}
-	if j := indexOf(tents, toName); j >= 0 && tents[j].ino != moved {
-		if err := fs.dropTarget(p, tents[j].ino); err != nil {
+	if ino, ok := tnames[toName]; ok && ino != moved {
+		if err := fs.dropTarget(p, ino); err != nil {
 			return err
 		}
 	}
-	if fents, err = fs.loadDir(p, fdin); err != nil {
+	fents, fnames, err := fs.loadDir(p, fdin)
+	if err != nil {
 		return err
 	}
-	if idx = indexOf(fents, fromName); idx < 0 || fents[idx].ino != moved {
+	idx := indexOf(fents, fromName)
+	if idx < 0 || fents[idx].ino != moved {
 		return vfs.ErrNoEnt
 	}
 	if fdin == tdin {
 		// Same-directory rename: single dir rewrite.
 		first := idx
-		if j := indexOf(fents, toName); j >= 0 && j != idx {
-			fents = slices.Delete(fents, j, j+1)
-			if j < idx {
-				idx--
+		if _, ok := fnames[toName]; ok {
+			if j := indexOf(fents, toName); j != idx {
+				fents = slices.Delete(fents, j, j+1)
+				if j < idx {
+					idx--
+				}
+				first = min(idx, j)
 			}
-			first = min(idx, j)
 		}
-		fents[idx].name = strings.Clone(toName)
-		return fs.storeDir(p, fdin, fents, first)
+		kept := strings.Clone(toName)
+		delete(fnames, fromName)
+		fnames[kept] = moved
+		fents[idx].name = kept
+		return fs.storeDir(p, fdin, fents, fnames, first, direntOffset(fents, first))
 	}
-	if err := fs.storeDir(p, fdin, slices.Delete(fents, idx, idx+1), idx); err != nil {
+	delete(fnames, fromName)
+	if err := fs.storeDir(p, fdin, slices.Delete(fents, idx, idx+1), fnames, idx, direntOffset(fents, idx)); err != nil {
 		return err
 	}
-	if tents, err = fs.loadDir(p, tdin); err != nil {
+	tents, tnames, err := fs.loadDir(p, tdin)
+	if err != nil {
 		return err
 	}
-	first := len(tents)
-	if j := indexOf(tents, toName); j >= 0 {
-		tents = slices.Delete(tents, j, j+1)
-		first = j
+	first, off := len(tents), dirEnd(tdin)
+	if _, ok := tnames[toName]; ok {
+		first = indexOf(tents, toName)
+		off = direntOffset(tents, first)
+		tents = slices.Delete(tents, first, first+1)
 	}
-	return fs.storeDir(p, tdin, append(tents, dirent{ino: moved, name: strings.Clone(toName)}), first)
+	kept := strings.Clone(toName)
+	tnames[kept] = moved
+	return fs.storeDir(p, tdin, append(tents, dirent{ino: moved, name: kept}), tnames, first, off)
 }
 
 // dropTarget unlinks the regular file a rename replaces.
@@ -479,7 +510,7 @@ func (fs *FS) Readdir(p *sim.Proc, dir vfs.Ino, cookie uint32, count int, dst []
 	if err != nil {
 		return dst, false, err
 	}
-	ents, err := fs.loadDir(p, din)
+	ents, _, err := fs.loadDir(p, din)
 	if err != nil {
 		return dst, false, err
 	}

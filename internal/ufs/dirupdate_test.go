@@ -70,6 +70,30 @@ func platterBytes(p *sim.Proc, fs *FS, dev *disk.Disk, ino vfs.Ino) []byte {
 	return out
 }
 
+// checkIndex holds a directory's name index to its memo: while the memo is
+// valid, the index names exactly its entries, each with its inode number;
+// while it is dropped, so is the index. It reports whether the memo was
+// valid.
+func checkIndex(t *testing.T, fs *FS, dir vfs.Ino, when string) bool {
+	t.Helper()
+	in := fs.inodes[dir]
+	if !in.dentsOK {
+		if in.dents != nil || in.names != nil {
+			t.Errorf("%s: directory %d: memo dropped but %d entries and an index of %d kept", when, dir, len(in.dents), len(in.names))
+		}
+		return false
+	}
+	if len(in.names) != len(in.dents) {
+		t.Errorf("%s: directory %d: index of %d names for %d entries", when, dir, len(in.names), len(in.dents))
+	}
+	for _, e := range in.dents {
+		if ino, ok := in.names[e.name]; !ok || ino != e.ino {
+			t.Errorf("%s: directory %d: index has %q -> %d (%v), entry says %d", when, dir, e.name, ino, ok, e.ino)
+		}
+	}
+	return true
+}
+
 func listDir(t *testing.T, p *sim.Proc, fs *FS, ino vfs.Ino) []refEnt {
 	t.Helper()
 	var out []refEnt
@@ -96,7 +120,9 @@ func listDir(t *testing.T, p *sim.Proc, fs *FS, ino vfs.Ino) []refEnt {
 // holds the result to the whole-directory reference: the bytes on the
 // platters, the device transactions, the events fired and the end clock
 // are the values the parent commit's clone-and-rewrite produced, and a
-// Mount of the same device parses the same entries.
+// Mount of the same device parses the same entries. After every step both
+// directories' memos are valid — edited, not reparsed — and their name
+// indexes agree with them.
 func TestDirectoryUpdatesMatchWholeRewrite(t *testing.T) {
 	pins := map[int]struct {
 		platters               string // sha256 of both directories' blocks
@@ -120,11 +146,22 @@ func TestDirectoryUpdatesMatchWholeRewrite(t *testing.T) {
 			}
 			var work, other refDir
 			var platters []byte
+			step := 0
+			indexed := func() {
+				step++
+				for _, d := range []*refDir{&work, &other} {
+					// A directory nothing was put in yet was never loaded.
+					if d.ino != 0 && !checkIndex(t, fs, d.ino, fmt.Sprintf("step %d", step)) && len(d.ents) > 0 {
+						t.Errorf("step %d: directory %d: memo dropped by a warm update", step, d.ino)
+					}
+				}
+			}
 			run(s, func(p *sim.Proc) {
 				must := func(err error) {
 					if err != nil {
 						panic(fmt.Sprintf("script: %v", err)) // re-raised by Run on the test goroutine
 					}
+					indexed()
 				}
 				add := func(d *refDir, name string, dir bool) {
 					var ino vfs.Ino
@@ -226,6 +263,9 @@ func TestDirectoryUpdatesMatchWholeRewrite(t *testing.T) {
 					if got := listDir(t, p, m, d.ino); !slices.Equal(got, d.ents) {
 						t.Errorf("directory %d: a fresh Mount parses different entries", d.ino)
 					}
+					if !checkIndex(t, m, d.ino, "after Mount") {
+						t.Errorf("directory %d: Readdir after Mount left no memo", d.ino)
+					}
 				}
 			})
 		})
@@ -238,7 +278,8 @@ func TestDirectoryUpdatesMatchWholeRewrite(t *testing.T) {
 // device reads of directory blocks is a cold cache: the second half runs
 // on a fresh Mount, where the first loads of the multi-block directory are
 // in flight together. Every name must be found afterwards, before and
-// after another remount.
+// after another remount, and the directory's name index must agree with
+// its memo after every create and every check.
 func TestConcurrentCreatorsLoseNoEntry(t *testing.T) {
 	const procs, each, seeded = 32, 8, 400 // 400 entries: two blocks before the storm
 	s := sim.New(1)
@@ -269,6 +310,7 @@ func TestConcurrentCreatorsLoseNoEntry(t *testing.T) {
 					if _, err := fs.Create(p, dir, fmt.Sprintf("%s-%02d-%d", round, id, j), 0644); err != nil {
 						t.Errorf("Create %s-%02d-%d: %v", round, id, j, err)
 					}
+					checkIndex(t, fs, dir, fmt.Sprintf("%s storm, creator %d", round, id))
 				}
 			})
 		}
@@ -285,6 +327,9 @@ func TestConcurrentCreatorsLoseNoEntry(t *testing.T) {
 			}
 			if want := seeded + len(rounds)*procs*each; len(names) != want {
 				t.Errorf("%s: %d entries, want %d", when, len(names), want)
+			}
+			if !checkIndex(t, fs, dir, when) {
+				t.Errorf("%s: Readdir left no memo", when)
 			}
 			for _, round := range rounds {
 				for id := 0; id < procs; id++ {

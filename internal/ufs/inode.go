@@ -41,14 +41,16 @@ type inode struct {
 	// blocks so a metadata-only fsync can find the dirty ones.
 	indBlocks []int64
 
-	// dents memoizes the parsed directory contents (directories only);
-	// dentsOK marks it valid. The cache is rebuilt from the buffer cache
-	// on the next loadDir after any invalidation, so it never changes
-	// simulated I/O: once a directory's blocks are in core they stay
-	// there, and the parse itself costs no virtual time. storing counts
-	// in-flight storeDir calls; parses taken during one are transient and
-	// must not be memoized.
+	// dents memoizes the parsed directory contents (directories only) and
+	// names indexes them by name; dentsOK marks both valid. They are
+	// created, edited and dropped together. The memo is rebuilt from the
+	// buffer cache on the next loadDir after any invalidation, so it never
+	// changes simulated I/O: once a directory's blocks are in core they
+	// stay there, and the parse itself costs no virtual time. storing
+	// counts in-flight storeDir calls; parses taken during one are
+	// transient and must not be memoized.
 	dents   []dirent
+	names   dirIndex
 	dentsOK bool
 	storing int
 }
@@ -135,7 +137,7 @@ func (fs *FS) allocInode(ft vfs.FileType, mode uint32) *inode {
 
 // freeInode releases an inode and all its blocks.
 func (fs *FS) freeInode(p *sim.Proc, in *inode) error {
-	in.dents, in.dentsOK = nil, false
+	in.dents, in.names, in.dentsOK = nil, nil, false
 	for _, b := range in.direct {
 		if b != 0 {
 			fs.markFree(b)

@@ -778,6 +778,17 @@ func TestStoredNamesAreCopies(t *testing.T) {
 			if err != nil || !slices.Equal(got, c.names) {
 				t.Errorf("Readdir(%d) = %q, %v; want %q", c.dir, got, err, c.names)
 			}
+			// The index's keys are the entries' own strings: a key
+			// aliasing the buffer would read "XXXX" now.
+			index := fs.inodes[c.dir].names
+			for k := range index {
+				if !slices.Contains(c.names, k) {
+					t.Errorf("index of %d has key %q, want only %q", c.dir, k, c.names)
+				}
+			}
+			if len(index) != len(c.names) {
+				t.Errorf("index of %d has %d keys, want %q", c.dir, len(index), c.names)
+			}
 		}
 	})
 }
