@@ -158,7 +158,7 @@ type pendingCall struct {
 	// payload, which every transmission references. With routed set each
 	// attempt re-resolves its destination from fh's route (static routes
 	// make this a no-op; a mid-call failover redirects the next retry);
-	// otherwise to is used verbatim.
+	// otherwise every attempt goes to the default server.
 	proc    nfsproto.Proc
 	xid     uint32
 	fh      nfsproto.FH
@@ -195,19 +195,17 @@ func (c *Client) getPC() *pendingCall {
 }
 
 // GetWriteBuf takes a staging buffer from the client's pool; the caller
-// fills it and hands it to WriteSyncBufRelease or writeBehindBuf, which
+// fills it and hands it to WriteSyncBufRelease or WriteBehind, which
 // release it when the write has completed.
 func (c *Client) GetWriteBuf() *block.Buf { return c.pool.Get() }
 
+// writeJob is one queued write-behind: n bytes in buf, whose reference
+// the job holds until the biod's RPC completes.
 type writeJob struct {
 	fh  nfsproto.FH
 	off uint32
-	// Exactly one of data (copying path) and buf (refcounted zero-copy
-	// path, n bytes) is set.
-	data []byte
-	buf  *block.Buf
-	n    int
-	c    *Client
+	buf *block.Buf
+	n   int
 }
 
 // New attaches a client named name to the network, pointed at server, with
@@ -391,16 +389,9 @@ func (c *Client) encode(r *Req) *xdr.Encoder {
 // the default server, as the recorded runs always have; every other
 // procedure routes by its handle.
 func (c *Client) start(proc nfsproto.Proc, fh nfsproto.FH, raw []byte, out *block.Buf, outLen int) *pendingCall {
-	if proc == nfsproto.ProcStatfs {
-		return c.startTo(proc, false, c.server, fh, raw, out, outLen)
-	}
-	return c.startTo(proc, true, "", fh, raw, out, outLen)
-}
-
-func (c *Client) startTo(proc nfsproto.Proc, routed bool, to string, fh nfsproto.FH, raw []byte, out *block.Buf, outLen int) *pendingCall {
 	pc := c.getPC()
-	pc.proc, pc.xid, pc.fh, pc.routed, pc.to = proc, c.xidSeq, fh, routed, to
-	pc.raw, pc.out, pc.outLen = raw, out, outLen
+	pc.proc, pc.xid, pc.fh, pc.raw, pc.out, pc.outLen = proc, c.xidSeq, fh, raw, out, outLen
+	pc.routed, pc.to = proc != nfsproto.ProcStatfs, c.server
 	pc.issued, pc.rto, pc.attempt = c.sim.Now(), c.params.RetransTimeout, 0
 	pc.tries = c.MaxRetries
 	if pc.tries <= 0 {
@@ -493,30 +484,6 @@ func (c *Client) do(p *sim.Proc, r *Req) (int, error) {
 	reply, attempts, err := c.finish(p, c.start(r.Proc, r.FH, e.Bytes(), nil, 0))
 	_, err = c.decode(r.Proc, reply, err)
 	return attempts, err
-}
-
-// Call performs one RPC to the default server with pre-encoded args and
-// with retransmission and backoff. It blocks p until a reply arrives or
-// retransmission gives up (MaxRetries attempts).
-func (c *Client) Call(p *sim.Proc, proc nfsproto.Proc, args []byte) (*oncrpc.ReplyMsg, error) {
-	return c.CallTo(p, c.server, proc, args)
-}
-
-// CallTo is Call aimed at an explicit server endpoint. The returned
-// ReplyMsg points into the pooled pending-call record: result scratch.
-func (c *Client) CallTo(p *sim.Proc, to string, proc nfsproto.Proc, args []byte) (*oncrpc.ReplyMsg, error) {
-	c.xidSeq++
-	call := &oncrpc.CallMsg{
-		XID:  c.xidSeq,
-		Prog: nfsproto.Program,
-		Vers: nfsproto.Version,
-		Proc: uint32(proc),
-		Cred: oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw},
-		Verf: oncrpc.NullAuth(),
-		Args: args,
-	}
-	reply, _, err := c.finish(p, c.startTo(proc, false, to, nfsproto.FH{}, call.Encode(), nil, 0))
-	return reply, err
 }
 
 // finish runs the retransmission loop from the parked process p, which is
@@ -847,11 +814,7 @@ func (c *Client) biod(p *sim.Proc) {
 			c.activeJobs = make(map[*sim.Proc]*writeJob)
 		}
 		c.activeJobs[p] = job
-		if job.buf != nil {
-			_ = job.c.WriteSyncBufRelease(p, job.fh, job.off, job.buf, job.n)
-		} else {
-			_ = job.c.WriteSync(p, job.fh, job.off, job.data)
-		}
+		_ = c.WriteSyncBufRelease(p, job.fh, job.off, job.buf, job.n)
 		delete(c.activeJobs, p)
 		c.outstanding--
 		c.closeCond.Broadcast()
@@ -860,32 +823,16 @@ func (c *Client) biod(p *sim.Proc) {
 
 // WriteBehind hands one 8K write to a biod if one is idle; otherwise the
 // calling process performs the RPC itself and blocks until that particular
-// request completes (§4.1's flow control). The queued case returns
-// immediately, with the biod encoding data only when it dequeues the job —
-// so the caller must not touch data until the write has completed (Close
-// provides the barrier).
-func (c *Client) WriteBehind(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
-	if c.idleBiods > c.jobs.Len() {
-		c.outstanding++
-		if c.OnWriteBuffered != nil {
-			c.OnWriteBuffered(fh, off, len(data))
-		}
-		c.jobs.Put(&writeJob{fh: fh, off: off, data: data, c: c})
-		return nil
-	}
-	return c.WriteSync(p, fh, off, data)
-}
-
-// writeBehindBuf is WriteBehind for a pooled staging buffer: ownership of
-// the caller's reference passes to the write path, which releases it when
-// the RPC completes.
-func (c *Client) writeBehindBuf(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
+// request completes (§4.1's flow control). Ownership of the caller's
+// reference to b, holding n bytes, passes to the write path, which
+// releases it when the RPC completes.
+func (c *Client) WriteBehind(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
 	if c.idleBiods > c.jobs.Len() {
 		c.outstanding++
 		if c.OnWriteBuffered != nil {
 			c.OnWriteBuffered(fh, off, n)
 		}
-		c.jobs.Put(&writeJob{fh: fh, off: off, buf: b, n: n, c: c})
+		c.jobs.Put(&writeJob{fh: fh, off: off, buf: b, n: n})
 		return nil
 	}
 	return c.WriteSyncBufRelease(p, fh, off, b, n)
@@ -942,9 +889,7 @@ func (c *Client) Crash() {
 		if !ok {
 			break
 		}
-		if job.buf != nil {
-			job.buf.Release()
-		}
+		job.buf.Release()
 	}
 	c.dropReplyBody() // host memory
 	// Flow-control state resets with the daemons: killed biods never run
@@ -980,9 +925,8 @@ func (c *Client) KillBiods(n int) int {
 		if pr.Done() || pr.Killed() {
 			continue
 		}
-		if job, busy := c.activeJobs[pr]; busy {
-			delete(c.activeJobs, pr)
-			_ = job // the unwinding WriteSyncBufRelease releases job.buf
+		if _, busy := c.activeJobs[pr]; busy {
+			delete(c.activeJobs, pr) // the unwinding WriteSyncBufRelease releases the job's buf
 			c.outstanding--
 			c.closeCond.Broadcast()
 		} else {
@@ -1005,9 +949,7 @@ func (c *Client) KillBiods(n int) int {
 			if !ok {
 				break
 			}
-			if job.buf != nil {
-				job.buf.Release()
-			}
+			job.buf.Release()
 			c.outstanding--
 		}
 		c.closeCond.Broadcast()
@@ -1094,7 +1036,7 @@ func (c *Client) WriteFile(p *sim.Proc, fh nfsproto.FH, size int) (sim.Duration,
 		staged = buf
 		p.Sleep(c.params.WriteGenerate)
 		staged = nil // ownership passes to the write path, which releases
-		if err := c.writeBehindBuf(p, fh, off, buf, n); err != nil {
+		if err := c.WriteBehind(p, fh, off, buf, n); err != nil {
 			return 0, err
 		}
 		off += uint32(n)

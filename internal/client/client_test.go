@@ -9,6 +9,7 @@ import (
 	"repro/internal/nfsproto"
 	"repro/internal/oncrpc"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // echoServer replies to every call after a fixed service delay; dropFirst
@@ -31,19 +32,27 @@ func newEchoServer(s *sim.Sim, n *netsim.Network, delay sim.Duration, dropFirst 
 			if es.seen <= es.dropFirst {
 				continue
 			}
-			call, err := oncrpc.DecodeCall(dg.Payload)
-			if err != nil {
+			var call oncrpc.CallMsg
+			if err := oncrpc.DecodeCallInto(dg.Payload, &call); err != nil {
 				continue
 			}
 			if es.delay > 0 {
 				p.Sleep(es.delay)
 			}
-			res := &nfsproto.AttrStat{Status: nfsproto.OK}
-			n.Send(p, "server", dg.From, oncrpc.AcceptedReply(call.XID, res.Encode()).Encode())
+			n.Send(p, "server", dg.From, attrReply(call.XID))
 			es.replies++
 		}
 	})
 	return es
+}
+
+// attrReply is an accepted reply to xid carrying an OK attrstat, the
+// answer every procedure the echo servers see decodes.
+func attrReply(xid uint32) []byte {
+	return xdr.Marshal(&oncrpc.ReplyMsg{
+		XID: xid, Stat: oncrpc.MsgAccepted, AccStat: oncrpc.Success, Verf: oncrpc.NullAuth(),
+		Results: xdr.Marshal(&nfsproto.AttrStat{Status: nfsproto.OK}),
+	})
 }
 
 func fastParams() hw.ClientParams {
@@ -59,11 +68,11 @@ func TestCallRoundTrip(t *testing.T) {
 	c := New(s, n, "c", "server", fastParams(), 0, nil)
 	var err error
 	s.Spawn("app", func(p *sim.Proc) {
-		_, err = c.Call(p, nfsproto.ProcGetattr, (&nfsproto.FHArgs{}).Encode())
+		_, err = c.Getattr(p, nfsproto.FH{})
 	})
 	s.Run(0)
 	if err != nil {
-		t.Fatalf("Call: %v", err)
+		t.Fatalf("Getattr: %v", err)
 	}
 	if c.Calls != 1 || c.Retransmissions != 0 {
 		t.Fatalf("calls=%d retrans=%d", c.Calls, c.Retransmissions)
@@ -78,12 +87,12 @@ func TestRetransmissionRecoversDrop(t *testing.T) {
 	var err error
 	var done sim.Time
 	s.Spawn("app", func(p *sim.Proc) {
-		_, err = c.Call(p, nfsproto.ProcGetattr, (&nfsproto.FHArgs{}).Encode())
+		_, err = c.Getattr(p, nfsproto.FH{})
 		done = p.Now()
 	})
 	s.Run(0)
 	if err != nil {
-		t.Fatalf("Call after drops: %v", err)
+		t.Fatalf("Getattr after drops: %v", err)
 	}
 	if c.Retransmissions != 2 {
 		t.Fatalf("Retransmissions = %d, want 2", c.Retransmissions)
@@ -103,7 +112,7 @@ func TestCallGivesUpEventually(t *testing.T) {
 	c := New(s, n, "c", "server", p, 0, nil)
 	var err error
 	s.Spawn("app", func(q *sim.Proc) {
-		_, err = c.Call(q, nfsproto.ProcNull, nil)
+		_, err = c.Getattr(q, nfsproto.FH{})
 	})
 	s.Run(0)
 	if err != ErrTimeout {
@@ -123,7 +132,8 @@ func TestWriteBehindUsesBiods(t *testing.T) {
 	s.Spawn("app", func(p *sim.Proc) {
 		// Four hand-offs return immediately; server takes 10ms each.
 		for i := 0; i < 4; i++ {
-			if err := c.WriteBehind(p, nfsproto.FH{}, uint32(i*8192), make([]byte, 8192)); err != nil {
+			off := uint32(i * 8192)
+			if err := c.WriteBehind(p, nfsproto.FH{}, off, c.PatternBuf(off, 8192), 8192); err != nil {
 				t.Errorf("WriteBehind: %v", err)
 			}
 		}
@@ -155,7 +165,7 @@ func TestWriteBehindBlocksWithoutBiods(t *testing.T) {
 	c := New(s, n, "c", "server", fastParams(), 0, nil)
 	var done sim.Time
 	s.Spawn("app", func(p *sim.Proc) {
-		c.WriteBehind(p, nfsproto.FH{}, 0, make([]byte, 8192))
+		c.WriteBehind(p, nfsproto.FH{}, 0, c.PatternBuf(0, 8192), 8192)
 		done = p.Now()
 	})
 	s.Run(0)
@@ -171,8 +181,8 @@ func TestCloseWaitsForAllOutstanding(t *testing.T) {
 	c := New(s, n, "c", "server", fastParams(), 2, nil)
 	var closed sim.Time
 	s.Spawn("app", func(p *sim.Proc) {
-		c.WriteBehind(p, nfsproto.FH{}, 0, make([]byte, 8192))
-		c.WriteBehind(p, nfsproto.FH{}, 8192, make([]byte, 8192))
+		c.WriteBehind(p, nfsproto.FH{}, 0, c.PatternBuf(0, 8192), 8192)
+		c.WriteBehind(p, nfsproto.FH{}, 8192, c.PatternBuf(8192, 8192), 8192)
 		c.Close(p)
 		closed = p.Now()
 	})

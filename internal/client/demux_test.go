@@ -30,15 +30,16 @@ func TestCrashLeavesArmedDemuxInert(t *testing.T) {
 		s.Spawn("server", func(p *sim.Proc) {
 			for {
 				dg := srv.Inbox.Get(p)
-				call, err := oncrpc.DecodeCall(dg.Payload)
+				var call oncrpc.CallMsg
+				err := oncrpc.DecodeCallInto(dg.Payload, &call)
 				dg.Release()
 				if err != nil {
 					t.Errorf("server: %v", err)
 					return
 				}
-				// Answer by reference, as a READ reply travels.
+				// Answer with a body by reference, as a READ reply travels.
 				body := pool.Get()
-				n.SendBuf(p, "server", "c", oncrpc.AcceptedReply(call.XID, nil).Encode(), body, nfsproto.MaxData)
+				n.SendBuf(p, "server", "c", attrReply(call.XID), body, nfsproto.MaxData)
 				body.Release()
 				if replies++; replies > 1 {
 					continue
@@ -53,7 +54,7 @@ func TestCrashLeavesArmedDemuxInert(t *testing.T) {
 					if reboot {
 						c.Reboot()
 						s.SpawnAfter(sim.Millisecond, "after", func(p *sim.Proc) {
-							if _, err := c.Call(p, nfsproto.ProcGetattr, nil); err != nil {
+							if _, err := c.Getattr(p, nfsproto.FH{}); err != nil {
 								t.Errorf("call after the reboot: %v", err)
 							}
 						})
@@ -62,7 +63,7 @@ func TestCrashLeavesArmedDemuxInert(t *testing.T) {
 			}
 		})
 		app := s.Spawn("app", func(p *sim.Proc) {
-			c.Call(p, nfsproto.ProcGetattr, nil)
+			c.Getattr(p, nfsproto.FH{})
 			t.Error("the crashed host's call returned")
 		})
 		c.AdoptApp(app)

@@ -210,7 +210,7 @@ func TestKillBiodsMidRPCAbandons(t *testing.T) {
 	c := New(s, n, "c", "server", fastParams(), 1, acct)
 	s.Spawn("app", func(p *sim.Proc) {
 		buf := c.GetWriteBuf()
-		if err := c.writeBehindBuf(p, nfsproto.FH{}, 0, buf, nfsproto.MaxData); err != nil {
+		if err := c.WriteBehind(p, nfsproto.FH{}, 0, buf, nfsproto.MaxData); err != nil {
 			t.Errorf("write-behind: %v", err)
 		}
 	})

@@ -46,8 +46,5 @@ func (w *IssueWindow) Release() {
 // InFlight reports the slots currently claimed.
 func (w *IssueWindow) InFlight() int { return w.inFlight }
 
-// Slots reports the window size.
-func (w *IssueWindow) Slots() int { return w.slots }
-
 // Peak reports the high-water in-flight count.
 func (w *IssueWindow) Peak() int { return w.peak }

@@ -498,12 +498,3 @@ func (e *Engine) AdoptOrphan(p *sim.Proc, nfsd int, ino vfs.Ino) bool {
 	e.setStage(nfsd, NfsdState{Stage: StageIdle})
 	return adopted
 }
-
-// FlushAll commits every pending gather (server shutdown / drain hook).
-func (e *Engine) FlushAll(p *sim.Proc) {
-	for ino, g := range e.files {
-		if g.active == 0 && len(g.queue) > 0 {
-			e.AdoptOrphan(p, -1, ino)
-		}
-	}
-}

@@ -407,6 +407,9 @@ func TestAdoptOrphanRescuesQueue(t *testing.T) {
 	if len(replies) != 1 || !replies[0].ok {
 		t.Fatalf("replies after adoption = %+v", replies)
 	}
+	if e.PendingReplies() != 0 {
+		t.Fatalf("pending = %d after adoption, want 0", e.PendingReplies())
+	}
 	if e.Stats().Adoptions != 1 {
 		t.Fatalf("adoptions = %d", e.Stats().Adoptions)
 	}
@@ -489,21 +492,6 @@ func TestDoubleReplyPanics(t *testing.T) {
 	s.Run(0)
 	if !panicked {
 		t.Fatal("double reply did not panic")
-	}
-}
-
-func TestFlushAllDrainsEverything(t *testing.T) {
-	s := sim.New(1)
-	fs := &fakeFS{s: s}
-	hunter := func(vfs.Ino) bool { return true } // strand descriptors
-	e := NewEngine(s, fs, 4, DefaultConfig(false, sim.Millisecond), hunter)
-	var replies []replyRec
-	spawnWrite(s, e, 0, 1, 0, &replies, 0)
-	s.Run(0)
-	s.Spawn("drain", func(p *sim.Proc) { e.FlushAll(p) })
-	s.Run(0)
-	if e.PendingReplies() != 0 || len(replies) != 1 {
-		t.Fatalf("pending=%d replies=%d", e.PendingReplies(), len(replies))
 	}
 }
 

@@ -449,9 +449,6 @@ func (st *Stripe) segments(blk int64, n int) []segment {
 	return merged
 }
 
-// Members exposes the member disks (fault targeting and tests).
-func (st *Stripe) Members() []*Disk { return st.members }
-
 // ReadBlocks implements Device. A member failure fails the whole logical
 // transfer; unaffected members complete their segments normally.
 func (st *Stripe) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {

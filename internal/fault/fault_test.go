@@ -12,6 +12,7 @@ import (
 	"repro/internal/nfsproto"
 	"repro/internal/oncrpc"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // runDurability streams file copies from two clients through a gathering
@@ -125,8 +126,8 @@ func (pr *probe) rpc(p *sim.Proc, raw []byte) *oncrpc.ReplyMsg {
 	pr.net.Send(p, "probe", pr.to, raw)
 	dg := pr.ep.Inbox.Get(p)
 	defer dg.Release()
-	r, err := oncrpc.DecodeReply(dg.Payload)
-	if err != nil {
+	r := new(oncrpc.ReplyMsg)
+	if err := oncrpc.DecodeReplyInto(dg.Payload, r); err != nil {
 		panic("probe: bad reply: " + err.Error())
 	}
 	res := make([]byte, len(r.Results))
@@ -138,13 +139,13 @@ func (pr *probe) rpc(p *sim.Proc, raw []byte) *oncrpc.ReplyMsg {
 	return r
 }
 
-func encodeCall(xid uint32, proc nfsproto.Proc, args []byte) []byte {
+func encodeCall(xid uint32, proc nfsproto.Proc, args xdr.Record) []byte {
 	call := &oncrpc.CallMsg{
 		XID: xid, Prog: nfsproto.Program, Vers: nfsproto.Version,
 		Proc: uint32(proc), Cred: oncrpc.NullAuth(), Verf: oncrpc.NullAuth(),
 	}
-	call.Args = args
-	return call.Encode()
+	call.Args = xdr.Marshal(args)
+	return xdr.Marshal(call)
 }
 
 // TestDupCacheAcrossReboot pins the volatile-dup-cache semantics: before a
@@ -168,10 +169,10 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 	ok := false
 	c.Sim.Spawn("script", func(p *sim.Proc) {
 		// Target file.
-		cres := pr.rpc(p, encodeCall(99, nfsproto.ProcCreate, (&nfsproto.CreateArgs{
+		cres := pr.rpc(p, encodeCall(99, nfsproto.ProcCreate, &nfsproto.CreateArgs{
 			Where: nfsproto.DirOpArgs{Dir: root, Name: "w.dat"},
 			Attr:  nfsproto.DefaultSAttr(0644),
-		}).Encode()))
+		}))
 		var dres nfsproto.DirOpRes
 		err := nfsproto.DecodeDirOpResInto(cres.Results, &dres)
 		if err != nil || dres.Status != nfsproto.OK {
@@ -182,9 +183,9 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 
 		// Acked WRITE, then a pre-crash retransmission: served from the
 		// dup cache, byte-identical, not re-executed.
-		writeRaw := encodeCall(100, nfsproto.ProcWrite, (&nfsproto.WriteArgs{
+		writeRaw := encodeCall(100, nfsproto.ProcWrite, &nfsproto.WriteArgs{
 			File: fh, Offset: 0, TotalCount: uint32(len(data)), Data: data,
-		}).Encode())
+		})
 		first := pr.rpc(p, writeRaw)
 		var ws nfsproto.AttrStat
 		err = nfsproto.DecodeAttrStatInto(first.Results, &ws)
@@ -201,10 +202,10 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 		}
 
 		// A completed non-idempotent op.
-		createRaw := encodeCall(101, nfsproto.ProcCreate, (&nfsproto.CreateArgs{
+		createRaw := encodeCall(101, nfsproto.ProcCreate, &nfsproto.CreateArgs{
 			Where: nfsproto.DirOpArgs{Dir: root, Name: "once.dat"},
 			Attr:  nfsproto.DefaultSAttr(0644),
-		}).Encode())
+		})
 		c1 := pr.rpc(p, createRaw)
 		var d1 nfsproto.DirOpRes
 		err = nfsproto.DecodeDirOpResInto(c1.Results, &d1)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/block"
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
@@ -361,9 +360,7 @@ func TestKillAllBiodsDrainsQueuedJobs(t *testing.T) {
 			t.Errorf("create: %v %v", err, cres)
 			return
 		}
-		data := make([]byte, 8192)
-		client.FillPattern(data, 0)
-		if err := cli.WriteBehind(p, cres.File, 0, data); err != nil {
+		if err := cli.WriteBehind(p, cres.File, 0, cli.PatternBuf(0, 8192), 8192); err != nil {
 			t.Errorf("write-behind: %v", err)
 			return
 		}
@@ -445,16 +442,13 @@ func TestKillSignaledIdleBiodReissuesWake(t *testing.T) {
 			t.Errorf("create: %v %v", err, cres)
 			return
 		}
-		d1, d2 := make([]byte, 8192), make([]byte, 8192)
-		client.FillPattern(d1, 0)
-		client.FillPattern(d2, 8192)
 		// First write: the pool's first daemon serves it and re-parks at
 		// the TAIL of the wait list, leaving the last-spawned daemon at
 		// the head — exactly the one a FIFO Signal picks and the one
 		// KillBiods (end-first) kills.
-		_ = cli.WriteBehind(p, cres.File, 0, d1)
+		_ = cli.WriteBehind(p, cres.File, 0, cli.PatternBuf(0, 8192), 8192)
 		cli.Close(p)
-		_ = cli.WriteBehind(p, cres.File, 8192, d2)
+		_ = cli.WriteBehind(p, cres.File, 8192, cli.PatternBuf(8192, 8192), 8192)
 		if killed := cli.KillBiods(1); killed != 1 {
 			t.Errorf("killed %d, want 1", killed)
 		}

@@ -190,10 +190,6 @@ func (n *Network) Params() hw.NetParams { return n.p }
 // Utilization reports the fraction of time the medium has been busy.
 func (n *Network) Utilization() float64 { return n.medium.Utilization() }
 
-// MediumInUse reports whether a sender currently holds the medium
-// (diagnostics).
-func (n *Network) MediumInUse() int { return n.medium.InUse() }
-
 // MediumBusy reports the cumulative time the medium has been busy
 // (probes derive windowed utilization from deltas of this).
 func (n *Network) MediumBusy() sim.Duration { return n.medium.BusyTime() }

@@ -337,13 +337,6 @@ func (r *AttrStat) EncodeTo(e *xdr.Encoder) {
 	}
 }
 
-// Encode serializes the result.
-func (r *AttrStat) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
-	r.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeAttrStatInto parses an attrstat result into a caller-owned struct
 // (which may be pooled or per-client scratch).
 func DecodeAttrStatInto(b []byte, r *AttrStat) error {
@@ -377,13 +370,6 @@ func (a *DirOpArgs) EncodedSize() int { return FHSize + xdr.OpaqueSize(len(a.Nam
 func (a *DirOpArgs) EncodeTo(e *xdr.Encoder) {
 	e.FixedOpaque(a.Dir[:])
 	e.String(a.Name)
-}
-
-// Encode serializes the arguments.
-func (a *DirOpArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
 }
 
 // DecodeDirOpArgs parses diropargs into a fresh record. Outside
@@ -445,13 +431,6 @@ func (r *DirOpRes) EncodeTo(e *xdr.Encoder) {
 	}
 }
 
-// Encode serializes the result.
-func (r *DirOpRes) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
-	r.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeDirOpResInto parses a diropres result into a caller-owned struct.
 func DecodeDirOpResInto(b []byte, r *DirOpRes) error {
 	d := xdr.NewDecoder(b)
@@ -486,13 +465,6 @@ func (a *SetattrArgs) EncodeTo(e *xdr.Encoder) {
 	a.Attr.encode(e)
 }
 
-// Encode serializes the arguments.
-func (a *SetattrArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeSetattrArgsInto parses SETATTR arguments into a caller-owned
 // struct.
 func DecodeSetattrArgsInto(b []byte, a *SetattrArgs) error {
@@ -522,13 +494,6 @@ func (a *ReadArgs) EncodeTo(e *xdr.Encoder) {
 	e.Uint32(a.Offset)
 	e.Uint32(a.Count)
 	e.Uint32(a.TotalCount)
-}
-
-// Encode serializes the arguments.
-func (a *ReadArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
 }
 
 // DecodeReadArgs parses READ arguments into a fresh record. Outside
@@ -583,13 +548,6 @@ func (r *ReadRes) EncodeTo(e *xdr.Encoder) {
 		r.Attr.encode(e)
 		e.Opaque(r.Data)
 	}
-}
-
-// Encode serializes the result.
-func (r *ReadRes) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
-	r.EncodeTo(e)
-	return e.Bytes()
 }
 
 // DecodeReadResInto parses a READ result into a caller-owned struct. Data
@@ -678,13 +636,6 @@ func (a *WriteArgs) EncodeTo(e *xdr.Encoder) {
 	e.Opaque(a.Data)
 }
 
-// Encode serializes the arguments.
-func (a *WriteArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeWriteArgsInto parses WRITE arguments into a caller-owned struct
 // (which may be pooled). Data aliases b.
 func DecodeWriteArgsInto(b []byte, a *WriteArgs) error {
@@ -706,13 +657,6 @@ func DecodeWriteArgsInto(b []byte, a *WriteArgs) error {
 		return err
 	}
 	return nil
-}
-
-// WireSize reports the encoded size of the WRITE call body (args only),
-// used by the network model without re-encoding.
-func (a *WriteArgs) WireSize() int {
-	n := len(a.Data)
-	return FHSize + 12 + 4 + n + (4-n%4)%4
 }
 
 // WriteArgsHeadSize is the encoded size of WRITE arguments up to and
@@ -777,13 +721,6 @@ func (a *CreateArgs) EncodeTo(e *xdr.Encoder) {
 	a.Attr.encode(e)
 }
 
-// Encode serializes the arguments.
-func (a *CreateArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeCreateArgsInto parses CREATE/MKDIR arguments into a caller-owned
 // struct.
 func DecodeCreateArgsInto(b []byte, a *CreateArgs) error {
@@ -811,13 +748,6 @@ func (a *RenameArgs) EncodeTo(e *xdr.Encoder) {
 	a.To.EncodeTo(e)
 }
 
-// Encode serializes the arguments.
-func (a *RenameArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeRenameArgsInto parses RENAME arguments into a caller-owned struct.
 func DecodeRenameArgsInto(b []byte, a *RenameArgs) error {
 	d := xdr.NewDecoder(b)
@@ -839,13 +769,6 @@ func (r *StatusRes) EncodedSize() int { return 4 }
 
 // EncodeTo appends the result to e.
 func (r *StatusRes) EncodeTo(e *xdr.Encoder) { e.Uint32(uint32(r.Status)) }
-
-// Encode serializes the result.
-func (r *StatusRes) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, 4))
-	r.EncodeTo(e)
-	return e.Bytes()
-}
 
 // DecodeStatusResInto parses a status-only result into a caller-owned
 // struct.
@@ -874,13 +797,6 @@ func (a *ReaddirArgs) EncodeTo(e *xdr.Encoder) {
 	e.FixedOpaque(a.Dir[:])
 	e.Uint32(a.Cookie)
 	e.Uint32(a.Count)
-}
-
-// Encode serializes the arguments.
-func (a *ReaddirArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, a.EncodedSize()))
-	a.EncodeTo(e)
-	return e.Bytes()
 }
 
 // DecodeReaddirArgsInto parses READDIR arguments into a caller-owned
@@ -939,13 +855,6 @@ func (r *ReaddirRes) EncodeTo(e *xdr.Encoder) {
 		e.Bool(false) // end of list
 		e.Bool(r.EOF)
 	}
-}
-
-// Encode serializes the result.
-func (r *ReaddirRes) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
-	r.EncodeTo(e)
-	return e.Bytes()
 }
 
 // DecodeReaddirResInto parses a READDIR result into a caller-owned struct,
@@ -1021,13 +930,6 @@ func (r *StatfsRes) EncodeTo(e *xdr.Encoder) {
 	}
 }
 
-// Encode serializes the result.
-func (r *StatfsRes) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
-	r.EncodeTo(e)
-	return e.Bytes()
-}
-
 // DecodeStatfsResInto parses a STATFS result into a caller-owned struct.
 func DecodeStatfsResInto(b []byte, r *StatfsRes) error {
 	d := xdr.NewDecoder(b)
@@ -1058,13 +960,6 @@ func (a *FHArgs) EncodedSize() int { return FHSize }
 
 // EncodeTo appends the arguments to e.
 func (a *FHArgs) EncodeTo(e *xdr.Encoder) { e.FixedOpaque(a.File[:]) }
-
-// Encode serializes the arguments.
-func (a *FHArgs) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, FHSize))
-	a.EncodeTo(e)
-	return e.Bytes()
-}
 
 // DecodeFHArgsInto parses a file-handle argument into a caller-owned
 // struct.

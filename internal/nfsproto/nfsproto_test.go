@@ -51,7 +51,7 @@ func sampleAttr() FAttr {
 func TestAttrStatRoundTrip(t *testing.T) {
 	r := &AttrStat{Status: OK, Attr: sampleAttr()}
 	var got AttrStat
-	if err := DecodeAttrStatInto(r.Encode(), &got); err != nil {
+	if err := DecodeAttrStatInto(xdr.Marshal(r), &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got != *r {
@@ -62,7 +62,7 @@ func TestAttrStatRoundTrip(t *testing.T) {
 func TestAttrStatError(t *testing.T) {
 	r := &AttrStat{Status: ErrStale}
 	var got AttrStat
-	if err := DecodeAttrStatInto(r.Encode(), &got); err != nil {
+	if err := DecodeAttrStatInto(xdr.Marshal(r), &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Status != ErrStale {
@@ -76,9 +76,9 @@ func TestWriteArgsRoundTrip(t *testing.T) {
 		data[i] = byte(i)
 	}
 	a := &WriteArgs{File: NewFH(1, 2, 3), BeginOffset: 0, Offset: 16384, TotalCount: 8192, Data: data}
-	enc := a.Encode()
-	if len(enc) != a.WireSize() {
-		t.Fatalf("WireSize = %d, encoded %d", a.WireSize(), len(enc))
+	enc := xdr.Marshal(a)
+	if len(enc) != a.EncodedSize() {
+		t.Fatalf("EncodedSize = %d, encoded %d", a.EncodedSize(), len(enc))
 	}
 	var got WriteArgs
 	if err := DecodeWriteArgsInto(enc, &got); err != nil {
@@ -95,8 +95,8 @@ func TestWriteArgsQuick(t *testing.T) {
 			data = data[:MaxData]
 		}
 		a := &WriteArgs{File: NewFH(1, 9, 0), Offset: off, Data: data}
-		enc := a.Encode()
-		if len(enc) != a.WireSize() {
+		enc := xdr.Marshal(a)
+		if len(enc) != a.EncodedSize() {
 			return false
 		}
 		var got WriteArgs
@@ -110,13 +110,13 @@ func TestWriteArgsQuick(t *testing.T) {
 
 func TestReadArgsResRoundTrip(t *testing.T) {
 	a := &ReadArgs{File: NewFH(1, 7, 0), Offset: 4096, Count: 8192}
-	ga, err := DecodeReadArgs(a.Encode())
+	ga, err := DecodeReadArgs(xdr.Marshal(a))
 	if err != nil || *ga != *a {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &ReadRes{Status: OK, Attr: sampleAttr(), Data: []byte("hello world")}
 	var gr ReadRes
-	if err := DecodeReadResInto(r.Encode(), &gr); err != nil {
+	if err := DecodeReadResInto(xdr.Marshal(r), &gr); err != nil {
 		t.Fatalf("res decode: %v", err)
 	}
 	if gr.Status != OK || !bytes.Equal(gr.Data, r.Data) || gr.Attr != r.Attr {
@@ -127,12 +127,12 @@ func TestReadArgsResRoundTrip(t *testing.T) {
 func TestDirOpRoundTrip(t *testing.T) {
 	a := &DirOpArgs{Dir: NewFH(1, 1, 0), Name: "passwd"}
 	var ga DirOpArgs
-	if err := DecodeDirOpArgsInto(a.Encode(), &ga); err != nil || ga != *a {
+	if err := DecodeDirOpArgsInto(xdr.Marshal(a), &ga); err != nil || ga != *a {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &DirOpRes{Status: OK, File: NewFH(1, 9, 1), Attr: sampleAttr()}
 	var gr DirOpRes
-	if err := DecodeDirOpResInto(r.Encode(), &gr); err != nil || gr != *r {
+	if err := DecodeDirOpResInto(xdr.Marshal(r), &gr); err != nil || gr != *r {
 		t.Fatalf("res round trip: %+v err %v", gr, err)
 	}
 }
@@ -140,7 +140,7 @@ func TestDirOpRoundTrip(t *testing.T) {
 func TestDirOpResError(t *testing.T) {
 	r := &DirOpRes{Status: ErrNoEnt}
 	var gr DirOpRes
-	if err := DecodeDirOpResInto(r.Encode(), &gr); err != nil || gr.Status != ErrNoEnt {
+	if err := DecodeDirOpResInto(xdr.Marshal(r), &gr); err != nil || gr.Status != ErrNoEnt {
 		t.Fatalf("error res: %+v err %v", gr, err)
 	}
 }
@@ -151,7 +151,7 @@ func TestCreateArgsRoundTrip(t *testing.T) {
 		Attr:  DefaultSAttr(0644),
 	}
 	var ga CreateArgs
-	if err := DecodeCreateArgsInto(a.Encode(), &ga); err != nil {
+	if err := DecodeCreateArgsInto(xdr.Marshal(a), &ga); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if ga != *a {
@@ -162,7 +162,7 @@ func TestCreateArgsRoundTrip(t *testing.T) {
 func TestSetattrArgsRoundTrip(t *testing.T) {
 	a := &SetattrArgs{File: NewFH(2, 5, 0), Attr: SAttr{Mode: 0600, UID: NoValue, GID: NoValue, Size: 0, ATime: TimeVal{NoValue, NoValue}, MTime: TimeVal{NoValue, NoValue}}}
 	var ga SetattrArgs
-	if err := DecodeSetattrArgsInto(a.Encode(), &ga); err != nil || ga != *a {
+	if err := DecodeSetattrArgsInto(xdr.Marshal(a), &ga); err != nil || ga != *a {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
@@ -173,7 +173,7 @@ func TestRenameArgsRoundTrip(t *testing.T) {
 		To:   DirOpArgs{Dir: NewFH(1, 2, 0), Name: "new"},
 	}
 	var ga RenameArgs
-	if err := DecodeRenameArgsInto(a.Encode(), &ga); err != nil || ga != *a {
+	if err := DecodeRenameArgsInto(xdr.Marshal(a), &ga); err != nil || ga != *a {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
@@ -181,7 +181,7 @@ func TestRenameArgsRoundTrip(t *testing.T) {
 func TestReaddirRoundTrip(t *testing.T) {
 	a := &ReaddirArgs{Dir: NewFH(1, 1, 0), Cookie: 2, Count: 512}
 	var ga ReaddirArgs
-	if err := DecodeReaddirArgsInto(a.Encode(), &ga); err != nil || ga != *a {
+	if err := DecodeReaddirArgsInto(xdr.Marshal(a), &ga); err != nil || ga != *a {
 		t.Fatalf("args round trip: %+v err %v", ga, err)
 	}
 	r := &ReaddirRes{
@@ -194,7 +194,7 @@ func TestReaddirRoundTrip(t *testing.T) {
 		EOF: true,
 	}
 	var gr ReaddirRes
-	if err := DecodeReaddirResInto(r.Encode(), &gr); err != nil {
+	if err := DecodeReaddirResInto(xdr.Marshal(r), &gr); err != nil {
 		t.Fatalf("res decode: %v", err)
 	}
 	if gr.Status != OK || !gr.EOF || len(gr.Entries) != 3 {
@@ -210,7 +210,7 @@ func TestReaddirRoundTrip(t *testing.T) {
 func TestReaddirEmpty(t *testing.T) {
 	r := &ReaddirRes{Status: OK, EOF: true}
 	var gr ReaddirRes
-	if err := DecodeReaddirResInto(r.Encode(), &gr); err != nil || len(gr.Entries) != 0 || !gr.EOF {
+	if err := DecodeReaddirResInto(xdr.Marshal(r), &gr); err != nil || len(gr.Entries) != 0 || !gr.EOF {
 		t.Fatalf("empty readdir: %+v err %v", gr, err)
 	}
 }
@@ -218,7 +218,7 @@ func TestReaddirEmpty(t *testing.T) {
 func TestStatfsRoundTrip(t *testing.T) {
 	r := &StatfsRes{Status: OK, TSize: 8192, BSize: 8192, Blocks: 131072, BFree: 1000, BAvail: 900}
 	var gr StatfsRes
-	if err := DecodeStatfsResInto(r.Encode(), &gr); err != nil || gr != *r {
+	if err := DecodeStatfsResInto(xdr.Marshal(r), &gr); err != nil || gr != *r {
 		t.Fatalf("round trip: %+v err %v", gr, err)
 	}
 }
@@ -226,7 +226,7 @@ func TestStatfsRoundTrip(t *testing.T) {
 func TestFHArgsRoundTrip(t *testing.T) {
 	a := &FHArgs{File: NewFH(3, 33, 1)}
 	var ga FHArgs
-	if err := DecodeFHArgsInto(a.Encode(), &ga); err != nil || ga.File != a.File {
+	if err := DecodeFHArgsInto(xdr.Marshal(a), &ga); err != nil || ga.File != a.File {
 		t.Fatalf("round trip: %+v err %v", ga, err)
 	}
 }
@@ -266,12 +266,12 @@ func TestTimeValLess(t *testing.T) {
 
 func TestTruncatedDecodersFail(t *testing.T) {
 	r := &AttrStat{Status: OK, Attr: sampleAttr()}
-	b := r.Encode()
+	b := xdr.Marshal(r)
 	if err := DecodeAttrStatInto(b[:8], &AttrStat{}); err == nil {
 		t.Fatal("truncated attrstat accepted")
 	}
 	wa := &WriteArgs{File: NewFH(1, 1, 1), Data: []byte("xyz")}
-	wb := wa.Encode()
+	wb := xdr.Marshal(wa)
 	if err := DecodeWriteArgsInto(wb[:20], &WriteArgs{}); err == nil {
 		t.Fatal("truncated writeargs accepted")
 	}
@@ -290,7 +290,7 @@ func TestReadResSplitMatchesContiguous(t *testing.T) {
 		if e.Len() != ReadResHeadSize {
 			t.Fatalf("head is %d bytes, ReadResHeadSize %d", e.Len(), ReadResHeadSize)
 		}
-		whole := (&ReadRes{Status: OK, Attr: attr, Data: body}).Encode()
+		whole := xdr.Marshal(&ReadRes{Status: OK, Attr: attr, Data: body})
 		if !bytes.Equal(append(e.Bytes(), body...), whole) {
 			t.Fatalf("n=%d: head+body differs from the contiguous encoding", n)
 		}
@@ -306,7 +306,7 @@ func TestReadResSplitMatchesContiguous(t *testing.T) {
 		}
 	}
 	var r ReadRes
-	if err := DecodeReadResSplitInto((&ReadRes{Status: ErrIO}).Encode(), nil, &r); err == nil {
+	if err := DecodeReadResSplitInto(xdr.Marshal(&ReadRes{Status: ErrIO}), nil, &r); err == nil {
 		t.Fatal("an error result cannot carry a body")
 	}
 	if err := DecodeReadResSplitInto([]byte{0, 0}, nil, &r); err == nil {
@@ -319,12 +319,12 @@ func TestReadResSplitMatchesContiguous(t *testing.T) {
 // with what was encoded (FH, and the names of LOOKUP, CREATE and RENAME,
 // which alias the message), off the heap.
 func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
-	ra := (&ReadArgs{File: NewFH(1, 7, 3), Offset: 4096, Count: 8192, TotalCount: 5}).Encode()
-	fa := (&FHArgs{File: NewFH(2, 9, 1)}).Encode()
+	ra := xdr.Marshal(&ReadArgs{File: NewFH(1, 7, 3), Offset: 4096, Count: 8192, TotalCount: 5})
+	fa := xdr.Marshal(&FHArgs{File: NewFH(2, 9, 1)})
 	dir := NewFH(1, 2, 3)
-	da := (&DirOpArgs{Dir: dir, Name: "lookup.me"}).Encode()
-	ca := (&CreateArgs{Where: DirOpArgs{Dir: dir, Name: "new.file"}, Attr: DefaultSAttr(0644)}).Encode()
-	na := (&RenameArgs{From: DirOpArgs{Dir: dir, Name: "old"}, To: DirOpArgs{Dir: dir, Name: "new"}}).Encode()
+	da := xdr.Marshal(&DirOpArgs{Dir: dir, Name: "lookup.me"})
+	ca := xdr.Marshal(&CreateArgs{Where: DirOpArgs{Dir: dir, Name: "new.file"}, Attr: DefaultSAttr(0644)})
+	na := xdr.Marshal(&RenameArgs{From: DirOpArgs{Dir: dir, Name: "old"}, To: DirOpArgs{Dir: dir, Name: "new"}})
 	var r ReadArgs
 	var f FHArgs
 	var d DirOpArgs
@@ -361,7 +361,7 @@ func TestArgsDecodeIntoAllocatesNothing(t *testing.T) {
 // the reply it last decoded and no other, so a long reply followed by a
 // short one leaves no name past the short one's entries.
 func TestReaddirResIntoReusesItsBacking(t *testing.T) {
-	long, short := readdirRes(24).Encode(), readdirRes(3).Encode()
+	long, short := xdr.Marshal(readdirRes(24)), xdr.Marshal(readdirRes(3))
 	var g ReaddirRes
 	if n := testing.AllocsPerRun(100, func() {
 		if DecodeReaddirResInto(long, &g) != nil {

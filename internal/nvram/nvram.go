@@ -114,9 +114,6 @@ func (pr *Presto) NumBlocks() int64 { return pr.under.NumBlocks() }
 // paper's tables report.
 func (pr *Presto) Stats() *disk.Stats { return &pr.stats }
 
-// Under returns the underlying device.
-func (pr *Presto) Under() disk.Device { return pr.under }
-
 // CacheUsed reports bytes of NVRAM currently holding undrained data.
 func (pr *Presto) CacheUsed() int { return pr.used }
 
@@ -430,11 +427,6 @@ func (pr *Presto) Stop() {
 type BlockInjector interface {
 	InjectBlock(blk int64, data []byte)
 }
-
-// RecoverTo writes every dirty NVRAM block straight to the platters with
-// no simulated time: the battery-backed recovery path after a server
-// crash. It returns the number of blocks flushed.
-func (pr *Presto) RecoverTo(d *disk.Disk) int { return pr.Recover(d) }
 
 // Recover flushes every dirty block into inj (a disk or stripe set) with
 // no simulated time, the reboot-time recovery replay. Blocks are distinct,

@@ -175,7 +175,7 @@ func TestFlushEmptiesCache(t *testing.T) {
 }
 
 func TestRecoverToFlushesDirtyBlocks(t *testing.T) {
-	// Simulate a crash with data still in NVRAM: RecoverTo must place it
+	// Simulate a crash with data still in NVRAM: Recover to the disk must place it
 	// on the platters, which is what makes NVRAM count as stable storage.
 	s := sim.New(1)
 	d := disk.New(s, hw.RZ26(), nil)
@@ -190,7 +190,7 @@ func TestRecoverToFlushesDirtyBlocks(t *testing.T) {
 	})
 	s.Run(sim.Time(400 * sim.Microsecond)) // not enough time for a disk op
 	if !bytes.Equal(d.PeekBlock(77), data) {
-		n := pr.RecoverTo(d)
+		n := pr.Recover(d)
 		if n == 0 {
 			t.Fatal("nothing to recover but platters lack the data")
 		}

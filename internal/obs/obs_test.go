@@ -37,7 +37,7 @@ func buildTrace(label string) *Trace {
 
 func TestTraceEventJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildTrace("cell0").WriteJSON(&buf); err != nil {
+	if err := WriteTraces(&buf, []*Trace{buildTrace("cell0")}); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceDoc
@@ -128,7 +128,7 @@ func TestTimeSeriesCSV(t *testing.T) {
 	s.Sample(sim.Time(1_000_000), 3, 42.5)
 	s.Sample(sim.Time(2_000_000), 0, 7)
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := WriteSeriesCSV(&buf, []*TimeSeries{s}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -36,13 +36,6 @@ func (s *TimeSeries) Sample(t sim.Time, vals ...float64) {
 // N reports the number of samples taken.
 func (s *TimeSeries) N() int { return len(s.Times) }
 
-// WriteCSV emits the series with a header row. A non-empty Label is
-// written as a leading "cell" column so concatenated sweeps stay
-// distinguishable.
-func (s *TimeSeries) WriteCSV(w io.Writer) error {
-	return WriteSeriesCSV(w, []*TimeSeries{s})
-}
-
 // WriteSeriesCSV concatenates multiple cell series into one CSV with a
 // shared header: the union of every series' columns in first-seen
 // order. Sweeps whose cells probe different hardware (a segment-count

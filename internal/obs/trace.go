@@ -58,11 +58,6 @@ func jsonString(s string) string {
 	return string(b)
 }
 
-// WriteJSON serializes one trace as a Chrome trace_event file.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	return WriteTraces(w, []*Trace{t})
-}
-
 // WriteTraces serializes one or more cell traces into a single Chrome
 // trace_event JSON document ({"traceEvents": [...]}). With more than
 // one trace, process names are prefixed with the cell label so a sweep

@@ -94,40 +94,6 @@ func (c *UnixCred) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeUnixCred parses an AUTH_UNIX credential body.
-func DecodeUnixCred(b []byte) (*UnixCred, error) {
-	d := xdr.NewDecoder(b)
-	c := &UnixCred{}
-	var err error
-	if c.Stamp, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if c.MachineName, err = d.String(); err != nil {
-		return nil, err
-	}
-	if c.UID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	if c.GID, err = d.Uint32(); err != nil {
-		return nil, err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 16 {
-		return nil, fmt.Errorf("%w: %d gids", ErrBadMessage, n)
-	}
-	for i := uint32(0); i < n; i++ {
-		g, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		c.GIDs = append(c.GIDs, g)
-	}
-	return c, nil
-}
-
 // CallMsg is an RPC call header plus procedure arguments.
 type CallMsg struct {
 	XID  uint32
@@ -139,28 +105,15 @@ type CallMsg struct {
 	Args []byte // procedure-specific, already XDR encoded
 }
 
-// EncodedSize reports the exact wire size of the call: six fixed header
-// words, two auth blocks (flavor word + opaque body each), then the args.
-func (c *CallMsg) EncodedSize() int {
-	return 32 + xdr.OpaqueSize(len(c.Cred.Body)) + xdr.OpaqueSize(len(c.Verf.Body)) + len(c.Args)
-}
+// EncodedSize reports the exact wire size of the call: its header, then
+// the args.
+func (c *CallMsg) EncodedSize() int { return CallHeaderSize(c.Cred, c.Verf) + len(c.Args) }
 
-// Encode serializes the call to wire format in a single exactly-sized
-// buffer (the args are spliced in, not re-encoded).
-func (c *CallMsg) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, c.EncodedSize()))
-	e.Uint32(c.XID)
-	e.Uint32(uint32(Call))
-	e.Uint32(RPCVersion)
-	e.Uint32(c.Prog)
-	e.Uint32(c.Vers)
-	e.Uint32(c.Proc)
-	e.Uint32(uint32(c.Cred.Flavor))
-	e.Opaque(c.Cred.Body)
-	e.Uint32(uint32(c.Verf.Flavor))
-	e.Opaque(c.Verf.Body)
+// EncodeTo appends the call to e: its header, then the args spliced in
+// verbatim.
+func (c *CallMsg) EncodeTo(e *xdr.Encoder) {
+	AppendCallHeader(e, c.XID, c.Prog, c.Vers, c.Proc, c.Cred, c.Verf)
 	e.Raw(c.Args)
-	return e.Bytes()
 }
 
 // CallHeaderSize reports the exact encoded size of the call header
@@ -183,15 +136,6 @@ func AppendCallHeader(e *xdr.Encoder, xid, prog, vers, proc uint32, cred, verf O
 	e.Opaque(cred.Body)
 	e.Uint32(uint32(verf.Flavor))
 	e.Opaque(verf.Body)
-}
-
-// DecodeCall parses a call message. The Args field aliases the tail of b.
-func DecodeCall(b []byte) (*CallMsg, error) {
-	c := &CallMsg{}
-	if err := DecodeCallInto(b, c); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // DecodeCallInto parses a call message into a caller-owned struct (which
@@ -256,11 +200,6 @@ type ReplyMsg struct {
 	Results                   []byte // procedure-specific, already XDR encoded
 }
 
-// AcceptedReply builds a successful reply carrying results.
-func AcceptedReply(xid uint32, results []byte) *ReplyMsg {
-	return &ReplyMsg{XID: xid, Stat: MsgAccepted, AccStat: Success, Verf: NullAuth(), Results: results}
-}
-
 // ErrorReply builds an accepted reply with a non-success status.
 func ErrorReply(xid uint32, st AcceptStat) *ReplyMsg {
 	return &ReplyMsg{XID: xid, Stat: MsgAccepted, AccStat: st, Verf: NullAuth()}
@@ -281,10 +220,8 @@ func (r *ReplyMsg) EncodedSize() int {
 	return n
 }
 
-// Encode serializes the reply to wire format in a single exactly-sized
-// buffer.
-func (r *ReplyMsg) Encode() []byte {
-	e := xdr.NewEncoder(make([]byte, 0, r.EncodedSize()))
+// EncodeTo appends the reply to e.
+func (r *ReplyMsg) EncodeTo(e *xdr.Encoder) {
 	e.Uint32(r.XID)
 	e.Uint32(uint32(Reply))
 	e.Uint32(uint32(r.Stat))
@@ -293,7 +230,7 @@ func (r *ReplyMsg) Encode() []byte {
 		e.Uint32(0) // RPC_MISMATCH
 		e.Uint32(RPCVersion)
 		e.Uint32(RPCVersion)
-		return e.Bytes()
+		return
 	}
 	e.Uint32(uint32(r.Verf.Flavor))
 	e.Opaque(r.Verf.Body)
@@ -305,7 +242,6 @@ func (r *ReplyMsg) Encode() []byte {
 	if r.AccStat == Success {
 		e.Raw(r.Results)
 	}
-	return e.Bytes()
 }
 
 // SuccessHeaderSize is the encoded size of the header AppendSuccessHeader
@@ -362,15 +298,6 @@ func PeekXID(b []byte) (uint32, bool) {
 		return 0, false
 	}
 	return binary.BigEndian.Uint32(b), true
-}
-
-// DecodeReply parses a reply message. Results aliases the tail of b.
-func DecodeReply(b []byte) (*ReplyMsg, error) {
-	r := &ReplyMsg{}
-	if err := DecodeReplyInto(b, r); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // DecodeReplyInto parses a reply message into a caller-owned struct (which

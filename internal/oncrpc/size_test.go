@@ -17,9 +17,9 @@ func TestCallMsgEncodedSizeExact(t *testing.T) {
 		{XID: 2, Cred: NullAuth(), Verf: NullAuth()},
 		{XID: 3, Cred: OpaqueAuth{Flavor: AuthUnix, Body: []byte{1, 2, 3}}, Verf: NullAuth(), Args: []byte{9}},
 	} {
-		enc := c.Encode()
+		enc := xdr.Marshal(c)
 		if len(enc) != c.EncodedSize() {
-			t.Errorf("CallMsg EncodedSize = %d, len(Encode()) = %d", c.EncodedSize(), len(enc))
+			t.Errorf("CallMsg EncodedSize = %d, encoded %d", c.EncodedSize(), len(enc))
 		}
 		hdr := CallHeaderSize(c.Cred, c.Verf)
 		if hdr != len(enc)-len(c.Args) {
@@ -30,24 +30,24 @@ func TestCallMsgEncodedSizeExact(t *testing.T) {
 
 func TestReplyMsgEncodedSizeExact(t *testing.T) {
 	for _, r := range []*ReplyMsg{
-		AcceptedReply(7, make([]byte, 100)),
-		AcceptedReply(8, nil),
+		accepted(7, make([]byte, 100)),
+		accepted(8, nil),
 		ErrorReply(9, GarbageArgs),
 		{XID: 10, Stat: MsgAccepted, AccStat: ProgMismatch, Verf: NullAuth(), MismatchLow: 2, MismatchHigh: 2},
 		{XID: 11, Stat: MsgDenied},
 	} {
-		if len(r.Encode()) != r.EncodedSize() {
-			t.Errorf("ReplyMsg (stat=%d acc=%d) EncodedSize = %d, len(Encode()) = %d",
-				r.Stat, r.AccStat, r.EncodedSize(), len(r.Encode()))
+		if n := len(xdr.Marshal(r)); n != r.EncodedSize() {
+			t.Errorf("ReplyMsg (stat=%d acc=%d) EncodedSize = %d, encoded %d",
+				r.Stat, r.AccStat, r.EncodedSize(), n)
 		}
 	}
 	// The server fast-path header must match ReplyMsg's accepted-success
 	// encoding byte for byte.
 	e := xdr.NewEncoder(nil)
 	AppendSuccessHeader(e, 7)
-	full := AcceptedReply(7, nil).Encode()
+	full := xdr.Marshal(accepted(7, nil))
 	if string(e.Bytes()) != string(full) {
-		t.Errorf("AppendSuccessHeader bytes differ from AcceptedReply encoding")
+		t.Errorf("AppendSuccessHeader bytes differ from the accepted-success ReplyMsg encoding")
 	}
 	if len(e.Bytes()) != SuccessHeaderSize {
 		t.Errorf("SuccessHeaderSize = %d, actual = %d", SuccessHeaderSize, len(e.Bytes()))

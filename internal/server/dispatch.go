@@ -63,14 +63,14 @@ func (s *Server) serveOne(p *sim.Proc, id int, dg *netsim.Datagram) {
 type parsedCall struct {
 	call     oncrpc.CallMsg
 	proc     nfsproto.Proc
-	write    *nfsproto.WriteArgs // non-nil for WRITE calls
+	write    *nfsproto.WriteArgs // non-nil for a WRITE whose args decoded
 	writeBuf nfsproto.WriteArgs
 	// body is the datagram's refcounted payload segment for a split WRITE
 	// (writeBuf.Data aliases it). It is a borrow of the datagram's
 	// reference, valid only while the datagram is live; the filesystem
 	// takes its own reference if it adopts the buffer.
 	body *block.Buf
-	bad  bool
+	bad  bool // the RPC header did not decode: no XID to answer
 
 	// A gathered WRITE: the descriptor the engine queues and the dup-cache
 	// key its reply goes out under. sent is the method value writeSent,
@@ -143,9 +143,7 @@ func (s *Server) peek(dg *netsim.Datagram) *parsedCall {
 				err = nfsproto.DecodeWriteArgsInto(pc.call.Args, &pc.writeBuf)
 			}
 			if err == nil {
-				pc.write = &pc.writeBuf
-			} else {
-				pc.bad = true
+				pc.write = &pc.writeBuf // else handle answers GARBAGE_ARGS
 			}
 		}
 	}
@@ -183,12 +181,12 @@ func (s *Server) handle(p *sim.Proc, id int, dg *netsim.Datagram) {
 		return
 	}
 	call := &pc.call
+	k := dupKey{client: dg.From, xid: call.XID}
 	if call.Prog != nfsproto.Program || call.Vers != nfsproto.Version {
-		s.sendRaw(p, dg.From, oncrpc.ErrorReply(call.XID, oncrpc.ProgUnavail).Encode())
+		s.replyError(p, k, oncrpc.ProgUnavail)
 		return
 	}
 
-	k := dupKey{client: dg.From, xid: call.XID}
 	if e, isDup := s.dup.begin(k); isDup {
 		switch e.state {
 		case dupInProgress:
@@ -220,6 +218,10 @@ func (s *Server) handle(p *sim.Proc, id int, dg *netsim.Datagram) {
 	case nfsproto.ProcRead:
 		s.doRead(p, k, call)
 	case nfsproto.ProcWrite:
+		if pc.write == nil {
+			s.replyError(p, k, oncrpc.GarbageArgs) // peek could not decode the args
+			return
+		}
 		s.doWrite(p, id, k, pc)
 	case nfsproto.ProcCreate:
 		s.doCreate(p, k, call, false)
@@ -236,17 +238,8 @@ func (s *Server) handle(p *sim.Proc, id int, dg *netsim.Datagram) {
 	case nfsproto.ProcStatfs:
 		s.doStatfs(p, k, call)
 	default:
-		s.dup.forget(k)
-		s.sendRaw(p, dg.From, oncrpc.ErrorReply(call.XID, oncrpc.ProcUnavail).Encode())
+		s.replyError(p, k, oncrpc.ProcUnavail)
 	}
-}
-
-// resultEncoder is the result half of an NFS procedure: it can report its
-// exact wire size and append itself to an encoder, letting the server build
-// header and results in one exactly-sized buffer.
-type resultEncoder interface {
-	EncodedSize() int
-	EncodeTo(e *xdr.Encoder)
 }
 
 // Result scratch: each handler takes a per-server scratch struct AFTER
@@ -336,13 +329,23 @@ func (s *Server) encoder(size int) *xdr.Encoder {
 // reply encodes, records and transmits a successful RPC reply. The RPC
 // header and procedure results share a single buffer; no intermediate
 // results slice is allocated.
-func (s *Server) reply(p *sim.Proc, k dupKey, res resultEncoder) {
+func (s *Server) reply(p *sim.Proc, k dupKey, res xdr.Record) {
 	e := s.encoder(s.successHeaderSize() + res.EncodedSize())
 	s.successHeader(e, k.xid)
 	res.EncodeTo(e)
 	raw := e.Bytes()
 	s.dup.done(k, raw, nil, 0)
 	s.sendRaw(p, k.client, raw)
+}
+
+// replyError answers k with an accepted reply of status st and forgets
+// its dup entry, so that a retransmission of the call executes afresh.
+func (s *Server) replyError(p *sim.Proc, k dupKey, st oncrpc.AcceptStat) {
+	s.dup.forget(k)
+	r := oncrpc.ErrorReply(k.xid, st)
+	e := s.encoder(r.EncodedSize())
+	r.EncodeTo(e)
+	s.sendRaw(p, k.client, e.Bytes())
 }
 
 // replyEmpty sends a success reply with empty results (NULL).
@@ -463,8 +466,7 @@ func (s *Server) doGetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath/2)
 	var args nfsproto.FHArgs // per call: the handle outlives the yielding GetAttr
 	if err := nfsproto.DecodeFHArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	a, gerr := s.fs.GetAttr(p, vfs.Ino(args.File.Ino()))
@@ -482,8 +484,7 @@ func (s *Server) doSetattr(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.MetaUpdate)
 	var args nfsproto.SetattrArgs
 	if err := nfsproto.DecodeSetattrArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	sa := vfs.SetAttr{}
@@ -518,8 +519,7 @@ func (s *Server) doLookup(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath)
 	var args nfsproto.DirOpArgs
 	if err := nfsproto.DecodeDirOpArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	ino, lerr := s.fs.Lookup(p, vfs.Ino(args.Dir.Ino()), args.Name)
@@ -540,8 +540,7 @@ func (s *Server) doRead(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.ReadPath)
 	var args nfsproto.ReadArgs // per call: used again after the yielding read
 	if err := nfsproto.DecodeReadArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	count := args.Count
@@ -656,8 +655,7 @@ func (s *Server) doCreate(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool)
 	s.charge(p, s.cfg.Costs.VopWriteData)
 	var args nfsproto.CreateArgs
 	if err := nfsproto.DecodeCreateArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	mode := args.Attr.Mode
@@ -692,8 +690,7 @@ func (s *Server) doRemove(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool)
 	s.charge(p, s.cfg.Costs.VopWriteData)
 	var args nfsproto.DirOpArgs
 	if err := nfsproto.DecodeDirOpArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	var rerr error
@@ -716,8 +713,7 @@ func (s *Server) doRename(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.VopWriteData)
 	var args nfsproto.RenameArgs
 	if err := nfsproto.DecodeRenameArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	rerr := s.fs.Rename(p,
@@ -733,8 +729,7 @@ func (s *Server) doReaddir(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.ReadPath)
 	var args nfsproto.ReaddirArgs
 	if err := nfsproto.DecodeReaddirArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	// The entry scratch follows the result-scratch rule: ufs appends to it
@@ -762,8 +757,7 @@ func (s *Server) doStatfs(p *sim.Proc, k dupKey, call *oncrpc.CallMsg) {
 	s.charge(p, s.cfg.Costs.LookupPath/2)
 	var args nfsproto.FHArgs
 	if err := nfsproto.DecodeFHArgsInto(call.Args, &args); err != nil {
-		s.dup.forget(k)
-		s.sendRaw(p, k.client, oncrpc.ErrorReply(k.xid, oncrpc.GarbageArgs).Encode())
+		s.replyError(p, k, oncrpc.GarbageArgs)
 		return
 	}
 	bs, blocks, free := s.fs.Statfs(p)

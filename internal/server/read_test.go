@@ -12,6 +12,7 @@ import (
 	"repro/internal/oncrpc"
 	"repro/internal/sim"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // The READ mirror of the WRITE ownership guards in alloc_test.go: an
@@ -107,14 +108,18 @@ func TestReadBurstAllocAndCopyGuard(t *testing.T) {
 	}
 }
 
-// readCall hand-builds a READ call, for tests that play the client's part
-// at the datagram level.
+// rawCall hand-builds an NFS call with already-encoded args, for tests
+// that play the client's part at the datagram level.
+func rawCall(xid uint32, proc nfsproto.Proc, args []byte) []byte {
+	return xdr.Marshal(&oncrpc.CallMsg{
+		XID: xid, Prog: nfsproto.Program, Vers: nfsproto.Version, Proc: uint32(proc),
+		Cred: oncrpc.NullAuth(), Verf: oncrpc.NullAuth(), Args: args,
+	})
+}
+
+// readCall hand-builds a READ call.
 func readCall(xid uint32, fh nfsproto.FH, off, count uint32) []byte {
-	return (&oncrpc.CallMsg{
-		XID: xid, Prog: nfsproto.Program, Vers: nfsproto.Version, Proc: uint32(nfsproto.ProcRead),
-		Cred: oncrpc.NullAuth(), Verf: oncrpc.NullAuth(),
-		Args: (&nfsproto.ReadArgs{File: fh, Offset: off, Count: count}).Encode(),
-	}).Encode()
+	return rawCall(xid, nfsproto.ProcRead, xdr.Marshal(&nfsproto.ReadArgs{File: fh, Offset: off, Count: count}))
 }
 
 // splitReadData decodes a split READ reply datagram and returns its data.

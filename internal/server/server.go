@@ -113,8 +113,6 @@ type Server struct {
 	// spans with queue-wait attribution. Requests abandoned by a crash
 	// mid-handling are not reported.
 	OnServe func(nfsd int, proc nfsproto.Proc, xid uint32, queued, start, end sim.Time)
-
-	cpuMark sim.Duration
 }
 
 // New attaches a server to net serving fs. The device stack must already
@@ -181,19 +179,6 @@ func (s *Server) CPU() *sim.Resource { return s.cpu }
 
 // CPUBusy reports accumulated CPU busy time.
 func (s *Server) CPUBusy() sim.Duration { return s.cpu.BusyTime() }
-
-// ResetCPUInterval marks the start of a CPU measurement interval.
-func (s *Server) ResetCPUInterval() { s.cpuMark = s.cpu.BusyTime() }
-
-// CPUPercent reports CPU utilization over [interval start, now].
-func (s *Server) CPUPercent(since sim.Time) float64 {
-	now := s.sim.Now()
-	el := now.Sub(since)
-	if el <= 0 {
-		return 0
-	}
-	return 100 * float64(s.cpu.BusyTime()-s.cpuMark) / float64(el)
-}
 
 // CheckWriteLedger is the gathered-WRITE identity at quiesce: the engine
 // owes no reply and holds no detached transport handle, and every parse

@@ -16,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // rig is a complete client/server testbed on one network.
@@ -244,14 +245,7 @@ func TestDuplicateRequestDropsAndResends(t *testing.T) {
 			t.Errorf("Create: %v", err)
 			return
 		}
-		wa := &nfsproto.WriteArgs{File: cres.File, Offset: 0, Data: make([]byte, 1024)}
-		call := &oncrpc.CallMsg{
-			XID: 424242, Prog: nfsproto.Program, Vers: nfsproto.Version,
-			Proc: uint32(nfsproto.ProcWrite),
-			Cred: oncrpc.NullAuth(), Verf: oncrpc.NullAuth(),
-			Args: wa.Encode(),
-		}
-		enc := call.Encode()
+		enc := rawCall(424242, nfsproto.ProcWrite, xdr.Marshal(&nfsproto.WriteArgs{File: cres.File, Offset: 0, Data: make([]byte, 1024)}))
 		// Two back-to-back copies: second should be dropped as in-progress.
 		r.net.Send(p, "rawcli", "server", enc)
 		r.net.Send(p, "rawcli", "server", enc)
@@ -344,7 +338,7 @@ func TestCrashAuditWithPresto(t *testing.T) {
 		t.Fatal("no replies before the cutoff; test is vacuous")
 	}
 	// NVRAM is stable storage: its post-crash recovery flushes to disk.
-	r.presto.RecoverTo(r.disk)
+	r.presto.Recover(r.disk)
 	r.fs.DropCaches()
 	s2 := sim.New(99)
 	s2.Spawn("audit", func(p *sim.Proc) {
@@ -371,34 +365,37 @@ func TestCrashAuditWithPresto(t *testing.T) {
 	s2.Run(0)
 }
 
+// TestGatheredRepliesShareMTime: four WRITEs to one file that arrive
+// together are committed as one batch, so every reply carries the same
+// post-commit attributes. The calls come from a raw endpoint, and each
+// reply's attrstat is decoded as it arrives.
 func TestGatheredRepliesShareMTime(t *testing.T) {
 	r := newRig(t, 5, rigOpts{gathering: true, biods: 7, fddi: true})
+	raw := r.net.Attach("rawcli", 0, 0)
 	root := r.srv.RootFH()
 	var mtimes []nfsproto.TimeVal
-	r.sim.Spawn("app", func(p *sim.Proc) {
-		cres, _ := r.cli.Create(p, root, "f", 0644)
-		fh := cres.File
-		// Issue 4 concurrent writes via separate procs to land in one batch.
-		done := 0
-		cond := sim.NewCond(r.sim)
-		for i := 0; i < 4; i++ {
-			off := uint32(i * 8192)
-			r.sim.Spawn("w", func(q *sim.Proc) {
-				data := make([]byte, 8192)
-				args := &nfsproto.WriteArgs{File: fh, Offset: off, Data: data}
-				reply, err := r.cli.Call(q, nfsproto.ProcWrite, args.Encode())
-				if err == nil {
-					var res nfsproto.AttrStat
-					if nfsproto.DecodeAttrStatInto(reply.Results, &res) == nil && res.Status == nfsproto.OK {
-						mtimes = append(mtimes, res.Attr.MTime)
-					}
-				}
-				done++
-				cond.Broadcast()
-			})
+	r.sim.Spawn("rawrecv", func(p *sim.Proc) {
+		for {
+			dg := raw.Inbox.Get(p)
+			var reply oncrpc.ReplyMsg
+			var res nfsproto.AttrStat
+			if oncrpc.DecodeReplyInto(dg.Payload, &reply) == nil &&
+				nfsproto.DecodeAttrStatInto(reply.Results, &res) == nil && res.Status == nfsproto.OK {
+				mtimes = append(mtimes, res.Attr.MTime)
+			}
+			dg.Release()
 		}
-		for done < 4 {
-			cond.Wait(p)
+	})
+	r.sim.Spawn("app", func(p *sim.Proc) {
+		cres, err := r.cli.Create(p, root, "f", 0644)
+		if err != nil || cres.Status != nfsproto.OK {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		// Four back-to-back WRITEs, to land in one batch.
+		for i := 0; i < 4; i++ {
+			args := &nfsproto.WriteArgs{File: cres.File, Offset: uint32(i * 8192), Data: make([]byte, 8192)}
+			r.net.Send(p, "rawcli", "server", rawCall(uint32(500+i), nfsproto.ProcWrite, xdr.Marshal(args)))
 		}
 	})
 	r.sim.Run(0)

@@ -289,7 +289,8 @@ func TestDeterminismEventsFired(t *testing.T) {
 			})
 			s.Spawn("cons", func(p *Proc) {
 				for j := 0; j < 50; j++ {
-					if _, ok := q.GetTimeout(p, 300*Microsecond); !ok {
+					if _, ok := q.TryGet(); !ok {
+						p.Sleep(300 * Microsecond)
 						continue
 					}
 					res.Use(p, Duration(1+s.Rand().Intn(200)))

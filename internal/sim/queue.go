@@ -102,24 +102,6 @@ func (q *Queue[T]) Get(p *Proc) T {
 	return q.pop()
 }
 
-// GetTimeout blocks like Get but gives up after d; ok is false on timeout.
-func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := q.sim.Now().Add(d)
-	for q.count == 0 {
-		remain := deadline.Sub(q.sim.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if !q.cond.WaitTimeout(p, remain) {
-			// timed out waiting; re-check emptiness in case of races
-			if q.count == 0 {
-				return v, false
-			}
-		}
-	}
-	return q.pop(), true
-}
-
 // Notify arms fn to run once the queue holds an item: as a callback waiter
 // on the queue (Cond.Notify) while it is empty, or as an event at the
 // current instant when it is not. A consumer that never blocks mid-item — a

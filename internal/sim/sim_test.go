@@ -392,39 +392,6 @@ func TestByteQueueLimit(t *testing.T) {
 	}
 }
 
-func TestQueueGetTimeout(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, 0)
-	var ok bool
-	var woke Time
-	s.Spawn("c", func(p *Proc) {
-		_, ok = q.GetTimeout(p, 5*Millisecond)
-		woke = p.Now()
-	})
-	s.Run(0)
-	if ok {
-		t.Fatal("GetTimeout returned ok on empty queue")
-	}
-	if woke != Time(5*Millisecond) {
-		t.Fatalf("woke at %v, want 5ms", woke)
-	}
-}
-
-func TestQueueGetTimeoutDelivers(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, 0)
-	var got int
-	var ok bool
-	s.Spawn("c", func(p *Proc) {
-		got, ok = q.GetTimeout(p, 50*Millisecond)
-	})
-	s.At(Millisecond, func() { q.Put(9) })
-	s.Run(0)
-	if !ok || got != 9 {
-		t.Fatalf("GetTimeout = %d,%v; want 9,true", got, ok)
-	}
-}
-
 func TestQueueScan(t *testing.T) {
 	s := New(1)
 	q := NewQueue[int](s, 0)

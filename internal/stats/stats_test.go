@@ -15,15 +15,6 @@ func TestCounterRates(t *testing.T) {
 	if c.Ops != 2 || c.Bytes != 16384 {
 		t.Fatalf("counter = %+v", c)
 	}
-	if got := c.OpsPerSec(2 * sim.Second); got != 1 {
-		t.Fatalf("OpsPerSec = %v", got)
-	}
-	if got := c.KBPerSec(sim.Second); got != 16 {
-		t.Fatalf("KBPerSec = %v", got)
-	}
-	if c.OpsPerSec(0) != 0 {
-		t.Fatal("zero-interval rate not zero")
-	}
 }
 
 func TestCounterSub(t *testing.T) {
@@ -33,39 +24,6 @@ func TestCounterSub(t *testing.T) {
 	if d.Ops != 6 || d.Bytes != 70 {
 		t.Fatalf("Sub = %+v", d)
 	}
-}
-
-func TestUtilizationNested(t *testing.T) {
-	var u Utilization
-	u.Begin(0)
-	u.Begin(sim.Time(10)) // nested
-	u.End(sim.Time(20))
-	u.End(sim.Time(30)) // closes at 30: busy 0..30
-	if got := u.Busy(sim.Time(40)); got != 30 {
-		t.Fatalf("Busy = %v", got)
-	}
-}
-
-func TestUtilizationPercentInterval(t *testing.T) {
-	var u Utilization
-	u.Begin(0)
-	u.End(sim.Time(50))
-	u.Reset(sim.Time(100))
-	u.Begin(sim.Time(100))
-	u.End(sim.Time(150))
-	if got := u.Percent(sim.Time(200)); got != 50 {
-		t.Fatalf("Percent = %v, want 50", got)
-	}
-}
-
-func TestUtilizationEndWithoutBeginPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("End without Begin did not panic")
-		}
-	}()
-	var u Utilization
-	u.End(0)
 }
 
 func TestLatencyStats(t *testing.T) {

@@ -36,12 +36,12 @@ func wiretap(t *testing.T) (*sim.Sim, *client.Client, nfsproto.FH, *[]call) {
 			from, payload := dg.From, append([]byte(nil), dg.Payload...)
 			body, blen := dg.TakeBody()
 			dg.Release()
-			msg, err := oncrpc.DecodeCall(payload)
-			if err != nil {
+			var msg oncrpc.CallMsg
+			if err := oncrpc.DecodeCallInto(payload, &msg); err != nil {
 				t.Errorf("wiretap: %v", err)
 				continue
 			}
-			*calls = append(*calls, decodeCall(t, msg, body, blen))
+			*calls = append(*calls, decodeCall(t, &msg, body, blen))
 			if body == nil {
 				n.Send(p, from, "nfs", payload)
 				continue

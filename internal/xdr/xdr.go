@@ -95,6 +95,23 @@ func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 // bytes: length word plus payload padded to a 4-byte boundary.
 func OpaqueSize(n int) int { return 4 + (n+3)&^3 }
 
+// Record is a wire record with one encode form: its exact encoded size,
+// and an append of itself onto an encoder. The client and server size a
+// wire head by EncodedSize and fill it with EncodeTo, so a header and the
+// record after it share one buffer.
+type Record interface {
+	EncodedSize() int
+	EncodeTo(e *Encoder)
+}
+
+// Marshal encodes r into a fresh buffer of exactly its size, for callers
+// that want the record alone (tests building messages by hand).
+func Marshal(r Record) []byte {
+	e := NewEncoder(make([]byte, 0, r.EncodedSize()))
+	r.EncodeTo(e)
+	return e.Bytes()
+}
+
 // Decoder consumes XDR-encoded values from a byte slice.
 type Decoder struct {
 	buf []byte
