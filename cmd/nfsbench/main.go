@@ -17,12 +17,13 @@
 //	                                # failure prints the shrunk spec and
 //	                                # exits 1
 //	nfsbench -run figure2 -j 8      # sweep cells across 8 workers
-//	nfsbench -j 1 ...               # force the sequential engine
+//	nfsbench -j 1 ...               # run everything in-line
 //
-// -j sets the worker-pool size for sweep cells, registry scenarios and
-// fuzz runs (default GOMAXPROCS). Every output byte is identical at any
-// -j: cells are independent sims gathered in deterministic order, and
-// only the wall-time lines (which report real time) differ.
+// -j sets the worker count of the one ordered pool (scenario.Ordered)
+// that runs sweep cells, registry scenarios and fuzz runs (default
+// GOMAXPROCS). Every output byte is identical at any -j: cells are
+// independent sims gathered in deterministic order, and only the
+// wall-time lines (which report real time) differ.
 package main
 
 import (
@@ -32,10 +33,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -45,12 +45,13 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// app is one invocation: where it prints, and the -trace / -probes
-// destinations. Either destination being set forces the observe plane on
-// for every scenario runSpec executes (when several scenarios run, the
-// last one's artifacts win).
+// app is one invocation: where it prints, the worker count (-j) and the
+// -trace / -probes destinations. Either destination being set forces the
+// observe plane on for every scenario execSpec executes (when several
+// scenarios run, the last one's artifacts win).
 type app struct {
 	out, errw           io.Writer
+	jobs                int
 	traceOut, probesOut string
 }
 
@@ -75,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "coarser LADDIS sweeps for figures 2-3")
 	fuzz := fs.Int("fuzz", 0, "run N fuzzed scenarios against the durability and leak invariants")
 	seed := fs.Int64("seed", 1, "fuzzing campaign seed (with -fuzz)")
-	jobs := fs.Int("j", 0, "worker-pool size for sweep cells, registry scenarios and fuzz runs (default GOMAXPROCS; 1 forces the sequential engine)")
+	fs.IntVar(&a.jobs, "j", 0, "worker-pool size for sweep cells, registry scenarios and fuzz runs (default GOMAXPROCS; 1 runs everything in-line)")
 	fs.StringVar(&a.traceOut, "trace", "", "write a Chrome trace_event JSON file for scenario runs (view in chrome://tracing or ui.perfetto.dev); forces the observe plane on")
 	fs.StringVar(&a.probesOut, "probes", "", "write the periodic probe time-series as CSV for scenario runs; forces the observe plane on")
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	scenario.SetWorkers(*jobs)
+	if a.jobs <= 0 {
+		a.jobs = runtime.GOMAXPROCS(0)
+	}
 	wall := time.Now()
 
 	switch {
@@ -148,48 +151,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runRegistryScenarios executes the registry scenarios, concurrently when
-// the worker pool allows: each scenario renders into its own buffer and
-// the buffers print in the given order, so the transcript is
-// byte-identical to the sequential loop (wall-time lines aside). The
-// -trace/-probes artifact path keeps the sequential loop — its
-// last-scenario-wins file semantics are inherently ordered.
+// runRegistryScenarios executes the registry scenarios on the ordered
+// pool: each scenario renders into its own buffer, and the buffers print
+// in the given order up to the first failure, so the transcript is the
+// same at any -j (wall-time lines aside). With -trace or -probes the pool
+// runs at one worker: each scenario overwrites the artifacts, and the
+// last one's must win.
 func (a *app) runRegistryScenarios(entries []scenario.Entry, specs []scenario.Spec) int {
-	workers := scenario.Workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 || a.traceOut != "" || a.probesOut != "" {
-		for i, spec := range specs {
-			if status := a.runSpec(spec, entries[i].Render); status != 0 {
-				return status
-			}
-		}
-		return 0
+	workers := a.jobs
+	if a.traceOut != "" || a.probesOut != "" {
+		workers = 1
 	}
 	outs := make([]string, len(specs))
 	errs := make([]error, len(specs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				_, outs[i], errs[i] = a.execSpec(specs[i], entries[i].Render)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range specs {
-		if errs[i] != nil {
-			return a.fail(1, "%s: %v", entries[i].Name, errs[i])
-		}
+	k := scenario.Ordered(len(specs), workers, func(_, i int) bool {
+		outs[i], errs[i] = a.execSpec(specs[i], entries[i].Render)
+		return errs[i] != nil
+	})
+	for i := 0; i <= k && i < len(outs); i++ {
 		fmt.Fprint(a.out, outs[i])
+	}
+	if k < len(specs) {
+		return a.fail(1, "%s: %v", entries[k].Name, errs[k])
 	}
 	return 0
 }
@@ -235,7 +218,12 @@ func (a *app) runScenarioFile(path string) int {
 	if status != 0 {
 		return status
 	}
-	return a.runSpec(spec, nil)
+	out, err := a.execSpec(spec, nil)
+	fmt.Fprint(a.out, out)
+	if err != nil {
+		return a.fail(1, "%v", err)
+	}
+	return 0
 }
 
 // validateScenarioFile parses and validates a spec file without running
@@ -263,8 +251,9 @@ func (a *app) validateScenarioFile(path string) int {
 // -scenario) and the exit status is 1.
 func (a *app) runFuzz(runs int, seed int64) int {
 	failure := scenario.Fuzz(scenario.FuzzConfig{
-		Runs: runs,
-		Seed: seed,
+		Runs:    runs,
+		Seed:    seed,
+		Workers: a.jobs,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(a.errw, format+"\n", args...)
 		},
@@ -294,11 +283,13 @@ func (a *app) writeRepro(name string, blob []byte) {
 	fmt.Fprintf(a.errw, "nfsbench: wrote %s\n", name)
 }
 
-// execSpec runs one scenario and renders its full report — the result in
-// the given layout (nil: the uniform table), the per-cell wall times, and
-// the wall+sim summary — into a string, so concurrent scenario runs can
-// buffer output and print in deterministic order.
-func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string) (*scenario.Result, string, error) {
+// execSpec runs one scenario at -j workers and renders its full report —
+// the result in the given layout (nil: the uniform table), the per-cell
+// wall times, and the wall+sim summary — into a string, so concurrent
+// scenario runs can buffer output and print in deterministic order. With
+// -trace or -probes it also writes the artifacts and reports them in the
+// same text; a failed write returns the report so far with the error.
+func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string) (string, error) {
 	if a.traceOut != "" || a.probesOut != "" {
 		o := scenario.Observe{}
 		if spec.Observe != nil {
@@ -317,9 +308,9 @@ func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string)
 		render = (*scenario.Result).Render
 	}
 	wall := time.Now()
-	res, err := scenario.Run(spec)
+	res, err := scenario.RunWorkers(spec, a.jobs)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintln(&b, render(res))
@@ -331,8 +322,30 @@ func (a *app) execSpec(spec scenario.Spec, render func(*scenario.Result) string)
 		fmt.Fprintf(&b, "  cell %-28s %8.3f s wall, %s\n", c.Label, c.Wall.Seconds(), selfReport(&c))
 	}
 	fmt.Fprintf(&b, "%s: %.2f s wall, %.2f s simulated (%d cells, %d workers)\n",
-		spec.Name, time.Since(wall).Seconds(), simTotal.Seconds(), len(res.Cells), scenario.Workers())
-	return res, b.String(), nil
+		spec.Name, time.Since(wall).Seconds(), simTotal.Seconds(), len(res.Cells), min(a.jobs, len(res.Cells)))
+	if a.traceOut != "" {
+		var traces []*obs.Trace
+		for i := range res.Cells {
+			if t := res.Cells[i].Trace; t != nil {
+				traces = append(traces, t)
+			}
+		}
+		if err := writeArtifact(&b, a.traceOut, func(f *os.File) error { return obs.WriteTraces(f, traces) }); err != nil {
+			return b.String(), err
+		}
+	}
+	if a.probesOut != "" {
+		var series []*obs.TimeSeries
+		for i := range res.Cells {
+			if s := res.Cells[i].Series; s != nil {
+				series = append(series, s)
+			}
+		}
+		if err := writeArtifact(&b, a.probesOut, func(f *os.File) error { return obs.WriteSeriesCSV(f, series) }); err != nil {
+			return b.String(), err
+		}
+	}
+	return b.String(), nil
 }
 
 // selfReport is what a cell cost the kernel: events fired, coroutine
@@ -357,36 +370,8 @@ func selfReport(c *scenario.CellResult) string {
 	return s
 }
 
-func (a *app) runSpec(spec scenario.Spec, render func(*scenario.Result) string) int {
-	res, out, err := a.execSpec(spec, render)
-	if err != nil {
-		return a.fail(1, "%v", err)
-	}
-	fmt.Fprint(a.out, out)
-	if a.traceOut != "" {
-		var traces []*obs.Trace
-		for i := range res.Cells {
-			if t := res.Cells[i].Trace; t != nil {
-				traces = append(traces, t)
-			}
-		}
-		if status := a.writeArtifact(a.traceOut, func(f *os.File) error { return obs.WriteTraces(f, traces) }); status != 0 {
-			return status
-		}
-	}
-	if a.probesOut != "" {
-		var series []*obs.TimeSeries
-		for i := range res.Cells {
-			if s := res.Cells[i].Series; s != nil {
-				series = append(series, s)
-			}
-		}
-		return a.writeArtifact(a.probesOut, func(f *os.File) error { return obs.WriteSeriesCSV(f, series) })
-	}
-	return 0
-}
-
-func (a *app) writeArtifact(path string, emit func(*os.File) error) int {
+// writeArtifact creates path, fills it with emit and reports it on w.
+func writeArtifact(w io.Writer, path string, emit func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err == nil {
 		err = emit(f)
@@ -395,8 +380,8 @@ func (a *app) writeArtifact(path string, emit func(*os.File) error) int {
 		}
 	}
 	if err != nil {
-		return a.fail(1, "%s: %v", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(a.out, "nfsbench: wrote %s\n", path)
-	return 0
+	fmt.Fprintf(w, "nfsbench: wrote %s\n", path)
+	return nil
 }

@@ -973,8 +973,8 @@ func (c *Client) Outstanding() int { return c.outstanding }
 
 // ShardIndex places a key (typically a file name) on one of n export
 // shards by FNV-1a hash. It is THE placement function: workloads spreading
-// working sets, cluster shard maps, and checkers resolving owners must all
-// hash identically, so none of them may roll their own.
+// working sets and checkers resolving owners must hash identically, so
+// none of them may roll their own.
 func ShardIndex(key string, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

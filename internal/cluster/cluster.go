@@ -1,8 +1,8 @@
 // Package cluster assembles every testbed the engine runs: N LADDIS-class
 // clients and M NFS server shards on one simulated medium or a bridged
-// fabric. Each server exports its own filesystem (a distinct FSID); a
-// deterministic shard map places working files on exports and routes
-// every RPC to the server owning its handle. The paper's Tables 1-6 and
+// fabric. Each server exports its own filesystem (a distinct FSID);
+// client.ShardIndex places working files on exports, and every RPC routes
+// to the server owning its handle's FSID. The paper's Tables 1-6 and
 // Figures 1-3 ran on one server, which is a one-node cluster built with
 // Config.PaperBoot.
 //
@@ -204,7 +204,6 @@ type Cluster struct {
 	Fabric  *netsim.Fabric
 	Nodes   []*Node
 	Clients []*client.Client
-	Shards  *ShardMap
 	// Pages is the cell's one table of pattern pages, shared by every
 	// client: a table per client would build the same pages once per host.
 	Pages *client.Pages
@@ -212,6 +211,10 @@ type Cluster struct {
 	cfg      Config
 	costs    hw.CPUParams
 	timeMark sim.Time
+	// owner maps each export's FSID to the node serving it: its own node,
+	// or the adopter after a failover (handles keep their FSID across the
+	// migration).
+	owner map[uint32]*Node
 }
 
 // New builds the full cluster for cfg. Unless cfg.PaperBoot, every node's
@@ -327,7 +330,10 @@ func New(cfg Config) *Cluster {
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
-	c.Shards = newShardMap(c.Nodes)
+	c.owner = make(map[uint32]*Node, len(c.Nodes))
+	for _, n := range c.Nodes {
+		c.owner[n.FSID] = n
+	}
 
 	groups := cfg.ClientGroups
 	if len(groups) == 0 {
@@ -552,7 +558,7 @@ func (n *Node) Reboot(p *sim.Proc) error {
 // the takeover is free in hardware but every adopted RPC now contends
 // with the adopter's own load. The export keeps the dead shard's FSID,
 // so existing file handles stay valid; the cluster reroutes every client
-// and reassigns shard-map ownership. The caller provides the takeover
+// and reassigns the export's ownership. The caller provides the takeover
 // process (its elapsed time is the remount, as for Reboot).
 func (n *Node) Adopt(p *sim.Proc, dead *Node) error {
 	if n.Down {
@@ -601,7 +607,7 @@ func (n *Node) Adopt(p *sim.Proc, dead *Node) error {
 		n.net.SetLinkDown(name, true)
 	}
 	n.Adopted = append(n.Adopted, ex)
-	n.c.Shards.reassign(dead.FSID, n)
+	n.c.owner[dead.FSID] = n
 	for _, cli := range n.c.Clients {
 		cli.AddRoute(dead.FSID, name)
 	}
@@ -638,7 +644,7 @@ func (c *Cluster) SetUplinkDown(segment string, down bool) bool {
 // a failover. Nil when nobody serves it (the owner is down with no
 // adopter, or the adopter crashed).
 func (c *Cluster) FSByFSID(fsid uint32) *ufs.FS {
-	n := c.Shards.byFSID[fsid]
+	n := c.owner[fsid]
 	if n == nil {
 		return nil
 	}
@@ -730,7 +736,7 @@ func (n *Node) diskTotals() (uint64, uint64) {
 // Stats is the cluster-wide interval roll-up.
 type Stats struct {
 	// CPUMeanPercent and CPUMaxPercent summarize server CPU load across
-	// shards; skew between them exposes an unbalanced shard map. On one
+	// shards; skew between them exposes an unbalanced placement. On one
 	// server they are equal.
 	CPUMeanPercent float64
 	CPUMaxPercent  float64

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestShardMapDeterministic: placement is stable across builds and spreads
@@ -17,7 +17,7 @@ func TestShardMapDeterministic(t *testing.T) {
 		c := New(Config{Net: hw.FDDI(), Clients: 1, Servers: 4, Seed: 3})
 		var idx []int
 		for i := 0; i < 64; i++ {
-			idx = append(idx, c.Shards.ByKey(fmt.Sprintf("file-%d", i)).Index)
+			idx = append(idx, c.Nodes[client.ShardIndex(fmt.Sprintf("file-%d", i), len(c.Nodes))].Index)
 		}
 		return idx
 	}
@@ -49,8 +49,14 @@ func TestMultiClientMultiServerCopies(t *testing.T) {
 		i, cli := i, cli
 		c.Sim.Spawn(fmt.Sprintf("app%d", i), func(p *sim.Proc) {
 			name := fmt.Sprintf("copy-%d.dat", i)
-			root := roots[c.Shards.ByKey(name).Index]
-			if _, err := workload.FileCopy(p, cli, root, name, size); err != nil {
+			cres, err := cli.Create(p, roots[client.ShardIndex(name, len(roots))], name, 0644)
+			if err == nil && cres.Status != nfsproto.OK {
+				err = fmt.Errorf("create %s: %v", name, cres.Status)
+			}
+			if err == nil {
+				_, err = cli.WriteFile(p, cres.File, size)
+			}
+			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
 			}
@@ -78,7 +84,7 @@ func TestMultiClientMultiServerCopies(t *testing.T) {
 
 	// Verify one file's bytes server-side through the owning shard.
 	name := "copy-0.dat"
-	n := c.Shards.ByKey(name)
+	n := c.Nodes[client.ShardIndex(name, len(c.Nodes))]
 	var verified bool
 	c.Sim.Spawn("verify", func(p *sim.Proc) {
 		ino, err := n.FS.Lookup(p, n.FS.Root(), name)

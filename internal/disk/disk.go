@@ -50,9 +50,6 @@ type Stats struct {
 	ReadBytes  uint64
 	WriteBytes uint64
 	BusyTime   sim.Duration
-
-	markReads, markWrites         uint64
-	markReadBytes, markWriteBytes uint64
 }
 
 // Trans reports total transactions.
@@ -60,22 +57,6 @@ func (s *Stats) Trans() uint64 { return s.Reads + s.Writes }
 
 // Bytes reports total bytes moved.
 func (s *Stats) Bytes() uint64 { return s.ReadBytes + s.WriteBytes }
-
-// Reset marks the beginning of a measurement interval.
-func (s *Stats) Reset() {
-	s.markReads, s.markWrites = s.Reads, s.Writes
-	s.markReadBytes, s.markWriteBytes = s.ReadBytes, s.WriteBytes
-}
-
-// IntervalTrans reports transactions since Reset.
-func (s *Stats) IntervalTrans() uint64 {
-	return s.Reads - s.markReads + s.Writes - s.markWrites
-}
-
-// IntervalBytes reports bytes since Reset.
-func (s *Stats) IntervalBytes() uint64 {
-	return s.ReadBytes - s.markReadBytes + s.WriteBytes - s.markWriteBytes
-}
 
 // Disk is a single moving-head disk with a FIFO request queue. The
 // platter store holds references to the refcounted buffers written through
@@ -549,23 +530,4 @@ func (st *Stripe) InjectBlock(blk int64, data []byte) {
 		m, phys := st.mapBlock(blk + i)
 		st.members[m].InjectBlock(phys, data[i*bs:(i+1)*bs])
 	}
-}
-
-// MemberTrans sums member-level transactions; the paper's per-disk
-// transaction rates for stripe sets count each spindle's operations.
-func (st *Stripe) MemberTrans() uint64 {
-	var n uint64
-	for _, m := range st.members {
-		n += m.Stats().Trans()
-	}
-	return n
-}
-
-// MemberBytes sums member-level bytes.
-func (st *Stripe) MemberBytes() uint64 {
-	var n uint64
-	for _, m := range st.members {
-		n += m.Stats().Bytes()
-	}
-	return n
 }

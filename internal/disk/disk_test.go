@@ -295,16 +295,21 @@ func TestStripeMapping(t *testing.T) {
 
 func TestStripeMemberAggregates(t *testing.T) {
 	s := sim.New(1)
-	st, _ := newStripe(s, 3)
+	st, members := newStripe(s, 3)
 	s.Spawn("io", func(p *sim.Proc) {
 		st.WriteBlocks(p, 0, make([]byte, 24*8192))
 	})
 	s.Run(0)
-	if st.MemberTrans() != 3 {
-		t.Fatalf("MemberTrans = %d, want 3", st.MemberTrans())
+	var trans, bytes uint64
+	for _, m := range members {
+		trans += m.Stats().Trans()
+		bytes += m.Stats().Bytes()
 	}
-	if st.MemberBytes() != 24*8192 {
-		t.Fatalf("MemberBytes = %d", st.MemberBytes())
+	if trans != 3 {
+		t.Fatalf("member transactions = %d, want 3", trans)
+	}
+	if bytes != 24*8192 {
+		t.Fatalf("member bytes = %d", bytes)
 	}
 	if st.Stats().Writes != 1 {
 		t.Fatalf("logical writes = %d, want 1", st.Stats().Writes)
@@ -314,18 +319,19 @@ func TestStripeMemberAggregates(t *testing.T) {
 func TestStatsInterval(t *testing.T) {
 	s := sim.New(1)
 	d := testDisk(s)
+	var mark Stats
 	s.Spawn("io", func(p *sim.Proc) {
 		d.WriteBlocks(p, 0, make([]byte, 8192))
-		d.Stats().Reset()
+		mark = *d.Stats()
 		d.WriteBlocks(p, 8, make([]byte, 8192))
 		d.WriteBlocks(p, 16, make([]byte, 8192))
 	})
 	s.Run(0)
-	if d.Stats().IntervalTrans() != 2 {
-		t.Fatalf("IntervalTrans = %d, want 2", d.Stats().IntervalTrans())
+	if n := d.Stats().Trans() - mark.Trans(); n != 2 {
+		t.Fatalf("interval transactions = %d, want 2", n)
 	}
-	if d.Stats().IntervalBytes() != 2*8192 {
-		t.Fatalf("IntervalBytes = %d", d.Stats().IntervalBytes())
+	if n := d.Stats().Bytes() - mark.Bytes(); n != 2*8192 {
+		t.Fatalf("interval bytes = %d", n)
 	}
 	if d.Stats().Trans() != 3 {
 		t.Fatalf("total Trans = %d, want 3", d.Stats().Trans())

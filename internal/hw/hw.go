@@ -130,13 +130,10 @@ func DEC3000CPU() CPUParams {
 	}
 }
 
-// DEC3800CPU is the faster server used for the paper's FDDI and LADDIS
-// experiments ("for no better reason than that is the way my lab is set
-// up").
-func DEC3800CPU() CPUParams { return DEC3000CPU().Scale(1.8) }
-
 // Scale returns a copy of the cost table with every cost divided by f
-// (f > 1 means a faster CPU).
+// (f > 1 means a faster CPU). The paper's FDDI and LADDIS server, a DEC
+// 3800 ("for no better reason than that is the way my lab is set up"),
+// is DEC3000CPU().Scale(1.8).
 func (c CPUParams) Scale(f float64) CPUParams {
 	s := c
 	div := func(d sim.Duration) sim.Duration { return sim.Duration(float64(d) / f) }

@@ -49,7 +49,7 @@ func TestCPUScale(t *testing.T) {
 	if fast.PerFragment >= base.PerFragment {
 		t.Fatal("Scale did not reduce PerFragment")
 	}
-	faster := DEC3800CPU()
+	faster := DEC3000CPU().Scale(1.8)
 	if faster.RPCDispatch >= base.RPCDispatch {
 		t.Fatal("DEC3800 not faster than DEC3000")
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/block"
@@ -98,10 +99,12 @@ func TestCellsRunOnTheFirstCellsBuffers(t *testing.T) {
 }
 
 // TestPanickedCellForfeitsItsBuffers: a cell that panics mid-run is never
-// retired, and the worker's next cell is none the worse — its result
-// equals its solo run. The second cell's filesystem is cut to one inode
-// block, so its LADDIS set-up runs out of inodes 31 files in and panics
-// with every nfsd and load process suspended.
+// retired, and no cell runs after it on its worker, so nothing reuses the
+// buffers it forfeited: the panic surfaces on the caller, the cell before
+// it equals its solo run, and the cell after it never starts. The second
+// cell's filesystem is cut to one inode block, so its LADDIS set-up runs
+// out of inodes 31 files in and panics with every nfsd and load process
+// suspended. The job is runEngine's.
 func TestPanickedCellForfeitsItsBuffers(t *testing.T) {
 	spec := laddisSweepSpec(t)
 	spec.Cells = spec.Cells[:3]
@@ -109,20 +112,27 @@ func TestPanickedCellForfeitsItsBuffers(t *testing.T) {
 	rcs := resolveAll(t, spec)
 	rcs[1].servers.Inodes = 1
 
+	ar := block.NewArena()
 	crs := make([]CellResult, len(rcs))
+	var started []int
 	var panicked any
 	func() {
 		defer func() { panicked = recover() }()
-		runCellsParallel(rcs, crs, 1, nil) // one worker: cell 3 follows the panic on it
+		Ordered(len(rcs), 1, func(_, i int) bool {
+			started = append(started, i)
+			crs[i] = runCellTimed(rcs[i], ar, nil)
+			return crs[i].err != nil
+		})
 	}()
 	if panicked == nil {
 		t.Fatal("the doctored cell did not panic")
 	}
-	for _, i := range []int{0, 2} {
-		crs[i].Label, crs[i].Seed = rcs[i].label, rcs[i].seed
-		if got := cellJSON(t, crs[i]); got != solo[i] {
-			t.Errorf("cell %s beside a panicked cell differs from its solo run", rcs[i].label)
-		}
+	if !reflect.DeepEqual(started, []int{0, 1}) {
+		t.Errorf("cells started %v; the cell after the panic must not run", started)
+	}
+	crs[0].Label, crs[0].Seed = rcs[0].label, rcs[0].seed
+	if got := cellJSON(t, crs[0]); got != solo[0] {
+		t.Errorf("cell %s before a panicked cell differs from its solo run", rcs[0].label)
 	}
 }
 

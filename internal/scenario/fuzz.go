@@ -23,8 +23,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -41,13 +41,13 @@ type FuzzConfig struct {
 	// minimizing one failure (default 250).
 	MaxShrinkRuns int
 	// Workers is the campaign's worker-pool size: that many generated
-	// specs execute concurrently, each a fully independent sim with its
-	// own buffer ledger. 0 uses the package default (Workers); 1 forces
-	// the sequential path. The verdict is identical at any width: run-i
-	// spec generation depends on (Seed, i) alone, runs are classified
-	// independently, and the lowest failing index wins — exactly the run
-	// the sequential campaign would have stopped at. Shrinking is always
-	// sequential, so the minimized spec and artifacts match too.
+	// specs execute concurrently (Ordered), each a fully independent sim
+	// with its own buffer ledger. 0 uses GOMAXPROCS; 1 runs in-line. The
+	// verdict is identical at any width: run-i spec generation depends on
+	// (Seed, i) alone, runs are classified independently, and the lowest
+	// failing index wins — exactly the run an in-line campaign stops at.
+	// Shrinking always runs in-line, so the minimized spec and artifacts
+	// match too.
 	Workers int
 	// Log, when set, receives one progress line every few runs.
 	Log func(format string, args ...any)
@@ -107,8 +107,8 @@ func (f *FuzzFailure) String() string {
 // Fuzz runs the campaign and returns the first failure, minimized — or
 // nil if every generated spec upheld the invariants. Generated specs
 // execute across cfg.Workers concurrent sims; the reported failure is
-// the lowest failing run index, which is exactly the sequential
-// campaign's verdict (see FuzzConfig.Workers).
+// the lowest failing run index, the run an in-line campaign stops at
+// (see FuzzConfig.Workers).
 func Fuzz(cfg FuzzConfig) *FuzzFailure {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
@@ -116,100 +116,35 @@ func Fuzz(cfg FuzzConfig) *FuzzFailure {
 	if cfg.MaxShrinkRuns <= 0 {
 		cfg.MaxShrinkRuns = 250
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = Workers()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-	f := fuzzCampaign(cfg, workers)
-	if f == nil {
+	// A failure stops the campaign: no run above it is dispatched.
+	fails := make([]*FuzzFailure, cfg.Runs)
+	var logMu sync.Mutex
+	k := Ordered(cfg.Runs, cfg.Workers, func(_, i int) bool {
+		if cfg.Log != nil && i%10 == 0 {
+			logMu.Lock()
+			cfg.Log("fuzz: run %d/%d", i, cfg.Runs)
+			logMu.Unlock()
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
+		spec := genSpec(rng, i)
+		if class, detail := checkSpec(spec); class != "" {
+			fails[i] = &FuzzFailure{Run: i, Class: class, Detail: detail, Spec: spec}
+		}
+		return fails[i] != nil
+	})
+	if k == cfg.Runs {
 		return nil
 	}
+	f := fails[k]
 	// Minimize and capture artifacts outside the worker pool: the
 	// shrinker's greedy passes are order-dependent, so they always run
-	// sequentially regardless of campaign width.
+	// in-line regardless of campaign width.
 	f.Shrunk, f.ShrinkRuns = shrinkSpec(f.Spec, f.Class, cfg.MaxShrinkRuns)
 	f.TraceJSON, f.SeriesCSV = captureObs(f.Shrunk)
 	return f
-}
-
-// fuzzCampaign executes the generate-and-check loop and returns the
-// lowest-index failure, not yet minimized (nil if the campaign passed).
-func fuzzCampaign(cfg FuzzConfig, workers int) *FuzzFailure {
-	runOne := func(i int) *FuzzFailure {
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-		spec := genSpec(rng, i)
-		class, detail := checkSpec(spec)
-		if class == "" {
-			return nil
-		}
-		return &FuzzFailure{Run: i, Class: class, Detail: detail, Spec: spec}
-	}
-	if workers <= 1 {
-		for i := 0; i < cfg.Runs; i++ {
-			if cfg.Log != nil && i%10 == 0 {
-				cfg.Log("fuzz: run %d/%d", i, cfg.Runs)
-			}
-			if f := runOne(i); f != nil {
-				return f
-			}
-		}
-		return nil
-	}
-	// Parallel campaign. Indices are handed out in order; a worker pulls
-	// the next index only while it could still matter (below the best
-	// failure seen so far), so a failure at run k stops the campaign
-	// after O(workers) extra runs, like the sequential early exit. Every
-	// index below a recorded failure is guaranteed dispatched (dispatch
-	// is monotone) and drained (the pool joins before reporting), so the
-	// surviving lowest index is the true first failure.
-	var (
-		mu   sync.Mutex
-		next int
-		best *FuzzFailure
-		wg   sync.WaitGroup
-	)
-	var panicked atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				// genSpec panics on generator bugs; surface them on the
-				// caller instead of crashing from a worker goroutine.
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, r)
-				}
-			}()
-			for {
-				mu.Lock()
-				if next >= cfg.Runs || (best != nil && next > best.Run) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				if cfg.Log != nil && i%10 == 0 {
-					cfg.Log("fuzz: run %d/%d", i, cfg.Runs)
-				}
-				mu.Unlock()
-				if f := runOne(i); f != nil {
-					mu.Lock()
-					if best == nil || f.Run < best.Run {
-						best = f
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(r)
-	}
-	return best
 }
 
 // captureObs replays spec with the full observe plane forced on and

@@ -2,15 +2,113 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/sim"
 	"repro/internal/ufs"
 )
+
+// TestOrderedPool pins the pool's one rule at one worker and at four: a
+// failure (a stop or a panic) at index k lets every index below k run and
+// dispatches none above it. Jobs above the first failure park at a gate
+// the test opens after 50 ms, so a worker holds at most one of them: at
+// four workers at most three indices past k are ever out, and a pool that
+// kept dispatching would hand a fourth to the worker k ran on. At one
+// worker none runs.
+func TestOrderedPool(t *testing.T) {
+	const n = 40
+	for _, tc := range []struct {
+		name string
+		// job is the case's behaviour at index i; woke is closed by the
+		// case when its higher-index panic has happened.
+		job      func(workers, i int, woke chan struct{}) bool
+		want     int // Ordered's return
+		first    int // the lowest failed index (n: none)
+		panicVal any // the panic that must surface, nil for none
+	}{
+		{
+			name: "clean",
+			job:  func(_, _ int, _ chan struct{}) bool { return false },
+			want: n, first: n,
+		},
+		{
+			name: "stop",
+			job:  func(_, i int, _ chan struct{}) bool { return i == 10 },
+			want: 10, first: 10,
+		},
+		{
+			// Index 2 panics first in time; index 1's later panic is the
+			// one an in-line loop would have raised, and it wins.
+			name: "lower-panic-wins",
+			job: func(workers, i int, woke chan struct{}) bool {
+				switch i {
+				case 1:
+					if workers > 1 {
+						<-woke
+						time.Sleep(10 * time.Millisecond)
+					}
+					panic("low")
+				case 2:
+					close(woke)
+					panic("high")
+				}
+				return false
+			},
+			first: 1, panicVal: "low",
+		},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				var mu sync.Mutex
+				ran := make([]int, n)
+				gate := make(chan struct{})
+				timer := time.AfterFunc(50*time.Millisecond, func() { close(gate) })
+				defer timer.Stop()
+				woke := make(chan struct{})
+				var got int
+				var panicked any
+				func() {
+					defer func() { panicked = recover() }()
+					got = Ordered(n, workers, func(_, i int) bool {
+						mu.Lock()
+						ran[i]++
+						mu.Unlock()
+						if i > tc.first && i != 2 {
+							<-gate
+						}
+						return tc.job(workers, i, woke)
+					})
+				}()
+				if panicked != tc.panicVal {
+					t.Fatalf("panic %v, want %v", panicked, tc.panicVal)
+				}
+				if tc.panicVal == nil && got != tc.want {
+					t.Errorf("Ordered returned %d, want %d", got, tc.want)
+				}
+				above := 0
+				for i, c := range ran {
+					switch {
+					case c > 1:
+						t.Errorf("index %d ran %d times", i, c)
+					case i <= tc.first && c == 0:
+						t.Errorf("index %d below the first failure %d never ran", i, tc.first)
+					case i > tc.first && c == 1:
+						above++
+					}
+				}
+				if limit := workers - 1; above > limit {
+					t.Errorf("%d indices above the first failure ran, want at most %d", above, limit)
+				}
+			})
+		}
+	}
+}
 
 // laddisSweepSpec is a small multi-cell LADDIS sweep (the figure2 load
 // curve, trimmed): the single-server rig assembly under the parallel

@@ -183,8 +183,8 @@ func crash() Spec {
 	return spec
 }
 
-// failOver is a scenario the crash-train API could not express: the
-// shard map stops being static. Shard 2 dies mid-stream and never
+// failOver is a scenario the crash-train API could not express: export
+// ownership stops being static. Shard 2 dies mid-stream and never
 // reboots; after the takeover delay shard 1 adopts its disks — NVRAM
 // replay, remount, a dedicated server instance on the adopter's CPU —
 // under the same FSID, so every handle born on the dead shard stays

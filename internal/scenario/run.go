@@ -2,8 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"time"
 
 	"repro/internal/block"
@@ -24,18 +23,16 @@ import (
 // fresh deterministic simulation of a cluster (one node with the paper
 // boot for rig-assembly cells), returning the uniform result.
 //
-// Cells execute across the package worker pool (Workers, default
-// GOMAXPROCS); every cell is an independent simulation with its own
-// buffer ledger, and results are gathered in cell order, so the result —
-// Render bytes included — is byte-identical to the sequential engine
-// regardless of worker count. RunWorkers overrides the pool size per
-// call; 1 forces the historical in-line sequential path.
+// Cells run on GOMAXPROCS workers (Ordered); every cell is an independent
+// simulation with its own buffer ledger, and results are gathered in cell
+// order, so the result — Render bytes included — is byte-identical at any
+// worker count.
 func Run(spec Spec) (*Result, error) {
-	return runEngine(spec, Workers(), nil)
+	return runEngine(spec, runtime.GOMAXPROCS(0), nil)
 }
 
-// RunWorkers is Run with an explicit worker count for this call (1 =
-// sequential, in-line on the calling goroutine).
+// RunWorkers is Run with an explicit worker count (1 = in-line on the
+// calling goroutine).
 func RunWorkers(spec Spec, workers int) (*Result, error) {
 	return runEngine(spec, workers, nil)
 }
@@ -46,12 +43,15 @@ func RunWorkers(spec Spec, workers int) (*Result, error) {
 // receives each cell's live observer as its hooks are installed (the
 // fuzzer's panic-survivable artifact path).
 //
-// Buffers outlive the cell, not the run: each worker goroutine (or the
-// sequential loop) owns a block.Arena, garbage when runEngine returns.
+// Buffers outlive the cell, not the run: each worker owns a block.Arena,
+// garbage when runEngine returns. A worker whose cell panicked is handed
+// no further cell, so no cell runs on an arena a panicked cell forfeited
+// buffers to.
 //
 // A cell may find a spec error only a run can find (runOpenload's
-// fault-before-the-window check); the first such cell's error comes back
-// in place of the result, like the static ones.
+// fault-before-the-window check); that stops the sweep like a panic, and
+// the lowest such cell's error comes back in place of the result, like
+// the static ones.
 func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 	res := &Result{Name: spec.Name, Spec: spec}
 	var rcs []*resolved
@@ -63,72 +63,22 @@ func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 		rcs = append(rcs, rc)
 	}
 	crs := make([]CellResult, len(rcs))
-	if workers > 1 && len(rcs) > 1 {
-		runCellsParallel(rcs, crs, workers, capture)
-	} else {
-		ar := block.NewArena()
-		for i, rc := range rcs {
-			crs[i] = runCellTimed(rc, ar, capture)
+	ars := make([]*block.Arena, max(workers, 1))
+	if k := Ordered(len(rcs), workers, func(w, i int) bool {
+		if ars[w] == nil {
+			ars[w] = block.NewArena()
 		}
+		crs[i] = runCellTimed(rcs[i], ars[w], capture)
+		return crs[i].err != nil
+	}); k < len(rcs) {
+		return nil, crs[k].err
 	}
 	for i := range crs {
-		if crs[i].err != nil {
-			return nil, crs[i].err
-		}
 		crs[i].Label = rcs[i].label
 		crs[i].Seed = rcs[i].seed
 	}
 	res.Cells = crs
 	return res, nil
-}
-
-// runCellsParallel executes the resolved cells across a pool of workers.
-// Cells are handed out in index order and every result lands in its own
-// slot, so gathering is order-independent. A cell that panics does not
-// take the process down from a worker goroutine: the panic is captured
-// and re-raised — lowest cell index first, matching what the sequential
-// engine would have surfaced — on the calling goroutine after the pool
-// drains, so harnesses that recover (the fuzzer) see the same value. Its
-// worker goes on with a new arena: nothing the dead cell touched is reused.
-func runCellsParallel(rcs []*resolved, crs []CellResult, workers int, capture obsCaptureFn) {
-	if workers > len(rcs) {
-		workers = len(rcs)
-	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	panicIdx := -1
-	var panicVal any
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ar := block.NewArena()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(rcs) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							ar = block.NewArena()
-							mu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, r
-							}
-							mu.Unlock()
-						}
-					}()
-					crs[i] = runCellTimed(rcs[i], ar, capture)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(panicVal)
-	}
 }
 
 // runCellTimed runs one cell on its own buffer ledger, born from the

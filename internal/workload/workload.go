@@ -1,7 +1,8 @@
-// Package workload provides the load generators behind the paper's
-// evaluation: the sequential 10MB file-copy of Tables 1-6 and a
-// LADDIS-like mixed operation generator (Wittle & Keith 1993) for the
-// SPEC SFS curves of Figures 2 and 3.
+// Package workload provides the LADDIS-like mixed operation generator
+// (Wittle & Keith 1993) behind the SPEC SFS curves of the paper's Figures
+// 2 and 3, and the operation executor both load generators share. The
+// sequential 10MB file copy of Tables 1-6 is a CREATE followed by
+// client.WriteFile.
 package workload
 
 import (
@@ -13,21 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// FileCopy writes a size-byte file named name sequentially through cli and
-// returns the client-observed elapsed time, matching the paper's
-// "client write speed" measurement (first write generated to close
-// completion).
-func FileCopy(p *sim.Proc, cli *client.Client, root nfsproto.FH, name string, size int) (sim.Duration, error) {
-	cres, err := cli.Create(p, root, name, 0644)
-	if err != nil {
-		return 0, fmt.Errorf("workload: create %s: %w", name, err)
-	}
-	if cres.Status != nfsproto.OK {
-		return 0, fmt.Errorf("workload: create %s: %v", name, cres.Status)
-	}
-	return cli.WriteFile(p, cres.File, size)
-}
 
 // Op is one LADDIS operation type.
 type Op int

@@ -8,6 +8,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/netsim"
+	"repro/internal/nfsproto"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -26,7 +27,7 @@ func rig(t *testing.T, gathering bool, srvName string) (*sim.Sim, *netsim.Networ
 	s := sim.New(7)
 	n := netsim.New(s, hw.FDDI())
 	cpu := sim.NewResource(s, 1)
-	costs := hw.DEC3800CPU()
+	costs := hw.DEC3000CPU().Scale(1.8)
 	d := disk.New(s, hw.RZ26(), nil)
 	dev := server.NewChargedDevice(d, cpu, costs.DriverTrip)
 	fs, err := ufs.Format(s, dev, 1, 512, nil)
@@ -48,11 +49,14 @@ func TestFileCopyHelper(t *testing.T) {
 	var elapsed sim.Duration
 	var err error
 	s.Spawn("app", func(p *sim.Proc) {
-		elapsed, err = FileCopy(p, cli, srvRootFH(srv), "f", 128*1024)
+		var cres *nfsproto.DirOpRes
+		if cres, err = cli.Create(p, srvRootFH(srv), "f", 0644); err == nil && cres.Status == nfsproto.OK {
+			elapsed, err = cli.WriteFile(p, cres.File, 128*1024)
+		}
 	})
 	s.Run(0)
 	if err != nil {
-		t.Fatalf("FileCopy: %v", err)
+		t.Fatalf("copy: %v", err)
 	}
 	if elapsed <= 0 {
 		t.Fatal("no elapsed time")
@@ -64,17 +68,24 @@ func TestFileCopyHelper(t *testing.T) {
 
 func TestFileCopyDuplicateNameFails(t *testing.T) {
 	s, cli, srv := testbed(t, false)
+	var st1, st2 nfsproto.Status
 	var err1, err2 error
 	s.Spawn("app", func(p *sim.Proc) {
-		_, err1 = FileCopy(p, cli, srvRootFH(srv), "dup", 8192)
-		_, err2 = FileCopy(p, cli, srvRootFH(srv), "dup", 8192)
+		var cres *nfsproto.DirOpRes
+		if cres, err1 = cli.Create(p, srvRootFH(srv), "dup", 0644); err1 == nil {
+			st1 = cres.Status
+			_, err1 = cli.WriteFile(p, cres.File, 8192)
+		}
+		if cres, err2 = cli.Create(p, srvRootFH(srv), "dup", 0644); err2 == nil {
+			st2 = cres.Status
+		}
 	})
 	s.Run(0)
-	if err1 != nil {
-		t.Fatalf("first copy: %v", err1)
+	if err1 != nil || st1 != nfsproto.OK {
+		t.Fatalf("first copy: %v, %v", st1, err1)
 	}
-	if err2 == nil {
-		t.Fatal("second copy with same name succeeded")
+	if err2 == nil && st2 == nfsproto.OK {
+		t.Fatal("second create with the same name succeeded")
 	}
 }
 
