@@ -29,7 +29,7 @@ package openload
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"repro/internal/client"
@@ -286,7 +286,7 @@ func (p *Population) Build(q *sim.Proc, cli *client.Client) error {
 // Pick selects a file index per the distribution.
 func (p *Population) Pick(rng *rand.Rand) int {
 	if p.cdf == nil {
-		return rng.Intn(len(p.Files))
+		return rng.IntN(len(p.Files))
 	}
 	u := rng.Float64()
 	return sort.SearchFloat64s(p.cdf, u)
@@ -436,7 +436,7 @@ func (g *Gen) CheckScratch(p *sim.Proc) error {
 // latency histogram is the one the operations recorded into.
 func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	g.sim, g.finish = s, finish
-	g.rng = rand.New(rand.NewSource(g.cfg.Seed))
+	g.rng = newRand(g.cfg.Seed)
 	g.win = client.NewIssueWindow(g.cfg.Window)
 	g.backlog = sim.NewQueue[task](s, g.cfg.QueueCap)
 	g.start = s.Now()
@@ -453,6 +453,15 @@ func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	}
 	g.tick()
 	return nil
+}
+
+// newRand is a generator's arrival stream: a PCG (16 bytes of state,
+// seeded in O(1)) with both halves from the seed, so consecutive client
+// seeds differ in both. A client draws a handful of numbers in a short
+// window; math/rand's lagged-Fibonacci source would cost 5,376 heap bytes
+// and 1,841 serial seeding steps for them.
+func newRand(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), uint64(seed)))
 }
 
 // Run is Start on p's simulation plus a wait: p blocks until the window
@@ -550,7 +559,7 @@ func (g *Gen) settle() {
 // nextTask draws one synthetic arrival: op from the mix, file from the
 // population, offset within the file.
 func (g *Gen) nextTask(now sim.Time) task {
-	r := g.rng.Intn(1 << 20)
+	r := g.rng.IntN(1 << 20)
 	return task{
 		at:   now,
 		op:   g.cfg.Mix.Pick(r),

@@ -1,7 +1,7 @@
 package openload
 
 import (
-	"math/rand"
+	"math"
 	"reflect"
 	"testing"
 
@@ -25,7 +25,7 @@ func TestArrivalMeetsTargetRate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		rng := rand.New(rand.NewSource(1))
+		rng := newRand(1)
 		var total sim.Duration
 		total += arr.First(rng)
 		for i := 1; i < n; i++ {
@@ -48,7 +48,7 @@ func TestArrivalDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			rng := rand.New(rand.NewSource(42))
+			rng := newRand(42)
 			out := []sim.Duration{arr.First(rng)}
 			for i := 0; i < 1000; i++ {
 				out = append(out, arr.Gap(rng))
@@ -60,6 +60,40 @@ func TestArrivalDeterministic(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: gap %d differs: %v vs %v", kind, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestNeighbouringSeedsDrawApart holds newRand to what a cell relies on:
+// its clients are seeded w.Seed + i, and generators seeded s and s+1 draw
+// distinct, uncorrelated streams. No value repeats across the first 1,000
+// draws of the two, and paired exponential gaps correlate by less than
+// 0.05 over 100,000 draws.
+func TestNeighbouringSeedsDrawApart(t *testing.T) {
+	const distinct, paired = 1000, 100_000
+	for _, s := range []int64{0, 1, 12, 5151, 8282, -1} {
+		a, b := newRand(s), newRand(s+1)
+		seen := make(map[uint64]bool, distinct)
+		for i := 0; i < distinct; i++ {
+			seen[a.Uint64()] = true
+		}
+		for i := 0; i < distinct; i++ {
+			if v := b.Uint64(); seen[v] {
+				t.Fatalf("seeds %d and %d: draw %d of the second, %#x, is among the first's %d", s, s+1, i, v, distinct)
+			}
+		}
+
+		a, b = newRand(s), newRand(s+1)
+		var sx, sy, sxx, syy, sxy float64
+		for i := 0; i < paired; i++ {
+			x, y := a.ExpFloat64(), b.ExpFloat64()
+			sx, sy, sxx, syy, sxy = sx+x, sy+y, sxx+x*x, syy+y*y, sxy+x*y
+		}
+		n := float64(paired)
+		r := (n*sxy - sx*sy) / math.Sqrt((n*sxx-sx*sx)*(n*syy-sy*sy))
+		t.Logf("seeds %d and %d: r = %.4f", s, s+1, r)
+		if math.Abs(r) >= 0.05 {
+			t.Errorf("seeds %d and %d: paired exponential draws correlate, r = %.4f", s, s+1, r)
 		}
 	}
 }
@@ -84,7 +118,7 @@ func TestZipfSkewsHot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(7))
+		rng := newRand(7)
 		hot := 0
 		for i := 0; i < draws; i++ {
 			if pop.Pick(rng) < files/10 {

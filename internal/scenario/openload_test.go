@@ -82,6 +82,43 @@ func TestOpenloadOverloadHonesty(t *testing.T) {
 	// TestOpenloadLedgerAuditFires.
 }
 
+// TestStdAndWgAreOfferedTheSameArrivals is the common-random-numbers
+// property the capacity table rests on: a std cell and a wg cell of one
+// sweep row are offered the same arrivals, so the rows differ by the
+// server alone. A generator draws only on its arrival clock, never on a
+// completion, so below the knee, where nothing is shed or expired, every
+// client offers and completes the same operations in both builds however
+// differently the two servers answer.
+func TestStdAndWgAreOfferedTheSameArrivals(t *testing.T) {
+	spec := OpenloadSweep(
+		OpenloadRig("crn", "common random numbers", false, 2, 8, 2, ArrivalPoisson, PopZipf, MixLADDIS, 3*sim.Second, 5151),
+		[]float64{300})
+	res := MustRun(spec)
+	std, wg := res.Cells[0], res.Cells[1]
+	if std.Label != "std-300" || wg.Label != "wg-300" {
+		t.Fatalf("cells %q and %q, want std-300 and wg-300", std.Label, wg.Label)
+	}
+	for _, c := range []CellResult{std, wg} {
+		if c.ShedArrivals != 0 || c.ExpiredOps != 0 {
+			t.Fatalf("%s shed %d and expired %d arrivals; the row must be below the knee", c.Label, c.ShedArrivals, c.ExpiredOps)
+		}
+	}
+	if wg.GatherBatch == nil || std.P99LatencyMs == wg.P99LatencyMs {
+		t.Fatalf("wg gathered %v, p99 %.2f ms against std's %.2f: the two servers must answer differently",
+			wg.GatherBatch != nil, wg.P99LatencyMs, std.P99LatencyMs)
+	}
+	if len(std.OpenloadClients) != 2 || len(wg.OpenloadClients) != 2 {
+		t.Fatalf("%d and %d client summaries, want 2 each", len(std.OpenloadClients), len(wg.OpenloadClients))
+	}
+	for i := range std.OpenloadClients {
+		s, w := std.OpenloadClients[i], wg.OpenloadClients[i]
+		if s.Offered == 0 || s.Offered != w.Offered || !reflect.DeepEqual(s.PerOp, w.PerOp) {
+			t.Errorf("client %d: std offered %d %v, wg offered %d %v; want the same arrivals",
+				i, s.Offered, s.PerOp, w.Offered, w.PerOp)
+		}
+	}
+}
+
 // TestOpenloadLedgerAuditFires holds the runner's quiesce identity to
 // both sides: an overloaded cell's books, with arrivals shed, balance, and
 // a planted violation (one completion that never happened) panics with
@@ -465,23 +502,27 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 	}
 }
 
-// TestClientSetupFootprint bounds the heap an open-loop client costs
-// before its generator starts: the cluster's client, its generator and the
-// cell's slot for its result, as runOpenload builds them. It is the slope
-// of the live heap between 100 and 1,000 clients on the same 10 bridged
-// segments, so the server, its disks and the fabric drop out. A latency
-// histogram holds no buckets before its first sample and a generator's
-// result is handed over, not copied: a client cost 8.9 KB when the
+// TestClientSetupFootprint bounds the heap an open-loop client costs,
+// before its generator starts and after: the cluster's client, its
+// generator and the cell's slot for its result, as runOpenload builds
+// them, then what Gen.Start adds (the arrival stream, the issue window,
+// the backlog and the clock's first event). Each is the slope of the live
+// heap between 100 and 1,000 clients on the same 10 bridged segments, so
+// the server, its disks and the fabric drop out. A latency histogram holds
+// no buckets before its first sample and a generator's result is handed
+// over, not copied: a client cost 8.9 KB before its start when the
 // client's, the generator's and the copied result's histograms were three
-// fixed 2 KB bucket arrays. No generator starts, so no rand source counts.
+// fixed 2 KB bucket arrays. The arrival stream is a 16-byte PCG: a
+// math/rand source made each start cost 5.7 KB.
 func TestClientSetupFootprint(t *testing.T) {
-	const segments, bound = 10, 3200 // measured 2,561 bytes per client, + 25 %
-	heap := func(perSegment int) (uint64, int) {
+	const segments = 10
+	const setUpBound, startBound = 3200, 445 // measured 2,561 and 355 bytes per client, + 25 %
+	heap := func(perSegment int) (setUp, started uint64, clients int) {
 		spec := OpenloadBridged("footprint", "heap against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
 		spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}
 		rc := resolveAll(t, spec)[0]
 		w := rc.open
-		var before, after runtime.MemStats
+		var before, built, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		c := cluster.New(rc.clusterConfig())
@@ -493,20 +534,33 @@ func TestClientSetupFootprint(t *testing.T) {
 		gens := make([]*openload.Gen, len(c.Clients))
 		results := make([]*openload.Result, len(c.Clients))
 		for i, cli := range c.Clients {
-			gens[i] = openload.NewGen(cli, pop, openload.Config{Rate: w.TargetOps / float64(len(c.Clients)), Measure: w.Measure, Seed: w.Seed + int64(i)})
+			gens[i] = openload.NewGen(cli, pop, openload.Config{Arrival: w.Arrival, Rate: w.TargetOps / float64(len(c.Clients)),
+				Measure: w.Measure, Seed: w.Seed + int64(i)})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&built)
+		for i, g := range gens {
+			if err := g.Start(c.Sim, func(res *openload.Result) { results[i] = res }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(gens)
 		runtime.KeepAlive(results)
-		return after.HeapAlloc - before.HeapAlloc, len(c.Clients)
+		return built.HeapAlloc - before.HeapAlloc, after.HeapAlloc - built.HeapAlloc, len(c.Clients)
 	}
-	small, n0 := heap(10)
-	large, n1 := heap(100)
-	perClient := float64(large-small) / float64(n1-n0)
-	t.Logf("%d clients: %d bytes live; %d clients: %d bytes; %.0f bytes per client", n0, small, n1, large, perClient)
-	if perClient > bound {
-		t.Errorf("an open-loop client costs %.0f bytes before its generator starts, more than %d", perClient, bound)
+	setUp0, started0, n0 := heap(10)
+	setUp1, started1, n1 := heap(100)
+	perSetUp := float64(setUp1-setUp0) / float64(n1-n0)
+	perStart := float64(started1-started0) / float64(n1-n0)
+	t.Logf("%d clients: %d bytes set up, %d more started; %d clients: %d and %d; per client %.0f and %.0f bytes",
+		n0, setUp0, started0, n1, setUp1, started1, perSetUp, perStart)
+	if perSetUp > setUpBound {
+		t.Errorf("an open-loop client costs %.0f bytes before its generator starts, more than %d", perSetUp, setUpBound)
+	}
+	if perStart > startBound {
+		t.Errorf("starting an open-loop generator costs %.0f bytes, more than %d", perStart, startBound)
 	}
 }
 
