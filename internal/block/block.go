@@ -137,7 +137,7 @@ func (a *Accounting) Retire() {
 		return
 	}
 	for _, b := range a.issued {
-		if Debug || a.Debug {
+		if a.Debugging() {
 			for i := range b.data {
 				b.data[i] = 0xA5
 			}
@@ -177,6 +177,15 @@ func (a *Accounting) CountCopy(n int) int {
 	a.copies.Add(int64(n))
 	return n
 }
+
+// ChargeRefs adds n references held to memory that is refcounted outside
+// this package — a wire head — to TotalRefs (n < 0 releases them), so the
+// leak audit covers those holders too.
+func (a *Accounting) ChargeRefs(n int) { a.totalRefs.Add(int64(n)) }
+
+// Debugging reports whether lifecycle checking is on for this ledger: its
+// own Debug flag or the package-wide one.
+func (a *Accounting) Debugging() bool { return Debug || a.Debug }
 
 // Live, TotalRefs, Copies and CountCopy are the process-global ledger's
 // counters — the historical package API, used by tests and assemblies

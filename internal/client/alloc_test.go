@@ -16,8 +16,8 @@ import (
 // nothing. The reply decodes into the pooled ReplyMsg and the per-client
 // result scratch, the argument record lives on the caller's stack, and
 // both wire heads — the call and the echo server's reply — are carved
-// from the segment's slab (Network.WireBuf): fresh, never reused, but not
-// one malloc each.
+// from the segment's slabs (Network.Encoder), which are carved again once
+// their last head is released: not one malloc each.
 func TestReplyDecodeSteadyStateAllocs(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.New(s, hw.FDDI())
@@ -33,10 +33,13 @@ func TestReplyDecodeSteadyStateAllocs(t *testing.T) {
 		for {
 			dg := ep.Inbox.Get(p)
 			xid, _ := oncrpc.PeekXID(dg.Payload)
-			reply := append(n.WireBuf(len(template)), template...)
-			reply[0], reply[1], reply[2], reply[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
+			n.Encoder(len(template)).FixedOpaque(template)
+			reply := n.Encoded()
+			b := reply.Bytes
+			b[0], b[1], b[2], b[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
 			dg.Release()
-			n.Send(p, "server", "c", reply)
+			n.SendHead(p, "server", "c", reply, nil, 0)
+			reply.Release()
 		}
 	})
 

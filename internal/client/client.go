@@ -82,17 +82,16 @@ type Client struct {
 	scratchStatusRes  nfsproto.StatusRes
 	scratchReaddirRes nfsproto.ReaddirRes
 	scratchStatfsRes  nfsproto.StatfsRes
-	// replyBody is the data block of the most recently completed call's
-	// reply when it arrived split (a READ answered by reference), one
-	// reference of the client's own; Read's result aliases it. It is the
-	// READ half of the result scratch and lives as long: until the next
+	// replyHead is the head of the most recently completed call's reply,
+	// and replyBody its data block when it arrived split (a READ answered
+	// by reference), each one reference of the client's own. Decoded
+	// results alias them (names, verifiers, Read's data): they are the
+	// wire half of the result scratch and live as long, until the next
 	// call completes (the caller has consumed its result by then) or the
 	// host crashes.
+	replyHead    netsim.Head
 	replyBody    *block.Buf
 	replyBodyLen int
-	// enc is reset onto each call's wire buffer (encoding never yields, so
-	// one serves every process of the host).
-	enc xdr.Encoder
 
 	// Counters.
 	Retransmissions uint64
@@ -148,23 +147,26 @@ type pendingCall struct {
 	cond     sim.Cond
 	reply    *oncrpc.ReplyMsg // nil until a reply arrives; points at replyBuf
 	replyBuf oncrpc.ReplyMsg
-	// body is the reply datagram's body reference, taken over by
-	// receive; endCall passes it on to the client's replyBody.
-	body    *block.Buf
-	bodyLen int
+	// replyHead and body are the reply datagram's head and body
+	// references, taken over by receive; endCall passes them on to the
+	// client's replyHead and replyBody.
+	replyHead netsim.Head
+	body      *block.Buf
+	bodyLen   int
 
-	// The call, as start made it: raw is its encoded head, never mutated
-	// (queued and retransmitted datagrams alias it), out its split WRITE
-	// payload, which every transmission references. With routed set each
-	// attempt re-resolves its destination from fh's route (static routes
-	// make this a no-op; a mid-call failover redirects the next retry);
-	// otherwise every attempt goes to the default server.
+	// The call, as start made it: head is its encoded head, never mutated
+	// (queued and retransmitted datagrams alias it), held until endCall,
+	// out its split WRITE payload, which every transmission references.
+	// With routed set each attempt re-resolves its destination from fh's
+	// route (static routes make this a no-op; a mid-call failover
+	// redirects the next retry); otherwise every attempt goes to the
+	// default server.
 	proc    nfsproto.Proc
 	xid     uint32
 	fh      nfsproto.FH
 	routed  bool
 	to      string
-	raw     []byte
+	head    netsim.Head
 	out     *block.Buf
 	outLen  int
 	issued  sim.Time
@@ -302,8 +304,10 @@ func (c *Client) receive(dg *netsim.Datagram) {
 		}
 		c.bootIDs[dg.From] = id
 	}
-	// A split reply's data block stays with the call instead of dying with
-	// the datagram.
+	// The reply's head, which the decoded reply aliases, and a split
+	// reply's data block stay with the call instead of dying with the
+	// datagram.
+	pc.replyHead = dg.TakeHead()
 	pc.body, pc.bodyLen = dg.TakeBody()
 	dg.Release()
 	pc.reply = &pc.replyBuf
@@ -328,69 +332,61 @@ type Req struct {
 }
 
 // callEncoder starts one call: it takes the next XID and returns the
-// client's one encoder, reset onto a fresh wire head of exactly the call's
-// size, carved by the network (Network.WireBuf), that already holds the
-// RPC header. The caller appends argsSize bytes of arguments and starts
-// the call before anything yields.
+// network's encoder (Network.Encoder), reset onto a fresh wire head of
+// exactly the call's size that already holds the RPC header. The caller
+// appends argsSize bytes of arguments and starts the call before anything
+// yields.
 func (c *Client) callEncoder(proc nfsproto.Proc, argsSize int) *xdr.Encoder {
 	cred := oncrpc.OpaqueAuth{Flavor: oncrpc.AuthUnix, Body: c.credRaw}
 	verf := oncrpc.NullAuth()
 	c.xidSeq++
-	c.enc.Reset(c.net.WireBuf(oncrpc.CallHeaderSize(cred, verf) + argsSize))
-	oncrpc.AppendCallHeader(&c.enc, c.xidSeq, nfsproto.Program, nfsproto.Version, uint32(proc), cred, verf)
-	return &c.enc
+	e := c.net.Encoder(oncrpc.CallHeaderSize(cred, verf) + argsSize)
+	oncrpc.AppendCallHeader(e, c.xidSeq, nfsproto.Program, nfsproto.Version, uint32(proc), cred, verf)
+	return e
 }
 
 // encode is every procedure's encode half: callEncoder plus r's
 // arguments. Each case builds its argument record on the caller's stack
 // and encodes it at once, so the record costs no heap object.
-func (c *Client) encode(r *Req) *xdr.Encoder {
-	var e *xdr.Encoder
+func (c *Client) encode(r *Req) {
 	switch r.Proc {
 	case nfsproto.ProcLookup, nfsproto.ProcRemove:
 		args := nfsproto.DirOpArgs{Dir: r.FH, Name: r.Name}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcCreate, nfsproto.ProcMkdir:
 		args := nfsproto.CreateArgs{
 			Where: nfsproto.DirOpArgs{Dir: r.FH, Name: r.Name},
 			Attr:  nfsproto.DefaultSAttr(r.Mode),
 		}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcGetattr, nfsproto.ProcStatfs:
 		args := nfsproto.FHArgs{File: r.FH}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcSetattr:
 		args := nfsproto.SetattrArgs{File: r.FH, Attr: r.Attr}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcRead:
 		args := nfsproto.ReadArgs{File: r.FH, Offset: r.Off, Count: r.Count}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcReaddir:
 		args := nfsproto.ReaddirArgs{Dir: r.FH, Cookie: r.Off, Count: r.Count}
-		e = c.callEncoder(r.Proc, args.EncodedSize())
-		args.EncodeTo(e)
+		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcWrite:
 		// The head only: the data rides as the datagram body.
-		e = c.callEncoder(r.Proc, nfsproto.WriteArgsHeadSize)
-		nfsproto.AppendWriteArgsHead(e, r.FH, r.Off, int(r.Count))
+		nfsproto.AppendWriteArgsHead(c.callEncoder(r.Proc, nfsproto.WriteArgsHeadSize), r.FH, r.Off, int(r.Count))
 	default:
 		panic(fmt.Sprintf("client: no encode half for procedure %d", r.Proc))
 	}
-	return e
 }
 
-// start registers the call callEncoder began (its XID is still xidSeq:
-// nothing has yielded since) and readies its first attempt. STATFS asks
-// the default server, as the recorded runs always have; every other
-// procedure routes by its handle.
-func (c *Client) start(proc nfsproto.Proc, fh nfsproto.FH, raw []byte, out *block.Buf, outLen int) *pendingCall {
+// start registers the call callEncoder began (its XID is still xidSeq and
+// its head is encoded: nothing has yielded since) and readies its first
+// attempt; the call takes over the head's reference. STATFS asks the
+// default server, as the recorded runs always have; every other procedure
+// routes by its handle.
+func (c *Client) start(proc nfsproto.Proc, fh nfsproto.FH, out *block.Buf, outLen int) *pendingCall {
 	pc := c.getPC()
-	pc.proc, pc.xid, pc.fh, pc.raw, pc.out, pc.outLen = proc, c.xidSeq, fh, raw, out, outLen
+	pc.proc, pc.xid, pc.fh, pc.head, pc.out, pc.outLen = proc, c.xidSeq, fh, c.net.Encoded(), out, outLen
 	pc.routed, pc.to = proc != nfsproto.ProcStatfs, c.server
 	pc.issued, pc.rto, pc.attempt = c.sim.Now(), c.params.RetransTimeout, 0
 	pc.tries = c.MaxRetries
@@ -456,16 +452,18 @@ func (pc *pendingCall) outcome() (*oncrpc.ReplyMsg, error) {
 	return reply, nil
 }
 
-// endCall retires a settled (or abandoned) call. The reply's body, if it
-// had one, becomes the client's; the one held for the previous call is
-// dead by the scratch discipline. The returned reply stays readable until
-// the record is next taken from the pool.
+// endCall retires a settled (or abandoned) call and releases its head. The
+// reply's head and body, if it had them, become the client's; the ones
+// held for the previous call are dead by the scratch discipline. The
+// returned reply stays readable until the record is next taken from the
+// pool.
 func (c *Client) endCall(pc *pendingCall) {
 	delete(c.pending, pc.xid)
-	c.dropReplyBody()
-	c.replyBody, c.replyBodyLen = pc.body, pc.bodyLen
-	pc.body, pc.bodyLen = nil, 0
-	pc.raw, pc.out, pc.req, pc.done = nil, nil, Req{}, nil
+	pc.head.Release()
+	c.dropReply()
+	c.replyHead, c.replyBody, c.replyBodyLen = pc.replyHead, pc.body, pc.bodyLen
+	pc.replyHead, pc.body, pc.bodyLen = netsim.Head{}, nil, 0
+	pc.head, pc.out, pc.req, pc.done = netsim.Head{}, nil, Req{}, nil
 	c.freePC = append(c.freePC, pc)
 }
 
@@ -480,8 +478,8 @@ func (c *Client) endCall(pc *pendingCall) {
 // scratch in dispatch.go. A Go continuation's result is valid until it
 // returns.
 func (c *Client) do(p *sim.Proc, r *Req) (int, error) {
-	e := c.encode(r)
-	reply, attempts, err := c.finish(p, c.start(r.Proc, r.FH, e.Bytes(), nil, 0))
+	c.encode(r)
+	reply, attempts, err := c.finish(p, c.start(r.Proc, r.FH, nil, 0))
 	_, err = c.decode(r.Proc, reply, err)
 	return attempts, err
 }
@@ -501,12 +499,7 @@ func (c *Client) finish(p *sim.Proc, pc *pendingCall) (*oncrpc.ReplyMsg, int, er
 		c.endCall(pc)
 	}()
 	for {
-		to := pc.aim()
-		if pc.out != nil {
-			c.net.SendBuf(p, c.name, to, pc.raw, pc.out, pc.outLen)
-		} else {
-			c.net.Send(p, c.name, to, pc.raw)
-		}
+		c.net.SendHead(p, c.name, pc.aim(), pc.head, pc.out, pc.outLen)
 		if pc.settle(pc.cond.WaitTimeout(p, pc.rto) || pc.reply != nil) {
 			break
 		}
@@ -541,8 +534,8 @@ func (c *Client) Go(r Req, done func(nfsproto.Status, error)) {
 			c.OnWriteEvent("send", r.Off, nfsproto.MaxData)
 		}
 	}
-	e := c.encode(&r)
-	pc := c.start(r.Proc, r.FH, e.Bytes(), out, outLen)
+	c.encode(&r)
+	pc := c.start(r.Proc, r.FH, out, outLen)
 	pc.req, pc.done = r, done
 	pc.transmit()
 }
@@ -555,7 +548,7 @@ func (pc *pendingCall) transmit() {
 		pc.sent() // a crashed host sends nothing; the attempt times out
 		return
 	}
-	c.net.SendNotify(c.name, to, pc.raw, pc.out, pc.outLen, pc.sentFn)
+	c.net.SendNotify(c.name, to, pc.head, pc.out, pc.outLen, pc.sentFn)
 }
 
 // sent arms the attempt's wait: a reply's Signal or the timer calls wait.
@@ -630,8 +623,10 @@ func (c *Client) decode(proc nfsproto.Proc, reply *oncrpc.ReplyMsg, err error) (
 	return st, nil
 }
 
-// dropReplyBody releases the reply body the client holds, if any.
-func (c *Client) dropReplyBody() {
+// dropReply releases the reply head and body the client holds, if any.
+func (c *Client) dropReply() {
+	c.replyHead.Release()
+	c.replyHead = netsim.Head{}
 	if c.replyBody != nil {
 		c.replyBody.Release()
 		c.replyBody, c.replyBodyLen = nil, 0
@@ -642,6 +637,15 @@ func (c *Client) dropReplyBody() {
 // READ scratch, 0 or 1 (leak-check accounting).
 func (c *Client) HeldBodies() int {
 	if c.replyBody != nil {
+		return 1
+	}
+	return 0
+}
+
+// HeldHeads reports how many carved reply-head references the client
+// holds: the last reply's, 0 or 1 (leak-check accounting).
+func (c *Client) HeldHeads() int {
+	if c.replyHead.Carved() {
 		return 1
 	}
 	return 0
@@ -746,9 +750,8 @@ func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte)
 		c.OnWriteEvent("send", off, len(data))
 	}
 	args := nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
-	e := c.callEncoder(nfsproto.ProcWrite, args.EncodedSize())
-	args.EncodeTo(e)
-	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, e.Bytes(), nil, 0))
+	args.EncodeTo(c.callEncoder(nfsproto.ProcWrite, args.EncodedSize()))
+	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, nil, 0))
 	return c.writeDone(fh, off, len(data), start, reply, err)
 }
 
@@ -768,8 +771,8 @@ func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b 
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("send", off, n)
 	}
-	e := c.encode(&Req{Proc: nfsproto.ProcWrite, FH: fh, Off: off, Count: uint32(n)})
-	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, e.Bytes(), b, n))
+	c.encode(&Req{Proc: nfsproto.ProcWrite, FH: fh, Off: off, Count: uint32(n)})
+	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, b, n))
 	return c.writeDone(fh, off, n, start, reply, err)
 }
 
@@ -891,7 +894,7 @@ func (c *Client) Crash() {
 		}
 		job.buf.Release()
 	}
-	c.dropReplyBody() // host memory
+	c.dropReply() // host memory
 	// Flow-control state resets with the daemons: killed biods never run
 	// their post-Get bookkeeping, and nothing outstanding can complete.
 	c.idleBiods = 0

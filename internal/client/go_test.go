@@ -51,9 +51,12 @@ func newAttrServer(s *sim.Sim, n *netsim.Network, delay sim.Duration) *attrServe
 				continue
 			}
 			p.Sleep(delay)
-			reply := append(n.WireBuf(len(template)), template...)
-			reply[0], reply[1], reply[2], reply[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
-			n.Send(p, "server", from, reply)
+			n.Encoder(len(template)).FixedOpaque(template)
+			reply := n.Encoded()
+			b := reply.Bytes
+			b[0], b[1], b[2], b[3] = byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid)
+			n.SendHead(p, "server", from, reply, nil, 0)
+			reply.Release()
 			srv.answers++
 		}
 	})

@@ -253,8 +253,12 @@ func New(cfg Config) *Cluster {
 	if len(cfg.Segments) > 0 {
 		c.Fabric = netsim.NewFabric(s, cfg.Segments)
 		c.Net = c.Fabric.Segment(cfg.ServerSegment)
+		for _, name := range c.Fabric.Names() {
+			c.Fabric.Segment(name).SetAccounting(cfg.Acct)
+		}
 	} else {
 		c.Net = netsim.New(s, cfg.Net)
+		c.Net.SetAccounting(cfg.Acct)
 	}
 
 	for i := 0; i < cfg.Servers; i++ {
@@ -672,8 +676,9 @@ func (c *Cluster) Roots() []nfsproto.FH {
 // AccountedRefs sums the buffer references the cluster's long-lived
 // structures legitimately retain — buffer caches, platter stores, NVRAM
 // dirty maps and the READ reply blocks in duplicate caches, own and
-// adopted, plus the reply body each client holds as its READ scratch and
-// the pattern table's own reference to each page it built.
+// adopted, plus the reply body each client holds as its READ scratch, the
+// pattern table's own reference to each page it built, and the wire heads
+// held at quiesce (HeldHeads).
 // After a full quiesce, the process block-reference total minus the
 // pre-build baseline must equal exactly this sum: any surplus is a
 // reference leaked through an unwind path, any deficit a double release.
@@ -708,7 +713,29 @@ func (c *Cluster) AccountedRefs() int64 {
 	for _, cli := range c.Clients {
 		n += int64(cli.HeldBodies())
 	}
-	return n + int64(c.Pages.Refs())
+	return n + int64(c.Pages.Refs()) + c.HeldHeads()
+}
+
+// HeldHeads sums the wire-head references the cluster's long-lived
+// structures retain at quiesce: each duplicate cache's reply heads, own
+// and adopted, and the last reply head each client keeps as its result
+// scratch.
+func (c *Cluster) HeldHeads() int64 {
+	var n int64
+	for _, node := range c.Nodes {
+		if node.Server != nil {
+			n += int64(node.Server.DupHeads())
+		}
+		for _, ex := range node.Adopted {
+			if ex.Server != nil {
+				n += int64(ex.Server.DupHeads())
+			}
+		}
+	}
+	for _, cli := range c.Clients {
+		n += int64(cli.HeldHeads())
+	}
+	return n
 }
 
 // MarkInterval starts a measurement interval on every node.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/client"
@@ -130,11 +131,13 @@ type CheckResult struct {
 
 // Verify reads every journaled range back through the filesystem currently
 // serving the owning export — the shard's own remounted filesystem, or the
-// adopter's after a failover — and compares it with the regenerated audit
-// pattern. It must run after all scheduled recoveries completed (every
-// surviving export mounted). The reads go through the simulated device
-// stack, so Verify consumes simulated time; run it from a dedicated
-// process after the measured phase.
+// adopter's after a failover — and compares it with the audit pattern: a
+// whole aligned block with its pattern page (client.Pages, which the
+// pages-intact identity proves still holds the pattern), any other range
+// with the pattern regenerated. It must run after all scheduled
+// recoveries completed (every surviving export mounted). The reads go
+// through the simulated device stack, so Verify consumes simulated time;
+// run it from a dedicated process after the measured phase.
 func (j *Journal) Verify(p *sim.Proc, c *cluster.Cluster) CheckResult {
 	res := CheckResult{
 		AckedWrites:         len(j.Entries),
@@ -143,7 +146,7 @@ func (j *Journal) Verify(p *sim.Proc, c *cluster.Cluster) CheckResult {
 		ExpectedLossReasons: j.lossExpected,
 	}
 	buf := make([]byte, nfsproto.MaxData)
-	want := make([]byte, nfsproto.MaxData)
+	pattern := make([]byte, nfsproto.MaxData)
 	acked := make(map[BufferedWrite]bool, len(j.Entries))
 	for _, e := range j.Entries {
 		acked[BufferedWrite{Client: e.Client, FH: e.FH, Off: e.Off, Len: e.Len}] = true
@@ -164,12 +167,14 @@ func (j *Journal) Verify(p *sim.Proc, c *cluster.Cluster) CheckResult {
 			}
 			continue
 		}
-		client.FillPattern(want[:e.Len], e.Off)
-		lost := 0
-		for i := 0; i < e.Len; i++ {
-			if got[i] != want[i] {
-				lost++
-			}
+		var lost int
+		if e.Len == nfsproto.MaxData && e.Off%nfsproto.MaxData == 0 {
+			page := c.Pages.Ref(e.Off)
+			lost = differing(got, page.Data())
+			page.Release()
+		} else {
+			client.FillPattern(pattern[:e.Len], e.Off)
+			lost = differing(got, pattern[:e.Len])
 		}
 		if lost > 0 {
 			res.LostBytes += int64(lost)
@@ -192,4 +197,19 @@ func (j *Journal) Verify(p *sim.Proc, c *cluster.Cluster) CheckResult {
 		}
 	}
 	return res
+}
+
+// differing counts the positions at which a and b, of equal length,
+// differ.
+func differing(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return 0
+	}
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }

@@ -196,8 +196,9 @@ func (b *Bridge) route(in *BridgePort, dg *Datagram) {
 // transmit drains a port's output FIFO onto its segment. The original
 // addressing is preserved; the target network resolves the destination
 // again (an attached host, or the next bridge via a route) and takes
-// its own reference to any body buffer, so pooled datagram records
-// never migrate between networks.
+// its own references to the head and any body buffer, so pooled datagram
+// records never migrate between networks. A carved head stays its origin
+// segment's: the release that frees its slab returns the slab there.
 func (bp *BridgePort) transmit(p *sim.Proc) {
 	for {
 		dg := bp.out.Get(p)
@@ -217,7 +218,7 @@ func (bp *BridgePort) transmit(p *sim.Proc) {
 		}
 		bp.Forwarded++
 		bp.ForwardedBytes += uint64(dg.Size())
-		bp.net.send(p, dg.From, dg.To, dg.Payload, dg.Body, dg.BodyLen)
+		bp.net.send(p, dg.From, dg.To, Head{Bytes: dg.Payload, slab: dg.head}, dg.Body, dg.BodyLen)
 		dg.Release()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // UDPIPOverhead is the per-datagram header cost added to payloads.
@@ -28,13 +29,14 @@ const PerFragmentHeader = 34
 // buffer carrying the data bytes. Body rides by reference: the datagram
 // holds one reference, taken at Send and dropped at Release, wherever the
 // datagram dies (consumed, socket overflow, crashed destination, detach
-// scrub) — unless the consumer took it over with TakeBody.
+// scrub) — unless the consumer took it over with TakeBody. A Payload that
+// is a carved head (Encoder) is held the same way: one reference from the
+// send to Release, unless the consumer took it over with TakeHead.
 //
 // Datagrams are pooled per Network: a consumer that has finished with one
-// (the payload may still be referenced — Release only drops the struct's
-// references) can hand it back with Release, and the next Send reuses it.
-// Consumers that never call Release simply leave collection to the GC —
-// except for Body references, which MUST be released.
+// hands it back with Release, and the next Send reuses it. Consumers that
+// never call Release leave collection to the GC — except for the Body and
+// head references, which MUST be released.
 type Datagram struct {
 	From    string
 	To      string
@@ -55,8 +57,9 @@ type Datagram struct {
 	// datagrams (the server's mbuf hunter).
 	Parsed any
 
-	net *Network  // pool owner; nil once released
-	dst *Endpoint // delivery target for the in-flight latency event
+	head *slab     // the slab Payload was carved from; nil for plain bytes
+	net  *Network  // pool owner; nil once released
+	dst  *Endpoint // delivery target for the in-flight latency event
 	// deliver is bound once per pooled record so the per-send latency
 	// event needs no fresh closure.
 	deliver func()
@@ -74,10 +77,20 @@ func (d *Datagram) TakeBody() (*block.Buf, int) {
 	return b, n
 }
 
+// TakeHead hands the datagram's reference to its Payload over to the
+// caller, as TakeBody does for the Body: the consumer keeps reading the
+// head (decoded aliases of it) past Release, and owes the Release of the
+// returned Head. A plain payload comes back uncounted.
+func (d *Datagram) TakeHead() Head {
+	h := Head{Bytes: d.Payload, slab: d.head}
+	d.head = nil
+	return h
+}
+
 // Release returns the datagram record to its network's pool and drops its
-// Body reference, if any. The head payload bytes are not recycled — slices
-// aliasing them (decoded calls, replies) stay valid. Releasing twice is a
-// no-op.
+// Body and head references, if any. Slices aliasing the payload (decoded
+// calls, replies) are valid only while something holds the head.
+// Releasing twice is a no-op.
 func (d *Datagram) Release() {
 	n := d.net
 	if n == nil {
@@ -86,6 +99,10 @@ func (d *Datagram) Release() {
 	d.net = nil
 	d.dst = nil
 	d.Payload = nil
+	if d.head != nil {
+		d.head.release()
+		d.head = nil
+	}
 	if d.Body != nil {
 		d.Body.Release()
 		d.Body = nil
@@ -154,9 +171,18 @@ type Network struct {
 	seg    int
 	free   []*Datagram // datagram record pool
 	freeTx []*transmit // SendNotify record pool
-	// slab is the current wire-head slab: WireBuf carves heads off its
-	// front and never hands the same bytes out twice.
-	slab []byte
+	// slab is the slab heads are carved from; spare is the stack of slabs
+	// no head references any more, the ones carving takes before it makes
+	// one.
+	slab, spare *slab
+	// acct is the ledger head references are charged to, heads the
+	// references held to this segment's slabs.
+	acct  *block.Accounting
+	heads int64
+	// enc is reset onto each head Encoder begins, and head is that head
+	// (encoding never yields, so one serves every host on the segment).
+	enc  xdr.Encoder
+	head Head
 
 	// Counters.
 	SentDatagrams uint64
@@ -181,8 +207,18 @@ func New(s *sim.Sim, p hw.NetParams) *Network {
 		p:         p,
 		medium:    sim.NewResource(s, 1),
 		endpoints: make(map[string]*Endpoint),
+		acct:      block.Global(),
 	}
 }
+
+// SetAccounting charges the segment's head references to a, the
+// simulation's buffer ledger, instead of the process-global one. Call it
+// before the first head is carved.
+func (n *Network) SetAccounting(a *block.Accounting) { n.acct = block.Or(a) }
+
+// HeadRefs reports the references held to heads carved on this segment —
+// by senders, datagrams on any segment, dup caches and clients.
+func (n *Network) HeadRefs() int64 { return n.heads }
 
 // Params returns the link parameters.
 func (n *Network) Params() hw.NetParams { return n.p }
@@ -260,33 +296,148 @@ func (n *Network) SetLinkDown(name string, down bool) {
 }
 
 const (
-	// wireSlab is the size of the slab WireBuf carves heads from.
-	wireSlab = 16 << 10
-	// wireHeadMax is the largest head WireBuf carves; a bigger one (a large
+	// wireSlab is the size of a slab, its bookkeeping (slabHeader bytes)
+	// included: one 16 KB allocation.
+	wireSlab   = 16 << 10
+	slabHeader = 32
+	// wireHeadMax is the largest head carved from a slab; a bigger one (a large
 	// READDIR reply, a copying READ reply or WRITE call) gets its own
 	// allocation.
 	wireHeadMax = 2 << 10
+	// scribble is what a recycled slab is filled with under the ledger's
+	// Debug flag, so a reader of a dead head decodes garbage.
+	scribble = 0xA5
 )
 
-// WireBuf returns a zero-length buffer of capacity size for encoding one
-// message head sent on this segment. Heads are carved from a shared slab
-// rather than allocated one by one, but each is still a fresh, private
-// buffer: carved bytes are never handed out twice and never pooled, so a
-// head stays valid for as long as anything references it — an in-flight
-// or queued datagram, a pending retransmission, a dup-cache entry, a
-// decoded alias — and the GC frees a slab once no head in it is
-// referenced. The result is cap-limited, so an encoder that outgrows size
-// reallocates instead of writing into the next head.
-func (n *Network) WireBuf(size int) []byte {
+// Head is one message head: the bytes a datagram carries in front of its
+// body (Payload). A head Encoder carved is reference-counted by its slab,
+// and every holder — the sender, each datagram carrying it, a dup-cache
+// entry, a client's kept reply — holds one reference, taken with Ref and
+// dropped with Release. Bytes aliasing it (decoded names, verifiers) are
+// valid while some reference is held. A Head of plain bytes (Head{Bytes:
+// b}, or one over wireHeadMax) is owned by its caller and the GC: Ref and
+// Release do nothing.
+type Head struct {
+	Bytes []byte
+	slab  *slab
+}
+
+// Ref takes one more reference to the head and returns it.
+func (h Head) Ref() Head {
+	if h.slab != nil {
+		h.slab.ref()
+	}
+	return h
+}
+
+// Release drops one reference to the head.
+func (h Head) Release() {
+	if h.slab != nil {
+		h.slab.release()
+	}
+}
+
+// Carved reports whether the head is counted, i.e. was carved from a slab.
+func (h Head) Carved() bool { return h.slab != nil }
+
+// slab is the memory heads are carved from. It goes back on its origin
+// segment's spare stack once it is no longer the one being carved and no
+// reference to any of its heads is left.
+type slab struct {
+	used int // bytes of mem carved so far
+	refs int
+	net  *Network
+	next *slab // the spare below this one
+	mem  [wireSlab - slabHeader]byte
+}
+
+func (s *slab) ref() {
+	s.refs++
+	s.net.heads++
+	s.net.acct.ChargeRefs(1)
+}
+
+func (s *slab) release() {
+	if s.refs <= 0 {
+		panic("netsim: wire head released more often than it was held")
+	}
+	s.refs--
+	n := s.net
+	n.heads--
+	n.acct.ChargeRefs(-1)
+	if s.refs == 0 && s != n.slab {
+		n.recycle(s)
+	}
+}
+
+// recycle puts a slab nothing references on the spare stack.
+func (n *Network) recycle(s *slab) {
+	if n.acct.Debugging() {
+		for i := range s.mem {
+			s.mem[i] = scribble
+		}
+	}
+	s.used = 0
+	s.next, n.spare = n.spare, s
+}
+
+// Encoder starts a message sent on this segment: it carves a head of
+// exactly size bytes and returns the segment's encoder, reset onto it.
+// Encoding never yields, so one encoder serves every host on the segment;
+// the caller encodes the whole message and collects it with Encoded before
+// anything yields.
+func (n *Network) Encoder(size int) *xdr.Encoder {
+	n.head = n.wireBuf(size)
+	n.enc.Reset(n.head.Bytes)
+	return &n.enc
+}
+
+// Encoded returns the head the last Encoder call began, holding what was
+// encoded into it, and the reference to it, which the caller now owns.
+func (n *Network) Encoded() Head {
+	h := n.head
+	h.Bytes = n.enc.Bytes()
+	n.head = Head{}
+	return h
+}
+
+// wireBuf returns a head of capacity size, with no bytes yet, and the
+// caller's reference to it. A head up to wireHeadMax is carved from the
+// segment's current slab, taken from the spare stack or made when the
+// current one is full; the slab it replaces is recycled as soon as nothing
+// references its heads. So a head's bytes are not handed out again while
+// anything holds it — an in-flight or queued datagram, a pending
+// retransmission, a dup-cache entry, a decoded alias's owner. The bytes
+// are cap-limited, so an encoder that outgrows size reallocates instead of
+// writing into the next head.
+func (n *Network) wireBuf(size int) Head {
 	if size > wireHeadMax {
-		return make([]byte, 0, size)
+		return Head{Bytes: make([]byte, 0, size)}
 	}
-	if len(n.slab)+size > cap(n.slab) {
-		n.slab = make([]byte, 0, wireSlab)
+	s := n.slab
+	if s == nil || s.used+size > len(s.mem) {
+		s = n.nextSlab()
 	}
-	i := len(n.slab)
-	n.slab = n.slab[:i+size]
-	return n.slab[i : i : i+size]
+	i := s.used
+	s.used += size
+	s.ref()
+	return Head{Bytes: s.mem[i : i : i+size], slab: s}
+}
+
+// nextSlab retires the current slab and makes a spare one current.
+func (n *Network) nextSlab() *slab {
+	old := n.slab
+	s := n.spare
+	if s != nil {
+		n.spare, s.next = s.next, nil
+	} else {
+		s = &slab{net: n}
+	}
+	n.slab = s
+	if old != nil && old.refs == 0 {
+		n.recycle(old)
+	}
+	return s
 }
 
 // FragCount reports how many fragments a payload of n bytes needs.
@@ -309,40 +460,46 @@ func (n *Network) wireTime(payload int) (sim.Duration, int, int) {
 	return d, frags, wire
 }
 
-// Send transmits payload from -> to, blocking p while the datagram
-// serializes onto the shared medium (half-duplex: requests and replies
-// contend). Delivery into the destination socket buffer happens after the
-// propagation latency; a full buffer silently drops the datagram, exactly
-// like a UDP socket. It reports whether a destination existed.
+// Send transmits a plain payload from -> to: SendHead of an uncounted
+// head with no body.
 func (n *Network) Send(p *sim.Proc, from, to string, payload []byte) bool {
-	return n.send(p, from, to, payload, nil, 0)
+	return n.send(p, from, to, Head{Bytes: payload}, nil, 0)
 }
 
-// SendBuf transmits a two-segment message: head (RPC header plus argument
-// or result prefix) followed by bodyLen bytes of the refcounted body buffer. The
-// wire behaviour — serialization time, fragmentation, socket-buffer byte
-// accounting — is identical to a contiguous Send of the combined bytes;
-// only the host-side copies differ. The datagram takes its own reference
-// to body for its lifetime; the caller keeps (and eventually releases)
-// its own. bodyLen must be a multiple of 4 so the encoded opaque needs no
-// trailing padding bytes.
+// SendBuf is SendHead of a plain, uncounted head followed by a body.
 func (n *Network) SendBuf(p *sim.Proc, from, to string, head []byte, body *block.Buf, bodyLen int) bool {
+	return n.SendHead(p, from, to, Head{Bytes: head}, body, bodyLen)
+}
+
+// SendHead transmits h followed by bodyLen bytes of the refcounted body
+// buffer (none when body is nil) from -> to, blocking p while the
+// datagram serializes onto the shared medium (half-duplex: requests and
+// replies contend). Delivery into the destination socket buffer happens
+// after the propagation latency; a full buffer silently drops the
+// datagram, exactly like a UDP socket. It reports whether a destination
+// existed. The wire behaviour — serialization time, fragmentation,
+// socket-buffer byte accounting — is that of one contiguous payload; only
+// the host-side copies differ. The datagram takes its own references to
+// h and body once it has serialized; the caller holds its own across the
+// call. bodyLen must be a multiple of 4 so the encoded opaque needs no
+// trailing padding bytes.
+func (n *Network) SendHead(p *sim.Proc, from, to string, h Head, body *block.Buf, bodyLen int) bool {
 	if bodyLen%4 != 0 {
 		panic(fmt.Sprintf("netsim: split body of %d bytes needs XDR padding", bodyLen))
 	}
-	return n.send(p, from, to, head, body, bodyLen)
+	return n.send(p, from, to, h, body, bodyLen)
 }
 
-func (n *Network) send(p *sim.Proc, from, to string, payload []byte, body *block.Buf, bodyLen int) bool {
+func (n *Network) send(p *sim.Proc, from, to string, h Head, body *block.Buf, bodyLen int) bool {
 	if n.severed(from) {
 		return false
 	}
-	d, frags, wire := n.wireTime(len(payload) + bodyLen)
+	d, frags, wire := n.wireTime(len(h.Bytes) + bodyLen)
 	// Use (not Acquire/Release) so a sender killed mid-serialization — a
 	// crashing server's nfsd half-way through a reply — frees the shared
 	// medium as it unwinds.
 	n.medium.Use(p, d)
-	return n.emit(from, to, payload, body, bodyLen, frags, wire)
+	return n.emit(from, to, h, body, bodyLen, frags, wire)
 }
 
 // severed drops a datagram whose sender's attachment is down: it dies in
@@ -358,7 +515,7 @@ func (n *Network) severed(from string) bool {
 
 // emit is a send's second half, once the datagram has serialized onto the
 // medium: count it and schedule its delivery after the latency.
-func (n *Network) emit(from, to string, payload []byte, body *block.Buf, bodyLen, frags, wire int) bool {
+func (n *Network) emit(from, to string, h Head, body *block.Buf, bodyLen, frags, wire int) bool {
 	n.SentDatagrams++
 	n.SentBytes += uint64(wire)
 	dst, ok := n.endpoints[to]
@@ -371,7 +528,11 @@ func (n *Network) emit(from, to string, payload []byte, body *block.Buf, bodyLen
 		}
 	}
 	dg := n.getDatagram()
-	dg.From, dg.To, dg.Payload = from, to, payload
+	dg.From, dg.To, dg.Payload = from, to, h.Bytes
+	if h.slab != nil {
+		h.slab.ref()
+		dg.head = h.slab
+	}
 	if body != nil {
 		dg.Body, dg.BodyLen = body.Ref(), bodyLen
 	}
@@ -381,15 +542,15 @@ func (n *Network) emit(from, to string, payload []byte, body *block.Buf, bodyLen
 	return true
 }
 
-// SendNotify is Send and SendBuf for a sender that is no process (body nil
-// for a contiguous payload): it takes the medium with a callback acquire,
-// holds it with an At event where Send's process sleeps, releases it and
-// schedules the delivery, and then calls done. Every step schedules the
-// one event the process form does, in the same (time, seq) slot, and done
-// runs where Send would return: inline when the datagram dies in a severed
-// driver, at the end of the hold otherwise. The caller keeps its own
-// reference to body, as with SendBuf.
-func (n *Network) SendNotify(from, to string, payload []byte, body *block.Buf, bodyLen int, done func()) {
+// SendNotify is SendHead for a sender that is no process: it takes the
+// medium with a callback acquire, holds it with an At event where
+// SendHead's process sleeps, releases it and schedules the delivery, and
+// then calls done. Every step schedules the one event the process form
+// does, in the same (time, seq) slot, and done runs where SendHead would
+// return: inline when the datagram dies in a severed driver, at the end of
+// the hold otherwise. The caller holds its own references to h and body
+// until done, as with SendHead.
+func (n *Network) SendNotify(from, to string, h Head, body *block.Buf, bodyLen int, done func()) {
 	if bodyLen%4 != 0 {
 		panic(fmt.Sprintf("netsim: split body of %d bytes needs XDR padding", bodyLen))
 	}
@@ -398,8 +559,8 @@ func (n *Network) SendNotify(from, to string, payload []byte, body *block.Buf, b
 		return
 	}
 	t := n.getTransmit()
-	t.from, t.to, t.payload, t.body, t.bodyLen, t.done = from, to, payload, body, bodyLen, done
-	t.hold, t.frags, t.wire = n.wireTime(len(payload) + bodyLen)
+	t.from, t.to, t.head, t.body, t.bodyLen, t.done = from, to, h, body, bodyLen, done
+	t.hold, t.frags, t.wire = n.wireTime(len(h.Bytes) + bodyLen)
 	t.acquire()
 }
 
@@ -409,7 +570,7 @@ func (n *Network) SendNotify(from, to string, payload []byte, body *block.Buf, b
 type transmit struct {
 	n           *Network
 	from, to    string
-	payload     []byte
+	head        Head
 	body        *block.Buf
 	bodyLen     int
 	hold        sim.Duration
@@ -444,9 +605,9 @@ func (t *transmit) acquire() {
 func (t *transmit) release() {
 	n := t.n
 	n.medium.Release()
-	n.emit(t.from, t.to, t.payload, t.body, t.bodyLen, t.frags, t.wire)
+	n.emit(t.from, t.to, t.head, t.body, t.bodyLen, t.frags, t.wire)
 	done := t.done
-	t.payload, t.body, t.done = nil, nil, nil
+	t.head, t.body, t.done = Head{}, nil, nil
 	n.freeTx = append(n.freeTx, t)
 	done()
 }

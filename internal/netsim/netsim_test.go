@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -179,50 +181,101 @@ func TestUtilizationReflectsTraffic(t *testing.T) {
 // TestWireBufCarving pins WireBuf's contract: heads carved from one slab
 // are disjoint and cap-limited, so an encoder that outgrows its head
 // reallocates rather than writing into the next one; a head too big to
-// carve gets its own buffer; and an exhausted slab is replaced, never
-// reused.
+// carve gets its own, uncounted buffer; a live head's bytes survive while
+// its siblings are released and their slab's successors are carved; and a
+// slab is carved again only once it is no longer current and its last
+// head is released.
 func TestWireBufCarving(t *testing.T) {
+	acct := block.NewAccounting()
 	n := New(sim.New(1), hw.Ethernet())
-	a := n.WireBuf(100)
-	b := n.WireBuf(60)
-	if len(a) != 0 || cap(a) != 100 || len(b) != 0 || cap(b) != 60 {
-		t.Fatalf("carved len/cap %d/%d and %d/%d, want 0/100 and 0/60", len(a), cap(a), len(b), cap(b))
+	n.SetAccounting(acct)
+	a := n.wireBuf(100)
+	b := n.wireBuf(60)
+	if len(a.Bytes) != 0 || cap(a.Bytes) != 100 || len(b.Bytes) != 0 || cap(b.Bytes) != 60 {
+		t.Fatalf("carved len/cap %d/%d and %d/%d, want 0/100 and 0/60", len(a.Bytes), cap(a.Bytes), len(b.Bytes), cap(b.Bytes))
 	}
-	if &a[:1][0] == &b[:1][0] || &a[:100][99] == &b[:1][0] {
+	if &a.Bytes[:1][0] == &b.Bytes[:1][0] || &a.Bytes[:100][99] == &b.Bytes[:1][0] {
 		t.Fatal("successive carves overlap")
 	}
-	b = append(b, bytes.Repeat([]byte{0xBB}, 60)...)
-	a = append(a, bytes.Repeat([]byte{0xAA}, 101)...) // one byte past its head
-	if !bytes.Equal(b, bytes.Repeat([]byte{0xBB}, 60)) {
+	b.Bytes = append(b.Bytes, bytes.Repeat([]byte{0xBB}, 60)...)
+	grown := append(a.Bytes, bytes.Repeat([]byte{0xAA}, 101)...) // one byte past its head
+	if !bytes.Equal(b.Bytes, bytes.Repeat([]byte{0xBB}, 60)) {
 		t.Fatal("appending past one head's capacity wrote into the next head")
 	}
-	if len(a) != 101 {
-		t.Fatalf("overgrown head has %d bytes, want 101", len(a))
+	if len(grown) != 101 {
+		t.Fatalf("overgrown head has %d bytes, want 101", len(grown))
+	}
+	if n.HeadRefs() != 2 || acct.TotalRefs() != 2 {
+		t.Fatalf("two carved heads: %d head refs, %d ledger refs; want 2, 2", n.HeadRefs(), acct.TotalRefs())
 	}
 
-	// A head over the carving limit bypasses the slab: the next small
-	// carve still comes from the same slab, right after b.
-	big := n.WireBuf(wireHeadMax + 1)
-	c := n.WireBuf(4)
-	if cap(big) != wireHeadMax+1 || &c[:1][0] != &n.slab[160] {
+	// A head over the carving limit bypasses the slab and carries no
+	// count: the next small carve still comes from the same slab, right
+	// after b.
+	big := n.wireBuf(wireHeadMax + 1)
+	c := n.wireBuf(4)
+	if cap(big.Bytes) != wireHeadMax+1 || big.Carved() || &c.Bytes[:1][0] != &n.slab.mem[160] {
 		t.Fatal("a head over the carving limit was carved from the slab")
 	}
+	big.Release() // a no-op
+	if n.HeadRefs() != 3 {
+		t.Fatalf("%d head refs, want 3", n.HeadRefs())
+	}
 
-	// Exhaust the slab; the carve that does not fit starts a new one and
-	// leaves every byte of the old one where it was.
-	old := n.slab[:cap(n.slab)]
-	for len(n.slab)+wireHeadMax <= cap(n.slab) {
-		copy(n.WireBuf(wireHeadMax)[:wireHeadMax], bytes.Repeat([]byte{0xCC}, wireHeadMax))
+	// Release every head but b, and carve and release 2 KB heads until
+	// the first slab is retired: b pins it, so it is not a spare.
+	first := n.slab
+	a.Release()
+	c.Release()
+	carveUntilRetired := func() *slab {
+		s := n.slab
+		for n.slab == s {
+			h := n.wireBuf(wireHeadMax)
+			h.Bytes = append(h.Bytes, bytes.Repeat([]byte{0xCC}, wireHeadMax)...)
+			h.Release()
+		}
+		return n.slab
 	}
-	snapshot := append([]byte(nil), old...)
-	d := append(n.WireBuf(wireHeadMax), bytes.Repeat([]byte{0xDD}, wireHeadMax)...)
-	if &n.slab[0] == &old[0] {
-		t.Fatal("an exhausted slab was reused")
+	second := carveUntilRetired()
+	if second == first || len(spares(n)) != 0 {
+		t.Fatalf("first slab retired: current reused %v, %d spares; want a new slab and none", second == first, len(spares(n)))
 	}
-	if &d[0] != &n.slab[0] {
-		t.Fatal("the carve that did not fit is not the front of the new slab")
+	// The second slab has no live head when it is retired, so it is the
+	// spare the slab after the third is taken from.
+	third := carveUntilRetired()
+	if third == second || len(spares(n)) != 1 || spares(n)[0] != second {
+		t.Fatal("a retired slab nothing references is not a spare")
 	}
-	if !bytes.Equal(old, snapshot) {
-		t.Fatal("carving from the new slab wrote into the old one")
+	if again := carveUntilRetired(); again != second || len(spares(n)) != 1 || spares(n)[0] != third {
+		t.Fatal("a slab was made while a spare was waiting")
+	}
+	if n.slab.used != wireHeadMax {
+		t.Fatal("a recycled slab is not carved from its front")
+	}
+	if !bytes.Equal(b.Bytes, bytes.Repeat([]byte{0xBB}, 60)) {
+		t.Fatal("a live head's bytes changed while its siblings were released and recarved")
+	}
+
+	// b's release frees the first slab, which is no longer current.
+	b.Release()
+	if len(spares(n)) != 2 || spares(n)[1] != first {
+		t.Fatalf("%d spares; want the third slab and then the first", len(spares(n)))
+	}
+	if n.HeadRefs() != 0 || acct.TotalRefs() != 0 {
+		t.Fatalf("all released: %d head refs, %d ledger refs", n.HeadRefs(), acct.TotalRefs())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a head released more often than it was held did not panic")
+		}
+	}()
+	b.Release()
+}
+
+// TestSlabIsOneSizeClass: a slab, bookkeeping and bytes, is one 16 KB
+// allocation, not a record plus a byte slice.
+func TestSlabIsOneSizeClass(t *testing.T) {
+	if size := reflect.TypeOf(slab{}).Size(); size != wireSlab {
+		t.Fatalf("a slab takes %d bytes, want %d", size, wireSlab)
 	}
 }

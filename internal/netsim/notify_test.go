@@ -51,7 +51,7 @@ func contend(callback bool) []string {
 		next = func() {
 			if i < len(sizes) {
 				i++
-				n.SendNotify("b", "server", payload("b", i-1), nil, 0, next)
+				n.SendNotify("b", "server", Head{Bytes: payload("b", i-1)}, nil, 0, next)
 			}
 		}
 		s.At(0, next)

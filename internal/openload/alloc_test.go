@@ -49,9 +49,12 @@ func TestOpSteadyStateAllocs(t *testing.T) {
 			}
 			template := templates[nfsproto.Proc(call.Proc)]
 			dg.Release()
-			reply := append(n.WireBuf(len(template)), template...)
-			reply[0], reply[1], reply[2], reply[3] = byte(call.XID>>24), byte(call.XID>>16), byte(call.XID>>8), byte(call.XID)
-			n.Send(p, "server", "c", reply)
+			n.Encoder(len(template)).FixedOpaque(template)
+			reply := n.Encoded()
+			b := reply.Bytes
+			b[0], b[1], b[2], b[3] = byte(call.XID>>24), byte(call.XID>>16), byte(call.XID>>8), byte(call.XID)
+			n.SendHead(p, "server", "c", reply, nil, 0)
+			reply.Release()
 		}
 	})
 	cli := client.New(s, n, "c", "server", hw.DEC3000Client(), 0, nil)

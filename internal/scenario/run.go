@@ -238,6 +238,7 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 		assertWriteLedger(c.Nodes)
 		assertDatagramLedger(c)
 		assertBridgeLedger(c)
+		assertHeadLedger(c)
 	}
 	assertPagesIntact(c.Pages)
 
@@ -732,6 +733,19 @@ func assertBridgeLedger(c *cluster.Cluster) {
 		if err := br.CheckDatagrams(); err != nil {
 			panic("scenario: bridge ledger does not balance: " + err.Error())
 		}
+	}
+}
+
+// assertHeadLedger is the wire-head identity at quiesce: the references
+// held to heads carved on the cell's segments are exactly those the dup
+// caches and the clients' kept replies hold (cluster.HeldHeads). A surplus
+// is a head some path forgot to release, and a deficit a double release
+// the slab did not catch; either panics with the numbers.
+func assertHeadLedger(c *cluster.Cluster) {
+	var wire int64
+	eachSegment(c, func(_ string, n *netsim.Network) { wire += n.HeadRefs() })
+	if held := c.HeldHeads(); wire != held {
+		panic(fmt.Sprintf("scenario: head ledger does not balance: %d references to carved heads, %d held by dup caches and clients", wire, held))
 	}
 }
 

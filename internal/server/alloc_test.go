@@ -102,7 +102,8 @@ func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
 // be attributable to a long-lived store slot (buffer cache, NVRAM dirty
 // map, platter store) — a reference held by a dead datagram, a released
 // staging buffer or an unwound process has nowhere to hide in this
-// equation. The client's pattern table holds one reference per page.
+// equation. The client's pattern table holds one reference per page, and
+// the dup cache and the client's kept reply one per wire head they hold.
 func TestWriteBurstNoBufLeak(t *testing.T) {
 	refs0 := block.TotalRefs()
 	r := newRig(t, 12, rigOpts{gathering: true, presto: true, biods: 4, fddi: true})
@@ -126,7 +127,7 @@ func TestWriteBurstNoBufLeak(t *testing.T) {
 		t.Fatal("app did not finish")
 	}
 
-	expected := int64(r.fs.CachedBufs() + r.disk.StoredBufs() + r.presto.DirtyBufs() + r.cli.Pages.Refs())
+	expected := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.presto.DirtyBufs()+r.cli.Pages.Refs()) + r.heldHeads()
 	if got := block.TotalRefs() - refs0; got != expected {
 		t.Fatalf("block accounting off after sweep: %d refs outstanding, %d retained by "+
 			"cache/platter/NVRAM slots — %+d leaked", got, expected, got-expected)

@@ -44,7 +44,9 @@ func (s *Server) serveOne(p *sim.Proc, id int, dg *netsim.Datagram) {
 	// The datagram's hold on its parse ends here (decoded slices alias the
 	// payload, not the record). A gathered WRITE whose reply is still owed
 	// keeps the record alive until writeSent lets go of it; every other
-	// record goes back to the pool now.
+	// record goes back to the pool now. writeSent reads only what the
+	// decode copied out of the head (the handle, the offset, the data's
+	// length), never the head's bytes, so it needs no head reference.
 	if pc, ok := dg.Parsed.(*parsedCall); ok {
 		s.releasePC(pc)
 	}
@@ -112,9 +114,9 @@ func (s *Server) releasePC(pc *parsedCall) {
 }
 
 // putPC parks a parse record for reuse. Its decoded call and write
-// arguments alias the request's wire head, so they are cleared: a pooled
-// record must not pin the slab that head was carved from
-// (Network.WireBuf).
+// arguments alias the request's wire head, a borrow of the datagram's
+// reference, so they are cleared: a pooled record must not read a head its
+// datagram has released.
 func (s *Server) putPC(pc *parsedCall) {
 	pc.call = oncrpc.CallMsg{}
 	pc.writeBuf = nfsproto.WriteArgs{}
@@ -318,24 +320,14 @@ func (s *Server) successHeaderSize() int {
 	return oncrpc.SuccessHeaderSize
 }
 
-// encoder returns the server's one encoder, reset onto a fresh wire buffer
-// of exactly size bytes carved by the network (Network.WireBuf). Encoding
-// never yields, so every nfsd shares it.
-func (s *Server) encoder(size int) *xdr.Encoder {
-	s.enc.Reset(s.net.WireBuf(size))
-	return &s.enc
-}
-
 // reply encodes, records and transmits a successful RPC reply. The RPC
-// header and procedure results share a single buffer; no intermediate
-// results slice is allocated.
+// header and procedure results share a single wire head of exactly their
+// size (Network.Encoder); no intermediate results slice is allocated.
 func (s *Server) reply(p *sim.Proc, k dupKey, res xdr.Record) {
-	e := s.encoder(s.successHeaderSize() + res.EncodedSize())
+	e := s.net.Encoder(s.successHeaderSize() + res.EncodedSize())
 	s.successHeader(e, k.xid)
 	res.EncodeTo(e)
-	raw := e.Bytes()
-	s.dup.done(k, raw, nil, 0)
-	s.sendRaw(p, k.client, raw)
+	s.finishReply(p, k, s.net.Encoded(), nil, 0)
 }
 
 // replyError answers k with an accepted reply of status st and forgets
@@ -343,18 +335,16 @@ func (s *Server) reply(p *sim.Proc, k dupKey, res xdr.Record) {
 func (s *Server) replyError(p *sim.Proc, k dupKey, st oncrpc.AcceptStat) {
 	s.dup.forget(k)
 	r := oncrpc.ErrorReply(k.xid, st)
-	e := s.encoder(r.EncodedSize())
-	r.EncodeTo(e)
-	s.sendRaw(p, k.client, e.Bytes())
+	r.EncodeTo(s.net.Encoder(r.EncodedSize()))
+	h := s.net.Encoded()
+	defer h.Release()
+	s.send(p, k.client, h, nil, 0)
 }
 
 // replyEmpty sends a success reply with empty results (NULL).
 func (s *Server) replyEmpty(p *sim.Proc, k dupKey) {
-	e := s.encoder(s.successHeaderSize())
-	s.successHeader(e, k.xid)
-	raw := e.Bytes()
-	s.dup.done(k, raw, nil, 0)
-	s.sendRaw(p, k.client, raw)
+	s.successHeader(s.net.Encoder(s.successHeaderSize()), k.xid)
+	s.finishReply(p, k, s.net.Encoded(), nil, 0)
 }
 
 // replyRead sends a successful READ whose n data bytes are the front of
@@ -363,41 +353,43 @@ func (s *Server) replyEmpty(p *sim.Proc, k dupKey) {
 // its own for resends. The wire — bytes, fragments, CPU charge — is that
 // of the contiguous reply.
 func (s *Server) replyRead(p *sim.Proc, k dupKey, attr *nfsproto.FAttr, blk *block.Buf, n int) {
-	e := s.encoder(s.successHeaderSize() + nfsproto.ReadResHeadSize)
+	e := s.net.Encoder(s.successHeaderSize() + nfsproto.ReadResHeadSize)
 	s.successHeader(e, k.xid)
 	nfsproto.AppendReadResHead(e, attr, n)
-	head := e.Bytes()
-	s.dup.done(k, head, blk, n)
-	s.sendSplit(p, k.client, head, blk, n)
+	s.finishReply(p, k, s.net.Encoded(), blk, n)
 }
 
-func (s *Server) sendRaw(p *sim.Proc, to string, raw []byte) {
-	s.charge(p, s.cfg.Costs.ReplySend)
-	s.net.Send(p, s.cfg.Name, to, raw)
-	s.RepliesSent++
+// finishReply records an encoded reply in the dup cache and sends it. The
+// nfsd's reference to the head lasts the send and is released by defer,
+// so an nfsd killed mid-send drops it too.
+func (s *Server) finishReply(p *sim.Proc, k dupKey, h netsim.Head, body *block.Buf, n int) {
+	defer h.Release()
+	s.dup.done(k, h, body, n)
+	s.send(p, k.client, h, body, n)
 }
 
-// sendSplit is sendRaw for a head-plus-body message. The datagram takes
-// its reference to body only once it has serialized, so the caller must
-// hold one of its own across the call.
-func (s *Server) sendSplit(p *sim.Proc, to string, head []byte, body *block.Buf, n int) {
+// send charges the reply's CPU and transmits head h, followed by n bytes
+// of body when it is not nil. The datagram takes its references only once
+// it has serialized, so the caller must hold its own across the call.
+func (s *Server) send(p *sim.Proc, to string, h netsim.Head, body *block.Buf, n int) {
 	s.charge(p, s.cfg.Costs.ReplySend)
-	s.net.SendBuf(p, s.cfg.Name, to, head, body, n)
+	s.net.SendHead(p, s.cfg.Name, to, h, body, n)
 	s.RepliesSent++
 }
 
 // resend answers a retransmission with the reply the dup cache kept. The
 // entry can be evicted while the send sleeps on the CPU or the medium, so
-// a split reply's block is pinned for the duration; the release is
-// deferred so an nfsd killed mid-send drops the pin.
+// its head and a split reply's block are pinned for the duration; the
+// releases are deferred so an nfsd killed mid-send drops the pins.
 func (s *Server) resend(p *sim.Proc, to string, e *dupEntry) {
-	if e.body == nil {
-		s.sendRaw(p, to, e.reply)
-		return
+	h := e.reply.Ref()
+	defer h.Release()
+	body := e.body
+	if body != nil {
+		body.Ref()
+		defer body.Release()
 	}
-	body := e.body.Ref()
-	defer body.Release()
-	s.sendSplit(p, to, e.reply, body, e.bodyLen)
+	s.send(p, to, h, body, e.bodyLen)
 }
 
 // timeVal converts virtual time to an NFS timeval.

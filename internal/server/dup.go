@@ -1,18 +1,21 @@
 package server
 
-import "repro/internal/block"
+import (
+	"repro/internal/block"
+	"repro/internal/netsim"
+)
 
 // dupCache is the duplicate request cache (Juszczak 1989): retransmitted
 // requests whose originals are still in progress are dropped; ones whose
 // replies were already sent get the cached reply resent, avoiding
 // re-execution of non-idempotent operations.
 //
-// A READ reply that went out by reference is kept the way it was sent: its
-// head bytes plus one reference to the data block. The reference is
-// dropped wherever the entry dies (evict, forget, drop); the filesystem's
-// copy-on-write keeps the block's bytes what they were when the reply was
-// first sent, so a retransmission is answered with the same data whatever
-// has been written since.
+// A reply is kept the way it was sent: one reference to its head and, for a
+// READ that went out by reference, one to the data block. The references
+// are dropped wherever the entry dies (evict, forget, drop); the
+// filesystem's copy-on-write keeps the block's bytes what they were when
+// the reply was first sent, so a retransmission is answered with the same
+// data whatever has been written since.
 
 type dupKey struct {
 	client string
@@ -28,8 +31,9 @@ const (
 
 type dupEntry struct {
 	state dupState
-	// reply is the whole reply message, or the head of a split one.
-	reply []byte
+	// reply is the whole reply message, or the head of a split one: one
+	// reference, the entry's own.
+	reply netsim.Head
 	// body is the data block of a split READ reply (one reference, the
 	// entry's own) and bodyLen its byte count on the wire; nil otherwise.
 	body    *block.Buf
@@ -43,10 +47,18 @@ type dupCache struct {
 	head    int // index of the oldest entry in order
 	free    []*dupEntry
 	bodies  int // entries holding a body reference (leak-check accounting)
+	heads   int // entries holding a carved head's reference (ditto)
 }
 
+// newDupCache sizes the containers for a full cache up front: entries for
+// cap keys plus the one begin adds before it evicts, and order for the 2
+// × cap keys it holds before the dead half is compacted away.
 func newDupCache(cap int) *dupCache {
-	return &dupCache{cap: cap, entries: make(map[dupKey]*dupEntry)}
+	return &dupCache{
+		cap:     cap,
+		entries: make(map[dupKey]*dupEntry, cap+1),
+		order:   make([]dupKey, 0, 2*cap),
+	}
 }
 
 // begin registers a request as in progress. It returns (entry, true) when
@@ -69,13 +81,16 @@ func (c *dupCache) begin(k dupKey) (*dupEntry, bool) {
 	return e, false
 }
 
-// done records the reply for later resends: the whole message, or — body
-// non-nil — the head of a split READ reply plus the entry's own reference
-// to its data block.
-func (c *dupCache) done(k dupKey, reply []byte, body *block.Buf, bodyLen int) {
+// done records the reply for later resends: the entry's own reference to
+// the whole message, or — body non-nil — to the head of a split READ
+// reply plus one to its data block.
+func (c *dupCache) done(k dupKey, reply netsim.Head, body *block.Buf, bodyLen int) {
 	if e, ok := c.entries[k]; ok {
 		e.state = dupDone
-		e.reply = reply
+		e.reply = reply.Ref()
+		if reply.Carved() {
+			c.heads++
+		}
 		if body != nil {
 			e.body, e.bodyLen = body.Ref(), bodyLen
 			c.bodies++
@@ -92,10 +107,14 @@ func (c *dupCache) forget(k dupKey) {
 	}
 }
 
-// recycle drops what a dead entry holds — the reply bytes and the body
-// reference — and parks the record for reuse.
+// recycle drops what a dead entry holds — the head and body references —
+// and parks the record for reuse.
 func (c *dupCache) recycle(e *dupEntry) {
-	e.reply = nil
+	if e.reply.Carved() {
+		c.heads--
+	}
+	e.reply.Release()
+	e.reply = netsim.Head{}
 	if e.body != nil {
 		e.body.Release()
 		e.body, e.bodyLen = nil, 0
@@ -104,9 +123,9 @@ func (c *dupCache) recycle(e *dupEntry) {
 	c.free = append(c.free, e)
 }
 
-// drop empties the cache, releasing every body reference: the crash. It
-// walks the keys in arrival order, so the blocks return to their pool in
-// the same order on every run.
+// drop empties the cache, releasing every head and body reference: the
+// crash. It walks the keys in arrival order, so the blocks return to their
+// pool in the same order on every run.
 func (c *dupCache) drop() {
 	for _, k := range c.order[c.head:] {
 		if e, ok := c.entries[k]; ok {

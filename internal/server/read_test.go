@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/client"
+	"repro/internal/hw"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/oncrpc"
@@ -98,9 +99,9 @@ func TestReadBurstAllocAndCopyGuard(t *testing.T) {
 	t.Logf("read burst: %.1f allocs/op, %.0f B/op, 0 payload bytes copied", allocs/burst, perRead)
 
 	// Every reference outstanding is a long-lived holder's.
-	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.presto.DirtyBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs())
+	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.presto.DirtyBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs()) + r.heldHeads()
 	if got := acct.TotalRefs(); got != held {
-		t.Fatalf("%d block refs outstanding, %d held by cache/platters/NVRAM/dup cache/READ scratch/pattern pages", got, held)
+		t.Fatalf("%d block refs outstanding, %d held by cache/platters/NVRAM/dup cache/READ scratch/pattern pages/wire heads", got, held)
 	}
 	if r.srv.DupBodies() == 0 || r.cli.HeldBodies() != 1 {
 		t.Fatalf("dup bodies %d, client bodies %d: the replies did not go by reference",
@@ -232,7 +233,7 @@ func TestReadReplySurvivesOverwrite(t *testing.T) {
 	if !done {
 		t.Fatal("app did not finish")
 	}
-	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs())
+	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.srv.DupBodies()) + int64(r.cli.HeldBodies()+r.cli.Pages.Refs()) + r.heldHeads()
 	if got := acct.TotalRefs(); got != held {
 		t.Fatalf("%d block refs outstanding, %d held", got, held)
 	}
@@ -322,8 +323,9 @@ func TestReadFallbackMatchesFS(t *testing.T) {
 }
 
 // TestReadReplyDroppedAtFullSocketBuffer: a split reply that finds the
-// receiver's socket buffer full dies there with its body reference, and a
-// queued one gives its up when released; what stays is the dup cache's.
+// receiver's socket buffer full dies there with its head and body
+// references, and a queued one gives its up when released; what stays is
+// the dup cache's.
 func TestReadReplyDroppedAtFullSocketBuffer(t *testing.T) {
 	acct := block.NewAccounting()
 	r := newRig(t, 33, rigOpts{fddi: true, acct: acct})
@@ -349,9 +351,9 @@ func TestReadReplyDroppedAtFullSocketBuffer(t *testing.T) {
 	if probe.Drops() != 1 || probe.Inbox.Len() != 1 {
 		t.Fatalf("drops %d, queued %d: want one reply dropped and one queued", probe.Drops(), probe.Inbox.Len())
 	}
-	held := int64(r.fs.CachedBufs() + r.disk.StoredBufs() + r.srv.DupBodies() + r.cli.Pages.Refs())
-	if got := acct.TotalRefs(); got != held+1 {
-		t.Fatalf("%d block refs outstanding, want %d held + 1 in the queued reply", got, held)
+	held := int64(r.fs.CachedBufs()+r.disk.StoredBufs()+r.srv.DupBodies()+r.cli.Pages.Refs()) + r.heldHeads()
+	if got := acct.TotalRefs(); got != held+2 {
+		t.Fatalf("%d block refs outstanding, want %d held + 2 in the queued reply (its head and body)", got, held)
 	}
 	dg, _ := probe.Inbox.TryGet()
 	dg.Release()
@@ -364,22 +366,28 @@ func TestReadReplyDroppedAtFullSocketBuffer(t *testing.T) {
 }
 
 // TestDupCacheReleasesBodies walks the ways a dup entry dies — eviction,
-// forget, drop — and the reuse of its record: each lets go of the body
-// reference exactly once.
+// forget, drop — and the reuse of its record: each lets go of the head
+// and body references exactly once.
 func TestDupCacheReleasesBodies(t *testing.T) {
 	acct := block.NewAccounting()
 	pool := acct.NewPool()
 	blk := pool.Get()
+	n := netsim.New(sim.New(1), hw.FDDI())
+	n.SetAccounting(acct)
 	c := newDupCache(2)
 	key := func(x uint32) dupKey { return dupKey{"a", x} }
 	finish := func(x uint32) {
 		c.begin(key(x))
-		c.done(key(x), []byte{byte(x)}, blk, block.Size)
+		n.Encoder(4).Uint32(x)
+		h := n.Encoded()
+		c.done(key(x), h, blk, block.Size)
+		h.Release()
 	}
 	check := func(what string, refs int32, bodies int) {
 		t.Helper()
-		if blk.Refs() != refs || c.bodies != bodies {
-			t.Fatalf("%s: block refs %d, cache bodies %d; want %d, %d", what, blk.Refs(), c.bodies, refs, bodies)
+		if blk.Refs() != refs || c.bodies != bodies || c.heads != bodies || n.HeadRefs() != int64(bodies) {
+			t.Fatalf("%s: block refs %d, cache bodies %d, cache heads %d, head refs %d; want %d, %d, %d, %d",
+				what, blk.Refs(), c.bodies, c.heads, n.HeadRefs(), refs, bodies, bodies, bodies)
 		}
 	}
 	finish(1)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
-	"repro/internal/xdr"
 )
 
 // DefaultSockBuf is the server socket buffer bound: "DEC OSF/1 currently
@@ -96,7 +95,6 @@ type Server struct {
 	scratchStatfsRes  nfsproto.StatfsRes
 	scratchDirEnts    []vfs.DirEntry
 	readBufs          [][]byte
-	enc               xdr.Encoder // reset onto each reply's wire buffer (see encoder)
 
 	// Counters the experiments read.
 	OpCounts    map[nfsproto.Proc]*stats.Counter
@@ -200,9 +198,13 @@ func (s *Server) CheckWriteLedger() error {
 // a READ reply's data block (leak-check accounting).
 func (s *Server) DupBodies() int { return s.dup.bodies }
 
+// DupHeads reports how many duplicate-cache entries hold a reference to a
+// carved reply head (leak-check accounting).
+func (s *Server) DupHeads() int { return s.dup.heads }
+
 // DropDupCache discards the duplicate request cache without a trace: the
-// crash. The READ reply blocks it references are host memory, so they are
-// released; whoever kills the nfsds calls it.
+// crash. The reply heads and READ reply blocks it references are host
+// memory, so they are released; whoever kills the nfsds calls it.
 func (s *Server) DropDupCache() { s.dup.drop() }
 
 // charge consumes d of server CPU on behalf of p.

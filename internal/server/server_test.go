@@ -52,6 +52,7 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 		np = hw.FDDI()
 	}
 	n := netsim.New(s, np)
+	n.SetAccounting(o.acct)
 	costs := hw.DEC3000CPU()
 
 	r := &rig{sim: s, net: n}
@@ -88,6 +89,10 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 	r.cli = client.New(s, n, "client1", "server", hw.DEC3000Client(), o.biods, o.acct)
 	return r
 }
+
+// heldHeads is what the rig's long-lived holders of wire heads hold at
+// quiesce: the dup cache's reply heads and the client's kept reply.
+func (r *rig) heldHeads() int64 { return int64(r.srv.DupHeads() + r.cli.HeldHeads()) }
 
 func TestEndToEndCreateWriteRead(t *testing.T) {
 	r := newRig(t, 1, rigOpts{biods: 4})
@@ -476,9 +481,9 @@ func TestDupCacheEviction(t *testing.T) {
 	k2 := dupKey{"a", 2}
 	k3 := dupKey{"a", 3}
 	c.begin(k1)
-	c.done(k1, []byte{1}, nil, 0)
+	c.done(k1, netsim.Head{Bytes: []byte{1}}, nil, 0)
 	c.begin(k2)
-	c.done(k2, []byte{2}, nil, 0)
+	c.done(k2, netsim.Head{Bytes: []byte{2}}, nil, 0)
 	c.begin(k3) // evicts k1
 	if c.contains(k1) {
 		t.Fatal("k1 survived eviction")

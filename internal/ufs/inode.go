@@ -295,21 +295,16 @@ func (fs *FS) allocBlock(hint int64) (int64, error) {
 	if hint < fs.dataStart || hint >= fs.nblocks {
 		hint = fs.rotor
 	}
-	for i := hint; i < fs.nblocks; i++ {
-		if !fs.blockMap[i] {
-			fs.markUsed(i)
-			fs.rotor = i + 1
-			return i, nil
-		}
+	i := fs.blockMap.firstFree(hint, fs.nblocks)
+	if i < 0 {
+		i = fs.blockMap.firstFree(fs.dataStart, hint)
 	}
-	for i := fs.dataStart; i < hint; i++ {
-		if !fs.blockMap[i] {
-			fs.markUsed(i)
-			fs.rotor = i + 1
-			return i, nil
-		}
+	if i < 0 {
+		return 0, vfs.ErrNoSpace
 	}
-	return 0, vfs.ErrNoSpace
+	fs.markUsed(i)
+	fs.rotor = i + 1
+	return i, nil
 }
 
 // bmap translates file block fb of in to a physical block. When alloc is

@@ -12,6 +12,7 @@ package ufs
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/disk"
@@ -44,7 +45,7 @@ type FS struct {
 	ninodes     int
 
 	inodes   map[vfs.Ino]*inode
-	blockMap []bool // block allocation bitmap (in-core; rebuilt by fsck on mount)
+	blockMap bitmap // block allocation bitmap (in-core; rebuilt by fsck on mount)
 	// freeData counts free entries of blockMap[dataStart:], so Statfs is
 	// O(1) instead of a bitmap sweep per call.
 	freeData int64
@@ -212,10 +213,7 @@ func Format(s *sim.Sim, dev disk.Device, fsid uint32, ninodes int, acct *block.A
 	if fs.dataStart >= fs.nblocks {
 		return nil, fmt.Errorf("ufs: device too small: %d blocks", fs.nblocks)
 	}
-	fs.blockMap = make([]bool, fs.nblocks)
-	for i := int64(0); i < fs.dataStart; i++ {
-		fs.blockMap[i] = true
-	}
+	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
 	fs.inodeMap = make([]bool, fs.ninodes+1) // ino 0 unused
 	fs.inodeMap[0] = true
@@ -245,18 +243,51 @@ func (fs *FS) Statfs(p *sim.Proc) (int, int64, int64) {
 	return BlockSize, fs.nblocks - fs.dataStart, fs.freeData
 }
 
+// bitmap is one bit per block, set when the block is in use.
+type bitmap []uint64
+
+// newBitmap returns the map of n blocks whose first used blocks are
+// taken (the superblock and the inode region).
+func newBitmap(n, used int64) bitmap {
+	m := make(bitmap, (n+63)/64)
+	for i := int64(0); i < used; i++ {
+		m.set(i)
+	}
+	return m
+}
+
+func (m bitmap) used(b int64) bool { return m[b>>6]&(1<<(b&63)) != 0 }
+func (m bitmap) set(b int64)       { m[b>>6] |= 1 << (b & 63) }
+func (m bitmap) clear(b int64)     { m[b>>6] &^= 1 << (b & 63) }
+
+// firstFree returns the lowest free block in [from, to), or -1. It skips a
+// full word at a time.
+func (m bitmap) firstFree(from, to int64) int64 {
+	for b := from; b < to; {
+		w := ^m[b>>6] >> (b & 63) // free bits from b to the end of its word
+		if w != 0 {
+			if f := b + int64(bits.TrailingZeros64(w)); f < to {
+				return f
+			}
+			return -1
+		}
+		b = (b | 63) + 1
+	}
+	return -1
+}
+
 // markUsed claims block b in the bitmap, maintaining the free counter.
 func (fs *FS) markUsed(b int64) {
-	if !fs.blockMap[b] {
-		fs.blockMap[b] = true
+	if !fs.blockMap.used(b) {
+		fs.blockMap.set(b)
 		fs.freeData--
 	}
 }
 
 // markFree releases block b in the bitmap, maintaining the free counter.
 func (fs *FS) markFree(b int64) {
-	if fs.blockMap[b] {
-		fs.blockMap[b] = false
+	if fs.blockMap.used(b) {
+		fs.blockMap.clear(b)
 		fs.freeData++
 	}
 }
@@ -336,10 +367,7 @@ func Mount(s *sim.Sim, p *sim.Proc, dev disk.Device, acct *block.Accounting) (*F
 	}
 	fs.dataStart = 1 + fs.inodeBlocks
 	fs.ninodes = int(fs.inodeBlocks) * InodesPerBlock
-	fs.blockMap = make([]bool, fs.nblocks)
-	for i := int64(0); i < fs.dataStart; i++ {
-		fs.blockMap[i] = true
-	}
+	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
 	fs.inodeMap = make([]bool, fs.ninodes+1)
 	fs.inodeMap[0] = true

@@ -2,6 +2,7 @@ package ufs
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -791,4 +792,37 @@ func TestStoredNamesAreCopies(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBitmapFirstFreeMatchesScan: the word scan allocBlock uses finds the
+// block a bit-by-bit scan finds, over maps of every density and ranges
+// that start and end inside words, across word boundaries and past the
+// last block (whose word's spare bits read free).
+func TestBitmapFirstFreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		n := int64(1 + rng.Intn(300))
+		m := newBitmap(n, int64(rng.Intn(int(n))))
+		density := rng.Float64()
+		for b := int64(0); b < n; b++ {
+			if rng.Float64() < density {
+				m.set(b)
+			}
+		}
+		if rng.Intn(4) == 0 {
+			m.clear(int64(rng.Intn(int(n))))
+		}
+		from := int64(rng.Intn(int(n) + 1))
+		to := from + int64(rng.Intn(int(n-from)+1))
+		want := int64(-1)
+		for b := from; b < to; b++ {
+			if !m.used(b) {
+				want = b
+				break
+			}
+		}
+		if got := m.firstFree(from, to); got != want {
+			t.Fatalf("n=%d [%d,%d): firstFree = %d, bit scan = %d", n, from, to, got, want)
+		}
+	}
 }
