@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -364,4 +368,99 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 			Node: &zero, At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1}},
 	}
 	wantInvalid(t, s, "faults.events[0]")
+}
+
+// faultDigests pins each fault scenario's whole timeline: a sha256 over
+// its Result JSON (events_fired, durability audit and metric columns)
+// followed by every cell's kernel event count, run at -j 1. The golden
+// prints neither the fault log nor event counts, so a kill reordered in
+// a crash, a moved replay or a lost wake-up passes it and fails here. A
+// deliberate model change re-records these once, with sim_digests.txt
+// and the golden.
+var faultDigests = map[string]string{
+	"crash":        "242fabd755ad14f1f2a1f2bba6c249baf273d902fccf69ca6e63ffdf9cc41fc8",
+	"failover":     "847952b65b1d45226dfcd5946a3ee60917b79bcbf42191d8f3e167b4abe971bf",
+	"clientreboot": "181d8c804cb800f6d01ba5f9fd59e0f44f6a6a5a2080956c77074bff4221a858",
+	"flapstorm":    "b57a032ab0b1a83145bc806e19ad98d5f98e15df9af907f23331d4f7432c7dbc",
+	"mediastorm":   "ad6f4836c918e25bb8a3edf88ace895cf7926a4dad1e3518ce1f8c5996a86b1d",
+	"partialcrash": "288922f671e11d291db5e06f02ac64e3cd2caf34d090aa20a936f2c49d864f47",
+}
+
+func TestFaultScenarioDigests(t *testing.T) {
+	for _, name := range []string{"crash", "failover", "clientreboot", "flapstorm", "mediastorm", "partialcrash"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		res, err := RunWorkers(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write(js)
+		for _, c := range res.Cells {
+			fmt.Fprintf(h, "\n%s events=%d", c.Label, c.Events)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != faultDigests[name] {
+			t.Errorf("%s: fault timeline digest %s, recorded %s", name, got, faultDigests[name])
+		}
+	}
+}
+
+// TestFaultScenariosLoseNothingOverSeeds runs the durability-checked
+// fault scenarios at ten seeds per cell (the cell's seed + k*7919): each
+// must lose no acked byte, leak no block reference, and actually fire its
+// faults. partialcrash has no journal and is not here.
+func TestFaultScenariosLoseNothingOverSeeds(t *testing.T) {
+	for _, name := range []string{"crash", "failover", "clientreboot", "flapstorm"} {
+		base, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		for k := int64(0); k < 10; k++ {
+			spec, _ := Lookup(name)
+			spec.Cells = nil
+			for _, cell := range base.cells() {
+				seed := base.Seed
+				if cell.Seed != nil {
+					seed = *cell.Seed
+				}
+				seed += k * 7919
+				cell.Seed = &seed
+				spec.Cells = append(spec.Cells, cell)
+			}
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res.Cells {
+				d := c.Durability
+				if d == nil {
+					t.Fatalf("%s/%s seed %d: no durability audit", name, c.Label, c.Seed)
+				}
+				if d.LostBytes != 0 || d.UnaccountedRefs != 0 {
+					t.Errorf("%s/%s seed %d: lost %d bytes (%s), %d unaccounted refs",
+						name, c.Label, c.Seed, d.LostBytes, d.FirstLoss, d.UnaccountedRefs)
+				}
+				switch name {
+				case "failover":
+					if d.Failovers != 1 {
+						t.Errorf("%s/%s seed %d: failovers = %d, want 1", name, c.Label, c.Seed, d.Failovers)
+					}
+				case "clientreboot":
+					if d.ClientReboots != 1 || d.BiodsLost != 2 {
+						t.Errorf("%s/%s seed %d: client reboots = %d, biods lost = %d, want 1 and 2",
+							name, c.Label, c.Seed, d.ClientReboots, d.BiodsLost)
+					}
+				}
+				if name != "clientreboot" && d.Crashes < 1 {
+					t.Errorf("%s/%s seed %d: no crash fired", name, c.Label, c.Seed)
+				}
+			}
+		}
+	}
 }
