@@ -34,10 +34,11 @@ type Client struct {
 	server string
 	params hw.ClientParams
 
-	// routes maps an export's FSID to the server endpoint serving it; with
-	// sharded multi-server clusters every call is routed by its file
-	// handle. Handles with no route go to the default server.
-	routes map[uint32]string
+	// Routes maps an export's FSID to the server endpoint serving it;
+	// every call but STATFS is routed by its file handle, and a handle
+	// with no route goes to the default server. cluster.New gives all of
+	// its clients its one table, which a failover rewrites in place.
+	Routes map[uint32]string
 
 	xidSeq  uint32
 	pending map[uint32]*pendingCall
@@ -254,21 +255,10 @@ func (c *Client) Name() string { return c.name }
 // Sim returns the owning simulator.
 func (c *Client) Sim() *sim.Sim { return c.sim }
 
-// AddRoute directs calls on file handles with the given FSID to the named
-// server endpoint. Cluster rigs install one route per export shard.
-func (c *Client) AddRoute(fsid uint32, server string) {
-	if c.routes == nil {
-		c.routes = make(map[uint32]string)
-	}
-	c.routes[fsid] = server
-}
-
 // dest resolves the server endpoint for a file handle.
 func (c *Client) dest(fh nfsproto.FH) string {
-	if c.routes != nil {
-		if s, ok := c.routes[fh.FSID()]; ok {
-			return s
-		}
+	if s, ok := c.Routes[fh.FSID()]; ok {
+		return s
 	}
 	return c.server
 }

@@ -39,7 +39,7 @@ func TestCrashLeavesArmedDemuxInert(t *testing.T) {
 				}
 				// Answer with a body by reference, as a READ reply travels.
 				body := pool.Get()
-				n.SendBuf(p, "server", "c", attrReply(call.XID), body, nfsproto.MaxData)
+				n.SendHead(p, "server", "c", netsim.Head{Bytes: attrReply(call.XID)}, body, nfsproto.MaxData)
 				body.Release()
 				if replies++; replies > 1 {
 					continue

@@ -65,8 +65,6 @@ type Config struct {
 	Seed int64
 	// Inodes sizes each server's inode table (default 512).
 	Inodes int
-	// RecordReplies keeps per-server WRITE reply logs for crash audits.
-	RecordReplies bool
 	// ClientRetries overrides the clients' RPC attempt bound; crash rigs
 	// raise it so calls ride out a server outage (default 8).
 	ClientRetries int
@@ -128,26 +126,38 @@ type ClientGroup struct {
 	Segment string
 }
 
-// AdoptedExport is a dead peer's filesystem served by a surviving node
-// after a shard failover: the peer's platters (and battery-backed NVRAM
-// dirty map, already replayed) mounted under the adopter, with a fresh
-// server instance on its own endpoint sharing the adopter's CPU. The
-// export keeps its FSID, so every file handle born on the dead shard
-// stays valid — clients just reroute.
-type AdoptedExport struct {
-	FSID   uint32
-	From   *Node // the dead shard the platters came from
+// Export is one filesystem a node serves: its home node's platters,
+// mounted under a server instance on an endpoint of its own. A node's own
+// export is embedded in the Node; after a shard failover a survivor also
+// serves the dead peer's, on the adopter's NIC and CPU. The export keeps
+// its home's FSID wherever it is served, so every file handle born on the
+// home shard stays valid — clients just reroute. Boot, crash, the ledgers
+// and the route table treat both kinds alike.
+type Export struct {
+	FSID uint32
+	// Name is the endpoint the export's server answers on: the node's own
+	// name, or adopter+home for an adopted export.
+	Name string
+	// Home is the node whose platters (and NVRAM tray) the export mounts.
+	Home *Node
+	// FS, Server and Presto are the current boot's (nil while the serving
+	// node is down). A down home's Presto is the board left on its tray,
+	// the carrier of the battery-backed dirty map its next boot replays.
 	FS     *ufs.FS
 	Server *server.Server
 	Presto *nvram.Presto
+	// mkfs is the image flusher of a freshly formatted export (New's boot
+	// only; a crash kills it with the export's other processes).
+	mkfs *sim.Proc
 }
 
-// Node is one server shard with its full device stack.
+// Node is one server shard with its full device stack. Its own export is
+// embedded: n.Name, n.FSID, n.FS, n.Server and n.Presto are the export's.
 type Node struct {
-	Name  string
+	Export
 	Index int
-	FSID  uint32
-	// Boots counts completed boot cycles (1 after New).
+	// Boots counts the node's completed boot cycles (1 after New); an
+	// adoption of its platters is not one.
 	Boots int
 	// Down is true between Crash and the end of Reboot.
 	Down bool
@@ -155,33 +165,30 @@ type Node struct {
 	// the window where a failover must not adopt the same platters.
 	Rebooting bool
 	// RecoveredBlocks totals NVRAM dirty blocks replayed onto the
-	// platters across all reboots (0 without Presto).
+	// platters across every boot of them, reboot or adoption (0 without
+	// Presto).
 	RecoveredBlocks int
 	// DroppedNVRAMBlocks totals dirty blocks a lying NVRAM board discarded
 	// at a power event instead of replaying (the acked data it lost).
 	DroppedNVRAMBlocks int
 
-	Server *server.Server
-	FS     *ufs.FS
 	Disks  []*disk.Disk
 	Stripe *disk.Stripe
-	Presto *nvram.Presto
-	// Adopted lists dead peers' exports this node took over (Adopt). They
-	// are part of the node's volatile serving state: a crash of the
-	// adopter drops them (the platters survive on the dead peer, but
-	// nobody serves them again).
-	Adopted []*AdoptedExport
+	// Exports lists every filesystem the node serves: its own first
+	// (&n.Export), then the dead peers' it adopted, in adoption order.
+	// Adopted exports are volatile serving state: a crash of the adopter
+	// drops them (the platters survive on the dead peer, but nobody
+	// serves them again).
+	Exports []*Export
 
 	c *Cluster
 	// net is the segment this shard's NIC attaches to (the cluster-wide
 	// network without a fabric).
 	net *netsim.Network
-	// mkfs is the boot-time image flusher (only meaningful for the first
-	// boot; killed by Crash like every other host process).
-	mkfs *sim.Proc
 
 	// Resolved per-node build settings (Config defaults plus this node's
-	// NodeConfig overrides); Crash/Reboot rebuilds from these.
+	// NodeConfig overrides); every boot of the platters, an adopter's
+	// too, builds from these.
 	presto      bool
 	stripeDisks int
 	numNfsds    int
@@ -211,10 +218,14 @@ type Cluster struct {
 	cfg      Config
 	costs    hw.CPUParams
 	timeMark sim.Time
-	// owner maps each export's FSID to the node serving it: its own node,
-	// or the adopter after a failover (handles keep their FSID across the
-	// migration).
-	owner map[uint32]*Node
+	// owner maps each export's FSID to its current record: the home
+	// node's own, or the adopter's after a failover (handles keep their
+	// FSID across the migration).
+	owner map[uint32]*Export
+	// routes maps each export's FSID to the endpoint serving it. It is
+	// every client's route table (client.Client.Routes): one map, so a
+	// failover rewrites one entry.
+	routes map[uint32]string
 }
 
 // New builds the full cluster for cfg. Unless cfg.PaperBoot, every node's
@@ -245,10 +256,12 @@ func New(cfg Config) *Cluster {
 		costs = costs.Scale(cfg.CPUScale)
 	}
 	c := &Cluster{
-		Sim:   s,
-		cfg:   cfg,
-		costs: costs,
-		Pages: client.NewPages(cfg.Acct),
+		Sim:    s,
+		cfg:    cfg,
+		costs:  costs,
+		Pages:  client.NewPages(cfg.Acct),
+		owner:  make(map[uint32]*Export, cfg.Servers),
+		routes: make(map[uint32]string, cfg.Servers),
 	}
 	if len(cfg.Segments) > 0 {
 		c.Fabric = netsim.NewFabric(s, cfg.Segments)
@@ -263,9 +276,8 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		n := &Node{
-			Name:        c.serverName(i),
+			Export:      Export{FSID: uint32(i + 1), Name: c.serverName(i)},
 			Index:       i,
-			FSID:        uint32(i + 1),
 			c:           c,
 			presto:      cfg.Presto,
 			stripeDisks: cfg.StripeDisks,
@@ -291,10 +303,11 @@ func New(cfg Config) *Cluster {
 				n.segment = *o.Segment
 			}
 		}
+		n.Home = n
+		n.Exports = []*Export{&n.Export}
 		n.net = c.Net
 		if c.Fabric != nil {
 			n.net = c.Fabric.Segment(n.segment)
-			c.Fabric.Place(n.Name, n.segment)
 		}
 		for d := 0; d < n.stripeDisks; d++ {
 			n.Disks = append(n.Disks, disk.New(s, hw.RZ26(), cfg.Acct))
@@ -302,13 +315,15 @@ func New(cfg Config) *Cluster {
 		if n.stripeDisks > 1 {
 			n.Stripe = disk.NewStripe(s, n.Disks, 8) // 64K stripe unit
 		}
-		dev, cpu := n.buildDeviceStack()
-		fs, err := ufs.Format(s, dev, n.FSID, n.inodes, cfg.Acct)
+		// The first boot formats where a later one mounts; the stack and
+		// the server start are the boot path's.
+		cpu := sim.NewResource(s, 1)
+		fs, err := ufs.Format(s, n.buildDeviceStack(cpu), n.FSID, n.inodes, cfg.Acct)
 		if err != nil {
 			panic("cluster: " + err.Error())
 		}
-		n.FS = fs
-		n.startServer(fs, cpu)
+		n.serve(&n.Export, fs, cpu)
+		n.Boots++
 		if !cfg.PaperBoot {
 			// Make the fresh image crash-mountable: flush the superblock and
 			// the root inode before any load arrives. The flusher is part of
@@ -334,10 +349,6 @@ func New(cfg Config) *Cluster {
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
-	c.owner = make(map[uint32]*Node, len(c.Nodes))
-	for _, n := range c.Nodes {
-		c.owner[n.FSID] = n
-	}
 
 	groups := cfg.ClientGroups
 	if len(groups) == 0 {
@@ -356,11 +367,9 @@ func New(cfg Config) *Cluster {
 			cli := client.New(s, cnet, name, c.Nodes[0].Name,
 				hw.DEC3000Client(), g.Biods, cfg.Acct)
 			cli.Pages = c.Pages
+			cli.Routes = c.routes
 			if c.Fabric != nil {
 				c.Fabric.Place(name, g.Segment)
-			}
-			for _, n := range c.Nodes {
-				cli.AddRoute(n.FSID, n.Name)
 			}
 			if g.MaxRetries > 0 {
 				cli.MaxRetries = g.MaxRetries
@@ -403,20 +412,38 @@ func (n *Node) raw() disk.Device {
 	return n.Disks[0]
 }
 
-// buildDeviceStack assembles the per-boot device stack over the persistent
-// disks: CPU charge wrappers and, when configured, a fresh Presto board.
-// It returns the nfsd-visible device and the boot's CPU resource.
-func (n *Node) buildDeviceStack() (disk.Device, *sim.Resource) {
-	s := n.c.Sim
-	costs := n.c.costs
-	cpu := sim.NewResource(s, 1)
-	dev := disk.Device(server.NewChargedDevice(n.raw(), cpu, costs.DriverTrip))
-	if n.presto {
-		n.Presto = nvram.New(s, hw.Prestoserve(), dev, n.c.cfg.Acct)
-		dev = server.NewChargedNVRAM(n.Presto, cpu, costs.DriverTrip,
+// replayTray plays the NVRAM board left on the node's tray onto its
+// platters (battery-backed, no host time) and takes the board off: a
+// lying board's "battery-backed" dirty map evaporates at the power event
+// instead, and the acked writes it held are counted as dropped. The
+// replay targets the same device bottom the next stack mounts (disk and
+// stripe both take platter-level injections).
+func (n *Node) replayTray() {
+	if n.Presto == nil {
+		return
+	}
+	if n.Presto.Lying() {
+		n.DroppedNVRAMBlocks += n.Presto.DropDirty()
+	} else {
+		n.RecoveredBlocks += n.Presto.Recover(n.raw().(nvram.BlockInjector))
+	}
+	n.Presto = nil
+}
+
+// buildDeviceStack assembles the export's per-boot device stack over its
+// home's persistent disks: CPU charge wrappers on cpu and, when the home
+// is configured with one, a fresh Presto board (ex.Presto). It returns
+// the nfsd-visible device.
+func (ex *Export) buildDeviceStack(cpu *sim.Resource) disk.Device {
+	home := ex.Home
+	costs := home.c.costs
+	dev := disk.Device(server.NewChargedDevice(home.raw(), cpu, costs.DriverTrip))
+	if home.presto {
+		ex.Presto = nvram.New(home.c.Sim, hw.Prestoserve(), dev, home.c.cfg.Acct)
+		dev = server.NewChargedNVRAM(ex.Presto, cpu, costs.DriverTrip,
 			costs.NVRAMCopyPer8K, hw.Prestoserve().MaxIO)
 	}
-	return dev, cpu
+	return dev
 }
 
 // newServer builds one server instance over fs — a node's boot or an
@@ -424,19 +451,17 @@ func (n *Node) buildDeviceStack() (disk.Device, *sim.Resource) {
 // config defaulting, gather policy, boot-verifier formula (index and
 // boot count identify the export's instance; clients detect the change
 // and know the dup cache died; the paper boot sends none) and metadata
-// charge hook, so rebooted and adopted servers can never silently
-// diverge.
+// charge hook.
 func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *sim.Resource, nfsds int, presto bool, index, boots int) *server.Server {
 	cfg := c.cfg
 	costs := c.costs
 	scfg := server.Config{
-		Name:          name,
-		NumNfsds:      nfsds,
-		Gathering:     cfg.Gathering,
-		Costs:         costs,
-		Accelerated:   presto,
-		RecordReplies: cfg.RecordReplies,
-		CPU:           cpu,
+		Name:        name,
+		NumNfsds:    nfsds,
+		Gathering:   cfg.Gathering,
+		Costs:       costs,
+		Accelerated: presto,
+		CPU:         cpu,
 	}
 	if !cfg.PaperBoot {
 		scfg.BootVerifier = uint64(index+1)<<32 | uint64(boots+1)
@@ -453,40 +478,59 @@ func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *s
 	return srv
 }
 
-// startServer attaches a fresh server instance (a boot) over fs.
-func (n *Node) startServer(fs *ufs.FS, cpu *sim.Resource) {
-	n.Server = n.c.newServer(n.net, n.Name, fs, cpu, n.numNfsds, n.presto, n.Index, n.Boots)
-	n.Boots++
-	n.Down = false
-	if n.c.cfg.OnServerUp != nil {
-		n.c.cfg.OnServerUp(n.Server, n.Presto)
+// boot is an export's one boot path, shared by Reboot and Adopt, which
+// differ only in the CPU the stack charges and the endpoint name: the
+// home's NVRAM tray replays onto its platters, a fresh device stack goes
+// up over them, the filesystem remounts at device speed (the recovery
+// time the experiments report), and serve starts a fresh server. p is the
+// boot process.
+func (n *Node) boot(p *sim.Proc, ex *Export, cpu *sim.Resource) error {
+	ex.Home.replayTray()
+	fs, err := mountRetry(n.c.Sim, p, ex.buildDeviceStack(cpu), n.c.cfg.Acct)
+	if err != nil {
+		return err
+	}
+	n.serve(ex, fs, cpu)
+	return nil
+}
+
+// serve starts a fresh server instance for ex over fs on cpu, with the
+// home's daemon count, board setting, index and boot count (the boot
+// verifier), and puts it on this node's NIC: the endpoint is placed on
+// the node's segment, which repoints every other segment's route at it,
+// and is born cut off if the NIC is severed. The owner map and the route
+// table then name it for the export's FSID (a reboot rewrites its own
+// entries with what they hold), and the observers hear of it last.
+func (n *Node) serve(ex *Export, fs *ufs.FS, cpu *sim.Resource) {
+	c, home := n.c, ex.Home
+	ex.FS = fs
+	ex.Server = c.newServer(n.net, ex.Name, fs, cpu, home.numNfsds, home.presto, home.Index, home.Boots)
+	if c.Fabric != nil {
+		c.Fabric.Place(ex.Name, n.segment)
+	}
+	if n.Server.Endpoint().LinkDown() {
+		n.net.SetLinkDown(ex.Name, true)
+	}
+	c.owner[ex.FSID] = ex
+	c.routes[ex.FSID] = ex.Name
+	if c.cfg.OnServerUp != nil {
+		c.cfg.OnServerUp(ex.Server, ex.Presto)
 	}
 }
 
 // Crash kills the node instantaneously: nfsd state, socket buffers, the
 // buffer cache and the dup cache are lost; the platters and the NVRAM
 // dirty map survive. In-flight disk transfers die mid-air (their bytes
-// never land) exactly as a power failure would lose them.
+// never land) exactly as a power failure would lose them. Every export
+// the node serves goes down alike, its own first: adopted exports die
+// with the host, and nothing brings them back — a rebooted adopter does
+// not re-adopt.
 func (n *Node) Crash() {
 	if n.Down {
 		return
 	}
 	s := n.c.Sim
-	for _, pr := range n.Server.Procs() {
-		s.Kill(pr)
-	}
-	if n.Presto != nil {
-		for _, pr := range n.Presto.Procs() {
-			s.Kill(pr)
-		}
-	}
-	s.Kill(n.mkfs)
-	n.net.Detach(n.Name)
-	// Adopted exports are volatile serving state: the dead peers' platters
-	// survive (they are the peers'), but this host's server instances,
-	// caches and replacement NVRAM boards die with it, and nothing brings
-	// the exports back — a rebooted adopter does not re-adopt.
-	for _, ex := range n.Adopted {
+	for _, ex := range n.Exports {
 		for _, pr := range ex.Server.Procs() {
 			s.Kill(pr)
 		}
@@ -494,76 +538,54 @@ func (n *Node) Crash() {
 			for _, pr := range ex.Presto.Procs() {
 				s.Kill(pr)
 			}
-			// The replacement board sits on the dead peer's tray: its
-			// battery-backed dirty map survives this host's crash, carried
-			// by the peer again (and replayed if that box ever powers on).
-			ex.From.Presto = ex.Presto
-			ex.Presto = nil
 		}
-		n.net.Detach(ex.Server.Endpoint().Name)
+		s.Kill(ex.mkfs)
+		n.net.Detach(ex.Name)
+		// The in-core filesystem dies with the host; a boot remounts from
+		// the platters. DropCaches releases the buffer cache's block
+		// references (host memory is gone; contents shared with the
+		// platter store and the battery-backed NVRAM dirty map live on
+		// there), and so are the READ reply blocks the duplicate cache
+		// kept.
 		ex.Server.DropDupCache()
 		ex.FS.DropCaches()
-		ex.FS = nil
-		ex.Server = nil
+		// The board sits on the home's tray: its dirty map survives this
+		// host, carried by the home (for the node's own export, that is
+		// itself) and replayed at the platters' next boot.
+		board := ex.Presto
+		ex.FS, ex.Server, ex.Presto = nil, nil, nil
+		ex.Home.Presto = board
 	}
-	n.Adopted = nil
-	// The in-core filesystem dies with the host; Reboot remounts from the
-	// platters. DropCaches releases the buffer cache's block references
-	// (host memory is gone; contents shared with the platter store and the
-	// battery-backed NVRAM dirty map live on there), and so are the READ
-	// reply blocks the duplicate cache kept. The old Presto board object
-	// survives only as the carrier of that dirty map.
-	n.Server.DropDupCache()
-	n.FS.DropCaches()
-	n.FS = nil
-	n.Server = nil
+	n.Exports = n.Exports[:1]
 	n.Down = true
 }
 
-// Reboot brings the node back: the NVRAM recovery flush replays the dirty
-// map onto the platters (battery-backed, no host time), then the boot
-// remounts the filesystem — reading the inode region back at real device
-// speed, which is the recovery time the experiment reports — and starts a
-// fresh server instance with a new boot verifier. The caller provides the
-// boot process.
+// Reboot brings the node back through the boot path on a fresh CPU, with
+// a new boot verifier. The caller provides the boot process.
 func (n *Node) Reboot(p *sim.Proc) error {
 	if !n.Down {
 		return fmt.Errorf("cluster: reboot of running node %s", n.Name)
 	}
 	n.Rebooting = true
 	defer func() { n.Rebooting = false }()
-	if n.Presto != nil {
-		if n.Presto.Lying() {
-			// A lying board's "battery-backed" dirty map evaporates at the
-			// power event: the acked writes it held are gone.
-			n.DroppedNVRAMBlocks += n.Presto.DropDirty()
-		} else {
-			// The replay targets the same device bottom the new stack mounts
-			// (disk and stripe both take platter-level injections).
-			n.RecoveredBlocks += n.Presto.Recover(n.raw().(nvram.BlockInjector))
-		}
-		n.Presto = nil
-	}
-	dev, cpu := n.buildDeviceStack()
-	fs, err := mountRetry(n.c.Sim, p, dev, n.c.cfg.Acct)
-	if err != nil {
+	if err := n.boot(p, &n.Export, sim.NewResource(n.c.Sim, 1)); err != nil {
 		return fmt.Errorf("cluster: remount %s: %w", n.Name, err)
 	}
-	n.FS = fs
-	n.startServer(fs, cpu)
+	n.Boots++
+	n.Down = false
 	return nil
 }
 
 // Adopt mounts a dead peer's disks under this node — the shard-failover
-// recovery step. The peer's battery-backed NVRAM dirty map replays onto
-// its platters first (the board travels with the disk tray), then the
-// adopter remounts the filesystem at device speed and starts a dedicated
-// server instance for it on its own endpoint, sharing this node's CPU:
+// recovery step. The export goes through the boot path on this node's
+// CPU, with a server instance of its own on the endpoint adopter+dead:
+// the peer's tray replays (the board travels with the disk tray), and
 // the takeover is free in hardware but every adopted RPC now contends
-// with the adopter's own load. The export keeps the dead shard's FSID,
-// so existing file handles stay valid; the cluster reroutes every client
-// and reassigns the export's ownership. The caller provides the takeover
-// process (its elapsed time is the remount, as for Reboot).
+// with the adopter's own load. The export keeps the dead shard's FSID and
+// the next boot verifier of its platters, so existing file handles stay
+// valid and clients see the dup cache is gone; the route table sends
+// every client to the adopter. The caller provides the takeover process
+// (its elapsed time is the remount, as for Reboot).
 func (n *Node) Adopt(p *sim.Proc, dead *Node) error {
 	if n.Down {
 		return fmt.Errorf("cluster: %s cannot adopt while down", n.Name)
@@ -571,53 +593,11 @@ func (n *Node) Adopt(p *sim.Proc, dead *Node) error {
 	if !dead.Down {
 		return fmt.Errorf("cluster: adopting running node %s", dead.Name)
 	}
-	if dead.Presto != nil {
-		if dead.Presto.Lying() {
-			dead.DroppedNVRAMBlocks += dead.Presto.DropDirty()
-		} else {
-			dead.RecoveredBlocks += dead.Presto.Recover(dead.raw().(nvram.BlockInjector))
-		}
-		dead.Presto = nil
-	}
-	s := n.c.Sim
-	costs := n.c.costs
-	cpu := n.Server.CPU()
-	dev := disk.Device(server.NewChargedDevice(dead.raw(), cpu, costs.DriverTrip))
-	ex := &AdoptedExport{FSID: dead.FSID, From: dead}
-	if dead.presto {
-		ex.Presto = nvram.New(s, hw.Prestoserve(), dev, n.c.cfg.Acct)
-		dev = server.NewChargedNVRAM(ex.Presto, cpu, costs.DriverTrip,
-			costs.NVRAMCopyPer8K, hw.Prestoserve().MaxIO)
-	}
-	fs, err := mountRetry(s, p, dev, n.c.cfg.Acct)
-	if err != nil {
+	ex := &Export{FSID: dead.FSID, Name: n.Name + "+" + dead.Name, Home: dead}
+	if err := n.boot(p, ex, n.Server.CPU()); err != nil {
 		return fmt.Errorf("cluster: adopt %s on %s: %w", dead.Name, n.Name, err)
 	}
-	ex.FS = fs
-	// The adoption is the export's next boot — same verifier formula as a
-	// reboot, so clients that talked to the dead shard see the change and
-	// know the dup cache is gone.
-	name := fmt.Sprintf("%s+%s", n.Name, dead.Name)
-	ex.Server = n.c.newServer(n.net, name, fs, cpu, dead.numNfsds, dead.presto, dead.Index, dead.Boots)
-	// The adopted export lives on the adopter's segment now; re-placing
-	// it repoints every other segment's route at the survivor, so the
-	// dead shard's handles stay reachable across bridges.
-	if n.c.Fabric != nil {
-		n.c.Fabric.Place(name, n.segment)
-	}
-	// The new endpoint rides the adopter's NIC: if that attachment is
-	// currently severed, the adopted export is born cut off too.
-	if n.Server.Endpoint().LinkDown() {
-		n.net.SetLinkDown(name, true)
-	}
-	n.Adopted = append(n.Adopted, ex)
-	n.c.owner[dead.FSID] = n
-	for _, cli := range n.c.Clients {
-		cli.AddRoute(dead.FSID, name)
-	}
-	if n.c.cfg.OnServerUp != nil {
-		n.c.cfg.OnServerUp(ex.Server, ex.Presto)
-	}
+	n.Exports = append(n.Exports, ex)
 	return nil
 }
 
@@ -644,21 +624,12 @@ func (c *Cluster) SetUplinkDown(segment string, down bool) bool {
 }
 
 // FSByFSID resolves the mounted filesystem currently serving an export:
-// the owning node's own filesystem, or the adopter's mounted copy after
-// a failover. Nil when nobody serves it (the owner is down with no
-// adopter, or the adopter crashed).
+// the home node's own, or the adopter's mounted copy after a failover.
+// Nil when nobody serves it (the home is down with no adopter, or the
+// adopter crashed).
 func (c *Cluster) FSByFSID(fsid uint32) *ufs.FS {
-	n := c.owner[fsid]
-	if n == nil {
-		return nil
-	}
-	if n.FSID == fsid {
-		return n.FS
-	}
-	for _, ex := range n.Adopted {
-		if ex.FSID == fsid {
-			return ex.FS
-		}
+	if ex := c.owner[fsid]; ex != nil {
+		return ex.FS
 	}
 	return nil
 }
@@ -686,19 +657,10 @@ func (c *Cluster) Roots() []nfsproto.FH {
 func (c *Cluster) AccountedRefs() int64 {
 	var n int64
 	for _, node := range c.Nodes {
-		if node.FS != nil {
-			n += int64(node.FS.CachedBufs())
-		}
-		if node.Server != nil {
-			n += int64(node.Server.DupBodies())
-		}
 		for _, d := range node.Disks {
 			n += int64(d.StoredBufs())
 		}
-		if node.Presto != nil {
-			n += int64(node.Presto.DirtyBufs())
-		}
-		for _, ex := range node.Adopted {
+		for _, ex := range node.Exports {
 			if ex.FS != nil {
 				n += int64(ex.FS.CachedBufs())
 			}
@@ -723,10 +685,7 @@ func (c *Cluster) AccountedRefs() int64 {
 func (c *Cluster) HeldHeads() int64 {
 	var n int64
 	for _, node := range c.Nodes {
-		if node.Server != nil {
-			n += int64(node.Server.DupHeads())
-		}
-		for _, ex := range node.Adopted {
+		for _, ex := range node.Exports {
 			if ex.Server != nil {
 				n += int64(ex.Server.DupHeads())
 			}

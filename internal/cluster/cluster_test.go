@@ -224,3 +224,59 @@ func TestCrashRebootRoundTrip(t *testing.T) {
 		t.Fatal("post-crash verification did not complete")
 	}
 }
+
+// TestAdoptionIsOneExportRecord: a failover adoption goes through the
+// boot path into one Export record on the adopter, rewrites the one route
+// table every client reads, and leaves the home's boot count alone; the
+// adopter's crash takes the record down and hands its board back to the
+// home's tray.
+func TestAdoptionIsOneExportRecord(t *testing.T) {
+	c := New(Config{Net: hw.FDDI(), Clients: 3, Servers: 2, Presto: true, Seed: 7})
+	defer c.Sim.Close()
+	adopter, dead := c.Nodes[0], c.Nodes[1]
+	for _, cli := range c.Clients {
+		if cli.Routes[dead.FSID] != dead.Name {
+			t.Fatalf("%s routes FSID %d to %q before the failover, want %q", cli.Name(), dead.FSID, cli.Routes[dead.FSID], dead.Name)
+		}
+	}
+	var err error
+	c.Sim.Spawn("failover", func(p *sim.Proc) {
+		p.Sleep(50 * sim.Millisecond) // the image flush lands first
+		dead.Crash()
+		err = adopter.Adopt(p, dead)
+	})
+	c.Sim.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(adopter.Exports) != 2 || adopter.Exports[0] != &adopter.Export {
+		t.Fatalf("adopter serves %d exports, want its own first and the adopted one", len(adopter.Exports))
+	}
+	ex := adopter.Exports[1]
+	if ex.Home != dead || ex.FSID != dead.FSID || ex.Name != "server1+server2" || ex.Server.Endpoint().Name != ex.Name {
+		t.Fatalf("adopted export home %s, FSID %d, endpoint %q", ex.Home.Name, ex.FSID, ex.Name)
+	}
+	if c.FSByFSID(dead.FSID) != ex.FS || ex.Presto == nil || dead.Presto != nil {
+		t.Fatal("the adopted export does not own its filesystem and board")
+	}
+	if dead.Boots != 1 {
+		t.Errorf("the dead node counts %d boots after the adoption, want 1", dead.Boots)
+	}
+	for _, cli := range c.Clients {
+		if got := cli.Routes[dead.FSID]; got != ex.Name {
+			t.Errorf("%s routes FSID %d to %q, want the adopter's %q", cli.Name(), dead.FSID, got, ex.Name)
+		}
+	}
+
+	board := ex.Presto
+	adopter.Crash()
+	if len(adopter.Exports) != 1 || ex.FS != nil || ex.Server != nil || ex.Presto != nil {
+		t.Fatal("the adopter's crash left the adopted export up")
+	}
+	if dead.Presto != board || adopter.Presto == nil {
+		t.Fatal("a board did not stay on its home's tray across the adopter's crash")
+	}
+	if c.FSByFSID(dead.FSID) != nil || c.FSByFSID(adopter.FSID) != nil {
+		t.Fatal("FSByFSID resolves an export nobody serves")
+	}
+}

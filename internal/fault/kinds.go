@@ -241,10 +241,9 @@ func (f LinkOutage) targets(in *Injector) []string {
 	if f.Client != nil {
 		return []string{in.c.Clients[*f.Client].Name()}
 	}
-	n := in.c.Nodes[*f.Node]
-	names := []string{n.Name}
-	for _, ex := range n.Adopted {
-		names = append(names, ex.Server.Endpoint().Name)
+	var names []string
+	for _, ex := range in.c.Nodes[*f.Node].Exports {
+		names = append(names, ex.Name)
 	}
 	return names
 }

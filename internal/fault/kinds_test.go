@@ -185,10 +185,10 @@ func TestShardFailoverKeepsAckedReadable(t *testing.T) {
 					in.Failovers, in.Crashes, in.Reboots, in.Failures)
 			}
 			dead, adopter := c.Nodes[1], c.Nodes[0]
-			if !dead.Down || len(adopter.Adopted) != 1 {
-				t.Fatalf("adoption state wrong: dead.Down=%v adopted=%d", dead.Down, len(adopter.Adopted))
+			if !dead.Down || len(adopter.Exports) != 2 {
+				t.Fatalf("adoption state wrong: dead.Down=%v exports=%d", dead.Down, len(adopter.Exports))
 			}
-			if fs := c.FSByFSID(dead.FSID); fs == nil || fs != adopter.Adopted[0].FS {
+			if fs := c.FSByFSID(dead.FSID); fs == nil || fs != adopter.Exports[1].FS {
 				t.Fatal("FSByFSID does not resolve the migrated export to the adopter")
 			}
 			if presto && dead.RecoveredBlocks == 0 {
@@ -270,10 +270,10 @@ func TestAdopterCrashCarriesAdoptedNVRAM(t *testing.T) {
 	var dirtyAtCrash int
 	c.Clients[1].OnWriteAcked = func(fh nfsproto.FH, off uint32, n int) {
 		adopter := c.Nodes[0]
-		if adopter.Down || len(adopter.Adopted) == 0 || fh.FSID() != c.Nodes[1].FSID {
+		if adopter.Down || len(adopter.Exports) < 2 || fh.FSID() != c.Nodes[1].FSID {
 			return
 		}
-		dirtyAtCrash = adopter.Adopted[0].Presto.DirtyBufs()
+		dirtyAtCrash = adopter.Exports[1].Presto.DirtyBufs()
 		adopter.Crash()
 	}
 	c.Sim.Run(0)
@@ -288,7 +288,7 @@ func TestAdopterCrashCarriesAdoptedNVRAM(t *testing.T) {
 	if dead.Presto == nil || dead.Presto.DirtyBufs() != dirtyAtCrash {
 		t.Fatalf("adopted board (%d dirty blocks) not carried back to the dead peer's tray", dirtyAtCrash)
 	}
-	if len(c.Nodes[0].Adopted) != 0 {
+	if len(c.Nodes[0].Exports) != 1 {
 		t.Fatal("adopter crash left adopted exports attached")
 	}
 	expected := accountedRefs(c)
@@ -485,12 +485,12 @@ func TestLinkOutageCutsAdoptedEndpoints(t *testing.T) {
 	cutBoth := false
 	c.Sim.At(1300*sim.Millisecond, func() {
 		adopter := c.Nodes[0]
-		if len(adopter.Adopted) != 1 {
+		if len(adopter.Exports) != 2 {
 			t.Error("failover did not complete before the outage window")
 			return
 		}
 		own := adopter.Server.Endpoint().LinkDown()
-		adopted := adopter.Adopted[0].Server.Endpoint().LinkDown()
+		adopted := adopter.Exports[1].Server.Endpoint().LinkDown()
 		if !own || !adopted {
 			t.Errorf("mid-window link state: own=%v adopted=%v, want both down", own, adopted)
 			return
@@ -505,7 +505,7 @@ func TestLinkOutageCutsAdoptedEndpoints(t *testing.T) {
 		t.Fatal("streams did not ride out the outage")
 	}
 	adopter := c.Nodes[0]
-	if adopter.Server.Endpoint().LinkDown() || adopter.Adopted[0].Server.Endpoint().LinkDown() {
+	if adopter.Server.Endpoint().LinkDown() || adopter.Exports[1].Server.Endpoint().LinkDown() {
 		t.Fatal("link-up did not restore every endpoint")
 	}
 	if res := verify(c, j); res.LostBytes != 0 {

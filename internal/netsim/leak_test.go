@@ -28,8 +28,8 @@ func TestSplitDatagramReleasePaths(t *testing.T) {
 	// Path 1+2: two back-to-back sends; the first is consumed, the second
 	// overflows the one-slot inbox.
 	s.Spawn("sender", func(p *sim.Proc) {
-		n.SendBuf(p, "cli", "srv", []byte("head1"), body, block.Size)
-		n.SendBuf(p, "cli", "srv", []byte("head2"), body, block.Size)
+		n.SendHead(p, "cli", "srv", Head{Bytes: []byte("head1")}, body, block.Size)
+		n.SendHead(p, "cli", "srv", Head{Bytes: []byte("head2")}, body, block.Size)
 	})
 	s.Spawn("recv", func(p *sim.Proc) {
 		// Start draining only after both deliveries have arrived, so the
@@ -55,7 +55,7 @@ func TestSplitDatagramReleasePaths(t *testing.T) {
 
 	// Path 3: queued at detach. Park a datagram in the inbox, then detach.
 	s.Spawn("sender2", func(p *sim.Proc) {
-		n.SendBuf(p, "cli", "srv", []byte("head3"), body, block.Size)
+		n.SendHead(p, "cli", "srv", Head{Bytes: []byte("head3")}, body, block.Size)
 	})
 	s.Run(0)
 	if srv.Inbox.Len() != 1 {
@@ -68,8 +68,8 @@ func TestSplitDatagramReleasePaths(t *testing.T) {
 	// still one propagation latency away and must drop on arrival.
 	ep2 := n.Attach("srv", 0, 0)
 	s.Spawn("sender3", func(p *sim.Proc) {
-		n.SendBuf(p, "cli", "srv", []byte("head4"), body, block.Size)
-		n.Detach("srv") // SendBuf returns at end of serialization
+		n.SendHead(p, "cli", "srv", Head{Bytes: []byte("head4")}, body, block.Size)
+		n.Detach("srv") // SendHead returns at end of serialization
 	})
 	s.Run(0)
 	if !ep2.Dead() {
@@ -78,7 +78,7 @@ func TestSplitDatagramReleasePaths(t *testing.T) {
 
 	// Path 5: no such destination.
 	s.Spawn("sender4", func(p *sim.Proc) {
-		if n.SendBuf(p, "cli", "ghost", []byte("head5"), body, block.Size) {
+		if n.SendHead(p, "cli", "ghost", Head{Bytes: []byte("head5")}, body, block.Size) {
 			t.Error("send to ghost endpoint reported success")
 		}
 	})
@@ -114,7 +114,7 @@ func TestSplitDatagramPadding(t *testing.T) {
 	}()
 	// The length check fires before the medium is touched, so no process
 	// context is needed to exercise it.
-	n.SendBuf(nil, "a", "b", []byte("head"), body, 8190)
+	n.SendHead(nil, "a", "b", Head{Bytes: []byte("head")}, body, 8190)
 	_ = s
 }
 
@@ -127,7 +127,7 @@ func TestTakeBodyOutlivesTheDatagram(t *testing.T) {
 	n.Attach("a", 0, 0)
 	b := n.Attach("b", 0, 0)
 	body := acct.NewPool().Get()
-	s.Spawn("sender", func(p *sim.Proc) { n.SendBuf(p, "a", "b", []byte("head"), body, 1000) })
+	s.Spawn("sender", func(p *sim.Proc) { n.SendHead(p, "a", "b", Head{Bytes: []byte("head")}, body, 1000) })
 	s.Run(0)
 	body.Release() // the sender's
 	dg, ok := b.Inbox.TryGet()

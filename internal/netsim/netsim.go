@@ -466,11 +466,6 @@ func (n *Network) Send(p *sim.Proc, from, to string, payload []byte) bool {
 	return n.send(p, from, to, Head{Bytes: payload}, nil, 0)
 }
 
-// SendBuf is SendHead of a plain, uncounted head followed by a body.
-func (n *Network) SendBuf(p *sim.Proc, from, to string, head []byte, body *block.Buf, bodyLen int) bool {
-	return n.SendHead(p, from, to, Head{Bytes: head}, body, bodyLen)
-}
-
 // SendHead transmits h followed by bodyLen bytes of the refcounted body
 // buffer (none when body is nil) from -> to, blocking p while the
 // datagram serializes onto the shared medium (half-duplex: requests and

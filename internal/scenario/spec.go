@@ -173,8 +173,6 @@ type Servers struct {
 	GatherOverride *core.Config `json:"gather_override,omitempty"`
 	// Inodes sizes each shard's inode table (default 512).
 	Inodes int `json:"inodes,omitempty"`
-	// RecordReplies keeps per-server WRITE reply logs for crash audits.
-	RecordReplies bool `json:"record_replies,omitempty"`
 	// Segment places every shard on a named media segment (default: the
 	// root segment). Requires topology.media; node overrides deviate
 	// individual shards.

@@ -1052,7 +1052,6 @@ func (r *resolved) clusterConfig() cluster.Config {
 		CPUScale:       r.cpuScale,
 		Seed:           r.seed,
 		Inodes:         r.servers.Inodes,
-		RecordReplies:  r.servers.RecordReplies,
 		Segments:       r.segments,
 		ServerSegment:  r.servers.Segment,
 	}
@@ -1062,16 +1061,8 @@ func (r *resolved) clusterConfig() cluster.Config {
 			Segment: o.Segment,
 		})
 	}
-	if len(r.groups) == 1 {
-		// The homogeneous form, byte-compatible with pre-scenario rigs.
-		cfg.Clients = r.groups[0].Count
-		cfg.Biods = r.groups[0].Biods
-		cfg.ClientRetries = r.groups[0].MaxRetries
-		cfg.ClientSegment = r.groups[0].Segment
-	} else {
-		for _, g := range r.groups {
-			cfg.ClientGroups = append(cfg.ClientGroups, cluster.ClientGroup(g))
-		}
+	for _, g := range r.groups {
+		cfg.ClientGroups = append(cfg.ClientGroups, cluster.ClientGroup(g))
 	}
 	return cfg
 }

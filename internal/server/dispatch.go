@@ -617,7 +617,7 @@ func (pc *parsedCall) writeSent(p *sim.Proc, ok bool) {
 	s.releasePC(pc)
 }
 
-// writeReply builds and sends a WRITE reply, auditing it when configured.
+// writeReply builds and sends a WRITE reply.
 func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, ino vfs.Ino, ok bool, err error) {
 	res := s.resAttrStat()
 	if !ok || err != nil {
@@ -632,12 +632,6 @@ func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, ino
 		} else {
 			res.Attr = fattrOf(args.File, a)
 		}
-	}
-	if res.Status == nfsproto.OK && s.cfg.RecordReplies {
-		s.ReplyLog = append(s.ReplyLog, ReplyRecord{
-			Client: k.client, XID: k.xid, Ino: ino,
-			Offset: args.Offset, Length: uint32(len(args.Data)), When: s.sim.Now(),
-		})
 	}
 	s.reply(p, k, res)
 	s.count(nfsproto.ProcWrite, len(args.Data))

@@ -46,8 +46,6 @@ type Config struct {
 	SockBufBytes int
 	// DupCacheCap bounds the duplicate request cache entries.
 	DupCacheCap int
-	// RecordReplies keeps a log of every WRITE reply for crash audits.
-	RecordReplies bool
 	// BootVerifier, when non-zero, is a boot-instance id carried in the
 	// verifier of every success reply. A rebooted server presents a new
 	// id, which is how clients learn the dup cache is gone. Zero keeps the
@@ -57,17 +55,6 @@ type Config struct {
 	// share one resource between the server and device charge wrappers
 	// built before the server. A fresh resource is created otherwise.
 	CPU *sim.Resource
-}
-
-// ReplyRecord is one audited WRITE reply (crash-consistency tests replay
-// these against the remounted filesystem).
-type ReplyRecord struct {
-	Client string
-	XID    uint32
-	Ino    vfs.Ino
-	Offset uint32
-	Length uint32
-	When   sim.Time
 }
 
 // Server is one NFS server instance attached to a network.
@@ -102,7 +89,6 @@ type Server struct {
 	BadCalls    uint64
 	DupDrops    uint64
 	DupResends  uint64
-	ReplyLog    []ReplyRecord
 
 	// OnServe, when non-nil, observes every datagram an nfsd finishes
 	// handling: which daemon, the decoded proc/xid (zero for undecodable

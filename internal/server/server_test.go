@@ -36,7 +36,6 @@ type rigOpts struct {
 	biods     int
 	nfsds     int
 	fddi      bool
-	record    bool
 	// dupCap is the dup cache's capacity (0 = the server default).
 	dupCap int
 	// acct is the buffer ledger every pool of the rig charges (nil = the
@@ -63,13 +62,12 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 	}
 	srvCPU := sim.NewResource(s, 1)
 	cfg := Config{
-		NumNfsds:      nfsds,
-		Gathering:     o.gathering,
-		Costs:         costs,
-		Accelerated:   o.presto,
-		RecordReplies: o.record,
-		CPU:           srvCPU,
-		DupCacheCap:   o.dupCap,
+		NumNfsds:    nfsds,
+		Gathering:   o.gathering,
+		Costs:       costs,
+		Accelerated: o.presto,
+		CPU:         srvCPU,
+		DupCacheCap: o.dupCap,
 	}
 	if o.gathering {
 		cfg.Gather = core.DefaultConfig(o.presto, np.Procrastinate)
@@ -273,14 +271,31 @@ func TestDuplicateRequestDropsAndResends(t *testing.T) {
 	}
 }
 
+// ackedWrite is one WRITE the client saw acknowledged.
+type ackedWrite struct {
+	ino    vfs.Ino
+	offset uint32
+	length int
+}
+
+// recordAcks logs every WRITE acknowledgement the rig's client receives.
+func (r *rig) recordAcks() *[]ackedWrite {
+	acked := new([]ackedWrite)
+	r.cli.OnWriteAcked = func(fh nfsproto.FH, off uint32, n int) {
+		*acked = append(*acked, ackedWrite{vfs.Ino(fh.Ino()), off, n})
+	}
+	return acked
+}
+
 func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 	// The central correctness claim: no reply before stable storage. Run a
 	// gathered workload, stop the world mid-flight at several instants,
 	// recover NVRAM to the platters, remount, and verify every write the
-	// server REPLIED to is present.
+	// client saw acknowledged is present.
 	for _, cut := range []sim.Duration{50, 120, 300, 700} {
 		cutoff := sim.Time(cut * sim.Millisecond)
-		r := newRig(t, 11, rigOpts{gathering: true, biods: 7, fddi: true, record: true})
+		r := newRig(t, 11, rigOpts{gathering: true, biods: 7, fddi: true})
+		acked := r.recordAcks()
 		root := r.srv.RootFH()
 		r.sim.Spawn("app", func(p *sim.Proc) {
 			cres, err := r.cli.Create(p, root, "f", 0644)
@@ -294,8 +309,7 @@ func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 
 		// Post-crash: volatile state gone; NVRAM (none in this rig) and
 		// platters survive.
-		replied := make([]ReplyRecord, len(r.srv.ReplyLog))
-		copy(replied, r.srv.ReplyLog)
+		replied := *acked
 		r.fs.DropCaches()
 		s2 := sim.New(99)
 		s2.Spawn("audit", func(p *sim.Proc) {
@@ -305,16 +319,16 @@ func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 				return
 			}
 			for _, rec := range replied {
-				got := make([]byte, rec.Length)
-				n, err := m.Read(p, rec.Ino, rec.Offset, got)
-				if err != nil || uint32(n) != rec.Length {
-					t.Errorf("cut=%v: replied write @%d unreadable after crash: n=%d err=%v", cut, rec.Offset, n, err)
+				got := make([]byte, rec.length)
+				n, err := m.Read(p, rec.ino, rec.offset, got)
+				if err != nil || n != rec.length {
+					t.Errorf("cut=%v: replied write @%d unreadable after crash: n=%d err=%v", cut, rec.offset, n, err)
 					return
 				}
-				want := make([]byte, rec.Length)
-				client.FillPattern(want, rec.Offset)
+				want := make([]byte, rec.length)
+				client.FillPattern(want, rec.offset)
 				if !bytes.Equal(got, want) {
-					t.Errorf("cut=%v: replied write @%d corrupt after crash", cut, rec.Offset)
+					t.Errorf("cut=%v: replied write @%d corrupt after crash", cut, rec.offset)
 					return
 				}
 			}
@@ -325,7 +339,8 @@ func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 
 func TestCrashAuditWithPresto(t *testing.T) {
 	cutoff := sim.Time(150 * sim.Millisecond)
-	r := newRig(t, 13, rigOpts{gathering: true, presto: true, biods: 7, fddi: true, record: true})
+	r := newRig(t, 13, rigOpts{gathering: true, presto: true, biods: 7, fddi: true})
+	acked := r.recordAcks()
 	root := r.srv.RootFH()
 	r.sim.Spawn("app", func(p *sim.Proc) {
 		cres, err := r.cli.Create(p, root, "f", 0644)
@@ -337,8 +352,7 @@ func TestCrashAuditWithPresto(t *testing.T) {
 	r.sim.Spawn("super", func(p *sim.Proc) { r.fs.WriteSuper(p) })
 	r.sim.Run(cutoff)
 
-	replied := make([]ReplyRecord, len(r.srv.ReplyLog))
-	copy(replied, r.srv.ReplyLog)
+	replied := *acked
 	if len(replied) == 0 {
 		t.Fatal("no replies before the cutoff; test is vacuous")
 	}
@@ -353,16 +367,16 @@ func TestCrashAuditWithPresto(t *testing.T) {
 			return
 		}
 		for _, rec := range replied {
-			got := make([]byte, rec.Length)
-			n, err := m.Read(p, rec.Ino, rec.Offset, got)
-			if err != nil || uint32(n) != rec.Length {
-				t.Errorf("replied write @%d unreadable: n=%d err=%v", rec.Offset, n, err)
+			got := make([]byte, rec.length)
+			n, err := m.Read(p, rec.ino, rec.offset, got)
+			if err != nil || n != rec.length {
+				t.Errorf("replied write @%d unreadable: n=%d err=%v", rec.offset, n, err)
 				return
 			}
-			want := make([]byte, rec.Length)
-			client.FillPattern(want, rec.Offset)
+			want := make([]byte, rec.length)
+			client.FillPattern(want, rec.offset)
 			if !bytes.Equal(got, want) {
-				t.Errorf("replied write @%d corrupt", rec.Offset)
+				t.Errorf("replied write @%d corrupt", rec.offset)
 				return
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/client"
+	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/oncrpc"
 	"repro/internal/sim"
@@ -42,12 +43,10 @@ func wiretap(t *testing.T) (*sim.Sim, *client.Client, nfsproto.FH, *[]call) {
 				continue
 			}
 			*calls = append(*calls, decodeCall(t, &msg, body, blen))
-			if body == nil {
-				n.Send(p, from, "nfs", payload)
-				continue
+			n.SendHead(p, from, "nfs", netsim.Head{Bytes: payload}, body, blen)
+			if body != nil {
+				body.Release()
 			}
-			n.SendBuf(p, from, "nfs", payload, body, blen)
-			body.Release()
 		}
 	})
 	return s, cli, srv.RootFH(), calls
