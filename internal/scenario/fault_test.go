@@ -370,29 +370,43 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	wantInvalid(t, s, "faults.events[0]")
 }
 
-// faultDigests pins each fault scenario's whole timeline: a sha256 over
-// its Result JSON (events_fired, durability audit and metric columns)
-// followed by every cell's kernel event count, run at -j 1. The golden
-// prints neither the fault log nor event counts, so a kill reordered in
-// a crash, a moved replay or a lost wake-up passes it and fails here. A
-// deliberate model change re-records these once, with sim_digests.txt
-// and the golden.
-var faultDigests = map[string]string{
+// registryDigests pins every registry scenario's whole result: a sha256
+// over its Result JSON (every metric column, events_fired, the durability
+// audit, the segments and bridges roll-up) followed by every cell's kernel
+// event count, run at -j 1. The golden prints only rendered text, neither
+// the fault log nor the fabric's JSON nor event counts, so a kill
+// reordered in a crash, a moved replay, a lost wake-up or a moved bridge
+// counter passes it and fails here. A deliberate model change re-records
+// these once, with sim_digests.txt and the golden.
+var registryDigests = map[string]string{
+	"table1":       "c2ce0b7774cc1de313c753aef71cf86b923036d5cef9ab5d32110e076c18330a",
+	"table2":       "8d98a8c32ca789d7681355838117675d4ed69e2ba612d96c3c9d4349da25e7fd",
+	"table3":       "549140d9d149deb1b4a55c20ea45d80956423c28e11117094f454b4461f9c98f",
+	"table4":       "36d9ed32c1ab6736ca9915bbfb0d2adb3e11c818742872840f2024b6281b15e9",
+	"table5":       "a39323617738b3387d79445e066da04377c20ab8fa48b2eac53d63c18354049a",
+	"table6":       "dd5c2bcd7c233238d4433a0bbf93778ae320b4c6369b1af4cf60e1fbe10af68b",
+	"figure1":      "3aae9bf35fd78fdbce6517c0cfd9c3c7ce25e3a656f95c7f7e0a03cfb0a32dcd",
+	"figure2":      "e783fdbf4739a6637a99dedba77b52fe1fdbf1457af39fa0b907fabdd300c07c",
+	"figure3":      "5f002cd4b4a5986b90233757db09056226629866d490b68dd075c26e7cabab6d",
+	"scale":        "9da94e50f015f84c4a75ff1de9d4e08e5b70325a129089b74183afeaa033ae44",
+	"bridged":      "30d38c92120db0a4937d19fc510307ee93716086786f6f97ccb147833468693d",
 	"crash":        "242fabd755ad14f1f2a1f2bba6c249baf273d902fccf69ca6e63ffdf9cc41fc8",
+	"partialcrash": "288922f671e11d291db5e06f02ac64e3cd2caf34d090aa20a936f2c49d864f47",
+	"flapstorm":    "b57a032ab0b1a83145bc806e19ad98d5f98e15df9af907f23331d4f7432c7dbc",
 	"failover":     "847952b65b1d45226dfcd5946a3ee60917b79bcbf42191d8f3e167b4abe971bf",
 	"clientreboot": "181d8c804cb800f6d01ba5f9fd59e0f44f6a6a5a2080956c77074bff4221a858",
-	"flapstorm":    "b57a032ab0b1a83145bc806e19ad98d5f98e15df9af907f23331d4f7432c7dbc",
 	"mediastorm":   "ad6f4836c918e25bb8a3edf88ace895cf7926a4dad1e3518ce1f8c5996a86b1d",
-	"partialcrash": "288922f671e11d291db5e06f02ac64e3cd2caf34d090aa20a936f2c49d864f47",
+	"kneecurve":    "4cc88b06fe88c1213aaa4f64054828ba54a6c2c5088814f83105de093d2c2eb5",
+	"bridgedsat":   "5326d9a97897eeefb29ba97e8e9e4d42bbbf5d69e29d96531fc82d08c020f3a2",
 }
 
-func TestFaultScenarioDigests(t *testing.T) {
-	for _, name := range []string{"crash", "failover", "clientreboot", "flapstorm", "mediastorm", "partialcrash"} {
-		spec, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		res, err := RunWorkers(spec, 1)
+func TestRegistryDigests(t *testing.T) {
+	reg := Registry()
+	if len(reg) != len(registryDigests) {
+		t.Errorf("%d registry scenarios, %d recorded digests", len(reg), len(registryDigests))
+	}
+	for _, e := range reg {
+		res, err := RunWorkers(e.Build(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,8 +419,8 @@ func TestFaultScenarioDigests(t *testing.T) {
 		for _, c := range res.Cells {
 			fmt.Fprintf(h, "\n%s events=%d", c.Label, c.Events)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != faultDigests[name] {
-			t.Errorf("%s: fault timeline digest %s, recorded %s", name, got, faultDigests[name])
+		if got := hex.EncodeToString(h.Sum(nil)); got != registryDigests[e.Name] {
+			t.Errorf("%s: result digest %s, recorded %s", e.Name, got, registryDigests[e.Name])
 		}
 	}
 }
