@@ -1,6 +1,6 @@
 // Package cluster assembles every testbed the engine runs: N LADDIS-class
-// clients and M NFS server shards on one simulated medium or a bridged
-// fabric. Each server exports its own filesystem (a distinct FSID);
+// clients and M NFS server shards on a netsim.Fabric: the paper's one
+// shared LAN is a fabric of one segment. Each server exports its own filesystem (a distinct FSID);
 // client.ShardIndex places working files on exports, and every RPC routes
 // to the server owning its handle's FSID. The paper's Tables 1-6 and
 // Figures 1-3 ran on one server, which is a one-node cluster built with
@@ -32,18 +32,15 @@ import (
 
 // Config selects one cluster build.
 type Config struct {
-	// Net selects the LAN (hw.Ethernet() or hw.FDDI()).
+	// Net selects the LAN (hw.Ethernet() or hw.FDDI()) of a cluster
+	// without Segments: a fabric of one segment, named "medium".
 	Net hw.NetParams
-	// Segments, when non-empty, replaces the single Net medium with a
-	// bridged fabric of named segments (see netsim.Fabric). Hosts land
-	// on the root segment unless placed elsewhere by ServerSegment,
-	// ClientSegment, a NodeConfig or a ClientGroup.
+	// Segments, when non-empty, declares the fabric's named segments (see
+	// netsim.Fabric) instead. Hosts land on the root segment unless placed
+	// elsewhere by ServerSegment, a NodeConfig or a ClientGroup.
 	Segments []netsim.SegmentSpec
 	// ServerSegment places the server shards (default: the root).
 	ServerSegment string
-	// ClientSegment places the homogeneous client population when
-	// ClientGroups is empty (default: the root).
-	ClientSegment string
 	// Clients and Servers are the node counts.
 	Clients int
 	Servers int
@@ -109,7 +106,7 @@ type NodeConfig struct {
 	NumNfsds    *int
 	Inodes      *int
 	// Segment places this shard on a named fabric segment, overriding
-	// Config.ServerSegment. Requires Config.Segments.
+	// Config.ServerSegment.
 	Segment *string
 }
 
@@ -122,7 +119,7 @@ type ClientGroup struct {
 	// MaxRetries overrides the RPC attempt bound (0 keeps the default).
 	MaxRetries int
 	// Segment places the group's hosts on a named fabric segment
-	// (default: the root). Requires Config.Segments.
+	// (default: the root).
 	Segment string
 }
 
@@ -182,8 +179,7 @@ type Node struct {
 	Exports []*Export
 
 	c *Cluster
-	// net is the segment this shard's NIC attaches to (the cluster-wide
-	// network without a fabric).
+	// net is the segment this shard's NIC attaches to.
 	net *netsim.Network
 
 	// Resolved per-node build settings (Config defaults plus this node's
@@ -204,10 +200,8 @@ type Node struct {
 // Cluster is an assembled scale-out testbed.
 type Cluster struct {
 	Sim *sim.Sim
-	// Net is the servers' default segment: the lone medium without a
-	// fabric, the ServerSegment (or root) network with one.
-	Net *netsim.Network
-	// Fabric is the bridged segment tree (nil without Config.Segments).
+	// Fabric is the cell's network: Config.Segments joined by uplink
+	// bridges, or the one segment of Config.Net.
 	Fabric  *netsim.Fabric
 	Nodes   []*Node
 	Clients []*client.Client
@@ -263,15 +257,13 @@ func New(cfg Config) *Cluster {
 		owner:  make(map[uint32]*Export, cfg.Servers),
 		routes: make(map[uint32]string, cfg.Servers),
 	}
-	if len(cfg.Segments) > 0 {
-		c.Fabric = netsim.NewFabric(s, cfg.Segments)
-		c.Net = c.Fabric.Segment(cfg.ServerSegment)
-		for _, name := range c.Fabric.Names() {
-			c.Fabric.Segment(name).SetAccounting(cfg.Acct)
-		}
-	} else {
-		c.Net = netsim.New(s, cfg.Net)
-		c.Net.SetAccounting(cfg.Acct)
+	segs := cfg.Segments
+	if len(segs) == 0 {
+		segs = []netsim.SegmentSpec{{Name: "medium", Params: cfg.Net}}
+	}
+	c.Fabric = netsim.NewFabric(s, segs)
+	for _, name := range c.Fabric.Names() {
+		c.Fabric.Segment(name).SetAccounting(cfg.Acct)
 	}
 
 	for i := 0; i < cfg.Servers; i++ {
@@ -305,10 +297,7 @@ func New(cfg Config) *Cluster {
 		}
 		n.Home = n
 		n.Exports = []*Export{&n.Export}
-		n.net = c.Net
-		if c.Fabric != nil {
-			n.net = c.Fabric.Segment(n.segment)
-		}
+		n.net = c.Fabric.Segment(n.segment)
 		for d := 0; d < n.stripeDisks; d++ {
 			n.Disks = append(n.Disks, disk.New(s, hw.RZ26(), cfg.Acct))
 		}
@@ -352,15 +341,11 @@ func New(cfg Config) *Cluster {
 
 	groups := cfg.ClientGroups
 	if len(groups) == 0 {
-		groups = []ClientGroup{{Count: cfg.Clients, Biods: cfg.Biods,
-			MaxRetries: cfg.ClientRetries, Segment: cfg.ClientSegment}}
+		groups = []ClientGroup{{Count: cfg.Clients, Biods: cfg.Biods, MaxRetries: cfg.ClientRetries}}
 	}
 	idx := 0
 	for _, g := range groups {
-		cnet := c.Net
-		if c.Fabric != nil {
-			cnet = c.Fabric.Segment(g.Segment)
-		}
+		cnet := c.Fabric.Segment(g.Segment)
 		for i := 0; i < g.Count; i++ {
 			idx++
 			name := fmt.Sprintf("client%d", idx)
@@ -368,9 +353,7 @@ func New(cfg Config) *Cluster {
 				hw.DEC3000Client(), g.Biods, cfg.Acct)
 			cli.Pages = c.Pages
 			cli.Routes = c.routes
-			if c.Fabric != nil {
-				c.Fabric.Place(name, g.Segment)
-			}
+			c.Fabric.Place(name, g.Segment)
 			if g.MaxRetries > 0 {
 				cli.MaxRetries = g.MaxRetries
 			}
@@ -505,9 +488,7 @@ func (n *Node) serve(ex *Export, fs *ufs.FS, cpu *sim.Resource) {
 	c, home := n.c, ex.Home
 	ex.FS = fs
 	ex.Server = c.newServer(n.net, ex.Name, fs, cpu, home.numNfsds, home.presto, home.Index, home.Boots)
-	if c.Fabric != nil {
-		c.Fabric.Place(ex.Name, n.segment)
-	}
+	c.Fabric.Place(ex.Name, n.segment)
 	if n.Server.Endpoint().LinkDown() {
 		n.net.SetLinkDown(ex.Name, true)
 	}
@@ -599,28 +580,6 @@ func (n *Node) Adopt(p *sim.Proc, dead *Node) error {
 	}
 	n.Exports = append(n.Exports, ex)
 	return nil
-}
-
-// SetHostLinkDown severs or restores a host NIC by name, wherever the
-// host lives: on the fabric it sweeps every segment (unknown names are
-// a no-op per segment), without one it acts on the lone medium.
-func (c *Cluster) SetHostLinkDown(name string, down bool) {
-	if c.Fabric != nil {
-		c.Fabric.SetLinkDown(name, down)
-		return
-	}
-	c.Net.SetLinkDown(name, down)
-}
-
-// SetUplinkDown severs or restores a fabric segment's uplink port,
-// partitioning the whole segment from the rest of the tree. It reports
-// whether the segment exists and has an uplink (false without a fabric
-// or for the root).
-func (c *Cluster) SetUplinkDown(segment string, down bool) bool {
-	if c.Fabric == nil {
-		return false
-	}
-	return c.Fabric.SetUplinkDown(segment, down)
 }
 
 // FSByFSID resolves the mounted filesystem currently serving an export:

@@ -175,8 +175,9 @@ func TestUplinkOutageReleasesReadReplies(t *testing.T) {
 			{Name: "leaf", Params: hw.Ethernet(), Uplink: "core",
 				Bridge: netsim.BridgeParams{ForwardLatency: 50 * sim.Microsecond}},
 		},
-		ServerSegment: "core", ClientSegment: "leaf",
-		Clients: 3, Servers: 1, Seed: 7,
+		ServerSegment: "core",
+		ClientGroups:  []ClientGroup{{Count: 3, MaxRetries: 40, Segment: "leaf"}},
+		Servers:       1, Seed: 7,
 	}, 900*sim.Millisecond)
 	for _, cli := range rs.c.Clients {
 		rs.readers(cli, 3)
@@ -184,9 +185,9 @@ func TestUplinkOutageReleasesReadReplies(t *testing.T) {
 	rs.c.Sim.Spawn("outage", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(40*sim.Millisecond + sim.Duration(i)*313*sim.Microsecond)
-			rs.c.SetUplinkDown("leaf", true)
+			rs.c.Fabric.SetUplinkDown("leaf", true)
 			p.Sleep(60 * sim.Millisecond)
-			rs.c.SetUplinkDown("leaf", false)
+			rs.c.Fabric.SetUplinkDown("leaf", false)
 		}
 	})
 	copies := rs.acct.Copies()

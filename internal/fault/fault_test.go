@@ -160,7 +160,8 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 		Gathering: true, Seed: 9,
 	})
 	node := c.Nodes[0]
-	pr := &probe{net: c.Net, ep: c.Net.Attach("probe", 0, 0), to: node.Name}
+	lan := c.Fabric.Segment("")
+	pr := &probe{net: lan, ep: lan.Attach("probe", 0, 0), to: node.Name}
 	root := c.Roots()[0]
 
 	data := make([]byte, 8192)

@@ -279,7 +279,7 @@ func (f LinkOutage) Schedule(in *Injector) {
 				return
 			}
 			if f.Segment != nil {
-				if !in.c.SetUplinkDown(*f.Segment, true) {
+				if !in.c.Fabric.SetUplinkDown(*f.Segment, true) {
 					return
 				}
 				*cut = true
@@ -289,7 +289,7 @@ func (f LinkOutage) Schedule(in *Injector) {
 			}
 			names := f.targets(in)
 			for _, name := range names {
-				in.c.SetHostLinkDown(name, true)
+				in.c.Fabric.SetLinkDown(name, true)
 			}
 			*cut = true
 			in.LinkOutages++
@@ -300,7 +300,7 @@ func (f LinkOutage) Schedule(in *Injector) {
 				return
 			}
 			if f.Segment != nil {
-				in.c.SetUplinkDown(*f.Segment, false)
+				in.c.Fabric.SetUplinkDown(*f.Segment, false)
 				in.fired("link-up segment %s", *f.Segment)
 				return
 			}
@@ -309,7 +309,7 @@ func (f LinkOutage) Schedule(in *Injector) {
 			// back with it.
 			names := f.targets(in)
 			for _, name := range names {
-				in.c.SetHostLinkDown(name, false)
+				in.c.Fabric.SetLinkDown(name, false)
 			}
 			in.fired("link-up %s", names[0])
 		})

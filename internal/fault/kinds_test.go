@@ -330,7 +330,7 @@ func TestLinkOutageRidesOnRetransmission(t *testing.T) {
 	if c.Nodes[0].Boots != 1 {
 		t.Error("a link outage must not reboot the host")
 	}
-	if c.Net.DropsLinkDown == 0 {
+	if c.Fabric.Segment("").DropsLinkDown == 0 {
 		t.Error("no datagrams died at the severed attachment")
 	}
 	if res := verify(c, j); res.LostBytes != 0 {

@@ -19,19 +19,18 @@ import (
 // the full wire time of the outgoing segment. The queue bound is the bridge's drop budget; overflow and
 // down-port losses are counted per port.
 //
-// Forwarding is static. A bridge built by hand has hosts registered with
-// SetForward, mapping a destination host name to the output port one hop
-// closer to it; a Fabric's uplink bridge needs no entries — it asks the
-// fabric which way the host's segment lies — and takes them as overrides.
-// Datagrams for unknown destinations are filtered, as a learning bridge
-// discards frames for addresses local to the arrival segment.
+// Only NewFabric builds bridges, one per non-root segment, joining it to
+// its parent. Forwarding keeps no per-host state: the bridge asks its
+// fabric which way the destination's segment lies. Datagrams for unknown
+// destinations are filtered, as a learning bridge discards frames for
+// addresses local to the arrival segment.
 type Bridge struct {
 	Name  string
 	Ports []*BridgePort
 
-	sim     *sim.Sim
-	p       BridgeParams
-	forward map[string]*BridgePort
+	sim    *sim.Sim
+	fabric *Fabric
+	p      BridgeParams
 }
 
 // BridgeParams configures a bridge's per-port behaviour.
@@ -42,9 +41,6 @@ type BridgeParams struct {
 	// QueueItems bounds each port's output FIFO in datagrams
 	// (0 = unbounded). This is the drop budget: a full queue drops.
 	QueueItems int
-	// QueueBytes bounds each port's output FIFO in payload bytes
-	// (0 = unbounded).
-	QueueBytes int
 }
 
 // BridgePort is one attachment of a bridge to a segment, transmitting
@@ -122,29 +118,18 @@ func (bp *BridgePort) SetDown(down bool) {
 	bp.net.SetLinkDown(bp.ep.Name, down)
 }
 
-// NewBridge builds a bridge with no ports; call AttachPort once per
-// segment it joins (at least two for anything useful).
-func NewBridge(s *sim.Sim, name string, p BridgeParams) *Bridge {
-	return &Bridge{
-		Name:    name,
-		sim:     s,
-		p:       p,
-		forward: make(map[string]*BridgePort),
-	}
-}
-
-// AttachPort joins the bridge to a segment: it attaches an endpoint
-// named after the bridge, serves it with the port's router, and spawns
-// the port's transmitter process. segment is a reporting label.
-func (b *Bridge) AttachPort(n *Network, segment string) *BridgePort {
+// attachPort joins the bridge to one of its fabric's segments: it
+// attaches an endpoint named after the bridge, serves it with the port's
+// router, and spawns the port's transmitter process. segment is a
+// reporting label.
+func (b *Bridge) attachPort(n *Network, segment string) *BridgePort {
 	bp := &BridgePort{
 		Index:   len(b.Ports),
 		Segment: segment,
 		bridge:  b,
 		net:     n,
 		ep:      n.Attach(b.Name, 0, 0),
-		out: sim.NewByteQueue[*Datagram](b.sim, b.p.QueueItems, b.p.QueueBytes,
-			func(d *Datagram) int { return d.Size() }),
+		out:     sim.NewQueue[*Datagram](b.sim, b.p.QueueItems),
 	}
 	b.Ports = append(b.Ports, bp)
 	bp.ep.Serve(func(dg *Datagram) { b.route(bp, dg) })
@@ -152,24 +137,12 @@ func (b *Bridge) AttachPort(n *Network, segment string) *BridgePort {
 	return bp
 }
 
-// SetForward installs a forwarding entry: datagrams addressed to dest
-// leave through out. Re-installing overwrites (a host that moved).
-func (b *Bridge) SetForward(dest string, out *BridgePort) {
-	b.forward[dest] = out
-}
-
 // outPort resolves the port a datagram for host leaves through, having
-// arrived on in: a forwarding entry if there is one, else — on a fabric —
-// the far side of this bridge when it is the hop from the arrival segment
-// toward the host's. nil filters the datagram.
+// arrived on in: the far side of this bridge when it is the fabric's hop
+// from the arrival segment toward the host's. nil filters the datagram.
 func (b *Bridge) outPort(in *BridgePort, host string) *BridgePort {
-	if out, ok := b.forward[host]; ok {
-		return out
-	}
-	if f := in.net.fabric; f != nil {
-		if h := f.hopToward(in.net.seg, host); h.via == in.ep {
-			return h.out
-		}
+	if h := b.fabric.hopToward(in.net.seg, host); h.via == in.ep {
+		return h.out
 	}
 	return nil
 }
@@ -195,7 +168,7 @@ func (b *Bridge) route(in *BridgePort, dg *Datagram) {
 
 // transmit drains a port's output FIFO onto its segment. The original
 // addressing is preserved; the target network resolves the destination
-// again (an attached host, or the next bridge via a route) and takes
+// again (an attached host, or the next bridge on the fabric) and takes
 // its own references to the head and any body buffer, so pooled datagram
 // records never migrate between networks. A carved head stays its origin
 // segment's: the release that frees its slab returns the slab there.

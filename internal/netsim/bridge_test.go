@@ -133,48 +133,6 @@ func TestBridgeUplinkDown(t *testing.T) {
 	}
 }
 
-// TestBridgeThreePort exercises a single bridge joining three segments
-// directly (the Fabric only builds two-port uplinks, but the Bridge
-// itself is N-port).
-func TestBridgeThreePort(t *testing.T) {
-	s := sim.New(1)
-	var nets [3]*Network
-	for i := range nets {
-		nets[i] = New(s, hw.Ethernet())
-	}
-	br := NewBridge(s, "hub", BridgeParams{})
-	var ports [3]*BridgePort
-	for i, n := range nets {
-		ports[i] = br.AttachPort(n, "")
-	}
-	a := nets[0].Attach("a", 0, 0)
-	b := nets[1].Attach("b", 0, 0)
-	c := nets[2].Attach("c", 0, 0)
-	_ = a
-	for i, n := range nets {
-		for j, host := range []string{"a", "b", "c"} {
-			if i != j {
-				n.AddRoute(host, ports[i].ep)
-				br.SetForward(host, ports[j])
-			}
-		}
-	}
-	var gotB, gotC *Datagram
-	s.Spawn("b", func(p *sim.Proc) { gotB = b.Inbox.Get(p) })
-	s.Spawn("c", func(p *sim.Proc) { gotC = c.Inbox.Get(p) })
-	s.Spawn("a", func(p *sim.Proc) {
-		nets[0].Send(p, "a", "b", []byte("to-b"))
-		nets[0].Send(p, "a", "c", []byte("to-c"))
-	})
-	s.Run(0)
-	if gotB == nil || string(gotB.Payload) != "to-b" {
-		t.Fatalf("b: %+v", gotB)
-	}
-	if gotC == nil || string(gotC.Payload) != "to-c" {
-		t.Fatalf("c: %+v", gotC)
-	}
-}
-
 // TestFabricMultiHop routes leaf-to-leaf across a three-deep chain:
 // core <- mid <- leaf, with hosts on leaf and core, plus a sibling
 // branch to prove next-hop selection descends correctly.

@@ -95,10 +95,10 @@ func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 		if !ok || sp.Uplink == sp.Name {
 			panic(fmt.Sprintf("netsim: segment %q has bad uplink %q", sp.Name, sp.Uplink))
 		}
-		br := NewBridge(s, "bridge:"+sp.Name, sp.Bridge)
+		br := &Bridge{Name: "bridge:" + sp.Name, sim: s, fabric: f, p: sp.Bridge}
 		f.uplinks[sp.Name] = br
-		f.child[sp.Name] = br.AttachPort(f.nets[sp.Name], sp.Name)
-		f.toward[sp.Name] = br.AttachPort(up, sp.Uplink)
+		f.child[sp.Name] = br.attachPort(f.nets[sp.Name], sp.Name)
+		f.toward[sp.Name] = br.attachPort(up, sp.Uplink)
 	}
 	// Cycle check: every segment must reach the root by parent links.
 	for _, name := range f.names {

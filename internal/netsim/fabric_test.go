@@ -127,12 +127,6 @@ func TestNextHopMatchesPerHostRoutes(t *testing.T) {
 			t.Errorf("%s routes an unplaced host through %s", seg, via.Name)
 		}
 	}
-	// An explicit route still overrides the placement.
-	override := f.child["leaf1a"].ep
-	f.Segment("leaf1a").AddRoute("h0-0", override)
-	if got := f.Segment("leaf1a").routeTo("h0-0"); got != override {
-		t.Errorf("AddRoute did not override the fabric's hop")
-	}
 }
 
 // TestPlaceAllocatesPerHostOnly is a host-work guard that does not read the

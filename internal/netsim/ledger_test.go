@@ -58,17 +58,23 @@ func TestDatagramLedger(t *testing.T) {
 	// FDDI feeding Ethernet through a one-deep FIFO: a burst overflows it.
 	// A port taken down drops what it dequeues, and what it was
 	// processing when it went down.
-	lan, wan := New(s, hw.FDDI()), New(s, hw.Ethernet())
-	br := NewBridge(s, "br", BridgeParams{QueueItems: 1, ForwardLatency: 10 * sim.Millisecond})
-	in, out := br.AttachPort(lan, "lan"), br.AttachPort(wan, "wan")
+	f := NewFabric(s, []SegmentSpec{
+		{Name: "wan", Params: hw.Ethernet()},
+		{Name: "lan", Params: hw.FDDI(), Uplink: "wan",
+			Bridge: BridgeParams{QueueItems: 1, ForwardLatency: 10 * sim.Millisecond}},
+	})
+	lan, wan := f.Segment("lan"), f.Segment("wan")
+	br := f.Uplink("lan")
+	in, out := br.Ports[0], br.Ports[1]
 	lan.Attach("src", 0, 0)
 	wan.Attach("sink", 0, 0)
-	lan.AddRoute("sink", in.ep)
-	lan.AddRoute("stranger", in.ep) // routed to the bridge, which has no entry
-	br.SetForward("sink", out)
+	f.Place("src", "lan")
+	f.Place("sink", "wan")
 	s.Spawn("bridged", func(p *sim.Proc) {
 		msg := make([]byte, 8192)
-		lan.Send(p, "src", "stranger", msg)
+		// Addressed to the bridge itself: it arrives on the lan port, and
+		// the fabric knows no way onward.
+		lan.Send(p, "src", br.Name, msg)
 		for i := 0; i < 8; i++ {
 			lan.Send(p, "src", "sink", msg)
 		}
@@ -95,13 +101,13 @@ func TestDatagramLedger(t *testing.T) {
 
 	in.received++ // planted: an arrival on the lan port vanished uncounted
 	err = br.CheckDatagrams()
-	if err == nil || !strings.Contains(err.Error(), "bridge br port 0 (lan): received 12 != no route 1 + routed 10") {
+	if err == nil || !strings.Contains(err.Error(), "bridge bridge:lan port 0 (lan): received 12 != no route 1 + routed 10") {
 		t.Fatalf("planted bridge violation: %v", err)
 	}
 	in.received--
 	out.Forwarded-- // planted: a datagram left the wan port's FIFO uncounted
 	err = br.CheckDatagrams()
-	if err == nil || !strings.Contains(err.Error(), "bridge br port 1 (wan): queued ") {
+	if err == nil || !strings.Contains(err.Error(), "bridge bridge:lan port 1 (wan): queued ") {
 		t.Fatalf("planted bridge violation: %v", err)
 	}
 }

@@ -160,13 +160,8 @@ type Network struct {
 	p         hw.NetParams
 	medium    *sim.Resource
 	endpoints map[string]*Endpoint
-	// routes maps destination host names that are NOT attached to this
-	// segment to the local endpoint of a bridge that is one hop closer to
-	// them. A local endpoint always wins over a route.
-	routes map[string]*Endpoint
 	// fabric, when the segment is part of one, resolves the destinations
-	// that have neither an endpoint nor a route here; seg is this segment's
-	// index in it.
+	// that have no endpoint here; seg is this segment's index in it.
 	fabric *Fabric
 	seg    int
 	free   []*Datagram // datagram record pool
@@ -229,20 +224,6 @@ func (n *Network) Utilization() float64 { return n.medium.Utilization() }
 // MediumBusy reports the cumulative time the medium has been busy
 // (probes derive windowed utilization from deltas of this).
 func (n *Network) MediumBusy() sim.Duration { return n.medium.BusyTime() }
-
-// AddRoute declares that datagrams addressed to dest — a host name with no
-// endpoint on this segment — should be delivered to via, the local
-// endpoint of a bridge one hop closer to dest. The original destination
-// address is preserved, so the next segment resolves it again; chains of
-// routes carry a datagram across hand-built bridged segments. A locally
-// attached endpoint always shadows a route with the same name, and on a
-// Fabric's segment a route overrides where the fabric placed dest.
-func (n *Network) AddRoute(dest string, via *Endpoint) {
-	if n.routes == nil {
-		n.routes = make(map[string]*Endpoint)
-	}
-	n.routes[dest] = via
-}
 
 // Attach creates an endpoint with a socket buffer bounded to maxBytes of
 // payload (0 = unbounded), and at most maxItems datagrams (0 = unbounded).
@@ -608,16 +589,13 @@ func (t *transmit) release() {
 }
 
 // routeTo returns the local bridge endpoint one hop closer to an
-// off-segment host: an explicit route if there is one, else the hop toward
-// the segment the fabric placed the host on; nil if neither knows it.
+// off-segment host: the hop toward the segment the fabric placed the host
+// on; nil if the fabric does not know it, or for a lone network (New).
 func (n *Network) routeTo(host string) *Endpoint {
-	if via, ok := n.routes[host]; ok {
-		return via
+	if n.fabric == nil {
+		return nil
 	}
-	if n.fabric != nil {
-		return n.fabric.hopToward(n.seg, host).via
-	}
-	return nil
+	return n.fabric.hopToward(n.seg, host).via
 }
 
 // getDatagram takes a record from the pool, or builds one with its

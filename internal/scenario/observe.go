@@ -50,16 +50,18 @@ var probeColumns = []string{
 //	ol_shed      arrivals dropped at a full backlog so far
 //	ol_queue     arrivals currently waiting in client backlogs
 func probeCols(rc *resolved) []string {
-	if len(rc.segments) == 0 && rc.kind != KindOpenload {
+	if !rc.bridged() && rc.kind != KindOpenload {
 		return probeColumns
 	}
 	cols := append([]string(nil), probeColumns...)
-	for _, sg := range rc.segments {
-		cols = append(cols, "seg_"+sg.Name+"_util_pct")
-	}
-	for _, sg := range rc.segments {
-		if sg.Uplink != "" {
-			cols = append(cols, "bridge_"+sg.Name+"_queue")
+	if rc.bridged() {
+		for _, sg := range rc.segments {
+			cols = append(cols, "seg_"+sg.Name+"_util_pct")
+		}
+		for _, sg := range rc.segments {
+			if sg.Uplink != "" {
+				cols = append(cols, "bridge_"+sg.Name+"_queue")
+			}
 		}
 	}
 	if rc.kind == KindOpenload {
@@ -80,6 +82,9 @@ type cellObs struct {
 	// runner before the sim starts; gauges read zero until then).
 	openload bool
 	gens     []*openload.Gen
+	// bridged marks the header as carrying the segment and bridge
+	// columns (resolved.bridged).
+	bridged bool
 }
 
 // obsCaptureFn, when threaded into a run, receives every cell's live
@@ -98,7 +103,7 @@ func newCellObs(rc *resolved, capture obsCaptureFn) *cellObs {
 	if o == nil || (!o.Trace && !o.Probes && !o.Histograms) {
 		return nil
 	}
-	ob := &cellObs{cfg: *o, openload: rc.kind == KindOpenload}
+	ob := &cellObs{cfg: *o, openload: rc.kind == KindOpenload, bridged: rc.bridged()}
 	if o.Trace {
 		ob.trace = obs.NewTrace(rc.label, o.TraceMaxEvents)
 	}
@@ -212,7 +217,7 @@ func (ob *cellObs) startProbes(c *cluster.Cluster) {
 	var segNames []string
 	var bridges []*netsim.Bridge
 	var lastSegBusy []sim.Duration
-	if c.Fabric != nil {
+	if ob.bridged {
 		segNames = c.Fabric.Names()
 		bridges = c.Fabric.Bridges()
 		lastSegBusy = make([]sim.Duration, len(segNames))

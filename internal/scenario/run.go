@@ -320,7 +320,9 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 		}
 		cr.Drops = srv.Endpoint().Drops()
 	}
-	collectFabric(&cr, c.Fabric)
+	if rc.bridged() {
+		collectFabric(&cr, c.Fabric)
+	}
 	cr.SimTime = sim.Duration(c.Sim.Now())
 	cr.Events, cr.Switches, cr.Carriers = c.Sim.EventsFired(), c.Sim.Switches(), c.Sim.Carriers()
 	ob.finish(&cr)
@@ -338,12 +340,9 @@ func intervalStats(c *cluster.Cluster, cr *CellResult) {
 // collectFabric rolls the bridged fabric's wire and bridge counters into
 // the cell: per-segment utilization and traffic in declaration order,
 // per-bridge forward/drop/queue totals (ports summed), and the two
-// aggregate columns. No-op (all fields stay zero/omitted) without a
-// fabric, so single-segment cells keep their historical output bytes.
+// aggregate columns. runCell calls it for bridged cells only, so a
+// one-segment cell's fields stay zero and omitted.
 func collectFabric(cr *CellResult, f *netsim.Fabric) {
-	if f == nil {
-		return
-	}
 	for _, name := range f.Names() {
 		n := f.Segment(name)
 		util := 100 * n.Utilization()
@@ -615,8 +614,8 @@ func runStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 
 // assertSilentSetup is the open-loop runner's audit at the instant the
 // window opens: set-up is an image built through ufs, so no client has
-// issued or retransmitted an RPC, no segment (the lone medium, or every
-// one of the fabric's) or bridge has carried or dropped a datagram, no
+// issued or retransmitted an RPC, no segment or bridge of the fabric has
+// carried or dropped a datagram, no
 // running server's gathering engine has seen a write, and no filesystem
 // holds a dirty block. Every counter the cell reports therefore covers the
 // measured window and its drain, nothing before (and, of the lifetime
@@ -632,13 +631,11 @@ func assertSilentSetup(c *cluster.Cluster) {
 				cli.Name(), cli.Calls, cli.Retransmissions)
 		}
 	}
-	if f := c.Fabric; f != nil {
-		for _, br := range f.Bridges() {
-			for _, bp := range br.Ports {
-				if drops := bp.DropsQueueFull() + bp.DropsLinkDown() + bp.DropsNoRoute; bp.Forwarded != 0 || drops != 0 {
-					bad("bridge %s forwarded %d datagrams and dropped %d before the window opened",
-						br.Name, bp.Forwarded, drops)
-				}
+	for _, br := range c.Fabric.Bridges() {
+		for _, bp := range br.Ports {
+			if drops := bp.DropsQueueFull() + bp.DropsLinkDown() + bp.DropsNoRoute; bp.Forwarded != 0 || drops != 0 {
+				bad("bridge %s forwarded %d datagrams and dropped %d before the window opened",
+					br.Name, bp.Forwarded, drops)
 			}
 		}
 	}
@@ -728,9 +725,6 @@ func assertDatagramLedger(c *cluster.Cluster) {
 // (netsim.Bridge.CheckDatagrams). A violation panics naming the bridge and
 // the port.
 func assertBridgeLedger(c *cluster.Cluster) {
-	if c.Fabric == nil {
-		return
-	}
 	for _, br := range c.Fabric.Bridges() {
 		if err := br.CheckDatagrams(); err != nil {
 			panic("scenario: bridge ledger does not balance: " + err.Error())
@@ -762,13 +756,9 @@ func assertPagesIntact(t *client.Pages) {
 	}
 }
 
-// eachSegment calls fn for every network segment of the cell: the
-// fabric's in declaration order, or the lone medium.
+// eachSegment calls fn for every segment of the cell's fabric, in
+// declaration order.
 func eachSegment(c *cluster.Cluster, fn func(name string, n *netsim.Network)) {
-	if c.Fabric == nil {
-		fn("medium", c.Net)
-		return
-	}
 	for _, name := range c.Fabric.Names() {
 		fn(name, c.Fabric.Segment(name))
 	}

@@ -483,7 +483,7 @@ func TestPayloadAndDatagramAuditsFire(t *testing.T) {
 		t.Fatalf("pages audit fired at quiesce: %s", msg)
 	}
 
-	c.Net.SentDatagrams++
+	c.Fabric.Segment("").SentDatagrams++
 	msg = audit(func() { assertDatagramLedger(c) })
 	if want := "scenario: datagram ledger does not balance on segment medium: sent "; !strings.HasPrefix(msg, want) {
 		t.Errorf("audit after an uncounted datagram said %q, want it to start %q", msg, want)
@@ -501,8 +501,9 @@ func TestPayloadAndDatagramAuditsFire(t *testing.T) {
 			{Name: "core", Params: hw.FDDI()},
 			{Name: "leaf", Params: hw.Ethernet(), Uplink: "core"},
 		},
-		ServerSegment: "core", ClientSegment: "leaf",
-		Clients: 1, Biods: 4, Gathering: true, Presto: true, Seed: 1,
+		ServerSegment: "core",
+		ClientGroups:  []cluster.ClientGroup{{Count: 1, Biods: 4, Segment: "leaf"}},
+		Gathering:     true, Presto: true, Seed: 1,
 	})
 	defer b.Sim.Close()
 	b.Sim.Spawn("app", func(p *sim.Proc) {

@@ -65,9 +65,9 @@ type resolved struct {
 	servers  Servers
 	assembly string
 
-	// segments is the bridged-fabric build plan, nil for single-segment
-	// topologies (plain Net, or media with one segment — both take the
-	// historical one-network path, byte-identical to pre-bridge runs).
+	// segments is the fabric build plan of topology.media (one entry for
+	// media of one segment); nil for a plain Net, which the cluster builds
+	// as a one-segment fabric itself.
 	segments []netsim.SegmentSpec
 	rootSeg  string
 	segIndex map[string]int // segment name -> media index; nil without media
@@ -439,6 +439,12 @@ func (r *resolved) validateOpenload() error {
 	return nil
 }
 
+// bridged reports whether the cell's network is a bridged tree of more
+// than one segment. Only such a cell reports segments, bridges and their
+// probe columns, or takes a segment outage: a one-segment cell is the
+// paper's lone LAN and prints what it always printed.
+func (r *resolved) bridged() bool { return len(r.segments) > 1 }
+
 // checkSegment validates a placement reference: empty always means the
 // root and is fine; a name requires topology.media and must be declared.
 func (r *resolved) checkSegment(field, seg string) error {
@@ -467,10 +473,9 @@ func (r *resolved) segmentNames() string {
 	return strings.Join(names, ", ")
 }
 
-// resolveMedia validates the segment list and, for multi-segment
-// topologies, builds the fabric plan: unique named segments of known
-// kinds, exactly one root, every uplink declared and acyclic, sane
-// bridge port/budget parameters.
+// resolveMedia validates the segment list and builds the fabric plan:
+// unique named segments of known kinds, exactly one root, every uplink
+// declared and acyclic, sane bridge port/budget parameters.
 func (r *resolved) resolveMedia(media []Medium) error {
 	r.segIndex = make(map[string]int, len(media))
 	for i, m := range media {
@@ -522,11 +527,6 @@ func (r *resolved) resolveMedia(media []Medium) error {
 					"segment %q cannot reach the root %q — an uplink cycle orphans it from every server", m.Name, r.rootSeg)
 			}
 		}
-	}
-	if len(media) == 1 {
-		// One segment is exactly the single shared medium: no fabric, no
-		// bridges, the historical network build.
-		return nil
 	}
 	for _, m := range media {
 		p, _ := netParams(m.Net)
@@ -771,7 +771,7 @@ func (r *resolved) validateFaults() error {
 			}
 			if f.Segment != nil {
 				seg := *f.Segment
-				if len(r.segments) == 0 {
+				if !r.bridged() {
 					return invalid(field, "segment outages require a multi-segment topology.media")
 				}
 				if seg == "" {
