@@ -292,8 +292,8 @@ func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 	// gathered workload, stop the world mid-flight at several instants,
 	// recover NVRAM to the platters, remount, and verify every write the
 	// client saw acknowledged is present.
-	for _, cut := range []sim.Duration{50, 120, 300, 700} {
-		cutoff := sim.Time(cut * sim.Millisecond)
+	for _, cut := range []sim.Duration{50 * sim.Millisecond, 120 * sim.Millisecond, 300 * sim.Millisecond, 700 * sim.Millisecond} {
+		cutoff := sim.Time(cut)
 		r := newRig(t, 11, rigOpts{gathering: true, biods: 7, fddi: true})
 		acked := r.recordAcks()
 		root := r.srv.RootFH()

@@ -131,39 +131,3 @@ func (t *Table) String() string {
 	}
 	return out
 }
-
-// Point is one sample on a throughput/latency curve (Figures 2 and 3).
-type Point struct {
-	X float64 // achieved throughput, ops/sec
-	Y float64 // average response time, msec
-}
-
-// Series is a named curve.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
-
-// Capacity reports the highest throughput achieved with average latency at
-// or below capMs, the SPEC-style capacity reading of the curve.
-func (s *Series) Capacity(capMs float64) float64 {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Y <= capMs && p.X > best {
-			best = p.X
-		}
-	}
-	return best
-}
-
-// String renders the series as "x y" rows.
-func (s *Series) String() string {
-	out := "# " + s.Name + "\n# ops/sec  avg-latency-ms\n"
-	for _, p := range s.Points {
-		out += fmt.Sprintf("%8.1f  %6.2f\n", p.X, p.Y)
-	}
-	return out
-}

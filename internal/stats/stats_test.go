@@ -121,25 +121,3 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("line count %d:\n%s", len(lines), out)
 	}
 }
-
-func TestSeriesCapacity(t *testing.T) {
-	var s Series
-	s.Add(100, 10)
-	s.Add(200, 30)
-	s.Add(300, 80) // over the cap
-	if got := s.Capacity(50); got != 200 {
-		t.Fatalf("Capacity = %v, want 200", got)
-	}
-	if got := s.Capacity(5); got != 0 {
-		t.Fatalf("Capacity below all = %v", got)
-	}
-}
-
-func TestSeriesString(t *testing.T) {
-	s := Series{Name: "curve"}
-	s.Add(123.4, 5.6)
-	out := s.String()
-	if !strings.Contains(out, "curve") || !strings.Contains(out, "123.4") {
-		t.Fatalf("render: %s", out)
-	}
-}
