@@ -321,13 +321,23 @@ func TestCrashRecoveryDurability(t *testing.T) {
 //     empirically and admits "I wish I could say I know how to calculate
 //     the right number";
 //   - the [SIVA93] first-write-as-latency-device policy (§6.6);
-//   - the mbuf hunter (§6.5), which matters most under NVRAM;
+//   - the mbuf hunter (§6.5), at 8 nfsds and at one;
+//   - reply order again under Presto, where it engages;
 //   - gathering with a single nfsd (§6.1's claim that the architecture
 //     achieves optimal gathering with as few as one daemon).
 //
-// It logs every row (go test -run Ablation -v ./internal/scenario) and
-// asserts what the rows share: every gathering policy gathers (batch
-// mean >= 2, the single nfsd included) and beats the standard server.
+// It logs every row (go test -run Ablation -v ./internal/scenario) with
+// the engine's counters, and asserts what the rows share: every gathering
+// policy gathers (batch mean >= 2, the single nfsd included) and beats the
+// standard server — all but a lone nfsd without the hunter, which has no
+// second daemon to hand a write to and no probe to find one. It also
+// pins where the hunter and reply order engage. The hunter probes the
+// socket buffer only when no other nfsd is mid-write on the file, and at
+// 8 nfsds an idle one has always taken the queued write first: the
+// 8-nfsd hunter rows never fire it and are equal. At one nfsd every
+// queued write waits for the lone daemon, the hunter fires, and it is
+// what gathers ("1 nfsd beats 8" is the hunter at work). Reply order
+// moves nothing on plain disk and moves the Presto copy.
 func TestAblations(t *testing.T) {
 	type row struct {
 		label  string
@@ -344,6 +354,9 @@ func TestAblations(t *testing.T) {
 		return &cfg
 	}
 	paper := policy(false, procrastinate, nil)
+	hunterPlain, hunterPresto := "mbuf hunter, plain disk (§6.5)", "mbuf hunter, Presto (§6.5)"
+	lonePlain, lonePresto := "mbuf hunter, 1 nfsd, plain disk (§6.5)", "mbuf hunter, 1 nfsd, Presto (§6.5)"
+	replyPresto := "Reply order, Presto (§6.7)"
 	groups := []struct {
 		title string
 		rows  []row
@@ -358,13 +371,25 @@ func TestAblations(t *testing.T) {
 			{"first-write latency [SIVA93]", policy(false, procrastinate, func(c *core.Config) { c.FirstWriteLatency = true }), false, 8},
 			{"standard server", nil, false, 8},
 		}},
-		{"mbuf hunter, plain disk (§6.5)", []row{
+		{hunterPlain, []row{
 			{"mbuf hunter on (paper)", paper, false, 8},
 			{"mbuf hunter off", policy(false, procrastinate, func(c *core.Config) { c.MbufHunter = false }), false, 8},
 		}},
-		{"mbuf hunter, Presto (§6.5)", []row{
+		{hunterPresto, []row{
 			{"mbuf hunter on (paper)", policy(true, procrastinate, nil), true, 8},
 			{"mbuf hunter off", policy(true, procrastinate, func(c *core.Config) { c.MbufHunter = false }), true, 8},
+		}},
+		{lonePlain, []row{
+			{"mbuf hunter on (paper)", paper, false, 1},
+			{"mbuf hunter off", policy(false, procrastinate, func(c *core.Config) { c.MbufHunter = false }), false, 1},
+		}},
+		{lonePresto, []row{
+			{"mbuf hunter on (paper)", policy(true, procrastinate, nil), true, 1},
+			{"mbuf hunter off", policy(true, procrastinate, func(c *core.Config) { c.MbufHunter = false }), true, 1},
+		}},
+		{replyPresto, []row{
+			{"FIFO replies (paper)", policy(true, procrastinate, nil), true, 8},
+			{"LIFO replies (abandoned)", policy(true, procrastinate, func(c *core.Config) { c.LIFOReplies = true }), true, 8},
 		}},
 		{"nfsd pool size (§6.1)", []row{
 			{"8 nfsds", paper, false, 8},
@@ -395,12 +420,17 @@ func TestAblations(t *testing.T) {
 		return c, batch
 	}
 	standard, _ := run(row{nfsds: 8})
+	got := map[string][]CellResult{} // group title -> its rows' cells
 	for _, g := range groups {
-		out := fmt.Sprintf("%s\n  %-32s %10s %8s %10s %10s\n", g.title, "", "KB/s", "cpu %", "disk t/s", "batch")
+		out := fmt.Sprintf("%s\n  %-32s %8s %6s %8s %6s %4s %6s %8s %6s\n", g.title, "",
+			"KB/s", "cpu %", "disk t/s", "batch", "max", "hits", "handoffs", "sleeps")
 		for _, r := range g.rows {
 			c, batch := run(r)
-			out += fmt.Sprintf("  %-32s %10.0f %8.1f %10.0f %10.2f\n", r.label, c.ClientKBps, c.CPUPercent, c.DiskTps, batch)
-			if r.policy == nil {
+			gs := c.Gather
+			out += fmt.Sprintf("  %-32s %8.0f %6.1f %8.0f %6.2f %4d %6d %8d %6d\n", r.label, c.ClientKBps, c.CPUPercent, c.DiskTps, batch,
+				gs.MaxBatch, gs.HunterHits, gs.HandoffsToActive, gs.Procrastinations)
+			got[g.title] = append(got[g.title], c)
+			if r.policy == nil || r.nfsds == 1 && !r.policy.MbufHunter {
 				continue
 			}
 			if batch < 2 {
@@ -412,6 +442,24 @@ func TestAblations(t *testing.T) {
 			}
 		}
 		t.Logf("\n%s", out)
+	}
+	for _, title := range []string{hunterPlain, hunterPresto} {
+		for i, c := range got[title] {
+			if c.Gather.HunterHits != 0 {
+				t.Errorf("%s / %s: the hunter fired %d times at 8 nfsds, want 0",
+					title, [...]string{"on", "off"}[i], c.Gather.HunterHits)
+			}
+		}
+	}
+	for _, title := range []string{lonePlain, lonePresto} {
+		on, off := got[title][0], got[title][1]
+		if on.Gather.HunterHits == 0 || on.ClientKBps <= off.ClientKBps {
+			t.Errorf("%s: hunter on %.0f KB/s with %d hits, off %.0f KB/s; want on faster, with hits",
+				title, on.ClientKBps, on.Gather.HunterHits, off.ClientKBps)
+		}
+	}
+	if fifo, lifo := got[replyPresto][0], got[replyPresto][1]; fifo.ClientKBps == lifo.ClientKBps {
+		t.Errorf("%s: FIFO and LIFO both %.0f KB/s; reply order does not engage", replyPresto, fifo.ClientKBps)
 	}
 }
 
