@@ -1,10 +1,10 @@
 // Package cluster assembles every testbed the engine runs: N LADDIS-class
-// clients and M NFS server shards on a netsim.Fabric: the paper's one
-// shared LAN is a fabric of one segment. Each server exports its own filesystem (a distinct FSID);
-// client.ShardIndex places working files on exports, and every RPC routes
-// to the server owning its handle's FSID. The paper's Tables 1-6 and
-// Figures 1-3 ran on one server, which is a one-node cluster built with
-// Config.PaperBoot.
+// clients and M NFS server shards on a netsim.Fabric, of which the paper's
+// one shared LAN is a fabric of one segment. Each server exports its own
+// filesystem (a distinct FSID); client.ShardIndex places working files on
+// exports, and every RPC routes to the server owning its handle's FSID.
+// The paper's Tables 1-6 and Figures 1-3 ran on one server, which is a
+// one-node cluster built with Config.PaperBoot.
 //
 // Nodes are built to be crashed: all volatile state (nfsd pool, socket
 // buffer, buffer cache, dup cache) hangs off per-boot objects that a crash

@@ -28,9 +28,8 @@ type Bridge struct {
 	Name  string
 	Ports []*BridgePort
 
-	sim    *sim.Sim
-	fabric *Fabric
-	p      BridgeParams
+	sim *sim.Sim
+	p   BridgeParams
 }
 
 // BridgeParams configures a bridge's per-port behaviour.
@@ -141,7 +140,7 @@ func (b *Bridge) attachPort(n *Network, segment string) *BridgePort {
 // arrived on in: the far side of this bridge when it is the fabric's hop
 // from the arrival segment toward the host's. nil filters the datagram.
 func (b *Bridge) outPort(in *BridgePort, host string) *BridgePort {
-	if h := b.fabric.hopToward(in.net.seg, host); h.via == in.ep {
+	if h := in.net.fabric.hopToward(in.net.seg, host); h.via == in.ep {
 		return h.out
 	}
 	return nil

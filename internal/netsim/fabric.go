@@ -95,7 +95,7 @@ func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 		if !ok || sp.Uplink == sp.Name {
 			panic(fmt.Sprintf("netsim: segment %q has bad uplink %q", sp.Name, sp.Uplink))
 		}
-		br := &Bridge{Name: "bridge:" + sp.Name, sim: s, fabric: f, p: sp.Bridge}
+		br := &Bridge{Name: "bridge:" + sp.Name, sim: s, p: sp.Bridge}
 		f.uplinks[sp.Name] = br
 		f.child[sp.Name] = br.attachPort(f.nets[sp.Name], sp.Name)
 		f.toward[sp.Name] = br.attachPort(up, sp.Uplink)

@@ -34,10 +34,10 @@ var probeColumns = []string{
 }
 
 // probeCols is the cell's probe catalog: the fixed columns, plus — for
-// bridged multi-segment topologies only — one windowed utilization
+// bridged cells only (resolved.bridged) — one windowed utilization
 // column per segment and one queue-depth column per uplink bridge, in
-// declaration order. Single-medium cells keep exactly the historical
-// header, so recorded probe CSVs never change shape.
+// declaration order. One-segment cells keep exactly the fixed header,
+// so recorded probe CSVs never change shape.
 //
 //	seg_<name>_util_pct   segment medium busy over the sample window, percent
 //	bridge_<name>_queue   datagrams parked in the uplink bridge's output FIFOs

@@ -52,8 +52,8 @@ type Metrics struct {
 	// NetMaxUtilPct is the busiest segment's medium utilization over the
 	// cell's run and BridgeDrops the datagrams its bridges dropped (queue
 	// overflow, severed uplinks, unknown destinations). Both exist only on
-	// bridged multi-segment topologies; single-medium cells — including
-	// every recorded baseline — never report them.
+	// bridged multi-segment topologies; one-segment cells — the paper's
+	// lone LAN — never report them.
 	NetMaxUtilPct float64 `json:"net_max_util_pct,omitempty"`
 	BridgeDrops   uint64  `json:"bridge_drops,omitempty"`
 
