@@ -70,11 +70,7 @@ func TestMultiClientMultiServerCopies(t *testing.T) {
 
 	// Both shards should have executed writes.
 	for _, n := range c.Nodes {
-		writes := uint64(0)
-		if ctr, ok := n.Server.OpCounts[nfsproto.ProcWrite]; ok {
-			writes = ctr.Ops
-		}
-		if writes == 0 {
+		if writes := n.Server.OpCounts[nfsproto.ProcWrite].Ops; writes == 0 {
 			t.Errorf("%s executed no writes; shard map did not spread load", n.Name)
 		}
 	}

@@ -26,19 +26,25 @@ type SegmentSpec struct {
 // host it does not know asks the fabric, which resolves host -> segment ->
 // next hop from a table over segment pairs built once in NewFabric.
 type Fabric struct {
-	sim     *sim.Sim
-	names   []string // declaration order
-	index   map[string]int
-	nets    map[string]*Network
-	parent  map[string]string
-	uplinks map[string]*Bridge // child segment -> its uplink bridge
-	child   map[string]*BridgePort
-	toward  map[string]*BridgePort // child segment -> parent-side port
-	hosts   map[string]int         // host name -> index of its segment
-	root    string
-	// hops[from][to] is the first hop from segment from toward segment to
-	// (indices into names); the diagonal holds zero hops.
-	hops [][]hop
+	sim   *sim.Sim
+	names []string       // declaration order
+	index map[string]int // segment name -> its index in names and segs
+	segs  []segment
+	hosts map[string]int // host name -> index of its segment
+	root  int
+	// hops[from*len(segs)+to] is the first hop from segment from toward
+	// segment to; the diagonal holds zero hops.
+	hops []hop
+}
+
+// segment is one segment of the tree and, unless it is the root, the
+// bridge joining it to its parent.
+type segment struct {
+	net    *Network
+	parent int         // index of the parent segment; -1 on the root
+	uplink *Bridge     // nil on the root
+	child  *BridgePort // the uplink bridge's port on this segment
+	toward *BridgePort // its port on the parent segment
 }
 
 // hop is how a datagram leaves a segment toward another: it is delivered
@@ -55,66 +61,64 @@ type hop struct {
 // panics on violations rather than limping.
 func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 	f := &Fabric{
-		sim:     s,
-		index:   make(map[string]int, len(segs)),
-		nets:    make(map[string]*Network, len(segs)),
-		parent:  make(map[string]string, len(segs)),
-		uplinks: make(map[string]*Bridge),
-		child:   make(map[string]*BridgePort),
-		toward:  make(map[string]*BridgePort),
-		hosts:   make(map[string]int),
+		sim:   s,
+		names: make([]string, len(segs)),
+		index: make(map[string]int, len(segs)),
+		segs:  make([]segment, len(segs)),
+		hosts: make(map[string]int),
+		root:  -1,
 	}
 	for i, sp := range segs {
-		if _, dup := f.nets[sp.Name]; dup || sp.Name == "" {
+		if _, dup := f.index[sp.Name]; dup || sp.Name == "" {
 			panic(fmt.Sprintf("netsim: bad segment name %q", sp.Name))
 		}
-		f.names = append(f.names, sp.Name)
+		f.names[i] = sp.Name
 		f.index[sp.Name] = i
 		n := New(s, sp.Params)
 		n.fabric, n.seg = f, i
-		f.nets[sp.Name] = n
-		f.parent[sp.Name] = sp.Uplink
+		f.segs[i] = segment{net: n, parent: -1}
 		if sp.Uplink == "" {
-			if f.root != "" {
-				panic(fmt.Sprintf("netsim: two root segments (%q, %q)", f.root, sp.Name))
+			if f.root >= 0 {
+				panic(fmt.Sprintf("netsim: two root segments (%q, %q)", f.names[f.root], sp.Name))
 			}
-			f.root = sp.Name
+			f.root = i
 		}
 	}
-	if f.root == "" {
+	if f.root < 0 {
 		panic("netsim: no root segment")
 	}
 	// Bridges are attached child-side first, in declaration order, so
 	// process spawn order — and with it event ordering — is a pure
 	// function of the spec.
-	for _, sp := range segs {
+	for i, sp := range segs {
 		if sp.Uplink == "" {
 			continue
 		}
-		up, ok := f.nets[sp.Uplink]
-		if !ok || sp.Uplink == sp.Name {
+		up, ok := f.index[sp.Uplink]
+		if !ok || up == i {
 			panic(fmt.Sprintf("netsim: segment %q has bad uplink %q", sp.Name, sp.Uplink))
 		}
 		br := &Bridge{Name: "bridge:" + sp.Name, sim: s, p: sp.Bridge}
-		f.uplinks[sp.Name] = br
-		f.child[sp.Name] = br.attachPort(f.nets[sp.Name], sp.Name)
-		f.toward[sp.Name] = br.attachPort(up, sp.Uplink)
+		seg := &f.segs[i]
+		seg.parent, seg.uplink = up, br
+		seg.child = br.attachPort(seg.net, sp.Name)
+		seg.toward = br.attachPort(f.segs[up].net, sp.Uplink)
 	}
 	// Cycle check: every segment must reach the root by parent links.
-	for _, name := range f.names {
+	for i := range f.segs {
 		seen := 0
-		for at := name; at != f.root; at = f.parent[at] {
-			if seen++; seen > len(f.names) {
-				panic(fmt.Sprintf("netsim: segment %q cannot reach root %q", name, f.root))
+		for at := i; at != f.root; at = f.segs[at].parent {
+			if seen++; seen > len(f.segs) {
+				panic(fmt.Sprintf("netsim: segment %q cannot reach root %q", f.names[i], f.names[f.root]))
 			}
 		}
 	}
-	f.hops = make([][]hop, len(f.names))
-	for i, from := range f.names {
-		f.hops[i] = make([]hop, len(f.names))
-		for j, to := range f.names {
-			if i != j {
-				f.hops[i][j] = f.hopBetween(from, f.nextHop(from, to))
+	n := len(f.segs)
+	f.hops = make([]hop, n*n)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				f.hops[from*n+to] = f.hopBetween(from, f.nextHop(from, to))
 			}
 		}
 	}
@@ -122,7 +126,7 @@ func NewFabric(s *sim.Sim, segs []SegmentSpec) *Fabric {
 }
 
 // Root returns the root segment's name.
-func (f *Fabric) Root() string { return f.root }
+func (f *Fabric) Root() string { return f.names[f.root] }
 
 // Names returns the segment names in declaration order.
 func (f *Fabric) Names() []string { return f.names }
@@ -130,18 +134,23 @@ func (f *Fabric) Names() []string { return f.names }
 // Segment returns a segment's network; "" means the root.
 func (f *Fabric) Segment(name string) *Network {
 	if name == "" {
-		name = f.root
+		return f.segs[f.root].net
 	}
-	n, ok := f.nets[name]
+	i, ok := f.index[name]
 	if !ok {
 		panic(fmt.Sprintf("netsim: unknown segment %q", name))
 	}
-	return n
+	return f.segs[i].net
 }
 
 // Uplink returns a non-root segment's uplink bridge, or nil for the
 // root or an unknown name.
-func (f *Fabric) Uplink(segment string) *Bridge { return f.uplinks[segment] }
+func (f *Fabric) Uplink(segment string) *Bridge {
+	if i, ok := f.index[segment]; ok {
+		return f.segs[i].uplink
+	}
+	return nil
+}
 
 // SegmentOf reports the segment a placed host lives on ("" if unknown).
 func (f *Fabric) SegmentOf(host string) string {
@@ -152,9 +161,9 @@ func (f *Fabric) SegmentOf(host string) string {
 }
 
 // depth counts parent hops from a segment to the root.
-func (f *Fabric) depth(seg string) int {
+func (f *Fabric) depth(seg int) int {
 	d := 0
-	for at := seg; at != f.root; at = f.parent[at] {
+	for at := seg; at != f.root; at = f.segs[at].parent {
 		d++
 	}
 	return d
@@ -162,54 +171,55 @@ func (f *Fabric) depth(seg string) int {
 
 // nextHop returns the neighbouring segment one hop from `from` along
 // the unique tree path toward `to`.
-func (f *Fabric) nextHop(from, to string) string {
-	// Lift `to` until it is at from's depth or shallower, remembering
-	// the last segment lifted from — if the walk meets `from`, that
-	// segment is the next hop (descend); otherwise the path climbs
+func (f *Fabric) nextHop(from, to int) int {
+	// Lift the deeper of the two to the other's depth, remembering the
+	// last segment `to` was lifted from — if the walks meet at `from`,
+	// that segment is the next hop (descend); otherwise the path climbs
 	// through from's parent.
 	df, dt := f.depth(from), f.depth(to)
-	at, last := to, ""
-	for dt > df {
-		at, last = f.parent[at], at
-		dt--
+	a, b, lastB := from, to, -1
+	for ; dt > df; dt-- {
+		b, lastB = f.segs[b].parent, b
+	}
+	for ; df > dt; df-- {
+		a = f.segs[a].parent
 	}
 	// Climb both until they meet.
-	a, b, lastB := from, at, last
 	for a != b {
-		a = f.parent[a]
-		b, lastB = f.parent[b], b
+		a = f.segs[a].parent
+		b, lastB = f.segs[b].parent, b
 	}
 	if a == from {
 		// from is an ancestor of to: descend toward lastB.
 		return lastB
 	}
-	return f.parent[from]
+	return f.segs[from].parent
 }
 
 // hopBetween returns the hop from a segment to the adjacent segment next:
 // the joining bridge's endpoint on the from side, and its port facing next.
-func (f *Fabric) hopBetween(from, next string) hop {
-	if f.parent[from] == next {
+func (f *Fabric) hopBetween(from, next int) hop {
+	if f.segs[from].parent == next {
 		// Up through from's own uplink bridge.
-		return hop{via: f.child[from].ep, out: f.toward[from]}
+		return hop{via: f.segs[from].child.ep, out: f.segs[from].toward}
 	}
-	if f.parent[next] == from {
+	if f.segs[next].parent == from {
 		// Down through the child's uplink bridge.
-		return hop{via: f.toward[next].ep, out: f.child[next]}
+		return hop{via: f.segs[next].toward.ep, out: f.segs[next].child}
 	}
-	panic(fmt.Sprintf("netsim: segments %q and %q are not adjacent", from, next))
+	panic(fmt.Sprintf("netsim: segments %q and %q are not adjacent", f.names[from], f.names[next]))
 }
 
 // Place registers a host as attached to a segment ("" = root), which makes
 // it reachable from every other segment. Call it after the host's endpoint
 // is attached; re-placing (an adopted export after failover) moves it.
 func (f *Fabric) Place(host, segment string) {
-	if segment == "" {
-		segment = f.root
-	}
-	i, ok := f.index[segment]
-	if !ok {
-		panic(fmt.Sprintf("netsim: placing %q on unknown segment %q", host, segment))
+	i := f.root
+	if segment != "" {
+		var ok bool
+		if i, ok = f.index[segment]; !ok {
+			panic(fmt.Sprintf("netsim: placing %q on unknown segment %q", host, segment))
+		}
 	}
 	f.hosts[host] = i
 }
@@ -222,15 +232,15 @@ func (f *Fabric) hopToward(from int, host string) hop {
 	if !placed {
 		return hop{}
 	}
-	return f.hops[from][to]
+	return f.hops[from*len(f.segs)+to]
 }
 
 // SetLinkDown severs or restores a host attachment wherever it lives —
 // segment membership is irrelevant to the caller. Unknown names are a
 // no-op on every segment, matching Network.SetLinkDown.
 func (f *Fabric) SetLinkDown(host string, down bool) {
-	for _, name := range f.names {
-		f.nets[name].SetLinkDown(host, down)
+	for i := range f.segs {
+		f.segs[i].net.SetLinkDown(host, down)
 	}
 }
 
@@ -239,11 +249,11 @@ func (f *Fabric) SetLinkDown(host string, down bool) {
 // segment and the rest of the fabric in either direction. It reports
 // whether the segment had an uplink.
 func (f *Fabric) SetUplinkDown(segment string, down bool) bool {
-	bp, ok := f.child[segment]
-	if !ok {
+	i, ok := f.index[segment]
+	if !ok || f.segs[i].child == nil {
 		return false
 	}
-	bp.SetDown(down)
+	f.segs[i].child.SetDown(down)
 	return true
 }
 
@@ -251,8 +261,8 @@ func (f *Fabric) SetUplinkDown(segment string, down bool) bool {
 // order.
 func (f *Fabric) Bridges() []*Bridge {
 	var out []*Bridge
-	for _, name := range f.names {
-		if br, ok := f.uplinks[name]; ok {
+	for i := range f.segs {
+		if br := f.segs[i].uplink; br != nil {
 			out = append(out, br)
 		}
 	}

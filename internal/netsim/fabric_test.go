@@ -22,22 +22,22 @@ type installed struct {
 // alone — an ancestor of the host's segment descends toward it, every other
 // segment climbs to its parent.
 func perHostRoutes(f *Fabric, segment string) map[string]installed {
-	below := map[string]string{} // ancestor of segment -> its child on the way down
-	for at, last := segment, ""; ; at, last = f.parent[at], at {
+	below := map[int]int{} // ancestor of segment -> its child on the way down
+	for at, last := f.index[segment], -1; ; at, last = f.segs[at].parent, at {
 		below[at] = last
 		if at == f.root {
 			break
 		}
 	}
 	routes := map[string]installed{}
-	for _, other := range f.names {
+	for i, other := range f.names {
 		if other == segment {
 			continue
 		}
-		if down, ancestor := below[other]; ancestor {
-			routes[other] = installed{via: f.toward[down].ep, out: f.child[down]}
+		if down, ancestor := below[i]; ancestor {
+			routes[other] = installed{via: f.segs[down].toward.ep, out: f.segs[down].child}
 		} else {
-			routes[other] = installed{via: f.child[other].ep, out: f.toward[other]}
+			routes[other] = installed{via: f.segs[i].child.ep, out: f.segs[i].toward}
 		}
 	}
 	return routes
@@ -157,7 +157,28 @@ func TestPlaceAllocatesPerHostOnly(t *testing.T) {
 	} else {
 		t.Logf("placing 5000 hosts allocated %d bytes", got)
 	}
-	if got := f.Segment("lan7").routeTo("client4321"); got != f.child["lan7"].ep {
+	if got := f.Segment("lan7").routeTo("client4321"); got != f.segs[f.index["lan7"]].child.ep {
 		t.Errorf("lan7 -> client4321 resolves to %v, want its uplink bridge", got)
+	}
+}
+
+var (
+	fabricSink  *Fabric
+	networkSink *Network
+)
+
+// TestOneSegmentFabricAllocs pins what a one-segment fabric costs beyond
+// its one Network: the Fabric, its names, segs and hops slices, and two
+// maps — index (its header and the group its one insert fills) and hosts
+// (a header, empty until a host is placed). The per-segment bookkeeping is
+// indexed through index, so a map per field would show here.
+func TestOneSegmentFabricAllocs(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	one := []SegmentSpec{{Name: "lan", Params: hw.FDDI()}}
+	fabric := testing.AllocsPerRun(100, func() { fabricSink = NewFabric(s, one) })
+	network := testing.AllocsPerRun(100, func() { networkSink = New(s, hw.FDDI()) })
+	if got := fabric - network; got != 7 {
+		t.Errorf("a one-segment fabric allocates %v objects beyond its network's %v, want 7", got, network)
 	}
 }

@@ -40,10 +40,11 @@ const (
 	ProcRmdir      Proc = 15
 	ProcReaddir    Proc = 16
 	ProcStatfs     Proc = 17
-	procCount           = 18
+	// NumProcs is one past the highest procedure number.
+	NumProcs = 18
 )
 
-var procNames = [procCount]string{
+var procNames = [NumProcs]string{
 	"NULL", "GETATTR", "SETATTR", "ROOT", "LOOKUP", "READLINK", "READ",
 	"WRITECACHE", "WRITE", "CREATE", "REMOVE", "RENAME", "LINK", "SYMLINK",
 	"MKDIR", "RMDIR", "READDIR", "STATFS",

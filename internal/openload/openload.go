@@ -144,6 +144,7 @@ type Population struct {
 	Roots  []nfsproto.FH // shard roots; placement by client.ShardIndex
 	Blocks int           // file size in 8K blocks
 	cdf    []float64     // cumulative pick weights; nil = flat
+	chunks chunks        // the generators' spare backlog storage
 }
 
 // NewPopulation describes a population of n files of blocks 8K blocks
@@ -356,7 +357,7 @@ type Gen struct {
 	t       workload.Target // the client and pop's files
 	pop     *Population
 	win     *client.IssueWindow
-	backlog *sim.Queue[task]
+	backlog backlog
 	rng     *rand.Rand
 	res     Result
 
@@ -438,7 +439,7 @@ func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	g.sim, g.finish = s, finish
 	g.rng = newRand(g.cfg.Seed)
 	g.win = client.NewIssueWindow(g.cfg.Window)
-	g.backlog = sim.NewQueue[task](s, g.cfg.QueueCap)
+	g.backlog = backlog{pool: &g.pop.chunks, cap: g.cfg.QueueCap}
 	g.start = s.Now()
 	g.end = g.start.Add(g.cfg.Measure)
 	if g.cfg.Replay != nil {
@@ -489,12 +490,7 @@ func (g *Gen) InFlight() int {
 }
 
 // QueueLen reports the current backlog depth (zero before Start).
-func (g *Gen) QueueLen() int {
-	if g.backlog == nil {
-		return 0
-	}
-	return g.backlog.Len()
-}
+func (g *Gen) QueueLen() int { return g.backlog.Len() }
 
 // Counters reports (offered, shed) so far, for probes.
 func (g *Gen) Counters() (offered, shed uint64) { return g.res.Offered, g.res.Shed }
@@ -550,7 +546,7 @@ func (g *Gen) replay() {
 // expired by the op records before they release their window slots.
 func (g *Gen) settle() {
 	if g.closed && g.active == 0 {
-		g.res.PeakQueue = g.backlog.PeakLen()
+		g.res.PeakQueue = g.backlog.peak
 		g.res.PeakInFlight = g.win.Peak()
 		g.finish(&g.res)
 	}

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -338,6 +340,13 @@ func TestCrashRecoveryDurability(t *testing.T) {
 // queued write waits for the lone daemon, the hunter fires, and it is
 // what gathers ("1 nfsd beats 8" is the hunter at work). Reply order
 // moves nothing on plain disk and moves the Presto copy.
+//
+// The procrastination rows run with the trace on, and pin why 8 nfsds
+// gather a batch mean of 4 below 8 ms: a burst's 8 WRITEs reach the server
+// as a train one FDDI datagram time (757 µs) apart, 5.30 ms from first to
+// last, and the commit takes the writes that arrived within the sleep, 1 +
+// ⌊P / 757 µs⌋ of them; the rest make a second commit. The mean of the
+// pair is 4 at 0, 1, 2 and 5 ms (1+7, 2+6, 3+5, 7+1), not two halves.
 func TestAblations(t *testing.T) {
 	type row struct {
 		label  string
@@ -396,8 +405,11 @@ func TestAblations(t *testing.T) {
 			{"1 nfsd", paper, false, 1},
 		}},
 	}
-	for _, ms := range []int{0, 1, 2, 5, 8, 12, 20} {
-		groups[1].rows = append(groups[1].rows, row{
+	// The interval rows, in ms, go in groups[procrastination].
+	const procrastination = 1
+	procrastinations := []int{0, 1, 2, 5, 8, 12, 20}
+	for _, ms := range procrastinations {
+		groups[procrastination].rows = append(groups[procrastination].rows, row{
 			fmt.Sprintf("procrastinate %dms", ms),
 			policy(false, sim.Duration(ms)*sim.Millisecond, func(c *core.Config) {
 				if ms == 0 {
@@ -407,25 +419,38 @@ func TestAblations(t *testing.T) {
 		})
 	}
 
-	run := func(r row) (c CellResult, batch float64) {
+	// run runs one row; traced, it also returns the cell's trace.
+	run := func(r row, traced bool) (c CellResult, batch float64, tr *obs.Trace) {
 		spec := Copy("ablation", "", "fddi", r.presto, 1, 1.8, 2, r.policy)
 		spec.Topology.Servers.Nfsds = r.nfsds
 		cell, seed := CopyCell(7, r.policy != nil), int64(313)
 		cell.Seed = &seed
 		spec.Cells = []Cell{cell}
-		c = MustRun(spec).Cells[0]
+		var capture obsCaptureFn
+		if traced {
+			spec.Observe = &Observe{Trace: true}
+			capture = func(_ string, ob *cellObs) { tr = ob.trace }
+		}
+		res, err := runEngine(spec, 1, capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = res.Cells[0]
 		if c.Gather.Gathers > 0 {
 			batch = float64(c.Gather.GatheredWrites) / float64(c.Gather.Gathers)
 		}
-		return c, batch
+		return c, batch, tr
 	}
-	standard, _ := run(row{nfsds: 8})
+	standard, _, _ := run(row{nfsds: 8}, false)
 	got := map[string][]CellResult{} // group title -> its rows' cells
-	for _, g := range groups {
+	for gi, g := range groups {
 		out := fmt.Sprintf("%s\n  %-32s %8s %6s %8s %6s %4s %6s %8s %6s\n", g.title, "",
 			"KB/s", "cpu %", "disk t/s", "batch", "max", "hits", "handoffs", "sleeps")
-		for _, r := range g.rows {
-			c, batch := run(r)
+		for ri, r := range g.rows {
+			c, batch, tr := run(r, gi == procrastination)
+			if tr != nil {
+				checkWriteTrain(t, r.label, procrastinations[ri], tr)
+			}
 			gs := c.Gather
 			out += fmt.Sprintf("  %-32s %8.0f %6.1f %8.0f %6.2f %4d %6d %8d %6d\n", r.label, c.ClientKBps, c.CPUPercent, c.DiskTps, batch,
 				gs.MaxBatch, gs.HunterHits, gs.HandoffsToActive, gs.Procrastinations)
@@ -460,6 +485,81 @@ func TestAblations(t *testing.T) {
 	}
 	if fifo, lifo := got[replyPresto][0], got[replyPresto][1]; fifo.ClientKBps == lifo.ClientKBps {
 		t.Errorf("%s: FIFO and LIFO both %.0f KB/s; reply order does not engage", replyPresto, fifo.ClientKBps)
+	}
+}
+
+// writeTrainGap is how far apart a burst's WRITEs reach the server in
+// TestAblations' copy: one FDDI datagram time for an 8K WRITE call — 8,398
+// wire bytes in two fragments at 11,600 KB/s (707 µs) plus 25 µs per
+// fragment. The biods issue one every 600 µs, and each reaches an idle
+// nfsd one link latency (80 µs) after it leaves the wire, with nothing
+// queued ahead of it, and holds the CPU 504 µs: the medium, not the biods,
+// the socket buffer or the CPU, spaces the train.
+const writeTrainGap = 757 * sim.Microsecond
+
+// checkWriteTrain holds one traced 8-nfsd plain-disk row at ms of
+// procrastination to the train mechanism: every burst's 8 WRITEs arrive
+// writeTrainGap apart, the first commit takes the 1 + ⌊ms / gap⌋ that
+// arrived within the sleep (all 8 once the sleep outlasts the 5.30 ms
+// train), and the rest make the next commit.
+func checkWriteTrain(t *testing.T, label string, ms int, tr *obs.Trace) {
+	t.Helper()
+	if tr.Dropped > 0 {
+		t.Fatalf("%s: %d trace events dropped", label, tr.Dropped)
+	}
+	arg := func(e obs.Event, key string) int64 {
+		for _, a := range e.Args {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+		t.Fatalf("%s: %s span has no %s", label, e.Name, key)
+		return 0
+	}
+	var arrivals []sim.Time // when each WRITE finished serializing
+	var batches []int
+	for _, e := range tr.Events {
+		switch {
+		case e.Cat == "nfs" && e.Name == "WRITE":
+			q := arg(e, "queue_us")
+			if q != 80 {
+				t.Fatalf("%s: a WRITE waited %d µs from the wire to an nfsd, want the 80 µs link latency", label, q)
+			}
+			arrivals = append(arrivals, e.TS.Add(-sim.Duration(q)))
+		case e.Cat == "gather":
+			batches = append(batches, int(arg(e, "batch")))
+		}
+	}
+	slices.Sort(arrivals)
+	const burst = 8 // 7 biods and the copy's own write
+	if len(arrivals) != 256 {
+		t.Fatalf("%s: %d WRITEs traced, want 256", label, len(arrivals))
+	}
+	for i := 0; i < len(arrivals); i += burst {
+		train := arrivals[i : i+burst]
+		for k := 1; k < burst; k++ {
+			if gap := train[k].Sub(train[k-1]); gap != writeTrainGap {
+				t.Fatalf("%s: burst %d: WRITE %d arrived %v after the one before, want %v",
+					label, i/burst, k, gap, writeTrainGap)
+			}
+		}
+		if ms == 5 && i == 0 {
+			t.Logf("%s: a burst's WRITEs arrive %v apart, the last %v after the first",
+				label, writeTrainGap, train[burst-1].Sub(train[0]))
+		}
+	}
+	first := min(burst, 1+int(sim.Duration(ms)*sim.Millisecond/writeTrainGap))
+	want := []int{first}
+	if first < burst {
+		want = append(want, burst-first)
+	}
+	for i, b := range batches {
+		if b != want[i%len(want)] {
+			t.Fatalf("%s: commit %d gathered %d writes; want the commits to alternate %v", label, i, b, want)
+		}
+	}
+	if len(batches) != len(arrivals)/burst*len(want) {
+		t.Fatalf("%s: %d commits for %d bursts, want %d each", label, len(batches), len(arrivals)/burst, len(want))
 	}
 }
 

@@ -23,16 +23,15 @@ func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		presto bool
-		// budget is what the round trip still allocates per WRITE. The
-		// gathered WRITE itself allocates nothing: its descriptor lives in
-		// the pooled parse record, its reply is the method value bound once
-		// per record, and the NVRAM board keeps dirty blocks by value. What
-		// is left is the dup-cache entry, one per WRITE while the 1,024-entry
-		// cache is still filling.
+		// budget is what the round trip still allocates per WRITE: nothing.
+		// The gathered WRITE's descriptor lives in the pooled parse record,
+		// its reply is the method value bound once per record, the NVRAM
+		// board keeps dirty blocks by value, and the dup cache's records
+		// are made with the cache.
 		budget float64
 	}{
-		{"presto", true, 1},
-		{"plain disk", false, 1},
+		{"presto", true, 0},
+		{"plain disk", false, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRig(t, 11, rigOpts{gathering: true, presto: c.presto, fddi: true})

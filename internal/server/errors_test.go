@@ -33,12 +33,7 @@ func TestErrorReplies(t *testing.T) {
 		}
 		return reply.AccStat
 	}
-	ops := func(proc nfsproto.Proc) uint64 {
-		if c := r.srv.OpCounts[proc]; c != nil {
-			return c.Ops
-		}
-		return 0
-	}
+	ops := func(proc nfsproto.Proc) uint64 { return r.srv.OpCounts[proc].Ops }
 	finished := false
 	r.sim.Spawn("probe", func(p *sim.Proc) {
 		f, err := r.cli.Create(p, root, "f", 0644)

@@ -84,7 +84,7 @@ type Server struct {
 	readBufs          [][]byte
 
 	// Counters the experiments read.
-	OpCounts    map[nfsproto.Proc]*stats.Counter
+	OpCounts    [nfsproto.NumProcs]stats.Counter // indexed by procedure
 	RepliesSent uint64
 	BadCalls    uint64
 	DupDrops    uint64
@@ -120,14 +120,13 @@ func New(s *sim.Sim, n *netsim.Network, fs *ufs.FS, cfg Config) *Server {
 		cpu = sim.NewResource(s, 1)
 	}
 	srv := &Server{
-		sim:      s,
-		cfg:      cfg,
-		fs:       fs,
-		net:      n,
-		ep:       n.Attach(cfg.Name, 0, cfg.SockBufBytes),
-		cpu:      cpu,
-		dup:      newDupCache(cfg.DupCacheCap),
-		OpCounts: make(map[nfsproto.Proc]*stats.Counter),
+		sim: s,
+		cfg: cfg,
+		fs:  fs,
+		net: n,
+		ep:  n.Attach(cfg.Name, 0, cfg.SockBufBytes),
+		cpu: cpu,
+		dup: newDupCache(cfg.DupCacheCap),
 	}
 	if cfg.Gathering {
 		srv.engine = core.NewEngine(s, fs, cfg.NumNfsds, cfg.Gather, srv.hunt)
@@ -202,14 +201,7 @@ func (s *Server) charge(p *sim.Proc, d sim.Duration) {
 }
 
 // count records one completed operation of the given type moving n bytes.
-func (s *Server) count(proc nfsproto.Proc, n int) {
-	c, ok := s.OpCounts[proc]
-	if !ok {
-		c = &stats.Counter{}
-		s.OpCounts[proc] = c
-	}
-	c.Add(n)
-}
+func (s *Server) count(proc nfsproto.Proc, n int) { s.OpCounts[proc].Add(n) }
 
 // ChargedDevice wraps a disk.Device so that every transaction issued
 // through it charges driver-trip (and, for NVRAM boards, copy) CPU time to

@@ -266,8 +266,8 @@ func TestDuplicateRequestDropsAndResends(t *testing.T) {
 	if r.srv.DupResends != 1 {
 		t.Fatalf("DupResends = %d, want 1", r.srv.DupResends)
 	}
-	if c := r.srv.OpCounts[nfsproto.ProcWrite]; c == nil || c.Ops != 1 {
-		t.Fatalf("write executed %v times, want exactly 1", c)
+	if c := r.srv.OpCounts[nfsproto.ProcWrite].Ops; c != 1 {
+		t.Fatalf("write executed %d times, want exactly 1", c)
 	}
 }
 
