@@ -58,7 +58,7 @@ type Client struct {
 	// a change means the server rebooted and its dup cache is gone.
 	bootIDs map[string]uint64
 
-	jobs      *sim.Queue[*writeJob]
+	jobs      *sim.Queue[writeJob]
 	idleBiods int
 	numBiods  int
 
@@ -67,13 +67,13 @@ type Client struct {
 
 	// Volatile host state the fault layer manipulates: the biod
 	// processes a crash kills, the application processes registered via
-	// AdoptApp that die with the host, and the per-biod in-flight job
-	// table KillBiods uses to settle flow-control accounting for daemons
-	// killed mid-RPC. (The reply demultiplexer is a callback on the
+	// AdoptApp that die with the host, and the set of biods busy with a
+	// job, which KillBiods uses to settle flow-control accounting for
+	// daemons killed mid-RPC. (The reply demultiplexer is a callback on the
 	// endpoint, and dies with it.)
 	daemons    []*sim.Proc
 	apps       []*sim.Proc
-	activeJobs map[*sim.Proc]*writeJob
+	activeJobs map[*sim.Proc]bool
 	appsKilled int
 
 	// Per-client result decode scratch (see the discipline note at call).
@@ -203,7 +203,8 @@ func (c *Client) getPC() *pendingCall {
 func (c *Client) GetWriteBuf() *block.Buf { return c.pool.Get() }
 
 // writeJob is one queued write-behind: n bytes in buf, whose reference
-// the job holds until the biod's RPC completes.
+// the job holds until the biod's RPC completes. Jobs travel by value, so
+// queueing one allocates nothing.
 type writeJob struct {
 	fh  nfsproto.FH
 	off uint32
@@ -224,7 +225,7 @@ func New(s *sim.Sim, n *netsim.Network, name, server string, params hw.ClientPar
 		server:     server,
 		params:     params,
 		pending:    make(map[uint32]*pendingCall),
-		jobs:       sim.NewQueue[*writeJob](s, 0),
+		jobs:       sim.NewQueue[writeJob](s, 0),
 		numBiods:   numBiods,
 		closeCond:  sim.NewCond(s),
 		MaxRTO:     params.RetransMax,
@@ -796,7 +797,7 @@ func (c *Client) writeDone(fh nfsproto.FH, off uint32, n int, start sim.Time, re
 }
 
 // biod is one block-I/O daemon: it performs queued write-behind requests.
-// The active-job table entry (no yield between Get and the insert) lets
+// The busy mark (no yield between Get and setting it) lets
 // KillBiods settle flow control for a daemon killed mid-RPC.
 func (c *Client) biod(p *sim.Proc) {
 	for {
@@ -804,9 +805,9 @@ func (c *Client) biod(p *sim.Proc) {
 		job := c.jobs.Get(p)
 		c.idleBiods--
 		if c.activeJobs == nil {
-			c.activeJobs = make(map[*sim.Proc]*writeJob)
+			c.activeJobs = make(map[*sim.Proc]bool)
 		}
-		c.activeJobs[p] = job
+		c.activeJobs[p] = true
 		_ = c.WriteSyncBufRelease(p, job.fh, job.off, job.buf, job.n)
 		delete(c.activeJobs, p)
 		c.outstanding--
@@ -825,7 +826,7 @@ func (c *Client) WriteBehind(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.B
 		if c.OnWriteBuffered != nil {
 			c.OnWriteBuffered(fh, off, n)
 		}
-		c.jobs.Put(&writeJob{fh: fh, off: off, buf: b, n: n})
+		c.jobs.Put(writeJob{fh: fh, off: off, buf: b, n: n})
 		return nil
 	}
 	return c.WriteSyncBufRelease(p, fh, off, b, n)
@@ -918,7 +919,7 @@ func (c *Client) KillBiods(n int) int {
 		if pr.Done() || pr.Killed() {
 			continue
 		}
-		if _, busy := c.activeJobs[pr]; busy {
+		if c.activeJobs[pr] {
 			delete(c.activeJobs, pr) // the unwinding WriteSyncBufRelease releases the job's buf
 			c.outstanding--
 			c.closeCond.Broadcast()

@@ -65,10 +65,10 @@ func (s *Stats) Bytes() uint64 { return s.ReadBytes + s.WriteBytes }
 type Disk struct {
 	sim   *sim.Sim
 	p     hw.DiskParams
-	arm   *sim.Resource // serializes the actuator
-	pos   int64         // current head position, block number
-	data  map[int64]*block.Buf
-	pool  *block.Pool // backs []byte writes and injections
+	arm   *sim.Resource            // serializes the actuator
+	pos   int64                    // current head position, block number
+	data  *block.Table[*block.Buf] // the platter store, by block number
+	pool  *block.Pool              // backs []byte writes and injections
 	stats Stats
 	fp    *plane // injectable fault plane; nil on a healthy disk
 	// OnOp, when non-nil, observes every completed transfer (tracing);
@@ -89,14 +89,14 @@ func New(s *sim.Sim, p hw.DiskParams, acct *block.Accounting) *Disk {
 		sim:  s,
 		p:    p,
 		arm:  sim.NewResource(s, 1),
-		data: make(map[int64]*block.Buf),
+		data: block.NewTable[*block.Buf](p.NumBlocks),
 		pool: block.Or(acct).NewPool(),
 	}
 }
 
 // StoredBufs reports how many platter blocks hold a buffer reference
 // (leak-check accounting).
-func (d *Disk) StoredBufs() int { return len(d.data) }
+func (d *Disk) StoredBufs() int { return d.data.Len() }
 
 // BlockSize implements Device.
 func (d *Disk) BlockSize() int { return d.p.BlockSize }
@@ -187,9 +187,9 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		}
 	}
 	for i := int64(0); i < nb; i++ {
-		src := d.data[blk+i]
+		src, ok := d.data.Get(blk + i)
 		dst := buf[i*int64(d.p.BlockSize) : (i+1)*int64(d.p.BlockSize)]
-		if src == nil {
+		if !ok {
 			for j := range dst {
 				dst[j] = 0
 			}
@@ -255,10 +255,7 @@ func (d *Disk) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 			// held and each stored block takes a fresh reference.
 			k := d.fp.intn(len(bufs))
 			for i := 0; i < k; i++ {
-				if old := d.data[blk+int64(i)]; old != nil {
-					old.Release()
-				}
-				d.data[blk+int64(i)] = bufs[i].Ref()
+				d.store(blk+int64(i), bufs[i].Ref())
 			}
 			if k > 0 {
 				d.fp.torn++
@@ -271,10 +268,7 @@ func (d *Disk) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 	p.Sleep(st)
 	d.stats.BusyTime += st
 	for i, b := range bufs {
-		if old := d.data[blk+int64(i)]; old != nil {
-			old.Release()
-		}
-		d.data[blk+int64(i)] = b // ownership of the snapshot ref transfers here
+		d.store(blk+int64(i), b) // ownership of the snapshot ref transfers here
 	}
 	pin.Transfer()
 	landed = true
@@ -287,21 +281,27 @@ func (d *Disk) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 	return nil
 }
 
+// store puts b (whose reference the platters take over) at blk, releasing
+// the platters' reference to what was there.
+func (d *Disk) store(blk int64, b *block.Buf) {
+	if old, ok := d.data.Get(blk); ok {
+		old.Release()
+	}
+	d.data.Set(blk, b)
+}
+
 // storeBytes copies raw bytes into platter-owned buffers (the []byte write
 // and injection path; the buffer-cache path shares buffers instead).
 func (d *Disk) storeBytes(blk int64, data []byte) {
 	nb := int64(len(data) / d.p.BlockSize)
 	for i := int64(0); i < nb; i++ {
-		b := d.data[blk+i]
-		if b == nil || !b.Unique() {
+		b, ok := d.data.Get(blk + i)
+		if !ok || !b.Unique() {
 			// First write, or the stored buffer is shared with a cache
 			// above: replace it rather than mutate history out from under
 			// the sharer.
-			if b != nil {
-				b.Release()
-			}
 			b = d.pool.Get()
-			d.data[blk+i] = b
+			d.store(blk+i, b)
 		}
 		d.pool.Acct().CountCopy(copy(b.Data(), data[i*int64(d.p.BlockSize):(i+1)*int64(d.p.BlockSize)]))
 	}
@@ -312,7 +312,7 @@ func (d *Disk) storeBytes(blk int64, data []byte) {
 // platters, regardless of any volatile cache above.
 func (d *Disk) PeekBlock(blk int64) []byte {
 	out := make([]byte, d.p.BlockSize)
-	if b := d.data[blk]; b != nil {
+	if b, ok := d.data.Get(blk); ok {
 		copy(out, b.Data())
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/block"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -335,5 +336,44 @@ func TestStatsInterval(t *testing.T) {
 	}
 	if d.Stats().Trans() != 3 {
 		t.Fatalf("total Trans = %d, want 3", d.Stats().Trans())
+	}
+}
+
+// TestPlatterRewriteAllocs: once a block's page of the platter store
+// exists, rewriting a block allocates nothing, on the by-reference path
+// (WriteBufs) and the copying one (WriteBlocks).
+func TestPlatterRewriteAllocs(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	d := testDisk(s)
+	pool := block.NewAccounting().NewPool()
+	b := pool.Get()
+	defer b.Release()
+	run := []*block.Buf{b}
+	raw := make([]byte, 8192)
+	var byRef, byCopy float64
+	s.Spawn("io", func(p *sim.Proc) {
+		// Make the page, and the platter's own buffers the copying path
+		// writes into.
+		for blk := int64(700); blk < 708; blk++ {
+			d.WriteBufs(p, blk, run)
+			d.WriteBlocks(p, blk, raw)
+		}
+		blk := int64(700)
+		byRef = testing.AllocsPerRun(50, func() {
+			blk = 700 + (blk+1)%8
+			d.WriteBufs(p, blk, run)
+		})
+		byCopy = testing.AllocsPerRun(50, func() {
+			blk = 700 + (blk+1)%8
+			d.WriteBlocks(p, blk, raw)
+		})
+	})
+	s.Run(0)
+	if byRef != 0 || byCopy != 0 {
+		t.Fatalf("platter rewrite allocates %.1f (WriteBufs) and %.1f (WriteBlocks) objects, want 0", byRef, byCopy)
+	}
+	if n := d.StoredBufs(); n != 8 {
+		t.Fatalf("StoredBufs = %d after rewriting 8 blocks, want 8", n)
 	}
 }

@@ -436,49 +436,58 @@ func TestStandardServerNoEngine(t *testing.T) {
 }
 
 func TestSocketBufferDropsRecovered(t *testing.T) {
-	// Tiny socket buffer forces drops; retransmission must still complete
-	// the file, and the duplicate cache must keep writes exactly-once.
-	s := sim.New(21)
-	n := netsim.New(s, hw.FDDI())
-	costs := hw.DEC3000CPU()
-	srvCPU := sim.NewResource(s, 1)
-	d := disk.New(s, hw.RZ26(), nil)
-	charged := NewChargedDevice(d, srvCPU, costs.DriverTrip)
-	fs, _ := ufs.Format(s, charged, 1, 128, nil)
-	cfg := Config{
-		NumNfsds: 2, Gathering: true,
-		Gather:       core.DefaultConfig(false, hw.FDDI().Procrastinate),
-		Costs:        costs,
-		SockBufBytes: 20000, // fits two 8K writes
-	}
-	srv := New(s, n, fs, cfg)
-	srv.cpu = srvCPU
-	cli := client.New(s, n, "c", "server", fastRetransClient(), 7, nil)
-	root := srv.RootFH()
-	var err error
-	var elapsed sim.Duration
-	s.Spawn("app", func(p *sim.Proc) {
-		cres, cerr := cli.Create(p, root, "f", 0644)
-		if cerr != nil {
-			err = cerr
-			return
+	// A socket buffer with room for one WRITE forces drops; retransmission
+	// must still complete the file, and the duplicate cache must keep it
+	// exactly-once: the server runs each of the file's 64 WRITEs and its
+	// CREATE once, however often the client sent them.
+	for _, nfsds := range []int{1, 2} {
+		s := sim.New(21)
+		n := netsim.New(s, hw.FDDI())
+		costs := hw.DEC3000CPU()
+		srvCPU := sim.NewResource(s, 1)
+		d := disk.New(s, hw.RZ26(), nil)
+		charged := NewChargedDevice(d, srvCPU, costs.DriverTrip)
+		fs, _ := ufs.Format(s, charged, 1, 128, nil)
+		cfg := Config{
+			NumNfsds: nfsds, Gathering: true,
+			Gather:       core.DefaultConfig(false, hw.FDDI().Procrastinate),
+			Costs:        costs,
+			SockBufBytes: 9000, // fits one 8K write
 		}
-		elapsed, err = cli.WriteFile(p, cres.File, 512*1024)
-	})
-	s.Run(0)
-	if err != nil {
-		t.Fatalf("WriteFile with drops: %v", err)
+		srv := New(s, n, fs, cfg)
+		srv.cpu = srvCPU
+		cli := client.New(s, n, "c", "server", fastRetransClient(), 7, nil)
+		root := srv.RootFH()
+		var err error
+		s.Spawn("app", func(p *sim.Proc) {
+			cres, cerr := cli.Create(p, root, "f", 0644)
+			if cerr != nil {
+				err = cerr
+				return
+			}
+			_, err = cli.WriteFile(p, cres.File, 512*1024)
+		})
+		s.Run(0)
+		if err != nil {
+			t.Fatalf("%d nfsds: WriteFile with drops: %v", nfsds, err)
+		}
+		if srv.Endpoint().Drops() == 0 {
+			t.Fatalf("%d nfsds: no drops provoked", nfsds)
+		}
+		if cli.Retransmissions == 0 {
+			t.Fatalf("%d nfsds: drops happened but client never retransmitted", nfsds)
+		}
+		if w := srv.OpCounts[nfsproto.ProcWrite].Ops; w != 512*1024/8192 {
+			t.Errorf("%d nfsds: server ran %d WRITEs, want %d", nfsds, w, 512*1024/8192)
+		}
+		if c := srv.OpCounts[nfsproto.ProcCreate].Ops; c != 1 {
+			t.Errorf("%d nfsds: server ran %d CREATEs, want 1", nfsds, c)
+		}
+		if srv.Engine().PendingReplies() != 0 {
+			t.Fatalf("%d nfsds: descriptors leaked under retransmission", nfsds)
+		}
+		t.Logf("%d nfsds: %d drops, %d retransmissions", nfsds, srv.Endpoint().Drops(), cli.Retransmissions)
 	}
-	if srv.Endpoint().Drops() == 0 {
-		t.Skip("no drops provoked; socket buffer too large for this load")
-	}
-	if cli.Retransmissions == 0 {
-		t.Fatal("drops happened but client never retransmitted")
-	}
-	if srv.Engine().PendingReplies() != 0 {
-		t.Fatal("descriptors leaked under retransmission")
-	}
-	_ = elapsed
 }
 
 // fastRetransClient shortens the retransmission timer so drop tests finish

@@ -88,12 +88,12 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 		}
 		for i := 0; i < PtrsPerBlock; i++ {
 			fb := int64(NumDirect + i)
-			ptr := int64(binary.BigEndian.Uint64(ib.data[i*8:]))
+			ptr := int64(binary.BigEndian.Uint64(ib.blk.Data()[i*8:]))
 			if ptr != 0 && fb >= keep {
 				fs.markFree(ptr)
 				fs.evict(ptr)
 				fs.own(ib)
-				binary.BigEndian.PutUint64(ib.data[i*8:], 0)
+				binary.BigEndian.PutUint64(ib.blk.Data()[i*8:], 0)
 				ib.dirty = true
 			}
 		}
@@ -110,7 +110,7 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 			return err
 		}
 		for l1 := 0; l1 < PtrsPerBlock; l1++ {
-			l1ptr := int64(binary.BigEndian.Uint64(db.data[l1*8:]))
+			l1ptr := int64(binary.BigEndian.Uint64(db.blk.Data()[l1*8:]))
 			if l1ptr == 0 {
 				continue
 			}
@@ -121,7 +121,7 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 			anyKept := false
 			for l2 := 0; l2 < PtrsPerBlock; l2++ {
 				fb := int64(NumDirect + PtrsPerBlock + l1*PtrsPerBlock + l2)
-				ptr := int64(binary.BigEndian.Uint64(lb.data[l2*8:]))
+				ptr := int64(binary.BigEndian.Uint64(lb.blk.Data()[l2*8:]))
 				if ptr == 0 {
 					continue
 				}
@@ -129,7 +129,7 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 					fs.markFree(ptr)
 					fs.evict(ptr)
 					fs.own(lb)
-					binary.BigEndian.PutUint64(lb.data[l2*8:], 0)
+					binary.BigEndian.PutUint64(lb.blk.Data()[l2*8:], 0)
 					lb.dirty = true
 				} else {
 					anyKept = true
@@ -139,7 +139,7 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 				fs.markFree(l1ptr)
 				fs.evict(l1ptr)
 				fs.own(db)
-				binary.BigEndian.PutUint64(db.data[l1*8:], 0)
+				binary.BigEndian.PutUint64(db.blk.Data()[l1*8:], 0)
 				db.dirty = true
 			}
 		}

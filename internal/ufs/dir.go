@@ -219,7 +219,7 @@ func (fs *FS) readRaw(p *sim.Proc, in *inode, off uint32, out []byte) (int, erro
 			if err != nil {
 				return read, err
 			}
-			copy(out[read:read+take], b.data[bo:bo+int64(take)])
+			copy(out[read:read+take], b.blk.Data()[bo:bo+int64(take)])
 		}
 		read += take
 	}
@@ -255,7 +255,7 @@ func (fs *FS) writeDir(p *sim.Proc, in *inode, count uint32, off int, tail []byt
 		if err != nil {
 			return err
 		}
-		b.owner, b.fblock = in.num, fb
+		b.owner = in.num
 		if fb == 0 || from < hi {
 			if whole {
 				fs.ownFresh(b)
@@ -264,11 +264,11 @@ func (fs *FS) writeDir(p *sim.Proc, in *inode, count uint32, off int, tail []byt
 			}
 			n := 0
 			if fb == 0 {
-				binary.BigEndian.PutUint32(b.data, count)
+				binary.BigEndian.PutUint32(b.blk.Data(), count)
 				n = dirHeaderSize
 			}
 			if from < hi {
-				n += copy(b.data[from-lo:hi-lo], tail[from-off:hi-off])
+				n += copy(b.blk.Data()[from-lo:hi-lo], tail[from-off:hi-off])
 			}
 			fs.pool.Acct().CountCopy(n)
 		}

@@ -118,8 +118,7 @@ func inodeBlock(ino vfs.Ino) (int64, int) {
 // there and finds what a scan from 1 would.
 func (fs *FS) allocInode(ft vfs.FileType, mode uint32) *inode {
 	for i := fs.inoHint; i <= fs.ninodes; i++ {
-		if !fs.inodeMap[i] {
-			fs.inodeMap[i] = true
+		if fs.inodes[i] == nil {
 			fs.inoHint = i + 1
 			fs.genSeq++
 			now := fs.sim.Now()
@@ -155,7 +154,7 @@ func (fs *FS) freeInode(p *sim.Proc, in *inode) error {
 				return err
 			}
 			for i := 0; i < PtrsPerBlock; i++ {
-				ptr := int64(binary.BigEndian.Uint64(ib.data[i*8:]))
+				ptr := int64(binary.BigEndian.Uint64(ib.blk.Data()[i*8:]))
 				if ptr == 0 {
 					continue
 				}
@@ -180,8 +179,7 @@ func (fs *FS) freeInode(p *sim.Proc, in *inode) error {
 	if err := freeIndirect(in.dindirect, 1); err != nil {
 		return err
 	}
-	delete(fs.inodes, in.num)
-	fs.inodeMap[in.num] = false
+	fs.inodes[in.num] = nil
 	fs.inoHint = min(fs.inoHint, int(in.num))
 	// Clear the on-disk slot synchronously so the remove is durable.
 	return fs.flushInodeSlotCleared(p, in.num)
@@ -203,9 +201,7 @@ func (fs *FS) flushInodeSlotCleared(p *sim.Proc, ino vfs.Ino) error {
 		return err
 	}
 	fs.own(b)
-	for i := 0; i < InodeSize; i++ {
-		b.data[slot*InodeSize+i] = 0
-	}
+	clear(b.blk.Data()[slot*InodeSize : (slot+1)*InodeSize])
 	if err := fs.writeBuf(p, b); err != nil {
 		return err
 	}
@@ -257,12 +253,14 @@ func (fs *FS) flushInode(p *sim.Proc, in *inode, metaOnly, force bool) error {
 	first := vfs.Ino((phys-1))*InodesPerBlock + 1
 	var onStack [InodesPerBlock]*inode
 	encoded := onStack[:0]
-	for j := 0; j < InodesPerBlock; j++ {
-		other, ok := fs.inodes[first+vfs.Ino(j)]
-		if !ok {
+	data := b.blk.Data()
+	// The table holds whole inode blocks: ninodes is a multiple of
+	// InodesPerBlock.
+	for j, other := range fs.inodes[first : first+InodesPerBlock] {
+		if other == nil {
 			continue
 		}
-		other.encode(b.data[j*InodeSize : (j+1)*InodeSize])
+		other.encode(data[j*InodeSize : (j+1)*InodeSize])
 		if other.dirtyCore || other.dirtyMeta {
 			// This write carries the inode's un-landed state; mark it
 			// pending so sync paths wait for the landing rather than
@@ -350,14 +348,14 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		ptr := int64(binary.BigEndian.Uint64(ib.data[idx*8:]))
+		ptr := int64(binary.BigEndian.Uint64(ib.blk.Data()[idx*8:]))
 		if ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
 			}
 			hint := fs.rotor
 			if idx > 0 {
-				prev := int64(binary.BigEndian.Uint64(ib.data[(idx-1)*8:]))
+				prev := int64(binary.BigEndian.Uint64(ib.blk.Data()[(idx-1)*8:]))
 				if prev != 0 {
 					hint = prev + 1
 				}
@@ -367,7 +365,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(ib)
-			binary.BigEndian.PutUint64(ib.data[idx*8:], uint64(b))
+			binary.BigEndian.PutUint64(ib.blk.Data()[idx*8:], uint64(b))
 			ib.dirty = true
 			ptr = b
 			metaChanged = true
@@ -399,7 +397,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		l1ptr := int64(binary.BigEndian.Uint64(db.data[l1*8:]))
+		l1ptr := int64(binary.BigEndian.Uint64(db.blk.Data()[l1*8:]))
 		if l1ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
@@ -409,7 +407,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(db)
-			binary.BigEndian.PutUint64(db.data[l1*8:], uint64(b))
+			binary.BigEndian.PutUint64(db.blk.Data()[l1*8:], uint64(b))
 			db.dirty = true
 			in.indBlocks = append(in.indBlocks, b)
 			lb, _ := fs.getBuf(p, b, false)
@@ -421,7 +419,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		ptr := int64(binary.BigEndian.Uint64(lb.data[l2*8:]))
+		ptr := int64(binary.BigEndian.Uint64(lb.blk.Data()[l2*8:]))
 		if ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
@@ -431,7 +429,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(lb)
-			binary.BigEndian.PutUint64(lb.data[l2*8:], uint64(b))
+			binary.BigEndian.PutUint64(lb.blk.Data()[l2*8:], uint64(b))
 			lb.dirty = true
 			ptr = b
 			metaChanged = true
@@ -442,9 +440,8 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 
 // getInode fetches a live in-core inode.
 func (fs *FS) getInode(ino vfs.Ino) (*inode, error) {
-	in, ok := fs.inodes[ino]
-	if !ok {
+	if ino >= vfs.Ino(len(fs.inodes)) || fs.inodes[ino] == nil {
 		return nil, vfs.ErrStale
 	}
-	return in, nil
+	return fs.inodes[ino], nil
 }

@@ -64,19 +64,19 @@ func (fs *FS) read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte, byRef bool)
 			// Hole: zeros.
 			clear(out[read : read+take])
 		} else {
-			b, cached := fs.cache[phys]
+			b, cached := fs.cache.Get(phys)
 			if !cached || (!b.dirty && b.owner != ino) {
 				nb, err := fs.getBuf(p, phys, true)
 				if err != nil {
 					return nil, read, err
 				}
 				b = nb
-				b.owner, b.fblock = ino, fb
+				b.owner = ino
 			}
 			if byRef {
 				ref = b.blk.Ref()
 			} else {
-				fs.pool.Acct().CountCopy(copy(out[read:read+take], b.data[bo:bo+int64(take)]))
+				fs.pool.Acct().CountCopy(copy(out[read:read+take], b.blk.Data()[bo:bo+int64(take)]))
 			}
 		}
 		read += take
@@ -146,7 +146,7 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 			return err
 		}
 		metaChanged = metaChanged || mc
-		b, cached := fs.cache[phys]
+		b, cached := fs.cache.Get(phys)
 		switch {
 		case body != nil:
 			// Zero-copy landing: the cache takes a reference to the
@@ -165,7 +165,7 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 			} else {
 				b = fs.insertBuf(phys, fs.pool.Get())
 			}
-			fs.pool.Acct().CountCopy(copy(b.data, data[written:written+take]))
+			fs.pool.Acct().CountCopy(copy(b.blk.Data(), data[written:written+take]))
 		default:
 			// Partial write: fill from the device only when overwriting an
 			// existing block; a fresh block's remainder must read as zeros.
@@ -177,9 +177,9 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 				b = nb
 			}
 			fs.own(b)
-			fs.pool.Acct().CountCopy(copy(b.data[bo:bo+int64(take)], data[written:written+take]))
+			fs.pool.Acct().CountCopy(copy(b.blk.Data()[bo:bo+int64(take)], data[written:written+take]))
 		}
-		b.owner, b.fblock = ino, fb
+		b.owner = ino
 		b.dirty = true
 		touched = append(touched, b)
 		written += take
@@ -235,7 +235,7 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 // flushDirtyIndirect writes any dirty indirect blocks belonging to in.
 func (fs *FS) flushDirtyIndirect(p *sim.Proc, in *inode) error {
 	for _, phys := range in.indBlocks {
-		if b, ok := fs.cache[phys]; ok && b.dirty {
+		if b, ok := fs.cache.Get(phys); ok && b.dirty {
 			if err := fs.writeBuf(p, b); err != nil {
 				return err
 			}
@@ -275,7 +275,7 @@ func (fs *FS) SyncData(p *sim.Proc, ino vfs.Ino, from, to uint32) error {
 		if phys == 0 {
 			continue
 		}
-		if b, ok := fs.cache[phys]; ok && b.dirty {
+		if b, ok := fs.cache.Get(phys); ok && b.dirty {
 			// Pin the buffer now: the entry may be evicted or COW-replaced
 			// while this flush sleeps in device I/O below.
 			*dirty = append(*dirty, dirtyBlk{phys: phys, b: b, blk: b.blk.Ref()})
@@ -377,7 +377,7 @@ func (fs *FS) MetaDirty(ino vfs.Ino) bool {
 		return true
 	}
 	for _, phys := range in.indBlocks {
-		if b, ok := fs.cache[phys]; ok && b.dirty {
+		if b, ok := fs.cache.Get(phys); ok && b.dirty {
 			return true
 		}
 	}

@@ -44,16 +44,18 @@ type FS struct {
 	dataStart   int64
 	ninodes     int
 
-	inodes   map[vfs.Ino]*inode
+	// inodes is the in-core inode table, indexed by inode number
+	// (ninodes+1 entries; 0 is never used). A nil entry is a free inode.
+	inodes   []*inode
 	blockMap bitmap // block allocation bitmap (in-core; rebuilt by fsck on mount)
 	// freeData counts free entries of blockMap[dataStart:], so Statfs is
 	// O(1) instead of a bitmap sweep per call.
 	freeData int64
-	inodeMap []bool
-	inoHint  int // no inode number below this is free (slot 0 is marked used)
-	cache    map[int64]*buf
-	rotor    int64
-	genSeq   uint32
+	inoHint  int // no inode number from 1 up to below this is free
+	// cache is the buffer cache, indexed by physical block number.
+	cache  *block.Table[*buf]
+	rotor  int64
+	genSeq uint32
 
 	pool         *block.Pool    // backs cache buffers (and COW replacements)
 	dirtyScratch []*[]dirtyBlk  // SyncData dirty-list pool
@@ -139,21 +141,19 @@ func (fs *FS) putRun(r []*block.Buf) {
 	fs.runScratch = append(fs.runScratch, r[:0])
 }
 
-// buf is a buffer-cache entry for one filesystem block. data always
-// aliases blk.Data(): readers use data directly, while mutators must go
-// through own/ownFresh first — the backing buffer may be shared with the
-// platter store, the NVRAM dirty map or an in-flight datagram, all of
-// which hold point-in-time references that an in-place mutation would
-// corrupt (copy-on-write discipline).
+// buf is a buffer-cache entry for one filesystem block (32 bytes).
+// Readers read blk.Data() directly, while mutators must go through
+// own/ownFresh first — the backing buffer may be shared with the platter
+// store, the NVRAM dirty map or an in-flight datagram, all of which hold
+// point-in-time references that an in-place mutation would corrupt
+// (copy-on-write discipline).
 type buf struct {
-	phys  int64
-	blk   *block.Buf
-	data  []byte
+	phys int64
+	blk  *block.Buf
+	// For data blocks: which file this caches; inode blocks and indirect
+	// blocks have owner == 0.
+	owner vfs.Ino
 	dirty bool
-	// For data blocks: which file and file-block this caches; inode blocks
-	// and indirect blocks have owner == 0.
-	owner  vfs.Ino
-	fblock int64
 }
 
 // own prepares a cache buffer for partial in-place mutation: if the
@@ -167,7 +167,6 @@ func (fs *FS) own(b *buf) {
 	fs.pool.Acct().CountCopy(copy(nb.Data(), b.blk.Data()))
 	b.blk.Release()
 	b.blk = nb
-	b.data = nb.Data()
 }
 
 // ownFresh prepares a cache buffer for whole-block overwrite: a shared
@@ -179,7 +178,6 @@ func (fs *FS) ownFresh(b *buf) {
 	}
 	b.blk.Release()
 	b.blk = fs.pool.Get()
-	b.data = b.blk.Data()
 }
 
 // adopt points the cache entry at nb (taking a reference), discarding the
@@ -188,7 +186,6 @@ func (fs *FS) ownFresh(b *buf) {
 func (b *buf) adopt(nb *block.Buf) {
 	b.blk.Release()
 	b.blk = nb.Ref()
-	b.data = b.blk.Data()
 }
 
 // Format writes a fresh filesystem onto dev and returns it mounted.
@@ -206,8 +203,6 @@ func Format(s *sim.Sim, dev disk.Device, fsid uint32, ninodes int, acct *block.A
 		inodeBlocks: ib,
 		dataStart:   1 + ib,
 		ninodes:     int(ib) * InodesPerBlock,
-		inodes:      make(map[vfs.Ino]*inode),
-		cache:       make(map[int64]*buf),
 		pool:        block.Or(acct).NewPool(),
 	}
 	if fs.dataStart >= fs.nblocks {
@@ -215,8 +210,9 @@ func Format(s *sim.Sim, dev disk.Device, fsid uint32, ninodes int, acct *block.A
 	}
 	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
-	fs.inodeMap = make([]bool, fs.ninodes+1) // ino 0 unused
-	fs.inodeMap[0] = true
+	fs.inodes = make([]*inode, fs.ninodes+1) // ino 0 unused
+	fs.inoHint = 1
+	fs.cache = block.NewTable[*buf](fs.nblocks)
 	fs.rotor = fs.dataStart
 
 	// Root directory: ino 1.
@@ -310,11 +306,12 @@ func (fs *FS) inodeGate(phys int64) *sim.Resource {
 // DirtyBlocks reports how many cache buffers are dirty (test/diagnostic).
 func (fs *FS) DirtyBlocks() int {
 	n := 0
-	for _, b := range fs.cache {
+	fs.cache.Range(func(_ int64, b *buf) bool {
 		if b.dirty {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -361,16 +358,15 @@ func Mount(s *sim.Sim, p *sim.Proc, dev disk.Device, acct *block.Accounting) (*F
 		fsid:        binary.BigEndian.Uint32(sb[20:]),
 		nblocks:     int64(binary.BigEndian.Uint64(sb[4:])),
 		inodeBlocks: int64(binary.BigEndian.Uint64(sb[12:])),
-		inodes:      make(map[vfs.Ino]*inode),
-		cache:       make(map[int64]*buf),
 		pool:        block.Or(acct).NewPool(),
 	}
 	fs.dataStart = 1 + fs.inodeBlocks
 	fs.ninodes = int(fs.inodeBlocks) * InodesPerBlock
 	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
-	fs.inodeMap = make([]bool, fs.ninodes+1)
-	fs.inodeMap[0] = true
+	fs.inodes = make([]*inode, fs.ninodes+1)
+	fs.inoHint = 1
+	fs.cache = block.NewTable[*buf](fs.nblocks)
 	fs.rotor = fs.dataStart
 
 	// Read the inode region and rebuild the tables.
@@ -389,7 +385,6 @@ func Mount(s *sim.Sim, p *sim.Proc, dev disk.Device, acct *block.Accounting) (*F
 				continue
 			}
 			fs.inodes[ino] = in
-			fs.inodeMap[ino] = true
 			if err := fs.claimBlocks(p, in); err != nil {
 				return nil, fmt.Errorf("ufs: mount: block claim: %w", err)
 			}
@@ -459,7 +454,7 @@ func (fs *FS) claimBlocks(p *sim.Proc, in *inode) error {
 // comes back zeroed (a fresh block's holes must read as zeros). A device
 // read failure surfaces as vfs.ErrIO and caches nothing.
 func (fs *FS) getBuf(p *sim.Proc, phys int64, fill bool) (*buf, error) {
-	if b, ok := fs.cache[phys]; ok {
+	if b, ok := fs.cache.Get(phys); ok {
 		return b, nil
 	}
 	if !fill {
@@ -477,7 +472,7 @@ func (fs *FS) getBuf(p *sim.Proc, phys int64, fill bool) (*buf, error) {
 	if err := fs.dev.ReadBlocks(p, phys, blk.Data()); err != nil { // yields
 		return nil, vfs.ErrIO
 	}
-	if b, ok := fs.cache[phys]; ok {
+	if b, ok := fs.cache.Get(phys); ok {
 		// Another process cached this block while the read slept (two
 		// nfsds flushing inodes that share a block race here). Keep its
 		// entry — it may already carry dirty mutations — and drop the
@@ -495,24 +490,24 @@ func (fs *FS) getBuf(p *sim.Proc, phys int64, fill bool) (*buf, error) {
 // be referenced by a flusher that captured it before a yield, and reusing
 // it would alias two blocks through one pointer.
 func (fs *FS) insertBuf(phys int64, blk *block.Buf) *buf {
-	b := &buf{phys: phys, blk: blk, data: blk.Data()}
-	fs.cache[phys] = b
+	b := &buf{phys: phys, blk: blk}
+	fs.cache.Set(phys, b)
 	return b
 }
 
 // evict removes a block from the cache, releasing the cache's reference
-// to its backing buffer. The record is tombstoned (blk/data nil), never
+// to its backing buffer. The record is tombstoned (blk nil), never
 // recycled: a flusher that captured it before yielding on device I/O may
 // still hold the pointer, and sees the tombstone instead of an aliased
 // reuse. Evicting an uncached block is a no-op.
 func (fs *FS) evict(phys int64) {
-	b, ok := fs.cache[phys]
+	b, ok := fs.cache.Get(phys)
 	if !ok {
 		return
 	}
-	delete(fs.cache, phys)
+	fs.cache.Delete(phys)
 	b.blk.Release()
-	b.blk, b.data = nil, nil
+	b.blk = nil
 }
 
 // writeBuf pushes one cache buffer to the device synchronously (zero-copy:
@@ -544,17 +539,19 @@ func (fs *FS) writeBuf(p *sim.Proc, b *buf) error {
 
 // CachedBufs reports how many cache entries hold a buffer reference
 // (leak-check accounting).
-func (fs *FS) CachedBufs() int { return len(fs.cache) }
+func (fs *FS) CachedBufs() int { return fs.cache.Len() }
 
 // DropCaches discards all volatile state without flushing: the crash.
 // After this, only Mount can resurrect the filesystem. The cache's buffer
 // references are host memory, not stable storage, so they are released;
 // contents shared with the platter store live on there.
 func (fs *FS) DropCaches() {
-	for _, b := range fs.cache {
+	fs.cache.Range(func(phys int64, b *buf) bool {
+		fs.cache.Delete(phys)
 		b.blk.Release()
-		b.blk, b.data = nil, nil
-	}
-	fs.cache = make(map[int64]*buf)
-	fs.inodes = make(map[vfs.Ino]*inode)
+		b.blk = nil
+		return true
+	})
+	clear(fs.inodes)
+	fs.inoHint = 1
 }
