@@ -250,7 +250,7 @@ func (a *app) validateScenarioFile(path string) int {
 // reproducing spec prints as runnable JSON (feed it back through
 // -scenario) and the exit status is 1.
 func (a *app) runFuzz(runs int, seed int64) int {
-	failure := scenario.Fuzz(scenario.FuzzConfig{
+	reach, failure := scenario.Fuzz(scenario.FuzzConfig{
 		Runs:    runs,
 		Seed:    seed,
 		Workers: a.jobs,
@@ -258,6 +258,7 @@ func (a *app) runFuzz(runs int, seed int64) int {
 			fmt.Fprintf(a.errw, format+"\n", args...)
 		},
 	})
+	fmt.Fprint(a.out, reach)
 	if failure != nil {
 		fmt.Fprintln(a.errw, failure.String())
 		// Persist the repro with its observability artifacts: the shrunken

@@ -81,3 +81,31 @@ func TestUnknownNameFailsBeforeAnyRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzPrintsReachTable: a campaign prints its reach table, a row per
+// regime with the rows that read zero, and the same table at any -j.
+func TestFuzzPrintsReachTable(t *testing.T) {
+	out := func(jobs string) string {
+		var stdout, stderr bytes.Buffer
+		if status := run([]string{"-fuzz", "12", "-seed", "3", "-j", jobs}, &stdout, &stderr); status != 0 {
+			t.Fatalf("-j %s: exit %d: %s", jobs, status, stderr.String())
+		}
+		return stdout.String()
+	}
+	one := out("1")
+	if two := out("2"); one != two {
+		t.Fatalf("-fuzz output differs between -j 1 and -j 2:\n%s\nvs\n%s", one, two)
+	}
+	if !strings.HasPrefix(one, "fuzz reach: runs of 12 that reached each regime\n") {
+		t.Fatalf("no reach table heading:\n%s", one)
+	}
+	for _, row := range []string{"socket drop", "retransmission", "hunter hit", "orphan adoption (§6.9)", "bridge drop",
+		"crash", "failover", "link outage", "dropped NVRAM block", "open-loop shed"} {
+		if !strings.Contains(one, "\n  "+row+" ") {
+			t.Errorf("reach table lacks the %q row:\n%s", row, one)
+		}
+	}
+	if !strings.Contains(one, " 0\n") {
+		t.Errorf("no row reads zero in a 12-run campaign, or zero rows are hidden:\n%s", one)
+	}
+}

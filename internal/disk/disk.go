@@ -329,7 +329,7 @@ type Stripe struct {
 	members    []*Disk
 	unitBlocks int64 // stripe unit in blocks
 	stats      Stats
-	segPool    [][]segment // scratch for segments (rw yields, so pooled)
+	free       []*fanOut // records of finished transfers
 }
 
 // NewStripe builds a stripe set over members with the given stripe unit in
@@ -384,19 +384,10 @@ type segment struct {
 	n      int // byte length
 }
 
-// segments splits a logical transfer into per-member contiguous pieces.
-func (st *Stripe) getSegs() []segment {
-	if n := len(st.segPool); n > 0 {
-		s := st.segPool[n-1]
-		st.segPool = st.segPool[:n-1]
-		return s[:0]
-	}
-	return make([]segment, 0, 8)
-}
-
-func (st *Stripe) segments(blk int64, n int) []segment {
+// segments splits a logical transfer into per-member contiguous pieces,
+// appended to segs.
+func (st *Stripe) segments(segs []segment, blk int64, n int) []segment {
 	bs := int64(st.BlockSize())
-	segs := st.getSegs()
 	remaining := int64(n) / bs
 	cur := blk
 	off := 0
@@ -433,7 +424,7 @@ func (st *Stripe) segments(blk int64, n int) []segment {
 // ReadBlocks implements Device. A member failure fails the whole logical
 // transfer; unaffected members complete their segments normally.
 func (st *Stripe) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	err := st.rw(p, blk, buf, false)
+	err := st.transfer(p, blk, len(buf), buf, nil, false)
 	st.stats.Reads++
 	st.stats.ReadBytes += uint64(len(buf))
 	return err
@@ -441,7 +432,7 @@ func (st *Stripe) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 
 // WriteBlocks implements Device.
 func (st *Stripe) WriteBlocks(p *sim.Proc, blk int64, data []byte) error {
-	err := st.rw(p, blk, data, true)
+	err := st.transfer(p, blk, len(data), data, nil, true)
 	st.stats.Writes++
 	st.stats.WriteBytes += uint64(len(data))
 	return err
@@ -454,71 +445,102 @@ func (st *Stripe) WriteBlocks(p *sim.Proc, blk int64, data []byte) error {
 func (st *Stripe) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 	pin := block.TakePin(bufs)
 	defer pin.Release()
-	segs := st.segments(blk, len(bufs)*st.BlockSize())
-	defer func() { st.segPool = append(st.segPool, segs) }()
-	bs := st.BlockSize()
-	var err error
-	if len(segs) == 1 {
-		s := segs[0]
-		err = st.members[s.member].WriteBufs(p, s.phys, bufs[s.off/bs:(s.off+s.n)/bs])
-	} else {
-		err = st.fanOut(p, segs, func(q *sim.Proc, s segment) error {
-			return st.members[s.member].WriteBufs(q, s.phys, bufs[s.off/bs:(s.off+s.n)/bs])
-		})
-	}
+	n := len(bufs) * st.BlockSize()
+	err := st.transfer(p, blk, n, nil, bufs, true)
 	st.stats.Writes++
-	st.stats.WriteBytes += uint64(len(bufs) * bs)
+	st.stats.WriteBytes += uint64(n)
 	return err
 }
 
-func (st *Stripe) rw(p *sim.Proc, blk int64, buf []byte, write bool) error {
-	if len(buf)%st.BlockSize() != 0 {
+// fanOut is one logical transfer on its way to the members: its segments,
+// the caller's bytes (buf) or buffers (bufs, for WriteBufs), and, while
+// helpers run, the next segment to hand out, the helpers still running
+// and the first error. Records are pooled on the Stripe, and run, the
+// helpers' body, is bound once when a record is made, so a transfer
+// allocates nothing.
+type fanOut struct {
+	st      *Stripe
+	segs    []segment
+	buf     []byte
+	bufs    []*block.Buf
+	write   bool
+	next    int
+	pending int
+	err     error
+	done    sim.Cond
+	run     func(q *sim.Proc)
+}
+
+func (st *Stripe) getFanOut() *fanOut {
+	if n := len(st.free); n > 0 {
+		f := st.free[n-1]
+		st.free = st.free[:n-1]
+		return f
+	}
+	f := &fanOut{st: st, segs: make([]segment, 0, 8)}
+	f.done.Init(st.sim)
+	f.run = f.helper
+	return f
+}
+
+// transfer moves n bytes at logical block blk to or from the members: in
+// line when they fall on one member, otherwise a helper process per
+// segment, all in parallel, while p waits for the last. Helpers are
+// children, so that a crash which kills the issuing process takes the
+// in-flight member transfers down with it (no posthumous writes). A
+// failing member fails the logical transfer; the other members still
+// complete their segments. A killed transfer's record is left to the
+// collector, not pooled.
+func (st *Stripe) transfer(p *sim.Proc, blk int64, n int, buf []byte, bufs []*block.Buf, write bool) error {
+	if n%st.BlockSize() != 0 {
 		panic("disk: stripe transfer not block aligned")
 	}
-	segs := st.segments(blk, len(buf))
-	defer func() { st.segPool = append(st.segPool, segs) }()
-	if len(segs) == 1 {
-		return st.memberRW(p, segs[0], buf, write)
+	f := st.getFanOut()
+	f.segs = st.segments(f.segs[:0], blk, n)
+	f.buf, f.bufs, f.write = buf, bufs, write
+	var err error
+	if len(f.segs) == 1 {
+		err = f.member(p, f.segs[0])
+	} else {
+		f.next, f.pending, f.err = 0, len(f.segs), nil
+		for range f.segs {
+			st.sim.SpawnChild(p, "stripe-io", f.run)
+		}
+		for f.pending > 0 {
+			f.done.Wait(p)
+		}
+		err = f.err
 	}
-	return st.fanOut(p, segs, func(q *sim.Proc, s segment) error {
-		return st.memberRW(q, s, buf, write)
-	})
+	f.buf, f.bufs = nil, nil
+	st.free = append(st.free, f)
+	return err
 }
 
-// memberRW moves segment s of the caller's buffer to or from its member.
-func (st *Stripe) memberRW(p *sim.Proc, s segment, buf []byte, write bool) error {
-	if write {
-		return st.members[s.member].WriteBlocks(p, s.phys, buf[s.off:s.off+s.n])
+// helper is one member transfer: helpers are dispatched in spawn order,
+// so each takes the next segment as it starts.
+func (f *fanOut) helper(q *sim.Proc) {
+	s := f.segs[f.next]
+	f.next++
+	if err := f.member(q, s); err != nil && f.err == nil {
+		f.err = err
 	}
-	return st.members[s.member].ReadBlocks(p, s.phys, buf[s.off:s.off+s.n])
+	f.pending--
+	if f.pending == 0 {
+		f.done.Signal()
+	}
 }
 
-// fanOut runs do on every segment in parallel, a child process each, and
-// waits for all of them. Children, so that a crash which kills the issuing
-// process takes the in-flight member transfers down with it (no posthumous
-// writes). A failing member fails the logical transfer; the other members
-// still complete their segments. It is a function of its own so that its
-// captured state is not allocated on the single-segment path.
-func (st *Stripe) fanOut(p *sim.Proc, segs []segment, do func(q *sim.Proc, s segment) error) error {
-	done := sim.NewCond(p.Sim())
-	pending := len(segs)
-	var ioErr error
-	for _, s := range segs {
-		s := s
-		p.Sim().SpawnChild(p, "stripe-io", func(q *sim.Proc) {
-			if err := do(q, s); err != nil && ioErr == nil {
-				ioErr = err
-			}
-			pending--
-			if pending == 0 {
-				done.Signal()
-			}
-		})
+// member moves segment s of the transfer to or from its member disk.
+func (f *fanOut) member(p *sim.Proc, s segment) error {
+	m := f.st.members[s.member]
+	switch {
+	case f.bufs != nil:
+		bs := m.BlockSize()
+		return m.WriteBufs(p, s.phys, f.bufs[s.off/bs:(s.off+s.n)/bs])
+	case f.write:
+		return m.WriteBlocks(p, s.phys, f.buf[s.off:s.off+s.n])
 	}
-	for pending > 0 {
-		done.Wait(p)
-	}
-	return ioErr
+	return m.ReadBlocks(p, s.phys, f.buf[s.off:s.off+s.n])
 }
 
 // InjectBlock stores contents directly on the owning members (crash

@@ -377,3 +377,48 @@ func TestPlatterRewriteAllocs(t *testing.T) {
 		t.Fatalf("StoredBufs = %d after rewriting 8 blocks, want 8", n)
 	}
 }
+
+// TestStripeFanOutAllocs: once a stripe has run a multi-segment transfer,
+// the next allocates nothing on any of the three paths. The fan-out record
+// comes from the stripe's pool, its helpers' Proc records from the
+// kernel's, and their coroutines from the idle carriers.
+func TestStripeFanOutAllocs(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	st, members := newStripe(s, 3)
+	pool := block.NewAccounting().NewPool()
+	bufs := make([]*block.Buf, 24) // three stripe units, one per member
+	for i := range bufs {
+		bufs[i] = pool.Get()
+		defer bufs[i].Release()
+	}
+	raw := make([]byte, 24*8192)
+	allocs := map[string]float64{}
+	s.Spawn("io", func(p *sim.Proc) {
+		paths := []struct {
+			name string
+			do   func()
+		}{
+			{"WriteBufs", func() { st.WriteBufs(p, 0, bufs) }},
+			{"WriteBlocks", func() { st.WriteBlocks(p, 24, raw) }},
+			{"ReadBlocks", func() { st.ReadBlocks(p, 24, raw) }},
+		}
+		for _, path := range paths {
+			path.do() // warm: record, helpers, carriers, platter pages
+		}
+		for _, path := range paths {
+			allocs[path.name] = testing.AllocsPerRun(20, path.do)
+		}
+	})
+	s.Run(0)
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("stripe %s over 3 members allocates %.1f objects per transfer, want 0", name, n)
+		}
+	}
+	for i, m := range members {
+		if m.Stats().Trans() != 3*22 {
+			t.Errorf("member %d ran %d transfers, want %d (one per segment)", i, m.Stats().Trans(), 3*22)
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 
 	"repro/internal/fault"
@@ -104,12 +105,63 @@ func (f *FuzzFailure) String() string {
 		f.Run, f.Class, f.Detail, f.ShrinkRuns, f.JSON())
 }
 
-// Fuzz runs the campaign and returns the first failure, minimized — or
-// nil if every generated spec upheld the invariants. Generated specs
-// execute across cfg.Workers concurrent sims; the reported failure is
-// the lowest failing run index, the run an in-line campaign stops at
-// (see FuzzConfig.Workers).
-func Fuzz(cfg FuzzConfig) *FuzzFailure {
+// regimes are the model regimes a campaign's reach table counts, each
+// read off a counter its cells already carry.
+var regimes = []struct {
+	name    string
+	reached func(c *CellResult) bool
+}{
+	{"socket drop", func(c *CellResult) bool { return c.Drops > 0 }},
+	{"retransmission", func(c *CellResult) bool { return c.Retransmissions > 0 }},
+	{"hunter hit", func(c *CellResult) bool { return c.Gather.HunterHits > 0 }},
+	{"orphan adoption (§6.9)", func(c *CellResult) bool { return c.Gather.Adoptions > 0 }},
+	{"bridge drop", func(c *CellResult) bool { return c.BridgeDrops > 0 }},
+	{"crash", func(c *CellResult) bool { return c.Crashes > 0 }},
+	{"failover", func(c *CellResult) bool { return c.Durability != nil && c.Durability.Failovers > 0 }},
+	{"link outage", func(c *CellResult) bool { return c.Durability != nil && c.Durability.LinkOutages > 0 }},
+	{"dropped NVRAM block", func(c *CellResult) bool { return c.Durability != nil && c.Durability.DroppedNVRAMBlocks > 0 }},
+	{"open-loop shed", func(c *CellResult) bool { return c.ShedArrivals > 0 }},
+}
+
+// reachedBy reports, a bit per regime, which regimes some cell of res
+// reached.
+func reachedBy(res *Result) uint32 {
+	var bits uint32
+	for i := range res.Cells {
+		for k, g := range regimes {
+			if g.reached(&res.Cells[i]) {
+				bits |= 1 << k
+			}
+		}
+	}
+	return bits
+}
+
+// Reach is a campaign's reach table: for each regime, the runs in which
+// some cell reached it, counted over the runs up to the first failing one
+// (all of them when the campaign is clean), so it reads the same at any
+// worker count.
+type Reach struct {
+	Runs   int
+	Counts []int // in regimes order
+}
+
+// String renders the table, a row per regime, zeros included.
+func (r Reach) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fuzz reach: runs of %d that reached each regime\n", r.Runs)
+	for k, g := range regimes {
+		fmt.Fprintf(&b, "  %-24s %5d\n", g.name, r.Counts[k])
+	}
+	return b.String()
+}
+
+// Fuzz runs the campaign and returns its reach table and the first
+// failure, minimized — or nil if every generated spec upheld the
+// invariants. Generated specs execute across cfg.Workers concurrent
+// sims; the reported failure is the lowest failing run index, the run an
+// in-line campaign stops at (see FuzzConfig.Workers).
+func Fuzz(cfg FuzzConfig) (Reach, *FuzzFailure) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
 	}
@@ -121,6 +173,7 @@ func Fuzz(cfg FuzzConfig) *FuzzFailure {
 	}
 	// A failure stops the campaign: no run above it is dispatched.
 	fails := make([]*FuzzFailure, cfg.Runs)
+	reached := make([]uint32, cfg.Runs)
 	var logMu sync.Mutex
 	k := Ordered(cfg.Runs, cfg.Workers, func(_, i int) bool {
 		if cfg.Log != nil && i%10 == 0 {
@@ -130,13 +183,21 @@ func Fuzz(cfg FuzzConfig) *FuzzFailure {
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
 		spec := genSpec(rng, i)
-		if class, detail := checkSpec(spec); class != "" {
+		class, detail, bits := checkSpec(spec)
+		if class != "" {
 			fails[i] = &FuzzFailure{Run: i, Class: class, Detail: detail, Spec: spec}
 		}
+		reached[i] = bits
 		return fails[i] != nil
 	})
+	reach := Reach{Runs: min(k+1, cfg.Runs), Counts: make([]int, len(regimes))}
+	for _, bits := range reached[:reach.Runs] {
+		for b := range reach.Counts {
+			reach.Counts[b] += int(bits >> b & 1)
+		}
+	}
 	if k == cfg.Runs {
-		return nil
+		return reach, nil
 	}
 	f := fails[k]
 	// Minimize and capture artifacts outside the worker pool: the
@@ -144,7 +205,7 @@ func Fuzz(cfg FuzzConfig) *FuzzFailure {
 	// in-line regardless of campaign width.
 	f.Shrunk, f.ShrinkRuns = shrinkSpec(f.Spec, f.Class, cfg.MaxShrinkRuns)
 	f.TraceJSON, f.SeriesCSV = captureObs(f.Shrunk)
-	return f
+	return reach, f
 }
 
 // captureObs replays spec with the full observe plane forced on and
@@ -189,11 +250,12 @@ func captureObs(spec Spec) (traceJSON, seriesCSV []byte) {
 	return traceJSON, seriesCSV
 }
 
-// checkSpec executes one spec and classifies the outcome ("" = pass).
-// Cells run in-line: the fuzz campaign's worker pool is the unit of
+// checkSpec executes one spec and classifies the outcome ("" = pass),
+// with the regimes its cells reached (none when it panicked or did not
+// run). Cells run in-line: the fuzz campaign's worker pool is the unit of
 // parallelism, and a spec's one or two cells never warrant a nested
 // pool.
-func checkSpec(spec Spec) (class, detail string) {
+func checkSpec(spec Spec) (class, detail string, reached uint32) {
 	defer func() {
 		if r := recover(); r != nil {
 			class, detail = FailPanic, fmt.Sprint(r)
@@ -201,8 +263,9 @@ func checkSpec(spec Spec) (class, detail string) {
 	}()
 	res, err := RunWorkers(spec, 1)
 	if err != nil {
-		return FailInvalid, err.Error()
+		return FailInvalid, err.Error(), 0
 	}
+	reached = reachedBy(res)
 	for _, cell := range res.Cells {
 		d := cell.Durability
 		if d == nil {
@@ -210,14 +273,14 @@ func checkSpec(spec Spec) (class, detail string) {
 		}
 		if d.LostBytes > 0 && !d.LossExpected {
 			return FailDurability, fmt.Sprintf("cell %s: lost %d acked bytes: %s",
-				cell.Label, d.LostBytes, d.FirstLoss)
+				cell.Label, d.LostBytes, d.FirstLoss), reached
 		}
 		if d.UnaccountedRefs != 0 {
 			return FailLeak, fmt.Sprintf("cell %s: %d unaccounted block refs",
-				cell.Label, d.UnaccountedRefs)
+				cell.Label, d.UnaccountedRefs), reached
 		}
 	}
-	return "", ""
+	return "", "", reached
 }
 
 // genSpec draws one random valid spec. Faults are grown monotonically:
@@ -428,7 +491,7 @@ func shrinkSpec(spec Spec, class string, budget int) (Spec, int) {
 			return false
 		}
 		runs++
-		got, _ := checkSpec(cand)
+		got, _, _ := checkSpec(cand)
 		return got == class
 	}
 	cur := spec

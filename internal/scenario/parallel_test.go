@@ -200,8 +200,11 @@ func TestParallelFuzzMatchesSequential(t *testing.T) {
 	ufs.DebugSkipIndirectClaim = true
 	defer func() { ufs.DebugSkipIndirectClaim = false }()
 
-	seq := Fuzz(FuzzConfig{Runs: 200, Seed: 6, Workers: 1})
-	par := Fuzz(FuzzConfig{Runs: 200, Seed: 6, Workers: 4})
+	seqReach, seq := Fuzz(FuzzConfig{Runs: 200, Seed: 6, Workers: 1})
+	parReach, par := Fuzz(FuzzConfig{Runs: 200, Seed: 6, Workers: 4})
+	if seqReach.String() != parReach.String() {
+		t.Fatalf("reach table differs between workers=1 and workers=4:\n--- sequential\n%s--- parallel\n%s", seqReach, parReach)
+	}
 	switch {
 	case seq == nil || par == nil:
 		t.Fatalf("planted bug missed: sequential=%v parallel=%v", seq, par)

@@ -206,7 +206,7 @@ func TestOpenloadFaultOnHalfBuiltImage(t *testing.T) {
 		}
 	})
 	t.Run("fuzzer", func(t *testing.T) {
-		if class, detail := checkSpec(late); class != FailInvalid || !strings.Contains(detail, "still half-built") {
+		if class, detail, _ := checkSpec(late); class != FailInvalid || !strings.Contains(detail, "still half-built") {
 			t.Errorf("planted spec classified %q (%s), want %q", class, detail, FailInvalid)
 		}
 	})

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -243,7 +244,11 @@ func TestFuzzDeterministic(t *testing.T) {
 		t.Skip("fuzz campaign in -short mode")
 	}
 	cfg := FuzzConfig{Runs: 4, Seed: 99}
-	a, b := Fuzz(cfg), Fuzz(cfg)
+	reachA, a := Fuzz(cfg)
+	reachB, b := Fuzz(cfg)
+	if reachA.String() != reachB.String() {
+		t.Fatalf("same campaign, different reach tables:\n%s\nvs\n%s", reachA, reachB)
+	}
 	switch {
 	case a == nil && b == nil:
 		// Campaign passes — still a determinism result.
@@ -254,13 +259,33 @@ func TestFuzzDeterministic(t *testing.T) {
 	}
 }
 
+// TestReachReadsTheCellCounters: a run reaches a regime when any of its
+// cells carries that regime's counter above zero, and a run counts once
+// however many of its cells reached it.
+func TestReachReadsTheCellCounters(t *testing.T) {
+	res := &Result{Cells: []CellResult{
+		{Drops: 3, Gather: core.Stats{HunterHits: 1}},
+		{Metrics: Metrics{Retransmissions: 2, Crashes: 1, ShedArrivals: 5},
+			Durability: &Durability{LinkOutages: 1, DroppedNVRAMBlocks: 4}},
+		{Drops: 1, Durability: &Durability{}},
+	}}
+	want := map[string]bool{"socket drop": true, "hunter hit": true, "retransmission": true, "crash": true,
+		"open-loop shed": true, "link outage": true, "dropped NVRAM block": true}
+	bits := reachedBy(res)
+	for k, g := range regimes {
+		if got := bits>>k&1 == 1; got != want[g.name] {
+			t.Errorf("regime %q reached = %v, want %v", g.name, got, want[g.name])
+		}
+	}
+}
+
 // TestFuzzSmoke asserts a short fixed-seed campaign upholds both
 // invariants on the current engine.
 func TestFuzzSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign in -short mode")
 	}
-	if f := Fuzz(FuzzConfig{Runs: 8, Seed: 1}); f != nil {
+	if _, f := Fuzz(FuzzConfig{Runs: 8, Seed: 1}); f != nil {
 		t.Fatalf("fuzz campaign found a failure:\n%s", f)
 	}
 }
@@ -282,7 +307,7 @@ func TestFuzzCatchesPlantedBug(t *testing.T) {
 	// crash/remount schedule with indirect-block traffic (run 107): the
 	// planted bug needs a recovery plus post-remount allocation to
 	// clobber acked data, which only a fraction of generated specs do.
-	f := Fuzz(FuzzConfig{Runs: 200, Seed: 6})
+	_, f := Fuzz(FuzzConfig{Runs: 200, Seed: 6})
 	if f == nil {
 		t.Fatal("fuzzer missed the planted remount bug")
 	}

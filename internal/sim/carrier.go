@@ -47,7 +47,16 @@ func (c *carrier) run(yield func(*Proc) bool) {
 		p := c.proc
 		runProc(p)
 		p.done, p.fn, p.c = true, nil, nil // a kept handle roots nothing
+		// A helper that returned normally is no event's target and has
+		// no handle, so its record carries the next SpawnChild. A killed
+		// one is left to the collector: a stale wake-up (its old sleep
+		// deadline) may still name it, and the loop drops that only while
+		// the record stays done.
+		reuse := p.parent != nil && !p.killed && len(p.children) == 0
 		p.unlinkParent()
+		if reuse {
+			s.freeProcs = append(s.freeProcs, p)
+		}
 		s.nprocs--
 		c.proc = nil
 		c.idle, s.idle = s.idle, c

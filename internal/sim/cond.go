@@ -26,7 +26,15 @@ type condWaiter struct {
 	queued     bool // on c's list
 	signaled   bool
 	timeout    Event
+	// until is what a process parked in Acquire or Get waits for. The run
+	// loop tests it when the wake-up fires and, if it does not hold,
+	// links the waiter back at the tail instead of switching in.
+	until readiness
 }
+
+// readiness is the condition a parked Acquire or Get waits for: a free
+// slot, a queued item.
+type readiness interface{ ready() bool }
 
 // NewCond returns a condition variable bound to s.
 func NewCond(s *Sim) *Cond { return &Cond{sim: s} }
@@ -47,7 +55,7 @@ func (s *Sim) newWaiter(c *Cond, p *Proc, fn func()) *condWaiter {
 }
 
 func (s *Sim) putWaiter(w *condWaiter) {
-	w.c, w.p, w.fn = nil, nil, nil
+	w.c, w.p, w.fn, w.until = nil, nil, nil, nil
 	s.freeWaiters = append(s.freeWaiters, w)
 }
 
@@ -55,6 +63,15 @@ func (s *Sim) putWaiter(w *condWaiter) {
 // it to the list.
 func (c *Cond) enqueue(p *Proc, fn func()) *condWaiter {
 	w := c.sim.newWaiter(c, p, fn)
+	c.link(w)
+	if p != nil {
+		p.waiting = w
+	}
+	return w
+}
+
+// link appends a waiter that is off the list to its tail.
+func (c *Cond) link(w *condWaiter) {
 	w.queued = true
 	w.prev = c.tail
 	if c.tail != nil {
@@ -63,10 +80,6 @@ func (c *Cond) enqueue(p *Proc, fn func()) *condWaiter {
 		c.head = w
 	}
 	c.tail = w
-	if p != nil {
-		p.waiting = w
-	}
-	return w
 }
 
 // detach unlinks w from the wait list; a waiter already off it (signalled,
@@ -103,8 +116,14 @@ func (c *Cond) Waiters() int {
 }
 
 // Wait blocks p until a Signal or Broadcast wakes it.
-func (c *Cond) Wait(p *Proc) {
+func (c *Cond) Wait(p *Proc) { c.waitFor(p, nil) }
+
+// waitFor is Wait for a process that waits for t to hold (nil: for the
+// Signal alone). A wake-up that finds t false puts the waiter back at the
+// tail in the run loop, without resuming p: what p would have done.
+func (c *Cond) waitFor(p *Proc, t readiness) {
 	w := c.enqueue(p, nil)
+	w.until = t
 	p.yield() // a Kill unwinds from here; Kill already recycled the waiter
 	p.waiting = nil
 	// Only a Signal resumes a plain Wait, and Signal takes the waiter off
@@ -201,10 +220,14 @@ func (r *Resource) stamp() {
 	r.lastStamp = now
 }
 
-// Acquire blocks p until a slot is free, then takes it.
+func (r *Resource) ready() bool { return r.inUse < r.capacity }
+
+// Acquire blocks p until a slot is free, then takes it. A waiter woken by
+// a Release whose slot someone took before the waiter ran (a holder that
+// re-acquires at once) goes back to the tail.
 func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.cond.Wait(p)
+	for !r.ready() {
+		r.cond.waitFor(p, r)
 	}
 	r.stamp()
 	r.inUse++
@@ -213,7 +236,7 @@ func (r *Resource) Acquire(p *Proc) {
 
 // TryAcquire takes a slot if one is free without blocking.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
+	if !r.ready() {
 		return false
 	}
 	r.stamp()

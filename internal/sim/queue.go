@@ -94,10 +94,12 @@ func (q *Queue[T]) Put(v T) bool {
 	return true
 }
 
+func (q *Queue[T]) ready() bool { return q.count > 0 }
+
 // Get blocks p until an item is available and returns the oldest one.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.count == 0 {
-		q.cond.Wait(p)
+	for !q.ready() {
+		q.cond.waitFor(p, q)
 	}
 	return q.pop()
 }

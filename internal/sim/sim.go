@@ -178,6 +178,9 @@ type Sim struct {
 	Trace func(string)
 
 	freeWaiters []*condWaiter
+	// freeProcs holds the records of helpers that returned normally, for
+	// the next SpawnChild.
+	freeProcs []*Proc
 }
 
 // fatalPanic records a panic captured in a process.
@@ -512,6 +515,16 @@ func (s *Sim) loop() *Proc {
 		if s.Trace != nil {
 			s.Trace(fmt.Sprintf("t=%d dispatch %s", s.now, p.name))
 		}
+		// A process woken in Acquire or Get whose slot or item went to
+		// someone else meanwhile would only go back to the tail of its
+		// wait list and block again, scheduling nothing: do that here and
+		// spare the switch. Kill clears waiting, so a killed process is
+		// always dispatched.
+		if w := p.waiting; w != nil && w.until != nil && !w.until.ready() {
+			w.signaled = false
+			w.c.link(w)
+			continue
+		}
 		return p
 	}
 	return nil
@@ -543,7 +556,7 @@ func (s *Sim) Close() {
 	}
 	s.nprocs = 0
 	s.carriers, s.idle = nil, nil
-	s.events, s.free, s.freeWaiters = nil, nil, nil
+	s.events, s.free, s.freeWaiters, s.freeProcs = nil, nil, nil, nil
 	s.lane, s.laneHead, s.laneLive = nil, 0, 0
 	if f := s.fatal; f != nil {
 		f.raise(s.now)
@@ -607,17 +620,26 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // per operation starts a coroutine per concurrent operation, not per
 // operation; the handle is a new Proc either way.
 func (s *Sim) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
+	return s.spawn(d, name, fn, nil)
+}
+
+// spawn binds fn to an idle carrier, or a new one, in the record p (nil:
+// a fresh record) and schedules its first dispatch d from now.
+func (s *Sim) spawn(d Duration, name string, fn func(p *Proc), p *Proc) *Proc {
 	if s.closed {
 		panic("sim: Spawn after Close")
 	}
-	var p *Proc
 	c := s.idle
 	if c != nil {
 		s.idle, c.idle = c.idle, nil
-		p = new(Proc)
 	} else {
 		c = s.newCarrier()
-		p = &c.first
+		if p == nil {
+			p = &c.first
+		}
+	}
+	if p == nil {
+		p = new(Proc)
 	}
 	*p = Proc{sim: s, name: name, fn: fn, c: c}
 	c.proc = p
@@ -630,12 +652,18 @@ func (s *Sim) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 // parent kills the child too. Device fan-outs (a stripe splitting one
 // transfer across members) use it so in-flight member I/O dies with the
 // crashed host instead of completing posthumously. Scheduling is identical
-// to Spawn.
-func (s *Sim) SpawnChild(parent *Proc, name string, fn func(p *Proc)) *Proc {
-	p := s.Spawn(name, fn)
+// to Spawn. There is no handle: the record of a helper that returns
+// normally carries the next SpawnChild, so a helper must leave no wake-up
+// aimed at itself (a Park it never blocked on) when it returns.
+func (s *Sim) SpawnChild(parent *Proc, name string, fn func(p *Proc)) {
+	var p *Proc
+	if n := len(s.freeProcs); n > 0 {
+		p = s.freeProcs[n-1]
+		s.freeProcs = s.freeProcs[:n-1]
+	}
+	p = s.spawn(0, name, fn, p)
 	p.parent = parent
 	parent.children = append(parent.children, p)
-	return p
 }
 
 // unlinkParent removes a finished child from its parent's list.
