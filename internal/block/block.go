@@ -12,8 +12,7 @@
 //   - A layer that mutates a buffer must hold the only reference
 //     (Unique()); shared buffers are copy-on-write — replace them via a
 //     fresh Get plus Copy.
-//   - Release of the last reference returns the buffer to its origin pool
-//     and bumps its generation, which invalidates outstanding Handles.
+//   - Release of the last reference returns the buffer to its origin pool.
 //   - Nobody holds a buffer across its simulation's end: a ledger born from
 //     an Arena gives every buffer's bytes to the next simulation at Retire.
 //
@@ -27,7 +26,6 @@
 package block
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -36,9 +34,10 @@ import (
 // block.
 const Size = 8192
 
-// Debug enables paranoid lifecycle checking process-wide: stale Handle
-// dereferences panic instead of returning old bytes. Refcount underflow
-// always panics. Per-sim debug rides Accounting.Debug instead.
+// Debug enables paranoid lifecycle checking process-wide: a retired
+// buffer's bytes are scribbled before the next simulation reuses them.
+// Refcount underflow always panics. Per-sim debug rides Accounting.Debug
+// instead.
 var Debug bool
 
 // Accounting is one simulation's buffer ledger. Every pool charges
@@ -126,7 +125,7 @@ func (a *Accounting) issue(p *Pool) *Buf {
 
 // Retire ends the ledger's simulation: the bytes of every buffer it issued,
 // whatever still references them, go to the arena, and each old header is
-// poisoned (Ref and Release panic, Handles are stale, Data is nil) and
+// poisoned (Ref and Release panic, Data is nil) and
 // dropped from its pool, so a holder that outlived the simulation fails
 // loudly instead of sharing memory with the next one. Call it only after
 // Sim.Close, and not for a simulation that panicked. A no-op without an
@@ -144,7 +143,6 @@ func (a *Accounting) Retire() {
 		}
 		ar.free = append(ar.free, b.data)
 		b.data, b.refs, b.pool.free = nil, -1, nil
-		b.gen++
 	}
 	// Keep no more than the smallest simulation so far issued: an idle
 	// buffer is live heap and lifts the GC goal by twice its size, and capped
@@ -203,7 +201,6 @@ type Buf struct {
 	pool *Pool
 	data []byte
 	refs int32
-	gen  uint32
 }
 
 // Pool is a free list of buffers. Buffers return to the pool they were
@@ -278,7 +275,7 @@ func (b *Buf) Ref() *Buf {
 }
 
 // Release drops one reference; the last one returns the buffer to its
-// origin pool and bumps the generation, invalidating outstanding Handles.
+// origin pool.
 func (b *Buf) Release() {
 	if b.refs <= 0 {
 		panic("block: double release")
@@ -288,7 +285,6 @@ func (b *Buf) Release() {
 	if b.refs > 0 {
 		return
 	}
-	b.gen++
 	b.pool.acct.live.Add(-1)
 	b.pool.free = append(b.pool.free, b)
 }
@@ -326,34 +322,4 @@ func (p *Pin) Release() {
 	for _, b := range p.bufs {
 		b.Release()
 	}
-}
-
-// Handle is a generation-checked reference to one buffer occurrence, in
-// the style of the kernel's Event handles: it does not pin the buffer, and
-// once every real reference is released and the buffer recycles, the
-// handle goes stale instead of silently aliasing the next tenant.
-type Handle struct {
-	b   *Buf
-	gen uint32
-}
-
-// Handle returns a generation-checked handle to the buffer's current
-// occupancy.
-func (b *Buf) Handle() Handle { return Handle{b: b, gen: b.gen} }
-
-// Valid reports whether the handle still refers to the same occupancy.
-func (h Handle) Valid() bool { return h.b != nil && h.b.gen == h.gen && h.b.refs > 0 }
-
-// Buf returns the referenced buffer, nil if the handle is stale or zero.
-// Under Debug (package-wide or the buffer ledger's) a stale dereference
-// panics, naming the misuse.
-func (h Handle) Buf() *Buf {
-	if !h.Valid() {
-		if (Debug || (h.b != nil && h.b.pool.acct.Debug)) && h.b != nil {
-			panic(fmt.Sprintf("block: stale handle (gen %d, buffer at gen %d, refs %d)",
-				h.gen, h.b.gen, h.b.refs))
-		}
-		return nil
-	}
-	return h.b
 }

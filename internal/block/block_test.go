@@ -75,46 +75,6 @@ func TestDoubleReleasePanics(t *testing.T) {
 	b.Release()
 }
 
-// TestHandleGoesStale: recycling a buffer invalidates handles to the old
-// occupancy, exactly like the kernel's pooled Event handles.
-func TestHandleGoesStale(t *testing.T) {
-	p := NewPool()
-	b := p.Get()
-	h := b.Handle()
-	if !h.Valid() || h.Buf() != b {
-		t.Fatal("fresh handle invalid")
-	}
-	b.Release()
-	if h.Valid() {
-		t.Fatal("handle survived the release")
-	}
-	b2 := p.Get() // same record, next generation
-	if h.Valid() || h.Buf() != nil {
-		t.Fatal("stale handle aliases the recycled buffer")
-	}
-	if !b2.Handle().Valid() {
-		t.Fatal("fresh handle on recycled buffer invalid")
-	}
-	b2.Release()
-}
-
-// TestHandleDebugPanics: under Debug, dereferencing a stale handle panics
-// instead of returning nil.
-func TestHandleDebugPanics(t *testing.T) {
-	Debug = true
-	defer func() { Debug = false }()
-	p := NewPool()
-	b := p.Get()
-	h := b.Handle()
-	b.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale handle dereference did not panic under Debug")
-		}
-	}()
-	h.Buf()
-}
-
 // TestGetZero: a zeroed buffer really is zero even after a dirty tenant.
 func TestGetZero(t *testing.T) {
 	p := NewPool()
@@ -206,15 +166,14 @@ func TestArenaHandsBuffersOn(t *testing.T) {
 }
 
 // TestRetirePoisonsHeaders: a header held across Retire cannot reach the
-// buffer's next tenant — no bytes, Ref and Release panic, handles are
-// stale — and neither can its pool.
+// buffer's next tenant — no bytes, Ref and Release panic — and neither
+// can its pool.
 func TestRetirePoisonsHeaders(t *testing.T) {
 	ar := NewArena()
 	a := ar.NewAccounting()
 	a.Debug = true
 	p := a.NewPool()
 	held, freed := p.Get(), p.Get()
-	h := held.Handle()
 	freed.Release()
 	a.Retire()
 
@@ -227,14 +186,10 @@ func TestRetirePoisonsHeaders(t *testing.T) {
 	if held.Data() != nil || freed.Data() != nil {
 		t.Fatal("a retired header still has bytes")
 	}
-	if h.Valid() {
-		t.Fatal("handle survived the retire")
-	}
 	for name, f := range map[string]func(){
 		"Ref":             func() { held.Ref() },
 		"Release":         func() { held.Release() },
 		"Release of free": func() { freed.Release() },
-		"Handle.Buf":      func() { h.Buf() }, // a.Debug: stale dereference panics
 	} {
 		func() {
 			defer func() {

@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/block"
@@ -52,7 +53,7 @@ type Config struct {
 	GatherOverride *core.Config
 	// StripeDisks is the spindle count per server (1 = lone RZ26).
 	StripeDisks int
-	// NumNfsds is the daemon pool size per server.
+	// NumNfsds is the daemon pool size per server (default 8).
 	NumNfsds int
 	// Biods per client (0 = fully synchronous writes).
 	Biods int
@@ -98,29 +99,71 @@ type Config struct {
 	PaperBoot bool
 }
 
-// NodeConfig is one server's deviation from the cluster-wide settings.
-// Nil fields inherit the homogeneous Config value.
+// NodeConfig is one server's deviation from the cluster-wide settings,
+// and a spec's topology.servers.nodes entry. Nil fields inherit the
+// homogeneous Config value; Config.Shard resolves the two.
 type NodeConfig struct {
-	Presto      *bool
-	StripeDisks *int
-	NumNfsds    *int
-	Inodes      *int
+	Presto      *bool `json:"presto,omitempty"`
+	StripeDisks *int  `json:"stripe_disks,omitempty"`
+	Nfsds       *int  `json:"nfsds,omitempty"`
+	Inodes      *int  `json:"inodes,omitempty"`
 	// Segment places this shard on a named fabric segment, overriding
 	// Config.ServerSegment.
-	Segment *string
+	Segment *string `json:"segment,omitempty"`
 }
 
-// ClientGroup is one homogeneous client population.
+// ClientGroup is one homogeneous client population, and a spec's
+// topology.clients entry.
 type ClientGroup struct {
 	// Count is the number of client hosts in the group.
-	Count int
+	Count int `json:"count"`
 	// Biods per client (0 = fully synchronous writes).
-	Biods int
-	// MaxRetries overrides the RPC attempt bound (0 keeps the default).
-	MaxRetries int
+	Biods int `json:"biods,omitempty"`
+	// MaxRetries overrides the RPC attempt bound (0 keeps the client
+	// default of 8); crash scenarios raise it to ride out outages.
+	MaxRetries int `json:"max_retries,omitempty"`
 	// Segment places the group's hosts on a named fabric segment
 	// (default: the root).
-	Segment string
+	Segment string `json:"segment,omitempty"`
+}
+
+// Shard is one server's resolved build settings. Every boot of its
+// platters, an adopter's too, builds from them.
+type Shard struct {
+	Presto      bool
+	StripeDisks int
+	Nfsds       int
+	Inodes      int
+	Segment     string
+}
+
+// Shard resolves server i's settings: its NodeConfig override, where one
+// is set, over the homogeneous value, and the defaults (1 spindle, 8
+// nfsds, 512 inodes) where neither is. New builds each node from it, and
+// a spec's fault validation checks its targets against it.
+func (cfg *Config) Shard(i int) Shard {
+	sh := Shard{Presto: cfg.Presto, StripeDisks: cfg.StripeDisks, Nfsds: cfg.NumNfsds,
+		Inodes: cfg.Inodes, Segment: cfg.ServerSegment}
+	if i < len(cfg.Nodes) {
+		o := cfg.Nodes[i]
+		sh.Presto = deref(o.Presto, sh.Presto)
+		sh.StripeDisks = deref(o.StripeDisks, sh.StripeDisks)
+		sh.Nfsds = deref(o.Nfsds, sh.Nfsds)
+		sh.Inodes = deref(o.Inodes, sh.Inodes)
+		sh.Segment = deref(o.Segment, sh.Segment)
+	}
+	sh.StripeDisks = cmp.Or(sh.StripeDisks, 1)
+	sh.Nfsds = cmp.Or(sh.Nfsds, 8)
+	sh.Inodes = cmp.Or(sh.Inodes, 512)
+	return sh
+}
+
+// deref is *p, or def when p is nil.
+func deref[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
 }
 
 // Export is one filesystem a node serves: its home node's platters,
@@ -182,14 +225,8 @@ type Node struct {
 	// net is the segment this shard's NIC attaches to.
 	net *netsim.Network
 
-	// Resolved per-node build settings (Config defaults plus this node's
-	// NodeConfig overrides); every boot of the platters, an adopter's
-	// too, builds from these.
-	presto      bool
-	stripeDisks int
-	numNfsds    int
-	inodes      int
-	segment     string
+	// Shard is the node's resolved build settings (Config.Shard).
+	Shard Shard
 
 	// Measurement marks (IntervalStats).
 	cpuMark   sim.Duration
@@ -235,15 +272,6 @@ func New(cfg Config) *Cluster {
 	if cfg.PaperBoot && cfg.Servers != 1 {
 		panic(fmt.Sprintf("cluster: the paper boot builds one server, not %d", cfg.Servers))
 	}
-	if cfg.StripeDisks == 0 {
-		cfg.StripeDisks = 1
-	}
-	if cfg.NumNfsds == 0 {
-		cfg.NumNfsds = 8
-	}
-	if cfg.Inodes == 0 {
-		cfg.Inodes = 512
-	}
 	s := sim.New(cfg.Seed)
 	costs := hw.DEC3000CPU()
 	if cfg.CPUScale > 1 {
@@ -268,46 +296,24 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		n := &Node{
-			Export:      Export{FSID: uint32(i + 1), Name: c.serverName(i)},
-			Index:       i,
-			c:           c,
-			presto:      cfg.Presto,
-			stripeDisks: cfg.StripeDisks,
-			numNfsds:    cfg.NumNfsds,
-			inodes:      cfg.Inodes,
-			segment:     cfg.ServerSegment,
-		}
-		if i < len(cfg.Nodes) {
-			o := cfg.Nodes[i]
-			if o.Presto != nil {
-				n.presto = *o.Presto
-			}
-			if o.StripeDisks != nil && *o.StripeDisks > 0 {
-				n.stripeDisks = *o.StripeDisks
-			}
-			if o.NumNfsds != nil && *o.NumNfsds > 0 {
-				n.numNfsds = *o.NumNfsds
-			}
-			if o.Inodes != nil && *o.Inodes > 0 {
-				n.inodes = *o.Inodes
-			}
-			if o.Segment != nil && *o.Segment != "" {
-				n.segment = *o.Segment
-			}
+			Export: Export{FSID: uint32(i + 1), Name: c.serverName(i)},
+			Index:  i,
+			Shard:  cfg.Shard(i),
+			c:      c,
 		}
 		n.Home = n
 		n.Exports = []*Export{&n.Export}
-		n.net = c.Fabric.Segment(n.segment)
-		for d := 0; d < n.stripeDisks; d++ {
+		n.net = c.Fabric.Segment(n.Shard.Segment)
+		for d := 0; d < n.Shard.StripeDisks; d++ {
 			n.Disks = append(n.Disks, disk.New(s, hw.RZ26(), cfg.Acct))
 		}
-		if n.stripeDisks > 1 {
+		if len(n.Disks) > 1 {
 			n.Stripe = disk.NewStripe(s, n.Disks, 8) // 64K stripe unit
 		}
 		// The first boot formats where a later one mounts; the stack and
 		// the server start are the boot path's.
 		cpu := sim.NewResource(s, 1)
-		fs, err := ufs.Format(s, n.buildDeviceStack(cpu), n.FSID, n.inodes, cfg.Acct)
+		fs, err := ufs.Format(s, n.buildDeviceStack(cpu), n.FSID, n.Shard.Inodes, cfg.Acct)
 		if err != nil {
 			panic("cluster: " + err.Error())
 		}
@@ -421,7 +427,7 @@ func (ex *Export) buildDeviceStack(cpu *sim.Resource) disk.Device {
 	home := ex.Home
 	costs := home.c.costs
 	dev := disk.Device(server.NewChargedDevice(home.raw(), cpu, costs.DriverTrip))
-	if home.presto {
+	if home.Shard.Presto {
 		ex.Presto = nvram.New(home.c.Sim, hw.Prestoserve(), dev, home.c.cfg.Acct)
 		dev = server.NewChargedNVRAM(ex.Presto, cpu, costs.DriverTrip,
 			costs.NVRAMCopyPer8K, hw.Prestoserve().MaxIO)
@@ -430,30 +436,30 @@ func (ex *Export) buildDeviceStack(cpu *sim.Resource) disk.Device {
 }
 
 // newServer builds one server instance over fs — a node's boot or an
-// adopted export's takeover instance. It is the single source of the
-// config defaulting, gather policy, boot-verifier formula (index and
-// boot count identify the export's instance; clients detect the change
-// and know the dup cache died; the paper boot sends none) and metadata
-// charge hook.
-func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *sim.Resource, nfsds int, presto bool, index, boots int) *server.Server {
+// adopted export's takeover instance, with its home's daemon count and
+// board setting. It is the single source of the gather policy, the
+// boot-verifier formula (the home's index and boot count identify the
+// export's instance; clients detect the change and know the dup cache
+// died; the paper boot sends none) and the metadata charge hook.
+func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *sim.Resource, home *Node) *server.Server {
 	cfg := c.cfg
 	costs := c.costs
 	scfg := server.Config{
 		Name:        name,
-		NumNfsds:    nfsds,
+		NumNfsds:    home.Shard.Nfsds,
 		Gathering:   cfg.Gathering,
 		Costs:       costs,
-		Accelerated: presto,
+		Accelerated: home.Shard.Presto,
 		CPU:         cpu,
 	}
 	if !cfg.PaperBoot {
-		scfg.BootVerifier = uint64(index+1)<<32 | uint64(boots+1)
+		scfg.BootVerifier = uint64(home.Index+1)<<32 | uint64(home.Boots+1)
 	}
 	if cfg.Gathering {
 		if cfg.GatherOverride != nil {
 			scfg.Gather = *cfg.GatherOverride
 		} else {
-			scfg.Gather = core.DefaultConfig(presto, net.Params().Procrastinate)
+			scfg.Gather = core.DefaultConfig(home.Shard.Presto, net.Params().Procrastinate)
 		}
 	}
 	srv := server.New(c.Sim, net, fs, scfg)
@@ -477,9 +483,8 @@ func (n *Node) boot(p *sim.Proc, ex *Export, cpu *sim.Resource) error {
 	return nil
 }
 
-// serve starts a fresh server instance for ex over fs on cpu, with the
-// home's daemon count, board setting, index and boot count (the boot
-// verifier), and puts it on this node's NIC: the endpoint is placed on
+// serve starts a fresh server instance for ex over fs on cpu and puts it
+// on this node's NIC: the endpoint is placed on
 // the node's segment, which repoints every other segment's route at it,
 // and is born cut off if the NIC is severed. The owner map and the route
 // table then name it for the export's FSID (a reboot rewrites its own
@@ -487,8 +492,8 @@ func (n *Node) boot(p *sim.Proc, ex *Export, cpu *sim.Resource) error {
 func (n *Node) serve(ex *Export, fs *ufs.FS, cpu *sim.Resource) {
 	c, home := n.c, ex.Home
 	ex.FS = fs
-	ex.Server = c.newServer(n.net, ex.Name, fs, cpu, home.numNfsds, home.presto, home.Index, home.Boots)
-	c.Fabric.Place(ex.Name, n.segment)
+	ex.Server = c.newServer(n.net, ex.Name, fs, cpu, home)
+	c.Fabric.Place(ex.Name, n.Shard.Segment)
 	if n.Server.Endpoint().LinkDown() {
 		n.net.SetLinkDown(ex.Name, true)
 	}

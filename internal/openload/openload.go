@@ -11,10 +11,10 @@
 //     MMPP-style), seed-driven and deterministic;
 //   - a Population — the per-cell file set, built once (Populate) and
 //     shared by every client, with flat or Zipf-skewed target selection;
-//   - an admission path: each arrival claims a slot from a bounded
-//     client.IssueWindow without blocking; when the window is full the
-//     arrival waits in a bounded backlog queue, and when the backlog is
-//     full it is shed. Dequeued arrivals older than a deadline expire
+//   - an admission path: an arrival dispatches while fewer than Window
+//     operations are in flight, never blocking the arrival clock; when
+//     the window is full the arrival waits in a bounded backlog queue,
+//     and when the backlog is full it is shed. Dequeued arrivals older than a deadline expire
 //     unissued. Latency is measured from the arrival instant, so queue
 //     wait is part of every reported percentile.
 //
@@ -356,7 +356,6 @@ type Gen struct {
 	cfg     Config
 	t       workload.Target // the client and pop's files
 	pop     *Population
-	win     *client.IssueWindow
 	backlog backlog
 	rng     *rand.Rand
 	res     Result
@@ -373,8 +372,10 @@ type Gen struct {
 	next       int
 	start, end sim.Time
 	closed     bool
-	active     int
-	finish     func(*Result)
+	// active counts the operations in flight: each holds an op record,
+	// and admission dispatches only while it is below Window.
+	active int
+	finish func(*Result)
 }
 
 // NewGen builds a generator bound to one client over the shared
@@ -438,7 +439,6 @@ func (g *Gen) CheckScratch(p *sim.Proc) error {
 func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	g.sim, g.finish = s, finish
 	g.rng = newRand(g.cfg.Seed)
-	g.win = client.NewIssueWindow(g.cfg.Window)
 	g.backlog = backlog{pool: &g.pop.chunks, cap: g.cfg.QueueCap}
 	g.start = s.Now()
 	g.end = g.start.Add(g.cfg.Measure)
@@ -478,15 +478,6 @@ func (g *Gen) Run(p *sim.Proc) (Result, error) {
 	res := g.res
 	g.res.Lat = stats.Latency{}
 	return res, nil
-}
-
-// InFlight reports operations currently holding admission slots (the
-// observability plane's probe; zero before Start).
-func (g *Gen) InFlight() int {
-	if g.win == nil {
-		return 0
-	}
-	return g.win.InFlight()
 }
 
 // QueueLen reports the current backlog depth (zero before Start).
@@ -543,11 +534,10 @@ func (g *Gen) replay() {
 
 // settle hands the accounting to Start's caller once the window has closed
 // and the last operation has ended: every backlogged arrival is executed or
-// expired by the op records before they release their window slots.
+// expired by the op records before they leave the window.
 func (g *Gen) settle() {
 	if g.closed && g.active == 0 {
 		g.res.PeakQueue = g.backlog.peak
-		g.res.PeakInFlight = g.win.Peak()
 		g.finish(&g.res)
 	}
 }
@@ -565,11 +555,11 @@ func (g *Gen) nextTask(now sim.Time) task {
 }
 
 // admit is the open-loop admission decision at one arrival instant:
-// claim a window slot without blocking, else backlog, else shed. It
-// never delays the arrival clock.
+// dispatch while the window has room, else backlog, else shed. It never
+// delays the arrival clock.
 func (g *Gen) admit(t task) {
 	g.res.Offered++
-	if g.win.TryAcquire() {
+	if g.active < g.cfg.Window {
 		g.dispatch(t)
 	} else if !g.backlog.Put(t) {
 		g.res.Shed++
@@ -577,11 +567,12 @@ func (g *Gen) admit(t task) {
 }
 
 // dispatch starts one admitted task on an op record from the pool (at
-// most Window are live: each holds a window slot), at the current instant
-// after the work already scheduled for it, the slot a process spawned for
-// the task would have started in.
+// most Window are live), at the current instant after the work already
+// scheduled for it, the slot a process spawned for the task would have
+// started in.
 func (g *Gen) dispatch(t task) {
 	g.active++
+	g.res.PeakInFlight = max(g.res.PeakInFlight, g.active)
 	var o *op
 	if k := len(g.free); k > 0 {
 		o, g.free = g.free[k-1], g.free[:k-1]
@@ -596,8 +587,8 @@ func (g *Gen) dispatch(t task) {
 
 // op is one admitted operation in flight: no process, but a pooled record
 // whose continuations are bound once. After completing its task it keeps
-// its window slot and chains through the backlog until the backlog is
-// empty, then releases.
+// its place in the window and chains through the backlog until the
+// backlog is empty, then leaves it.
 type op struct {
 	g       *Gen
 	t       task
@@ -628,7 +619,6 @@ func (o *op) done(err error) {
 		return
 	}
 	g.free = append(g.free, o)
-	g.win.Release()
 	g.active--
 	g.settle()
 }

@@ -322,3 +322,53 @@ func TestRunIsStartPlusWait(t *testing.T) {
 			started[0].Completed, started[len(started)-1].Offered)
 	}
 }
+
+// TestAdmissionCapsInFlight drives one client far past what its window
+// lets through: the backlog fills and arrivals are shed, yet at no sampled
+// instant are more than Window operations (or their RPCs) in flight, and
+// the peak the result reports is Window exactly.
+func TestAdmissionCapsInFlight(t *testing.T) {
+	const window = 3
+	r := imageRig(true)
+	defer r.Sim.Close()
+	pop, err := NewPopulation(16, 4, PopFlat, 0, r.Roots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := r.Clients[0]
+	g := NewGen(cli, pop, Config{Arrival: ArrivalFixed, Rate: 20000, Window: window,
+		Measure: 100 * sim.Millisecond, Seed: 1})
+	var res *Result
+	var maxOps, maxRPCs int
+	var sample func()
+	sample = func() {
+		maxOps, maxRPCs = max(maxOps, g.active), max(maxRPCs, cli.PendingRPCs())
+		if res == nil {
+			r.Sim.At(20*sim.Microsecond, sample)
+		}
+	}
+	r.Sim.Spawn("populate", func(p *sim.Proc) {
+		if err := pop.Populate(p, r.FSByFSID, []*Gen{g}); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := g.Start(r.Sim, func(rs *Result) { res = rs }); err != nil {
+			t.Error(err)
+			return
+		}
+		sample()
+	})
+	r.Sim.Run(0)
+	if res == nil {
+		t.Fatal("the generator never settled")
+	}
+	if res.Shed == 0 {
+		t.Fatalf("no arrival shed (offered %d, completed %d): the client was not overloaded", res.Offered, res.Completed)
+	}
+	if maxOps > window || maxRPCs > window {
+		t.Fatalf("sampled %d operations and %d RPCs in flight, window %d", maxOps, maxRPCs, window)
+	}
+	if res.PeakInFlight != window {
+		t.Fatalf("PeakInFlight = %d, want the window, %d", res.PeakInFlight, window)
+	}
+}

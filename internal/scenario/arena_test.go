@@ -69,7 +69,7 @@ func TestCellsRunOnTheFirstCellsBuffers(t *testing.T) {
 	var fresh []uint64
 	for i, rc := range resolveAll(t, spec) {
 		cr := runCellTimed(rc, ar, nil)
-		cr.Label, cr.Seed = rc.label, rc.seed
+		cr.Label, cr.Seed = rc.label, rc.cfg.Seed
 		if got := cellJSON(t, cr); got != solo[i] {
 			t.Errorf("cell %s on a shared arena differs from its solo run:\n%s\n%s", rc.label, got, solo[i])
 		}
@@ -110,7 +110,7 @@ func TestPanickedCellForfeitsItsBuffers(t *testing.T) {
 	spec.Cells = spec.Cells[:3]
 	solo := soloCells(t, spec)
 	rcs := resolveAll(t, spec)
-	rcs[1].servers.Inodes = 1
+	rcs[1].cfg.Inodes = 1
 
 	ar := block.NewArena()
 	crs := make([]CellResult, len(rcs))
@@ -130,7 +130,7 @@ func TestPanickedCellForfeitsItsBuffers(t *testing.T) {
 	if !reflect.DeepEqual(started, []int{0, 1}) {
 		t.Errorf("cells started %v; the cell after the panic must not run", started)
 	}
-	crs[0].Label, crs[0].Seed = rcs[0].label, rcs[0].seed
+	crs[0].Label, crs[0].Seed = rcs[0].label, rcs[0].cfg.Seed
 	if got := cellJSON(t, crs[0]); got != solo[0] {
 		t.Errorf("cell %s before a panicked cell differs from its solo run", rcs[0].label)
 	}

@@ -106,15 +106,15 @@ func (f *FuzzFailure) String() string {
 }
 
 // regimes are the model regimes a campaign's reach table counts, each
-// read off a counter its cells already carry.
+// read off a counter its cells carry.
 var regimes = []struct {
 	name    string
 	reached func(c *CellResult) bool
 }{
-	{"socket drop", func(c *CellResult) bool { return c.Drops > 0 }},
+	{"socket drop", func(c *CellResult) bool { return c.socketDrops > 0 }},
 	{"retransmission", func(c *CellResult) bool { return c.Retransmissions > 0 }},
-	{"hunter hit", func(c *CellResult) bool { return c.Gather.HunterHits > 0 }},
-	{"orphan adoption (§6.9)", func(c *CellResult) bool { return c.Gather.Adoptions > 0 }},
+	{"hunter hit", func(c *CellResult) bool { return c.hunterHits > 0 }},
+	{"orphan adoption (§6.9)", func(c *CellResult) bool { return c.adoptions > 0 }},
 	{"bridge drop", func(c *CellResult) bool { return c.BridgeDrops > 0 }},
 	{"crash", func(c *CellResult) bool { return c.Crashes > 0 }},
 	{"failover", func(c *CellResult) bool { return c.Durability != nil && c.Durability.Failovers > 0 }},

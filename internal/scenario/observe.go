@@ -55,10 +55,10 @@ func probeCols(rc *resolved) []string {
 	}
 	cols := append([]string(nil), probeColumns...)
 	if rc.bridged() {
-		for _, sg := range rc.segments {
+		for _, sg := range rc.cfg.Segments {
 			cols = append(cols, "seg_"+sg.Name+"_util_pct")
 		}
-		for _, sg := range rc.segments {
+		for _, sg := range rc.cfg.Segments {
 			if sg.Uplink != "" {
 				cols = append(cols, "bridge_"+sg.Name+"_queue")
 			}

@@ -505,8 +505,8 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 // TestClientSetupFootprint bounds the heap an open-loop client costs,
 // before its generator starts and after: the cluster's client, its
 // generator and the cell's slot for its result, as runOpenload builds
-// them, then what Gen.Start adds (the arrival stream, the issue window,
-// the backlog and the clock's first event). Each is the slope of the live
+// them, then what Gen.Start adds (the arrival stream, the backlog and the
+// clock's first event). Each is the slope of the live
 // heap between 100 and 1,000 clients on the same 10 bridged segments, so
 // the server, its disks and the fabric drop out. A latency histogram holds
 // no buckets before its first sample and a generator's result is handed
@@ -525,7 +525,7 @@ func TestClientSetupFootprint(t *testing.T) {
 		var before, built, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		c := cluster.New(rc.clusterConfig())
+		c := cluster.New(rc.cfg)
 		defer c.Sim.Close()
 		pop, err := openload.NewPopulation(w.Files, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
 		if err != nil {

@@ -239,6 +239,12 @@ type CellResult struct {
 	Events   uint64 `json:"-"`
 	Switches uint64 `json:"-"`
 	Carriers int    `json:"-"`
+	// socketDrops, hunterHits and adoptions sum every live server's
+	// endpoint drops and engine counters at quiesce, cluster cells
+	// included, for the fuzzer's reach table. Drops and Gather report the
+	// paper boot's server only; these stay out of the JSON, so no digest
+	// moves.
+	socketDrops, hunterHits, adoptions uint64
 	// err is a spec error only running the cell could find (runOpenload's
 	// fault-before-the-window check). The cell stopped there and carries
 	// nothing else; runEngine returns it in place of the result.

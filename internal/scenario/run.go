@@ -74,7 +74,7 @@ func runEngine(spec Spec, workers int, capture obsCaptureFn) (*Result, error) {
 	}
 	for i := range crs {
 		crs[i].Label = rcs[i].label
-		crs[i].Seed = rcs[i].seed
+		crs[i].Seed = rcs[i].cfg.Seed
 	}
 	res.Cells = crs
 	return res, nil
@@ -149,7 +149,7 @@ func aggregateLADDIS(cr *CellResult, results []workload.LADDISResult) {
 // rig-assembly cell is a one-node cluster with the paper boot.
 func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellResult {
 	ob := newCellObs(rc, capture)
-	cfg := rc.clusterConfig()
+	cfg := rc.cfg
 	cfg.Acct = acct
 	// Server-side hooks must follow the server object across reboots and
 	// adoptions: the cluster re-announces every (re)built server.
@@ -310,6 +310,19 @@ func runCell(rc *resolved, acct *block.Accounting, capture obsCaptureFn) CellRes
 	}
 	cr.GatherBatch = summarize(&batch, 1)
 	cr.GatherCommitMs = summarize(&commit, 1e-3)
+	for _, n := range c.Nodes {
+		for _, ex := range n.Exports {
+			if ex.Server == nil {
+				continue
+			}
+			cr.socketDrops += ex.Server.Endpoint().Drops()
+			if eng := ex.Server.Engine(); eng != nil {
+				st := eng.Stats()
+				cr.hunterHits += st.HunterHits
+				cr.adoptions += st.Adoptions
+			}
+		}
+	}
 	if cfg.PaperBoot {
 		// The paper's server also reports its engine counters and endpoint
 		// drops. Cluster cells never did, and their recorded bytes (the
@@ -541,11 +554,11 @@ func runTrace(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	c.Sim.Run(bound)
 
 	mode := "Standard Server"
-	if rc.servers.Gathering {
+	if rc.cfg.Gathering {
 		mode = "Gathering Server"
 	}
 	title := fmt.Sprintf("Figure 1 (%s): client with %d biods, sequential writer, >%dK into file",
-		mode, rc.groups[0].Biods, rc.trace.WindowAfterKB)
+		mode, rc.cfg.ClientGroups[0].Biods, rc.trace.WindowAfterKB)
 	cr.TraceText = log.Render(title, windowStart, windowStart.Add(rc.trace.Window))
 	cr.TraceLog = log
 	cr.Elapsed = sim.Duration(c.Sim.Now())

@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -183,10 +185,29 @@ func TestFlapStormScenario(t *testing.T) {
 // deeper daemon pool, crashed once mid-stream. The override must hold
 // across the reboot (only shard 2 replays NVRAM).
 func TestPerNodeOverrides(t *testing.T) {
+	res, err := Run(heteroSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Cells[0]
+	d := c.Durability
+	if d == nil || d.Crashes != 1 || d.Reboots != 1 {
+		t.Fatalf("crash cycle did not complete: %+v", d)
+	}
+	if d.LostBytes != 0 {
+		t.Fatalf("lost %d acked bytes on the heterogeneous cluster: %s", d.LostBytes, d.FirstLoss)
+	}
+	if d.RecoveredNVRAMBlocks == 0 {
+		t.Error("the Presto override did not survive into recovery (no NVRAM replay)")
+	}
+}
+
+// heteroSpec is TestPerNodeOverrides' topology.
+func heteroSpec() Spec {
 	presto := true
 	stripe := 2
 	nfsds := 16
-	spec := Spec{
+	return Spec{
 		Name: "hetero",
 		Seed: 11,
 		Topology: Topology{
@@ -206,20 +227,35 @@ func TestPerNodeOverrides(t *testing.T) {
 			Events:          []FaultEvent{serverCrash(1, 300*sim.Millisecond, 0, 200*sim.Millisecond, 1)},
 		},
 	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestShardSettingsMatchTheBuild: the per-node settings a spec's fault
+// validation checks its targets against (the resolved config's Shard) are
+// what cluster.New builds each node with: its stripe members, its NVRAM
+// board, its nfsds, its inode table and its segment. It covers
+// TestPerNodeOverrides' topology and every registry spec with node
+// overrides.
+func TestShardSettingsMatchTheBuild(t *testing.T) {
+	specs := []Spec{heteroSpec()}
+	for _, e := range Registry() {
+		if spec := e.Build(); len(spec.Topology.Servers.Nodes) > 0 {
+			specs = append(specs, spec)
+		}
 	}
-	c := res.Cells[0]
-	d := c.Durability
-	if d == nil || d.Crashes != 1 || d.Reboots != 1 {
-		t.Fatalf("crash cycle did not complete: %+v", d)
-	}
-	if d.LostBytes != 0 {
-		t.Fatalf("lost %d acked bytes on the heterogeneous cluster: %s", d.LostBytes, d.FirstLoss)
-	}
-	if d.RecoveredNVRAMBlocks == 0 {
-		t.Error("the Presto override did not survive into recovery (no NVRAM replay)")
+	for _, spec := range specs {
+		for _, rc := range resolveAll(t, spec) {
+			c := cluster.New(rc.cfg)
+			for i, n := range c.Nodes {
+				want := rc.cfg.Shard(i)
+				want.Segment = cmp.Or(want.Segment, c.Fabric.Root())
+				got := cluster.Shard{Presto: n.Presto != nil, StripeDisks: len(n.Disks),
+					Nfsds: len(n.Server.Procs()), Inodes: n.Shard.Inodes, Segment: c.Fabric.SegmentOf(n.Name)}
+				if got != want {
+					t.Errorf("%s %s node %d: built %+v, validation sees %+v", spec.Name, rc.label, i, got, want)
+				}
+			}
+			c.Sim.Close()
+		}
 	}
 }
 

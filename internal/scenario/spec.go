@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -142,19 +143,10 @@ type Medium struct {
 	BridgeQueue int `json:"bridge_queue,omitempty"`
 }
 
-// ClientGroup is one homogeneous set of client hosts.
-type ClientGroup struct {
-	// Count is the number of hosts in the group.
-	Count int `json:"count"`
-	// Biods per client (0 = fully synchronous writes).
-	Biods int `json:"biods,omitempty"`
-	// MaxRetries overrides the RPC attempt bound (0 keeps the client
-	// default of 8); crash scenarios raise it to ride out outages.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// Segment places the group's hosts on a named media segment
-	// (default: the root segment). Requires topology.media.
-	Segment string `json:"segment,omitempty"`
-}
+// ClientGroup is one homogeneous set of client hosts: the cluster's own
+// type, so its JSON keys are cluster.ClientGroup's tags. A group's
+// segment requires topology.media.
+type ClientGroup = cluster.ClientGroup
 
 // Servers declares the server shards. Count homogeneous nodes by
 // default; Nodes deviates individual shards.
@@ -182,14 +174,9 @@ type Servers struct {
 	Nodes []NodeOverride `json:"nodes,omitempty"`
 }
 
-// NodeOverride is one shard's deviation from the homogeneous settings.
-type NodeOverride struct {
-	Presto      *bool   `json:"presto,omitempty"`
-	StripeDisks *int    `json:"stripe_disks,omitempty"`
-	Nfsds       *int    `json:"nfsds,omitempty"`
-	Inodes      *int    `json:"inodes,omitempty"`
-	Segment     *string `json:"segment,omitempty"`
-}
+// NodeOverride is one shard's deviation from the homogeneous settings:
+// the cluster's own type, resolved by cluster.Config.Shard.
+type NodeOverride = cluster.NodeConfig
 
 // Workload kinds.
 const (

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"strings"
@@ -56,19 +57,14 @@ func (s *Spec) cells() []Cell {
 
 // resolved is one cell's fully-defaulted, validated configuration.
 type resolved struct {
-	label    string
-	seed     int64
-	net      hw.NetParams
-	cpuScale float64
-	groups   []ClientGroup
+	label string
+	// cfg is the cell's cluster build, filled as the topology validates;
+	// the runner adds only the cell's ledger and observer hook. Its
+	// Segments are the fabric plan of topology.media (one entry for media
+	// of one segment), nil for a plain Net, which the cluster builds as a
+	// one-segment fabric itself. PaperBoot is the rig assembly.
+	cfg      cluster.Config
 	nclients int
-	servers  Servers
-	assembly string
-
-	// segments is the fabric build plan of topology.media (one entry for
-	// media of one segment); nil for a plain Net, which the cluster builds
-	// as a one-segment fabric itself.
-	segments []netsim.SegmentSpec
 	rootSeg  string
 	segIndex map[string]int // segment name -> media index; nil without media
 
@@ -120,19 +116,31 @@ const (
 // resolve applies cell overrides and defaults to the base spec and
 // validates the result.
 func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
+	srv := s.Topology.Servers
 	r := &resolved{
-		label:    cell.Label,
-		seed:     s.Seed,
-		cpuScale: s.Topology.CPUScale,
-		servers:  s.Topology.Servers,
-		kind:     s.Workload.Kind,
-		faults:   s.Faults,
+		label: cell.Label,
+		cfg: cluster.Config{
+			Seed:           s.Seed,
+			CPUScale:       s.Topology.CPUScale,
+			Servers:        srv.Count,
+			Presto:         srv.Presto,
+			Gathering:      srv.Gathering,
+			GatherOverride: srv.GatherOverride,
+			StripeDisks:    srv.StripeDisks,
+			NumNfsds:       srv.Nfsds,
+			Inodes:         srv.Inodes,
+			ServerSegment:  srv.Segment,
+			Nodes:          srv.Nodes,
+		},
+		kind:   s.Workload.Kind,
+		faults: s.Faults,
 	}
+	cfg := &r.cfg
 	if r.label == "" {
 		r.label = fmt.Sprintf("cell%02d", idx)
 	}
 	if cell.Seed != nil {
-		r.seed = *cell.Seed
+		cfg.Seed = *cell.Seed
 	}
 
 	// Medium. Net and Media are mutually exclusive; a media list of one
@@ -156,15 +164,11 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 		}
 		// The single-network parameters (gather procrastination, legacy
 		// configs) follow the shards' default segment.
-		if err := r.checkSegment("topology.servers.segment", r.servers.Segment); err != nil {
+		if err := r.checkSegment("topology.servers.segment", cfg.ServerSegment); err != nil {
 			return nil, err
 		}
-		serverSeg := r.servers.Segment
-		if serverSeg == "" {
-			serverSeg = r.rootSeg
-		}
-		netName = media[r.segIndex[serverSeg]].Net
-	} else if r.servers.Segment != "" {
+		netName = media[r.segIndex[cmp.Or(cfg.ServerSegment, r.rootSeg)]].Net
+	} else if cfg.ServerSegment != "" {
 		return nil, invalid("topology.servers.segment",
 			"segment placement requires topology.media")
 	}
@@ -172,54 +176,55 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	if !ok {
 		return nil, invalid("topology.net", "unknown medium %q (want one of %s)", netName, knownMediaKinds())
 	}
-	r.net = net
+	cfg.Net = net
 
 	// Client groups.
-	r.groups = groups
-	if len(r.groups) == 0 {
+	if len(groups) == 0 {
 		return nil, invalid("topology.clients", "no client groups declared")
 	}
 	if cell.Clients != nil {
-		r.groups[0].Count = *cell.Clients
+		groups[0].Count = *cell.Clients
 	}
-	for gi := range r.groups {
+	for gi := range groups {
+		g := &groups[gi]
 		if cell.Biods != nil {
-			r.groups[gi].Biods = *cell.Biods
+			g.Biods = *cell.Biods
 		}
-		if r.groups[gi].Count < 1 {
+		if g.Count < 1 {
 			return nil, invalid(fmt.Sprintf("topology.clients[%d].count", gi),
 				"zero clients (each group needs at least one host)")
 		}
-		if r.groups[gi].Biods < 0 || r.groups[gi].MaxRetries < 0 {
+		if g.Biods < 0 || g.MaxRetries < 0 {
 			return nil, invalid(fmt.Sprintf("topology.clients[%d]", gi), "negative biods or max_retries")
 		}
-		if err := r.checkSegment(fmt.Sprintf("topology.clients[%d].segment", gi), r.groups[gi].Segment); err != nil {
+		if err := r.checkSegment(fmt.Sprintf("topology.clients[%d].segment", gi), g.Segment); err != nil {
 			return nil, err
 		}
-		r.nclients += r.groups[gi].Count
+		r.nclients += g.Count
 	}
+	cfg.ClientGroups = groups
 
 	// Servers.
 	if cell.Servers != nil {
-		r.servers.Count = *cell.Servers
+		cfg.Servers = *cell.Servers
 	}
 	if cell.Gathering != nil {
-		r.servers.Gathering = *cell.Gathering
+		cfg.Gathering = *cell.Gathering
 	}
 	if cell.Presto != nil {
-		r.servers.Presto = *cell.Presto
+		cfg.Presto = *cell.Presto
 	}
-	if r.servers.Count < 1 {
+	if cfg.Servers < 1 {
 		return nil, invalid("topology.servers.count", "at least one server shard required")
 	}
-	if r.servers.Nfsds < 0 || r.servers.StripeDisks < 0 || r.servers.Inodes < 0 {
+	if cfg.NumNfsds < 0 || cfg.StripeDisks < 0 || cfg.Inodes < 0 {
 		return nil, invalid("topology.servers", "negative nfsds, stripe_disks or inodes")
 	}
-	if len(r.servers.Nodes) > r.servers.Count {
+	if len(cfg.Nodes) > cfg.Servers {
 		return nil, invalid("topology.servers.nodes",
-			"%d node overrides for %d shards", len(r.servers.Nodes), r.servers.Count)
+			"%d node overrides for %d shards", len(cfg.Nodes), cfg.Servers)
 	}
-	for ni, o := range r.servers.Nodes {
+	for ni, o := range cfg.Nodes {
 		if (o.StripeDisks != nil && *o.StripeDisks < 1) ||
 			(o.Nfsds != nil && *o.Nfsds < 1) ||
 			(o.Inodes != nil && *o.Inodes < 1) {
@@ -339,21 +344,17 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 		return nil, err
 	}
 
-	// Assembly.
+	// Assembly: the rig is the paper boot.
 	needsCluster := r.needsCluster()
 	switch s.Topology.Assembly {
 	case "":
-		r.assembly = AssemblyRig
-		if needsCluster != "" {
-			r.assembly = AssemblyCluster
-		}
+		cfg.PaperBoot = needsCluster == ""
 	case AssemblyRig:
 		if needsCluster != "" {
 			return nil, invalid("topology.assembly", "rig assembly cannot express %s", needsCluster)
 		}
-		r.assembly = AssemblyRig
+		cfg.PaperBoot = true
 	case AssemblyCluster:
-		r.assembly = AssemblyCluster
 	default:
 		return nil, invalid("topology.assembly", "unknown assembly %q", s.Topology.Assembly)
 	}
@@ -430,12 +431,6 @@ func (r *resolved) validateOpenload() error {
 	if w.FileBlocks == 0 {
 		w.FileBlocks = 4
 	}
-	if w.Window == 0 {
-		w.Window = 8
-	}
-	if w.QueueCap == 0 {
-		w.QueueCap = 4 * w.Window
-	}
 	return nil
 }
 
@@ -443,7 +438,7 @@ func (r *resolved) validateOpenload() error {
 // than one segment. Only such a cell reports segments, bridges and their
 // probe columns, or takes a segment outage: a one-segment cell is the
 // paper's lone LAN and prints what it always printed.
-func (r *resolved) bridged() bool { return len(r.segments) > 1 }
+func (r *resolved) bridged() bool { return len(r.cfg.Segments) > 1 }
 
 // checkSegment validates a placement reference: empty always means the
 // root and is fine; a name requires topology.media and must be declared.
@@ -537,7 +532,7 @@ func (r *resolved) resolveMedia(media []Medium) error {
 		if q == 0 {
 			q = DefaultBridgeQueue
 		}
-		r.segments = append(r.segments, netsim.SegmentSpec{
+		r.cfg.Segments = append(r.cfg.Segments, netsim.SegmentSpec{
 			Name:   m.Name,
 			Params: p,
 			Uplink: m.Uplink,
@@ -591,15 +586,15 @@ func trimSegments(media []Medium, groups []ClientGroup, n int) ([]Medium, []Clie
 // the rig, the paper's single-server boot, suffices).
 func (r *resolved) needsCluster() string {
 	switch {
-	case r.servers.Count > 1:
+	case r.cfg.Servers > 1:
 		return "multiple server shards"
 	case len(r.faults.Events) > 0 || r.faults.CheckDurability:
 		return "fault injection (only cluster assemblies are faultable)"
-	case len(r.servers.Nodes) > 0:
+	case len(r.cfg.Nodes) > 0:
 		return "per-node server overrides"
-	case len(r.groups) > 1:
+	case len(r.cfg.ClientGroups) > 1:
 		return "multiple client groups"
-	case r.groups[0].MaxRetries > 0:
+	case r.cfg.ClientGroups[0].MaxRetries > 0:
 		return "a client retry override"
 	case r.kind == KindStream:
 		return "the stream workload"
@@ -678,8 +673,8 @@ func (r *resolved) validateFaults() error {
 		}
 		switch f := ev.Fault().(type) {
 		case *fault.ServerCrash:
-			if f.Node < 0 || f.Node >= r.servers.Count {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
+			if f.Node < 0 || f.Node >= r.cfg.Servers {
+				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
 			}
 			if f.Count < 1 {
 				return invalid(field, "crash count must be at least 1")
@@ -727,11 +722,11 @@ func (r *resolved) validateFaults() error {
 			}
 			biodPoints = append(biodPoints, point{f.Client, f.At, field})
 		case *fault.ShardFailover:
-			if f.Node < 0 || f.Node >= r.servers.Count {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
+			if f.Node < 0 || f.Node >= r.cfg.Servers {
+				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
 			}
-			if f.To < 0 || f.To >= r.servers.Count {
-				return invalid(field, "failover to unknown node %d (topology has %d servers)", f.To, r.servers.Count)
+			if f.To < 0 || f.To >= r.cfg.Servers {
+				return invalid(field, "failover to unknown node %d (topology has %d servers)", f.To, r.cfg.Servers)
 			}
 			if f.To == f.Node {
 				return invalid(field, "a shard cannot fail over to itself")
@@ -790,7 +785,7 @@ func (r *resolved) validateFaults() error {
 				break
 			}
 			win := serverWin
-			idx, limit, what := 0, r.servers.Count, "node"
+			idx, limit, what := 0, r.cfg.Servers, "node"
 			if f.Node != nil {
 				idx = *f.Node
 			} else {
@@ -848,10 +843,10 @@ func (r *resolved) validateFaults() error {
 			}
 			r.storageFaults = true
 		case *fault.NVRAMLyingSync:
-			if f.Node < 0 || f.Node >= r.servers.Count {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.servers.Count)
+			if f.Node < 0 || f.Node >= r.cfg.Servers {
+				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
 			}
-			if !r.nodePresto(f.Node) {
+			if !r.cfg.Shard(f.Node).Presto {
 				return invalid(field, "node %d runs no NVRAM board (set topology.servers.presto or the node override)", f.Node)
 			}
 			if f.At < 0 {
@@ -991,36 +986,13 @@ func jsonName(kind string) string {
 	return strings.ReplaceAll(kind, "-", "_")
 }
 
-// nodeStripeDisks resolves one shard's spindle count: the homogeneous
-// setting (0 defaults to 1) plus any per-node override — the same
-// resolution the cluster build performs.
-func (r *resolved) nodeStripeDisks(node int) int {
-	n := r.servers.StripeDisks
-	if node < len(r.servers.Nodes) && r.servers.Nodes[node].StripeDisks != nil {
-		n = *r.servers.Nodes[node].StripeDisks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// nodePresto resolves whether one shard runs an NVRAM board.
-func (r *resolved) nodePresto(node int) bool {
-	p := r.servers.Presto
-	if node < len(r.servers.Nodes) && r.servers.Nodes[node].Presto != nil {
-		p = *r.servers.Nodes[node].Presto
-	}
-	return p
-}
-
 // checkDiskTarget validates a (node, disk) storage-fault target against
 // the resolved topology. disk -1 selects every stripe member.
 func (r *resolved) checkDiskTarget(field string, node, disk int) error {
-	if node < 0 || node >= r.servers.Count {
-		return invalid(field, "fault targets unknown node %d (topology has %d servers)", node, r.servers.Count)
+	if node < 0 || node >= r.cfg.Servers {
+		return invalid(field, "fault targets unknown node %d (topology has %d servers)", node, r.cfg.Servers)
 	}
-	if nd := r.nodeStripeDisks(node); disk < -1 || disk >= nd {
+	if nd := r.cfg.Shard(node).StripeDisks; disk < -1 || disk >= nd {
 		return invalid(field, "fault targets unknown disk %d on node %d (%d spindles; -1 means all)", disk, node, nd)
 	}
 	return nil
@@ -1028,41 +1000,11 @@ func (r *resolved) checkDiskTarget(field string, node, disk int) error {
 
 // clientBiods resolves a client index to its group's biod count.
 func (r *resolved) clientBiods(idx int) int {
-	for _, g := range r.groups {
+	for _, g := range r.cfg.ClientGroups {
 		if idx < g.Count {
 			return g.Biods
 		}
 		idx -= g.Count
 	}
 	return 0
-}
-
-// clusterConfig maps the resolved cell onto a cluster build: the paper
-// boot for the rig assembly, the crashable default for the cluster one.
-func (r *resolved) clusterConfig() cluster.Config {
-	cfg := cluster.Config{
-		PaperBoot:      r.assembly == AssemblyRig,
-		Net:            r.net,
-		Servers:        r.servers.Count,
-		Presto:         r.servers.Presto,
-		Gathering:      r.servers.Gathering,
-		GatherOverride: r.servers.GatherOverride,
-		StripeDisks:    r.servers.StripeDisks,
-		NumNfsds:       r.servers.Nfsds,
-		CPUScale:       r.cpuScale,
-		Seed:           r.seed,
-		Inodes:         r.servers.Inodes,
-		Segments:       r.segments,
-		ServerSegment:  r.servers.Segment,
-	}
-	for _, o := range r.servers.Nodes {
-		cfg.Nodes = append(cfg.Nodes, cluster.NodeConfig{
-			Presto: o.Presto, StripeDisks: o.StripeDisks, NumNfsds: o.Nfsds, Inodes: o.Inodes,
-			Segment: o.Segment,
-		})
-	}
-	for _, g := range r.groups {
-		cfg.ClientGroups = append(cfg.ClientGroups, cluster.ClientGroup(g))
-	}
-	return cfg
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,5 +108,39 @@ func TestFaultEventWireFormat(t *testing.T) {
 	}
 	if got := strings.Join(lines, "\n"); got != strings.TrimSpace(wireJSON) {
 		t.Errorf("fault events encode as\n%s\nwant\n%s", got, strings.TrimSpace(wireJSON))
+	}
+}
+
+// TestBenchWorkloadsRoundTrip reads every checked-in benchmark workload
+// (bench/ is a module of its own, which `go test ./...` here does not
+// reach): each decodes strictly, validates, and re-marshals in the file
+// format, two-space indent and a final newline, to its own bytes. A
+// schema change that would break the benchmark's specs fails here. The
+// files are only read.
+func TestBenchWorkloadsRoundTrip(t *testing.T) {
+	files, err := filepath.Glob("../../bench/workloads/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark workloads found (%v)", err)
+	}
+	for _, f := range files {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Decode(blob)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+		again, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again = append(again, '\n'); !bytes.Equal(again, blob) {
+			t.Errorf("%s does not re-marshal to its own bytes:\n%s", f, again)
+		}
 	}
 }

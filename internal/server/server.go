@@ -31,7 +31,7 @@ type Config struct {
 	// Name is the network endpoint name.
 	Name string
 	// NumNfsds is the daemon pool size (the paper's experiments use 8 for
-	// file copies and 32 for LADDIS).
+	// file copies and 32 for LADDIS; cluster.Config.Shard defaults it).
 	NumNfsds int
 	// Gathering enables the write gathering engine.
 	Gathering bool
@@ -105,9 +105,6 @@ type Server struct {
 func New(s *sim.Sim, n *netsim.Network, fs *ufs.FS, cfg Config) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "server"
-	}
-	if cfg.NumNfsds <= 0 {
-		cfg.NumNfsds = 8
 	}
 	if cfg.SockBufBytes == 0 {
 		cfg.SockBufBytes = DefaultSockBuf
