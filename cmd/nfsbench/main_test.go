@@ -22,7 +22,8 @@ func transcript(out string) string {
 
 // TestRunAllMatchesGolden is the identity gate: the whole registry's
 // transcript — every paper table and figure, every beyond-paper scenario —
-// is byte-identical to the committed one. A deliberate model change
+// is byte-identical to the committed one, with the cells run in line
+// (-j 1) and on four workers (-j 4). A deliberate model change
 // regenerates it with
 // go run ./cmd/nfsbench -run all | grep -v ' s wall' | grep -v 'total wall time' > cmd/nfsbench/testdata/run_all.golden
 func TestRunAllMatchesGolden(t *testing.T) {
@@ -30,21 +31,23 @@ func TestRunAllMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	if status := run([]string{"-run", "all"}, &stdout, &stderr); status != 0 {
-		t.Fatalf("exit %d: %s", status, stderr.String())
-	}
-	got := transcript(stdout.String())
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("line %d differs from testdata/run_all.golden:\n got %.200q\nwant %.200q", i+1, gotLines[i], wantLines[i])
+	for _, j := range []string{"1", "4"} {
+		var stdout, stderr bytes.Buffer
+		if status := run([]string{"-run", "all", "-j", j}, &stdout, &stderr); status != 0 {
+			t.Fatalf("-j %s: exit %d: %s", j, status, stderr.String())
 		}
+		got := transcript(stdout.String())
+		if got == string(want) {
+			continue
+		}
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("-j %s: line %d differs from testdata/run_all.golden:\n got %.200q\nwant %.200q", j, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("-j %s: transcript is %d lines, golden %d", j, len(gotLines), len(wantLines))
 	}
-	t.Fatalf("transcript is %d lines, golden %d", len(gotLines), len(wantLines))
 }
 
 // TestTraceAndProbesHonouredForEveryName: the paper's names write the

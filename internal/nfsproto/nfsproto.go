@@ -374,8 +374,8 @@ func (a *DirOpArgs) EncodeTo(e *xdr.Encoder) {
 }
 
 // DecodeDirOpArgs parses diropargs into a fresh record. Outside
-// tests only bench/drivers_sim.go calls it; ROADMAP item 6 moves that
-// caller onto DecodeDirOpArgsInto and deletes it.
+// tests only bench/drivers_sim.go calls it; ROADMAP's "bench/ catches
+// up" moves that caller onto DecodeDirOpArgsInto and deletes it.
 func DecodeDirOpArgs(b []byte) (*DirOpArgs, error) {
 	a := &DirOpArgs{}
 	if err := DecodeDirOpArgsInto(b, a); err != nil {
@@ -498,8 +498,8 @@ func (a *ReadArgs) EncodeTo(e *xdr.Encoder) {
 }
 
 // DecodeReadArgs parses READ arguments into a fresh record. Outside
-// tests only bench/drivers_sim.go calls it; ROADMAP item 6 moves that
-// caller onto DecodeReadArgsInto and deletes it.
+// tests only bench/drivers_sim.go calls it; ROADMAP's "bench/ catches
+// up" moves that caller onto DecodeReadArgsInto and deletes it.
 func DecodeReadArgs(b []byte) (*ReadArgs, error) {
 	a := &ReadArgs{}
 	if err := DecodeReadArgsInto(b, a); err != nil {

@@ -18,9 +18,6 @@
 //     unissued. Latency is measured from the arrival instant, so queue
 //     wait is part of every reported percentile.
 //
-// A captured op timeline (trace.OpTrace) replays through the same
-// admission path at recorded or speed-scaled instants.
-//
 // Nothing here is a process: the arrival clock is a chain of events
 // (Gen.Start), and an admitted operation is a pooled record its RPCs'
 // callbacks drive (workload.Task).
@@ -36,17 +33,22 @@ import (
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
 
-// Arrival kinds (the spec-level vocabulary).
+// Arrival kinds (the spec-level vocabulary; "" means fixed).
 const (
-	ArrivalFixed   = "fixed"
+	// ArrivalFixed emits operations on a strict fixed-rate clock.
+	ArrivalFixed = "fixed"
+	// ArrivalPoisson draws exponential inter-arrival gaps (seed-driven,
+	// deterministic) with mean 1/rate.
 	ArrivalPoisson = "poisson"
-	ArrivalBursty  = "bursty"
+	// ArrivalBursty is an on/off MMPP-style process: exponential on/off
+	// dwell times; during "on" periods arrivals run hot enough that the
+	// long-run average still meets the target rate.
+	ArrivalBursty = "bursty"
 )
 
 // Arrival generates deterministic inter-arrival gaps.
@@ -128,9 +130,11 @@ func NewArrival(kind string, rate float64, burstOn, burstOff sim.Duration) (Arri
 	}
 }
 
-// Population kinds.
+// Population kinds ("" means flat).
 const (
+	// PopFlat picks operation targets uniformly over the shared file set.
 	PopFlat = "flat"
+	// PopZipf skews picks toward a hot set with Zipf exponent s.
 	PopZipf = "zipf"
 )
 
@@ -264,9 +268,9 @@ func (p *Population) place(q *sim.Proc, fsOf func(fsid uint32) *ufs.FS, name str
 
 // Build is Populate's file half done over the wire through cli. The
 // engine no longer calls it: it stays exported, unchanged, only because
-// bench/drivers_stack.go compiles against it (ROADMAP item 5 moves that
-// driver onto Populate and deletes this), and as the reference the
-// image-equals-wire test holds Populate to.
+// bench/drivers_stack.go compiles against it (ROADMAP, "bench/ catches
+// up", moves that driver onto Populate and deletes this), and as the
+// reference the image-equals-wire test holds Populate to.
 func (p *Population) Build(q *sim.Proc, cli *client.Client) error {
 	for i, name := range p.Names {
 		cres, err := cli.Create(q, workload.RootFor(p.Roots, name), name, 0644)
@@ -313,10 +317,6 @@ type Config struct {
 	Measure sim.Duration
 	// Seed drives this generator's op/file/gap draws.
 	Seed int64
-	// Replay substitutes a captured timeline for the synthetic process;
-	// ReplaySpeed scales its clock (0 = 1x); Arrival/Rate/Mix are ignored.
-	Replay      *trace.OpTrace
-	ReplaySpeed float64
 }
 
 // Result is one generator's honest accounting of an open-loop run.
@@ -362,16 +362,14 @@ type Gen struct {
 
 	free []*op // op records not in flight
 
-	// The arrival clock (Start): tick is synthetic or replay, re-armed
-	// with At until the window closes; due is the next synthetic arrival,
-	// next the next replay record.
-	sim        *sim.Sim
-	tick       func()
-	arr        Arrival
-	due        sim.Time
-	next       int
-	start, end sim.Time
-	closed     bool
+	// The arrival clock (Start): tick is synthetic, bound once and
+	// re-armed with At until the window closes; due is the next arrival.
+	sim    *sim.Sim
+	tick   func()
+	arr    Arrival
+	due    sim.Time
+	end    sim.Time
+	closed bool
 	// active counts the operations in flight: each holds an op record,
 	// and admission dispatches only while it is below Window.
 	active int
@@ -390,9 +388,6 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.Window
 	}
-	if cfg.ReplaySpeed <= 0 {
-		cfg.ReplaySpeed = 1
-	}
 	t := workload.Target{Client: cli, Names: pop.Names, Files: pop.Files, Roots: pop.Roots}
 	return &Gen{cfg: cfg, t: t, pop: pop, res: Result{PerOp: make(map[string]int)}}
 }
@@ -404,9 +399,9 @@ func (g *Gen) scratchName() string { return "olscratch-" + g.t.Client.Name() }
 // Setup creates the scratch directory with a MKDIR over the wire; the
 // shared population must already be built. Populate does this for every
 // generator without an RPC, and the engine no longer calls Setup: it
-// stays exported, unchanged, for bench/drivers_stack.go (ROADMAP item 5
-// removes it with Build) and for the scenario tests that keep a
-// concurrent mount storm as a bug-finder.
+// stays exported, unchanged, for bench/drivers_stack.go (ROADMAP,
+// "bench/ catches up", removes it with Build) and for the scenario tests
+// that keep a concurrent mount storm as a bug-finder.
 func (g *Gen) Setup(p *sim.Proc) error {
 	sname := g.scratchName()
 	mres, err := g.t.Client.Mkdir(p, workload.RootFor(g.pop.Roots, sname), sname, 0755)
@@ -432,26 +427,21 @@ func (g *Gen) CheckScratch(p *sim.Proc) error {
 }
 
 // Start opens the window on s now. A chain of events emits arrivals until
-// Measure elapses (or the replay timeline ends); once in-flight and
-// backlogged work has drained too, finish receives the accounting. It is
-// the generator's own record, handed over by pointer, not a copy: its
-// latency histogram is the one the operations recorded into.
+// Measure elapses; once in-flight and backlogged work has drained too,
+// finish receives the accounting. It is the generator's own record,
+// handed over by pointer, not a copy: its latency histogram is the one
+// the operations recorded into.
 func (g *Gen) Start(s *sim.Sim, finish func(*Result)) error {
 	g.sim, g.finish = s, finish
 	g.rng = newRand(g.cfg.Seed)
 	g.backlog = backlog{pool: &g.pop.chunks, cap: g.cfg.QueueCap}
-	g.start = s.Now()
-	g.end = g.start.Add(g.cfg.Measure)
-	if g.cfg.Replay != nil {
-		g.tick = g.replay
-	} else {
-		arr, err := NewArrival(g.cfg.Arrival, g.cfg.Rate, g.cfg.BurstOn, g.cfg.BurstOff)
-		if err != nil {
-			return err
-		}
-		g.arr, g.tick = arr, g.synthetic
-		g.due = g.start.Add(arr.First(g.rng))
+	arr, err := NewArrival(g.cfg.Arrival, g.cfg.Rate, g.cfg.BurstOn, g.cfg.BurstOff)
+	if err != nil {
+		return err
 	}
+	start := s.Now()
+	g.arr, g.tick = arr, g.synthetic
+	g.due, g.end = start.Add(arr.First(g.rng)), start.Add(g.cfg.Measure)
 	g.tick()
 	return nil
 }
@@ -505,31 +495,6 @@ func (g *Gen) synthetic() {
 		g.admit(g.nextTask(now))
 		g.due = now.Add(g.arr.Gap(g.rng))
 	}
-}
-
-// replay re-emits a captured timeline at recorded (or speed-scaled)
-// instants through the same admission path, and closes the window after
-// the last record, or at the first one past Measure.
-func (g *Gen) replay() {
-	for ops := g.cfg.Replay.Ops; g.next < len(ops); g.next++ {
-		rec := ops[g.next]
-		at := g.start.Add(sim.Duration(float64(rec.At) / g.cfg.ReplaySpeed))
-		if g.cfg.Measure > 0 && at >= g.end {
-			break
-		}
-		now := g.sim.Now()
-		if at > now {
-			g.sim.At(at.Sub(now), g.tick)
-			return
-		}
-		op, ok := workload.OpByName(rec.Op)
-		if !ok {
-			op = workload.OpGetattr // unknown names degrade to the cheapest attr op
-		}
-		g.admit(task{at: now, op: op, file: rec.File % len(g.pop.Files), off: rec.Off})
-	}
-	g.closed = true
-	g.settle()
 }
 
 // settle hands the accounting to Start's caller once the window has closed

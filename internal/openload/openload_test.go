@@ -9,7 +9,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
@@ -265,9 +264,9 @@ func TestImageEqualsWire(t *testing.T) {
 // TestRunIsStartPlusWait holds the one arrival path to its two entry
 // points: generators started as events (Start, as the engine starts them)
 // and generators run by a waiting process (Run) give the same accounting
-// and end the simulation at the same instant. The last generator replays a
-// timeline whose only record falls past its window, so it settles inside
-// Start, before Run's process has blocked.
+// and end the simulation at the same instant. The last generator's window
+// is empty (Measure 0), so it settles inside Start, before Run's process
+// has blocked.
 func TestRunIsStartPlusWait(t *testing.T) {
 	run := func(wait bool) ([]Result, sim.Time) {
 		r := imageRig(true)
@@ -280,7 +279,7 @@ func TestRunIsStartPlusWait(t *testing.T) {
 		for i, cli := range r.Clients {
 			cfg := Config{Arrival: ArrivalPoisson, Rate: 150, Measure: 2 * sim.Second, Seed: 40 + int64(i)}
 			if i == len(gens)-1 {
-				cfg.Replay = &trace.OpTrace{Ops: []trace.OpRecord{{At: 3 * sim.Second, Op: "read"}}}
+				cfg.Measure = 0
 			}
 			gens[i] = NewGen(cli, pop, cfg)
 		}
@@ -318,7 +317,7 @@ func TestRunIsStartPlusWait(t *testing.T) {
 		t.Errorf("Start ended at %v, Run at %v; accounting equal: %v", startEnd, waitEnd, reflect.DeepEqual(started, waited))
 	}
 	if started[0].Completed == 0 || started[len(started)-1].Offered != 0 {
-		t.Errorf("first generator completed %d ops, the replay offered %d; want some and none",
+		t.Errorf("first generator completed %d ops, the empty window offered %d; want some and none",
 			started[0].Completed, started[len(started)-1].Offered)
 	}
 }

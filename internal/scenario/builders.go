@@ -299,7 +299,7 @@ func OpenloadBridged(name, description string, maxSegments, clientsPerSegment, n
 		// The retry budget let the mount storm drain when set-up was one.
 		// Every recorded cell is byte-identical without it now; it stays
 		// until bench/'s checked-in fanin-5k spec, which must equal this
-		// builder's output, is regenerated (ROADMAP item 5).
+		// builder's output, is regenerated (ROADMAP, "bench/ catches up").
 		groups = append(groups, ClientGroup{Count: clientsPerSegment, Segment: lan, MaxRetries: 100})
 	}
 	return Spec{

@@ -436,18 +436,7 @@ func TestFaultScenariosLoseNothingOverSeeds(t *testing.T) {
 			t.Fatalf("%s not registered", name)
 		}
 		for k := int64(0); k < 10; k++ {
-			spec, _ := Lookup(name)
-			spec.Cells = nil
-			for _, cell := range base.cells() {
-				seed := base.Seed
-				if cell.Seed != nil {
-					seed = *cell.Seed
-				}
-				seed += k * 7919
-				cell.Seed = &seed
-				spec.Cells = append(spec.Cells, cell)
-			}
-			res, err := Run(spec)
+			res, err := Run(seedShifted(base, k))
 			if err != nil {
 				t.Fatal(err)
 			}

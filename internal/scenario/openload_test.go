@@ -1,10 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/openload"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // kneeTestSpec is a small open-loop sweep bracketing the knee of a
@@ -207,72 +206,6 @@ func TestOpenloadQueueProbes(t *testing.T) {
 	}
 }
 
-// TestOpenloadReplayRoundTrip captures a synthetic op timeline to disk,
-// replays it through the open-loop admission path at 1x and 2x speed,
-// and checks every record arrives: trace replay is a first-class
-// workload, not a special case.
-func TestOpenloadReplayRoundTrip(t *testing.T) {
-	ops := &trace.OpTrace{Name: "unit"}
-	kinds := []string{"lookup", "getattr", "read", "write", "lookup", "getattr", "read", "getattr"}
-	for i := 0; i < 400; i++ {
-		ops.Ops = append(ops.Ops, trace.OpRecord{
-			At:   sim.Duration(i) * 5 * sim.Millisecond,
-			Op:   kinds[i%len(kinds)],
-			File: i % 10,
-			Off:  uint32(i%4) * 8192,
-		})
-	}
-	path := filepath.Join(t.TempDir(), "capture.json")
-	if err := trace.SaveOps(path, ops); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.LoadOps(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Ops, ops.Ops) {
-		t.Fatal("capture did not round-trip")
-	}
-
-	run := func(speed float64) CellResult {
-		spec := Spec{
-			Name: "replay",
-			Seed: 31,
-			Topology: Topology{
-				Net: "fddi", CPUScale: 1.8,
-				Clients: []ClientGroup{{Count: 2}},
-				Servers: Servers{Count: 1, Nfsds: 8, Inodes: 2048},
-			},
-			Workload: Workload{Kind: KindOpenload, Openload: &OpenloadWorkload{
-				Replay: &ReplayWorkload{File: path, Speed: speed},
-			}},
-		}
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("speed %g: %v", speed, err)
-		}
-		return res.Cells[0]
-	}
-	c1 := run(0) // default 1x
-	if got := c1.AchievedOpsPerSec; got < 190 || got > 210 {
-		t.Errorf("1x replay achieved %.1f ops/s, want ~200 (the capture's rate)", got)
-	}
-	var completed uint64
-	for _, oc := range c1.OpenloadClients {
-		completed += oc.Completed
-		if oc.Shed != 0 || oc.Expired != 0 {
-			t.Errorf("light replay shed/expired: %+v", oc)
-		}
-	}
-	if completed != uint64(len(ops.Ops)) {
-		t.Errorf("replay completed %d of %d captured ops", completed, len(ops.Ops))
-	}
-	c2 := run(2)
-	if got := c2.AchievedOpsPerSec; got < 380 || got > 420 {
-		t.Errorf("2x replay achieved %.1f ops/s, want ~400", got)
-	}
-}
-
 // TestOpenloadMetadataMixDominatesAttrs runs the metadata-heavy mix and
 // checks the op stream is what the spec says: lookup/getattr dominated,
 // not the LADDIS read/write balance.
@@ -318,8 +251,8 @@ func TestOpenloadMetadataMixDominatesAttrs(t *testing.T) {
 }
 
 // TestOpenloadValidation pins the typed validation errors: closed
-// vocabularies name the known kinds, replay exclusivity is enforced, and
-// every failure is a *ValidationError with a usable field path.
+// vocabularies name the known kinds, and every failure is a
+// *ValidationError with a usable field path.
 func TestOpenloadValidation(t *testing.T) {
 	base := func() Spec {
 		return OpenloadRig("v", "validation", false, 1, 4, 1,
@@ -347,16 +280,6 @@ func TestOpenloadValidation(t *testing.T) {
 			"workload.openload.measure_ns", "positive"},
 		{"negative window", func(s *Spec) { o(s).Window = -1; o(s).TargetOps = 100 },
 			"workload.openload", "negative"},
-		{"replay plus synthetic", func(s *Spec) {
-			o(s).TargetOps = 100
-			o(s).Replay = &ReplayWorkload{File: "x.json"}
-		}, "workload.openload.replay", "must be unset"},
-		{"replay missing file", func(s *Spec) {
-			*s.Workload.Openload = OpenloadWorkload{Replay: &ReplayWorkload{}}
-		}, "workload.openload.replay.file", "capture"},
-		{"replay unreadable file", func(s *Spec) {
-			*s.Workload.Openload = OpenloadWorkload{Replay: &ReplayWorkload{File: "/nonexistent/cap.json"}}
-		}, "workload.openload.replay.file", "nfstrace -capture"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -382,6 +305,21 @@ func TestOpenloadValidation(t *testing.T) {
 
 // o is shorthand for a spec's openload section in the validation table.
 func o(s *Spec) *OpenloadWorkload { return s.Workload.Openload }
+
+// TestReplayFieldIsUnknown: the open-loop workload has no replay mode, so
+// a spec file that still carries "replay" fails Decode on the unknown
+// field instead of running the synthetic arrival process in its place.
+func TestReplayFieldIsUnknown(t *testing.T) {
+	blob := []byte(`{"name": "v", "workload": {"kind": "openload", "openload":
+		{"target_ops": 100, "measure_ns": 1000000, "replay": {"file": "ops.json"}}}}`)
+	_, err := Decode(blob)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "replay"`) {
+		t.Fatalf("Decode = %v, want an unknown-field error naming replay", err)
+	}
+	if _, err := Decode(bytes.Replace(blob, []byte(`, "replay": {"file": "ops.json"}`), nil, 1)); err != nil {
+		t.Fatalf("the same spec without replay: %v", err)
+	}
+}
 
 // smokeCell runs the scaled-down bridgedsat shape the set-up tests share:
 // three Ethernet leaves of two clients each, open-loop over a bridged FDDI
@@ -516,7 +454,7 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 // math/rand source made each start cost 5.7 KB.
 func TestClientSetupFootprint(t *testing.T) {
 	const segments = 10
-	const setUpBound, startBound = 3200, 445 // measured 2,561 and 355 bytes per client, + 25 %
+	const setUpBound, startBound = 2925, 235 // measured 2,323–2,338 and 187 bytes per client, + 25 %
 	heap := func(perSegment int) (setUp, started uint64, clients int) {
 		spec := OpenloadBridged("footprint", "heap against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
 		spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}

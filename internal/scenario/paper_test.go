@@ -563,6 +563,25 @@ func checkWriteTrain(t *testing.T, label string, ms int, tr *obs.Trace) {
 	}
 }
 
+// seedShifted is spec with every cell's effective seed (its own, else the
+// spec's) moved by k × 7919, and a cell-less spec's one implicit cell
+// made explicit to carry it: run k of a claim or an oracle over seeds,
+// k = 0 being the recorded run.
+func seedShifted(spec Spec, k int64) Spec {
+	var cells []Cell
+	for _, c := range spec.cells() {
+		seed := spec.Seed
+		if c.Seed != nil {
+			seed = *c.Seed
+		}
+		seed += k * 7919
+		c.Seed = &seed
+		cells = append(cells, c)
+	}
+	spec.Cells = cells
+	return spec
+}
+
 // TestPlainDiskCopyClaimOverSeeds is the plain-disk copy claim (§7,
 // Tables 1, 3 and 5) at five seeds, not only the recorded one: with every
 // cell seed moved by k × 7919 for k = 0…4, at every biod column of 7 or
@@ -576,11 +595,7 @@ func TestPlainDiskCopyClaimOverSeeds(t *testing.T) {
 		holds := 0
 		for k := int64(0); k < seeds; k++ {
 			spec, _ := Lookup(name)
-			spec.Seed += k * 7919
-			for i := range spec.Cells {
-				s := *spec.Cells[i].Seed + k*7919
-				spec.Cells[i].Seed = &s
-			}
+			spec = seedShifted(spec, k)
 			_, halves := MustRun(spec).Families()
 			std, wg := halves["std"], halves["wg"]
 			ok, columns := true, 0

@@ -777,21 +777,6 @@ func eachSegment(c *cluster.Cluster, fn func(name string, n *netsim.Network)) {
 	}
 }
 
-// splitReplay deals a captured timeline round-robin across n clients;
-// records keep their capture-relative instants, so the aggregate arrival
-// pattern on the wire matches the capture regardless of client count.
-func splitReplay(tr *trace.OpTrace, n int) []*trace.OpTrace {
-	out := make([]*trace.OpTrace, n)
-	for i := range out {
-		out[i] = &trace.OpTrace{Name: tr.Name}
-	}
-	for i, rec := range tr.Ops {
-		t := out[i%n]
-		t.Ops = append(t.Ops, rec)
-	}
-	return out
-}
-
 // runOpenload drives the open-loop generators. Set-up is an image, not
 // traffic: one process builds the shared population and every generator's
 // scratch directory by calling ufs directly, the window opens at a shared
@@ -815,30 +800,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	w := rc.open
 	nclients := len(c.Clients)
 
-	var tr *trace.OpTrace
-	var reps []*trace.OpTrace
-	speed := 1.0
-	if w.Replay != nil {
-		var err error
-		tr, err = trace.LoadOps(w.Replay.File)
-		if err != nil {
-			// Validation checked readability; a race against deletion is a
-			// harness failure, not a measurable outcome.
-			panic("scenario: openload replay: " + err.Error())
-		}
-		if w.Replay.Speed > 0 {
-			speed = w.Replay.Speed
-		}
-		reps = splitReplay(tr, nclients)
-	}
-
-	popFiles := w.Files
-	if tr != nil {
-		if mf := tr.MaxFile(); mf+1 > popFiles {
-			popFiles = mf + 1
-		}
-	}
-	pop, err := openload.NewPopulation(popFiles, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
+	pop, err := openload.NewPopulation(w.Files, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
 	if err != nil {
 		panic("scenario: openload population: " + err.Error())
 	}
@@ -853,7 +815,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	gens := make([]*openload.Gen, nclients)
 	results := make([]*openload.Result, nclients)
 	for i, cli := range c.Clients {
-		cfg := openload.Config{
+		gens[i] = openload.NewGen(cli, pop, openload.Config{
 			Arrival:  w.Arrival,
 			Rate:     w.TargetOps / float64(nclients),
 			BurstOn:  w.BurstOn,
@@ -864,12 +826,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 			Deadline: w.Deadline,
 			Measure:  w.Measure,
 			Seed:     w.Seed + int64(i),
-		}
-		if reps != nil {
-			cfg.Replay = reps[i]
-			cfg.ReplaySpeed = speed
-		}
-		gens[i] = openload.NewGen(cli, pop, cfg)
+		})
 	}
 	finished := 0
 	ev, field, imageFault := rc.firstImageFault()
@@ -938,17 +895,11 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 		s.Run(0)
 	}
 
-	elapsed := w.Measure
-	if tr != nil && elapsed <= 0 {
-		elapsed = sim.Duration(float64(tr.Duration()) / speed)
-	}
-
 	var all stats.Histogram
-	var completed, offered uint64
+	var completed uint64
 	var latSumUs float64
 	var latN int
 	for _, res := range results {
-		offered += res.Offered
 		completed += res.Completed
 		cr.Errors += res.Errors
 		cr.ShedArrivals += res.Shed
@@ -971,17 +922,9 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 		})
 	}
 	assertOpenloadLedger(cr.OpenloadClients)
-	if tr != nil {
-		// A replay's offered rate is the capture's, not a spec knob.
-		if elapsed > 0 {
-			cr.OfferedOpsPerSec = float64(offered) / elapsed.Seconds()
-		}
-	} else {
-		cr.OfferedOpsPerSec = w.TargetOps
-	}
-	if elapsed > 0 {
-		cr.AchievedOpsPerSec = float64(completed) / elapsed.Seconds()
-	}
+	cr.Elapsed, cr.ElapsedSec = w.Measure, w.Measure.Seconds()
+	cr.OfferedOpsPerSec = w.TargetOps
+	cr.AchievedOpsPerSec = float64(completed) / cr.ElapsedSec
 	// The latency histogram stores sim.Duration ticks (microseconds).
 	const usPerMs = 1000.0
 	if latN > 0 {
@@ -994,6 +937,4 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 		cr.P99LatencyMs = all.Quantile(0.99) / usPerMs
 		cr.P999LatencyMs = all.Quantile(0.999) / usPerMs
 	}
-	cr.Elapsed = elapsed
-	cr.ElapsedSec = elapsed.Seconds()
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/openload"
 	"repro/internal/sim"
 )
 
@@ -234,7 +235,8 @@ type LADDISWorkload struct {
 	Warmup int `json:"warmup,omitempty"`
 	// Seed is handed to generator i as Seed+i but read by none: every
 	// closed-loop draw comes from the cell seed's kernel source, which
-	// disk rotation draws from too (ROADMAP item 2(f)).
+	// disk rotation draws from too (ROADMAP: the closed-loop seed under
+	// "The LADDIS fixes that would move figure 2", and "Dead fields").
 	Seed int64 `json:"seed"`
 }
 
@@ -260,25 +262,14 @@ type TraceWorkload struct {
 	Bound sim.Duration `json:"bound_ns,omitempty"`
 }
 
-// Arrival process kinds for OpenloadWorkload.Arrival.
+// Arrival process and population kinds for OpenloadWorkload.Arrival and
+// .Population: openload's vocabulary, which documents each kind.
 const (
-	// ArrivalFixed emits operations on a strict fixed-rate clock.
-	ArrivalFixed = "fixed"
-	// ArrivalPoisson draws exponential inter-arrival gaps (seed-driven,
-	// deterministic) with mean 1/rate.
-	ArrivalPoisson = "poisson"
-	// ArrivalBursty is an on/off MMPP-style process: exponential on/off
-	// dwell times; during "on" periods arrivals run hot enough that the
-	// long-run average still meets the target rate.
-	ArrivalBursty = "bursty"
-)
-
-// Population kinds for OpenloadWorkload.Population.
-const (
-	// PopFlat picks operation targets uniformly over the shared file set.
-	PopFlat = "flat"
-	// PopZipf skews picks toward a hot set with Zipf exponent ZipfS.
-	PopZipf = "zipf"
+	ArrivalFixed   = openload.ArrivalFixed
+	ArrivalPoisson = openload.ArrivalPoisson
+	ArrivalBursty  = openload.ArrivalBursty
+	PopFlat        = openload.PopFlat
+	PopZipf        = openload.PopZipf
 )
 
 // Mix kinds for OpenloadWorkload.Mix.
@@ -291,11 +282,11 @@ const (
 )
 
 // OpenloadWorkload is the open-loop arrival workload: arrivals are
-// emitted at TargetOps regardless of completions. Each arrival is
-// admitted into a bounded per-client backlog queue drained by Window
-// worker processes (the outstanding-RPC admission window); when the
-// backlog is full the arrival is shed, and dequeued arrivals older than
-// Deadline expire without being issued. Latency is measured from the
+// emitted at TargetOps regardless of completions. An arrival is issued
+// while fewer than Window operations of its client are in flight, else
+// it waits in a bounded per-client backlog queue; when the backlog is
+// full the arrival is shed, and dequeued arrivals older than Deadline
+// expire without being issued. Latency is measured from the
 // arrival instant (queue wait + service), so overload shows up honestly
 // as queue growth, shed arrivals and retransmission storms instead of a
 // silently reduced offered rate.
@@ -304,8 +295,7 @@ type OpenloadWorkload struct {
 	// or "bursty".
 	Arrival string `json:"arrival,omitempty"`
 	// TargetOps is the aggregate offered rate in ops/s, split evenly
-	// across clients. Cells override it via offered_load. Must be > 0
-	// (except for replay, which carries its own timeline).
+	// across clients. Cells override it via offered_load. Must be > 0.
 	TargetOps float64 `json:"target_ops,omitempty"`
 	// Mix selects the op mix: "laddis" (default) or "metadata".
 	Mix string `json:"mix,omitempty"`
@@ -338,21 +328,6 @@ type OpenloadWorkload struct {
 	// Seed is the generator seed base (client i draws from Seed+i),
 	// distinct from the cell seed driving the simulation kernel.
 	Seed int64 `json:"seed"`
-	// Replay substitutes a captured op timeline for the synthetic
-	// arrival process: the recorded ops replay open-loop at recorded
-	// (or speed-scaled) instants through the same admission window.
-	// Exclusive with Arrival/Mix/Population/TargetOps.
-	Replay *ReplayWorkload `json:"replay,omitempty"`
-}
-
-// ReplayWorkload points at a captured op timeline (cmd/nfstrace
-// -capture, trace.SaveOps format) to replay open-loop.
-type ReplayWorkload struct {
-	// File is the capture path (trace.OpTrace JSON).
-	File string `json:"file"`
-	// Speed scales the replay clock: 2 replays twice as fast as
-	// recorded, 0.5 half speed (default 1).
-	Speed float64 `json:"speed,omitempty"`
 }
 
 // Faults is the deterministic fault schedule.

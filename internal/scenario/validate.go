@@ -3,7 +3,6 @@ package scenario
 import (
 	"cmp"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/cluster"
@@ -361,65 +360,42 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	return r, nil
 }
 
-// Known-vocabulary lists for openload error messages.
-func knownArrivalKinds() string    { return `"fixed", "poisson", "bursty"` }
-func knownPopulationKinds() string { return `"flat", "zipf"` }
-func knownMixKinds() string        { return `"laddis", "metadata"` }
-
 // validateOpenload checks and defaults the resolved openload workload:
-// replay is exclusive with the synthetic-process fields (the capture
-// carries its own timeline, mix and skew), the arrival/mix/population
-// vocabularies are closed, and the offered rate must be positive.
+// the arrival/mix/population vocabularies are closed, and the offered
+// rate and the measured phase must be positive.
 func (r *resolved) validateOpenload() error {
 	w := &r.open
-	if w.Replay != nil {
-		if w.Arrival != "" || w.Mix != "" || w.Population != "" || w.ZipfS != 0 || w.TargetOps != 0 {
-			return invalid("workload.openload.replay",
-				"replay carries its own timeline: arrival, mix, population, zipf_s and target_ops must be unset")
-		}
-		if w.Replay.File == "" {
-			return invalid("workload.openload.replay.file", "replay needs a capture file")
-		}
-		if _, err := os.Stat(w.Replay.File); err != nil {
-			return invalid("workload.openload.replay.file",
-				"capture %q is not readable (%v); record one with nfstrace -capture", w.Replay.File, err)
-		}
-		if w.Replay.Speed < 0 {
-			return invalid("workload.openload.replay.speed", "replay speed must not be negative")
-		}
-	} else {
-		if w.TargetOps <= 0 {
-			return invalid("workload.openload.target_ops",
-				"offered rate must be > 0 ops/s (cells override it via offered_load)")
-		}
-		switch w.Arrival {
-		case "", ArrivalFixed, ArrivalPoisson, ArrivalBursty:
-		default:
-			return invalid("workload.openload.arrival",
-				"unknown arrival kind %q (want one of %s)", w.Arrival, knownArrivalKinds())
-		}
-		switch w.Mix {
-		case "", MixLADDIS, MixMetadata:
-		default:
-			return invalid("workload.openload.mix",
-				"unknown mix %q (want one of %s)", w.Mix, knownMixKinds())
-		}
-		switch w.Population {
-		case "", PopFlat, PopZipf:
-		default:
-			return invalid("workload.openload.population",
-				"unknown population %q (want one of %s)", w.Population, knownPopulationKinds())
-		}
-		if w.ZipfS < 0 {
-			return invalid("workload.openload.zipf_s", "zipf exponent must not be negative")
-		}
-		if w.ZipfS > 0 && w.Population != PopZipf {
-			return invalid("workload.openload.zipf_s",
-				"zipf_s requires population %q (got %q)", PopZipf, w.Population)
-		}
-		if w.Measure <= 0 {
-			return invalid("workload.openload.measure_ns", "measured phase must be positive")
-		}
+	if w.TargetOps <= 0 {
+		return invalid("workload.openload.target_ops",
+			"offered rate must be > 0 ops/s (cells override it via offered_load)")
+	}
+	switch w.Arrival {
+	case "", ArrivalFixed, ArrivalPoisson, ArrivalBursty:
+	default:
+		return invalid("workload.openload.arrival",
+			"unknown arrival kind %q (want one of %q, %q, %q)", w.Arrival, ArrivalFixed, ArrivalPoisson, ArrivalBursty)
+	}
+	switch w.Mix {
+	case "", MixLADDIS, MixMetadata:
+	default:
+		return invalid("workload.openload.mix",
+			"unknown mix %q (want one of %q, %q)", w.Mix, MixLADDIS, MixMetadata)
+	}
+	switch w.Population {
+	case "", PopFlat, PopZipf:
+	default:
+		return invalid("workload.openload.population",
+			"unknown population %q (want one of %q, %q)", w.Population, PopFlat, PopZipf)
+	}
+	if w.ZipfS < 0 {
+		return invalid("workload.openload.zipf_s", "zipf exponent must not be negative")
+	}
+	if w.ZipfS > 0 && w.Population != PopZipf {
+		return invalid("workload.openload.zipf_s",
+			"zipf_s requires population %q (got %q)", PopZipf, w.Population)
+	}
+	if w.Measure <= 0 {
+		return invalid("workload.openload.measure_ns", "measured phase must be positive")
 	}
 	if w.Files < 0 || w.FileBlocks < 0 || w.Window < 0 || w.QueueCap < 0 ||
 		w.Deadline < 0 || w.BurstOn < 0 || w.BurstOff < 0 {

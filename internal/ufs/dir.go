@@ -23,8 +23,9 @@ import (
 // fan-in: 21 blocks in 5 device transactions per MKDIR). FFS would rewrite
 // only the block holding the entry. The whole-directory flush is kept
 // because every recorded result was taken under it: charging less is a
-// change to the model, to be made on its own and re-recorded (ROADMAP
-// item 4). Only the host work is incremental — see storeDir.
+// change to the model, to be made on its own and re-recorded (ROADMAP:
+// the one-block directory flush under "Namespace durability is
+// falsifiable"). Only the host work is incremental — see storeDir.
 
 const (
 	dirHeaderSize = 4  // entry count

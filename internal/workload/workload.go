@@ -91,17 +91,6 @@ func (m Mix) Pick(r int) Op {
 	return OpLookup
 }
 
-// OpByName resolves an operation name from the opNames vocabulary
-// (trace-capture records use the names); ok is false for unknown names.
-func OpByName(name string) (Op, bool) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), true
-		}
-	}
-	return 0, false
-}
-
 // Target is what one generator issues its operations against: the
 // client, the working set, the shard roots and a private scratch
 // directory. The closed loop (LADDIS) and the open loop (openload.Gen)
@@ -117,7 +106,8 @@ type Target struct {
 	// RemoveNewest makes the REMOVE after a CREATE name the newest
 	// sequence number issued, which another task's is when two CREATEs
 	// overlap: the recorded closed-loop rule. Without it a CREATE removes
-	// its own name. ROADMAP item 2(b) deletes the field and re-records.
+	// its own name. The REMOVE rule under ROADMAP's "The LADDIS fixes
+	// that would move figure 2" deletes the field and re-records.
 	RemoveNewest bool
 
 	seq int // the last CREATE's number; CREATE names are t<seq>
@@ -237,7 +227,8 @@ type LADDISConfig struct {
 	Duration sim.Duration
 	// Seed is read nowhere: Run draws every op, file and offset from the
 	// simulation's own source (Sim.Rand), which disk rotation draws from
-	// too. It stays because spec files carry it; ROADMAP item 2(f) gives
+	// too. It stays because spec files carry it; the closed-loop seed
+	// under ROADMAP's "The LADDIS fixes that would move figure 2" gives
 	// the closed loop a source of its own seeded from it.
 	Seed int64
 	// Roots, when set, shards the working set across several exports: each
