@@ -40,10 +40,16 @@ type Client struct {
 	// its clients its one table, which a failover rewrites in place.
 	Routes map[uint32]string
 
-	xidSeq  uint32
-	pending map[uint32]*pendingCall
-	freePC  []*pendingCall // pendingCall pool
-	credRaw []byte         // AUTH_UNIX credential, constant per client
+	xidSeq uint32
+	// pending lists the calls awaiting replies, newest first, linked
+	// through their records. A client has few in flight at once, so a
+	// reply finds its call by a walk.
+	pending *pendingCall
+	credRaw []byte // AUTH_UNIX credential, constant per client
+	// CallPool is the free list the client's pending-call records come
+	// from. cluster.New gives one to all of its clients; a client without
+	// one makes its own on first use.
+	CallPool *CallPool
 	// pool backs write payload staging for what is not a whole aligned
 	// block of the pattern (PatternBuf): a refcounted buffer that rides
 	// the wire by reference (every in-flight datagram holds its own ref),
@@ -54,10 +60,13 @@ type Client struct {
 	// audit pattern is sent from (PatternBuf). cluster.New gives one to
 	// all of its clients; a client without one makes its own on first use.
 	Pages *Pages
-	// bootIDs remembers the last boot-instance verifier seen per server;
-	// a change means the server rebooted and its dup cache is gone.
-	bootIDs map[string]uint64
+	// bootIDs remembers the last boot-instance verifier seen per server,
+	// one entry per server that has answered; a change means the server
+	// rebooted and its dup cache is gone.
+	bootIDs []bootID
 
+	// jobs is the write-behind queue and closeCond Close's wait; both are
+	// made only for a client with biods.
 	jobs      *sim.Queue[writeJob]
 	idleBiods int
 	numBiods  int
@@ -139,12 +148,19 @@ type Client struct {
 	OnRPC func(proc nfsproto.Proc, xid uint32, issued sim.Time, attempts int, ok bool)
 }
 
-// pendingCall is one RPC from start to settle, pooled per client: the
+// bootID is the last boot-instance verifier a server's replies carried.
+type bootID struct {
+	server string
+	verf   uint64
+}
+
+// pendingCall is one RPC from start to settle, pooled in a CallPool: the
 // call's state for the retransmission loop (start, aim, settle), the reply
 // decode target, so the steady-state path allocates no ReplyMsg, and Go's
 // continuations, bound once when the record is made.
 type pendingCall struct {
 	c        *Client
+	next     *pendingCall // the client's pending list, or the pool's
 	cond     sim.Cond
 	reply    *oncrpc.ReplyMsg // nil until a reply arrives; points at replyBuf
 	replyBuf oncrpc.ReplyMsg
@@ -182,18 +198,30 @@ type pendingCall struct {
 	waitFn func()
 }
 
-// getPC takes a pending-call record from the pool.
+// CallPool is a free list of pending-call records. A record is busy only
+// from start to endCall, so a cell whose clients share one needs as many
+// records as it has calls in flight at once, not one per client that ever
+// called. Its records belong to one simulation.
+type CallPool struct {
+	free *pendingCall
+}
+
+// getPC takes a pending-call record from the client's pool and binds it
+// to the client.
 func (c *Client) getPC() *pendingCall {
-	if n := len(c.freePC); n > 0 {
-		pc := c.freePC[n-1]
-		c.freePC = c.freePC[:n-1]
-		pc.reply = nil
-		pc.cond.Init(c.sim)
-		return pc
+	if c.CallPool == nil {
+		c.CallPool = new(CallPool)
 	}
-	pc := &pendingCall{c: c}
+	pc := c.CallPool.free
+	if pc != nil {
+		c.CallPool.free = pc.next
+		pc.reply = nil
+	} else {
+		pc = new(pendingCall)
+		pc.sentFn, pc.waitFn = pc.sent, pc.wait
+	}
+	pc.c = c
 	pc.cond.Init(c.sim)
-	pc.sentFn, pc.waitFn = pc.sent, pc.wait
 	return pc
 }
 
@@ -224,14 +252,14 @@ func New(s *sim.Sim, n *netsim.Network, name, server string, params hw.ClientPar
 		name:       name,
 		server:     server,
 		params:     params,
-		pending:    make(map[uint32]*pendingCall),
-		jobs:       sim.NewQueue[writeJob](s, 0),
 		numBiods:   numBiods,
-		closeCond:  sim.NewCond(s),
 		MaxRTO:     params.RetransMax,
 		MaxRetries: 8,
 		credRaw:    (&oncrpc.UnixCred{MachineName: name, UID: 0, GID: 0}).Encode(),
 		pool:       block.Or(acct).NewPool(),
+	}
+	if numBiods > 0 {
+		c.jobs, c.closeCond = sim.NewQueue[writeJob](s, 0), sim.NewCond(s)
 	}
 	c.startDaemons()
 	return c
@@ -275,8 +303,8 @@ func (c *Client) receive(dg *netsim.Datagram) {
 		dg.Release()
 		return
 	}
-	pc, active := c.pending[xid]
-	if !active || pc.reply != nil {
+	pc := c.call(xid)
+	if pc == nil || pc.reply != nil {
 		dg.Release() // late duplicate reply; drop
 		return
 	}
@@ -287,13 +315,7 @@ func (c *Client) receive(dg *netsim.Datagram) {
 	// A changed boot-instance verifier is the client's only evidence that
 	// the server restarted (and lost its duplicate cache).
 	if id, has := oncrpc.BootVerf(pc.replyBuf.Verf); has {
-		if last, seen := c.bootIDs[dg.From]; seen && last != id {
-			c.RebootsSeen++
-		}
-		if c.bootIDs == nil {
-			c.bootIDs = make(map[string]uint64)
-		}
-		c.bootIDs[dg.From] = id
+		c.sawBoot(dg.From, id)
 	}
 	// The reply's head, which the decoded reply aliases, and a split
 	// reply's data block stay with the call instead of dying with the
@@ -303,6 +325,30 @@ func (c *Client) receive(dg *netsim.Datagram) {
 	dg.Release()
 	pc.reply = &pc.replyBuf
 	pc.cond.Signal()
+}
+
+// call returns the pending call with XID xid, or nil if none is pending.
+func (c *Client) call(xid uint32) *pendingCall {
+	pc := c.pending
+	for pc != nil && pc.xid != xid {
+		pc = pc.next
+	}
+	return pc
+}
+
+// sawBoot records server's boot verifier id and counts a reboot if the
+// server's last reply carried another.
+func (c *Client) sawBoot(server string, id uint64) {
+	for i := range c.bootIDs {
+		if b := &c.bootIDs[i]; b.server == server {
+			if b.verf != id {
+				c.RebootsSeen++
+				b.verf = id
+			}
+			return
+		}
+	}
+	c.bootIDs = append(c.bootIDs, bootID{server, id})
 }
 
 // Req names one procedure and its arguments, for Go and for the blocking
@@ -384,7 +430,7 @@ func (c *Client) start(proc nfsproto.Proc, fh nfsproto.FH, out *block.Buf, outLe
 	if pc.tries <= 0 {
 		pc.tries = 8
 	}
-	c.pending[pc.xid] = pc
+	pc.next, c.pending = c.pending, pc
 	c.Calls++
 	return pc
 }
@@ -443,20 +489,28 @@ func (pc *pendingCall) outcome() (*oncrpc.ReplyMsg, error) {
 	return reply, nil
 }
 
-// endCall retires a settled (or abandoned) call and releases its head. The
-// reply's head and body, if it had them, become the client's; the ones
-// held for the previous call are dead by the scratch discipline. The
-// returned reply stays readable until the record is next taken from the
-// pool.
+// endCall retires a settled (or abandoned) call, releases its head and
+// returns its record to the pool. The reply's head and body, if it had
+// them, become the client's; the ones held for the previous call are dead
+// by the scratch discipline. The returned reply stays readable until the
+// record is next taken from the pool.
 func (c *Client) endCall(pc *pendingCall) {
-	delete(c.pending, pc.xid)
-	pc.head.Release()
+	p := &c.pending
+	for *p != pc {
+		p = &(*p).next
+	}
+	*p = pc.next
+	releaseHead(pc.head)
 	c.dropReply()
 	c.replyHead, c.replyBody, c.replyBodyLen = pc.replyHead, pc.body, pc.bodyLen
 	pc.replyHead, pc.body, pc.bodyLen = netsim.Head{}, nil, 0
 	pc.head, pc.out, pc.req, pc.done = netsim.Head{}, nil, Req{}, nil
-	c.freePC = append(c.freePC, pc)
+	pc.next, c.CallPool.free = c.CallPool.free, pc
 }
+
+// releaseHead drops a call head's reference in endCall. It is a variable
+// only so that a test can plant a leak (export_test.go).
+var releaseHead = netsim.Head.Release
 
 // do performs the RPC r names from the parked process p, the blocking
 // driver of the retransmission loop, and decodes its reply. It returns the
@@ -644,7 +698,13 @@ func (c *Client) HeldHeads() int {
 
 // PendingRPCs reports calls awaiting replies right now — the
 // outstanding-RPC probe of the observability plane.
-func (c *Client) PendingRPCs() int { return len(c.pending) }
+func (c *Client) PendingRPCs() int {
+	n := 0
+	for pc := c.pending; pc != nil; pc = pc.next {
+		n++
+	}
+	return n
+}
 
 // Lookup resolves name in dir.
 func (c *Client) Lookup(p *sim.Proc, dir nfsproto.FH, name string) (*nfsproto.DirOpRes, error) {
@@ -821,7 +881,7 @@ func (c *Client) biod(p *sim.Proc) {
 // reference to b, holding n bytes, passes to the write path, which
 // releases it when the RPC completes.
 func (c *Client) WriteBehind(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
-	if c.idleBiods > c.jobs.Len() {
+	if c.jobs != nil && c.idleBiods > c.jobs.Len() {
 		c.outstanding++
 		if c.OnWriteBuffered != nil {
 			c.OnWriteBuffered(fh, off, n)
@@ -878,13 +938,7 @@ func (c *Client) Crash() {
 	c.net.Detach(c.name)
 	// Dirty write-behind dies with host memory; queued jobs still hold
 	// their staging-buffer references.
-	for {
-		job, ok := c.jobs.TryGet()
-		if !ok {
-			break
-		}
-		job.buf.Release()
-	}
+	c.dropQueued()
 	c.dropReply() // host memory
 	// Flow-control state resets with the daemons: killed biods never run
 	// their post-Get bookkeeping, and nothing outstanding can complete.
@@ -913,6 +967,9 @@ func (c *Client) Reboot() {
 // slot is settled here so a later Close does not wait on a corpse. It
 // returns how many daemons actually died.
 func (c *Client) KillBiods(n int) int {
+	if c.jobs == nil {
+		return 0 // a client made without biods has none to lose
+	}
 	killed := 0
 	for i := len(c.daemons) - 1; i >= 0 && killed < n; i-- {
 		pr := c.daemons[i]
@@ -938,14 +995,7 @@ func (c *Client) KillBiods(n int) int {
 	// unacked like a killed daemon's in-flight write, and their
 	// flow-control slots settle here so Close never hangs on them.
 	if c.numBiods == 0 {
-		for {
-			job, ok := c.jobs.TryGet()
-			if !ok {
-				break
-			}
-			job.buf.Release()
-			c.outstanding--
-		}
+		c.outstanding -= c.dropQueued()
 		c.closeCond.Broadcast()
 	} else {
 		// A killed idle daemon may have consumed a same-instant Put's
@@ -960,6 +1010,23 @@ func (c *Client) KillBiods(n int) int {
 	}
 	c.BiodsLost += killed
 	return killed
+}
+
+// dropQueued releases the buffers of the write-behind jobs no biod has
+// taken and reports how many there were.
+func (c *Client) dropQueued() int {
+	if c.jobs == nil {
+		return 0
+	}
+	n := 0
+	for {
+		job, ok := c.jobs.TryGet()
+		if !ok {
+			return n
+		}
+		job.buf.Release()
+		n++
+	}
 }
 
 // Outstanding reports in-flight write-behind requests (diagnostics).

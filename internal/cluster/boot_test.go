@@ -143,3 +143,52 @@ func TestCrashRightAfterBoot(t *testing.T) {
 		c.Sim.Close()
 	}
 }
+
+// TestRebootsSeenPerServer holds a client's boot verifiers to one per
+// server: of a two-shard cluster one shard crashes and reboots twice, and
+// only that shard's first reply after each boot counts, however the
+// client's calls alternate between the shards. The verifier is the
+// client's only evidence that a server's duplicate cache is gone.
+func TestRebootsSeenPerServer(t *testing.T) {
+	c := New(Config{Net: hw.FDDI(), Servers: 2, Seed: 1})
+	defer c.Sim.Close()
+	c.Sim.Run(0)
+	cli, roots, node := c.Clients[0], c.Roots(), c.Nodes[1]
+	steps := 0
+	c.Sim.Spawn("app", func(p *sim.Proc) {
+		// ask GETATTRs the shards' roots in turn, shard 0 first, and
+		// checks the count after each reply against want.
+		ask := func(step string, want ...uint64) bool {
+			for i, w := range want {
+				if res, err := cli.Getattr(p, roots[i%2]); err != nil || res.Status != nfsproto.OK {
+					t.Errorf("%s: getattr of shard %d: %v %v", step, i%2, err, res)
+					return false
+				}
+				if cli.RebootsSeen != w {
+					t.Errorf("%s: after shard %d's reply, %d reboots seen, want %d", step, i%2, cli.RebootsSeen, w)
+				}
+			}
+			steps++
+			return true
+		}
+		reboot := func() bool {
+			node.Crash()
+			p.Sleep(10 * sim.Millisecond)
+			if err := node.Reboot(p); err != nil {
+				t.Error(err)
+				return false
+			}
+			return true
+		}
+		// Shard 1 is the one that reboots.
+		if !ask("first replies", 0, 0, 0, 0) || !reboot() ||
+			!ask("after one reboot", 0, 1, 1, 1) || !reboot() ||
+			!ask("after two reboots", 1, 2, 2, 2) {
+			return
+		}
+	})
+	c.Sim.Run(0)
+	if steps != 3 {
+		t.Fatalf("the client script stopped after %d of 3 steps", steps)
+	}
+}

@@ -349,6 +349,14 @@ func New(cfg Config) *Cluster {
 	if len(groups) == 0 {
 		groups = []ClientGroup{{Count: cfg.Clients, Biods: cfg.Biods, MaxRetries: cfg.ClientRetries}}
 	}
+	// One free list of pending-call records serves every client: a record
+	// is busy only while its call is in flight.
+	calls := new(client.CallPool)
+	total := 0
+	for _, g := range groups {
+		total += g.Count
+	}
+	c.Clients = make([]*client.Client, 0, total)
 	idx := 0
 	for _, g := range groups {
 		cnet := c.Fabric.Segment(g.Segment)
@@ -357,7 +365,7 @@ func New(cfg Config) *Cluster {
 			name := fmt.Sprintf("client%d", idx)
 			cli := client.New(s, cnet, name, c.Nodes[0].Name,
 				hw.DEC3000Client(), g.Biods, cfg.Acct)
-			cli.Pages = c.Pages
+			cli.Pages, cli.CallPool = c.Pages, calls
 			cli.Routes = c.routes
 			c.Fabric.Place(name, g.Segment)
 			if g.MaxRetries > 0 {

@@ -149,6 +149,7 @@ type Population struct {
 	Blocks int           // file size in 8K blocks
 	cdf    []float64     // cumulative pick weights; nil = flat
 	chunks chunks        // the generators' spare backlog storage
+	ops    *op           // the generators' op records not in flight
 }
 
 // NewPopulation describes a population of n files of blocks 8K blocks
@@ -339,7 +340,9 @@ type Result struct {
 	PeakInFlight int
 	// Lat streams arrival-to-completion latency (queue wait + service)
 	// for successful ops into constant memory (mean/max/percentiles).
-	Lat   stats.Latency
+	Lat stats.Latency
+	// PerOp counts completed operations by name, filled in when the
+	// generator settles; nil if none completed.
 	PerOp map[string]int
 }
 
@@ -359,8 +362,7 @@ type Gen struct {
 	backlog backlog
 	rng     *rand.Rand
 	res     Result
-
-	free []*op // op records not in flight
+	perOp   workload.OpCounts // Result.PerOp until the generator settles
 
 	// The arrival clock (Start): tick is synthetic, bound once and
 	// re-armed with At until the window closes; due is the next arrival.
@@ -389,7 +391,7 @@ func NewGen(cli *client.Client, pop *Population, cfg Config) *Gen {
 		cfg.QueueCap = 4 * cfg.Window
 	}
 	t := workload.Target{Client: cli, Names: pop.Names, Files: pop.Files, Roots: pop.Roots}
-	return &Gen{cfg: cfg, t: t, pop: pop, res: Result{PerOp: make(map[string]int)}}
+	return &Gen{cfg: cfg, t: t, pop: pop}
 }
 
 // scratchName names the generator's private scratch directory (create
@@ -497,13 +499,18 @@ func (g *Gen) synthetic() {
 	}
 }
 
-// settle hands the accounting to Start's caller once the window has closed
-// and the last operation has ended: every backlogged arrival is executed or
-// expired by the op records before they leave the window.
+// settle hands the accounting to Start's caller, once, when the window
+// has closed and the last operation has ended: every backlogged arrival
+// is executed or expired by the op records before they leave the window.
 func (g *Gen) settle() {
-	if g.closed && g.active == 0 {
+	if g.closed && g.active == 0 && g.finish != nil {
 		g.res.PeakQueue = g.backlog.peak
-		g.finish(&g.res)
+		if g.res.Completed > 0 {
+			g.res.PerOp = g.perOp.Map()
+		}
+		finish := g.finish
+		g.finish = nil
+		finish(&g.res)
 	}
 }
 
@@ -531,34 +538,38 @@ func (g *Gen) admit(t task) {
 	}
 }
 
-// dispatch starts one admitted task on an op record from the pool (at
-// most Window are live), at the current instant after the work already
-// scheduled for it, the slot a process spawned for the task would have
-// started in.
+// dispatch starts one admitted task on an op record from the population's
+// pool (at most Window are live per generator), at the current instant
+// after the work already scheduled for it, the slot a process spawned for
+// the task would have started in.
 func (g *Gen) dispatch(t task) {
 	g.active++
 	g.res.PeakInFlight = max(g.res.PeakInFlight, g.active)
-	var o *op
-	if k := len(g.free); k > 0 {
-		o, g.free = g.free[k-1], g.free[:k-1]
+	o := g.pop.ops
+	if o != nil {
+		g.pop.ops = o.next
+		o.k.Bind(&g.t)
 	} else {
-		o = &op{g: g}
+		o = new(op)
 		o.k = g.t.NewTask(o.done)
 		o.startFn = o.start
 	}
-	o.t = t
+	o.g, o.t = g, t
 	g.sim.At(0, o.startFn)
 }
 
-// op is one admitted operation in flight: no process, but a pooled record
-// whose continuations are bound once. After completing its task it keeps
-// its place in the window and chains through the backlog until the
-// backlog is empty, then leaves it.
+// op is one admitted operation in flight: no process, but a record whose
+// continuations are bound once, pooled by the population that all of a
+// cell's generators share, so a cell makes as many as it has operations
+// in flight at once. After completing its task it keeps its place in its
+// generator's window and chains through the backlog until the backlog is
+// empty, then leaves it.
 type op struct {
 	g       *Gen
 	t       task
 	k       *workload.Task
 	startFn func()
+	next    *op // the population's free list
 }
 
 func (o *op) start() {
@@ -572,7 +583,7 @@ func (o *op) done(err error) {
 	g := o.g
 	now := g.sim.Now()
 	g.res.Completed++
-	g.res.PerOp[o.t.op.String()]++
+	g.perOp[o.t.op]++
 	if err != nil {
 		g.res.Errors++
 	} else {
@@ -583,7 +594,7 @@ func (o *op) done(err error) {
 		o.start()
 		return
 	}
-	g.free = append(g.free, o)
+	o.next, g.pop.ops = g.pop.ops, o
 	g.active--
 	g.settle()
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/openload"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // kneeTestSpec is a small open-loop sweep bracketing the knee of a
@@ -440,65 +441,121 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 	}
 }
 
-// TestClientSetupFootprint bounds the heap an open-loop client costs,
-// before its generator starts and after: the cluster's client, its
-// generator and the cell's slot for its result, as runOpenload builds
-// them, then what Gen.Start adds (the arrival stream, the backlog and the
-// clock's first event). Each is the slope of the live
-// heap between 100 and 1,000 clients on the same 10 bridged segments, so
-// the server, its disks and the fabric drop out. A latency histogram holds
-// no buckets before its first sample and a generator's result is handed
-// over, not copied: a client cost 8.9 KB before its start when the
-// client's, the generator's and the copied result's histograms were three
-// fixed 2 KB bucket arrays. The arrival stream is a 16-byte PCG: a
-// math/rand source made each start cost 5.7 KB.
+// TestClientSetupFootprint bounds the heap an open-loop client costs at
+// three points: set up (the cluster's client, its generator and the
+// cell's slot for its result, as runOpenload builds them), started (what
+// Gen.Start adds: the arrival stream, the backlog and the clock's first
+// event) and served (what a start and one completed operation, a
+// GETATTR, leave behind: besides the start's share, the latency
+// histogram's one bucket, the result's per-op counts, the boot verifier
+// and the server's dup-cache record of the call). Each is the slope of
+// the live heap between 100 and 1,000 clients on the same 10 bridged
+// segments, so the server, its disks, the fabric and the cell's pools of
+// pending-call and op records drop out. A client cost 8.9 KB before
+// its start when the client's, the generator's and the copied result's
+// histograms were three fixed 2 KB bucket arrays, and a start 5.7 KB with
+// a math/rand source for the arrival stream. A served client held 2,079
+// bytes when each client pooled its own pending-call record and op
+// record, kept its latency histogram as every bucket from 0 up to its
+// sample's, and kept its pending calls, boot verifiers and per-op counts
+// in maps.
 func TestClientSetupFootprint(t *testing.T) {
 	const segments = 10
-	const setUpBound, startBound = 2925, 235 // measured 2,323–2,338 and 187 bytes per client, + 25 %
-	heap := func(perSegment int) (setUp, started uint64, clients int) {
+	const setUpBound, startBound, servedBound = 2675, 235, 915 // measured 2,123–2,138, 182–188 and 721–729 bytes per client, + 25 %
+	resolve := func(perSegment int) *resolved {
 		spec := OpenloadBridged("footprint", "heap against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
 		spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}
-		rc := resolveAll(t, spec)[0]
-		w := rc.open
-		var before, built, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		return resolveAll(t, spec)[0]
+	}
+	build := func(rc *resolved) (*cluster.Cluster, *openload.Population) {
 		c := cluster.New(rc.cfg)
-		defer c.Sim.Close()
+		w := rc.open
 		pop, err := openload.NewPopulation(w.Files, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
 		if err != nil {
 			t.Fatal(err)
 		}
+		return c, pop
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	heap := func(perSegment int) (setUp, started uint64, clients int) {
+		rc := resolve(perSegment)
+		before := live()
+		c, pop := build(rc)
+		defer c.Sim.Close()
+		w := rc.open
 		gens := make([]*openload.Gen, len(c.Clients))
 		results := make([]*openload.Result, len(c.Clients))
 		for i, cli := range c.Clients {
 			gens[i] = openload.NewGen(cli, pop, openload.Config{Arrival: w.Arrival, Rate: w.TargetOps / float64(len(c.Clients)),
 				Measure: w.Measure, Seed: w.Seed + int64(i)})
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&built)
+		built := live()
 		for i, g := range gens {
 			if err := g.Start(c.Sim, func(res *openload.Result) { results[i] = res }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
+		after := live()
 		runtime.KeepAlive(gens)
 		runtime.KeepAlive(results)
-		return built.HeapAlloc - before.HeapAlloc, after.HeapAlloc - built.HeapAlloc, len(c.Clients)
+		return built - before, after - built, len(c.Clients)
+	}
+	// served starts every generator of a populated cell for one arrival
+	// each, a GETATTR, and reports what the cell holds once all have
+	// settled over what it held before the starts.
+	served := func(perSegment int) uint64 {
+		rc := resolve(perSegment)
+		c, pop := build(rc)
+		defer c.Sim.Close()
+		w := rc.open
+		gens := make([]*openload.Gen, len(c.Clients))
+		results := make([]*openload.Result, len(c.Clients))
+		for i, cli := range c.Clients {
+			gens[i] = openload.NewGen(cli, pop, openload.Config{Arrival: openload.ArrivalFixed, Rate: 1 / w.Measure.Seconds(),
+				Mix: workload.Mix{workload.OpGetattr: 100}, Measure: w.Measure, Seed: w.Seed + int64(i)})
+		}
+		c.Sim.Spawn("populate", func(p *sim.Proc) {
+			if err := pop.Populate(p, c.FSByFSID, gens); err != nil {
+				t.Error(err)
+			}
+		})
+		c.Sim.Run(0)
+		ready := live()
+		for i, g := range gens {
+			if err := g.Start(c.Sim, func(res *openload.Result) { results[i] = res }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Sim.Run(0)
+		done := live()
+		for i, res := range results {
+			if res == nil || res.Completed != 1 || res.Lat.N() != 1 {
+				t.Fatalf("client %d: %+v, want one completed operation", i, res)
+			}
+		}
+		runtime.KeepAlive(gens)
+		return done - ready
 	}
 	setUp0, started0, n0 := heap(10)
 	setUp1, started1, n1 := heap(100)
-	perSetUp := float64(setUp1-setUp0) / float64(n1-n0)
-	perStart := float64(started1-started0) / float64(n1-n0)
-	t.Logf("%d clients: %d bytes set up, %d more started; %d clients: %d and %d; per client %.0f and %.0f bytes",
-		n0, setUp0, started0, n1, setUp1, started1, perSetUp, perStart)
+	served0, served1 := served(10), served(100)
+	slope := func(a, b uint64) float64 { return (float64(b) - float64(a)) / float64(n1-n0) }
+	perSetUp, perStart, perServed := slope(setUp0, setUp1), slope(started0, started1), slope(served0, served1)
+	t.Logf("%d clients: %d bytes set up, %d more started, %d started and served; %d clients: %d, %d and %d; per client %.0f, %.0f and %.0f bytes",
+		n0, setUp0, started0, served0, n1, setUp1, started1, served1, perSetUp, perStart, perServed)
 	if perSetUp > setUpBound {
 		t.Errorf("an open-loop client costs %.0f bytes before its generator starts, more than %d", perSetUp, setUpBound)
 	}
 	if perStart > startBound {
 		t.Errorf("starting an open-loop generator costs %.0f bytes, more than %d", perStart, startBound)
+	}
+	if perServed > servedBound {
+		t.Errorf("a started open-loop client holds %.0f bytes once its first operation has completed, more than %d", perServed, servedBound)
 	}
 }
 

@@ -899,6 +899,7 @@ func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) 
 	var completed uint64
 	var latSumUs float64
 	var latN int
+	cr.OpenloadClients = make([]OpenloadClient, 0, nclients)
 	for _, res := range results {
 		completed += res.Completed
 		cr.Errors += res.Errors

@@ -16,11 +16,13 @@ const HistBuckets = 4 + 4*61
 // values (latencies in microseconds, batch sizes, byte counts). It uses
 // fixed buckets — four sub-buckets per power of two — so memory is
 // bounded regardless of sample count and no per-sample record is kept.
-// The bucket slice is nil until the first sample and holds buckets only
-// up to the highest one recorded or merged: a histogram of a client that
-// never completed an operation costs nothing. All bucket math is
-// integer-only, so recording is deterministic and Merge is exactly
-// associative.
+// It holds a window of buckets [lo, lo+len): none until the first
+// sample, then exactly that sample's bucket, so a histogram of a client
+// that never completed an operation costs nothing and one of a client
+// that completed one costs one bucket. A sample or merge outside the
+// window widens it, to at least twice its length, toward its side.
+// All bucket math is integer-only, so recording is deterministic and
+// Merge is exactly associative.
 //
 // The zero value is an empty histogram ready for use. A plain copy shares
 // the buckets of its source, so histograms are handed over by pointer, or
@@ -30,7 +32,8 @@ type Histogram struct {
 	Sum     int64
 	MinSeen int64 // valid only when Count > 0
 	MaxSeen int64
-	buckets []int64
+	lo      int     // the bucket index of buckets[0]
+	buckets []int64 // the counts of buckets lo, lo+1, ...
 }
 
 // BucketIndex maps a value to its bucket. Negative values clamp to
@@ -77,15 +80,35 @@ func (h *Histogram) Record(v int64) {
 	h.Count++
 	h.Sum += v
 	i := BucketIndex(v)
-	h.grow(i + 1)
-	h.buckets[i]++
+	if j := i - h.lo; j < 0 || j >= len(h.buckets) {
+		h.cover(i, i+1)
+	}
+	h.buckets[i-h.lo]++
 }
 
-// grow extends the bucket slice to at least n buckets.
-func (h *Histogram) grow(n int) {
-	if n > len(h.buckets) {
-		h.buckets = append(h.buckets, make([]int64, n-len(h.buckets))...)
+// cover widens the window to hold buckets [lo, hi). An empty histogram
+// takes exactly that window; a full one grows to at least twice its
+// length, so a stream of samples reallocates a logarithmic number of times.
+func (h *Histogram) cover(lo, hi int) {
+	n := len(h.buckets)
+	if n == 0 {
+		h.lo, h.buckets = lo, make([]int64, hi-lo)
+		return
 	}
+	if lo >= h.lo && hi <= h.lo+n {
+		return
+	}
+	nlo, nhi := min(lo, h.lo), max(hi, h.lo+n)
+	if extra := 2*n - (nhi - nlo); extra > 0 {
+		if lo < h.lo {
+			nlo = max(0, nlo-extra)
+		} else {
+			nhi = min(HistBuckets, nhi+extra)
+		}
+	}
+	b := make([]int64, nhi-nlo)
+	copy(b[h.lo-nlo:], h.buckets)
+	h.lo, h.buckets = nlo, b
 }
 
 // Clone returns a copy of h that shares nothing with it.
@@ -108,10 +131,10 @@ func (h *Histogram) Mean() float64 {
 
 // Bucket reports the count in bucket i.
 func (h *Histogram) Bucket(i int) int64 {
-	if i >= len(h.buckets) {
-		return 0
+	if j := i - h.lo; j >= 0 && j < len(h.buckets) {
+		return h.buckets[j]
 	}
-	return h.buckets[i]
+	return 0
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
@@ -129,10 +152,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := q * float64(h.Count)
 	var cum int64
-	for i, n := range h.buckets {
+	for j, n := range h.buckets {
 		if n == 0 {
 			continue
 		}
+		i := h.lo + j
 		if float64(cum+n) >= rank {
 			lo := float64(BucketBound(i))
 			hi := float64(BucketBound(i + 1))
@@ -166,8 +190,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
-	h.grow(len(o.buckets))
-	for i, n := range o.buckets {
-		h.buckets[i] += n
+	h.cover(o.lo, o.lo+len(o.buckets))
+	for j, n := range o.buckets {
+		h.buckets[o.lo-h.lo+j] += n
 	}
 }

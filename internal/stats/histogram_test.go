@@ -56,16 +56,15 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Fatalf("negative values must clamp to bucket 0")
 	}
 
-	// A histogram holds buckets up to the highest it recorded, no more,
-	// and a lower sample after a high one does not grow it.
+	// One sample holds exactly its own bucket, and a sample inside the
+	// window allocates nothing.
 	var h Histogram
 	h.Record(1 << 40)
-	if want := BucketIndex(1<<40) + 1; len(h.buckets) != want {
-		t.Fatalf("after one high sample: %d buckets, want %d", len(h.buckets), want)
+	if len(h.buckets) != 1 || h.Bucket(BucketIndex(1<<40)) != 1 {
+		t.Fatalf("after one high sample: %d buckets, want 1", len(h.buckets))
 	}
-	n := len(h.buckets)
-	if allocs := testing.AllocsPerRun(100, func() { h.Record(5) }); allocs != 0 || len(h.buckets) != n {
-		t.Fatalf("a low sample after a high one: %v allocations, %d buckets, want 0 and %d", allocs, len(h.buckets), n)
+	if allocs := testing.AllocsPerRun(100, func() { h.Record(1<<40 + 5) }); allocs != 0 || len(h.buckets) != 1 {
+		t.Fatalf("a sample inside the window: %v allocations, %d buckets, want 0 and 1", allocs, len(h.buckets))
 	}
 }
 
@@ -180,21 +179,101 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 		t.Fatalf("merging empty/nil changed the histogram")
 	}
 
-	// A longer histogram merged into a shorter one grows it to the longer
-	// one's buckets, and the sum is what recording both would have given.
-	var short, long, both Histogram
-	for _, v := range []int64{0, 3, 9} {
-		short.Record(v)
-		both.Record(v)
+	// A lower window merged into a higher one, and a higher into a lower
+	// one, each equal recording every sample into one histogram.
+	lowVals, highVals := []int64{0, 3, 9}, []int64{1 << 20, 1 << 40, 1<<40 + 1}
+	for _, intoHigh := range []bool{true, false} {
+		var low, high, both Histogram
+		for _, v := range lowVals {
+			low.Record(v)
+			both.Record(v)
+		}
+		for _, v := range highVals {
+			high.Record(v)
+			both.Record(v)
+		}
+		dst, src := &low, &high
+		if intoHigh {
+			dst, src = &high, &low
+		}
+		dst.Merge(src)
+		if !sameHist(dst, &both) {
+			t.Fatalf("merging into the higher window %v: not equal to recording every sample", intoHigh)
+		}
 	}
-	for _, v := range []int64{2, 1 << 20, 1 << 40} {
-		long.Record(v)
-		both.Record(v)
+}
+
+// prefixHist is the bucket layout Histogram had before it kept a window:
+// buckets 0 up to the highest recorded. Its Quantile is the reference
+// the window's must equal exactly.
+type prefixHist struct {
+	count, min, max int64
+	buckets         []int64
+}
+
+func (h *prefixHist) record(v int64) {
+	if h.count == 0 || v < h.min {
+		h.min = v
 	}
-	short.Merge(&long)
-	if !sameHist(&short, &both) || len(short.buckets) != len(long.buckets) {
-		t.Fatalf("longer into shorter: %d buckets, equal to recording both: %v; want %d, true",
-			len(short.buckets), sameHist(&short, &both), len(long.buckets))
+	h.max = max(h.max, v)
+	h.count++
+	i := BucketIndex(v)
+	for len(h.buckets) <= i {
+		h.buckets = append(h.buckets, 0)
+	}
+	h.buckets[i]++
+}
+
+func (h *prefixHist) quantile(q float64) float64 {
+	rank := q * float64(h.count)
+	var cum int64
+	for i, n := range h.buckets {
+		if n == 0 {
+			continue
+		}
+		if float64(cum+n) >= rank {
+			lo, hi := float64(BucketBound(i)), float64(BucketBound(i+1))
+			v := lo + (hi-lo)*(rank-float64(cum))/float64(n)
+			return min(max(v, float64(h.min)), float64(h.max))
+		}
+		cum += n
+	}
+	return float64(h.max)
+}
+
+// Over seeded samples spread across many octaves, recorded one by one and
+// merged from parts, every quantile of the window equals the prefix
+// layout's, at every stage of growth.
+func TestHistogramWindowMatchesPrefixLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h, merged, part Histogram
+	var ref prefixHist
+	for i := 1; i <= 4000; i++ {
+		v := rng.Int63n(1 << uint(rng.Intn(45)))
+		h.Record(v)
+		ref.record(v)
+		part.Record(v)
+		if i%97 == 0 {
+			merged.Merge(&part)
+			part = Histogram{}
+		}
+		if i%250 != 0 {
+			continue
+		}
+		for q := 0.0; q <= 1; q += 0.01 {
+			if got, want := h.Quantile(q), ref.quantile(q); got != want {
+				t.Fatalf("after %d samples: Quantile(%g) = %g, prefix layout %g", i, q, got, want)
+			}
+		}
+	}
+	merged.Merge(&part)
+	if !sameHist(&merged, &h) {
+		t.Fatal("merging the parts differs from recording every sample")
+	}
+	for q := 0.0; q <= 1; q += 0.001 {
+		if got, want := merged.Quantile(q), ref.quantile(q); got != want {
+			t.Fatalf("merged: Quantile(%g) = %g, prefix layout %g", q, got, want)
+		}
 	}
 }
 

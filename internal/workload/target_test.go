@@ -190,7 +190,7 @@ func TestTargetGo(t *testing.T) {
 	if !reflect.DeepEqual(*calls, want) || answered != 3 {
 		t.Errorf("write burst: calls\n%+v\nwant\n%+v (%d answered)", *calls, want, answered)
 	}
-	if l.done != 3 || l.perOp[OpWrite.String()] != 3 || l.finished != 1 {
+	if l.done != 3 || l.perOp[OpWrite] != 3 || l.finished != 1 {
 		t.Errorf("burst accounted %d ops, %v, finished %d; want the 3 WRITEs and one finished generator", l.done, l.perOp, l.finished)
 	}
 }

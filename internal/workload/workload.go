@@ -39,6 +39,28 @@ var opNames = [numOps]string{
 
 func (o Op) String() string { return opNames[o] }
 
+// OpCounts counts operations by class, the array a generator counts into
+// as each operation finishes.
+type OpCounts [numOps]int
+
+// Map returns the counts by operation name, one entry per class counted
+// at least once: the form a result carries.
+func (c *OpCounts) Map() map[string]int {
+	n := 0
+	for _, k := range c {
+		if k > 0 {
+			n++
+		}
+	}
+	m := make(map[string]int, n)
+	for op, k := range c {
+		if k > 0 {
+			m[Op(op).String()] = k
+		}
+	}
+	return m
+}
+
 // Mix is an operation mix in percent. It should sum to 100.
 type Mix [numOps]int
 
@@ -145,6 +167,10 @@ func (t *Target) NewTask(done func(error)) *Task {
 	k.rpc = k.settled
 	return k
 }
+
+// Bind moves an idle task, one whose done has been called for its last
+// operation, to t.
+func (k *Task) Bind(t *Target) { k.t = t }
 
 // Go issues op with draw d by callback (client.Go) and calls the task's
 // done with its error where a process blocked in the op would have
@@ -266,7 +292,7 @@ type LADDIS struct {
 	hists   *[numOps]stats.Histogram // nil unless cfg.Histograms
 	done    int
 	errors  int
-	perOp   map[string]int
+	perOp   OpCounts
 
 	// Run's clock, which its generators share.
 	rng      *rand.Rand
@@ -294,7 +320,7 @@ func NewLADDIS(cli *client.Client, root nfsproto.FH, cfg LADDISConfig) *LADDIS {
 	if len(roots) == 0 {
 		roots = []nfsproto.FH{root}
 	}
-	l := &LADDIS{cfg: cfg, t: Target{Client: cli, Roots: roots, RemoveNewest: true}, perOp: make(map[string]int)}
+	l := &LADDIS{cfg: cfg, t: Target{Client: cli, Roots: roots, RemoveNewest: true}}
 	if cfg.Histograms {
 		l.hists = new([numOps]stats.Histogram)
 	}
@@ -501,7 +527,7 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 	res := LADDISResult{
 		AchievedOpsPerSec: float64(l.done) / elapsed.Seconds(),
 		Errors:            l.errors,
-		PerOp:             l.perOp,
+		PerOp:             l.perOp.Map(),
 	}
 	if l.lat.N() > 0 {
 		res.AvgLatencyMs = sim.Duration(l.lat.Mean()).Millis()
@@ -523,7 +549,7 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 // counts, any other op as if after; the recorded results keep both.
 func (l *LADDIS) account(op Op, lat sim.Duration, err error, warm bool) {
 	l.done++
-	l.perOp[op.String()]++
+	l.perOp[op]++
 	if err != nil {
 		l.errors++
 	} else if warm {
