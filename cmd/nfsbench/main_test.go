@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // transcript drops the lines that report real time, as the CI filter
@@ -110,5 +113,60 @@ func TestFuzzPrintsReachTable(t *testing.T) {
 	}
 	if !strings.Contains(one, " 0\n") {
 		t.Errorf("no row reads zero in a 12-run campaign, or zero rows are hidden:\n%s", one)
+	}
+}
+
+// TestDumpThenValidateEveryName: every registry entry's spec, written
+// out by -dump, reads back through -validate.
+func TestDumpThenValidateEveryName(t *testing.T) {
+	dir := t.TempDir()
+	for _, e := range scenario.Registry() {
+		var dump, out, stderr bytes.Buffer
+		if status := run([]string{"-dump", e.Name}, &dump, &stderr); status != 0 {
+			t.Fatalf("-dump %s: exit %d: %s", e.Name, status, stderr.String())
+		}
+		path := filepath.Join(dir, e.Name+".json")
+		if err := os.WriteFile(path, dump.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if status := run([]string{"-validate", path}, &out, &stderr); status != 0 {
+			t.Fatalf("-validate %s: exit %d: %s", e.Name, status, stderr.String())
+		}
+		if want := fmt.Sprintf("spec %q valid", e.Name); !strings.Contains(out.String(), want) {
+			t.Errorf("-validate %s printed %q, want %q", e.Name, out.String(), want)
+		}
+	}
+}
+
+// TestValidateNamesTheFirstConflict: a fault schedule with several
+// overlapping pairs exits 1 and names the field of the first declared,
+// the same on every run.
+func TestValidateNamesTheFirstConflict(t *testing.T) {
+	const spec = `{"name": "overlaps",
+	"topology": {"net": "fddi", "clients": [{"count": 1, "biods": 4}], "servers": {"count": 2}, "assembly": "cluster"},
+	"workload": {"kind": "stream", "stream": {"file_mb": 1}},
+	"faults": {"events": [
+		{"kind": "server-crash", "server_crash": {"node": 1, "at_ns": 100000, "outage_ns": 50000, "count": 1}},
+		{"kind": "server-crash", "server_crash": {"node": 1, "at_ns": 120000, "outage_ns": 50000, "count": 1}},
+		{"kind": "server-crash", "server_crash": {"node": 0, "at_ns": 100000, "outage_ns": 50000, "count": 1}},
+		{"kind": "server-crash", "server_crash": {"node": 0, "at_ns": 120000, "outage_ns": 50000, "count": 1}}]}}`
+	path := filepath.Join(t.TempDir(), "overlaps.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		if status := run([]string{"-validate", path}, &stdout, &stderr); status != 1 {
+			t.Fatalf("run %d: exit %d, want 1: %s", i, status, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "faults.events[0]: overlapping fault windows on target 1") {
+			t.Errorf("run %d: stderr does not name faults.events[0]'s overlap on node 1: %s", i, stderr.String())
+		}
+		if i == 0 {
+			first = stderr.String()
+		} else if stderr.String() != first {
+			t.Errorf("stderr differs between runs:\n%s\n%s", first, stderr.String())
+		}
 	}
 }

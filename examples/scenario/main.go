@@ -54,15 +54,15 @@ func main() {
 				{
 					Kind: fault.KindServerCrash,
 					ServerCrash: &fault.ServerCrash{
-						Node: 1, At: 300 * sim.Millisecond,
-						Outage: 150 * sim.Millisecond, Count: 1,
+						Node: 1, Train: fault.Train{At: 300 * sim.Millisecond,
+							Outage: 150 * sim.Millisecond, Count: 1},
 					},
 				},
 				{
 					Kind: fault.KindLinkOutage,
 					LinkOutage: &fault.LinkOutage{
-						Client: &client1, At: 600 * sim.Millisecond,
-						Outage: 100 * sim.Millisecond, Count: 1,
+						Client: &client1, Train: fault.Train{At: 600 * sim.Millisecond,
+							Outage: 100 * sim.Millisecond, Count: 1},
 					},
 				},
 				{

@@ -42,7 +42,7 @@ func TestCrashMidWriteNoBlockLeakOrAckLoss(t *testing.T) {
 			if presto {
 				crashAt = 200 * sim.Millisecond
 			}
-			in.Add(ServerCrash{Node: 0, At: crashAt, Outage: 400 * sim.Millisecond, Count: 1})
+			in.Add(ServerCrash{Node: 0, Train: Train{At: crashAt, Outage: 400 * sim.Millisecond, Count: 1}})
 			in.ScheduleAll()
 
 			roots := c.Roots()

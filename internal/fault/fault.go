@@ -6,7 +6,11 @@
 // survive a server crash.
 //
 // Each kind is also the scenario schema's variant for its tag: a spec's
-// fault event decodes straight into the value that injects it.
+// fault event decodes straight into the value that injects it, and that
+// value checks its own fields against the cell (Kind.Check) and lists the
+// windows it holds a target down or needs one up (Kind.Windows). A new
+// kind is one file here plus its scenario.FaultEvent variant field and
+// that field's line in FaultEvent.variants().
 //
 // The crash model (what a crash loses and what it keeps) is implemented by
 // cluster.Node.Crash/Reboot; this package owns the schedule and the audit.

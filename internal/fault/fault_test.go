@@ -38,7 +38,7 @@ func runDurabilityDisks(t *testing.T, presto bool, disks int) {
 	if presto {
 		crashAt = 250 * sim.Millisecond
 	}
-	in.Add(ServerCrash{Node: 0, At: crashAt, Outage: 500 * sim.Millisecond, Count: 1})
+	in.Add(ServerCrash{Node: 0, Train: Train{At: crashAt, Outage: 500 * sim.Millisecond, Count: 1}})
 	in.ScheduleAll()
 
 	roots := c.Roots()

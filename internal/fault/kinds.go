@@ -1,7 +1,11 @@
 package fault
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -16,19 +20,28 @@ const (
 	KindLinkOutage    = "link-outage"
 )
 
-// Kind is one pluggable fault type. An implementation owns the full
-// lifecycle of its failure mode: Schedule arms the timed injection and
-// recovery transitions against the injector's cluster, recording each in
-// EventsFired and the shared counters.
+// Kind is one fault type. It owns its failure mode whole: the checks on
+// its own fields, the windows it claims, and the timed injection and
+// recovery transitions, each recorded in EventsFired and the shared
+// counters.
 //
 // Every kind is also the scenario schema's variant for its tag: its JSON
 // fields are the spec's, so the fault a spec declares is the object that
-// injects it. New failure modes plug in here: implement Kind, add its
-// variant field to scenario.FaultEvent (and to that type's variant list),
-// and give it a validation case.
+// injects it. A new kind is one file here implementing Kind, plus its
+// variant field on scenario.FaultEvent and its line in that type's
+// variants().
 type Kind interface {
 	// Start is the simulated instant of the fault's first transition.
 	Start() sim.Duration
+	// Check validates the kind's own fields against the cell. The error
+	// is the reason only; the caller names the spec field.
+	Check(t *Topology) error
+	// Windows lists the spans in which the kind holds a target down and
+	// those in which one must stay up (Window.Up), for a kind Check
+	// accepted. The rules between windows are the caller's.
+	Windows() []Window
+	// Reach says how far into a server the kind reaches.
+	Reach() Reach
 	// Schedule arms the fault's transitions. Called before the simulation
 	// runs; all timing is via the cluster's simulator.
 	Schedule(in *Injector)
@@ -48,14 +61,16 @@ type Annotator interface {
 // is still down is skipped. A server crash changes no obligations: every
 // acked byte must survive it. That is the contract under test.
 type ServerCrash struct {
-	Node   int          `json:"node"`
-	At     sim.Duration `json:"at_ns"`
-	Period sim.Duration `json:"period_ns,omitempty"`
-	Outage sim.Duration `json:"outage_ns"`
-	Count  int          `json:"count"`
+	Node int `json:"node"`
+	Train
 }
 
-func (f ServerCrash) Start() sim.Duration { return f.At }
+func (f ServerCrash) Check(t *Topology) error {
+	return cmp.Or(t.node(f.Node), f.valid("crash"))
+}
+
+func (f ServerCrash) Windows() []Window { return f.windows(Target{On: OnNode, Index: f.Node}, true) }
+func (ServerCrash) Reach() Reach        { return ReachServer }
 
 // Schedule arms each cycle: the crash fires exactly at its instant, the
 // reboot process starts after Outage and takes additional simulated time
@@ -63,9 +78,8 @@ func (f ServerCrash) Start() sim.Duration { return f.At }
 func (f ServerCrash) Schedule(in *Injector) {
 	node := in.c.Nodes[f.Node]
 	s := in.c.Sim
-	at := f.At
-	for i := 0; i < f.Count; i++ {
-		s.At(in.until(at, "crash"), func() {
+	for _, w := range f.Windows() {
+		s.At(in.until(w.From, "crash"), func() {
 			if node.Down {
 				return // overlapping schedules: already down
 			}
@@ -83,7 +97,6 @@ func (f ServerCrash) Schedule(in *Injector) {
 				in.fired("server-reboot %s", node.Name)
 			})
 		})
-		at += f.Period
 	}
 }
 
@@ -99,6 +112,20 @@ type ClientReboot struct {
 }
 
 func (f ClientReboot) Start() sim.Duration { return f.At }
+func (ClientReboot) Reach() Reach          { return ReachHosts }
+
+func (f ClientReboot) Check(t *Topology) error {
+	return cmp.Or(
+		t.client(f.Client),
+		errIf(f.Outage <= 0, "outage must be positive"),
+		errIf(f.At < 0, "reboot time must not be negative"),
+		t.losesClients(),
+	)
+}
+
+func (f ClientReboot) Windows() []Window {
+	return []Window{{Target: Target{On: OnClient, Index: f.Client}, From: f.At, To: f.At + f.Outage, Fatal: true}}
+}
 
 func (f ClientReboot) Schedule(in *Injector) {
 	cli := in.c.Clients[f.Client]
@@ -135,6 +162,24 @@ type BiodLoss struct {
 }
 
 func (f BiodLoss) Start() sim.Duration { return f.At }
+func (BiodLoss) Reach() Reach          { return ReachHosts }
+
+func (f BiodLoss) Check(t *Topology) error {
+	if err := cmp.Or(t.client(f.Client), errIf(f.At < 0, "loss time must not be negative"), t.losesClients()); err != nil {
+		return err
+	}
+	biods := t.Biods[f.Client]
+	return errIf(f.Lose < 1 || f.Lose > biods, "lose must be between 1 and the client's %d biods", biods)
+}
+
+// Windows: the loss is an instant at which its client must be up. Biods
+// are alive, and killable, through a mere link outage.
+func (f BiodLoss) Windows() []Window {
+	return []Window{{Target: Target{On: OnClient, Index: f.Client}, From: f.At, To: f.At + 1,
+		Up: func(field string, from, to sim.Duration) string {
+			return fmt.Sprintf("biod loss at %v lands inside %s's down-window [%v,%v]", f.At, field, from, to)
+		}}}
+}
 
 func (f BiodLoss) Schedule(in *Injector) {
 	cli := in.c.Clients[f.Client]
@@ -173,6 +218,33 @@ type ShardFailover struct {
 }
 
 func (f ShardFailover) Start() sim.Duration { return f.At }
+func (ShardFailover) Reach() Reach          { return ReachServer }
+
+func (f ShardFailover) Check(t *Topology) error {
+	return cmp.Or(
+		t.node(f.Node),
+		errIf(f.To < 0 || f.To >= len(t.Nodes), "failover to unknown node %d (topology has %d servers)", f.To, len(t.Nodes)),
+		errIf(f.To == f.Node, "a shard cannot fail over to itself"),
+		errIf(f.At < 0 || f.Takeover < 0, "failover and takeover times must not be negative"),
+		errIf(t.StatfsByName,
+			"shard failover requires a fully handle-routed workload; the %s generators issue statfs to the default server by name, which cannot follow a migrated export", t.Workload),
+	)
+}
+
+// Windows: the source never comes back, so its down window is open-ended
+// and rejects any later event aimed at it. The adopter must stay up from
+// the failover on, since nothing re-adopts exports that die with it; a
+// crash recovered before the failover is fine (the takeover waits out a
+// remount tail).
+func (f ShardFailover) Windows() []Window {
+	return []Window{
+		{Target: Target{On: OnNode, Index: f.Node}, From: f.At, To: math.MaxInt64, Fatal: true},
+		{Target: Target{On: OnNode, Index: f.To}, From: f.At, To: math.MaxInt64,
+			Up: func(field string, from, _ sim.Duration) string {
+				return fmt.Sprintf("failover to node %d, which %s schedules down at %v — the adopter must stay up from the failover on", f.To, field, from)
+			}},
+	}
+}
 
 func (f ShardFailover) Schedule(in *Injector) {
 	s := in.c.Sim
@@ -223,16 +295,55 @@ func (f ShardFailover) Schedule(in *Injector) {
 // acked bytes (the retransmission layer's whole job), so no obligation
 // changes.
 type LinkOutage struct {
-	Node    *int         `json:"node,omitempty"`
-	Client  *int         `json:"client,omitempty"`
-	Segment *string      `json:"segment,omitempty"`
-	At      sim.Duration `json:"at_ns"`
-	Period  sim.Duration `json:"period_ns,omitempty"`
-	Outage  sim.Duration `json:"outage_ns"`
-	Count   int          `json:"count"`
+	Node    *int    `json:"node,omitempty"`
+	Client  *int    `json:"client,omitempty"`
+	Segment *string `json:"segment,omitempty"`
+	Train
 }
 
-func (f LinkOutage) Start() sim.Duration { return f.At }
+func (f LinkOutage) Check(t *Topology) error {
+	targets := 0
+	for _, set := range []bool{f.Node != nil, f.Client != nil, f.Segment != nil} {
+		if set {
+			targets++
+		}
+	}
+	if targets != 1 {
+		return errors.New("exactly one of node, client and segment selects the outage target")
+	}
+	if err := f.valid("outage"); err != nil {
+		return err
+	}
+	switch g := f.target(); g.On {
+	case OnSegment:
+		return cmp.Or(
+			errIf(len(t.Segments) < 2, "segment outages require a multi-segment topology.media"),
+			errIf(g.Segment == "", "segment target must name a segment (declared: %s)", t.segments()),
+			errIf(!slices.Contains(t.Segments, g.Segment), "unknown segment %q (declared: %s)", g.Segment, t.segments()),
+			errIf(g.Segment == t.Root, "segment %q is the root and has no uplink to sever", g.Segment),
+		)
+	case OnNode:
+		return errIf(g.Index < 0 || g.Index >= len(t.Nodes), "fault targets unknown node %d", g.Index)
+	default:
+		return errIf(g.Index < 0 || g.Index >= len(t.Biods), "fault targets unknown client %d", g.Index)
+	}
+}
+
+// target is the one attachment Check made sure the outage selects.
+func (f LinkOutage) target() Target {
+	switch {
+	case f.Segment != nil:
+		return Target{On: OnSegment, Segment: *f.Segment}
+	case f.Node != nil:
+		return Target{On: OnNode, Index: *f.Node}
+	}
+	return Target{On: OnClient, Index: *f.Client}
+}
+
+// Windows: an outage severs the attachment only, so its windows are not
+// host-fatal.
+func (f LinkOutage) Windows() []Window { return f.windows(f.target(), false) }
+func (LinkOutage) Reach() Reach        { return ReachHosts }
 
 // targets resolves the host's endpoint names at fire time. A server host
 // carries one endpoint per export it serves — its own plus any adopted
@@ -264,9 +375,8 @@ func (f LinkOutage) hostDown(in *Injector) bool {
 
 func (f LinkOutage) Schedule(in *Injector) {
 	s := in.c.Sim
-	at := f.At
-	for i := 0; i < f.Count; i++ {
-		delay := in.until(at, "link outage")
+	for _, w := range f.Windows() {
+		delay := in.until(w.From, "link outage")
 		// Each cycle is a paired down/up transition. A cycle aimed at a
 		// host that is down at the down-instant (a crash window precedes
 		// the cycle and its device-timed remount tail runs long) is
@@ -313,6 +423,5 @@ func (f LinkOutage) Schedule(in *Injector) {
 			}
 			in.fired("link-up %s", names[0])
 		})
-		at += f.Period
 	}
 }

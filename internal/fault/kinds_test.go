@@ -313,8 +313,8 @@ func TestLinkOutageRidesOnRetransmission(t *testing.T) {
 
 	in := NewInjector(c)
 	in.Journal = j
-	in.Add(LinkOutage{Node: ptr(0), At: 150 * sim.Millisecond, Period: 600 * sim.Millisecond,
-		Outage: 200 * sim.Millisecond, Count: 2})
+	in.Add(LinkOutage{Node: ptr(0), Train: Train{At: 150 * sim.Millisecond, Period: 600 * sim.Millisecond,
+		Outage: 200 * sim.Millisecond, Count: 2}})
 	in.ScheduleAll()
 
 	c.Sim.Run(0)
@@ -395,8 +395,8 @@ func TestLinkOutageSkipsDownHost(t *testing.T) {
 	in.Journal = j
 	// Crash window [100ms,200ms); the reboot's remount runs ~100ms past
 	// it, so the outage at 210ms finds the host still down.
-	in.Add(ServerCrash{Node: 0, At: 100 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1})
-	in.Add(LinkOutage{Node: ptr(0), At: 210 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1})
+	in.Add(ServerCrash{Node: 0, Train: Train{At: 100 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1}})
+	in.Add(LinkOutage{Node: ptr(0), Train: Train{At: 210 * sim.Millisecond, Outage: 50 * sim.Millisecond, Count: 1}})
 	in.ScheduleAll()
 
 	c.Sim.Run(0)
@@ -479,7 +479,7 @@ func TestLinkOutageCutsAdoptedEndpoints(t *testing.T) {
 	in := NewInjector(c)
 	in.Journal = j
 	in.Add(ShardFailover{Node: 1, To: 0, At: 250 * sim.Millisecond, Takeover: 200 * sim.Millisecond})
-	in.Add(LinkOutage{Node: ptr(0), At: 1200 * sim.Millisecond, Outage: 200 * sim.Millisecond, Count: 1})
+	in.Add(LinkOutage{Node: ptr(0), Train: Train{At: 1200 * sim.Millisecond, Outage: 200 * sim.Millisecond, Count: 1}})
 	in.ScheduleAll()
 
 	cutBoth := false
@@ -556,10 +556,10 @@ func TestEventsFiredDeterministic(t *testing.T) {
 		}, 1<<20)
 		in := NewInjector(c)
 		in.Journal = j
-		in.Add(ServerCrash{Node: 0, At: 200 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1})
+		in.Add(ServerCrash{Node: 0, Train: Train{At: 200 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1}})
 		in.Add(ClientReboot{Client: 0, At: 450 * sim.Millisecond, Outage: 100 * sim.Millisecond})
-		in.Add(LinkOutage{Client: ptr(1), At: 600 * sim.Millisecond,
-			Outage: 100 * sim.Millisecond, Count: 1})
+		in.Add(LinkOutage{Client: ptr(1), Train: Train{At: 600 * sim.Millisecond,
+			Outage: 100 * sim.Millisecond, Count: 1}})
 		in.ScheduleAll()
 		c.Sim.Run(0)
 		if len(in.EventsFired) == 0 {

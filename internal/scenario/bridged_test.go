@@ -125,7 +125,7 @@ func TestBridgedPartitionRideout(t *testing.T) {
 	spec.Faults.Events = []FaultEvent{{
 		Kind: fault.KindLinkOutage,
 		LinkOutage: &fault.LinkOutage{
-			Segment: &seg, At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1,
+			Segment: &seg, Train: fault.Train{At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1},
 		},
 	}}
 	res, err := Run(spec)
@@ -291,7 +291,7 @@ func TestValidateBridgedPlacement(t *testing.T) {
 	s.Faults.Events = []FaultEvent{{
 		Kind: fault.KindLinkOutage,
 		LinkOutage: &fault.LinkOutage{
-			Segment: &root, At: sim.Millisecond, Outage: sim.Millisecond, Count: 1,
+			Segment: &root, Train: fault.Train{At: sim.Millisecond, Outage: sim.Millisecond, Count: 1},
 		},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
@@ -304,7 +304,7 @@ func TestValidateBridgedPlacement(t *testing.T) {
 	s.Faults.Events = []FaultEvent{{
 		Kind: fault.KindLinkOutage,
 		LinkOutage: &fault.LinkOutage{
-			Segment: &seg, At: sim.Millisecond, Outage: sim.Millisecond, Count: 1,
+			Segment: &seg, Train: fault.Train{At: sim.Millisecond, Outage: sim.Millisecond, Count: 1},
 		},
 	}}
 	wantInvalid(t, s, "faults.events[0]")

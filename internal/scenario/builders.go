@@ -348,6 +348,6 @@ func StreamCrash(name, description string, presto, gathering bool, clients, file
 // shard, the first at at, one every period, each down for outage.
 func serverCrash(node int, at, period, outage sim.Duration, count int) FaultEvent {
 	return FaultEvent{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
-		Node: node, At: at, Period: period, Outage: outage, Count: count,
+		Node: node, Train: fault.Train{At: at, Period: period, Outage: outage, Count: count},
 	}}
 }

@@ -133,10 +133,10 @@ func TestLinkOutageSpecDeterministic(t *testing.T) {
 			CheckDurability: true,
 			Events: []FaultEvent{
 				{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-					Node: &node0, At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1,
+					Node: &node0, Train: fault.Train{At: 150 * sim.Millisecond, Outage: 150 * sim.Millisecond, Count: 1},
 				}},
 				{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-					Client: &clientIdx, At: 400 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1,
+					Client: &clientIdx, Train: fault.Train{At: 400 * sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1},
 				}},
 			},
 		},
@@ -263,7 +263,7 @@ func TestValidateFailoverTargets(t *testing.T) {
 	s.Faults.Events = []FaultEvent{
 		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
 		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
-			Node: 1, At: 3 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}},
+			Node: 1, Train: fault.Train{At: 3 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}}},
 	}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -283,7 +283,7 @@ func TestValidateFailoverTargets(t *testing.T) {
 	s = faultSpec()
 	s.Faults.Events = []FaultEvent{
 		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Node: &zero, At: 2 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}},
+			Node: &zero, Train: fault.Train{At: 2 * sim.Second, Outage: 100 * sim.Millisecond, Count: 1}}},
 		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{Node: 1, To: 0, At: sim.Second}},
 	}
 	if err := s.Validate(); err != nil {
@@ -345,7 +345,7 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	s := faultSpec()
 	s.Faults.Events = []FaultEvent{{
 		Kind:       fault.KindLinkOutage,
-		LinkOutage: &fault.LinkOutage{At: sim.Second, Outage: sim.Millisecond, Count: 1},
+		LinkOutage: &fault.LinkOutage{Train: fault.Train{At: sim.Second, Outage: sim.Millisecond, Count: 1}},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
 
@@ -355,7 +355,7 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	s.Faults.Events = []FaultEvent{{
 		Kind: fault.KindLinkOutage,
 		LinkOutage: &fault.LinkOutage{
-			Node: &zero, Client: &zero, At: sim.Second, Outage: sim.Millisecond, Count: 1,
+			Node: &zero, Client: &zero, Train: fault.Train{At: sim.Second, Outage: sim.Millisecond, Count: 1},
 		},
 	}}
 	wantInvalid(t, s, "faults.events[0]")
@@ -365,7 +365,7 @@ func TestValidateLinkOutageTargets(t *testing.T) {
 	s.Faults.Events = []FaultEvent{
 		serverCrash(0, sim.Second, 0, 200*sim.Millisecond, 1),
 		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Node: &zero, At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1}},
+			Node: &zero, Train: fault.Train{At: sim.Second + 100*sim.Millisecond, Outage: sim.Millisecond, Count: 1}}},
 	}
 	wantInvalid(t, s, "faults.events[0]")
 }

@@ -405,8 +405,8 @@ func genEvent(rng *rand.Rand, spec *Spec) FaultEvent {
 	switch rng.Intn(9) {
 	case 0:
 		return FaultEvent{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
-			Node: node, At: powerAt, Period: rngMS(rng, 300, 700),
-			Outage: rngMS(rng, 50, 250), Count: 1 + rng.Intn(2),
+			Node: node, Train: fault.Train{At: powerAt, Period: rngMS(rng, 300, 700),
+				Outage: rngMS(rng, 50, 250), Count: 1 + rng.Intn(2)},
 		}}
 	case 1:
 		return FaultEvent{Kind: fault.KindClientReboot, ClientReboot: &fault.ClientReboot{
@@ -422,8 +422,8 @@ func genEvent(rng *rand.Rand, spec *Spec) FaultEvent {
 		}}
 	case 4:
 		f := &fault.LinkOutage{
-			At: at, Period: rngMS(rng, 200, 500),
-			Outage: rngMS(rng, 20, 120), Count: 1 + rng.Intn(2),
+			Train: fault.Train{At: at, Period: rngMS(rng, 200, 500),
+				Outage: rngMS(rng, 20, 120), Count: 1 + rng.Intn(2)},
 		}
 		switch {
 		case len(spec.Topology.Media) > 1 && rng.Intn(3) == 0:

@@ -309,8 +309,8 @@ func mediaStorm() Spec {
 				{
 					Kind: fault.KindServerCrash,
 					ServerCrash: &fault.ServerCrash{
-						Node: 0, At: 600 * sim.Millisecond,
-						Outage: 150 * sim.Millisecond, Count: 1,
+						Node: 0, Train: fault.Train{At: 600 * sim.Millisecond,
+							Outage: 150 * sim.Millisecond, Count: 1},
 					},
 				},
 			},

@@ -173,7 +173,7 @@ func TestOpenloadFaultOnHalfBuiltImage(t *testing.T) {
 		// Set-up sends nothing, so a severed uplink cannot hurt it.
 		spec := OpenloadBridged("early-outage", "", 2, 2, 8, 1, 100, sim.Second, 3)
 		spec.Faults.Events = []FaultEvent{{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Segment: &seg, At: sim.Second, Outage: 2 * sim.Second, Count: 1}}}
+			Segment: &seg, Train: fault.Train{At: sim.Second, Outage: 2 * sim.Second, Count: 1}}}}
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}

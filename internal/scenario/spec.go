@@ -346,27 +346,20 @@ type Faults struct {
 // FaultEvent is one tagged fault: Kind selects the failure mode and
 // exactly the matching variant field must be set (strict decoding — a
 // kind/variant mismatch is a validation error, an unknown kind likewise).
-// Each variant is the internal/fault kind that injects it, so its JSON
-// fields are that type's: renaming one is a schema change.
+// A variant's JSON name is its kind tag with underscores ("server-crash"
+// selects server_crash). Each variant is the internal/fault kind that
+// injects it, so its JSON fields are that type's: renaming one is a
+// schema change.
 type FaultEvent struct {
-	Kind string `json:"kind"`
-	// ServerCrash matches kind "server-crash".
-	ServerCrash *fault.ServerCrash `json:"server_crash,omitempty"`
-	// ClientReboot matches kind "client-reboot".
-	ClientReboot *fault.ClientReboot `json:"client_reboot,omitempty"`
-	// BiodLoss matches kind "biod-loss".
-	BiodLoss *fault.BiodLoss `json:"biod_loss,omitempty"`
-	// ShardFailover matches kind "shard-failover".
-	ShardFailover *fault.ShardFailover `json:"shard_failover,omitempty"`
-	// LinkOutage matches kind "link-outage".
-	LinkOutage *fault.LinkOutage `json:"link_outage,omitempty"`
-	// DiskReadError matches kind "disk-read-error".
-	DiskReadError *fault.DiskReadError `json:"disk_read_error,omitempty"`
-	// DiskDegraded matches kind "disk-degraded".
-	DiskDegraded *fault.DiskDegraded `json:"disk_degraded,omitempty"`
-	// DiskTornWrite matches kind "disk-torn-write".
-	DiskTornWrite *fault.DiskTornWrite `json:"disk_torn_write,omitempty"`
-	// NVRAMLyingSync matches kind "nvram-lying-sync".
+	Kind           string                `json:"kind"`
+	ServerCrash    *fault.ServerCrash    `json:"server_crash,omitempty"`
+	ClientReboot   *fault.ClientReboot   `json:"client_reboot,omitempty"`
+	BiodLoss       *fault.BiodLoss       `json:"biod_loss,omitempty"`
+	ShardFailover  *fault.ShardFailover  `json:"shard_failover,omitempty"`
+	LinkOutage     *fault.LinkOutage     `json:"link_outage,omitempty"`
+	DiskReadError  *fault.DiskReadError  `json:"disk_read_error,omitempty"`
+	DiskDegraded   *fault.DiskDegraded   `json:"disk_degraded,omitempty"`
+	DiskTornWrite  *fault.DiskTornWrite  `json:"disk_torn_write,omitempty"`
 	NVRAMLyingSync *fault.NVRAMLyingSync `json:"nvram_lying_sync,omitempty"`
 }
 

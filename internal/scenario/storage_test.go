@@ -142,8 +142,8 @@ func lyingSpec(lying bool) Spec {
 			Events: []FaultEvent{{
 				Kind: fault.KindServerCrash,
 				ServerCrash: &fault.ServerCrash{
-					Node: 0, At: 300 * sim.Millisecond,
-					Outage: 100 * sim.Millisecond, Count: 1,
+					Node: 0, Train: fault.Train{At: 300 * sim.Millisecond,
+						Outage: 100 * sim.Millisecond, Count: 1},
 				},
 			}},
 		},

@@ -3,6 +3,8 @@ package scenario
 import (
 	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -65,7 +67,7 @@ type resolved struct {
 	cfg      cluster.Config
 	nclients int
 	rootSeg  string
-	segIndex map[string]int // segment name -> media index; nil without media
+	segNames []string // declared segment names in order; nil without media
 
 	kind   string
 	copyW  CopyWorkload
@@ -112,6 +114,14 @@ const (
 	DefaultBridgeQueue = 64
 )
 
+// override sets *dst to *p when p is set: a cell's override, or a
+// workload's declared parameters.
+func override[T any](dst, p *T) {
+	if p != nil {
+		*dst = *p
+	}
+}
+
 // resolve applies cell overrides and defaults to the base spec and
 // validates the result.
 func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
@@ -138,9 +148,7 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	if r.label == "" {
 		r.label = fmt.Sprintf("cell%02d", idx)
 	}
-	if cell.Seed != nil {
-		cfg.Seed = *cell.Seed
-	}
+	override(&cfg.Seed, cell.Seed)
 
 	// Medium. Net and Media are mutually exclusive; a media list of one
 	// segment is exactly Net, and several segments form a bridged tree.
@@ -166,7 +174,7 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 		if err := r.checkSegment("topology.servers.segment", cfg.ServerSegment); err != nil {
 			return nil, err
 		}
-		netName = media[r.segIndex[cmp.Or(cfg.ServerSegment, r.rootSeg)]].Net
+		netName = media[slices.Index(r.segNames, cmp.Or(cfg.ServerSegment, r.rootSeg))].Net
 	} else if cfg.ServerSegment != "" {
 		return nil, invalid("topology.servers.segment",
 			"segment placement requires topology.media")
@@ -181,14 +189,10 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	if len(groups) == 0 {
 		return nil, invalid("topology.clients", "no client groups declared")
 	}
-	if cell.Clients != nil {
-		groups[0].Count = *cell.Clients
-	}
+	override(&groups[0].Count, cell.Clients)
 	for gi := range groups {
 		g := &groups[gi]
-		if cell.Biods != nil {
-			g.Biods = *cell.Biods
-		}
+		override(&g.Biods, cell.Biods)
 		if g.Count < 1 {
 			return nil, invalid(fmt.Sprintf("topology.clients[%d].count", gi),
 				"zero clients (each group needs at least one host)")
@@ -204,15 +208,9 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	cfg.ClientGroups = groups
 
 	// Servers.
-	if cell.Servers != nil {
-		cfg.Servers = *cell.Servers
-	}
-	if cell.Gathering != nil {
-		cfg.Gathering = *cell.Gathering
-	}
-	if cell.Presto != nil {
-		cfg.Presto = *cell.Presto
-	}
+	override(&cfg.Servers, cell.Servers)
+	override(&cfg.Gathering, cell.Gathering)
+	override(&cfg.Presto, cell.Presto)
 	if cfg.Servers < 1 {
 		return nil, invalid("topology.servers.count", "at least one server shard required")
 	}
@@ -244,15 +242,9 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 	// Workload.
 	switch r.kind {
 	case KindCopy:
-		if s.Workload.Copy != nil {
-			r.copyW = *s.Workload.Copy
-		}
-		if cell.FileMB != nil {
-			r.copyW.FileMB = *cell.FileMB
-		}
-		if r.copyW.FileMB == 0 {
-			r.copyW.FileMB = 10 // the paper's transfer size
-		}
+		override(&r.copyW, s.Workload.Copy)
+		override(&r.copyW.FileMB, cell.FileMB)
+		r.copyW.FileMB = cmp.Or(r.copyW.FileMB, 10) // the paper's transfer size
 		if r.copyW.FileMB < 1 {
 			return nil, invalid("workload.copy.file_mb", "transfer size must be at least 1MB")
 		}
@@ -265,9 +257,7 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 			return nil, invalid("workload.laddis", "laddis parameters required")
 		}
 		r.laddis = *s.Workload.LADDIS
-		if cell.OfferedOpsPerSec != nil {
-			r.laddis.OfferedOpsPerSec = *cell.OfferedOpsPerSec
-		}
+		override(&r.laddis.OfferedOpsPerSec, cell.OfferedOpsPerSec)
 		if r.laddis.OfferedOpsPerSec <= 0 {
 			return nil, invalid("workload.laddis.offered_ops_per_sec", "offered load must be positive")
 		}
@@ -278,42 +268,26 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 			return nil, invalid("workload.laddis", "negative working-set or generator parameters")
 		}
 	case KindStream:
-		if s.Workload.Stream != nil {
-			r.stream = *s.Workload.Stream
-		}
-		if cell.FileMB != nil {
-			r.stream.FileMB = *cell.FileMB
-		}
+		override(&r.stream, s.Workload.Stream)
+		override(&r.stream.FileMB, cell.FileMB)
 		if r.stream.FileMB < 1 {
 			return nil, invalid("workload.stream.file_mb", "per-client stream size must be at least 1MB")
 		}
 	case KindTrace:
-		if s.Workload.Trace != nil {
-			r.trace = *s.Workload.Trace
-		}
+		override(&r.trace, s.Workload.Trace)
 		if r.trace.FileKB < 1 {
 			return nil, invalid("workload.trace.file_kb", "transfer size must be at least 1KB")
 		}
-		if r.trace.WindowAfterKB == 0 {
-			r.trace.WindowAfterKB = 100
-		}
-		if r.trace.Window == 0 {
-			r.trace.Window = 60 * sim.Millisecond
-		}
-		if r.trace.Bound == 0 {
-			r.trace.Bound = 60 * sim.Second
-		}
+		r.trace.WindowAfterKB = cmp.Or(r.trace.WindowAfterKB, 100)
+		r.trace.Window = cmp.Or(r.trace.Window, 60*sim.Millisecond)
+		r.trace.Bound = cmp.Or(r.trace.Bound, 60*sim.Second)
 		if r.nclients != 1 {
 			return nil, invalid("topology.clients",
 				"the trace workload follows a single writing client (got %d)", r.nclients)
 		}
 	case KindOpenload:
-		if s.Workload.Openload != nil {
-			r.open = *s.Workload.Openload
-		}
-		if cell.OfferedLoad != nil {
-			r.open.TargetOps = *cell.OfferedLoad
-		}
+		override(&r.open, s.Workload.Openload)
+		override(&r.open.TargetOps, cell.OfferedLoad)
 		if err := r.validateOpenload(); err != nil {
 			return nil, err
 		}
@@ -330,12 +304,8 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 		if o.TraceMaxEvents < 0 {
 			return nil, invalid("observe.trace_max_events", "event cap must not be negative")
 		}
-		if o.SampleEvery == 0 {
-			o.SampleEvery = 100 * sim.Millisecond
-		}
-		if o.TraceMaxEvents == 0 {
-			o.TraceMaxEvents = 200_000
-		}
+		o.SampleEvery = cmp.Or(o.SampleEvery, 100*sim.Millisecond)
+		o.TraceMaxEvents = cmp.Or(o.TraceMaxEvents, 200_000)
 		r.observe = &o
 	}
 
@@ -369,21 +339,15 @@ func (r *resolved) validateOpenload() error {
 		return invalid("workload.openload.target_ops",
 			"offered rate must be > 0 ops/s (cells override it via offered_load)")
 	}
-	switch w.Arrival {
-	case "", ArrivalFixed, ArrivalPoisson, ArrivalBursty:
-	default:
+	if !slices.Contains([]string{"", ArrivalFixed, ArrivalPoisson, ArrivalBursty}, w.Arrival) {
 		return invalid("workload.openload.arrival",
 			"unknown arrival kind %q (want one of %q, %q, %q)", w.Arrival, ArrivalFixed, ArrivalPoisson, ArrivalBursty)
 	}
-	switch w.Mix {
-	case "", MixLADDIS, MixMetadata:
-	default:
+	if !slices.Contains([]string{"", MixLADDIS, MixMetadata}, w.Mix) {
 		return invalid("workload.openload.mix",
 			"unknown mix %q (want one of %q, %q)", w.Mix, MixLADDIS, MixMetadata)
 	}
-	switch w.Population {
-	case "", PopFlat, PopZipf:
-	default:
+	if !slices.Contains([]string{"", PopFlat, PopZipf}, w.Population) {
 		return invalid("workload.openload.population",
 			"unknown population %q (want one of %q, %q)", w.Population, PopFlat, PopZipf)
 	}
@@ -401,12 +365,8 @@ func (r *resolved) validateOpenload() error {
 		w.Deadline < 0 || w.BurstOn < 0 || w.BurstOff < 0 {
 		return invalid("workload.openload", "negative population, window, queue or burst parameters")
 	}
-	if w.Files == 0 {
-		w.Files = 64
-	}
-	if w.FileBlocks == 0 {
-		w.FileBlocks = 4
-	}
+	w.Files = cmp.Or(w.Files, 64)
+	w.FileBlocks = cmp.Or(w.FileBlocks, 4)
 	return nil
 }
 
@@ -422,42 +382,38 @@ func (r *resolved) checkSegment(field, seg string) error {
 	if seg == "" {
 		return nil
 	}
-	if r.segIndex == nil {
+	if r.segNames == nil {
 		return invalid(field, "segment placement requires topology.media")
 	}
-	if _, ok := r.segIndex[seg]; !ok {
-		return invalid(field, "unknown segment %q (declared: %s)", seg, r.segmentNames())
+	if !slices.Contains(r.segNames, seg) {
+		return invalid(field, "unknown segment %q (declared: %s)", seg, quoted(r.segNames))
 	}
 	return nil
 }
 
-// segmentNames lists the declared segment names for error messages.
-func (r *resolved) segmentNames() string {
-	names := make([]string, 0, len(r.segIndex))
-	for i := 0; i < len(r.segIndex); i++ {
-		for n, idx := range r.segIndex {
-			if idx == i {
-				names = append(names, fmt.Sprintf("%q", n))
-			}
-		}
+// quoted lists names, each quoted, for error messages.
+func quoted(names []string) string {
+	q := make([]string, len(names))
+	for i, n := range names {
+		q[i] = strconv.Quote(n)
 	}
-	return strings.Join(names, ", ")
+	return strings.Join(q, ", ")
 }
 
 // resolveMedia validates the segment list and builds the fabric plan:
 // unique named segments of known kinds, exactly one root, every uplink
 // declared and acyclic, sane bridge port/budget parameters.
 func (r *resolved) resolveMedia(media []Medium) error {
-	r.segIndex = make(map[string]int, len(media))
+	r.segNames = make([]string, 0, len(media))
 	for i, m := range media {
 		field := fmt.Sprintf("topology.media[%d]", i)
 		if m.Name == "" {
 			return invalid(field, "segment needs a name")
 		}
-		if _, dup := r.segIndex[m.Name]; dup {
+		if slices.Contains(r.segNames, m.Name) {
 			return invalid(field, "duplicate segment name %q", m.Name)
 		}
-		r.segIndex[m.Name] = i
+		r.segNames = append(r.segNames, m.Name)
 		if _, ok := netParams(m.Net); !ok {
 			return invalid(field, "unknown medium %q (want one of %s)", m.Net, knownMediaKinds())
 		}
@@ -482,8 +438,8 @@ func (r *resolved) resolveMedia(media []Medium) error {
 		if m.Uplink == m.Name {
 			return invalid(field, "segment %q uplinks to itself", m.Name)
 		}
-		if _, ok := r.segIndex[m.Uplink]; !ok {
-			return invalid(field, "uplink names unknown segment %q (declared: %s)", m.Uplink, r.segmentNames())
+		if !slices.Contains(r.segNames, m.Uplink) {
+			return invalid(field, "uplink names unknown segment %q (declared: %s)", m.Uplink, quoted(r.segNames))
 		}
 	}
 	if r.rootSeg == "" {
@@ -492,7 +448,7 @@ func (r *resolved) resolveMedia(media []Medium) error {
 	}
 	for i, m := range media {
 		hops := 0
-		for at := m.Name; at != r.rootSeg; at = media[r.segIndex[at]].Uplink {
+		for at := m.Name; at != r.rootSeg; at = media[slices.Index(r.segNames, at)].Uplink {
 			if hops++; hops > len(media) {
 				return invalid(fmt.Sprintf("topology.media[%d]", i),
 					"segment %q cannot reach the root %q — an uplink cycle orphans it from every server", m.Name, r.rootSeg)
@@ -501,13 +457,7 @@ func (r *resolved) resolveMedia(media []Medium) error {
 	}
 	for _, m := range media {
 		p, _ := netParams(m.Net)
-		lat, q := m.BridgeLatency, m.BridgeQueue
-		if lat == 0 {
-			lat = DefaultBridgeLatency
-		}
-		if q == 0 {
-			q = DefaultBridgeQueue
-		}
+		lat, q := cmp.Or(m.BridgeLatency, DefaultBridgeLatency), cmp.Or(m.BridgeQueue, DefaultBridgeQueue)
 		r.cfg.Segments = append(r.cfg.Segments, netsim.SegmentSpec{
 			Name:   m.Name,
 			Params: p,
@@ -536,22 +486,19 @@ func trimSegments(media []Medium, groups []ClientGroup, n int) ([]Medium, []Clie
 		return nil, nil, invalid("cells.segments",
 			"segment count %d out of range (topology declares %d non-root segments)", n, children)
 	}
-	keep := make(map[string]bool, len(media))
 	var outMedia []Medium
-	kept := 0
+	var outGroups []ClientGroup
 	for _, m := range media {
 		if m.Uplink != "" {
-			if kept >= n {
+			if n == 0 {
 				continue
 			}
-			kept++
+			n--
 		}
-		keep[m.Name] = true
 		outMedia = append(outMedia, m)
 	}
-	var outGroups []ClientGroup
 	for _, g := range groups {
-		if g.Segment == "" || keep[g.Segment] {
+		if g.Segment == "" || slices.ContainsFunc(outMedia, func(m Medium) bool { return m.Name == g.Segment }) {
 			outGroups = append(outGroups, g)
 		}
 	}
@@ -578,311 +525,57 @@ func (r *resolved) needsCluster() string {
 	return ""
 }
 
-// faultWindow is one scheduled window on a target, kept with the spec
-// field it came from so overlap errors name both offenders. fatal windows
-// take the host down (crash, reboot, failover); non-fatal ones only sever
-// its attachment (link outage) — the host, its daemons and any adopted
-// exports live on. disk is a degraded window's spindle (-1: every stripe
-// member).
-type faultWindow struct {
-	from, to sim.Duration
-	field    string
-	fatal    bool
-	disk     int
-}
-
-// overlap returns the first pair of ws, in declaration order, whose
-// windows intersect and which conflict accepts (nil accepts every pair).
-func overlap(ws []faultWindow, conflict func(a, b faultWindow) bool) (a, b faultWindow, ok bool) {
-	for i := range ws {
-		for j := i + 1; j < len(ws); j++ {
-			a, b := ws[i], ws[j]
-			if a.from < b.to && b.from < a.to && (conflict == nil || conflict(a, b)) {
-				return a, b, true
-			}
-		}
-	}
-	return a, b, false
-}
-
-// sameSpindle reports whether two degraded windows on one node slow the
-// same spindle.
-func sameSpindle(a, b faultWindow) bool { return a.disk < 0 || b.disk < 0 || a.disk == b.disk }
-
-// forever marks an open-ended window (a failed-over shard never comes
-// back).
-const forever = sim.Duration(1<<63 - 1)
-
-// validateFaults checks every fault event by kind against the resolved
-// topology: known targets, sane cycle
-// parameters, strict kind/variant pairing, per-target non-overlapping
-// down-windows (the injector skips a fault aimed at a target that is
-// still down, so an overlapping schedule would silently drop cycles
-// instead of running what the spec describes), and failover sanity (the
-// adopter must not be dead, dying, or itself failed-over).
+// validateFaults checks each fault event by its own kind, then the rules
+// that span events: no two down windows on one target overlap (the
+// injector skips a fault aimed at a target that is still down, so an
+// overlapping schedule would silently drop cycles instead of running
+// what the spec describes), no host-fatal window overlaps a window in
+// which its target must stay up, and the open-loop image rule. Of
+// several conflicts the one whose earlier event is declared first is
+// reported.
 func (r *resolved) validateFaults() error {
-	serverWin := map[int][]faultWindow{}
-	clientWin := map[int][]faultWindow{}
-	segWin := map[string][]faultWindow{}
-	type adoption struct {
-		to    int
-		at    sim.Duration
+	type window struct {
+		fault.Window
 		field string
 	}
-	var adoptions []adoption
-	type point struct {
-		client int
-		at     sim.Duration
-		field  string
-	}
-	var biodPoints []point
-	// Degraded-window overlap ledger: stacked windows on one spindle
-	// would multiply factors in an order the spec never stated, so they
-	// are rejected. disk -1 (every stripe member) conflicts with any
-	// window on the same node.
-	degradeWin := map[int][]faultWindow{}
-
+	var topo *fault.Topology
+	var down, up []window
 	for i, ev := range r.faults.Events {
 		field := eventField(i)
 		if err := checkVariant(field, ev); err != nil {
 			return err
 		}
-		switch f := ev.Fault().(type) {
-		case *fault.ServerCrash:
-			if f.Node < 0 || f.Node >= r.cfg.Servers {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
-			}
-			if f.Count < 1 {
-				return invalid(field, "crash count must be at least 1")
-			}
-			if f.Outage <= 0 {
-				return invalid(field, "outage must be positive")
-			}
-			if f.At < 0 {
-				return invalid(field, "first crash time must not be negative")
-			}
-			if f.Count > 1 && f.Period <= 0 {
-				return invalid(field, "repeating trains need a positive period")
-			}
-			for k := 0; k < f.Count; k++ {
-				at := f.At + sim.Duration(k)*f.Period
-				serverWin[f.Node] = append(serverWin[f.Node], faultWindow{at, at + f.Outage, field, true, 0})
-			}
-		case *fault.ClientReboot:
-			if f.Client < 0 || f.Client >= r.nclients {
-				return invalid(field, "fault targets unknown client %d (topology has %d clients)", f.Client, r.nclients)
-			}
-			if f.Outage <= 0 {
-				return invalid(field, "outage must be positive")
-			}
-			if f.At < 0 {
-				return invalid(field, "reboot time must not be negative")
-			}
-			if r.kind != KindStream {
-				return invalid(field, "client faults require the stream workload (the %s runner cannot lose a client)", r.kind)
-			}
-			clientWin[f.Client] = append(clientWin[f.Client], faultWindow{f.At, f.At + f.Outage, field, true, 0})
-		case *fault.BiodLoss:
-			if f.Client < 0 || f.Client >= r.nclients {
-				return invalid(field, "fault targets unknown client %d (topology has %d clients)", f.Client, r.nclients)
-			}
-			if f.At < 0 {
-				return invalid(field, "loss time must not be negative")
-			}
-			if r.kind != KindStream {
-				return invalid(field, "client faults require the stream workload (the %s runner cannot lose a client)", r.kind)
-			}
-			biods := r.clientBiods(f.Client)
-			if f.Lose < 1 || f.Lose > biods {
-				return invalid(field, "lose must be between 1 and the client's %d biods", biods)
-			}
-			biodPoints = append(biodPoints, point{f.Client, f.At, field})
-		case *fault.ShardFailover:
-			if f.Node < 0 || f.Node >= r.cfg.Servers {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
-			}
-			if f.To < 0 || f.To >= r.cfg.Servers {
-				return invalid(field, "failover to unknown node %d (topology has %d servers)", f.To, r.cfg.Servers)
-			}
-			if f.To == f.Node {
-				return invalid(field, "a shard cannot fail over to itself")
-			}
-			if f.At < 0 || f.Takeover < 0 {
-				return invalid(field, "failover and takeover times must not be negative")
-			}
-			if r.kind == KindLADDIS || r.kind == KindOpenload {
-				return invalid(field,
-					"shard failover requires a fully handle-routed workload; the %s generators issue statfs to the default server by name, which cannot follow a migrated export", r.kind)
-			}
-			// The source never comes back: its down-window is open-ended,
-			// which also rejects any later event aimed at it.
-			serverWin[f.Node] = append(serverWin[f.Node], faultWindow{f.At, forever, field, true, 0})
-			adoptions = append(adoptions, adoption{f.To, f.At, field})
-		case *fault.LinkOutage:
-			targets := 0
-			for _, set := range []bool{f.Node != nil, f.Client != nil, f.Segment != nil} {
-				if set {
-					targets++
-				}
-			}
-			if targets != 1 {
-				return invalid(field, "exactly one of node, client and segment selects the outage target")
-			}
-			if f.Count < 1 {
-				return invalid(field, "outage count must be at least 1")
-			}
-			if f.Outage <= 0 {
-				return invalid(field, "outage must be positive")
-			}
-			if f.At < 0 {
-				return invalid(field, "first outage time must not be negative")
-			}
-			if f.Count > 1 && f.Period <= 0 {
-				return invalid(field, "repeating trains need a positive period")
-			}
-			if f.Segment != nil {
-				seg := *f.Segment
-				if !r.bridged() {
-					return invalid(field, "segment outages require a multi-segment topology.media")
-				}
-				if seg == "" {
-					return invalid(field, "segment target must name a segment (declared: %s)", r.segmentNames())
-				}
-				if err := r.checkSegment(field, seg); err != nil {
-					return err
-				}
-				if seg == r.rootSeg {
-					return invalid(field, "segment %q is the root and has no uplink to sever", seg)
-				}
-				for k := 0; k < f.Count; k++ {
-					at := f.At + sim.Duration(k)*f.Period
-					segWin[seg] = append(segWin[seg], faultWindow{at, at + f.Outage, field, false, 0})
-				}
-				break
-			}
-			win := serverWin
-			idx, limit, what := 0, r.cfg.Servers, "node"
-			if f.Node != nil {
-				idx = *f.Node
+		if topo == nil {
+			topo = r.topology()
+		}
+		f := ev.Fault()
+		if err := f.Check(topo); err != nil {
+			return invalid(field, "%v", err)
+		}
+		r.storageFaults = r.storageFaults || f.Reach() == fault.ReachStorage
+		for _, w := range f.Windows() {
+			if w.Up != nil {
+				up = append(up, window{w, field})
 			} else {
-				win, idx, limit, what = clientWin, *f.Client, r.nclients, "client"
-			}
-			if idx < 0 || idx >= limit {
-				return invalid(field, "fault targets unknown %s %d", what, idx)
-			}
-			for k := 0; k < f.Count; k++ {
-				at := f.At + sim.Duration(k)*f.Period
-				win[idx] = append(win[idx], faultWindow{at, at + f.Outage, field, false, 0})
-			}
-		case *fault.DiskReadError:
-			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
-				return err
-			}
-			if f.At < 0 {
-				return invalid(field, "injection time must not be negative")
-			}
-			if f.BlockFrom < 0 || f.BlockTo < 0 {
-				return invalid(field, "negative block range")
-			}
-			if f.BlockTo != 0 && f.BlockTo <= f.BlockFrom {
-				return invalid(field, "empty block range [%d,%d) (block_to 0 means end of disk)", f.BlockFrom, f.BlockTo)
-			}
-			if f.AfterOps < 0 || f.Times < 0 {
-				return invalid(field, "negative after_ops or times")
-			}
-			if r.kind != KindStream {
-				return invalid(field, "disk read errors require the stream workload (the %s runner cannot absorb I/O-error replies)", r.kind)
-			}
-			r.storageFaults = true
-		case *fault.DiskDegraded:
-			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
-				return err
-			}
-			if f.At < 0 {
-				return invalid(field, "window start must not be negative")
-			}
-			if f.Duration <= 0 {
-				return invalid(field, "window duration must be positive")
-			}
-			if f.Factor <= 1 {
-				return invalid(field, "degrade factor must exceed 1 (got %g)", f.Factor)
-			}
-			degradeWin[f.Node] = append(degradeWin[f.Node],
-				faultWindow{f.At, f.At + f.Duration, field, false, f.Disk})
-			r.storageFaults = true
-		case *fault.DiskTornWrite:
-			if err := r.checkDiskTarget(field, f.Node, f.Disk); err != nil {
-				return err
-			}
-			if f.At < 0 {
-				return invalid(field, "arm time must not be negative")
-			}
-			r.storageFaults = true
-		case *fault.NVRAMLyingSync:
-			if f.Node < 0 || f.Node >= r.cfg.Servers {
-				return invalid(field, "fault targets unknown node %d (topology has %d servers)", f.Node, r.cfg.Servers)
-			}
-			if !r.cfg.Shard(f.Node).Presto {
-				return invalid(field, "node %d runs no NVRAM board (set topology.servers.presto or the node override)", f.Node)
-			}
-			if f.At < 0 {
-				return invalid(field, "corruption time must not be negative")
-			}
-			r.storageFaults = true
-		default:
-			// checkVariant already rejected unknown kinds; a variant
-			// added to FaultEvent but not here must fail loudly, not skip
-			// its validation.
-			panic("scenario: fault kind " + ev.Kind + " has no validation case")
-		}
-	}
-
-	for node, ws := range degradeWin {
-		if a, b, ok := overlap(ws, sameSpindle); ok {
-			return invalid(a.field,
-				"overlapping degraded windows on node %d disk %d (%s [%v,%v] and %s [%v,%v])",
-				node, a.disk, a.field, a.from, a.to, b.field, b.from, b.to)
-		}
-	}
-	for _, byTarget := range []map[int][]faultWindow{serverWin, clientWin} {
-		for target, ws := range byTarget {
-			if a, b, ok := overlap(ws, nil); ok {
-				return invalid(a.field,
-					"overlapping fault windows on target %d (%s [%v,%v] and %s [%v,%v])",
-					target, a.field, a.from, a.to, b.field, b.from, b.to)
+				down = append(down, window{w, field})
 			}
 		}
 	}
-	for seg, ws := range segWin {
-		if a, b, ok := overlap(ws, nil); ok {
-			return invalid(a.field,
-				"overlapping outage windows on segment %q (%s [%v,%v] and %s [%v,%v])",
-				seg, a.field, a.from, a.to, b.field, b.from, b.to)
-		}
+	meet := func(a, b *window) bool {
+		return a.From < b.To && b.From < a.To && a.Target.Shares(b.Target)
 	}
-	// An adopter must survive from the failover on: adopted exports die
-	// with it and nothing re-adopts them. A host-fatal window still open
-	// (or opening) after the failover instant makes the failover a
-	// scheduled durability loss; windows fully recovered before it are
-	// fine (the takeover waits out a remount tail), and link outages
-	// never take the host down at all.
-	for _, ad := range adoptions {
-		for _, w := range serverWin[ad.to] {
-			if w.fatal && w.to > ad.at {
-				return invalid(ad.field,
-					"failover to node %d, which %s schedules down at %v — the adopter must stay up from the failover on",
-					ad.to, w.field, w.from)
+	for i := range down {
+		for j := i + 1; j < len(down); j++ {
+			if a, b := &down[i], &down[j]; meet(a, b) {
+				return invalid(a.field, "overlapping %v (%s [%v,%v] and %s [%v,%v])",
+					a.Target, a.field, a.From, a.To, b.field, b.From, b.To)
 			}
 		}
 	}
-	for _, bp := range biodPoints {
-		for _, w := range clientWin[bp.client] {
-			// Only host-fatal windows matter: biods are alive (and
-			// killable) during a mere link outage.
-			if w.fatal && bp.at >= w.from && bp.at < w.to {
-				return invalid(bp.field,
-					"biod loss at %v lands inside %s's down-window [%v,%v]",
-					bp.at, w.field, w.from, w.to)
+	for i := range up {
+		for j := range down {
+			if u, d := &up[i], &down[j]; d.Fatal && meet(u, d) {
+				return invalid(u.field, "%s", u.Up(d.field, d.From, d.To))
 			}
 		}
 	}
@@ -893,6 +586,27 @@ func (r *resolved) validateFaults() error {
 		return imageFaultError(field, ev, fmt.Sprintf("none opens before %v", sim.Duration(laddisBarrier)))
 	}
 	return nil
+}
+
+// topology is the view of the cell the fault kinds check themselves
+// against.
+func (r *resolved) topology() *fault.Topology {
+	t := &fault.Topology{
+		Segments:     r.segNames,
+		Root:         r.rootSeg,
+		Workload:     r.kind,
+		Stream:       r.kind == KindStream,
+		StatfsByName: r.kind == KindLADDIS || r.kind == KindOpenload,
+	}
+	for i := range r.cfg.Servers {
+		t.Nodes = append(t.Nodes, r.cfg.Shard(i))
+	}
+	for _, g := range r.cfg.ClientGroups {
+		for range g.Count {
+			t.Biods = append(t.Biods, g.Biods)
+		}
+	}
+	return t
 }
 
 // firstImageFault finds the earliest scheduled event of an open-loop cell
@@ -907,13 +621,7 @@ func (r *resolved) firstImageFault() (first FaultEvent, field string, ok bool) {
 		return FaultEvent{}, "", false
 	}
 	for i, ev := range r.faults.Events {
-		switch ev.Fault().(type) {
-		case *fault.ServerCrash, *fault.ShardFailover, *fault.DiskReadError,
-			*fault.DiskDegraded, *fault.DiskTornWrite, *fault.NVRAMLyingSync:
-		default:
-			continue
-		}
-		if !ok || ev.Fault().Start() < first.Fault().Start() {
+		if f := ev.Fault(); f.Reach() != fault.ReachHosts && (!ok || f.Start() < first.Fault().Start()) {
 			first, field, ok = ev, eventField(i), true
 		}
 	}
@@ -934,53 +642,18 @@ func imageFaultError(field string, ev FaultEvent, window string) error {
 // checkVariant enforces the tagged-union contract: exactly the variant
 // matching Kind is set.
 func checkVariant(field string, ev FaultEvent) error {
-	variants := ev.variants()
-	known := false
-	for _, v := range variants {
-		if v.kind == ev.Kind {
-			known = true
-			if v.fault == nil {
-				return invalid(field, "kind %q declared but its %s variant is missing", ev.Kind, jsonName(ev.Kind))
-			}
-		} else if v.fault != nil {
+	var kinds []string
+	for _, v := range ev.variants() {
+		kinds = append(kinds, v.kind)
+		switch {
+		case v.kind == ev.Kind && v.fault == nil:
+			return invalid(field, "kind %q declared but its %s variant is missing", ev.Kind, strings.ReplaceAll(ev.Kind, "-", "_"))
+		case v.kind != ev.Kind && v.fault != nil:
 			return invalid(field, "kind %q set alongside a %s variant", ev.Kind, v.kind)
 		}
 	}
-	if !known {
-		names := make([]string, len(variants))
-		for i, v := range variants {
-			names[i] = fmt.Sprintf("%q", v.kind)
-		}
-		return invalid(field, "unknown fault kind %q (want one of %s)", ev.Kind,
-			strings.Join(names, ", "))
+	if !slices.Contains(kinds, ev.Kind) {
+		return invalid(field, "unknown fault kind %q (want one of %s)", ev.Kind, quoted(kinds))
 	}
 	return nil
-}
-
-// jsonName maps a fault kind tag to its variant's JSON field name.
-func jsonName(kind string) string {
-	return strings.ReplaceAll(kind, "-", "_")
-}
-
-// checkDiskTarget validates a (node, disk) storage-fault target against
-// the resolved topology. disk -1 selects every stripe member.
-func (r *resolved) checkDiskTarget(field string, node, disk int) error {
-	if node < 0 || node >= r.cfg.Servers {
-		return invalid(field, "fault targets unknown node %d (topology has %d servers)", node, r.cfg.Servers)
-	}
-	if nd := r.cfg.Shard(node).StripeDisks; disk < -1 || disk >= nd {
-		return invalid(field, "fault targets unknown disk %d on node %d (%d spindles; -1 means all)", disk, node, nd)
-	}
-	return nil
-}
-
-// clientBiods resolves a client index to its group's biod count.
-func (r *resolved) clientBiods(idx int) int {
-	for _, g := range r.cfg.ClientGroups {
-		if idx < g.Count {
-			return g.Biods
-		}
-		idx -= g.Count
-	}
-	return 0
 }

@@ -184,3 +184,32 @@ func TestFaultValidationMessages(t *testing.T) {
 		}
 	}
 }
+
+// overlapsOnTwoNodes is a two-server stream spec with overlapping crash
+// windows on both nodes and overlapping degraded windows on both nodes:
+// four conflicts, of which the first declared is events 0 and 1.
+const overlapsOnTwoNodes = `[
+	{"kind":"server-crash","server_crash":{"node":0,"at_ns":100000,"outage_ns":50000,"count":1}},
+	{"kind":"server-crash","server_crash":{"node":0,"at_ns":120000,"outage_ns":50000,"count":1}},
+	{"kind":"server-crash","server_crash":{"node":1,"at_ns":100000,"outage_ns":50000,"count":1}},
+	{"kind":"server-crash","server_crash":{"node":1,"at_ns":120000,"outage_ns":50000,"count":1}},
+	{"kind":"disk-degraded","disk_degraded":{"node":0,"at_ns":1000000,"duration_ns":100000,"factor":2}},
+	{"kind":"disk-degraded","disk_degraded":{"node":0,"at_ns":1050000,"duration_ns":100000,"factor":2}},
+	{"kind":"disk-degraded","disk_degraded":{"node":1,"at_ns":1000000,"duration_ns":100000,"factor":2}},
+	{"kind":"disk-degraded","disk_degraded":{"node":1,"at_ns":1050000,"duration_ns":100000,"factor":2}}]`
+
+// TestOverlapErrorIsTheFirstDeclared: of several conflicting pairs,
+// validation reports the one whose earlier event is declared first, on
+// every call.
+func TestOverlapErrorIsTheFirstDeclared(t *testing.T) {
+	s := faultSpec()
+	if err := json.Unmarshal([]byte(overlapsOnTwoNodes), &s.Faults.Events); err != nil {
+		t.Fatal(err)
+	}
+	const want = "scenario: invalid spec: faults.events[0]: overlapping fault windows on target 0 (faults.events[0] [100.000ms,150.000ms] and faults.events[1] [120.000ms,170.000ms])"
+	for i := 0; i < 50; i++ {
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: %v\nwant %s", i, err, want)
+		}
+	}
+}

@@ -20,8 +20,8 @@ func wireEvents() []FaultEvent {
 	one, seg := 1, "lan1"
 	return []FaultEvent{
 		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{
-			Node: 1, At: 300 * sim.Millisecond, Period: 400 * sim.Millisecond,
-			Outage: 100 * sim.Millisecond, Count: 2}},
+			Node: 1, Train: fault.Train{At: 300 * sim.Millisecond, Period: 400 * sim.Millisecond,
+				Outage: 100 * sim.Millisecond, Count: 2}}},
 		{Kind: fault.KindClientReboot, ClientReboot: &fault.ClientReboot{
 			Client: 1, At: 300 * sim.Millisecond, Outage: 200 * sim.Millisecond}},
 		{Kind: fault.KindBiodLoss, BiodLoss: &fault.BiodLoss{
@@ -29,14 +29,14 @@ func wireEvents() []FaultEvent {
 		{Kind: fault.KindShardFailover, ShardFailover: &fault.ShardFailover{
 			Node: 1, To: 0, At: 400 * sim.Millisecond, Takeover: 250 * sim.Millisecond}},
 		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Node: &one, At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
-			Outage: 50 * sim.Millisecond, Count: 2}},
+			Node: &one, Train: fault.Train{At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
+				Outage: 50 * sim.Millisecond, Count: 2}}},
 		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Client: &one, At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
-			Outage: 50 * sim.Millisecond, Count: 2}},
+			Client: &one, Train: fault.Train{At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
+				Outage: 50 * sim.Millisecond, Count: 2}}},
 		{Kind: fault.KindLinkOutage, LinkOutage: &fault.LinkOutage{
-			Segment: &seg, At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
-			Outage: 50 * sim.Millisecond, Count: 2}},
+			Segment: &seg, Train: fault.Train{At: 150 * sim.Millisecond, Period: 500 * sim.Millisecond,
+				Outage: 50 * sim.Millisecond, Count: 2}}},
 		{Kind: fault.KindDiskReadError, DiskReadError: &fault.DiskReadError{
 			Node: 1, Disk: 1, At: 200 * sim.Millisecond,
 			BlockFrom: 16, BlockTo: 64, AfterOps: 2, Times: 3}},
