@@ -384,8 +384,9 @@ func (c *Client) callEncoder(proc nfsproto.Proc, argsSize int) *xdr.Encoder {
 
 // encode is every procedure's encode half: callEncoder plus r's
 // arguments. Each case builds its argument record on the caller's stack
-// and encodes it at once, so the record costs no heap object.
-func (c *Client) encode(r *Req) {
+// and encodes it at once, so the record costs no heap object. It returns
+// the length of the body the call carries, which is 0 but for a WRITE.
+func (c *Client) encode(r *Req) int {
 	switch r.Proc {
 	case nfsproto.ProcLookup, nfsproto.ProcRemove:
 		args := nfsproto.DirOpArgs{Dir: r.FH, Name: r.Name}
@@ -410,10 +411,11 @@ func (c *Client) encode(r *Req) {
 		args.EncodeTo(c.callEncoder(r.Proc, args.EncodedSize()))
 	case nfsproto.ProcWrite:
 		// The head only: the data rides as the datagram body.
-		nfsproto.AppendWriteArgsHead(c.callEncoder(r.Proc, nfsproto.WriteArgsHeadSize), r.FH, r.Off, int(r.Count))
+		return nfsproto.AppendWriteArgsHead(c.callEncoder(r.Proc, nfsproto.WriteArgsHeadSize), r.FH, r.Off, int(r.Count))
 	default:
 		panic(fmt.Sprintf("client: no encode half for procedure %d", r.Proc))
 	}
+	return 0
 }
 
 // start registers the call callEncoder began (its XID is still xidSeq and
@@ -571,15 +573,14 @@ func (c *Client) finish(p *sim.Proc, pc *pendingCall) (*oncrpc.ReplyMsg, int, er
 // while the host is down, and settles as a reply or a timeout.
 func (c *Client) Go(r Req, done func(nfsproto.Status, error)) {
 	var out *block.Buf
-	outLen := 0
 	if r.Proc == nfsproto.ProcWrite {
-		out, outLen = c.PatternBuf(r.Off, nfsproto.MaxData), nfsproto.MaxData
+		out = c.PatternBuf(r.Off, nfsproto.MaxData)
 		r.Count = nfsproto.MaxData
 		if c.OnWriteEvent != nil {
 			c.OnWriteEvent("send", r.Off, nfsproto.MaxData)
 		}
 	}
-	c.encode(&r)
+	outLen := c.encode(&r)
 	pc := c.start(r.Proc, r.FH, out, outLen)
 	pc.req, pc.done = r, done
 	pc.transmit()
@@ -792,18 +793,13 @@ func (c *Client) Statfs(p *sim.Proc, fh nfsproto.FH) (*nfsproto.StatfsRes, error
 }
 
 // WriteSync issues one WRITE RPC and waits for its reply, recording write
-// latency and throughput counters. The payload is copied into the wire
-// buffer (data may be reused by the caller immediately); the zero-copy
-// twin is WriteSyncBufRelease.
+// latency and throughput counters. It stages data in a buffer from the
+// client's pool, so the caller may reuse data at once, and sends that as
+// WriteSyncBufRelease does. data is at most MaxData bytes.
 func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
-	start := p.Now()
-	if c.OnWriteEvent != nil {
-		c.OnWriteEvent("send", off, len(data))
-	}
-	args := nfsproto.WriteArgs{File: fh, Offset: off, TotalCount: uint32(len(data)), Data: data}
-	args.EncodeTo(c.callEncoder(nfsproto.ProcWrite, args.EncodedSize()))
-	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, nil, 0))
-	return c.writeDone(fh, off, len(data), start, reply, err)
+	b := c.GetWriteBuf()
+	copy(b.Data(), data)
+	return c.WriteSyncBufRelease(p, fh, off, b, len(data))
 }
 
 // WriteSyncBufRelease issues one WRITE RPC whose n-byte payload travels
@@ -811,19 +807,16 @@ func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte)
 // buffer and the server's buffer cache — and takes ownership of the
 // caller's reference to b: it is released when the RPC completes, via
 // defer, so even a kill that unwinds the calling process mid-RPC cannot
-// strand it. Each transmitted datagram holds its own reference. Payload
-// lengths the XDR opaque would pad fall back to the copying path.
+// strand it. Each transmitted datagram holds its own reference. A length
+// XDR pads sends its pad from b too, so b holds n rounded up to 4 bytes.
 func (c *Client) WriteSyncBufRelease(p *sim.Proc, fh nfsproto.FH, off uint32, b *block.Buf, n int) error {
 	defer b.Release()
-	if n%4 != 0 {
-		return c.WriteSync(p, fh, off, b.Data()[:n])
-	}
 	start := p.Now()
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("send", off, n)
 	}
-	c.encode(&Req{Proc: nfsproto.ProcWrite, FH: fh, Off: off, Count: uint32(n)})
-	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, b, n))
+	bodyLen := c.encode(&Req{Proc: nfsproto.ProcWrite, FH: fh, Off: off, Count: uint32(n)})
+	reply, _, err := c.finish(p, c.start(nfsproto.ProcWrite, fh, b, bodyLen))
 	return c.writeDone(fh, off, n, start, reply, err)
 }
 
@@ -834,9 +827,9 @@ func (c *Client) WritePattern(p *sim.Proc, fh nfsproto.FH, off uint32) error {
 	return c.WriteSyncBufRelease(p, fh, off, c.PatternBuf(off, nfsproto.MaxData), nfsproto.MaxData)
 }
 
-// writeDone is the WRITE's decode half, shared by WriteSync,
-// WriteSyncBufRelease and Go: a status other than OK is the write's error,
-// and an acked write records its latency from start and its bytes.
+// writeDone is the WRITE's decode half, shared by WriteSyncBufRelease and
+// Go: a status other than OK is the write's error, and an acked write
+// records its latency from start and its bytes.
 func (c *Client) writeDone(fh nfsproto.FH, off uint32, n int, start sim.Time, reply *oncrpc.ReplyMsg, err error) error {
 	if c.OnWriteEvent != nil {
 		c.OnWriteEvent("reply", off, n)

@@ -67,9 +67,9 @@ type WriteDesc struct {
 	Ino    vfs.Ino
 	Offset uint32
 	Length uint32
-	// Body, when non-nil, is the refcounted payload buffer of a split
-	// WRITE (a borrow of the datagram's reference, valid for the duration
-	// of HandleWrite); the filesystem's zero-copy entry point adopts it.
+	// Body is the WRITE's refcounted payload buffer (a borrow of the
+	// datagram's reference, valid for the duration of HandleWrite); the
+	// filesystem's zero-copy entry point may adopt it.
 	Body    *block.Buf
 	Arrived sim.Time
 	// Send delivers the reply; the engine calls it exactly once, after the
@@ -125,17 +125,24 @@ type Stats struct {
 	HandlePeak int
 }
 
+// FS is what the engine calls of the local filesystem: VOP_WRITE fed by
+// a refcounted payload buffer, VOP_SYNCDATA and VOP_FSYNC, each with the
+// paper's flags (§6.4). The caller keeps its reference to b; the
+// filesystem takes another if it retains the buffer.
+type FS interface {
+	WriteBuf(p *sim.Proc, ino vfs.Ino, off uint32, b *block.Buf, n int, flags vfs.IOFlags) error
+	SyncData(p *sim.Proc, ino vfs.Ino, from, to uint32) error
+	Fsync(p *sim.Proc, ino vfs.Ino, flags vfs.FsyncFlags) error
+}
+
 // Engine is the per-server write gathering state.
 type Engine struct {
 	sim *sim.Sim
-	fs  vfs.FileSystem
+	fs  FS
 	cfg Config
 	// hunter probes the socket buffer for another WRITE to the file; nil
 	// disables the probe regardless of cfg.MbufHunter.
 	hunter func(ino vfs.Ino) bool
-
-	// bw is fs's zero-copy write entry point, nil when unsupported.
-	bw vfs.BlockWriter
 
 	locks  *VnodeLocks
 	files  map[vfs.Ino]*fileGather
@@ -186,15 +193,13 @@ func (g *fileGather) doneBatch(batch []*WriteDesc) {
 
 // NewEngine builds an engine over fs for a server with numNfsds daemons.
 // hunter may be nil when the serving stack cannot expose its socket buffer.
-func NewEngine(s *sim.Sim, fs vfs.FileSystem, numNfsds int, cfg Config, hunter func(vfs.Ino) bool) *Engine {
+func NewEngine(s *sim.Sim, fs FS, numNfsds int, cfg Config, hunter func(vfs.Ino) bool) *Engine {
 	if cfg.MaxProcrastinations < 0 {
 		cfg.MaxProcrastinations = 0
 	}
-	bw, _ := fs.(vfs.BlockWriter)
 	return &Engine{
 		sim:    s,
 		fs:     fs,
-		bw:     bw,
 		cfg:    cfg,
 		hunter: hunter,
 		locks:  NewVnodeLocks(s),
@@ -283,7 +288,8 @@ func (e *Engine) takeHandle() {
 func (e *Engine) putHandle() { e.inUse-- }
 
 // HandleWrite runs the §6.8 algorithm for one WRITE request on behalf of
-// nfsd. data is the write payload. It returns with the reply either
+// nfsd. data is the write payload as it sits in d.Body, which is what
+// lands; only data's length is read. It returns with the reply either
 // pending (another nfsd will send it) or already sent (this nfsd became
 // the metadata writer); either way the caller's nfsd is free to take new
 // work. A filesystem error is returned immediately and the descriptor's
@@ -308,12 +314,7 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 		flags = vfs.IODelayData
 	}
 	e.locks.Lock(p, ino)
-	var err error
-	if d.Body != nil && e.bw != nil {
-		err = e.bw.WriteBuf(p, ino, d.Offset, d.Body, len(data), flags)
-	} else {
-		err = e.fs.Write(p, ino, d.Offset, data, flags)
-	}
+	err := e.fs.WriteBuf(p, ino, d.Offset, d.Body, len(data), flags)
 	// The borrow ends here: the descriptor outlives the datagram whose
 	// reference backs Body (it sits on the gather queue across sleeps), so
 	// clear it rather than leave a dangling pointer past its validity.

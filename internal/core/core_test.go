@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -30,32 +31,7 @@ func (f *fakeFS) logf(format string, args ...any) {
 	f.log = append(f.log, fmt.Sprintf(format, args...))
 }
 
-func (f *fakeFS) Root() vfs.Ino { return 1 }
-func (f *fakeFS) FSID() uint32  { return 1 }
-func (f *fakeFS) Lookup(*sim.Proc, vfs.Ino, string) (vfs.Ino, error) {
-	return 0, vfs.ErrNoEnt
-}
-func (f *fakeFS) Create(*sim.Proc, vfs.Ino, string, uint32) (vfs.Ino, error) {
-	return 0, vfs.ErrNoSpace
-}
-func (f *fakeFS) Mkdir(*sim.Proc, vfs.Ino, string, uint32) (vfs.Ino, error) {
-	return 0, vfs.ErrNoSpace
-}
-func (f *fakeFS) Remove(*sim.Proc, vfs.Ino, string) error { return vfs.ErrNoEnt }
-func (f *fakeFS) Rmdir(*sim.Proc, vfs.Ino, string) error  { return vfs.ErrNoEnt }
-func (f *fakeFS) Rename(*sim.Proc, vfs.Ino, string, vfs.Ino, string) error {
-	return vfs.ErrNoEnt
-}
-func (f *fakeFS) Readdir(_ *sim.Proc, _ vfs.Ino, _ uint32, _ int, dst []vfs.DirEntry) ([]vfs.DirEntry, bool, error) {
-	return dst, true, nil
-}
-func (f *fakeFS) GetAttr(*sim.Proc, vfs.Ino) (vfs.Attr, error) { return vfs.Attr{}, nil }
-func (f *fakeFS) SetAttrs(*sim.Proc, vfs.Ino, vfs.SetAttr) (vfs.Attr, error) {
-	return vfs.Attr{}, nil
-}
-func (f *fakeFS) Read(*sim.Proc, vfs.Ino, uint32, []byte) (int, error) { return 0, nil }
-
-func (f *fakeFS) Write(p *sim.Proc, ino vfs.Ino, off uint32, data []byte, flags vfs.IOFlags) error {
+func (f *fakeFS) WriteBuf(p *sim.Proc, ino vfs.Ino, off uint32, _ *block.Buf, _ int, flags vfs.IOFlags) error {
 	if f.failWrite {
 		return vfs.ErrNoSpace
 	}
@@ -90,9 +66,7 @@ func (f *fakeFS) Fsync(p *sim.Proc, ino vfs.Ino, flags vfs.FsyncFlags) error {
 	return nil
 }
 
-func (f *fakeFS) Statfs(*sim.Proc) (int, int64, int64) { return 8192, 100, 100 }
-
-var _ vfs.FileSystem = (*fakeFS)(nil)
+var _ FS = (*fakeFS)(nil)
 
 type replyRec struct {
 	id   int

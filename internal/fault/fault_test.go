@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/hw"
@@ -123,7 +124,13 @@ type probe struct {
 
 // rpc sends raw and waits for the reply.
 func (pr *probe) rpc(p *sim.Proc, raw []byte) *oncrpc.ReplyMsg {
-	pr.net.Send(p, "probe", pr.to, raw)
+	return pr.rpcBody(p, raw, nil, 0)
+}
+
+// rpcBody sends raw followed by bodyLen bytes of body, as a WRITE travels,
+// and waits for the reply.
+func (pr *probe) rpcBody(p *sim.Proc, raw []byte, body *block.Buf, bodyLen int) *oncrpc.ReplyMsg {
+	pr.net.SendHead(p, "probe", pr.to, netsim.Head{Bytes: raw}, body, bodyLen)
 	dg := pr.ep.Inbox.Get(p)
 	defer dg.Release()
 	r := new(oncrpc.ReplyMsg)
@@ -140,12 +147,17 @@ func (pr *probe) rpc(p *sim.Proc, raw []byte) *oncrpc.ReplyMsg {
 }
 
 func encodeCall(xid uint32, proc nfsproto.Proc, args xdr.Record) []byte {
-	call := &oncrpc.CallMsg{
+	return encodeCallArgs(xid, proc, xdr.Marshal(args))
+}
+
+// encodeCallArgs is encodeCall for arguments already encoded, such as a
+// WRITE's head.
+func encodeCallArgs(xid uint32, proc nfsproto.Proc, args []byte) []byte {
+	return xdr.Marshal(&oncrpc.CallMsg{
 		XID: xid, Prog: nfsproto.Program, Vers: nfsproto.Version,
 		Proc: uint32(proc), Cred: oncrpc.NullAuth(), Verf: oncrpc.NullAuth(),
-	}
-	call.Args = xdr.Marshal(args)
-	return xdr.Marshal(call)
+		Args: args,
+	})
 }
 
 // TestDupCacheAcrossReboot pins the volatile-dup-cache semantics: before a
@@ -184,17 +196,20 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 
 		// Acked WRITE, then a pre-crash retransmission: served from the
 		// dup cache, byte-identical, not re-executed.
-		writeRaw := encodeCall(100, nfsproto.ProcWrite, &nfsproto.WriteArgs{
-			File: fh, Offset: 0, TotalCount: uint32(len(data)), Data: data,
-		})
-		first := pr.rpc(p, writeRaw)
+		writeHead := xdr.NewEncoder(nil)
+		bodyLen := nfsproto.AppendWriteArgsHead(writeHead, fh, 0, len(data))
+		writeRaw := encodeCallArgs(100, nfsproto.ProcWrite, writeHead.Bytes())
+		body := c.Clients[0].GetWriteBuf()
+		defer body.Release()
+		copy(body.Data(), data)
+		first := pr.rpcBody(p, writeRaw, body, bodyLen)
 		var ws nfsproto.AttrStat
 		err = nfsproto.DecodeAttrStatInto(first.Results, &ws)
 		if err != nil || ws.Status != nfsproto.OK {
 			t.Errorf("write: %v %v", err, ws)
 			return
 		}
-		resent := pr.rpc(p, writeRaw)
+		resent := pr.rpcBody(p, writeRaw, body, bodyLen)
 		if !bytes.Equal(first.Results, resent.Results) {
 			t.Error("pre-crash dup resend differs from the cached reply")
 		}
@@ -229,7 +244,7 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 
 		// Retransmitted WRITE re-executes (no cache), and that is safe:
 		// identical bytes land on identical offsets.
-		re := pr.rpc(p, writeRaw)
+		re := pr.rpcBody(p, writeRaw, body, bodyLen)
 		var rs nfsproto.AttrStat
 		err = nfsproto.DecodeAttrStatInto(re.Results, &rs)
 		if err != nil || rs.Status != nfsproto.OK {

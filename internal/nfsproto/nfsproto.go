@@ -615,8 +615,9 @@ func DecodeReadResSplitInto(b []byte, body []byte, r *ReadRes) error {
 	return nil
 }
 
-// WriteArgs are the WRITE arguments. BeginOffset and TotalCount are unused
-// by the protocol but present on the wire.
+// WriteArgs are the decoded WRITE arguments (DecodeWriteArgsSplitInto); a
+// WRITE is encoded as a head (AppendWriteArgsHead) and a body. BeginOffset
+// and TotalCount are unused by the protocol but present on the wire.
 type WriteArgs struct {
 	File        FH
 	BeginOffset uint32
@@ -625,62 +626,31 @@ type WriteArgs struct {
 	Data        []byte
 }
 
-// EncodedSize reports the exact encoded size of the arguments.
-func (a *WriteArgs) EncodedSize() int { return FHSize + 12 + xdr.OpaqueSize(len(a.Data)) }
-
-// EncodeTo appends the arguments to e.
-func (a *WriteArgs) EncodeTo(e *xdr.Encoder) {
-	e.FixedOpaque(a.File[:])
-	e.Uint32(a.BeginOffset)
-	e.Uint32(a.Offset)
-	e.Uint32(a.TotalCount)
-	e.Opaque(a.Data)
-}
-
-// DecodeWriteArgsInto parses WRITE arguments into a caller-owned struct
-// (which may be pooled). Data aliases b.
-func DecodeWriteArgsInto(b []byte, a *WriteArgs) error {
-	d := xdr.NewDecoder(b)
-	if err := decodeFH(d, &a.File); err != nil {
-		return err
-	}
-	var err error
-	if a.BeginOffset, err = d.Uint32(); err != nil {
-		return err
-	}
-	if a.Offset, err = d.Uint32(); err != nil {
-		return err
-	}
-	if a.TotalCount, err = d.Uint32(); err != nil {
-		return err
-	}
-	if a.Data, err = d.OpaqueRef(); err != nil {
-		return err
-	}
-	return nil
-}
-
 // WriteArgsHeadSize is the encoded size of WRITE arguments up to and
 // including the opaque data length word: the head segment of a split
-// (zero-copy) WRITE, whose data bytes travel as a refcounted datagram
-// body instead of being memmoved into the wire buffer.
+// WRITE, whose data bytes travel as a refcounted datagram body instead of
+// being memmoved into the wire buffer. Every WRITE travels this way.
 const WriteArgsHeadSize = FHSize + 16
 
 // AppendWriteArgsHead appends the WRITE argument head — fixed fields plus
 // the data length word — for a payload of n bytes whose data rides as a
-// separate datagram body segment. n must be a multiple of 4 (no XDR
-// padding can follow a split body).
-func AppendWriteArgsHead(e *xdr.Encoder, fh FH, off uint32, n int) {
+// separate datagram body segment, and returns that body's length: n
+// rounded up to XDR's 4-byte unit, so head plus body is the opaque's
+// exact wire size. The pad bytes are whatever the body buffer holds there;
+// the decoder never reads them.
+func AppendWriteArgsHead(e *xdr.Encoder, fh FH, off uint32, n int) int {
 	e.FixedOpaque(fh[:])
 	e.Uint32(0) // BeginOffset, unused on the wire
 	e.Uint32(off)
 	e.Uint32(uint32(n)) // TotalCount
 	e.Uint32(uint32(n)) // opaque data length
+	return xdr.OpaqueSize(n) - 4
 }
 
-// DecodeWriteArgsSplitInto parses a split WRITE's argument head from b and
-// attaches body as the data, verifying the length word agrees. Data
-// aliases body.
+// DecodeWriteArgsSplitInto parses a WRITE's argument head from b and
+// attaches the first n bytes of body as the data, n being the head's
+// length word; body must be n padded to XDR's 4-byte unit, as
+// AppendWriteArgsHead sized it. Data aliases body.
 func DecodeWriteArgsSplitInto(b []byte, body []byte, a *WriteArgs) error {
 	d := xdr.NewDecoder(b)
 	if err := decodeFH(d, &a.File); err != nil {
@@ -700,10 +670,10 @@ func DecodeWriteArgsSplitInto(b []byte, body []byte, a *WriteArgs) error {
 	if err != nil {
 		return err
 	}
-	if int(n) != len(body) {
+	if xdr.OpaqueSize(int(n))-4 != len(body) {
 		return fmt.Errorf("nfsproto: split WRITE length %d, body %d", n, len(body))
 	}
-	a.Data = body
+	a.Data = body[:n]
 	return nil
 }
 

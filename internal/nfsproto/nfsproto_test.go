@@ -70,22 +70,50 @@ func TestAttrStatError(t *testing.T) {
 	}
 }
 
+// splitWrite encodes a WRITE of data as its head and a body padded to
+// XDR's 4-byte unit with zeros, as a sender's body buffer carries it.
+func splitWrite(fh FH, off uint32, data []byte) (head, body []byte) {
+	e := xdr.NewEncoder(make([]byte, 0, WriteArgsHeadSize))
+	n := AppendWriteArgsHead(e, fh, off, len(data))
+	body = make([]byte, n)
+	copy(body, data)
+	return e.Bytes(), body
+}
+
+// TestWriteArgsRoundTrip: head plus body of a WRITE are byte for byte
+// XDR's contiguous encoding of the arguments, pad included, so a WRITE of
+// any length has its exact wire size; the decoder hands back exactly the
+// payload, aliasing the body.
 func TestWriteArgsRoundTrip(t *testing.T) {
-	data := make([]byte, 8192)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	a := &WriteArgs{File: NewFH(1, 2, 3), BeginOffset: 0, Offset: 16384, TotalCount: 8192, Data: data}
-	enc := xdr.Marshal(a)
-	if len(enc) != a.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, encoded %d", a.EncodedSize(), len(enc))
-	}
-	var got WriteArgs
-	if err := DecodeWriteArgsInto(enc, &got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.File != a.File || got.Offset != a.Offset || !bytes.Equal(got.Data, a.Data) {
-		t.Fatal("round trip mismatch")
+	fh := NewFH(1, 2, 3)
+	for _, n := range []int{0, 1, 6, 7, 1000, 8191, MaxData} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i + 1)
+		}
+		head, body := splitWrite(fh, 16384, data)
+		if len(head) != WriteArgsHeadSize {
+			t.Fatalf("n=%d: head is %d bytes, WriteArgsHeadSize %d", n, len(head), WriteArgsHeadSize)
+		}
+		e := xdr.NewEncoder(nil)
+		e.FixedOpaque(fh[:])
+		e.Uint32(0)
+		e.Uint32(16384)
+		e.Uint32(uint32(n))
+		e.Opaque(data)
+		if !bytes.Equal(append(head, body...), e.Bytes()) {
+			t.Fatalf("n=%d: head+body differs from the contiguous encoding", n)
+		}
+		var got WriteArgs
+		if err := DecodeWriteArgsSplitInto(head, body, &got); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if got.File != fh || got.Offset != 16384 || got.TotalCount != uint32(n) || !bytes.Equal(got.Data, data) {
+			t.Fatalf("n=%d: round trip mismatch: %+v", n, got)
+		}
+		if n > 0 && &got.Data[0] != &body[0] {
+			t.Fatalf("n=%d: Data does not alias the body", n)
+		}
 	}
 }
 
@@ -94,13 +122,12 @@ func TestWriteArgsQuick(t *testing.T) {
 		if len(data) > MaxData {
 			data = data[:MaxData]
 		}
-		a := &WriteArgs{File: NewFH(1, 9, 0), Offset: off, Data: data}
-		enc := xdr.Marshal(a)
-		if len(enc) != a.EncodedSize() {
+		head, body := splitWrite(NewFH(1, 9, 0), off, data)
+		if len(head)+len(body) != FHSize+12+xdr.OpaqueSize(len(data)) {
 			return false
 		}
 		var got WriteArgs
-		err := DecodeWriteArgsInto(enc, &got)
+		err := DecodeWriteArgsSplitInto(head, body, &got)
 		return err == nil && got.Offset == off && bytes.Equal(got.Data, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -270,10 +297,18 @@ func TestTruncatedDecodersFail(t *testing.T) {
 	if err := DecodeAttrStatInto(b[:8], &AttrStat{}); err == nil {
 		t.Fatal("truncated attrstat accepted")
 	}
-	wa := &WriteArgs{File: NewFH(1, 1, 1), Data: []byte("xyz")}
-	wb := xdr.Marshal(wa)
-	if err := DecodeWriteArgsInto(wb[:20], &WriteArgs{}); err == nil {
-		t.Fatal("truncated writeargs accepted")
+	head, body := splitWrite(NewFH(1, 1, 1), 0, []byte("xyz"))
+	for i := 0; i < len(head); i += 4 {
+		if err := DecodeWriteArgsSplitInto(head[:i], body, &WriteArgs{}); err == nil {
+			t.Fatalf("writeargs head truncated to %d bytes accepted", i)
+		}
+	}
+	// A body that is not the length word padded to 4 bytes: short, unpadded,
+	// one unit long, missing.
+	for _, b := range [][]byte{body[:2], body[:3], append(body, 0, 0, 0, 0), nil} {
+		if err := DecodeWriteArgsSplitInto(head, b, &WriteArgs{}); err == nil {
+			t.Fatalf("writeargs of 3 bytes accepted with a %d-byte body", len(b))
+		}
 	}
 }
 

@@ -430,7 +430,6 @@ func runLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 			FileBlocks:       rc.laddis.FileBlocks,
 			OfferedOpsPerSec: perClient,
 			Procs:            rc.laddis.Procs,
-			Warmup:           rc.laddis.Warmup,
 			Duration:         rc.laddis.Measure,
 			Seed:             rc.laddis.Seed + int64(i),
 			Roots:            roots,

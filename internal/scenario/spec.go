@@ -231,8 +231,6 @@ type LADDISWorkload struct {
 	OfferedIsPerClient bool    `json:"offered_is_per_client,omitempty"`
 	// Measure bounds the measured phase (nanoseconds).
 	Measure sim.Duration `json:"measure_ns"`
-	// Warmup operations are excluded from latency statistics.
-	Warmup int `json:"warmup,omitempty"`
 	// Seed is handed to generator i as Seed+i but read by none: every
 	// closed-loop draw comes from the cell seed's kernel source, which
 	// disk rotation draws from too (ROADMAP: the closed-loop seed under

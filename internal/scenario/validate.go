@@ -264,7 +264,7 @@ func (s *Spec) resolve(cell Cell, idx int) (*resolved, error) {
 		if r.laddis.Measure <= 0 {
 			return nil, invalid("workload.laddis.measure_ns", "measured phase must be positive")
 		}
-		if r.laddis.Files < 0 || r.laddis.FileBlocks < 0 || r.laddis.Procs < 0 || r.laddis.Warmup < 0 {
+		if r.laddis.Files < 0 || r.laddis.FileBlocks < 0 || r.laddis.Procs < 0 {
 			return nil, invalid("workload.laddis", "negative working-set or generator parameters")
 		}
 	case KindStream:
@@ -534,12 +534,8 @@ func (r *resolved) needsCluster() string {
 // several conflicts the one whose earlier event is declared first is
 // reported.
 func (r *resolved) validateFaults() error {
-	type window struct {
-		fault.Window
-		field string
-	}
 	var topo *fault.Topology
-	var down, up []window
+	var down, up []faultWindow
 	for i, ev := range r.faults.Events {
 		field := eventField(i)
 		if err := checkVariant(field, ev); err != nil {
@@ -555,22 +551,15 @@ func (r *resolved) validateFaults() error {
 		r.storageFaults = r.storageFaults || f.Reach() == fault.ReachStorage
 		for _, w := range f.Windows() {
 			if w.Up != nil {
-				up = append(up, window{w, field})
+				up = append(up, faultWindow{w, field})
 			} else {
-				down = append(down, window{w, field})
+				down = append(down, faultWindow{w, field})
 			}
 		}
 	}
-	meet := func(a, b *window) bool {
-		return a.From < b.To && b.From < a.To && a.Target.Shares(b.Target)
-	}
-	for i := range down {
-		for j := i + 1; j < len(down); j++ {
-			if a, b := &down[i], &down[j]; meet(a, b) {
-				return invalid(a.field, "overlapping %v (%s [%v,%v] and %s [%v,%v])",
-					a.Target, a.field, a.From, a.To, b.field, b.From, b.To)
-			}
-		}
+	if a, b, ok := firstOverlap(down); ok {
+		return invalid(a.field, "overlapping %v (%s [%v,%v] and %s [%v,%v])",
+			a.Target, a.field, a.From, a.To, b.field, b.From, b.To)
 	}
 	for i := range up {
 		for j := range down {
@@ -586,6 +575,76 @@ func (r *resolved) validateFaults() error {
 		return imageFaultError(field, ev, fmt.Sprintf("none opens before %v", sim.Duration(laddisBarrier)))
 	}
 	return nil
+}
+
+// faultWindow is a fault event's window with the event's spec field.
+type faultWindow struct {
+	fault.Window
+	field string
+}
+
+// meet reports whether a and b hold one target at once.
+func meet(a, b *faultWindow) bool {
+	return a.From < b.To && b.From < a.To && a.Target.Shares(b.Target)
+}
+
+// firstOverlap finds, of the pairs of down windows that meet, the one
+// whose earlier window comes first in ws, and of those the one whose later
+// window does. Only windows that meet some other are paired: a sweep per
+// target, over its windows sorted by start, finds them, so a long train
+// with no overlap costs a sort, not a comparison per pair of cycles.
+//
+// The sweep marks a window, and the one with the latest end so far, when
+// the two meet. For windows with From < To that marks every window that
+// meets another: one that meets an earlier-starting window meets the
+// latest-ending of those; one that meets a later-starting window meets
+// its successor in start order, and that successor's latest-ending
+// predecessor is the window itself or covers it. A window that holds
+// every spindle of a node (Disk -1) or has To <= From (only an
+// overflowing train makes one) is compared with every window instead.
+func firstOverlap(ws []faultWindow) (a, b *faultWindow, ok bool) {
+	met := make([]bool, len(ws))
+	mark := func(i, j int) {
+		if i != j && meet(&ws[i], &ws[j]) {
+			met[i], met[j] = true, true
+		}
+	}
+	sweeps := map[fault.Target][]int{}
+	for i := range ws {
+		if w := &ws[i]; w.Target.Disk < 0 || w.To <= w.From {
+			for j := range ws {
+				mark(i, j)
+			}
+		} else {
+			sweeps[w.Target] = append(sweeps[w.Target], i)
+		}
+	}
+	for _, sweep := range sweeps {
+		slices.SortFunc(sweep, func(i, j int) int {
+			return cmp.Or(cmp.Compare(ws[i].From, ws[j].From), cmp.Compare(i, j))
+		})
+		latest := sweep[0]
+		for _, i := range sweep[1:] {
+			mark(latest, i)
+			if ws[i].To > ws[latest].To {
+				latest = i
+			}
+		}
+	}
+	var paired []int
+	for i, m := range met {
+		if m {
+			paired = append(paired, i)
+		}
+	}
+	for k, i := range paired {
+		for _, j := range paired[k+1:] {
+			if meet(&ws[i], &ws[j]) {
+				return &ws[i], &ws[j], true
+			}
+		}
+	}
+	return nil, nil, false
 }
 
 // topology is the view of the cell the fault kinds check themselves

@@ -3,8 +3,10 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -210,6 +212,59 @@ func TestOverlapErrorIsTheFirstDeclared(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if err := s.Validate(); err == nil || err.Error() != want {
 			t.Fatalf("call %d: %v\nwant %s", i, err, want)
+		}
+	}
+}
+
+// TestLongTrainOverlapMessage: a 100,000-cycle crash train and one more
+// crash that lands in its last cycle are validated by a sweep, not a
+// comparison per pair of cycles, and the error names the pair the
+// pairwise search names.
+func TestLongTrainOverlapMessage(t *testing.T) {
+	s := faultSpec()
+	s.Faults.Events = []FaultEvent{
+		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{Train: fault.Train{At: sim.Second, Period: sim.Second, Outage: 100 * sim.Millisecond, Count: 100000}}},
+		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{Node: 1, Train: fault.Train{At: sim.Second, Period: sim.Second, Outage: 100 * sim.Millisecond, Count: 100000}}},
+		{Kind: fault.KindServerCrash, ServerCrash: &fault.ServerCrash{Train: fault.Train{At: 99999*sim.Second + 950*sim.Millisecond, Outage: 100 * sim.Millisecond, Count: 1}}},
+	}
+	const want = "scenario: invalid spec: faults.events[0]: overlapping fault windows on target 0 (faults.events[0] [100000.000s,100000.100s] and faults.events[2] [99999.950s,100000.050s])"
+	if err := s.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("got  %v\nwant %s", err, want)
+	}
+}
+
+// TestFirstOverlapMatchesPairwise holds the sweep to the search it
+// replaced, every pair in declaration order, over random windows on a few
+// nodes, spindles (some every-member) and segments, short and empty ones
+// included.
+func TestFirstOverlapMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pairwise := func(ws []faultWindow) (a, b *faultWindow, ok bool) {
+		for i := range ws {
+			for j := i + 1; j < len(ws); j++ {
+				if meet(&ws[i], &ws[j]) {
+					return &ws[i], &ws[j], true
+				}
+			}
+		}
+		return nil, nil, false
+	}
+	for trial := range 20000 {
+		ws := make([]faultWindow, 1+rng.IntN(12))
+		for i := range ws {
+			w := &ws[i]
+			w.field = eventField(i)
+			w.Target = fault.Target{On: fault.TargetKind(rng.IntN(4)), Index: rng.IntN(2), Disk: rng.IntN(3) - 1}
+			if w.Target.On == fault.OnSegment {
+				w.Target.Segment = []string{"a", "b"}[rng.IntN(2)]
+			}
+			w.From = sim.Duration(rng.IntN(200))
+			w.To = w.From + sim.Duration(rng.IntN(40)) - 5
+		}
+		a, b, ok := firstOverlap(ws)
+		wa, wb, wok := pairwise(ws)
+		if ok != wok || a != wa || b != wb {
+			t.Fatalf("trial %d: sweep found %v %v %v, pairwise %v %v %v in %+v", trial, ok, a, b, wok, wa, wb, ws)
 		}
 	}
 }

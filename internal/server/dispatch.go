@@ -67,7 +67,7 @@ type parsedCall struct {
 	proc     nfsproto.Proc
 	write    *nfsproto.WriteArgs // non-nil for a WRITE whose args decoded
 	writeBuf nfsproto.WriteArgs
-	// body is the datagram's refcounted payload segment for a split WRITE
+	// body is the datagram's refcounted payload segment for a WRITE
 	// (writeBuf.Data aliases it). It is a borrow of the datagram's
 	// reference, valid only while the datagram is live; the filesystem
 	// takes its own reference if it adopts the buffer.
@@ -125,8 +125,8 @@ func (s *Server) putPC(pc *parsedCall) {
 }
 
 // peek decodes a datagram once, caching the result on the datagram. A
-// split WRITE decodes its argument head from the contiguous payload and
-// aliases the data straight out of the datagram's body buffer.
+// WRITE decodes its argument head from the contiguous payload and aliases
+// the data straight out of the datagram's body buffer.
 func (s *Server) peek(dg *netsim.Datagram) *parsedCall {
 	if pc, ok := dg.Parsed.(*parsedCall); ok {
 		return pc
@@ -136,17 +136,11 @@ func (s *Server) peek(dg *netsim.Datagram) *parsedCall {
 		pc.bad = true
 	} else {
 		pc.proc = nfsproto.Proc(pc.call.Proc)
-		if pc.proc == nfsproto.ProcWrite {
-			var err error
-			if dg.Body != nil {
-				err = nfsproto.DecodeWriteArgsSplitInto(pc.call.Args, dg.Body.Data()[:dg.BodyLen], &pc.writeBuf)
-				pc.body = dg.Body
-			} else {
-				err = nfsproto.DecodeWriteArgsInto(pc.call.Args, &pc.writeBuf)
-			}
-			if err == nil {
-				pc.write = &pc.writeBuf // else handle answers GARBAGE_ARGS
-			}
+		// A WRITE with no body, or whose head does not decode, leaves
+		// pc.write nil: handle answers it GARBAGE_ARGS.
+		if pc.proc == nfsproto.ProcWrite && dg.Body != nil &&
+			nfsproto.DecodeWriteArgsSplitInto(pc.call.Args, dg.Body.Data()[:dg.BodyLen], &pc.writeBuf) == nil {
+			pc.write, pc.body = &pc.writeBuf, dg.Body
 		}
 	}
 	dg.Parsed = pc
@@ -577,15 +571,10 @@ func (s *Server) doWrite(p *sim.Proc, id int, k dupKey, pc *parsedCall) {
 	if s.engine == nil {
 		// Standard server: VOP_WRITE with IO_SYNC commits data and
 		// metadata before the reply, serialized on the vnode lock as the
-		// reference port does. A split payload lands through the zero-copy
+		// reference port does. The payload lands through the zero-copy
 		// entry point.
 		s.locks.Lock(p, ino)
-		var err error
-		if pc.body != nil {
-			err = s.fs.WriteBuf(p, ino, args.Offset, pc.body, len(args.Data), vfs.IOSync)
-		} else {
-			err = s.fs.Write(p, ino, args.Offset, args.Data, vfs.IOSync)
-		}
+		err := s.fs.WriteBuf(p, ino, args.Offset, pc.body, len(args.Data), vfs.IOSync)
 		s.locks.Unlock(ino)
 		s.writeReply(p, k, args, ino, err == nil, err)
 		return

@@ -118,6 +118,20 @@ func rawCall(xid uint32, proc nfsproto.Proc, args []byte) []byte {
 	})
 }
 
+// writeCall hand-builds a WRITE call's head for an n-byte payload. It
+// returns the head and the length of the body that must follow it.
+func writeCall(xid uint32, fh nfsproto.FH, off uint32, n int) ([]byte, int) {
+	e := xdr.NewEncoder(nil)
+	bodyLen := nfsproto.AppendWriteArgsHead(e, fh, off, n)
+	return rawCall(xid, nfsproto.ProcWrite, e.Bytes()), bodyLen
+}
+
+// sendWrite sends a WRITE built by writeCall with its body from from to
+// the server, as a client's split WRITE travels.
+func sendWrite(p *sim.Proc, net *netsim.Network, from string, head []byte, body *block.Buf, bodyLen int) {
+	net.SendHead(p, from, "server", netsim.Head{Bytes: head}, body, bodyLen)
+}
+
 // readCall hand-builds a READ call.
 func readCall(xid uint32, fh nfsproto.FH, off, count uint32) []byte {
 	return rawCall(xid, nfsproto.ProcRead, xdr.Marshal(&nfsproto.ReadArgs{File: fh, Offset: off, Count: count}))
@@ -160,7 +174,9 @@ func TestReadReplySurvivesOverwrite(t *testing.T) {
 			for i := range after {
 				after[i] = 0xA5
 			}
-			return r.cli.WriteSync(p, fh, off, after)
+			// Every WRITE off the wire lands by reference, so the copying
+			// VOP_WRITE is called directly.
+			return r.fs.Write(p, vfs.Ino(fh.Ino()), off, after, vfs.IOSync)
 		}},
 		{"whole block, adopted body", func(p *sim.Proc, fh nfsproto.FH, off uint32, after []byte) error {
 			b := r.cli.GetWriteBuf()

@@ -16,7 +16,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
-	"repro/internal/xdr"
 )
 
 // rig is a complete client/server testbed on one network.
@@ -248,13 +247,15 @@ func TestDuplicateRequestDropsAndResends(t *testing.T) {
 			t.Errorf("Create: %v", err)
 			return
 		}
-		enc := rawCall(424242, nfsproto.ProcWrite, xdr.Marshal(&nfsproto.WriteArgs{File: cres.File, Offset: 0, Data: make([]byte, 1024)}))
+		enc, n := writeCall(424242, cres.File, 0, 1024)
+		body := r.cli.GetWriteBuf()
+		defer body.Release()
 		// Two back-to-back copies: second should be dropped as in-progress.
-		r.net.Send(p, "rawcli", "server", enc)
-		r.net.Send(p, "rawcli", "server", enc)
+		sendWrite(p, r.net, "rawcli", enc, body, n)
+		sendWrite(p, r.net, "rawcli", enc, body, n)
 		// Third copy after the original surely completed.
 		p.Sleep(2 * sim.Second)
-		r.net.Send(p, "rawcli", "server", enc)
+		sendWrite(p, r.net, "rawcli", enc, body, n)
 	})
 	r.sim.Run(sim.Time(5 * sim.Second))
 	if replies != 2 {
@@ -413,8 +414,10 @@ func TestGatheredRepliesShareMTime(t *testing.T) {
 		}
 		// Four back-to-back WRITEs, to land in one batch.
 		for i := 0; i < 4; i++ {
-			args := &nfsproto.WriteArgs{File: cres.File, Offset: uint32(i * 8192), Data: make([]byte, 8192)}
-			r.net.Send(p, "rawcli", "server", rawCall(uint32(500+i), nfsproto.ProcWrite, xdr.Marshal(args)))
+			enc, n := writeCall(uint32(500+i), cres.File, uint32(i*8192), 8192)
+			body := r.cli.GetWriteBuf()
+			sendWrite(p, r.net, "rawcli", enc, body, n)
+			body.Release()
 		}
 	})
 	r.sim.Run(0)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// GetAttr implements vfs.FileSystem. Attributes come from the in-core
-// inode; no device I/O is needed.
+// GetAttr returns ino's attributes. They come from the in-core inode; no
+// device I/O is needed.
 func (fs *FS) GetAttr(p *sim.Proc, ino vfs.Ino) (vfs.Attr, error) {
 	in, err := fs.getInode(ino)
 	if err != nil {
@@ -33,7 +33,7 @@ func (fs *FS) attrOf(in *inode) vfs.Attr {
 	}
 }
 
-// SetAttrs implements vfs.FileSystem. The change is committed to the
+// SetAttrs applies a SETATTR's changes. The change is committed to the
 // device before returning, as SETATTR requires.
 func (fs *FS) SetAttrs(p *sim.Proc, ino vfs.Ino, sa vfs.SetAttr) (vfs.Attr, error) {
 	in, err := fs.getInode(ino)
@@ -153,6 +153,3 @@ func (fs *FS) truncate(p *sim.Proc, in *inode, size uint32) error {
 	in.dirtyMeta = true
 	return nil
 }
-
-// Compile-time interface check.
-var _ vfs.FileSystem = (*FS)(nil)

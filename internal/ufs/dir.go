@@ -32,8 +32,8 @@ const (
 	direntFixed   = 10 // inode number + name length
 )
 
-// A dirent's name is its own: the names the FileSystem methods take may
-// alias a wire buffer, so the three places that store one (makeNode and
+// A dirent's name is its own: the names FS's methods take may alias a
+// wire buffer, so the three places that store one (makeNode and
 // Rename's two branches) copy it with strings.Clone.
 type dirent struct {
 	ino  vfs.Ino
@@ -281,7 +281,7 @@ func (fs *FS) writeDir(p *sim.Proc, in *inode, count uint32, off int, tail []byt
 	return nil
 }
 
-// Lookup implements vfs.FileSystem.
+// Lookup resolves name within directory dir.
 func (fs *FS) Lookup(p *sim.Proc, dir vfs.Ino, name string) (vfs.Ino, error) {
 	din, err := fs.getInode(dir)
 	if err != nil {
@@ -305,12 +305,15 @@ func (fs *FS) Lookup(p *sim.Proc, dir vfs.Ino, name string) (vfs.Ino, error) {
 	return 0, vfs.ErrNoEnt
 }
 
-// Create implements vfs.FileSystem.
+// Create makes a regular file, fully synchronously (the directory data
+// and both inodes are durable when it returns), as NFS requires. name may
+// alias a wire buffer: the entry keeps a copy.
 func (fs *FS) Create(p *sim.Proc, dir vfs.Ino, name string, mode uint32) (vfs.Ino, error) {
 	return fs.makeNode(p, dir, name, mode, vfs.TypeReg)
 }
 
-// Mkdir implements vfs.FileSystem.
+// Mkdir makes a directory, fully synchronously. name may alias a wire
+// buffer: the entry keeps a copy.
 func (fs *FS) Mkdir(p *sim.Proc, dir vfs.Ino, name string, mode uint32) (vfs.Ino, error) {
 	ino, err := fs.makeNode(p, dir, name, mode, vfs.TypeDir)
 	if err != nil {
@@ -353,12 +356,12 @@ func (fs *FS) makeNode(p *sim.Proc, dir vfs.Ino, name string, mode uint32, ft vf
 	return in.num, nil
 }
 
-// Remove implements vfs.FileSystem.
+// Remove unlinks a regular file, fully synchronously.
 func (fs *FS) Remove(p *sim.Proc, dir vfs.Ino, name string) error {
 	return fs.unlink(p, dir, name, false)
 }
 
-// Rmdir implements vfs.FileSystem.
+// Rmdir removes an empty directory.
 func (fs *FS) Rmdir(p *sim.Proc, dir vfs.Ino, name string) error {
 	return fs.unlink(p, dir, name, true)
 }
@@ -412,8 +415,9 @@ func (fs *FS) unlink(p *sim.Proc, dir vfs.Ino, name string, wantDir bool) error 
 	return fs.flushInode(p, tin, false, true)
 }
 
-// Rename implements vfs.FileSystem: it moves fromName in fromDir to toName
-// in toDir, replacing any existing regular file at the destination.
+// Rename moves fromName in fromDir to toName in toDir, fully
+// synchronously, replacing any existing regular file at the destination.
+// toName may alias a wire buffer: the entry keeps a copy.
 func (fs *FS) Rename(p *sim.Proc, fromDir vfs.Ino, fromName string, toDir vfs.Ino, toName string) error {
 	fdin, err := fs.getInode(fromDir)
 	if err != nil {
@@ -503,9 +507,11 @@ func (fs *FS) dropTarget(p *sim.Proc, ino vfs.Ino) error {
 	return nil
 }
 
-// Readdir implements vfs.FileSystem. The cookie is the index of the next
-// entry; count bounds the total name bytes returned. The entries are
-// appended to dst after loadDir, the last yield.
+// Readdir appends to dst the entries starting after cookie and returns
+// the extended slice, so a caller that passes its own scratch allocates
+// nothing. The cookie is the index of the next entry; count bounds the
+// total name bytes returned. The entries are appended to dst after
+// loadDir, the last yield.
 func (fs *FS) Readdir(p *sim.Proc, dir vfs.Ino, cookie uint32, count int, dst []vfs.DirEntry) ([]vfs.DirEntry, bool, error) {
 	din, err := fs.getInode(dir)
 	if err != nil {

@@ -9,23 +9,27 @@ import (
 	"repro/internal/vfs"
 )
 
-// Read implements vfs.FileSystem.
+// Read is VOP_READ: it fills out from the file at off, short at EOF.
 func (fs *FS) Read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (int, error) {
 	_, n, err := fs.read(p, ino, off, out, false)
 	return n, err
 }
 
-// ReadBuf implements vfs.BlockReader: VOP_READ answered, where it can be,
-// with a reference to the cache block itself. The simulated work — block
-// map walk, device fill, access-time update — is Read's in every case; the
-// only difference is whether the host memmoves the bytes. The reference is
-// safe to hold across later writes: the cache replaces a shared block
-// (own/ownFresh/adopt), it never writes into one.
+// ReadBuf is VOP_READ answered, where it can be, with a reference to the
+// cache block itself: a read that is a prefix of one cached block, of a
+// length XDR would not pad, returns the block and leaves out untouched.
+// The block is nil for every other read (holes, unaligned or
+// block-spanning requests, odd-length tails, reads at or past EOF), which
+// fills out exactly as Read does. A returned block belongs to the caller,
+// who must Release it and must never write through it; its first n bytes
+// (the int result) are the data. The simulated
+// work — block map walk, device fill, access-time update — is Read's in
+// every case; the only difference is whether the host memmoves the bytes.
+// The reference is safe to hold across later writes: the cache replaces a
+// shared block (own/ownFresh/adopt), it never writes into one.
 func (fs *FS) ReadBuf(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (*block.Buf, int, error) {
 	return fs.read(p, ino, off, out, true)
 }
-
-var _ vfs.BlockReader = (*FS)(nil)
 
 // read is the common VOP_READ body. With byRef set, a read that starts on
 // a block boundary, stays inside that block and has a length XDR would not
@@ -86,7 +90,7 @@ func (fs *FS) read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte, byRef bool)
 	return ref, read, nil
 }
 
-// Write implements vfs.FileSystem: VOP_WRITE with the paper's flags.
+// Write is VOP_WRITE with the paper's flags, copying data into the cache.
 //
 //   - IODelayData: data stays dirty in the buffer cache (UFS picks its own
 //     clustering policy later, via SyncData); no device I/O at all.
@@ -101,11 +105,12 @@ func (fs *FS) Write(p *sim.Proc, ino vfs.Ino, off uint32, data []byte, flags vfs
 	return fs.write(p, ino, off, len(data), data, nil, flags)
 }
 
-// WriteBuf implements vfs.BlockWriter: VOP_WRITE fed directly by a
-// refcounted payload buffer. A block-aligned full-block write adopts the
-// buffer into the cache — the payload is never copied at all; it travels
-// by reference from the wire to the platters. Other shapes fall back to
-// the copying path.
+// WriteBuf is VOP_WRITE fed directly by a refcounted payload buffer
+// holding n bytes, with Write's flags. A block-aligned full-block write
+// adopts the buffer into the cache — the payload is never copied at all;
+// it travels by reference from the wire to the platters. Other shapes
+// fall back to the copying path. The caller keeps its own reference to b;
+// the cache takes another if it adopts the buffer.
 func (fs *FS) WriteBuf(p *sim.Proc, ino vfs.Ino, off uint32, b *block.Buf, n int, flags vfs.IOFlags) error {
 	if off%BlockSize == 0 && n == BlockSize {
 		return fs.write(p, ino, off, n, nil, b, flags)
@@ -248,7 +253,7 @@ func (fs *FS) flushDirtyIndirect(p *sim.Proc, in *inode) error {
 	return nil
 }
 
-// SyncData implements vfs.FileSystem: VOP_SYNCDATA with byte-range hints.
+// SyncData is VOP_SYNCDATA, the paper's new entry point, with byte-range hints.
 // Dirty data blocks overlapping [from,to) are flushed, with physically
 // contiguous blocks clustered into single device transactions of up to
 // MaxCluster bytes — the fewer-larger-writes effect gathering banks on.
@@ -323,7 +328,7 @@ func (fs *FS) SyncData(p *sim.Proc, ino vfs.Ino, from, to uint32) error {
 	return nil
 }
 
-// Fsync implements vfs.FileSystem: VOP_FSYNC. With FWriteMetadata the
+// Fsync is VOP_FSYNC. With FWriteMetadata the
 // flush covers only the inode and indirect blocks; otherwise all dirty
 // data is flushed first (clustered), then the metadata.
 func (fs *FS) Fsync(p *sim.Proc, ino vfs.Ino, flags vfs.FsyncFlags) error {

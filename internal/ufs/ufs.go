@@ -33,7 +33,11 @@ const (
 	MaxFileSize = 1 << 31
 )
 
-// FS is a mounted filesystem instance.
+// FS is a mounted filesystem instance, the one filesystem the NFS server
+// layer and the write gathering engine call. Every method that touches the
+// device takes the calling process, so device service time is charged to
+// it. A name argument may alias the wire buffer it was decoded from: a
+// method that keeps one past the call (Create, Mkdir, Rename) copies it.
 type FS struct {
 	sim  *sim.Sim
 	dev  disk.Device
@@ -225,16 +229,16 @@ func Format(s *sim.Sim, dev disk.Device, fsid uint32, ninodes int, acct *block.A
 	return fs, nil
 }
 
-// Root implements vfs.FileSystem.
+// Root returns the root directory inode.
 func (fs *FS) Root() vfs.Ino { return 1 }
 
-// FSID implements vfs.FileSystem.
+// FSID identifies the filesystem in file handles.
 func (fs *FS) FSID() uint32 { return fs.fsid }
 
 // Device returns the backing device.
 func (fs *FS) Device() disk.Device { return fs.dev }
 
-// Statfs implements vfs.FileSystem.
+// Statfs reports capacity: the block size, data blocks and free blocks.
 func (fs *FS) Statfs(p *sim.Proc) (int, int64, int64) {
 	return BlockSize, fs.nblocks - fs.dataStart, fs.freeData
 }

@@ -71,11 +71,11 @@ func decodeCall(t *testing.T, m *oncrpc.CallMsg, body *block.Buf, n int) call {
 		c.off = a.Offset
 	case nfsproto.ProcWrite:
 		var a nfsproto.WriteArgs
+		var data []byte
 		if body != nil {
-			err = nfsproto.DecodeWriteArgsSplitInto(m.Args, body.Data()[:n], &a)
-		} else {
-			err = nfsproto.DecodeWriteArgsInto(m.Args, &a)
+			data = body.Data()[:n]
 		}
+		err = nfsproto.DecodeWriteArgsSplitInto(m.Args, data, &a)
 		c.off = a.Offset
 	}
 	if err != nil {
@@ -234,7 +234,7 @@ func burstScript(t *testing.T, gathering, pool bool) []string {
 					off := jobs.Get(w)
 					begin := w.Now()
 					err := cli.WritePattern(w, fh, off)
-					l.account(OpWrite, w.Now().Sub(begin), err, l.done > l.cfg.Warmup)
+					l.account(OpWrite, w.Now().Sub(begin), err, l.done > 0)
 					if left--; left == 0 {
 						drained.Signal()
 					}

@@ -247,8 +247,6 @@ type LADDISConfig struct {
 	// Procs is the number of generators (paper: 4 load processes per
 	// client).
 	Procs int
-	// Warmup operations are excluded from latency statistics.
-	Warmup int
 	// Duration bounds the measured phase.
 	Duration sim.Duration
 	// Seed is read nowhere: Run draws every op, file and offset from the
@@ -461,7 +459,7 @@ func (g *gen) doOp(r int) {
 
 func (g *gen) opDone(err error) {
 	l := g.l
-	l.account(g.op, l.t.Client.Sim().Now().Sub(g.begin), err, l.done >= l.cfg.Warmup)
+	l.account(g.op, l.t.Client.Sim().Now().Sub(g.begin), err, true)
 	g.loop()
 }
 
@@ -493,15 +491,16 @@ func (g *gen) startWrite() {
 	g.writes[g.started-1].Go(OpWrite, d)
 }
 
-// wrote accounts for one WRITE of the burst, testing the warm-up before it
-// counts. The last one goes round the generator's loop from an event of
+// wrote accounts for one WRITE of the burst. A WRITE that is the client's
+// first completed operation records no latency, as every recorded run
+// has. The last one goes round the generator's loop from an event of
 // its own, the slot in which a generator process waiting for the burst
 // would be woken by that WRITE's Signal; inline, it would run one event
 // early.
 func (g *gen) wrote(err error) {
 	l := g.l
 	s := l.t.Client.Sim()
-	l.account(OpWrite, s.Now().Sub(g.begin), err, l.done > l.cfg.Warmup)
+	l.account(OpWrite, s.Now().Sub(g.begin), err, l.done > 0)
 	if g.left--; g.left == 0 {
 		s.At(0, g.loopFn)
 	}
@@ -545,14 +544,14 @@ func (l *LADDIS) Run(p *sim.Proc) LADDISResult {
 }
 
 // account counts one finished op, or one WRITE of a write op, and records
-// its latency if warm. A burst's WRITE tests the warm-up before it
-// counts, any other op as if after; the recorded results keep both.
-func (l *LADDIS) account(op Op, lat sim.Duration, err error, warm bool) {
+// its latency if timed. Every op is timed but a burst's WRITE that is the
+// client's first completed op (wrote); the recorded results keep that.
+func (l *LADDIS) account(op Op, lat sim.Duration, err error, timed bool) {
 	l.done++
 	l.perOp[op]++
 	if err != nil {
 		l.errors++
-	} else if warm {
+	} else if timed {
 		l.lat.Record(lat)
 		if l.hists != nil {
 			l.hists[op].Record(int64(lat))
