@@ -13,8 +13,11 @@
 //     (Unique()); shared buffers are copy-on-write — replace them via a
 //     fresh Get plus Copy.
 //   - Release of the last reference returns the buffer to its origin pool.
-//   - Nobody holds a buffer across its simulation's end: a ledger born from
-//     an Arena gives every buffer's bytes to the next simulation at Retire.
+//   - Nobody holds a buffer, or a table Lend gave, across its simulation's
+//     end: a ledger born from an Arena gives every buffer's bytes and every
+//     lent table (wire slabs, dup-cache tables, block maps) to the next
+//     simulation at Retire, which runs after Sim.Close. Nothing a result
+//     keeps may alias either.
 //
 // Accounting (live buffers, total references, payload copies) is kept per
 // Accounting handle: each simulation instance owns one, so concurrently
@@ -25,10 +28,7 @@
 // clean even when a handle is shared.
 package block
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Size is the payload buffer size: one NFS MaxData transfer / one ufs
 // block.
@@ -60,11 +60,13 @@ type Accounting struct {
 	// buffers, like the package-level flag but scoped to one sim. Set it
 	// before the sim runs; it is read on the data path.
 	Debug bool
-	// arena, when set, is where this ledger's pools look for memory before
-	// they make any, and issued is every buffer they got that way: what
-	// Retire hands back. The global ledger, shared by tests, has neither.
+	// arena, when set, is where this ledger's pools and Lend calls look
+	// for memory before they make any; issued is every buffer the pools
+	// got that way and lent every table Lend did: what Retire hands back.
+	// The global ledger, shared by tests, has none of them.
 	arena  *Arena
 	issued []*Buf
+	lent   []lent
 }
 
 // global is the process-wide default ledger: pools made with NewPool (and
@@ -85,74 +87,6 @@ func Or(a *Accounting) *Accounting {
 		return &global
 	}
 	return a
-}
-
-// Arena carries payload memory from one finished simulation to the next on
-// the same goroutine, so a sweep's later cells run on its first cell's
-// blocks. It holds bare byte slices, never Buf headers: nothing a dead
-// simulation still points at can reach a buffer's next tenant.
-type Arena struct {
-	free  [][]byte
-	keep  int // most buffers to hold: see Retire
-	fresh uint64
-}
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{keep: math.MaxInt} }
-
-// NewAccounting returns an empty ledger whose pools draw on the arena.
-func (ar *Arena) NewAccounting() *Accounting { return &Accounting{arena: ar} }
-
-// Fresh counts the buffers made because the arena had none to give.
-func (ar *Arena) Fresh() uint64 { return ar.fresh }
-
-// issue is Get once the pool's own free list is empty: the arena's memory
-// under a new header, or new memory.
-func (a *Accounting) issue(p *Pool) *Buf {
-	b := &Buf{pool: p, refs: 1}
-	if ar := a.arena; ar != nil {
-		a.issued = append(a.issued, b)
-		if n := len(ar.free); n > 0 {
-			b.data, ar.free[n-1] = ar.free[n-1], nil
-			ar.free = ar.free[:n-1]
-			return b
-		}
-		ar.fresh++
-	}
-	b.data = make([]byte, Size)
-	return b
-}
-
-// Retire ends the ledger's simulation: the bytes of every buffer it issued,
-// whatever still references them, go to the arena, and each old header is
-// poisoned (Ref and Release panic, Data is nil) and
-// dropped from its pool, so a holder that outlived the simulation fails
-// loudly instead of sharing memory with the next one. Call it only after
-// Sim.Close, and not for a simulation that panicked. A no-op without an
-// arena, and the second time. Under Debug the bytes are scribbled first.
-func (a *Accounting) Retire() {
-	ar := a.arena
-	if ar == nil {
-		return
-	}
-	for _, b := range a.issued {
-		if a.Debugging() {
-			for i := range b.data {
-				b.data[i] = 0xA5
-			}
-		}
-		ar.free = append(ar.free, b.data)
-		b.data, b.refs, b.pool.free = nil, -1, nil
-	}
-	// Keep no more than the smallest simulation so far issued: an idle
-	// buffer is live heap and lifts the GC goal by twice its size, and capped
-	// so the arena is empty once a cell is as large as the smallest was.
-	ar.keep = min(ar.keep, len(a.issued))
-	if len(ar.free) > ar.keep {
-		clear(ar.free[ar.keep:])
-		ar.free = ar.free[:ar.keep]
-	}
-	a.arena, a.issued = nil, nil
 }
 
 // Live reports how many buffers are currently out of this ledger's pools.

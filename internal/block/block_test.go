@@ -218,8 +218,8 @@ func TestRetireTwiceAndWithoutArena(t *testing.T) {
 	a.NewPool().Get()
 	a.Retire()
 	a.Retire()
-	if len(ar.free) != 1 {
-		t.Fatalf("arena holds %d buffers after a double retire, want 1", len(ar.free))
+	if len(ar.bufs.free) != 1 {
+		t.Fatalf("arena holds %d buffers after a double retire, want 1", len(ar.bufs.free))
 	}
 
 	for name, l := range map[string]*Accounting{"global": Global(), "plain": NewAccounting()} {
@@ -230,8 +230,8 @@ func TestRetireTwiceAndWithoutArena(t *testing.T) {
 		}
 		b.Release()
 	}
-	if len(ar.free) != 1 || ar.Fresh() != 1 {
-		t.Fatalf("arena moved: %d free, %d fresh", len(ar.free), ar.Fresh())
+	if len(ar.bufs.free) != 1 || ar.Fresh() != 1 {
+		t.Fatalf("arena moved: %d free, %d fresh", len(ar.bufs.free), ar.Fresh())
 	}
 }
 
@@ -255,11 +255,107 @@ func TestArenaKeepsTheSmallestSimulation(t *testing.T) {
 		{5, 2},
 	} {
 		issue(step.issue)
-		if len(ar.free) != step.held {
-			t.Fatalf("after a simulation of %d buffers the arena holds %d, want %d", step.issue, len(ar.free), step.held)
+		if len(ar.bufs.free) != step.held {
+			t.Fatalf("after a simulation of %d buffers the arena holds %d, want %d", step.issue, len(ar.bufs.free), step.held)
 		}
 	}
 	if ar.Fresh() != 5+3+0+3 {
 		t.Fatalf("Fresh = %d, want 11", ar.Fresh())
+	}
+}
+
+// TestLendWithoutArenaMakes: a ledger with no arena — the global one, a
+// plain one, none at all — gets a plain zeroed make, and tracks nothing.
+func TestLendWithoutArenaMakes(t *testing.T) {
+	for name, a := range map[string]*Accounting{"global": Global(), "plain": NewAccounting(), "nil": nil} {
+		tbl := Lend[uint64](a, 5)
+		if len(tbl) != 5 || cap(tbl) != 5 || tbl[0]|tbl[4] != 0 {
+			t.Fatalf("%s ledger: Lend gave len %d cap %d %v", name, len(tbl), cap(tbl), tbl)
+		}
+		if a != nil && a.lent != nil {
+			t.Fatalf("%s ledger tracked a lent table", name)
+		}
+	}
+}
+
+// TestLentTablesComeBackZeroed: the tables ledger A is lent are what ledger
+// B is lent for the same shape, zeroed again: a table that holds pointers
+// is cleared as Retire takes it, so the store pins nothing of A, and a
+// byte table is left as it is, or under Debug scribbled, and cleared as it
+// is lent.
+func TestLentTablesComeBackZeroed(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		ar := NewArena()
+		a := ar.NewAccounting()
+		a.Debug = debug
+		words, ptrs, bytes := Lend[uint32](a, 8), Lend[*Buf](a, 3), Lend[byte](a, 16)
+		words[7], ptrs[2], bytes[15] = 9, new(Buf), 0x11
+		if ar.Fresh() != 3 {
+			t.Fatalf("Fresh = %d, want 3", ar.Fresh())
+		}
+		a.Retire()
+		if words[7] != 0 || ptrs[2] != nil {
+			t.Fatal("Retire left a table's contents in the store")
+		}
+		last, first := byte(0x11), byte(0)
+		if debug {
+			last, first = 0xA5, 0xA5
+		}
+		if bytes[15] != last || bytes[0] != first {
+			t.Fatalf("debug=%v: a retired byte table reads %#x…%#x", debug, bytes[0], bytes[15])
+		}
+
+		b := ar.NewAccounting()
+		w2, p2, b2 := Lend[uint32](b, 8), Lend[*Buf](b, 3), Lend[byte](b, 16)
+		if &w2[0] != &words[0] || &p2[0] != &ptrs[0] || &b2[0] != &bytes[0] {
+			t.Fatal("ledger B was not lent ledger A's tables")
+		}
+		if len(w2) != 8 || cap(w2) != 8 || len(b2) != 16 || cap(b2) != 16 || w2[7] != 0 || b2[15] != 0 || b2[0] != 0 {
+			t.Fatal("a recycled table came back with the wrong length or not zeroed")
+		}
+		if ar.Fresh() != 3 {
+			t.Fatalf("Fresh = %d after recycled lends, want 3", ar.Fresh())
+		}
+		// A length the store has no table of is a new shape.
+		if Lend[uint32](b, 9); ar.Fresh() != 4 {
+			t.Fatalf("Fresh = %d, want 4", ar.Fresh())
+		}
+	}
+}
+
+// TestStoreHoldsOneSimulation: after Retire the store holds no more than
+// the retiring ledger took, shape by shape: a shape it did not take leaves
+// the store, and one it did is kept up to the fewest any ledger took.
+func TestStoreHoldsOneSimulation(t *testing.T) {
+	ar := NewArena()
+	run := func(lends map[int]int) {
+		a := ar.NewAccounting()
+		for n, k := range lends {
+			for i := 0; i < k; i++ {
+				Lend[int64](a, n)
+			}
+		}
+		a.Retire()
+	}
+	held := func(n int) int {
+		if st := ar.store[shape{elemOf[int64]{}, n}]; st != nil {
+			return len(st.free)
+		}
+		return 0
+	}
+	run(map[int]int{4: 3, 6: 1})
+	if held(4) != 3 || held(6) != 1 {
+		t.Fatalf("after the first simulation: %d and %d held, want 3 and 1", held(4), held(6))
+	}
+	run(map[int]int{4: 2})
+	if held(4) != 2 || held(6) != 0 {
+		t.Fatalf("after the second: %d and %d held, want 2 and 0", held(4), held(6))
+	}
+	run(map[int]int{4: 5, 6: 1})
+	if held(4) != 2 || held(6) != 1 {
+		t.Fatalf("after the third: %d and %d held, want 2 and 1", held(4), held(6))
+	}
+	if ar.Fresh() != 3+1+0+3+1 {
+		t.Fatalf("Fresh = %d, want 8", ar.Fresh())
 	}
 }

@@ -85,13 +85,6 @@ type Client struct {
 	activeJobs map[*sim.Proc]bool
 	appsKilled int
 
-	// Per-client result decode scratch (see the discipline note at call).
-	scratchAttrStat   nfsproto.AttrStat
-	scratchDirOpRes   nfsproto.DirOpRes
-	scratchReadRes    nfsproto.ReadRes
-	scratchStatusRes  nfsproto.StatusRes
-	scratchReaddirRes nfsproto.ReaddirRes
-	scratchStatfsRes  nfsproto.StatfsRes
 	// replyHead is the head of the most recently completed call's reply,
 	// and replyBody its data block when it arrived split (a READ answered
 	// by reference), each one reference of the client's own. Decoded
@@ -198,12 +191,26 @@ type pendingCall struct {
 	waitFn func()
 }
 
-// CallPool is a free list of pending-call records. A record is busy only
-// from start to endCall, so a cell whose clients share one needs as many
-// records as it has calls in flight at once, not one per client that ever
-// called. Its records belong to one simulation.
+// CallPool is a free list of pending-call records, and the result decode
+// scratch of the clients that share it. A record is busy only from start
+// to endCall, so a cell whose clients share one needs as many records as
+// it has calls in flight at once, not one per client that ever called; a
+// result is dead once its caller yields (the discipline at do), and only
+// one caller runs at a time, so one set of result records serves them
+// all. Its records belong to one simulation.
 type CallPool struct {
-	free *pendingCall
+	free    *pendingCall
+	scratch results
+}
+
+// results is the decode scratch, one record per result type.
+type results struct {
+	attrStat   nfsproto.AttrStat
+	dirOpRes   nfsproto.DirOpRes
+	readRes    nfsproto.ReadRes
+	statusRes  nfsproto.StatusRes
+	readdirRes nfsproto.ReaddirRes
+	statfsRes  nfsproto.StatfsRes
 }
 
 // getPC takes a pending-call record from the client's pool and binds it
@@ -518,12 +525,12 @@ var releaseHead = netsim.Head.Release
 // driver of the retransmission loop, and decodes its reply. It returns the
 // call's attempt count and the procedure's error.
 //
-// Scratch discipline: results decode into per-client scratch structs
-// (decode), which stay valid only until the calling process next yields
-// (sleeps, sends, or performs another RPC): callers must consume a result
-// before their next blocking call, exactly like the server's result
-// scratch in dispatch.go. A Go continuation's result is valid until it
-// returns.
+// Scratch discipline: results decode into scratch structs on the client's
+// CallPool (decode), shared by every client on it, which stay valid only
+// until the calling process next yields (sleeps, sends, or performs
+// another RPC on any client): callers must consume a result before their
+// next blocking call, exactly like the server's result scratch in
+// dispatch.go. A Go continuation's result is valid until it returns.
 func (c *Client) do(p *sim.Proc, r *Req) (int, error) {
 	c.encode(r)
 	reply, attempts, err := c.finish(p, c.start(r.Proc, r.FH, nil, 0))
@@ -630,35 +637,36 @@ func (pc *pendingCall) wait() {
 }
 
 // decode is every procedure's decode half, given its call's reply and
-// RPC error: it decodes the results into the procedure's per-client
-// scratch and reports the status they carry and the error the blocking
-// procedure returns. The pooled reply record is cleared once decoded, so
+// RPC error: it decodes the results into the procedure's scratch record
+// and reports the status they carry and the error the blocking procedure
+// returns. The pooled reply record is cleared once decoded, so
 // records waiting in the pool do not pin the wire payloads they aliased.
 func (c *Client) decode(proc nfsproto.Proc, reply *oncrpc.ReplyMsg, err error) (nfsproto.Status, error) {
 	if err != nil {
 		return nfsproto.ErrIO, err
 	}
 	var st nfsproto.Status
+	r := &c.CallPool.scratch
 	switch b := reply.Results; proc {
 	case nfsproto.ProcLookup, nfsproto.ProcCreate, nfsproto.ProcMkdir:
-		err, st = nfsproto.DecodeDirOpResInto(b, &c.scratchDirOpRes), c.scratchDirOpRes.Status
+		err, st = nfsproto.DecodeDirOpResInto(b, &r.dirOpRes), r.dirOpRes.Status
 	case nfsproto.ProcGetattr, nfsproto.ProcSetattr, nfsproto.ProcWrite:
-		err, st = nfsproto.DecodeAttrStatInto(b, &c.scratchAttrStat), c.scratchAttrStat.Status
+		err, st = nfsproto.DecodeAttrStatInto(b, &r.attrStat), r.attrStat.Status
 	case nfsproto.ProcRead:
 		if c.replyBody != nil {
 			// Answered by reference: the data is the server's cache block,
 			// readable (never writable) while the client holds replyBody.
-			err = nfsproto.DecodeReadResSplitInto(b, c.replyBody.Data()[:c.replyBodyLen], &c.scratchReadRes)
+			err = nfsproto.DecodeReadResSplitInto(b, c.replyBody.Data()[:c.replyBodyLen], &r.readRes)
 		} else {
-			err = nfsproto.DecodeReadResInto(b, &c.scratchReadRes)
+			err = nfsproto.DecodeReadResInto(b, &r.readRes)
 		}
-		st = c.scratchReadRes.Status
+		st = r.readRes.Status
 	case nfsproto.ProcRemove:
-		err, st = nfsproto.DecodeStatusResInto(b, &c.scratchStatusRes), c.scratchStatusRes.Status
+		err, st = nfsproto.DecodeStatusResInto(b, &r.statusRes), r.statusRes.Status
 	case nfsproto.ProcReaddir:
-		err, st = nfsproto.DecodeReaddirResInto(b, &c.scratchReaddirRes), c.scratchReaddirRes.Status
+		err, st = nfsproto.DecodeReaddirResInto(b, &r.readdirRes), r.readdirRes.Status
 	case nfsproto.ProcStatfs:
-		err, st = nfsproto.DecodeStatfsResInto(b, &c.scratchStatfsRes), c.scratchStatfsRes.Status
+		err, st = nfsproto.DecodeStatfsResInto(b, &r.statfsRes), r.statfsRes.Status
 	default:
 		panic(fmt.Sprintf("client: no decode half for procedure %d", proc))
 	}
@@ -712,7 +720,7 @@ func (c *Client) Lookup(p *sim.Proc, dir nfsproto.FH, name string) (*nfsproto.Di
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcLookup, FH: dir, Name: name}); err != nil {
 		return nil, err
 	}
-	return &c.scratchDirOpRes, nil
+	return &c.CallPool.scratch.dirOpRes, nil
 }
 
 // Create makes a file in dir.
@@ -721,7 +729,7 @@ func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) 
 	if err != nil {
 		return nil, err
 	}
-	if c.scratchDirOpRes.Status == nfsproto.ErrExist && attempts > 1 {
+	if c.CallPool.scratch.dirOpRes.Status == nfsproto.ErrExist && attempts > 1 {
 		// CREATE is not idempotent, and the server's duplicate request cache
 		// only remembers so much: an entry is evicted after DupCacheCap newer
 		// requests and the whole cache dies with a reboot. A retransmitted
@@ -731,7 +739,7 @@ func (c *Client) Create(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) 
 		// success and LOOKUP the handle.
 		return c.Lookup(p, dir, name)
 	}
-	return &c.scratchDirOpRes, nil
+	return &c.CallPool.scratch.dirOpRes, nil
 }
 
 // Mkdir makes a directory in dir.
@@ -739,7 +747,7 @@ func (c *Client) Mkdir(p *sim.Proc, dir nfsproto.FH, name string, mode uint32) (
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcMkdir, FH: dir, Name: name, Mode: mode}); err != nil {
 		return nil, err
 	}
-	return &c.scratchDirOpRes, nil
+	return &c.CallPool.scratch.dirOpRes, nil
 }
 
 // Getattr fetches attributes.
@@ -747,7 +755,7 @@ func (c *Client) Getattr(p *sim.Proc, fh nfsproto.FH) (*nfsproto.AttrStat, error
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcGetattr, FH: fh}); err != nil {
 		return nil, err
 	}
-	return &c.scratchAttrStat, nil
+	return &c.CallPool.scratch.attrStat, nil
 }
 
 // Setattr applies attributes.
@@ -755,7 +763,7 @@ func (c *Client) Setattr(p *sim.Proc, fh nfsproto.FH, sa nfsproto.SAttr) (*nfspr
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcSetattr, FH: fh, Attr: sa}); err != nil {
 		return nil, err
 	}
-	return &c.scratchAttrStat, nil
+	return &c.CallPool.scratch.attrStat, nil
 }
 
 // Read fetches count bytes at off. res.Data is result scratch like the
@@ -765,7 +773,7 @@ func (c *Client) Read(p *sim.Proc, fh nfsproto.FH, off, count uint32) (*nfsproto
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcRead, FH: fh, Off: off, Count: count}); err != nil {
 		return nil, err
 	}
-	return &c.scratchReadRes, nil
+	return &c.CallPool.scratch.readRes, nil
 }
 
 // Remove unlinks name in dir.
@@ -773,7 +781,7 @@ func (c *Client) Remove(p *sim.Proc, dir nfsproto.FH, name string) (nfsproto.Sta
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcRemove, FH: dir, Name: name}); err != nil {
 		return nfsproto.ErrIO, err
 	}
-	return c.scratchStatusRes.Status, nil
+	return c.CallPool.scratch.statusRes.Status, nil
 }
 
 // Readdir lists a directory page.
@@ -781,7 +789,7 @@ func (c *Client) Readdir(p *sim.Proc, dir nfsproto.FH, cookie, count uint32) (*n
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcReaddir, FH: dir, Off: cookie, Count: count}); err != nil {
 		return nil, err
 	}
-	return &c.scratchReaddirRes, nil
+	return &c.CallPool.scratch.readdirRes, nil
 }
 
 // Statfs reports the filesystem fh lives on. It asks the default server.
@@ -789,20 +797,11 @@ func (c *Client) Statfs(p *sim.Proc, fh nfsproto.FH) (*nfsproto.StatfsRes, error
 	if _, err := c.do(p, &Req{Proc: nfsproto.ProcStatfs, FH: fh}); err != nil {
 		return nil, err
 	}
-	return &c.scratchStatfsRes, nil
+	return &c.CallPool.scratch.statfsRes, nil
 }
 
-// WriteSync issues one WRITE RPC and waits for its reply, recording write
-// latency and throughput counters. It stages data in a buffer from the
-// client's pool, so the caller may reuse data at once, and sends that as
-// WriteSyncBufRelease does. data is at most MaxData bytes.
-func (c *Client) WriteSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
-	b := c.GetWriteBuf()
-	copy(b.Data(), data)
-	return c.WriteSyncBufRelease(p, fh, off, b, len(data))
-}
-
-// WriteSyncBufRelease issues one WRITE RPC whose n-byte payload travels
+// WriteSyncBufRelease issues one WRITE RPC, waits for its reply and
+// records write latency and throughput counters. Its n-byte payload travels
 // as a refcounted datagram body — never memmoved between the staging
 // buffer and the server's buffer cache — and takes ownership of the
 // caller's reference to b: it is released when the RPC completes, via

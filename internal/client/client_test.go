@@ -272,7 +272,7 @@ func TestOnWriteEventHook(t *testing.T) {
 		events = append(events, ev)
 	}
 	s.Spawn("app", func(p *sim.Proc) {
-		c.WriteSync(p, nfsproto.FH{}, 0, make([]byte, 8192))
+		c.writeSync(p, nfsproto.FH{}, 0, make([]byte, 8192))
 	})
 	s.Run(0)
 	if len(events) != 2 || events[0] != "send" || events[1] != "reply" {

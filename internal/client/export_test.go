@@ -1,6 +1,10 @@
 package client
 
-import "repro/internal/netsim"
+import (
+	"repro/internal/netsim"
+	"repro/internal/nfsproto"
+	"repro/internal/sim"
+)
 
 // LeakCallHeads plants a head leak: until restore is called, endCall
 // keeps each call head's reference instead of releasing it.
@@ -16,4 +20,12 @@ func (p *CallPool) Free() int {
 		n++
 	}
 	return n
+}
+
+// writeSync writes data (at most MaxData bytes) at off as one WRITE,
+// staged in a buffer from the client's pool.
+func (c *Client) writeSync(p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
+	b := c.GetWriteBuf()
+	copy(b.Data(), data)
+	return c.WriteSyncBufRelease(p, fh, off, b, len(data))
 }

@@ -69,7 +69,7 @@ func TestBoots(t *testing.T) {
 				return
 			}
 			fh := cres.File
-			if err := cli.WriteSync(p, fh, 0, make([]byte, 8192)); err != nil {
+			if err := writeSync(cli, p, fh, 0, make([]byte, 8192)); err != nil {
 				t.Errorf("case %d: write: %v", i, err)
 				return
 			}

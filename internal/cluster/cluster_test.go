@@ -119,6 +119,14 @@ func fillPattern(buf []byte, off uint32) {
 	}
 }
 
+// writeSync writes data (at most MaxData bytes) at off as one WRITE,
+// staged in a buffer from the client's pool.
+func writeSync(c *client.Client, p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
+	b := c.GetWriteBuf()
+	copy(b.Data(), data)
+	return c.WriteSyncBufRelease(p, fh, off, b, len(data))
+}
+
 // TestCrashRebootRoundTrip: a node crashes mid-idle, reboots, and serves
 // again; pre-crash durable files survive, and the client observes the new
 // boot verifier.
@@ -143,7 +151,7 @@ func TestCrashRebootRoundTrip(t *testing.T) {
 		fh := cres.File
 		buf := make([]byte, 8192)
 		fillPattern(buf, 0)
-		if err := cli.WriteSync(p, fh, 0, buf); err != nil {
+		if err := writeSync(cli, p, fh, 0, buf); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -178,7 +186,7 @@ func TestCrashRebootRoundTrip(t *testing.T) {
 			return
 		}
 		phase2 = cres2.File
-		if err := cli.WriteSync(p, phase2, 0, buf); err != nil {
+		if err := writeSync(cli, p, phase2, 0, buf); err != nil {
 			t.Errorf("write after reboot: %v", err)
 			return
 		}

@@ -207,9 +207,13 @@ func New(s *sim.Sim, p hw.NetParams) *Network {
 }
 
 // SetAccounting charges the segment's head references to a, the
-// simulation's buffer ledger, instead of the process-global one. Call it
-// before the first head is carved.
+// simulation's buffer ledger, instead of the process-global one, and has a
+// lend its slabs' memory. Call it before the first head is carved.
 func (n *Network) SetAccounting(a *block.Accounting) { n.acct = block.Or(a) }
+
+// Acct returns the ledger the segment charges: the one the hosts attached
+// to it lend their tables from.
+func (n *Network) Acct() *block.Accounting { return n.acct }
 
 // HeadRefs reports the references held to heads carved on this segment —
 // by senders, datagrams on any segment, dup caches and clients.
@@ -277,10 +281,9 @@ func (n *Network) SetLinkDown(name string, down bool) {
 }
 
 const (
-	// wireSlab is the size of a slab, its bookkeeping (slabHeader bytes)
-	// included: one 16 KB allocation.
-	wireSlab   = 16 << 10
-	slabHeader = 32
+	// wireSlab is the size of a slab's memory: one 16 KB size class, lent
+	// by the segment's ledger (block.Lend).
+	wireSlab = 16 << 10
 	// wireHeadMax is the largest head carved from a slab; a bigger one (a large
 	// READDIR reply, a copying READ reply or WRITE call) gets its own
 	// allocation.
@@ -323,13 +326,15 @@ func (h Head) Carved() bool { return h.slab != nil }
 
 // slab is the memory heads are carved from. It goes back on its origin
 // segment's spare stack once it is no longer the one being carved and no
-// reference to any of its heads is left.
+// reference to any of its heads is left. The header is the simulation's;
+// mem is lent by the segment's ledger, so at the end of a scenario cell it
+// goes to the next cell, and nothing may keep a head's bytes past that.
 type slab struct {
 	used int // bytes of mem carved so far
 	refs int
 	net  *Network
 	next *slab // the spare below this one
-	mem  [wireSlab - slabHeader]byte
+	mem  []byte
 }
 
 func (s *slab) ref() {
@@ -412,7 +417,7 @@ func (n *Network) nextSlab() *slab {
 	if s != nil {
 		n.spare, s.next = s.next, nil
 	} else {
-		s = &slab{net: n}
+		s = &slab{net: n, mem: block.Lend[byte](n.acct, wireSlab)}
 	}
 	n.slab = s
 	if old != nil && old.refs == 0 {

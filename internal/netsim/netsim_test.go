@@ -272,10 +272,23 @@ func TestWireBufCarving(t *testing.T) {
 	b.Release()
 }
 
-// TestSlabIsOneSizeClass: a slab, bookkeeping and bytes, is one 16 KB
-// allocation, not a record plus a byte slice.
+// TestSlabIsOneSizeClass: a slab's memory, lent or made, is exactly 16 KB,
+// and 16 KB is a whole size class: the runtime rounds the request up by
+// nothing, so no byte of the class is wasted. The header is a record of
+// its own that holds no bytes.
 func TestSlabIsOneSizeClass(t *testing.T) {
-	if size := reflect.TypeOf(slab{}).Size(); size != wireSlab {
-		t.Fatalf("a slab takes %d bytes, want %d", size, wireSlab)
+	if grown := append([]byte(nil), make([]byte, wireSlab)...); cap(grown) != wireSlab {
+		t.Fatalf("a %d-byte allocation is rounded up to %d: not a size class", wireSlab, cap(grown))
+	}
+	if size := reflect.TypeOf(slab{}).Size(); size > 64 {
+		t.Fatalf("a slab header takes %d bytes, want its bookkeeping only", size)
+	}
+	for name, acct := range map[string]*block.Accounting{"plain": block.NewAccounting(), "arena": block.NewArena().NewAccounting()} {
+		n := New(sim.New(1), hw.Ethernet())
+		n.SetAccounting(acct)
+		n.wireBuf(8).Release()
+		if m := n.slab.mem; len(m) != wireSlab || cap(m) != wireSlab {
+			t.Fatalf("%s ledger: slab memory has len %d cap %d, want %d", name, len(m), cap(m), wireSlab)
+		}
 	}
 }

@@ -46,7 +46,9 @@ func TestIntervalStatsExcludePrehistory(t *testing.T) {
 	defer r.Sim.Close()
 	r.Sim.Spawn("app", func(p *sim.Proc) {
 		cres, _ := r.Clients[0].Create(p, r.Server.RootFH(), "a", 0644)
-		r.Clients[0].WriteSync(p, cres.File, 0, make([]byte, 8192))
+		b := r.Clients[0].GetWriteBuf()
+		clear(b.Data())
+		r.Clients[0].WriteSyncBufRelease(p, cres.File, 0, b, 8192)
 		r.MarkInterval()
 		// Nothing after the mark.
 		p.Sleep(sim.Second)

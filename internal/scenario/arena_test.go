@@ -76,10 +76,11 @@ func TestCellsRunOnTheFirstCellsBuffers(t *testing.T) {
 		fresh = append(fresh, ar.Fresh())
 	}
 	// The 4 MB file is 512 aligned blocks of the audit pattern, which are
-	// the cell's 256 pattern pages twice over: the cell makes those pages
-	// and its metadata blocks, and no buffer per file block.
+	// the cell's 256 pattern pages twice over: the cell makes those pages,
+	// its metadata blocks and its few lent tables, and no buffer per file
+	// block.
 	if fresh[0] <= 256 || fresh[0] >= 512 {
-		t.Errorf("cell 1 made %d buffers, want the 256 pattern pages, the metadata blocks and fewer than the file's 512", fresh[0])
+		t.Errorf("cell 1 made %d buffers and tables, want the 256 pattern pages, the metadata blocks, the tables and fewer than the file's 512", fresh[0])
 	}
 	if fresh[1] != fresh[0] || fresh[2] != fresh[0] {
 		t.Errorf("fresh buffers after cells 1, 2, 3: %v; cells 2 and 3 must make none", fresh)
@@ -162,6 +163,75 @@ func TestResultsSurviveScribbledBuffers(t *testing.T) {
 		if clean, scribbled := run(false), run(true); clean != scribbled {
 			t.Errorf("%s: results differ once retired buffers are scribbled:\n--- clean\n%s\n--- scribbled\n%s",
 				spec.Name, clean, scribbled)
+		}
+	}
+}
+
+// TestMixedSweepOnOneArenaMatchesSoloRuns is the lending audit. Cells of
+// every kind the store lends to — LADDIS, a Presto copy, a crash with its
+// remount — run one after another on one worker's arena, each on a ledger
+// with Debug on, so every byte table a cell retires (buffers, wire slabs)
+// is scribbled with 0xA5 and every other table (dup-cache records and
+// index, block maps) is cleared before the next cell is lent it. Each
+// cell's Result JSON must equal the same cell run alone on a fresh arena:
+// a result that aliased a finished cell's slab, table or buffer, or a
+// Lend caller that leaned on what the last tenant left, would differ.
+func TestMixedSweepOnOneArenaMatchesSoloRuns(t *testing.T) {
+	laddis := laddisSweepSpec(t)
+	laddis.Cells = laddis.Cells[:2]
+	presto := Copy("arena-presto", "4 MB copy to a Presto server", "fddi", true, 1, 1.8, 4, nil)
+	presto.Cells = []Cell{CopyCell(4, true)}
+	crash, _ := Lookup("crash")
+	crash = shrink(crash)
+	crash.Cells = crash.Cells[:1]
+
+	type cell struct {
+		rc   *resolved
+		solo string
+	}
+	var l, p, c []cell
+	for _, k := range []struct {
+		spec  Spec
+		cells *[]cell
+	}{{laddis, &l}, {presto, &p}, {crash, &c}} {
+		solo := soloCells(t, k.spec)
+		for i, rc := range resolveAll(t, k.spec) {
+			*k.cells = append(*k.cells, cell{rc, solo[i]})
+		}
+	}
+
+	ar := block.NewArena()
+	for _, cl := range []cell{l[0], p[0], c[0], l[1], p[0]} {
+		acct := ar.NewAccounting()
+		acct.Debug = true
+		cr := runCell(cl.rc, acct, nil)
+		acct.Retire()
+		cr.Label, cr.Seed = cl.rc.label, cl.rc.cfg.Seed
+		if got := cellJSON(t, cr); got != cl.solo {
+			t.Errorf("cell %s after other kinds on a scribbled arena differs from its solo run:\n%s\n%s", cl.rc.label, got, cl.solo)
+		}
+	}
+}
+
+// TestLaterCellsLendNoNewTables: a cell run again on the same arena takes
+// everything it needs from the store. Fresh counts every table the store
+// had to make — buffers' bytes, wire slabs, dup-cache tables, block maps —
+// so it stands still after the first run of a LADDIS cell, and of a crash
+// cell, whose remount is lent a second block map.
+func TestLaterCellsLendNoNewTables(t *testing.T) {
+	crash, _ := Lookup("crash")
+	for _, spec := range []Spec{laddisSweepSpec(t), shrink(crash)} {
+		rc := resolveAll(t, spec)[0]
+		ar := block.NewArena()
+		var fresh []uint64
+		for i := 0; i < 3; i++ {
+			if cr := runCellTimed(rc, ar, nil); cr.err != nil {
+				t.Fatal(cr.err)
+			}
+			fresh = append(fresh, ar.Fresh())
+		}
+		if fresh[0] == 0 || fresh[1] != fresh[0] || fresh[2] != fresh[0] {
+			t.Errorf("%s: fresh tables after runs 1, 2, 3 of cell %s: %v; runs 2 and 3 must make none", spec.Name, rc.label, fresh)
 		}
 	}
 }

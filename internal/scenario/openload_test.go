@@ -458,10 +458,11 @@ func TestProcessesDoNotScaleWithClients(t *testing.T) {
 // bytes when each client pooled its own pending-call record and op
 // record, kept its latency histogram as every bucket from 0 up to its
 // sample's, and kept its pending calls, boot verifiers and per-op counts
-// in maps.
+// in maps. A set-up client cost 2,138 bytes while it carried its own six
+// result decode records, which the cell's CallPool now holds once.
 func TestClientSetupFootprint(t *testing.T) {
 	const segments = 10
-	const setUpBound, startBound, servedBound = 2675, 235, 915 // measured 2,123–2,138, 182–188 and 721–729 bytes per client, + 25 %
+	const setUpBound, startBound, servedBound = 2273, 235, 893 // measured 1,803–1,818, 187–188 and 708–714 bytes per client, + 25 %
 	resolve := func(perSegment int) *resolved {
 		spec := OpenloadBridged("footprint", "heap against clients", segments, perSegment, 8, 1, 100, sim.Second, 12)
 		spec.Cells = []Cell{BridgedCell(spec.Seed, segments, false)}

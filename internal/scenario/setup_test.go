@@ -457,7 +457,9 @@ func TestPayloadAndDatagramAuditsFire(t *testing.T) {
 		if _, err := cli.WriteFile(p, fh, 300*nfsproto.MaxData); err != nil {
 			t.Errorf("WriteFile: %v", err)
 		}
-		if err := cli.WriteSync(p, fh, 4096, make([]byte, 512)); err != nil {
+		b := cli.GetWriteBuf()
+		clear(b.Data())
+		if err := cli.WriteSyncBufRelease(p, fh, 4096, b, 512); err != nil {
 			t.Errorf("unaligned write: %v", err)
 		}
 		if _, err := cli.Read(p, fh, 0, nfsproto.MaxData); err != nil {

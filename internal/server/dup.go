@@ -23,7 +23,9 @@ import (
 // open-addressed table over it, made with the cache (linear probing,
 // backward-shift deletion, so churn leaves no tombstones to rehash away).
 // Past a full cache neither grows unless more than cap requests are in
-// progress at once. Eviction walks order, which holds keys, not records,
+// progress at once. The chunks, the index, the free list and order are
+// lent by the server's ledger (block.Lend), so a scenario cell's cache
+// reuses the tables of the cell before it on the same worker. Eviction walks order, which holds keys, not records,
 // exactly as a map-based cache would: a key that is forgotten and begun
 // again is found by its stale order slot too.
 
@@ -66,6 +68,7 @@ type dupEntry struct {
 const dupChunk = 64
 
 type dupCache struct {
+	acct  *block.Accounting // the ledger the tables are lent by
 	cap   int
 	recs  [][]dupEntry // record table in chunks; record r is recs[r/dupChunk][r%dupChunk]
 	nrecs int          // records made
@@ -85,12 +88,13 @@ type dupCache struct {
 // of at least 2 × cap slots, and order for the 2 × cap keys it holds
 // before the dead half is compacted away — and leaves the records to be
 // made as requests arrive.
-func newDupCache(cap int) *dupCache {
+func newDupCache(acct *block.Accounting, cap int) *dupCache {
 	c := &dupCache{
+		acct:  acct,
 		cap:   cap,
 		recs:  make([][]dupEntry, 0, cap/dupChunk+1),
-		free:  make([]int32, 0, cap+1),
-		order: make([]dupKey, 0, 2*cap),
+		free:  block.Lend[int32](acct, cap+1)[:0],
+		order: block.Lend[dupKey](acct, 2*cap)[:0],
 	}
 	c.index(cap)
 	return c
@@ -105,7 +109,7 @@ func (c *dupCache) index(n int) {
 	for size < 2*n {
 		size, bits = 2*size, bits+1
 	}
-	c.slots, c.shift = make([]int32, size), 64-bits
+	c.slots, c.shift = block.Lend[int32](c.acct, size), 64-bits
 }
 
 // find returns the slot holding k, or the empty slot that ends its probe.
@@ -148,7 +152,7 @@ func (c *dupCache) begin(k dupKey) (*dupEntry, bool) {
 		c.free = c.free[:n-1]
 	} else {
 		if c.nrecs%dupChunk == 0 {
-			c.recs = append(c.recs, make([]dupEntry, dupChunk))
+			c.recs = append(c.recs, block.Lend[dupEntry](c.acct, dupChunk))
 		}
 		r = int32(c.nrecs)
 		c.nrecs++
@@ -186,7 +190,7 @@ func (c *dupCache) rehash() {
 func (c *dupCache) done(k dupKey, reply netsim.Head, body *block.Buf, bodyLen int) {
 	if e := c.lookup(k); e != nil {
 		e.state = dupDone
-		e.reply = reply.Ref()
+		e.reply = refReply(reply)
 		if reply.Carved() {
 			c.heads++
 		}
@@ -196,6 +200,11 @@ func (c *dupCache) done(k dupKey, reply netsim.Head, body *block.Buf, bodyLen in
 		}
 	}
 }
+
+// refReply takes a dup entry's reference to its reply head in done. It is
+// a variable only so that a test can plant a missing reference
+// (export_test.go).
+var refReply = netsim.Head.Ref
 
 // forget removes a key (used when a request errors before any reply state
 // should be retained).

@@ -151,7 +151,7 @@ func TestDupCacheMatchesMapModel(t *testing.T) {
 		capacity := 1 + rng.IntN(6)
 		xids := 2 + rng.IntN(3*capacity)
 		pDone := 0.1 + 0.5*rng.Float64() // low values pile up in-progress entries
-		c, m := newDupCache(capacity), newMapDupCache(capacity)
+		c, m := newDupCache(nil, capacity), newMapDupCache(capacity)
 		slots := len(c.slots)
 		forgotten := map[dupKey]bool{}
 		for step := 0; step < 300; step++ {
@@ -256,7 +256,7 @@ func sameDupState(c *dupCache, m *mapDupCache, clients []string, xids int) error
 // for: a key forgotten and begun again has two order slots, and the stale
 // one, reached first, finds and evicts the re-begun entry once it is done.
 func TestDupCacheForgetThenBegin(t *testing.T) {
-	c := newDupCache(2)
+	c := newDupCache(nil, 2)
 	a, b, d := dupKey{"a", 1}, dupKey{"a", 2}, dupKey{"a", 3}
 	c.begin(a)
 	c.forget(a)
@@ -278,7 +278,7 @@ func TestDupCacheForgetThenBegin(t *testing.T) {
 // nor the record table regrows under churn.
 func TestDupCacheSteadyStateAllocs(t *testing.T) {
 	const capacity = 1024
-	c := newDupCache(capacity)
+	c := newDupCache(nil, capacity)
 	xid := uint32(0)
 	turn := func() {
 		k := dupKey{"client12", xid}

@@ -206,8 +206,8 @@ func TestOddLengthWriteSync(t *testing.T) {
 			return
 		}
 		fh := f.File
-		if err := cli.WriteSync(p, fh, 100, data); err != nil {
-			t.Errorf("WriteSync: %v", err)
+		if err := writeSync(cli, p, fh, 100, data); err != nil {
+			t.Errorf("write: %v", err)
 			return
 		}
 		res, err := cli.Read(p, fh, 96, 16)

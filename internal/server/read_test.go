@@ -191,7 +191,7 @@ func TestReadReplySurvivesOverwrite(t *testing.T) {
 			for i := range patch {
 				patch[i] = 0xC3
 			}
-			return r.cli.WriteSync(p, fh, off+100, patch)
+			return writeSync(r.cli, p, fh, off+100, patch)
 		}},
 	}
 
@@ -298,7 +298,7 @@ func TestReadFallbackMatchesFS(t *testing.T) {
 		buf := make([]byte, bs)
 		write := func(fh nfsproto.FH, off uint32, n int) {
 			client.FillPattern(buf[:n], off)
-			if err := r.cli.WriteSync(p, fh, off, buf[:n]); err != nil {
+			if err := writeSync(r.cli, p, fh, off, buf[:n]); err != nil {
 				t.Fatalf("write @%d: %v", off, err)
 			}
 		}
@@ -390,7 +390,7 @@ func TestDupCacheReleasesBodies(t *testing.T) {
 	blk := pool.Get()
 	n := netsim.New(sim.New(1), hw.FDDI())
 	n.SetAccounting(acct)
-	c := newDupCache(2)
+	c := newDupCache(nil, 2)
 	key := func(x uint32) dupKey { return dupKey{"a", x} }
 	finish := func(x uint32) {
 		c.begin(key(x))

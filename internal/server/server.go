@@ -123,7 +123,7 @@ func New(s *sim.Sim, n *netsim.Network, fs *ufs.FS, cfg Config) *Server {
 		net: n,
 		ep:  n.Attach(cfg.Name, 0, cfg.SockBufBytes),
 		cpu: cpu,
-		dup: newDupCache(cfg.DupCacheCap),
+		dup: newDupCache(n.Acct(), cfg.DupCacheCap),
 	}
 	if cfg.Gathering {
 		srv.engine = core.NewEngine(s, fs, cfg.NumNfsds, cfg.Gather, srv.hunt)

@@ -91,6 +91,14 @@ func newRig(t *testing.T, seed int64, o rigOpts) *rig {
 // quiesce: the dup cache's reply heads and the client's kept reply.
 func (r *rig) heldHeads() int64 { return int64(r.srv.DupHeads() + r.cli.HeldHeads()) }
 
+// writeSync writes data (at most MaxData bytes) at off as one WRITE,
+// staged in a buffer from the client's pool.
+func writeSync(c *client.Client, p *sim.Proc, fh nfsproto.FH, off uint32, data []byte) error {
+	b := c.GetWriteBuf()
+	copy(b.Data(), data)
+	return c.WriteSyncBufRelease(p, fh, off, b, len(data))
+}
+
 func TestEndToEndCreateWriteRead(t *testing.T) {
 	r := newRig(t, 1, rigOpts{biods: 4})
 	root := r.srv.RootFH()
@@ -103,7 +111,7 @@ func TestEndToEndCreateWriteRead(t *testing.T) {
 		}
 		payload := make([]byte, 8192)
 		client.FillPattern(payload, 0)
-		if err := r.cli.WriteSync(p, cres.File, 0, payload); err != nil {
+		if err := writeSync(r.cli, p, cres.File, 0, payload); err != nil {
 			t.Errorf("Write: %v", err)
 			return
 		}
@@ -502,7 +510,7 @@ func fastRetransClient() hw.ClientParams {
 }
 
 func TestDupCacheEviction(t *testing.T) {
-	c := newDupCache(2)
+	c := newDupCache(nil, 2)
 	k1 := dupKey{"a", 1}
 	k2 := dupKey{"a", 2}
 	k3 := dupKey{"a", 3}
@@ -520,7 +528,7 @@ func TestDupCacheEviction(t *testing.T) {
 }
 
 func TestDupCacheNeverEvictsInProgress(t *testing.T) {
-	c := newDupCache(1)
+	c := newDupCache(nil, 1)
 	k1 := dupKey{"a", 1}
 	c.begin(k1) // in progress
 	c.begin(dupKey{"a", 2})

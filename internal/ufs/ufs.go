@@ -51,7 +51,7 @@ type FS struct {
 	// inodes is the in-core inode table, indexed by inode number
 	// (ninodes+1 entries; 0 is never used). A nil entry is a free inode.
 	inodes   []*inode
-	blockMap bitmap // block allocation bitmap (in-core; rebuilt by fsck on mount)
+	blockMap bitmap // block allocation bitmap (in-core, lent; rebuilt by fsck on mount)
 	// freeData counts free entries of blockMap[dataStart:], so Statfs is
 	// O(1) instead of a bitmap sweep per call.
 	freeData int64
@@ -212,7 +212,7 @@ func Format(s *sim.Sim, dev disk.Device, fsid uint32, ninodes int, acct *block.A
 	if fs.dataStart >= fs.nblocks {
 		return nil, fmt.Errorf("ufs: device too small: %d blocks", fs.nblocks)
 	}
-	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
+	fs.blockMap = newBitmap(acct, fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
 	fs.inodes = make([]*inode, fs.ninodes+1) // ino 0 unused
 	fs.inoHint = 1
@@ -247,9 +247,9 @@ func (fs *FS) Statfs(p *sim.Proc) (int, int64, int64) {
 type bitmap []uint64
 
 // newBitmap returns the map of n blocks whose first used blocks are
-// taken (the superblock and the inode region).
-func newBitmap(n, used int64) bitmap {
-	m := make(bitmap, (n+63)/64)
+// taken (the superblock and the inode region), lent by acct.
+func newBitmap(acct *block.Accounting, n, used int64) bitmap {
+	m := bitmap(block.Lend[uint64](acct, int((n+63)/64)))
 	for i := int64(0); i < used; i++ {
 		m.set(i)
 	}
@@ -366,7 +366,7 @@ func Mount(s *sim.Sim, p *sim.Proc, dev disk.Device, acct *block.Accounting) (*F
 	}
 	fs.dataStart = 1 + fs.inodeBlocks
 	fs.ninodes = int(fs.inodeBlocks) * InodesPerBlock
-	fs.blockMap = newBitmap(fs.nblocks, fs.dataStart)
+	fs.blockMap = newBitmap(acct, fs.nblocks, fs.dataStart)
 	fs.freeData = fs.nblocks - fs.dataStart
 	fs.inodes = make([]*inode, fs.ninodes+1)
 	fs.inoHint = 1

@@ -802,7 +802,7 @@ func TestBitmapFirstFreeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		n := int64(1 + rng.Intn(300))
-		m := newBitmap(n, int64(rng.Intn(int(n))))
+		m := newBitmap(nil, n, int64(rng.Intn(int(n))))
 		density := rng.Float64()
 		for b := int64(0); b < n; b++ {
 			if rng.Float64() < density {
