@@ -25,9 +25,10 @@ import (
 // Past a full cache neither grows unless more than cap requests are in
 // progress at once. The chunks, the index, the free list and order are
 // lent by the server's ledger (block.Lend), so a scenario cell's cache
-// reuses the tables of the cell before it on the same worker. Eviction walks order, which holds keys, not records,
-// exactly as a map-based cache would: a key that is forgotten and begun
-// again is found by its stale order slot too.
+// reuses the tables of the cell before it on the same worker. Eviction
+// walks order, which holds keys, not records, exactly as a map-based
+// cache would: a key that is forgotten and begun again is found by its
+// stale order slot too.
 
 type dupKey struct {
 	client string
