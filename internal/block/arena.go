@@ -101,7 +101,7 @@ func (ar *Arena) take(st *stack) (unsafe.Pointer, bool) {
 // keep it, or alias it, past Retire. Any other ledger (Global,
 // NewAccounting, nil) gets a plain make, which the GC owns.
 func Lend[T any](a *Accounting, n int) []T {
-	if a == nil || a.arena == nil || n == 0 {
+	if a == nil || a.arena == nil {
 		return make([]T, n)
 	}
 	st := stackOf[T](a.arena, n)
